@@ -406,7 +406,7 @@ func BenchmarkNPCReduction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, cost, err := exact.Solve(context.Background(), red.Instance, red.Profile, exact.Options{})
+		_, cost, err := exact.Solve(context.Background(), red.Instance, power.SingleZone(red.Profile), exact.Options{})
 		if err != nil || cost != 0 {
 			b.Fatalf("cost %d err %v", cost, err)
 		}
@@ -445,7 +445,7 @@ func BenchmarkGreedySlack500(b *testing.B) {
 	inst, prof := benchInstance(b, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cawosched.Run(inst, prof, cawosched.Options{Score: cawosched.ScoreSlack}); err != nil {
+		if _, _, err := cawosched.RunContext(context.Background(), inst, prof, cawosched.Options{Score: cawosched.ScoreSlack}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -456,7 +456,7 @@ func BenchmarkGreedyPressWR500(b *testing.B) {
 	opt := cawosched.Options{Score: cawosched.ScorePressureW, Refined: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cawosched.Run(inst, prof, opt); err != nil {
+		if _, _, err := cawosched.RunContext(context.Background(), inst, prof, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -467,7 +467,7 @@ func BenchmarkPressWRLS500(b *testing.B) {
 	opt := cawosched.Options{Score: cawosched.ScorePressureW, Refined: true, LocalSearch: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cawosched.Run(inst, prof, opt); err != nil {
+		if _, _, err := cawosched.RunContext(context.Background(), inst, prof, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -478,7 +478,7 @@ func BenchmarkPressWRLS500(b *testing.B) {
 func localSearchInput(b *testing.B, n int) (*cawosched.Instance, *cawosched.Profile, *cawosched.Schedule) {
 	b.Helper()
 	inst, prof := benchInstance(b, n)
-	s, _, err := cawosched.Run(inst, prof, cawosched.Options{Score: cawosched.ScorePressureW, Refined: true})
+	s, _, err := cawosched.RunContext(context.Background(), inst, prof, cawosched.Options{Score: cawosched.ScorePressureW, Refined: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -491,17 +491,19 @@ func localSearchInput(b *testing.B, n int) (*cawosched.Instance, *cawosched.Prof
 // ns/op ratio is the pure candidate-enumeration speedup.
 func BenchmarkLocalSearch(b *testing.B) {
 	inst, prof, s := localSearchInput(b, 500)
+	zs := power.SingleZone(prof)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.LocalSearch(context.Background(), inst, prof, s.Clone(), core.DefaultMu, nil)
+		core.LocalSearch(context.Background(), inst, zs, s.Clone(), core.DefaultMu, 1, nil)
 	}
 }
 
 func BenchmarkLocalSearchUnitStep(b *testing.B) {
 	inst, prof, s := localSearchInput(b, 500)
+	zs := power.SingleZone(prof)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.LocalSearchUnitStep(context.Background(), inst, prof, s.Clone(), core.DefaultMu, nil)
+		core.LocalSearchUnitStep(context.Background(), inst, zs, s.Clone(), core.DefaultMu, nil)
 	}
 }
 

@@ -12,16 +12,20 @@
 // # Typical usage
 //
 //	wf, _ := cawosched.GenerateWorkflow(cawosched.Methylseq, 1000, 42)
-//	cluster := cawosched.SmallCluster(42)
-//	inst, _ := cawosched.PlanHEFT(wf, cluster)
-//	D := cawosched.ASAPMakespan(inst)                  // tightest deadline
-//	prof, _ := cawosched.ProfileForInstance(inst, cawosched.S1, 2*D, 24, 42)
-//	sched, stats, _ := cawosched.Run(inst, prof, cawosched.Options{
-//		Score:       cawosched.ScorePressure,
-//		Refined:     true,
-//		LocalSearch: true,
-//	}) // the paper's best variant, pressWR-LS
-//	fmt.Println(stats.Cost, cawosched.CarbonCost(inst, sched, prof))
+//	solver := cawosched.NewSolver(cawosched.SmallCluster(42))
+//	resp, _ := solver.Solve(ctx, cawosched.Request{
+//		Workflow:       wf,
+//		Variant:        "pressWR-LS", // the paper's best variant
+//		Scenario:       cawosched.S1,
+//		DeadlineFactor: 2, // deadline = 2 × the ASAP makespan
+//		Seed:           42,
+//	})
+//	fmt.Println(resp.Cost, resp.ASAPCost)
+//
+// The supply a schedule is optimized against is a ZoneSet: one green power
+// profile per grid zone of the cluster, of which a single cluster-wide
+// zone is the paper's setting. Entry points that take a bare *Profile
+// (RunContext, CarbonCost, Request.Profile, …) wrap it with SingleZone.
 //
 // The heavy lifting lives in the internal packages (dag, platform, power,
 // wfgen, heft, ceg, schedule, core, dp, exact, lp, milp, ilp, npc, stats,
@@ -232,21 +236,12 @@ func ZonesForInstance(inst *Instance, scenarios []Scenario, T int64, j int, seed
 // as a deadline-only horizon).
 func ConstantProfile(T, budget int64) *Profile { return power.Constant(T, budget) }
 
-// Run executes one CaWoSched variant; the deadline is prof.T().
-//
-// Deprecated: use RunContext, or a Solver for the full request/response
-// pipeline (memoized planning, cancellation, structured errors). Run
-// delegates to RunContext with context.Background().
-func Run(inst *Instance, prof *Profile, opt Options) (*Schedule, Stats, error) {
-	return RunContext(context.Background(), inst, prof, opt)
-}
-
-// RunContext executes one CaWoSched variant with cancellation support; the
-// deadline is prof.T(). A canceled ctx aborts the run within one greedy /
-// local-search stride with an error satisfying both
+// RunContext executes one CaWoSched variant against a cluster-wide
+// profile; the deadline is prof.T(). A canceled ctx aborts the run within
+// one greedy / local-search stride with an error satisfying both
 // errors.Is(err, ErrCanceled) and errors.Is(err, ctx.Err()).
 func RunContext(ctx context.Context, inst *Instance, prof *Profile, opt Options) (*Schedule, Stats, error) {
-	return core.Run(ctx, inst, prof, opt)
+	return core.Run(ctx, inst, power.SingleZone(prof), opt)
 }
 
 // Variants returns the 8 greedy variants with the given local-search
@@ -259,28 +254,27 @@ func AllVariants() []Options { return core.AllVariants() }
 // CarbonCost evaluates a schedule's total carbon cost under the profile
 // (polynomial interval sweep of Appendix A.1).
 func CarbonCost(inst *Instance, s *Schedule, prof *Profile) int64 {
-	return schedule.CarbonCost(inst, s, prof)
+	return schedule.CarbonCost(inst, s, power.SingleZone(prof))
 }
 
 // CarbonCostZones evaluates a schedule's total carbon cost under per-zone
-// green power: the sum over grid zones of each zone's interval sweep. For
-// a single-zone set it equals CarbonCost against that profile.
+// green power: the sum over grid zones of each zone's interval sweep.
 func CarbonCostZones(inst *Instance, s *Schedule, zs *ZoneSet) int64 {
-	return schedule.CarbonCostZones(inst, s, zs)
+	return schedule.CarbonCost(inst, s, zs)
 }
 
 // CostBreakdownZones returns the per-zone, per-interval carbon accounting
 // of a schedule; the zone Cost fields sum to CarbonCostZones.
 func CostBreakdownZones(inst *Instance, s *Schedule, zs *ZoneSet) []ZoneCost {
-	return schedule.CostBreakdownZones(inst, s, zs)
+	return schedule.CostBreakdown(inst, s, zs)
 }
 
 // RunZonesContext executes one CaWoSched variant against per-zone green
 // power with cancellation support; the deadline is the set's common
-// horizon zs.T(). A single-zone set reproduces RunContext exactly. For
-// the full request/response pipeline use a Solver with Request.Zones.
+// horizon zs.T(). For the full request/response pipeline use a Solver
+// with Request.Zones.
 func RunZonesContext(ctx context.Context, inst *Instance, zs *ZoneSet, opt Options) (*Schedule, Stats, error) {
-	return core.RunZones(ctx, inst, zs, opt)
+	return core.Run(ctx, inst, zs, opt)
 }
 
 // Validate checks that s is feasible for inst with deadline T.
@@ -303,58 +297,36 @@ func OptimalUniprocessor(durations []int64, idle, work int64, prof *Profile) ([]
 	return res.Start, res.Cost, nil
 }
 
-// OptimalSchedule computes a provably optimal schedule for a tiny instance
-// by branch-and-bound (roughly ≤ 12 tasks). maxNodes bounds the search
-// (0 = default); ErrBudgetExhausted is returned if it is exhausted.
-//
-// Deprecated: use OptimalScheduleContext, which adds cancellation support.
-func OptimalSchedule(inst *Instance, prof *Profile, maxNodes int64) (*Schedule, int64, error) {
-	return OptimalScheduleContext(context.Background(), inst, prof, maxNodes)
-}
-
-// OptimalScheduleContext is OptimalSchedule with cancellation support: a
-// canceled ctx aborts the branch-and-bound, returning the incumbent found
-// so far (if any) alongside the ErrCanceled-wrapping error.
+// OptimalScheduleContext computes a provably optimal schedule for a tiny
+// instance by branch-and-bound (roughly ≤ 12 tasks). maxNodes bounds the
+// search (0 = default); ErrBudgetExhausted is returned if it is exhausted.
+// A canceled ctx aborts the search, returning the incumbent found so far
+// (if any) alongside the ErrCanceled-wrapping error.
 func OptimalScheduleContext(ctx context.Context, inst *Instance, prof *Profile, maxNodes int64) (*Schedule, int64, error) {
-	return exact.Solve(ctx, inst, prof, exact.Options{MaxNodes: maxNodes})
+	return exact.Solve(ctx, inst, power.SingleZone(prof), exact.Options{MaxNodes: maxNodes})
 }
 
 // ALAP returns the As-Late-As-Possible comparator schedule for deadline T.
 func ALAP(inst *Instance, T int64) (*Schedule, error) { return core.ALAP(inst, T) }
 
-// RunMarginal executes the exact-marginal-cost greedy (an alternative to
-// the paper's budget-based greedy; see internal/core.GreedyMarginal),
-// optionally followed by the local search.
-//
-// Deprecated: use RunMarginalContext, or a Solver with Request.Marginal.
-func RunMarginal(inst *Instance, prof *Profile, opt Options) (*Schedule, Stats, error) {
-	return RunMarginalContext(context.Background(), inst, prof, opt)
-}
-
-// RunMarginalContext is RunMarginal with cancellation support. Like
-// RunContext it validates the produced schedule before returning it.
+// RunMarginalContext is RunContext with the exact-marginal-cost greedy (an
+// alternative to the paper's budget-based greedy; see
+// internal/core.GreedyMarginal), optionally followed by the local search.
+// For the request/response pipeline use a Solver with Request.Marginal.
 func RunMarginalContext(ctx context.Context, inst *Instance, prof *Profile, opt Options) (*Schedule, Stats, error) {
-	return core.RunMarginal(ctx, inst, prof, opt)
+	return core.RunWith(ctx, inst, power.SingleZone(prof), opt, true)
 }
 
 // AnnealOptions tunes the simulated-annealing improver.
 type AnnealOptions = core.AnnealOptions
 
-// Anneal improves a feasible schedule in place by simulated annealing (a
-// randomized alternative to the paper's hill climber) and returns the
-// final carbon cost. The result is never worse than the input.
-//
-// Deprecated: use AnnealContext, which adds cancellation support.
-func Anneal(inst *Instance, prof *Profile, s *Schedule, opt AnnealOptions) int64 {
-	cost, _ := core.Anneal(context.Background(), inst, prof, s, opt)
-	return cost
-}
-
-// AnnealContext is Anneal with cancellation support: on a canceled ctx the
-// best schedule found so far is restored and returned with its cost
-// alongside the ErrCanceled-wrapping error.
+// AnnealContext improves a feasible schedule in place by simulated
+// annealing (a randomized alternative to the paper's hill climber) and
+// returns the final carbon cost. The result is never worse than the input:
+// on a canceled ctx the best schedule found so far is restored and
+// returned with its cost alongside the ErrCanceled-wrapping error.
 func AnnealContext(ctx context.Context, inst *Instance, prof *Profile, s *Schedule, opt AnnealOptions) (int64, error) {
-	return core.Anneal(ctx, inst, prof, s, opt)
+	return core.Anneal(ctx, inst, power.SingleZone(prof), s, opt)
 }
 
 // MappingPolicy selects the processor-selection rule of the carbon-aware

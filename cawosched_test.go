@@ -1,6 +1,7 @@
 package cawosched_test
 
 import (
+	"context"
 	"testing"
 
 	cawosched "repro"
@@ -26,25 +27,32 @@ func buildPipeline(t testing.TB, fam cawosched.Family, n int, seed uint64, facto
 	return inst, prof
 }
 
+// TestQuickstartPath follows the package-doc quickstart: one Solver, one
+// Request, everything else defaulted or generated.
 func TestQuickstartPath(t *testing.T) {
-	inst, prof := buildPipeline(t, cawosched.Methylseq, 120, 42, 2)
-	sched, stats, err := cawosched.Run(inst, prof, cawosched.Options{
-		Score:       cawosched.ScorePressure,
-		Refined:     true,
-		LocalSearch: true,
+	wf, err := cawosched.GenerateWorkflow(cawosched.Methylseq, 120, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := cawosched.NewSolver(cawosched.SmallCluster(42))
+	resp, err := solver.Solve(context.Background(), cawosched.Request{
+		Workflow:       wf,
+		Variant:        "pressWR-LS",
+		Scenario:       cawosched.S1,
+		DeadlineFactor: 2,
+		Seed:           42,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cawosched.Validate(inst, sched, prof.T()); err != nil {
+	if err := cawosched.Validate(resp.Instance, resp.Schedule, resp.Deadline); err != nil {
 		t.Fatal(err)
 	}
-	if got := cawosched.CarbonCost(inst, sched, prof); got != stats.Cost {
-		t.Errorf("CarbonCost %d != Stats.Cost %d", got, stats.Cost)
+	if got := cawosched.CarbonCost(resp.Instance, resp.Schedule, resp.Profile); got != resp.Cost {
+		t.Errorf("CarbonCost %d != Response.Cost %d", got, resp.Cost)
 	}
-	asapCost := cawosched.CarbonCost(inst, cawosched.ASAP(inst), prof)
-	if stats.Cost > asapCost {
-		t.Errorf("pressWR-LS cost %d worse than ASAP %d", stats.Cost, asapCost)
+	if resp.Cost > resp.ASAPCost {
+		t.Errorf("pressWR-LS cost %d worse than ASAP %d", resp.Cost, resp.ASAPCost)
 	}
 }
 
@@ -80,7 +88,7 @@ func TestManualWorkflowAndMapping(t *testing.T) {
 		t.Fatalf("instance N=%d NumReal=%d", inst.N(), inst.NumReal)
 	}
 	prof := cawosched.ConstantProfile(60, 3)
-	sched, _, err := cawosched.Run(inst, prof, cawosched.Options{Score: cawosched.ScoreSlack})
+	sched, _, err := cawosched.RunContext(context.Background(), inst, prof, cawosched.Options{Score: cawosched.ScoreSlack})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +114,7 @@ func TestOptimalUniprocessorExposed(t *testing.T) {
 
 func TestOptimalScheduleExposed(t *testing.T) {
 	inst, prof := buildPipeline(t, cawosched.Bacass, 7, 3, 2)
-	opt, optCost, err := cawosched.OptimalSchedule(inst, prof, 5_000_000)
+	opt, optCost, err := cawosched.OptimalScheduleContext(context.Background(), inst, prof, 5_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +122,7 @@ func TestOptimalScheduleExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range cawosched.AllVariants() {
-		s, _, err := cawosched.Run(inst, prof, o)
+		s, _, err := cawosched.RunContext(context.Background(), inst, prof, o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func Example() {
 	}
 
 	asapCost := cawosched.CarbonCost(inst, cawosched.ASAP(inst), prof)
-	sched, stats, err := cawosched.Run(inst, prof, cawosched.Options{
+	sched, stats, err := cawosched.RunContext(context.Background(), inst, prof, cawosched.Options{
 		Score: cawosched.ScoreSlack,
 	})
 	if err != nil {

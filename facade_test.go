@@ -2,6 +2,7 @@ package cawosched_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestFacadeSurface(t *testing.T) {
 	}
 
 	// Marginal greedy + LS through the facade.
-	ms, mstats, err := cawosched.RunMarginal(inst, prof, cawosched.Options{
+	ms, mstats, err := cawosched.RunMarginalContext(context.Background(), inst, prof, cawosched.Options{
 		Score: cawosched.ScoreSlackW, LocalSearch: true,
 	})
 	if err != nil {
@@ -69,12 +70,15 @@ func TestFacadeSurface(t *testing.T) {
 		t.Error(err)
 	}
 	if mstats.Cost != cawosched.CarbonCost(inst, ms, prof) {
-		t.Error("RunMarginal stats cost mismatch")
+		t.Error("RunMarginalContext stats cost mismatch")
 	}
 
 	// Annealing through the facade.
 	before := cawosched.CarbonCost(inst, ms, prof)
-	after := cawosched.Anneal(inst, prof, ms, cawosched.AnnealOptions{Seed: 1, Iterations: 500})
+	after, err := cawosched.AnnealContext(context.Background(), inst, prof, ms, cawosched.AnnealOptions{Seed: 1, Iterations: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if after > before {
 		t.Errorf("Anneal worsened %d → %d", before, after)
 	}
@@ -121,7 +125,7 @@ func TestFacadeGreenMapping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, _, err := cawosched.Run(inst, prof, cawosched.Options{Score: cawosched.ScorePressure})
+		s, _, err := cawosched.RunContext(context.Background(), inst, prof, cawosched.Options{Score: cawosched.ScorePressure})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,19 +68,19 @@ func TestIntegrationAllSchedulersValid(t *testing.T) {
 			}
 			all = append(all, namedSched{"ALAP", alap})
 			for _, opt := range core.AllVariants() {
-				s, _, err := core.Run(context.Background(), in.Inst, in.Prof, opt)
+				s, _, err := core.Run(context.Background(), in.Inst, in.Zones, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				all = append(all, namedSched{opt.Name(), s})
 			}
-			mg, err := core.GreedyMarginal(context.Background(), in.Inst, in.Prof, core.Options{Score: core.ScorePressureW}, nil)
+			mg, err := core.GreedyMarginal(context.Background(), in.Inst, in.Zones, core.Options{Score: core.ScorePressureW}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			all = append(all, namedSched{"marginal", mg})
 			ann := mg.Clone()
-			core.Anneal(context.Background(), in.Inst, in.Prof, ann, core.AnnealOptions{Seed: 1, Iterations: 2000})
+			core.Anneal(context.Background(), in.Inst, in.Zones, ann, core.AnnealOptions{Seed: 1, Iterations: 2000})
 			all = append(all, namedSched{"marginal+anneal", ann})
 
 			for _, ns := range all {
@@ -92,7 +92,7 @@ func TestIntegrationAllSchedulersValid(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: replay: %v", ns.name, err)
 				}
-				if res.Cost != schedule.CarbonCost(in.Inst, ns.s, in.Prof) {
+				if res.Cost != schedule.CarbonCost(in.Inst, ns.s, in.Zones) {
 					t.Errorf("%s: replay cost %d != static cost", ns.name, res.Cost)
 				}
 			}
@@ -113,12 +113,12 @@ func TestIntegrationNoHeuristicBeatsOptimum(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, opt, err := exact.Solve(context.Background(), in.Inst, in.Prof, exact.Options{MaxNodes: 20_000_000})
+			_, opt, err := exact.Solve(context.Background(), in.Inst, in.Zones, exact.Options{MaxNodes: 20_000_000})
 			if err != nil {
 				t.Fatal(err)
 			}
 			check := func(name string, s *schedule.Schedule) {
-				if c := schedule.CarbonCost(in.Inst, s, in.Prof); c < opt {
+				if c := schedule.CarbonCost(in.Inst, s, in.Zones); c < opt {
 					t.Errorf("%s cost %d beats optimum %d", name, c, opt)
 				}
 			}
@@ -129,13 +129,13 @@ func TestIntegrationNoHeuristicBeatsOptimum(t *testing.T) {
 			}
 			check("ALAP", alap)
 			for _, o := range core.AllVariants() {
-				s, _, err := core.Run(context.Background(), in.Inst, in.Prof, o)
+				s, _, err := core.Run(context.Background(), in.Inst, in.Zones, o)
 				if err != nil {
 					t.Fatal(err)
 				}
 				check(o.Name(), s)
 			}
-			mg, err := core.GreedyMarginal(context.Background(), in.Inst, in.Prof, core.Options{Score: core.ScoreSlackW}, nil)
+			mg, err := core.GreedyMarginal(context.Background(), in.Inst, in.Zones, core.Options{Score: core.ScoreSlackW}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestIntegrationDPAgreesWithExactOnChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, bb, err := exact.Solve(context.Background(), inst, prof, exact.Options{})
+	_, bb, err := exact.Solve(context.Background(), inst, power.SingleZone(prof), exact.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

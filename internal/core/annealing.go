@@ -43,8 +43,8 @@ func (o AnnealOptions) cooling() float64 {
 // local-search ablation. A proposal moves one random task to a start drawn
 // uniformly from the candidate boundary starts of its current legal window
 // (bounded by its scheduled neighbors, as in Section 5.3 but without the
-// ±µ radius); worse moves are accepted with the Metropolis probability
-// exp(−Δ/temperature). Restricting proposals to candidate starts loses
+// ±µ radius) on the timeline of its grid zone; worse moves are accepted
+// with the Metropolis probability exp(−Δ/temperature). Restricting proposals to candidate starts loses
 // nothing: the gain is linear between consecutive candidates (see
 // schedule.CandidateStarts), so every locally optimal shift is a
 // candidate, and the proposal space shrinks from O(window) to
@@ -54,15 +54,7 @@ func (o AnnealOptions) cooling() float64 {
 // The context is polled every ctxCheckStride proposals; on cancellation the
 // best schedule seen so far is restored and its cost returned alongside a
 // scherr.ErrCanceled-wrapping error, so the partial improvement is usable.
-func Anneal(ctx context.Context, inst *ceg.Instance, prof *power.Profile, s *schedule.Schedule, opt AnnealOptions) (int64, error) {
-	return AnnealZones(ctx, inst, power.SingleZone(prof), s, opt)
-}
-
-// AnnealZones is the zone-aware annealer: proposals draw candidate starts
-// from — and gains are evaluated on — the timeline of the moved task's
-// grid zone, and the tracked cost is the sum over zones. With a single
-// zone it is exactly Anneal (which delegates here).
-func AnnealZones(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *schedule.Schedule, opt AnnealOptions) (int64, error) {
+func Anneal(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *schedule.Schedule, opt AnnealOptions) (int64, error) {
 	if err := schedule.CheckZones(inst, zs); err != nil {
 		return 0, err
 	}

@@ -271,7 +271,7 @@ func TestRefinedPointsUniChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := refinedPoints(inst, prof, 3)
+	pts := refinedPoints(inst, power.SingleZone(prof), 3)[0]
 	// Candidates include: block {0}: starts at 0/10 (→ 10), ends at 10/20
 	// (→ 8, 18); block {1}: starts 10, ends → 7, 17; block {0,1}: task 0
 	// at 10, 5, 15; task 1 at 2, 12, 7, 17...
@@ -299,8 +299,8 @@ func TestRefinedPointsUniChain(t *testing.T) {
 func TestRefinedPointsKLimitsBlocks(t *testing.T) {
 	inst := uniChain(t, []int64{1, 1, 1, 1, 1, 1}, 1, 1)
 	prof := power.Constant(50, 5)
-	p1 := refinedPoints(inst, prof, 1)
-	p3 := refinedPoints(inst, prof, 3)
+	p1 := refinedPoints(inst, power.SingleZone(prof), 1)[0]
+	p3 := refinedPoints(inst, power.SingleZone(prof), 3)[0]
 	if len(p3) < len(p1) {
 		t.Errorf("k=3 produced fewer points (%d) than k=1 (%d)", len(p3), len(p1))
 	}

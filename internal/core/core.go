@@ -42,26 +42,37 @@ func canceled(ctx context.Context) error {
 	return scherr.Canceled(ctx.Err())
 }
 
-// Run executes one CaWoSched variant on the instance. The deadline is the
-// profile's horizon T. It returns the schedule and statistics about the
-// run. It fails with scherr.ErrInfeasibleDeadline if the instance cannot
-// meet the deadline at all (the ASAP makespan exceeds T), and with
-// scherr.ErrCanceled if ctx is canceled mid-run.
-func Run(ctx context.Context, inst *ceg.Instance, prof *power.Profile, opt Options) (*schedule.Schedule, Stats, error) {
-	return RunZones(ctx, inst, power.SingleZone(prof), opt)
+// Run executes one CaWoSched variant on the instance against per-zone
+// green power: the greedy consults the budgets of each task's grid zone
+// and the local search moves tasks on per-zone timelines, minimizing the
+// summed carbon cost over all zones. The deadline is the zone set's common
+// horizon T; a one-zone set is the paper's cluster-wide profile. Run
+// returns the schedule and statistics about the run. It fails with
+// scherr.ErrInfeasibleDeadline if the instance cannot meet the deadline at
+// all (the ASAP makespan exceeds T), and with scherr.ErrCanceled if ctx is
+// canceled mid-run.
+func Run(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options) (*schedule.Schedule, Stats, error) {
+	return RunWith(ctx, inst, zs, opt, false)
 }
 
-// RunZones executes one CaWoSched variant against per-zone green power:
-// the greedy consults the budgets of each task's grid zone and the local
-// search moves tasks on per-zone timelines, minimizing the summed
-// carbon cost over all zones. The deadline is the zone set's common
-// horizon. A single-zone set reproduces Run exactly (Run delegates here),
-// so the paper's setting is the degenerate one-zone case.
-func RunZones(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options) (*schedule.Schedule, Stats, error) {
+// RunWith is Run with the greedy phase chosen by the caller's flag:
+// marginal selects the exact-marginal-cost greedy (see GreedyMarginal)
+// instead of the paper's budget-based one.
+func RunWith(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options, marginal bool) (*schedule.Schedule, Stats, error) {
+	greedy := Greedy
+	if marginal {
+		greedy = GreedyMarginal
+	}
+	return run(ctx, inst, zs, opt, greedy)
+}
+
+// run is the pipeline every variant shares: greedy phase, optional local
+// search, validation of the produced schedule, final cost.
+func run(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options,
+	greedy func(context.Context, *ceg.Instance, *power.ZoneSet, Options, *Stats) (*schedule.Schedule, error)) (*schedule.Schedule, Stats, error) {
 	var st Stats
-	T := zs.T()
 	gctx, gsp := obs.Start(ctx, "greedy")
-	s, err := GreedyZones(gctx, inst, zs, opt, &st)
+	s, err := greedy(gctx, inst, zs, opt, &st)
 	greedyAttrs(gsp, &st, err)
 	if err != nil {
 		return nil, st, err
@@ -69,38 +80,10 @@ func RunZones(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Op
 	if err := localSearchSpan(ctx, inst, zs, s, opt, &st); err != nil {
 		return nil, st, err
 	}
-	if err := schedule.Validate(inst, s, T); err != nil {
+	if err := schedule.Validate(inst, s, zs.T()); err != nil {
 		return nil, st, fmt.Errorf("core: produced invalid schedule: %w", err)
 	}
-	st.Cost = schedule.CarbonCostZones(inst, s, zs)
-	return s, st, nil
-}
-
-// RunMarginal executes the exact-marginal-cost greedy (an alternative to
-// the paper's budget-based greedy; see GreedyMarginal), optionally followed
-// by the local search. Like Run it validates the produced schedule before
-// returning it.
-func RunMarginal(ctx context.Context, inst *ceg.Instance, prof *power.Profile, opt Options) (*schedule.Schedule, Stats, error) {
-	return RunMarginalZones(ctx, inst, power.SingleZone(prof), opt)
-}
-
-// RunMarginalZones is RunZones with the exact-marginal-cost greedy phase.
-func RunMarginalZones(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options) (*schedule.Schedule, Stats, error) {
-	var st Stats
-	T := zs.T()
-	gctx, gsp := obs.Start(ctx, "greedy")
-	s, err := GreedyMarginalZones(gctx, inst, zs, opt, &st)
-	greedyAttrs(gsp, &st, err)
-	if err != nil {
-		return nil, st, err
-	}
-	if err := localSearchSpan(ctx, inst, zs, s, opt, &st); err != nil {
-		return nil, st, err
-	}
-	if err := schedule.Validate(inst, s, T); err != nil {
-		return nil, st, fmt.Errorf("core: marginal greedy produced invalid schedule: %w", err)
-	}
-	st.Cost = schedule.CarbonCostZones(inst, s, zs)
+	st.Cost = schedule.CarbonCost(inst, s, zs)
 	return s, st, nil
 }
 
@@ -128,7 +111,7 @@ func localSearchSpan(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet,
 		return nil
 	}
 	lctx, lsp := obs.Start(ctx, "local-search")
-	err := LocalSearchZonesWorkers(lctx, inst, zs, s, opt.EffectiveMu(), opt.SearchWorkers, st)
+	err := LocalSearch(lctx, inst, zs, s, opt.EffectiveMu(), opt.SearchWorkers, st)
 	if lsp != nil {
 		if err == nil {
 			lsp.SetAttr("rounds", st.LSRounds)

@@ -281,7 +281,7 @@ func TestGreedyProducesValidSchedules(t *testing.T) {
 	inst, prof := testInstance(t, wfgen.Atacseq, 120, 5, power.S1, 2)
 	for _, opt := range Variants(false) {
 		var st Stats
-		s, err := Greedy(context.Background(), inst, prof, opt, &st)
+		s, err := Greedy(context.Background(), inst, power.SingleZone(prof), opt, &st)
 		if err != nil {
 			t.Fatalf("%s: %v", opt.Name(), err)
 		}
@@ -297,10 +297,10 @@ func TestGreedyProducesValidSchedules(t *testing.T) {
 func TestGreedyRefinedHasMoreIntervals(t *testing.T) {
 	inst, prof := testInstance(t, wfgen.Bacass, 57, 7, power.S3, 2)
 	var stN, stR Stats
-	if _, err := Greedy(context.Background(), inst, prof, Options{Score: ScoreSlack}, &stN); err != nil {
+	if _, err := Greedy(context.Background(), inst, power.SingleZone(prof), Options{Score: ScoreSlack}, &stN); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Greedy(context.Background(), inst, prof, Options{Score: ScoreSlack, Refined: true}, &stR); err != nil {
+	if _, err := Greedy(context.Background(), inst, power.SingleZone(prof), Options{Score: ScoreSlack, Refined: true}, &stR); err != nil {
 		t.Fatal(err)
 	}
 	if stR.Intervals <= stN.Intervals {
@@ -316,13 +316,13 @@ func TestGreedyBeatsASAPOnLateGreenPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asapCost := schedule.CarbonCost(inst, ASAP(inst), prof)
+	asapCost := schedule.CarbonCost(inst, ASAP(inst), power.SingleZone(prof))
 	for _, opt := range Variants(false) {
-		s, err := Greedy(context.Background(), inst, prof, opt, nil)
+		s, err := Greedy(context.Background(), inst, power.SingleZone(prof), opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cost := schedule.CarbonCost(inst, s, prof)
+		cost := schedule.CarbonCost(inst, s, power.SingleZone(prof))
 		if cost > asapCost {
 			t.Errorf("%s: cost %d worse than ASAP %d", opt.Name(), cost, asapCost)
 		}
@@ -334,16 +334,16 @@ func TestGreedyBeatsASAPOnLateGreenPower(t *testing.T) {
 
 func TestRunAllVariantsValidAndStats(t *testing.T) {
 	inst, prof := testInstance(t, wfgen.Methylseq, 100, 11, power.S3, 2)
-	asapCost := schedule.CarbonCost(inst, ASAP(inst), prof)
+	asapCost := schedule.CarbonCost(inst, ASAP(inst), power.SingleZone(prof))
 	for _, opt := range AllVariants() {
-		s, st, err := Run(context.Background(), inst, prof, opt)
+		s, st, err := Run(context.Background(), inst, power.SingleZone(prof), opt)
 		if err != nil {
 			t.Fatalf("%s: %v", opt.Name(), err)
 		}
 		if err := schedule.Validate(inst, s, prof.T()); err != nil {
 			t.Errorf("%s: %v", opt.Name(), err)
 		}
-		if st.Cost != schedule.CarbonCost(inst, s, prof) {
+		if st.Cost != schedule.CarbonCost(inst, s, power.SingleZone(prof)) {
 			t.Errorf("%s: Stats.Cost mismatch", opt.Name())
 		}
 		if opt.LocalSearch && st.Cost > st.GreedyCost {
@@ -356,14 +356,14 @@ func TestRunAllVariantsValidAndStats(t *testing.T) {
 func TestLocalSearchNeverWorsens(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		inst, prof := testInstance(t, wfgen.Families()[seed%4], 80, seed, power.S1, 1.5)
-		s, err := Greedy(context.Background(), inst, prof, Options{Score: ScorePressure, Refined: true}, nil)
+		s, err := Greedy(context.Background(), inst, power.SingleZone(prof), Options{Score: ScorePressure, Refined: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := schedule.CarbonCost(inst, s, prof)
+		before := schedule.CarbonCost(inst, s, power.SingleZone(prof))
 		var st Stats
-		LocalSearch(context.Background(), inst, prof, s, 10, &st)
-		after := schedule.CarbonCost(inst, s, prof)
+		LocalSearch(context.Background(), inst, power.SingleZone(prof), s, 10, 1, &st)
+		after := schedule.CarbonCost(inst, s, power.SingleZone(prof))
 		if after > before {
 			t.Errorf("seed %d: LS worsened %d → %d", seed, before, after)
 		}
@@ -387,8 +387,8 @@ func TestLocalSearchImprovesBadSchedule(t *testing.T) {
 	s := schedule.New(1)
 	s.Start[0] = 7 // fully brown: cost 30
 	var st Stats
-	LocalSearch(context.Background(), inst, prof, s, 10, &st)
-	if got := schedule.CarbonCost(inst, s, prof); got != 0 {
+	LocalSearch(context.Background(), inst, power.SingleZone(prof), s, 10, 1, &st)
+	if got := schedule.CarbonCost(inst, s, power.SingleZone(prof)); got != 0 {
 		t.Errorf("LS left cost %d, want 0 (move into the green window)", got)
 	}
 	if st.LSMoves == 0 {
@@ -399,7 +399,7 @@ func TestLocalSearchImprovesBadSchedule(t *testing.T) {
 func TestRunInfeasibleDeadline(t *testing.T) {
 	inst := uniChain(t, []int64{5, 5}, 1, 1)
 	prof := power.Constant(9, 100) // ASAP needs 10
-	if _, _, err := Run(context.Background(), inst, prof, Options{}); err == nil {
+	if _, _, err := Run(context.Background(), inst, power.SingleZone(prof), Options{}); err == nil {
 		t.Error("infeasible deadline not reported")
 	}
 }
@@ -411,7 +411,7 @@ func TestGreedyWithExactDeadline(t *testing.T) {
 	D := ASAPMakespan(inst)
 	prof := prof0.Clip(D)
 	for _, opt := range AllVariants() {
-		s, _, err := Run(context.Background(), inst, prof, opt)
+		s, _, err := Run(context.Background(), inst, power.SingleZone(prof), opt)
 		if err != nil {
 			t.Fatalf("%s: %v", opt.Name(), err)
 		}
@@ -424,11 +424,11 @@ func TestGreedyWithExactDeadline(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	inst, prof := testInstance(t, wfgen.Eager, 90, 17, power.S2, 2)
 	for _, opt := range []Options{{Score: ScoreSlackW, Refined: true, LocalSearch: true}} {
-		a, _, err := Run(context.Background(), inst, prof, opt)
+		a, _, err := Run(context.Background(), inst, power.SingleZone(prof), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := Run(context.Background(), inst, prof, opt)
+		b, _, err := Run(context.Background(), inst, power.SingleZone(prof), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +448,7 @@ func TestAllVariantsValidProperty(t *testing.T) {
 		sc := power.Scenarios()[r.Intn(4)]
 		inst, prof := testInstance(t, fam, 40, seed, sc, factor)
 		opt := AllVariants()[r.Intn(16)]
-		s, _, err := Run(context.Background(), inst, prof, opt)
+		s, _, err := Run(context.Background(), inst, power.SingleZone(prof), opt)
 		if err != nil {
 			return false
 		}

@@ -14,22 +14,15 @@ import (
 // from the initial EST/LST windows and fixes the processing order up
 // front (Section 5.2); here, the next task is always the one with the
 // currently best score under the *updated* windows — the natural
-// "what if the order adapted" question.
+// "what if the order adapted" question. Like Greedy it keeps one
+// remaining-budget structure per grid zone.
 //
 // Only the slack and pressure bases are meaningful dynamically (the
 // power-weighting factor is static either way). The implementation keeps
 // a lazy max-heap: entries are re-pushed when their recorded score is
 // stale, so each window update costs O(log n) amortized instead of a full
 // re-sort.
-func GreedyDynamic(ctx context.Context, inst *ceg.Instance, prof *power.Profile, opt Options, st *Stats) (*schedule.Schedule, error) {
-	return GreedyDynamicZones(ctx, inst, power.SingleZone(prof), opt, st)
-}
-
-// GreedyDynamicZones is the zone-aware dynamic greedy: like GreedyZones
-// it keeps one remaining-budget structure per grid zone, while the task
-// order adapts through the lazy score heap. With a single zone it is
-// exactly GreedyDynamic (which delegates here).
-func GreedyDynamicZones(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options, st *Stats) (*schedule.Schedule, error) {
+func GreedyDynamic(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options, st *Stats) (*schedule.Schedule, error) {
 	if err := schedule.CheckZones(inst, zs); err != nil {
 		return nil, err
 	}
@@ -103,7 +96,7 @@ func GreedyDynamicZones(ctx context.Context, inst *ceg.Instance, zs *power.ZoneS
 		b.consume(start, start+inst.Dur[v], idle+work)
 	}
 	if st != nil {
-		st.GreedyCost = schedule.CarbonCostZones(inst, s, zs)
+		st.GreedyCost = schedule.CarbonCost(inst, s, zs)
 	}
 	return s, nil
 }

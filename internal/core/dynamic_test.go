@@ -15,14 +15,14 @@ func TestGreedyDynamicValidSchedules(t *testing.T) {
 		inst, prof := testInstance(t, wfgen.Families()[seed%4], 80, seed, power.Scenarios()[seed%4], 2)
 		for _, sc := range Scores() {
 			var st Stats
-			s, err := GreedyDynamic(context.Background(), inst, prof, Options{Score: sc}, &st)
+			s, err := GreedyDynamic(context.Background(), inst, power.SingleZone(prof), Options{Score: sc}, &st)
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, sc, err)
 			}
 			if err := schedule.Validate(inst, s, prof.T()); err != nil {
 				t.Errorf("seed %d %v: %v", seed, sc, err)
 			}
-			if st.GreedyCost != schedule.CarbonCost(inst, s, prof) {
+			if st.GreedyCost != schedule.CarbonCost(inst, s, power.SingleZone(prof)) {
 				t.Errorf("seed %d %v: stats mismatch", seed, sc)
 			}
 		}
@@ -31,7 +31,7 @@ func TestGreedyDynamicValidSchedules(t *testing.T) {
 
 func TestGreedyDynamicSchedulesEveryTaskOnce(t *testing.T) {
 	inst, prof := testInstance(t, wfgen.Eager, 60, 7, power.S1, 2)
-	s, err := GreedyDynamic(context.Background(), inst, prof, Options{Score: ScoreSlack}, nil)
+	s, err := GreedyDynamic(context.Background(), inst, power.SingleZone(prof), Options{Score: ScoreSlack}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func TestGreedyDynamicSchedulesEveryTaskOnce(t *testing.T) {
 
 func TestGreedyDynamicDeterministic(t *testing.T) {
 	inst, prof := testInstance(t, wfgen.Methylseq, 70, 9, power.S3, 1.5)
-	a, err := GreedyDynamic(context.Background(), inst, prof, Options{Score: ScorePressureW, Refined: true}, nil)
+	a, err := GreedyDynamic(context.Background(), inst, power.SingleZone(prof), Options{Score: ScorePressureW, Refined: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GreedyDynamic(context.Background(), inst, prof, Options{Score: ScorePressureW, Refined: true}, nil)
+	b, err := GreedyDynamic(context.Background(), inst, power.SingleZone(prof), Options{Score: ScorePressureW, Refined: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,18 +66,18 @@ func TestGreedyDynamicGreenWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := GreedyDynamic(context.Background(), inst, prof, Options{Score: ScorePressure}, nil)
+	s, err := GreedyDynamic(context.Background(), inst, power.SingleZone(prof), Options{Score: ScorePressure}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := schedule.CarbonCost(inst, s, prof); got != 0 {
+	if got := schedule.CarbonCost(inst, s, power.SingleZone(prof)); got != 0 {
 		t.Errorf("dynamic greedy cost = %d, want 0", got)
 	}
 }
 
 func TestGreedyDynamicInfeasible(t *testing.T) {
 	inst := uniChain(t, []int64{5, 5}, 1, 1)
-	if _, err := GreedyDynamic(context.Background(), inst, power.Constant(9, 5), Options{}, nil); err == nil {
+	if _, err := GreedyDynamic(context.Background(), inst, power.SingleZone(power.Constant(9, 5)), Options{}, nil); err == nil {
 		t.Error("infeasible deadline accepted")
 	}
 }

@@ -41,12 +41,12 @@ func TestALAPBeatsASAPOnLateGreen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asapCost := schedule.CarbonCost(inst, ASAP(inst), prof)
+	asapCost := schedule.CarbonCost(inst, ASAP(inst), power.SingleZone(prof))
 	alap, err := ALAP(inst, prof.T())
 	if err != nil {
 		t.Fatal(err)
 	}
-	alapCost := schedule.CarbonCost(inst, alap, prof)
+	alapCost := schedule.CarbonCost(inst, alap, power.SingleZone(prof))
 	if alapCost >= asapCost {
 		t.Errorf("ALAP cost %d not below ASAP cost %d with late green power", alapCost, asapCost)
 	}
@@ -58,16 +58,16 @@ func TestALAPBeatsASAPOnLateGreen(t *testing.T) {
 func TestAnnealNeverWorsens(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		inst, prof := testInstance(t, wfgen.Families()[seed%4], 70, seed, power.S3, 2)
-		s, err := Greedy(context.Background(), inst, prof, Options{Score: ScoreSlack}, nil)
+		s, err := Greedy(context.Background(), inst, power.SingleZone(prof), Options{Score: ScoreSlack}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := schedule.CarbonCost(inst, s, prof)
-		got, err := Anneal(context.Background(), inst, prof, s, AnnealOptions{Seed: seed})
+		before := schedule.CarbonCost(inst, s, power.SingleZone(prof))
+		got, err := Anneal(context.Background(), inst, power.SingleZone(prof), s, AnnealOptions{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		after := schedule.CarbonCost(inst, s, prof)
+		after := schedule.CarbonCost(inst, s, power.SingleZone(prof))
 		if got != after {
 			t.Errorf("seed %d: Anneal returned %d but schedule evaluates to %d", seed, got, after)
 		}
@@ -89,7 +89,7 @@ func TestAnnealFindsGreenWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := schedule.New(1) // start 0: fully brown, 50 units from the window
-	cost, err := Anneal(context.Background(), inst, prof, s, AnnealOptions{Seed: 1, Iterations: 2000})
+	cost, err := Anneal(context.Background(), inst, power.SingleZone(prof), s, AnnealOptions{Seed: 1, Iterations: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestAnnealFindsGreenWindow(t *testing.T) {
 func TestAnnealDeterministicPerSeed(t *testing.T) {
 	inst, prof := testInstance(t, wfgen.Eager, 50, 2, power.S1, 2)
 	mk := func() int64 {
-		s, err := Greedy(context.Background(), inst, prof, Options{Score: ScorePressure}, nil)
+		s, err := Greedy(context.Background(), inst, power.SingleZone(prof), Options{Score: ScorePressure}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cost, err := Anneal(context.Background(), inst, prof, s, AnnealOptions{Seed: 7, Iterations: 3000})
+		cost, err := Anneal(context.Background(), inst, power.SingleZone(prof), s, AnnealOptions{Seed: 7, Iterations: 3000})
 		if err != nil {
 			t.Fatal(err)
 		}

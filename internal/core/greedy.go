@@ -15,7 +15,7 @@ import (
 func newZoneBudgets(inst *ceg.Instance, zs *power.ZoneSet, opt Options, st *Stats) []*budgets {
 	var extra [][]int64
 	if opt.Refined {
-		extra = refinedPointsZones(inst, zs, opt.EffectiveK())
+		extra = refinedPoints(inst, zs, opt.EffectiveK())
 	}
 	bs := make([]*budgets, zs.NumZones())
 	for z := range bs {
@@ -37,19 +37,12 @@ func newZoneBudgets(inst *ceg.Instance, zs *power.ZoneSet, opt Options, st *Stat
 // tasks in score order and starts each at the beginning of the feasible
 // interval with the highest remaining green budget, falling back to the
 // earliest start time when no interval start lies in the task's window.
-// After each placement it decreases the budgets of the covered intervals by
-// the processor's total power and updates all remaining start windows.
-// The context is polled every ctxCheckStride placements.
-func Greedy(ctx context.Context, inst *ceg.Instance, prof *power.Profile, opt Options, st *Stats) (*schedule.Schedule, error) {
-	return GreedyZones(ctx, inst, power.SingleZone(prof), opt, st)
-}
-
-// GreedyZones is the zone-aware greedy: each grid zone keeps its own
-// remaining-budget structure over its own profile, and every task
-// consults — and consumes from — the budgets of its processor's zone.
-// With a single zone it is exactly the paper's greedy (Greedy delegates
-// here).
-func GreedyZones(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options, st *Stats) (*schedule.Schedule, error) {
+// Each grid zone keeps its own remaining-budget structure over its own
+// profile; every task consults — and after its placement decreases, by its
+// processor's total power — the budgets of its processor's zone, and all
+// remaining start windows are updated. The context is polled every
+// ctxCheckStride placements.
+func Greedy(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options, st *Stats) (*schedule.Schedule, error) {
 	if err := schedule.CheckZones(inst, zs); err != nil {
 		return nil, err
 	}
@@ -82,7 +75,7 @@ func GreedyZones(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt
 		b.consume(start, start+inst.Dur[v], idle+work)
 	}
 	if st != nil {
-		st.GreedyCost = schedule.CarbonCostZones(inst, s, zs)
+		st.GreedyCost = schedule.CarbonCost(inst, s, zs)
 	}
 	return s, nil
 }

@@ -66,37 +66,9 @@ func moveWindowStarts(inst *ceg.Instance, start []int64, v int, T, mu int64) (lo
 	return lo, hi
 }
 
-// LocalSearch improves a feasible schedule in place with the hill climber
-// of Section 5.3: processors are visited in non-increasing work-power
-// order; on each processor, tasks are scanned left to right, and each task
-// tries every shift within ±mu time units (earliest candidate first). The
-// first legal move with a strictly positive carbon gain is applied. The
-// search stops after a full round without any gain. The schedule's cost
-// never increases.
-//
-// Candidates are enumerated by interval jumping rather than unit steps:
-// the gain of a shift is piecewise linear in the new start, with slope
-// changes only where a task edge crosses a timeline breakpoint or profile
-// boundary, so only those O(#breakpoints in window) starts are evaluated
-// (see schedule.FirstImprovingMove). The accepted moves — and therefore
-// the final schedule — are identical to the unit-step scan's, kept as
-// LocalSearchUnitStep for differential testing and benchmarking.
-//
-// The context is polled every ctxCheckStride task scans; on cancellation
-// the schedule is left at the last accepted move (still feasible — every
-// accepted move preserves feasibility) and a scherr.ErrCanceled-wrapping
-// error is returned, so cancellation takes effect well within one round.
-func LocalSearch(ctx context.Context, inst *ceg.Instance, prof *power.Profile, s *schedule.Schedule, mu int64, st *Stats) error {
-	return LocalSearchZones(ctx, inst, power.SingleZone(prof), s, mu, st)
-}
-
-// LocalSearchZones is the zone-aware hill climber: one power timeline per
-// grid zone, with every task's candidate starts enumerated from — and its
-// move gain evaluated on — the timeline of its own zone (a move only
-// perturbs the draw of the zone it runs in, so the per-zone incremental
-// evaluation is exact). With a single zone it is exactly the Section 5.3
-// local search (LocalSearch delegates here).
-func LocalSearchZones(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *schedule.Schedule, mu int64, st *Stats) error {
+// localSearchSeq is the sequential scan of LocalSearch (workers ≤ 1): no
+// replicas, no move log, one timeline per zone updated in place.
+func localSearchSeq(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *schedule.Schedule, mu int64, st *Stats) error {
 	if err := schedule.CheckZones(inst, zs); err != nil {
 		return err
 	}
@@ -152,9 +124,12 @@ func LocalSearchZones(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet
 // same moves as LocalSearch and is retained as the reference
 // implementation for the equivalence property test and the
 // BenchmarkLocalSearch speedup baseline.
-func LocalSearchUnitStep(ctx context.Context, inst *ceg.Instance, prof *power.Profile, s *schedule.Schedule, mu int64, st *Stats) error {
-	T := prof.T()
-	tl := schedule.NewTimeline(inst, s, prof)
+func LocalSearchUnitStep(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *schedule.Schedule, mu int64, st *Stats) error {
+	if err := schedule.CheckZones(inst, zs); err != nil {
+		return err
+	}
+	T := zs.T()
+	tls := schedule.NewZoneTimelines(inst, s, zs)
 	procs := powerOrder(inst)
 	scans := 0
 	for {
@@ -177,6 +152,7 @@ func LocalSearchUnitStep(ctx context.Context, inst *ceg.Instance, prof *power.Pr
 				cur := s.Start[v]
 				lo, hi := moveWindow(inst, s, v, T, mu)
 				_, work := inst.ProcPower(v)
+				tl := tls.For(v)
 				for cand := lo; cand <= hi; cand++ {
 					if cand == cur {
 						continue
@@ -197,6 +173,6 @@ func LocalSearchUnitStep(ctx context.Context, inst *ceg.Instance, prof *power.Pr
 		if !improved {
 			return nil
 		}
-		tl.Compact()
+		tls.Compact()
 	}
 }

@@ -55,15 +55,15 @@ func TestLocalSearchMatchesUnitStep(t *testing.T) {
 		for _, mu := range []int64{3, 10, 30} {
 			fam := fams[int(seed)%len(fams)]
 			inst, prof := equivInstance(t, fam, 45, seed, 2, power.Scenarios()[int(seed)%4])
-			s, _, err := Run(context.Background(), inst, prof, Options{Score: ScorePressureW, Refined: true})
+			s, _, err := Run(context.Background(), inst, power.SingleZone(prof), Options{Score: ScorePressureW, Refined: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			jump := s.Clone()
 			step := s.Clone()
 			var jumpStats, stepStats Stats
-			LocalSearch(context.Background(), inst, prof, jump, mu, &jumpStats)
-			LocalSearchUnitStep(context.Background(), inst, prof, step, mu, &stepStats)
+			LocalSearch(context.Background(), inst, power.SingleZone(prof), jump, mu, 1, &jumpStats)
+			LocalSearchUnitStep(context.Background(), inst, power.SingleZone(prof), step, mu, &stepStats)
 			for v := range jump.Start {
 				if jump.Start[v] != step.Start[v] {
 					t.Fatalf("seed %d mu %d: task %d start %d (jump) != %d (unit step)",
@@ -110,17 +110,17 @@ func TestLocalSearchNeverWorseThanUnitStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, st, err := Run(context.Background(), inst, prof, Options{Score: ScoreSlack})
+		s, st, err := Run(context.Background(), inst, power.SingleZone(prof), Options{Score: ScoreSlack})
 		if err != nil {
 			t.Fatal(err)
 		}
 		greedyCost := st.Cost
 		jump := s.Clone()
 		step := s.Clone()
-		LocalSearch(context.Background(), inst, prof, jump, DefaultMu, nil)
-		LocalSearchUnitStep(context.Background(), inst, prof, step, DefaultMu, nil)
-		jumpCost := schedule.CarbonCost(inst, jump, prof)
-		stepCost := schedule.CarbonCost(inst, step, prof)
+		LocalSearch(context.Background(), inst, power.SingleZone(prof), jump, DefaultMu, 1, nil)
+		LocalSearchUnitStep(context.Background(), inst, power.SingleZone(prof), step, DefaultMu, nil)
+		jumpCost := schedule.CarbonCost(inst, jump, power.SingleZone(prof))
+		stepCost := schedule.CarbonCost(inst, step, power.SingleZone(prof))
 		if jumpCost > stepCost {
 			t.Errorf("seed %d: jump cost %d > unit-step cost %d", seed, jumpCost, stepCost)
 		}

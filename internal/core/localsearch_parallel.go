@@ -23,10 +23,9 @@ import (
 // on the authoritative state. Because commits happen in scan order and a
 // stale result is always recomputed, the accepted moves, the final
 // schedule, and the Stats counters are bit-identical to the sequential
-// LocalSearchZones at every worker count and under any goroutine
-// interleaving. Ties break exactly as in the sequential scan: the lowest
-// scan index commits first, and FirstImprovingMove returns the earliest
-// improving start.
+// scan at every worker count and under any goroutine interleaving. Ties
+// break exactly as in the sequential scan: the lowest scan index commits
+// first, and FirstImprovingMove returns the earliest improving start.
 
 // lsMove is one committed move, appended to the round's shared log so
 // workers can fast-forward their replicas. Entries are published by
@@ -86,17 +85,40 @@ func lsConflicts(inst *ceg.Instance, zoneOf []int, v int, lo, hiEnd int64, moves
 	return false
 }
 
-// LocalSearchZonesWorkers runs LocalSearchZones across a bounded worker
-// pool. workers ≤ 1 delegates to the sequential implementation; any
-// larger pool produces the identical schedule, cost, and Stats — the
-// parallelism is an implementation detail, never a semantic knob (which
-// is why the solver normalizes it out of its cache keys). Cancellation
-// is polled in the committer at the sequential cadence, so a canceled
-// context still takes effect well within one round and returns the same
-// scherr.ErrCanceled-wrapping error.
-func LocalSearchZonesWorkers(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *schedule.Schedule, mu int64, workers int, st *Stats) error {
+// LocalSearch improves a feasible schedule in place with the hill climber
+// of Section 5.3: processors are visited in non-increasing work-power
+// order; on each processor, tasks are scanned left to right, and each task
+// tries every shift within ±mu time units (earliest candidate first). The
+// first legal move with a strictly positive carbon gain is applied. The
+// search stops after a full round without any gain. The schedule's cost
+// never increases.
+//
+// There is one power timeline per grid zone, with every task's candidate
+// starts enumerated from — and its move gain evaluated on — the timeline
+// of its own zone (a move only perturbs the draw of the zone it runs in,
+// so the per-zone incremental evaluation is exact). Candidates are
+// enumerated by interval jumping rather than unit steps: the gain of a
+// shift is piecewise linear in the new start, with slope changes only
+// where a task edge crosses a timeline breakpoint or profile boundary, so
+// only those O(#breakpoints in window) starts are evaluated (see
+// schedule.FirstImprovingMove). The accepted moves — and therefore the
+// final schedule — are identical to the unit-step scan's, kept as
+// LocalSearchUnitStep for differential testing and benchmarking.
+//
+// workers ≤ 1 scans sequentially; a larger count runs the speculative
+// worker pool described above and produces the identical schedule, cost,
+// and Stats — the parallelism is an implementation detail, never a
+// semantic knob (which is why the solver normalizes it out of its cache
+// keys).
+//
+// The context is polled every ctxCheckStride task scans (in the committer
+// when parallel); on cancellation the schedule is left at the last
+// accepted move (still feasible — every accepted move preserves
+// feasibility) and a scherr.ErrCanceled-wrapping error is returned, so
+// cancellation takes effect well within one round.
+func LocalSearch(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *schedule.Schedule, mu int64, workers int, st *Stats) error {
 	if workers <= 1 {
-		return LocalSearchZones(ctx, inst, zs, s, mu, st)
+		return localSearchSeq(ctx, inst, zs, s, mu, st)
 	}
 	if err := schedule.CheckZones(inst, zs); err != nil {
 		return err

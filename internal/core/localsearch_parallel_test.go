@@ -62,20 +62,20 @@ func TestLocalSearchWorkersMatchSequential(t *testing.T) {
 	for _, zones := range []int{1, 3} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			inst, zs := zonedCoreInstance(t, 60, seed, zones)
-			base, err := GreedyZones(ctx, inst, zs, Options{Score: ScorePressureW, Refined: true}, nil)
+			base, err := Greedy(ctx, inst, zs, Options{Score: ScorePressureW, Refined: true}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			seq := base.Clone()
 			var seqSt Stats
-			if err := LocalSearchZones(ctx, inst, zs, seq, DefaultMu, &seqSt); err != nil {
+			if err := LocalSearch(ctx, inst, zs, seq, DefaultMu, 1, &seqSt); err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range counts {
 				par := base.Clone()
 				var parSt Stats
-				if err := LocalSearchZonesWorkers(ctx, inst, zs, par, DefaultMu, w, &parSt); err != nil {
+				if err := LocalSearch(ctx, inst, zs, par, DefaultMu, w, &parSt); err != nil {
 					t.Fatalf("zones=%d seed=%d workers=%d: %v", zones, seed, w, err)
 				}
 				for v := range seq.Start {
@@ -88,7 +88,7 @@ func TestLocalSearchWorkersMatchSequential(t *testing.T) {
 					t.Fatalf("zones=%d seed=%d workers=%d: stats %+v != sequential %+v",
 						zones, seed, w, parSt, seqSt)
 				}
-				if got, want := schedule.CarbonCostZones(inst, par, zs), schedule.CarbonCostZones(inst, seq, zs); got != want {
+				if got, want := schedule.CarbonCost(inst, par, zs), schedule.CarbonCost(inst, seq, zs); got != want {
 					t.Fatalf("zones=%d seed=%d workers=%d: cost %d != sequential %d", zones, seed, w, got, want)
 				}
 			}
@@ -96,23 +96,16 @@ func TestLocalSearchWorkersMatchSequential(t *testing.T) {
 	}
 }
 
-// TestRunZonesSearchWorkersIdentical pins the end-to-end wiring: RunZones
+// TestRunSearchWorkersIdentical pins the end-to-end wiring: RunWith
 // with Options.SearchWorkers set produces the same schedule and stats as
 // the default sequential run, for both greedy flavors.
-func TestRunZonesSearchWorkersIdentical(t *testing.T) {
+func TestRunSearchWorkersIdentical(t *testing.T) {
 	ctx := context.Background()
 	inst, zs := zonedCoreInstance(t, 50, 2, 3)
 	for _, marginal := range []bool{false, true} {
 		run := func(workers int) (*schedule.Schedule, Stats) {
 			opt := Options{Score: ScorePressureW, Refined: true, LocalSearch: true, SearchWorkers: workers}
-			var s *schedule.Schedule
-			var st Stats
-			var err error
-			if marginal {
-				s, st, err = RunMarginalZones(ctx, inst, zs, opt)
-			} else {
-				s, st, err = RunZones(ctx, inst, zs, opt)
-			}
+			s, st, err := RunWith(ctx, inst, zs, opt, marginal)
 			if err != nil {
 				t.Fatalf("marginal=%v workers=%d: %v", marginal, workers, err)
 			}
@@ -140,7 +133,7 @@ func TestLocalSearchWorkersCanceled(t *testing.T) {
 	s := ASAP(inst)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := LocalSearchZonesWorkers(ctx, inst, zs, s, DefaultMu, 4, nil)
+	err := LocalSearch(ctx, inst, zs, s, DefaultMu, 4, nil)
 	if !errors.Is(err, scherr.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

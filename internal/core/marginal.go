@@ -13,24 +13,17 @@ import (
 // budget-based interval choice (Section 5.2) with the *exact marginal
 // carbon cost*: each task (processed in the same score order) starts at
 // the candidate position whose incremental cost on the partially built
-// power timeline is smallest (ties: earliest). Candidates are the same
-// interval beginnings the budget greedy considers, plus the EST fallback.
+// power timeline of its grid zone is smallest (ties: earliest). Candidates
+// are the same interval beginnings the budget greedy considers — the
+// boundaries (and refinement points) of the task's own zone — plus the EST
+// fallback.
 //
 // The budget greedy approximates this quantity through remaining budgets;
 // the marginal greedy measures it. It is more expensive per placement —
 // O(candidates · timeline window) instead of a chunked max query — and
 // exists to quantify how much the budget approximation gives away (see
 // experiments.AblationGreedies).
-func GreedyMarginal(ctx context.Context, inst *ceg.Instance, prof *power.Profile, opt Options, st *Stats) (*schedule.Schedule, error) {
-	return GreedyMarginalZones(ctx, inst, power.SingleZone(prof), opt, st)
-}
-
-// GreedyMarginalZones is the zone-aware marginal greedy: candidate starts
-// come from the boundaries (and refinement points) of the task's own
-// zone, and the marginal cost of a placement is probed on that zone's
-// partial timeline. With a single zone it is exactly GreedyMarginal
-// (which delegates here).
-func GreedyMarginalZones(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options, st *Stats) (*schedule.Schedule, error) {
+func GreedyMarginal(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options, st *Stats) (*schedule.Schedule, error) {
 	if err := schedule.CheckZones(inst, zs); err != nil {
 		return nil, err
 	}
@@ -45,7 +38,7 @@ func GreedyMarginalZones(ctx context.Context, inst *ceg.Instance, zs *power.Zone
 	// boundaries (and refinement points when requested), sorted.
 	var refined [][]int64
 	if opt.Refined {
-		refined = refinedPointsZones(inst, zs, opt.EffectiveK())
+		refined = refinedPoints(inst, zs, opt.EffectiveK())
 	}
 	ptsOf := make([][]int64, zs.NumZones())
 	for z := range ptsOf {
@@ -103,7 +96,7 @@ func GreedyMarginalZones(ctx context.Context, inst *ceg.Instance, zs *power.Zone
 		tl.Add(best, best+dur, work)
 	}
 	if st != nil {
-		st.GreedyCost = schedule.CarbonCostZones(inst, s, zs)
+		st.GreedyCost = schedule.CarbonCost(inst, s, zs)
 	}
 	return s, nil
 }

@@ -15,14 +15,14 @@ func TestGreedyMarginalValidSchedules(t *testing.T) {
 		inst, prof := testInstance(t, wfgen.Families()[seed%4], 80, seed, power.Scenarios()[seed%4], 2)
 		for _, refined := range []bool{false, true} {
 			var st Stats
-			s, err := GreedyMarginal(context.Background(), inst, prof, Options{Score: ScorePressureW, Refined: refined}, &st)
+			s, err := GreedyMarginal(context.Background(), inst, power.SingleZone(prof), Options{Score: ScorePressureW, Refined: refined}, &st)
 			if err != nil {
 				t.Fatalf("seed %d refined=%v: %v", seed, refined, err)
 			}
 			if err := schedule.Validate(inst, s, prof.T()); err != nil {
 				t.Errorf("seed %d refined=%v: %v", seed, refined, err)
 			}
-			if st.GreedyCost != schedule.CarbonCost(inst, s, prof) {
+			if st.GreedyCost != schedule.CarbonCost(inst, s, power.SingleZone(prof)) {
 				t.Errorf("seed %d: stats cost mismatch", seed)
 			}
 		}
@@ -37,11 +37,11 @@ func TestGreedyMarginalFindsGreenWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := GreedyMarginal(context.Background(), inst, prof, Options{Score: ScoreSlack}, nil)
+	s, err := GreedyMarginal(context.Background(), inst, power.SingleZone(prof), Options{Score: ScoreSlack}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := schedule.CarbonCost(inst, s, prof); got != 0 {
+	if got := schedule.CarbonCost(inst, s, power.SingleZone(prof)); got != 0 {
 		t.Errorf("marginal greedy cost = %d, want 0", got)
 	}
 }
@@ -74,7 +74,7 @@ func TestGreedyMarginalExactWindowBeatsBudgetApproximation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := GreedyMarginal(context.Background(), inst, prof, Options{Score: ScoreSlack}, nil)
+	s, err := GreedyMarginal(context.Background(), inst, power.SingleZone(prof), Options{Score: ScoreSlack}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,11 @@ func TestGreedyMarginalExactWindowBeatsBudgetApproximation(t *testing.T) {
 
 func TestGreedyMarginalDeterministic(t *testing.T) {
 	inst, prof := testInstance(t, wfgen.Atacseq, 60, 3, power.S1, 2)
-	a, err := GreedyMarginal(context.Background(), inst, prof, Options{Score: ScoreSlackW, Refined: true}, nil)
+	a, err := GreedyMarginal(context.Background(), inst, power.SingleZone(prof), Options{Score: ScoreSlackW, Refined: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GreedyMarginal(context.Background(), inst, prof, Options{Score: ScoreSlackW, Refined: true}, nil)
+	b, err := GreedyMarginal(context.Background(), inst, power.SingleZone(prof), Options{Score: ScoreSlackW, Refined: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestGreedyMarginalDeterministic(t *testing.T) {
 func TestGreedyMarginalInfeasible(t *testing.T) {
 	inst := uniChain(t, []int64{5, 5}, 1, 1)
 	prof := power.Constant(9, 100)
-	if _, err := GreedyMarginal(context.Background(), inst, prof, Options{}, nil); err == nil {
+	if _, err := GreedyMarginal(context.Background(), inst, power.SingleZone(prof), Options{}, nil); err == nil {
 		t.Error("infeasible deadline accepted")
 	}
 }

@@ -10,26 +10,19 @@ import (
 	"repro/internal/schedule"
 )
 
-// refinedPoints computes the refined interval subdivision of Section 5.2:
-// on each processor, every block of at most k consecutive tasks is
-// tentatively aligned to start or end at each original interval boundary;
+// refinedPoints computes the refined interval subdivision of Section 5.2,
+// per grid zone: on each processor, every block of at most k consecutive
+// tasks is tentatively aligned to start or end at each interval boundary of
+// *its* zone's profile (the only boundaries its tasks' costs can pivot on);
 // the implied start time of every task in the block becomes a subdivision
-// point. The paper motivates this with the uniprocessor optimality of
-// E-schedules (Lemma 4.2) and fixes k = 3 to bound the interval count.
+// point of that zone's budget structure. The paper motivates this with the
+// uniprocessor optimality of E-schedules (Lemma 4.2) and fixes k = 3 to
+// bound the interval count.
 //
-// The returned slice is sorted, deduplicated, and restricted to (0, T);
-// the original boundaries are implicitly present in the budget structure.
-func refinedPoints(inst *ceg.Instance, prof *power.Profile, k int) []int64 {
-	return refinedPointsZones(inst, power.SingleZone(prof), k)[0]
-}
-
-// refinedPointsZones computes the refined subdivision per grid zone: a
-// processor's blocks are aligned to the interval boundaries of *its*
-// zone's profile (the only boundaries its tasks' costs can pivot on), and
-// the implied points subdivide that zone's budget structure. The result
-// has one sorted, deduplicated point list per zone; with a single zone it
-// is exactly refinedPoints.
-func refinedPointsZones(inst *ceg.Instance, zs *power.ZoneSet, k int) [][]int64 {
+// The result has one sorted, deduplicated point list per zone, restricted
+// to (0, T); the original boundaries are implicitly present in the budget
+// structure.
+func refinedPoints(inst *ceg.Instance, zs *power.ZoneSet, k int) [][]int64 {
 	if k < 1 {
 		k = 1
 	}

@@ -61,7 +61,7 @@ func TestRefinedPointsMatchNaiveProperty(t *testing.T) {
 		fam := wfgen.Families()[r.Intn(4)]
 		inst, prof := testInstance(t, fam, 20+r.Intn(30), seed, power.Scenarios()[r.Intn(4)], 1.5)
 		k := 1 + r.Intn(4)
-		fast := refinedPoints(inst, prof, k)
+		fast := refinedPoints(inst, power.SingleZone(prof), k)[0]
 		slow := naiveRefinedPoints(inst, prof, k)
 		if len(fast) != len(slow) {
 			t.Logf("k=%d: fast %d points, naive %d", k, len(fast), len(slow))
@@ -83,7 +83,7 @@ func TestRefinedPointsInvalidK(t *testing.T) {
 	inst := uniChain(t, []int64{2, 3}, 1, 1)
 	prof := power.Constant(20, 5)
 	// k < 1 is clamped to 1, not rejected.
-	pts := refinedPoints(inst, prof, 0)
+	pts := refinedPoints(inst, power.SingleZone(prof), 0)[0]
 	if len(pts) == 0 {
 		t.Error("k=0 (clamped to 1) should still produce points")
 	}

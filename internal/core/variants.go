@@ -17,7 +17,7 @@ type Options struct {
 	// SearchWorkers bounds the local-search worker pool; values ≤ 1 run
 	// the sequential scan. The setting is pure mechanism: any worker
 	// count produces the identical schedule, cost, and stats (see
-	// LocalSearchZonesWorkers), so it is not part of a variant's
+	// LocalSearch), so it is not part of a variant's
 	// identity — Name ignores it and the solver strips it from cache
 	// keys.
 	SearchWorkers int

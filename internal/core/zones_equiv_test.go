@@ -18,8 +18,8 @@ import (
 // ghostZonedInstance builds an instance on a 2-zone cluster whose zone 1
 // holds a single zero-idle processor no task is mapped to, so every node
 // is evaluated in zone 0. Against a 2-zone set whose zone 0 carries the
-// legacy profile, every zone-aware algorithm must reproduce the legacy
-// single-profile run exactly (the equivalence pin of the zone refactor).
+// cluster-wide profile, every algorithm must reproduce the one-zone run
+// exactly (the equivalence pin of the zone model).
 func ghostZonedInstance(tb testing.TB, fam wfgen.Family, n int, seed uint64, factor float64, sc power.Scenario) (*ceg.Instance, *power.Profile, *power.ZoneSet) {
 	tb.Helper()
 	types := []platform.ProcType{
@@ -71,59 +71,59 @@ func ghostZonedInstance(tb testing.TB, fam wfgen.Family, n int, seed uint64, fac
 	return inst, prof, zs
 }
 
-// TestRunZonesGhostZoneMatchesLegacy pins that a multi-zone run with all
+// TestRunGhostZoneMatchesOneZone pins that a multi-zone run with all
 // processors (and hence all nodes) in one zone produces schedule-identical
-// results to the legacy single-profile path, across every variant family.
-func TestRunZonesGhostZoneMatchesLegacy(t *testing.T) {
+// results to the one-zone run, across every variant family.
+func TestRunGhostZoneMatchesOneZone(t *testing.T) {
 	ctx := context.Background()
 	for seed := uint64(1); seed <= 3; seed++ {
 		fam := wfgen.Families()[int(seed)%4]
 		inst, prof, zs := ghostZonedInstance(t, fam, 40, seed, 2, power.Scenarios()[int(seed)%4])
 		for _, opt := range AllVariants() {
-			legacy, lst, err := Run(ctx, inst, prof, opt)
+			one, ost, err := Run(ctx, inst, power.SingleZone(prof), opt)
 			if err != nil {
 				t.Fatalf("%s: %v", opt.Name(), err)
 			}
-			zoned, zst, err := RunZones(ctx, inst, zs, opt)
+			zoned, zst, err := Run(ctx, inst, zs, opt)
 			if err != nil {
 				t.Fatalf("%s zoned: %v", opt.Name(), err)
 			}
-			for v := range legacy.Start {
-				if legacy.Start[v] != zoned.Start[v] {
+			for v := range one.Start {
+				if one.Start[v] != zoned.Start[v] {
 					t.Fatalf("seed %d %s: node %d starts differ: %d vs %d",
-						seed, opt.Name(), v, legacy.Start[v], zoned.Start[v])
+						seed, opt.Name(), v, one.Start[v], zoned.Start[v])
 				}
 			}
-			if lst.Cost != zst.Cost || lst.GreedyCost != zst.GreedyCost ||
-				lst.LSMoves != zst.LSMoves || lst.FallbackStarts != zst.FallbackStarts {
-				t.Fatalf("seed %d %s: stats differ: %+v vs %+v", seed, opt.Name(), lst, zst)
+			if ost.Cost != zst.Cost || ost.GreedyCost != zst.GreedyCost ||
+				ost.LSMoves != zst.LSMoves || ost.FallbackStarts != zst.FallbackStarts {
+				t.Fatalf("seed %d %s: stats differ: %+v vs %+v", seed, opt.Name(), ost, zst)
 			}
 			// The per-zone brute oracle agrees with both evaluations.
-			if brute := schedule.CarbonCostBruteZones(inst, zoned, zs); brute != zst.Cost {
+			if brute := schedule.CarbonCostBrute(inst, zoned, zs); brute != zst.Cost {
 				t.Fatalf("seed %d %s: brute %d != cost %d", seed, opt.Name(), brute, zst.Cost)
 			}
 		}
 		// Marginal greedy and annealer too.
-		mLegacy, _, err := RunMarginal(ctx, inst, prof, Options{Score: ScorePressure})
+		mOne, _, err := RunWith(ctx, inst, power.SingleZone(prof), Options{Score: ScorePressure}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mZoned, _, err := RunMarginalZones(ctx, inst, zs, Options{Score: ScorePressure})
+		mZoned, _, err := RunWith(ctx, inst, zs, Options{Score: ScorePressure}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := range mLegacy.Start {
-			if mLegacy.Start[v] != mZoned.Start[v] {
+		for v := range mOne.Start {
+			if mOne.Start[v] != mZoned.Start[v] {
 				t.Fatalf("seed %d marginal: node %d starts differ", seed, v)
 			}
 		}
 		sa := ASAP(inst)
 		sb := sa.Clone()
-		ca, err := Anneal(ctx, inst, prof, sa, AnnealOptions{Iterations: 2000, Seed: seed})
+		ca, err := Anneal(ctx, inst, power.SingleZone(prof), sa, AnnealOptions{Iterations: 2000, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cb, err := AnnealZones(ctx, inst, zs, sb, AnnealOptions{Iterations: 2000, Seed: seed})
+		cb, err := Anneal(ctx, inst, zs, sb, AnnealOptions{Iterations: 2000, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,10 +138,10 @@ func TestRunZonesGhostZoneMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestRunZonesRejectsMismatchedZoneCount: a multi-zone set against a
+// TestRunRejectsMismatchedZoneCount: a multi-zone set against a
 // cluster with a different zone count is a configuration error, not a
 // silent misevaluation.
-func TestRunZonesRejectsMismatchedZoneCount(t *testing.T) {
+func TestRunRejectsMismatchedZoneCount(t *testing.T) {
 	inst, prof := testInstance(t, wfgen.Bacass, 30, 1, power.S1, 2)
 	zs, err := power.NewZoneSet(
 		power.Zone{Name: "a", Profile: prof},
@@ -150,14 +150,14 @@ func TestRunZonesRejectsMismatchedZoneCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunZones(context.Background(), inst, zs, Options{}); err == nil {
-		t.Error("RunZones accepted a 2-zone set on a 1-zone cluster")
+	if _, _, err := Run(context.Background(), inst, zs, Options{}); err == nil {
+		t.Error("Run accepted a 2-zone set on a 1-zone cluster")
 	}
-	if _, _, err := RunMarginalZones(context.Background(), inst, zs, Options{}); err == nil {
-		t.Error("RunMarginalZones accepted a 2-zone set on a 1-zone cluster")
+	if _, _, err := RunWith(context.Background(), inst, zs, Options{}, true); err == nil {
+		t.Error("marginal RunWith accepted a 2-zone set on a 1-zone cluster")
 	}
-	if _, _, err := exact.SolveZones(context.Background(), inst, zs, exact.Options{}); err == nil {
-		t.Error("exact.SolveZones accepted a 2-zone set on a 1-zone cluster")
+	if _, _, err := exact.Solve(context.Background(), inst, zs, exact.Options{}); err == nil {
+		t.Error("exact.Solve accepted a 2-zone set on a 1-zone cluster")
 	}
 }
 
@@ -195,16 +195,16 @@ func antiCorrelatedPair(tb testing.TB) (*ceg.Instance, *power.ZoneSet) {
 }
 
 // TestZoneAwareSearchShiftsPerZone: under anti-correlated zone supply the
-// zone-aware evaluation places each task into its own zone's green
-// window — the whole point of the refactor; a cluster-wide profile could
-// never separate them.
+// per-zone evaluation places each task into its own zone's green window
+// — the whole point of the zone model; a cluster-wide profile could never
+// separate them.
 func TestZoneAwareSearchShiftsPerZone(t *testing.T) {
 	ctx := context.Background()
 	inst, zs := antiCorrelatedPair(t)
 
 	// Exact optimum: task 0 (zone early) inside [0, 10), task 1 (zone
 	// late) inside [10, 20), each fully covered by its green budget.
-	s, cost, err := exact.SolveZones(ctx, inst, zs, exact.Options{})
+	s, cost, err := exact.Solve(ctx, inst, zs, exact.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +219,10 @@ func TestZoneAwareSearchShiftsPerZone(t *testing.T) {
 	// tasks at 0) — moving the late-zone task right, keeping the early
 	// one, i.e. different directions per zone.
 	ls := ASAP(inst)
-	if err := LocalSearchZones(ctx, inst, zs, ls, 20, nil); err != nil {
+	if err := LocalSearch(ctx, inst, zs, ls, 20, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := schedule.CarbonCostZones(inst, ls, zs); got != 0 {
+	if got := schedule.CarbonCost(inst, ls, zs); got != 0 {
 		t.Errorf("local search cost %d, want 0 (starts %v)", got, ls.Start)
 	}
 	if !(ls.Start[0]+inst.Dur[0] <= 10 && ls.Start[1] >= 10) {
@@ -239,10 +239,10 @@ func TestZoneAwareSearchShiftsPerZone(t *testing.T) {
 		t.Fatal(err)
 	}
 	lsw := ASAP(inst)
-	if err := LocalSearchZones(ctx, inst, swapped, lsw, 20, nil); err != nil {
+	if err := LocalSearch(ctx, inst, swapped, lsw, 20, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := schedule.CarbonCostZones(inst, lsw, swapped); got != 0 {
+	if got := schedule.CarbonCost(inst, lsw, swapped); got != 0 {
 		t.Errorf("swapped local search cost %d, want 0", got)
 	}
 	if !(lsw.Start[0] >= 10 && lsw.Start[1]+inst.Dur[1] <= 10) {

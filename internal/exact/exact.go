@@ -46,23 +46,16 @@ var ErrBudget = scherr.ErrBudgetExhausted
 const ctxCheckStride = 4096
 
 // Solve finds a minimum-carbon-cost schedule for the instance under the
-// profile's deadline. It returns the optimal schedule and its cost.
-// Instances should be tiny (roughly ≤ 12 tasks and T ≤ 100): the search is
-// exponential. A canceled context aborts the search; like a budget hit,
-// the incumbent found so far (if any) is returned alongside the
-// scherr.ErrCanceled-wrapping error as an upper bound.
-func Solve(ctx context.Context, inst *ceg.Instance, prof *power.Profile, opt Options) (*schedule.Schedule, int64, error) {
-	return SolveZones(ctx, inst, power.SingleZone(prof), opt)
-}
-
-// SolveZones is Solve against per-zone green power: each task's marginal
-// placement cost is probed on the partial timeline of its own grid zone,
-// and the minimized objective is the summed carbon cost over zones. The
-// pruning argument is unchanged — the objective stays monotone in added
-// work power zone by zone, so the idle-only floor still lower-bounds
-// every completion. A single-zone set reproduces Solve exactly (Solve
-// delegates here).
-func SolveZones(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options) (*schedule.Schedule, int64, error) {
+// zone set's deadline (its common horizon). It returns the optimal
+// schedule and its cost. Each task's marginal placement cost is probed on
+// the partial timeline of its own grid zone, and the minimized objective is
+// the summed carbon cost over zones; the objective is monotone in added
+// work power zone by zone, so the idle-only floor lower-bounds every
+// completion. Instances should be tiny (roughly ≤ 12 tasks and T ≤ 100):
+// the search is exponential. A canceled context aborts the search; like a
+// budget hit, the incumbent found so far (if any) is returned alongside
+// the scherr.ErrCanceled-wrapping error as an upper bound.
+func Solve(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options) (*schedule.Schedule, int64, error) {
 	if err := schedule.CheckZones(inst, zs); err != nil {
 		return nil, 0, err
 	}
@@ -103,7 +96,7 @@ func SolveZones(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt 
 			return nil, 0, fmt.Errorf("exact: bad incumbent: %w", err)
 		}
 		copy(best.Start, opt.Incumbent.Start)
-		bestCost = schedule.CarbonCostZones(inst, opt.Incumbent, zs)
+		bestCost = schedule.CarbonCost(inst, opt.Incumbent, zs)
 	}
 
 	// Per-zone timelines holding only the scheduled prefix; floor is the

@@ -86,7 +86,7 @@ func TestSolveSingleTaskOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, cost, err := Solve(context.Background(), inst, prof, Options{})
+	s, cost, err := Solve(context.Background(), inst, power.SingleZone(prof), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSolveMatchesUniprocessorDP(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, bbCost, err := Solve(context.Background(), inst, prof, Options{})
+		_, bbCost, err := Solve(context.Background(), inst, power.SingleZone(prof), Options{})
 		if err != nil {
 			return false
 		}
@@ -170,21 +170,21 @@ func TestSolveNeverWorseThanHeuristics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, optCost, err := Solve(context.Background(), inst, prof, Options{})
+		_, optCost, err := Solve(context.Background(), inst, power.SingleZone(prof), Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, opt := range core.AllVariants() {
-			s, _, err := core.Run(context.Background(), inst, prof, opt)
+			s, _, err := core.Run(context.Background(), inst, power.SingleZone(prof), opt)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, opt.Name(), err)
 			}
-			if c := schedule.CarbonCost(inst, s, prof); c < optCost {
+			if c := schedule.CarbonCost(inst, s, power.SingleZone(prof)); c < optCost {
 				t.Errorf("seed %d: heuristic %s cost %d beats 'optimal' %d",
 					seed, opt.Name(), c, optCost)
 			}
 		}
-		asapCost := schedule.CarbonCost(inst, core.ASAP(inst), prof)
+		asapCost := schedule.CarbonCost(inst, core.ASAP(inst), power.SingleZone(prof))
 		if asapCost < optCost {
 			t.Errorf("seed %d: ASAP cost %d beats 'optimal' %d", seed, asapCost, optCost)
 		}
@@ -198,14 +198,14 @@ func TestSolveUsesIncumbent(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc := core.ASAP(inst)
-	s, cost, err := Solve(context.Background(), inst, prof, Options{Incumbent: inc})
+	s, cost, err := Solve(context.Background(), inst, power.SingleZone(prof), Options{Incumbent: inc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := schedule.CarbonCost(inst, s, prof); c != cost {
+	if c := schedule.CarbonCost(inst, s, power.SingleZone(prof)); c != cost {
 		t.Errorf("reported cost %d != evaluated %d", cost, c)
 	}
-	if asap := schedule.CarbonCost(inst, inc, prof); cost > asap {
+	if asap := schedule.CarbonCost(inst, inc, power.SingleZone(prof)); cost > asap {
 		t.Errorf("optimum %d worse than incumbent %d", cost, asap)
 	}
 }
@@ -213,7 +213,7 @@ func TestSolveUsesIncumbent(t *testing.T) {
 func TestSolveBudgetExhaustion(t *testing.T) {
 	inst := uniChain(t, []int64{1, 1, 1, 1, 1}, 0, 1)
 	prof := power.Constant(40, 0)
-	_, _, err := Solve(context.Background(), inst, prof, Options{MaxNodes: 10})
+	_, _, err := Solve(context.Background(), inst, power.SingleZone(prof), Options{MaxNodes: 10})
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget (with tiny node budget)", err)
 	}
@@ -226,7 +226,7 @@ func TestSolveBudgetExhaustion(t *testing.T) {
 func TestSolveInfeasible(t *testing.T) {
 	inst := uniChain(t, []int64{5, 5}, 1, 1)
 	prof := power.Constant(9, 10)
-	if _, _, err := Solve(context.Background(), inst, prof, Options{}); err == nil {
+	if _, _, err := Solve(context.Background(), inst, power.SingleZone(prof), Options{}); err == nil {
 		t.Error("infeasible deadline not rejected")
 	}
 }
@@ -236,7 +236,7 @@ func TestSolveRejectsBadIncumbent(t *testing.T) {
 	prof := power.Constant(10, 5)
 	bad := schedule.New(inst.N())
 	bad.Start[1] = 0 // overlaps task 0
-	if _, _, err := Solve(context.Background(), inst, prof, Options{Incumbent: bad}); err == nil {
+	if _, _, err := Solve(context.Background(), inst, power.SingleZone(prof), Options{Incumbent: bad}); err == nil {
 		t.Error("invalid incumbent accepted")
 	}
 }
@@ -250,7 +250,7 @@ func BenchmarkSolveTiny(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Solve(context.Background(), inst, prof, Options{}); err != nil {
+		if _, _, err := Solve(context.Background(), inst, power.SingleZone(prof), Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

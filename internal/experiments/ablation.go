@@ -31,7 +31,7 @@ func AblationK(ctx context.Context, specs []Spec, ks []int, workers int) (*Table
 		algos := []Algorithm{baseline(), {
 			Name: fmt.Sprintf("pressWR-k%d", k),
 			Run: func(ctx context.Context, in *Instance) (*schedule.Schedule, error) {
-				s, _, err := core.RunZones(ctx, in.Inst, in.Zones, core.Options{
+				s, _, err := core.Run(ctx, in.Inst, in.Zones, core.Options{
 					Score: core.ScorePressureW, Refined: true, K: k,
 				})
 				return s, err
@@ -56,7 +56,7 @@ func AblationK(ctx context.Context, specs []Spec, ks []int, workers int) (*Table
 				return nil, err
 			}
 			var st core.Stats
-			if _, err := core.GreedyZones(ctx, in.Inst, in.Zones, core.Options{
+			if _, err := core.Greedy(ctx, in.Inst, in.Zones, core.Options{
 				Score: core.ScorePressureW, Refined: true, K: k,
 			}, &st); err != nil {
 				return nil, err
@@ -88,7 +88,7 @@ func AblationMu(ctx context.Context, specs []Spec, mus []int64, workers int) (*T
 		algos := []Algorithm{baseline(), {
 			Name: name,
 			Run: func(ctx context.Context, in *Instance) (*schedule.Schedule, error) {
-				s, _, err := core.RunZones(ctx, in.Inst, in.Zones, core.Options{
+				s, _, err := core.Run(ctx, in.Inst, in.Zones, core.Options{
 					Score: core.ScorePressureW, Refined: true,
 					LocalSearch: true, Mu: mu,
 				})
@@ -123,7 +123,7 @@ func AblationImprovers(ctx context.Context, specs []Spec, workers int) (*Table, 
 		return Algorithm{
 			Name: name,
 			Run: func(ctx context.Context, in *Instance) (*schedule.Schedule, error) {
-				s, err := core.GreedyZones(ctx, in.Inst, in.Zones, greedyOpt, nil)
+				s, err := core.Greedy(ctx, in.Inst, in.Zones, greedyOpt, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -137,10 +137,10 @@ func AblationImprovers(ctx context.Context, specs []Spec, workers int) (*Table, 
 		}
 	}
 	hill := func(ctx context.Context, in *Instance, s *schedule.Schedule) error {
-		return core.LocalSearchZones(ctx, in.Inst, in.Zones, s, core.DefaultMu, nil)
+		return core.LocalSearch(ctx, in.Inst, in.Zones, s, core.DefaultMu, 1, nil)
 	}
 	anneal := func(ctx context.Context, in *Instance, s *schedule.Schedule) error {
-		_, err := core.AnnealZones(ctx, in.Inst, in.Zones, s, core.AnnealOptions{Seed: in.Spec.Seed})
+		_, err := core.Anneal(ctx, in.Inst, in.Zones, s, core.AnnealOptions{Seed: in.Spec.Seed})
 		return err
 	}
 	algos := []Algorithm{
@@ -196,14 +196,14 @@ func AblationOrdering(ctx context.Context, specs []Spec, workers int) (*Table, e
 			Algorithm{
 				Name: sc.String() + "-static",
 				Run: func(ctx context.Context, in *Instance) (*schedule.Schedule, error) {
-					s, _, err := core.RunZones(ctx, in.Inst, in.Zones, core.Options{Score: sc})
+					s, _, err := core.Run(ctx, in.Inst, in.Zones, core.Options{Score: sc})
 					return s, err
 				},
 			},
 			Algorithm{
 				Name: sc.String() + "-dynamic",
 				Run: func(ctx context.Context, in *Instance) (*schedule.Schedule, error) {
-					return core.GreedyDynamicZones(ctx, in.Inst, in.Zones, core.Options{Score: sc}, nil)
+					return core.GreedyDynamic(ctx, in.Inst, in.Zones, core.Options{Score: sc}, nil)
 				},
 			},
 		)
@@ -245,15 +245,15 @@ func AblationGreedies(ctx context.Context, specs []Spec, workers int) (*Table, e
 				var s *schedule.Schedule
 				var err error
 				if marginal {
-					s, err = core.GreedyMarginalZones(ctx, in.Inst, in.Zones, opt, nil)
+					s, err = core.GreedyMarginal(ctx, in.Inst, in.Zones, opt, nil)
 				} else {
-					s, err = core.GreedyZones(ctx, in.Inst, in.Zones, opt, nil)
+					s, err = core.Greedy(ctx, in.Inst, in.Zones, opt, nil)
 				}
 				if err != nil {
 					return nil, err
 				}
 				if ls {
-					if err := core.LocalSearchZones(ctx, in.Inst, in.Zones, s, core.DefaultMu, nil); err != nil {
+					if err := core.LocalSearch(ctx, in.Inst, in.Zones, s, core.DefaultMu, 1, nil); err != nil {
 						return nil, err
 					}
 				}
@@ -317,7 +317,7 @@ func ExtensionTwoPass(ctx context.Context, specs []Spec, workers int) (*Table, e
 			if err != nil {
 				return nil, err
 			}
-			s, st, err := core.RunZones(ctx, in.Inst, in.Zones, opt)
+			s, st, err := core.Run(ctx, in.Inst, in.Zones, opt)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: two-pass %v on %s: %w", pol, spec, err)
 			}

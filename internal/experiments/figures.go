@@ -225,12 +225,12 @@ func Fig7ExactComparison(ctx context.Context, seed uint64, algos []Algorithm, ma
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s on %s: %w", a.Name, spec, err)
 			}
-			costs[i] = schedule.CarbonCostZones(in.Inst, s, in.Zones)
+			costs[i] = schedule.CarbonCost(in.Inst, s, in.Zones)
 			if bestCost < 0 || costs[i] < bestCost {
 				bestCost, bestSched = costs[i], s
 			}
 		}
-		_, opt, err := exact.SolveZones(ctx, in.Inst, in.Zones, exact.Options{
+		_, opt, err := exact.Solve(ctx, in.Inst, in.Zones, exact.Options{
 			MaxNodes:  maxNodes,
 			Incumbent: bestSched,
 		})

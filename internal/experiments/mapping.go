@@ -215,7 +215,7 @@ func zoneShiftOne(ctx context.Context, spec Spec) ([]zoneShiftRow, error) {
 		return nil, err
 	}
 	asap := core.ASAP(in.Inst)
-	fixedPlan, fixedStats, err := core.RunZones(ctx, in.Inst, in.Zones, opt)
+	fixedPlan, fixedStats, err := core.Run(ctx, in.Inst, in.Zones, opt)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: zone shift on %s: %w", spec, err)
 	}
@@ -255,7 +255,7 @@ func zoneShares(inst *ceg.Instance, s *schedule.Schedule, zs *power.ZoneSet, z i
 			zoneWork += e
 		}
 	}
-	bz := schedule.CostBreakdownZones(inst, s, zs)
+	bz := schedule.CostBreakdown(inst, s, zs)
 	var zoneCost, totalCost int64
 	for i, zc := range bz {
 		totalCost += zc.Cost

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/power"
 	"repro/internal/schedule"
 	"repro/internal/scherr"
 	"repro/internal/sim"
@@ -36,7 +37,7 @@ func RobustnessRuntime(ctx context.Context, specs []Spec, noiseLevels []float64,
 			if in.Prof == nil {
 				return nil, fmt.Errorf("experiments: robustness on %s: multi-zone specs (the replay simulator is single-zone): %w", spec, scherr.ErrUnsupported)
 			}
-			plan, st, err := core.Run(ctx, in.Inst, in.Prof, opt)
+			plan, st, err := core.Run(ctx, in.Inst, in.Zones, opt)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: robustness on %s: %w", spec, err)
 			}
@@ -51,7 +52,7 @@ func RobustnessRuntime(ctx context.Context, specs []Spec, noiseLevels []float64,
 				return nil, err
 			}
 			realized = append(realized, stats.CostRatio(float64(resPlan.Cost), float64(resASAP.Cost)))
-			asapPlanned := schedule.CarbonCost(in.Inst, asap, in.Prof)
+			asapPlanned := schedule.CarbonCost(in.Inst, asap, in.Zones)
 			planned = append(planned, stats.CostRatio(float64(st.Cost), float64(asapPlanned)))
 			if !resPlan.DeadlineMet {
 				missCawo++
@@ -99,17 +100,17 @@ func RobustnessForecast(ctx context.Context, specs []Spec, errorLevels []float64
 			}
 			fe := sim.ForecastError{Base: base, Growth: base, Seed: spec.Seed}
 			forecast := fe.Forecast(in.Prof)
-			plan, _, err := core.Run(ctx, in.Inst, forecast, opt)
+			plan, _, err := core.Run(ctx, in.Inst, power.SingleZone(forecast), opt)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: forecast robustness on %s: %w", spec, err)
 			}
-			perfect, _, err := core.Run(ctx, in.Inst, in.Prof, opt)
+			perfect, _, err := core.Run(ctx, in.Inst, in.Zones, opt)
 			if err != nil {
 				return nil, err
 			}
-			realized := schedule.CarbonCost(in.Inst, plan, in.Prof)
-			perfectCost := schedule.CarbonCost(in.Inst, perfect, in.Prof)
-			asapCost := schedule.CarbonCost(in.Inst, core.ASAP(in.Inst), in.Prof)
+			realized := schedule.CarbonCost(in.Inst, plan, in.Zones)
+			perfectCost := schedule.CarbonCost(in.Inst, perfect, in.Zones)
+			asapCost := schedule.CarbonCost(in.Inst, core.ASAP(in.Inst), in.Zones)
 			ratios = append(ratios, stats.CostRatio(float64(realized), float64(asapCost)))
 			regrets = append(regrets, stats.CostRatio(float64(realized), float64(perfectCost)))
 		}

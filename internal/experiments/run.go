@@ -68,7 +68,7 @@ func fromRegistry(name string) Algorithm {
 	return Algorithm{
 		Name: name,
 		Run: func(ctx context.Context, in *Instance) (*schedule.Schedule, error) {
-			s, _, err := core.RunZones(ctx, in.Inst, in.Zones, opt)
+			s, _, err := core.Run(ctx, in.Inst, in.Zones, opt)
 			return s, err
 		},
 	}
@@ -176,7 +176,7 @@ func runBest(ctx context.Context, in *Instance, a Algorithm) (int64, error) {
 		if err := schedule.Validate(in.Inst, s, in.Zones.T()); err != nil {
 			return 0, fmt.Errorf("invalid schedule: %w", err)
 		}
-		return schedule.CarbonCostZones(in.Inst, s, in.Zones), nil
+		return schedule.CarbonCost(in.Inst, s, in.Zones), nil
 	}
 	best := int64(-1)
 	var firstErr error

@@ -139,7 +139,7 @@ func TestTwoPassPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, _, err := core.Run(context.Background(), inst, prof, core.Options{Score: core.ScorePressureW, Refined: true, LocalSearch: true})
+		s, _, err := core.Run(context.Background(), inst, power.SingleZone(prof), core.Options{Score: core.ScorePressureW, Refined: true, LocalSearch: true})
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}

@@ -67,64 +67,89 @@ type PolicyOutcome struct {
 type MapSolveResult struct {
 	Policy   Policy             // the winning mapping policy
 	Inst     *ceg.Instance      // the winning scheduling instance
-	Schedule *schedule.Schedule // its carbon-aware schedule
+	Schedule *schedule.Schedule // its carbon-aware schedule; nil when no candidate was feasible
 	Stats    core.Stats
 	Cost     int64
 	D        int64 // ASAP makespan of the winning mapping
 	Outcomes []PolicyOutcome
+	FirstErr error // the first infeasible candidate's error, if any
+}
+
+// PlanFunc supplies the search with one candidate: the scheduling
+// instance of the workflow mapped under pol, and that mapping's ASAP
+// makespan. The search calls it sequentially, in policy order.
+type PlanFunc func(ctx context.Context, pol Policy) (inst *ceg.Instance, d int64, err error)
+
+// MapAndSolve runs the two-pass pipeline for the workflow on the cluster
+// against the per-zone supply zs (whose common horizon is the deadline),
+// mapping each candidate with MapInstance. If no candidate can meet the
+// deadline, the first candidate's error is returned. See Search for the
+// evaluation order and the worker-count invariance.
+func MapAndSolve(ctx context.Context, d *dag.DAG, c *platform.Cluster, zs *power.ZoneSet, opt MapSolveOptions) (*MapSolveResult, error) {
+	if zs == nil {
+		return nil, fmt.Errorf("greenheft: MapAndSolve needs a per-zone power supply")
+	}
+	res, err := Search(ctx, zs, opt, func(_ context.Context, pol Policy) (*ceg.Instance, int64, error) {
+		inst, err := MapInstance(d, c, Options{Policy: pol, Alpha: opt.Alpha, Zones: zs})
+		if err != nil {
+			return nil, 0, err
+		}
+		return inst, core.ASAPMakespan(inst), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if res.Schedule == nil {
+		return nil, fmt.Errorf("greenheft: no candidate mapping is feasible: %w", res.FirstErr)
+	}
+	return res, nil
 }
 
 // polEval is one candidate's evaluation — instance built in the
-// sequential mapping pass, then solved (possibly concurrently) and
+// sequential planning pass, then solved (possibly concurrently) and
 // reduced strictly in policy order.
 type polEval struct {
-	inst   *ceg.Instance
-	s      *schedule.Schedule
-	st     core.Stats
-	d      int64
-	mapErr error // structural mapping failure: aborts the whole search
-	err    error // per-candidate scheduling failure (or cancellation)
+	inst    *ceg.Instance
+	s       *schedule.Schedule
+	st      core.Stats
+	d       int64
+	planErr error // structural planning failure or cancellation: aborts the whole search
+	err     error // per-candidate scheduling failure (or cancellation)
 }
 
-// MapAndSolve runs the two-pass pipeline for the workflow on the cluster
-// against the per-zone supply zs (whose common horizon is the deadline).
-// Candidates that cannot meet the deadline are skipped; if none can, the
-// first candidate's error is returned. Canceling ctx aborts the search.
+// Search is the one implementation of the mapping search: plan every
+// candidate policy of opt through plan, schedule each instance against zs
+// with the variant opt.Sched, and keep the lowest-carbon feasible one.
+// Candidates that cannot meet the deadline are skipped and recorded in
+// Outcomes; when none can, the result has a nil Schedule and FirstErr
+// holds the first candidate's error. Canceling ctx aborts the search.
 //
 // With opt.Workers > 1 the candidates' solves run concurrently across a
-// bounded pool. The mapping pass stays sequential regardless: link
+// bounded pool. The planning pass stays sequential regardless: link
 // processors materialize on first use with ids assigned in order
 // (platform.Cluster.Link), so candidate mappings must be built in policy
 // order or the instances' processor ids would depend on goroutine
 // interleaving. The solves are independent, and the reduction walks the
-// policies in order — first strictly lower cost wins, errors surface
-// exactly as in the sequential search — so the result is bit-identical
-// at any worker count.
-func MapAndSolve(ctx context.Context, d *dag.DAG, c *platform.Cluster, zs *power.ZoneSet, opt MapSolveOptions) (*MapSolveResult, error) {
+// policies in order — first strictly lower cost wins, a planning failure
+// or cancellation surfaces at its index exactly as in a sequential
+// search — so the result is bit-identical at any worker count.
+func Search(ctx context.Context, zs *power.ZoneSet, opt MapSolveOptions, plan PlanFunc) (*MapSolveResult, error) {
 	policies := opt.Policies
 	if len(policies) == 0 {
 		policies = AllPolicies()
 	}
-	if zs == nil {
-		return nil, fmt.Errorf("greenheft: MapAndSolve needs a per-zone power supply")
-	}
 
-	// Sequential mapping pass, strictly in policy order (see above). A
-	// structural failure or cancellation stops it; the reduction below
-	// returns at that index, exactly like the sequential search.
 	evals := make([]*polEval, len(policies))
 	mapped := make([]int, 0, len(policies))
 	for i, pol := range policies {
-		if err := scherr.Canceled(ctx.Err()); err != nil {
-			evals[i] = &polEval{err: err}
-			break
+		e := &polEval{}
+		evals[i] = e
+		if e.planErr = scherr.Canceled(ctx.Err()); e.planErr == nil {
+			e.inst, e.d, e.planErr = plan(ctx, pol)
 		}
-		inst, err := MapInstance(d, c, Options{Policy: pol, Alpha: opt.Alpha, Zones: zs})
-		if err != nil {
-			evals[i] = &polEval{mapErr: err}
-			break
+		if e.planErr != nil {
+			break // the reduction below returns at this index
 		}
-		evals[i] = &polEval{inst: inst, d: core.ASAPMakespan(inst)}
 		mapped = append(mapped, i)
 	}
 
@@ -134,11 +159,7 @@ func MapAndSolve(ctx context.Context, d *dag.DAG, c *platform.Cluster, zs *power
 	solve := func(i int) {
 		e := evals[i]
 		cctx, csp := obs.Start(ctx, "map-candidate")
-		if opt.Marginal {
-			e.s, e.st, e.err = core.RunMarginalZones(cctx, e.inst, zs, opt.Sched)
-		} else {
-			e.s, e.st, e.err = core.RunZones(cctx, e.inst, zs, opt.Sched)
-		}
+		e.s, e.st, e.err = core.RunWith(cctx, e.inst, zs, opt.Sched, opt.Marginal)
 		outcome := "ok"
 		if e.err != nil {
 			outcome = "error"
@@ -181,14 +202,13 @@ func MapAndSolve(ctx context.Context, d *dag.DAG, c *platform.Cluster, zs *power
 	}
 
 	res := &MapSolveResult{}
-	var firstErr error
 	for i, pol := range policies {
 		e := evals[i]
 		if e == nil {
 			break // unreachable: only indices past an aborting sequential eval
 		}
-		if e.mapErr != nil {
-			return nil, e.mapErr
+		if e.planErr != nil {
+			return nil, e.planErr
 		}
 		if errors.Is(e.err, scherr.ErrCanceled) {
 			return nil, e.err
@@ -198,8 +218,8 @@ func MapAndSolve(ctx context.Context, d *dag.DAG, c *platform.Cluster, zs *power
 			// Typically ErrInfeasibleDeadline: this mapping cannot meet
 			// the horizon. Record it and let the other candidates compete.
 			out.Err = e.err.Error()
-			if firstErr == nil {
-				firstErr = e.err
+			if res.FirstErr == nil {
+				res.FirstErr = e.err
 			}
 		} else {
 			out.Cost = e.st.Cost
@@ -209,9 +229,6 @@ func MapAndSolve(ctx context.Context, d *dag.DAG, c *platform.Cluster, zs *power
 			}
 		}
 		res.Outcomes = append(res.Outcomes, out)
-	}
-	if res.Schedule == nil {
-		return nil, fmt.Errorf("greenheft: no candidate mapping is feasible: %w", firstErr)
 	}
 	return res, nil
 }

@@ -151,7 +151,7 @@ func TestMapAndSolveNeverWorseProperty(t *testing.T) {
 		// Align the horizon so the fixed mapping is feasible.
 		T := 3 * core.ASAPMakespan(fixed)
 		azs := zs.Clip(T)
-		_, st, err := core.RunZones(context.Background(), fixed, azs, opt)
+		_, st, err := core.Run(context.Background(), fixed, azs, opt)
 		if err != nil {
 			t.Logf("seed %d: fixed: %v", seed, err)
 			return false

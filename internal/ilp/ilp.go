@@ -227,7 +227,7 @@ func Solve(inst *ceg.Instance, prof *power.Profile, opt milp.Options) (*schedule
 		return nil, 0, fmt.Errorf("ilp: extracted schedule invalid: %w", err)
 	}
 	cost := int64(math.Round(sol.Obj))
-	if check := schedule.CarbonCost(inst, s, prof); check != cost {
+	if check := schedule.CarbonCost(inst, s, power.SingleZone(prof)); check != cost {
 		return nil, 0, fmt.Errorf("ilp: objective %d disagrees with evaluated cost %d", cost, check)
 	}
 	return s, cost, nil

@@ -119,7 +119,7 @@ func TestSolveChainRespectsPrecedence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cross-check with the branch-and-bound optimum.
-	_, want, err := exact.Solve(context.Background(), inst, prof, exact.Options{})
+	_, want, err := exact.Solve(context.Background(), inst, power.SingleZone(prof), exact.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSolveMatchesExactOnCommInstance(t *testing.T) {
 	if err := schedule.Validate(inst, s, prof.T()); err != nil {
 		t.Fatal(err)
 	}
-	_, want, err := exact.Solve(context.Background(), inst, prof, exact.Options{})
+	_, want, err := exact.Solve(context.Background(), inst, power.SingleZone(prof), exact.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestSolveMatchesExactRandomTiny(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		_, want, err := exact.Solve(context.Background(), inst, prof, exact.Options{})
+		_, want, err := exact.Solve(context.Background(), inst, power.SingleZone(prof), exact.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/exact"
+	"repro/internal/power"
 	"repro/internal/schedule"
 )
 
@@ -122,7 +123,7 @@ func TestForwardDirection(t *testing.T) {
 	if err := schedule.Validate(r.Instance, s, r.Profile.T()); err != nil {
 		t.Fatal(err)
 	}
-	if cost := schedule.CarbonCost(r.Instance, s, r.Profile); cost != 0 {
+	if cost := schedule.CarbonCost(r.Instance, s, power.SingleZone(r.Profile)); cost != 0 {
 		t.Errorf("witness schedule cost = %d, want 0", cost)
 	}
 }
@@ -132,7 +133,7 @@ func TestReductionEquivalenceYes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cost, err := exact.Solve(context.Background(), r.Instance, r.Profile, exact.Options{})
+	_, cost, err := exact.Solve(context.Background(), r.Instance, power.SingleZone(r.Profile), exact.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestReductionEquivalenceNo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cost, err := exact.Solve(context.Background(), r.Instance, r.Profile, exact.Options{MaxNodes: 40_000_000})
+	_, cost, err := exact.Solve(context.Background(), r.Instance, power.SingleZone(r.Profile), exact.Options{MaxNodes: 40_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func BenchmarkReductionYes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, cost, err := exact.Solve(context.Background(), r.Instance, r.Profile, exact.Options{}); err != nil || cost != 0 {
+		if _, cost, err := exact.Solve(context.Background(), r.Instance, power.SingleZone(r.Profile), exact.Options{}); err != nil || cost != 0 {
 			b.Fatalf("cost %d err %v", cost, err)
 		}
 	}

@@ -10,9 +10,9 @@ import (
 // The zone layer generalizes the paper's single cluster-wide green power
 // profile to geo-distributed capacity: each grid zone (electricity-market
 // region) carries its own profile, and the carbon cost of a task depends
-// on where it runs, not just when. The paper's setting is the degenerate
-// one-zone case — a ZoneSet with a single zone evaluates exactly like its
-// bare Profile did.
+// on where it runs, not just when. A ZoneSet is the only supply type the
+// schedulers and cost functions accept; the paper's setting is the
+// one-zone set, whose profile covers every processor.
 
 // DefaultZoneName is the name of the implicit zone wrapping a bare
 // profile (SingleZone). A one-zone set carrying this name is
@@ -32,9 +32,9 @@ type ZoneSet struct {
 	Zones []Zone
 }
 
-// SingleZone wraps a bare profile into the degenerate one-zone set. Every
-// single-profile entry point funnels through it, so the legacy evaluation
-// path and the zone-aware one are literally the same code.
+// SingleZone wraps a bare cluster-wide profile into the one-zone set —
+// how a caller holding a *Profile (the facade's single-profile
+// conveniences, Request.Profile) enters the zone model.
 func SingleZone(p *Profile) *ZoneSet {
 	return &ZoneSet{Zones: []Zone{{Name: DefaultZoneName, Profile: p}}}
 }

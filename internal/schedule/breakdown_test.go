@@ -12,7 +12,11 @@ import (
 func TestCostBreakdownConsistency(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		inst, prof, s := randomHEFTInstance(t, 40, seed)
-		bd := CostBreakdown(inst, s, prof)
+		zones := CostBreakdown(inst, s, power.SingleZone(prof))
+		if len(zones) != 1 || zones[0].Zone != power.DefaultZoneName {
+			t.Fatalf("seed %d: one-zone breakdown = %d zones, first %q", seed, len(zones), zones[0].Zone)
+		}
+		bd := zones[0].Intervals
 		if len(bd) != prof.J() {
 			t.Fatalf("seed %d: %d breakdown rows for %d intervals", seed, len(bd), prof.J())
 		}
@@ -34,7 +38,7 @@ func TestCostBreakdownConsistency(t *testing.T) {
 			brown += ic.Brown
 			energy += ic.Energy
 		}
-		if want := CarbonCost(inst, s, prof); brown != want {
+		if want := CarbonCost(inst, s, power.SingleZone(prof)); brown != want {
 			t.Fatalf("seed %d: breakdown brown sum %d != carbon cost %d", seed, brown, want)
 		}
 		// Total energy over the horizon: idle floor is always drawn.
@@ -54,7 +58,7 @@ func TestCostBreakdownHandComputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd := CostBreakdown(inst, s, prof)
+	bd := CostBreakdown(inst, s, power.SingleZone(prof))[0].Intervals
 	// Interval 0 [0,2): power 5, budget 1 → energy 10, brown 8, green 2.
 	// Interval 1 [2,10): busy [2,4) power 5 budget 4 → brown 2;
 	//                    idle [4,10) power 2 ≤ 4 → brown 0; energy 10+12=22.

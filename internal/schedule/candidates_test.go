@@ -24,7 +24,7 @@ func bruteFirstImproving(tl *Timeline, cur, lo, hi, dur, p int64) (int64, int64,
 func TestFirstImprovingMoveMatchesBruteForce(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		inst, prof, s := randomHEFTInstance(t, 40, seed)
-		tl := NewTimeline(inst, s, prof)
+		tl := oneZoneTimeline(inst, s, prof)
 		r := rng.New(seed)
 		T := prof.T()
 		for trial := 0; trial < 60; trial++ {
@@ -67,7 +67,7 @@ func TestCandidateStartsCoverOptimum(t *testing.T) {
 	// Any optimum of the gain over the window must be attained at a
 	// candidate start; verify against an exhaustive scan.
 	inst, prof, s := randomHEFTInstance(t, 30, 3)
-	tl := NewTimeline(inst, s, prof)
+	tl := oneZoneTimeline(inst, s, prof)
 	T := prof.T()
 	r := rng.New(99)
 	for trial := 0; trial < 40; trial++ {
@@ -122,7 +122,7 @@ func TestCandidateStartsDegenerateWindows(t *testing.T) {
 	inst := chainInstance(t, 2, []int64{3, 3}, 1, 4)
 	prof := power.Constant(20, 2)
 	s := asap(inst)
-	tl := NewTimeline(inst, s, prof)
+	tl := oneZoneTimeline(inst, s, prof)
 	if got := tl.CandidateStarts(5, 4, 3); got != nil {
 		t.Errorf("inverted window returned %v", got)
 	}

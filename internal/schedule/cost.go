@@ -7,21 +7,14 @@ import (
 	"repro/internal/power"
 )
 
-// sweepSchedule is the polynomial event sweep of Appendix A.1, shared by
-// CarbonCost and CostBreakdown: merge all task start/end events with the
-// profile's interval boundaries and call emit for every maximal
-// subinterval [from, to) of constant power draw, where j is the profile
-// interval index and totalPower = Σ idle + Σ work of the active nodes.
-func sweepSchedule(inst *ceg.Instance, s *Schedule, prof *power.Profile, emit func(j int, from, to, totalPower int64)) {
-	sweepNodes(inst, s, prof, inst.TotalIdlePower(), nil, emit)
-}
-
-// sweepNodes is sweepSchedule generalized to a node subset and an
-// explicit idle floor — the form the per-zone evaluation uses (each grid
-// zone sweeps its own nodes over its own profile above its own idle
-// floor; the whole-platform sweep is the degenerate nil-subset call).
-// nodes == nil means all nodes. Events at or before time 0 are applied up
-// front (a valid schedule has none before 0, but be robust).
+// sweepNodes is the polynomial event sweep of Appendix A.1 over one grid
+// zone: merge the start/end events of the zone's nodes with its profile's
+// interval boundaries and call emit for every maximal subinterval
+// [from, to) of constant power draw, where j is the profile interval index
+// and totalPower = idle + Σ work of the active nodes. nodes == nil means
+// all nodes (the one-zone set, whose profile covers the whole platform).
+// Events at or before time 0 are applied up front (a valid schedule has
+// none before 0, but be robust).
 func sweepNodes(inst *ceg.Instance, s *Schedule, prof *power.Profile, idle int64, nodes []int, emit func(j int, from, to, totalPower int64)) {
 	type event struct {
 		t int64
@@ -68,35 +61,46 @@ func sweepNodes(inst *ceg.Instance, s *Schedule, prof *power.Profile, idle int64
 	}
 }
 
-// CarbonCost computes the total carbon cost of the schedule:
-// max(Σ_i P_i − G_j, 0) · length, summed over the constant-power
-// subintervals of the event sweep.
-func CarbonCost(inst *ceg.Instance, s *Schedule, prof *power.Profile) int64 {
+// CarbonCost computes the total carbon cost of the schedule under
+// per-zone green power: Σ over zones z of Σ over the constant-power
+// subintervals of z's event sweep of max(P_z − G_z, 0) · length.
+func CarbonCost(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) int64 {
 	var cost int64
-	sweepSchedule(inst, s, prof, func(j int, from, to, totalPower int64) {
-		if over := totalPower - prof.Intervals[j].Budget; over > 0 {
-			cost += over * (to - from)
-		}
-	})
+	nodes := zoneNodes(inst, zs)
+	for z, zone := range zs.Zones {
+		prof := zone.Profile
+		sweepNodes(inst, s, prof, zoneIdle(inst, zs, z), nodes[z], func(j int, from, to, totalPower int64) {
+			if over := totalPower - prof.Intervals[j].Budget; over > 0 {
+				cost += over * (to - from)
+			}
+		})
+	}
 	return cost
 }
 
-// CarbonCostBrute evaluates the cost time unit by time unit, exactly as the
-// definition in Section 3 states it (CC = Σ_t max(P_t − G_j, 0)). It is
-// pseudo-polynomial and exists as the ground-truth oracle for tests.
-func CarbonCostBrute(inst *ceg.Instance, s *Schedule, prof *power.Profile) int64 {
-	idle := inst.TotalIdlePower()
+// CarbonCostBrute evaluates the cost time unit by time unit, exactly as
+// the definition in Section 3 states it, zone by zone:
+// CC = Σ_z Σ_t max(P_z,t − G_z,t, 0). It is pseudo-polynomial and exists
+// as the ground-truth oracle for tests.
+func CarbonCostBrute(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) int64 {
 	var cost int64
-	for t := int64(0); t < prof.T(); t++ {
-		var workPower int64
-		for v := 0; v < inst.N(); v++ {
-			if s.Start[v] <= t && t < s.Start[v]+inst.Dur[v] {
-				_, w := inst.ProcPower(v)
-				workPower += w
+	for z, zone := range zs.Zones {
+		idle := zoneIdle(inst, zs, z)
+		prof := zone.Profile
+		for t := int64(0); t < prof.T(); t++ {
+			var workPower int64
+			for v := 0; v < inst.N(); v++ {
+				if NodeZone(inst, zs, v) != z {
+					continue
+				}
+				if s.Start[v] <= t && t < s.Start[v]+inst.Dur[v] {
+					_, w := inst.ProcPower(v)
+					workPower += w
+				}
 			}
-		}
-		if over := idle + workPower - prof.BudgetAt(t); over > 0 {
-			cost += over
+			if over := idle + workPower - prof.BudgetAt(t); over > 0 {
+				cost += over
+			}
 		}
 	}
 	return cost
@@ -114,37 +118,55 @@ type IntervalCost struct {
 	Brown  int64 `json:"brown"`  // brown energy = Σ max(P − G, 0) over the interval
 }
 
-// CostBreakdown evaluates the schedule per profile interval with the same
-// event sweep as CarbonCost (literally shared: sweepSchedule). It returns
-// one IntervalCost per interval, in profile order; the Brown fields sum
-// to CarbonCost(inst, s, prof) by construction.
-func CostBreakdown(inst *ceg.Instance, s *Schedule, prof *power.Profile) []IntervalCost {
-	out := make([]IntervalCost, len(prof.Intervals))
-	for j, iv := range prof.Intervals {
-		out[j] = IntervalCost{Start: iv.Start, End: iv.End, Budget: iv.Budget}
-	}
-	sweepSchedule(inst, s, prof, func(j int, from, to, totalPower int64) {
-		out[j].Energy += totalPower * (to - from)
-		if over := totalPower - prof.Intervals[j].Budget; over > 0 {
-			out[j].Brown += over * (to - from)
+// ZoneCost is the carbon accounting of one grid zone: its name, total
+// brown energy, and the per-interval breakdown of its profile.
+type ZoneCost struct {
+	Zone      string         `json:"zone"`
+	Cost      int64          `json:"cost"` // Σ Brown over the zone's intervals
+	Intervals []IntervalCost `json:"intervals"`
+}
+
+// CostBreakdown evaluates the schedule per zone and per profile interval
+// with the same event sweep as CarbonCost, so the per-zone Cost fields sum
+// to CarbonCost(inst, s, zs) by construction.
+func CostBreakdown(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) []ZoneCost {
+	out := make([]ZoneCost, zs.NumZones())
+	nodes := zoneNodes(inst, zs)
+	for z, zone := range zs.Zones {
+		prof := zone.Profile
+		ivs := make([]IntervalCost, len(prof.Intervals))
+		for j, iv := range prof.Intervals {
+			ivs[j] = IntervalCost{Start: iv.Start, End: iv.End, Budget: iv.Budget}
 		}
-	})
-	for j := range out {
-		out[j].Green = out[j].Energy - out[j].Brown
+		sweepNodes(inst, s, prof, zoneIdle(inst, zs, z), nodes[z], func(j int, from, to, totalPower int64) {
+			ivs[j].Energy += totalPower * (to - from)
+			if over := totalPower - prof.Intervals[j].Budget; over > 0 {
+				ivs[j].Brown += over * (to - from)
+			}
+		})
+		var total int64
+		for j := range ivs {
+			ivs[j].Green = ivs[j].Energy - ivs[j].Brown
+			total += ivs[j].Brown
+		}
+		out[z] = ZoneCost{Zone: zone.Name, Cost: total, Intervals: ivs}
 	}
 	return out
 }
 
 // GreenFloorCost returns the unavoidable carbon cost of keeping the
-// platform idle over the whole horizon: Σ_j max(Σidle − G_j, 0)·len_j.
-// Any schedule's cost is at least this floor. With the paper's profile
-// generation (budgets ≥ Σidle) the floor is zero.
-func GreenFloorCost(inst *ceg.Instance, prof *power.Profile) int64 {
-	idle := inst.TotalIdlePower()
+// platform idle over the whole horizon:
+// Σ_z Σ_j max(idle_z − G_z,j, 0) · len_j. Any schedule's cost is at least
+// this floor. With the paper's profile generation (budgets ≥ Σidle) the
+// floor is zero.
+func GreenFloorCost(inst *ceg.Instance, zs *power.ZoneSet) int64 {
 	var cost int64
-	for _, iv := range prof.Intervals {
-		if over := idle - iv.Budget; over > 0 {
-			cost += over * iv.Len()
+	for z, zone := range zs.Zones {
+		idle := zoneIdle(inst, zs, z)
+		for _, iv := range zone.Profile.Intervals {
+			if over := idle - iv.Budget; over > 0 {
+				cost += over * iv.Len()
+			}
 		}
 	}
 	return cost

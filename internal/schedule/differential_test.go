@@ -12,7 +12,7 @@ import (
 // move sequences on randomized (DAG × cluster × zone-count) grids are
 // replayed through the ZoneTimelines evaluator, and after every single
 // move the maintained aggregates — MoveGain, TotalCost, Breakdown — are
-// checked against the unit-time brute-force oracle CarbonCostBruteZones
+// checked against the unit-time brute-force oracle CarbonCostBrute
 // and the event-sweep evaluators. The suite runs once with the dense
 // per-unit representation (the default for these horizons) and once with
 // denseHorizonLimit lowered to force the sparse breakpoint representation,
@@ -23,14 +23,14 @@ import (
 // sweep evaluators and the brute oracle for the current schedule.
 func checkAggregates(t *testing.T, inst *ceg.Instance, s *Schedule, zs *power.ZoneSet, tls *ZoneTimelines, step int) {
 	t.Helper()
-	brute := CarbonCostBruteZones(inst, s, zs)
-	if sweep := CarbonCostZones(inst, s, zs); sweep != brute {
-		t.Fatalf("step %d: CarbonCostZones %d != brute %d", step, sweep, brute)
+	brute := CarbonCostBrute(inst, s, zs)
+	if sweep := CarbonCost(inst, s, zs); sweep != brute {
+		t.Fatalf("step %d: CarbonCost %d != brute %d", step, sweep, brute)
 	}
 	if got := tls.TotalCost(); got != brute {
 		t.Fatalf("step %d: maintained TotalCost %d != brute %d", step, got, brute)
 	}
-	bd := CostBreakdownZones(inst, s, zs)
+	bd := CostBreakdown(inst, s, zs)
 	for z := 0; z < zs.NumZones(); z++ {
 		ivs := tls.Zone(z).Breakdown()
 		want := bd[z].Intervals
@@ -47,13 +47,13 @@ func checkAggregates(t *testing.T, inst *ceg.Instance, s *Schedule, zs *power.Zo
 }
 
 // bruteMoveGain computes a move's gain by full re-evaluation: the drop in
-// CarbonCostBruteZones when s.Start[v] changes to cand (schedule restored
+// CarbonCostBrute when s.Start[v] changes to cand (schedule restored
 // before returning).
 func bruteMoveGain(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet, v int, cand int64) int64 {
 	cur := s.Start[v]
-	before := CarbonCostBruteZones(inst, s, zs)
+	before := CarbonCostBrute(inst, s, zs)
 	s.Start[v] = cand
-	after := CarbonCostBruteZones(inst, s, zs)
+	after := CarbonCostBrute(inst, s, zs)
 	s.Start[v] = cur
 	return before - after
 }

@@ -43,6 +43,12 @@ func chainInstance(t testing.TB, n int, weights []int64, idle, work int64) *ceg.
 	return inst
 }
 
+// oneZoneTimeline builds the timeline of a schedule under a cluster-wide
+// profile: the lone timeline of the one-zone set.
+func oneZoneTimeline(inst *ceg.Instance, s *Schedule, prof *power.Profile) *Timeline {
+	return NewZoneTimelines(inst, s, power.SingleZone(prof)).Zone(0)
+}
+
 // randomHEFTInstance builds a workflow instance with a HEFT mapping on the
 // small cluster and a random profile.
 func randomHEFTInstance(t testing.TB, n int, seed uint64) (*ceg.Instance, *power.Profile, *Schedule) {
@@ -147,13 +153,13 @@ func TestCarbonCostHandComputed(t *testing.T) {
 	s := New(1)
 	// Active in [0,2): power 5, budget 5 → 0. Idle in [2,4): power 2,
 	// budget 1 → 1 per unit × 2 = 2.
-	if got := CarbonCost(inst, s, prof); got != 2 {
+	if got := CarbonCost(inst, s, power.SingleZone(prof)); got != 2 {
 		t.Errorf("CarbonCost = %d, want 2", got)
 	}
 	// Move task to [2,4): active power 5 vs budget 1 → 4×2 = 8; idle
 	// [0,2): 2 vs 5 → 0. Total 8.
 	s.Start[0] = 2
-	if got := CarbonCost(inst, s, prof); got != 8 {
+	if got := CarbonCost(inst, s, power.SingleZone(prof)); got != 8 {
 		t.Errorf("CarbonCost moved = %d, want 8", got)
 	}
 }
@@ -162,7 +168,7 @@ func TestCarbonCostZeroWhenGreen(t *testing.T) {
 	inst := chainInstance(t, 2, []int64{2, 2}, 1, 1)
 	prof := power.Constant(8, 100)
 	s := asap(inst)
-	if got := CarbonCost(inst, s, prof); got != 0 {
+	if got := CarbonCost(inst, s, power.SingleZone(prof)); got != 0 {
 		t.Errorf("CarbonCost = %d, want 0 under abundant green power", got)
 	}
 }
@@ -170,8 +176,8 @@ func TestCarbonCostZeroWhenGreen(t *testing.T) {
 func TestCarbonCostMatchesBruteForce(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		inst, prof, s := randomHEFTInstance(t, 40, seed)
-		fast := CarbonCost(inst, s, prof)
-		slow := CarbonCostBrute(inst, s, prof)
+		fast := CarbonCost(inst, s, power.SingleZone(prof))
+		slow := CarbonCostBrute(inst, s, power.SingleZone(prof))
 		if fast != slow {
 			t.Errorf("seed %d: sweep cost %d != brute cost %d", seed, fast, slow)
 		}
@@ -208,7 +214,7 @@ func TestCarbonCostMatchesBruteForceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return CarbonCost(inst, s, prof) == CarbonCostBrute(inst, s, prof)
+		return CarbonCost(inst, s, power.SingleZone(prof)) == CarbonCostBrute(inst, s, power.SingleZone(prof))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -244,11 +250,11 @@ func TestGreenFloorCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Idle 5: first interval over by 3 ×3 = 9; second 0.
-	if got := GreenFloorCost(inst, prof); got != 9 {
+	if got := GreenFloorCost(inst, power.SingleZone(prof)); got != 9 {
 		t.Errorf("GreenFloorCost = %d, want 9", got)
 	}
 	s := New(1)
-	if c := CarbonCost(inst, s, prof); c < 9 {
+	if c := CarbonCost(inst, s, power.SingleZone(prof)); c < 9 {
 		t.Errorf("cost %d below green floor 9", c)
 	}
 }
@@ -265,8 +271,8 @@ func TestScheduleClone(t *testing.T) {
 func TestTimelineTotalMatchesCarbonCost(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		inst, prof, s := randomHEFTInstance(t, 50, seed)
-		tl := NewTimeline(inst, s, prof)
-		if got, want := tl.TotalCost(), CarbonCost(inst, s, prof); got != want {
+		tl := oneZoneTimeline(inst, s, prof)
+		if got, want := tl.TotalCost(), CarbonCost(inst, s, power.SingleZone(prof)); got != want {
 			t.Errorf("seed %d: timeline cost %d != sweep cost %d", seed, got, want)
 		}
 	}
@@ -274,8 +280,8 @@ func TestTimelineTotalMatchesCarbonCost(t *testing.T) {
 
 func TestTimelineMoveGainMatchesRecompute(t *testing.T) {
 	inst, prof, s := randomHEFTInstance(t, 40, 2)
-	tl := NewTimeline(inst, s, prof)
-	base := CarbonCost(inst, s, prof)
+	tl := oneZoneTimeline(inst, s, prof)
+	base := CarbonCost(inst, s, power.SingleZone(prof))
 	r := rng.New(77)
 	for trial := 0; trial < 200; trial++ {
 		v := r.Intn(inst.N())
@@ -291,7 +297,7 @@ func TestTimelineMoveGainMatchesRecompute(t *testing.T) {
 		// for any placement).
 		mod := s.Clone()
 		mod.Start[v] = newStart
-		want := base - CarbonCost(inst, mod, prof)
+		want := base - CarbonCost(inst, mod, power.SingleZone(prof))
 		if gain != want {
 			t.Fatalf("trial %d: MoveGain = %d, recompute = %d", trial, gain, want)
 		}
@@ -300,14 +306,14 @@ func TestTimelineMoveGainMatchesRecompute(t *testing.T) {
 
 func TestTimelineApplyMove(t *testing.T) {
 	inst, prof, s := randomHEFTInstance(t, 30, 1)
-	tl := NewTimeline(inst, s, prof)
+	tl := oneZoneTimeline(inst, s, prof)
 	v := 5
 	_, work := inst.ProcPower(v)
 	old := s.Start[v]
 	newStart := old + 3
 	tl.ApplyMove(old, newStart, inst.Dur[v], work)
 	s.Start[v] = newStart
-	if got, want := tl.TotalCost(), CarbonCost(inst, s, prof); got != want {
+	if got, want := tl.TotalCost(), CarbonCost(inst, s, power.SingleZone(prof)); got != want {
 		t.Errorf("after ApplyMove: timeline %d != sweep %d", got, want)
 	}
 }
@@ -315,7 +321,7 @@ func TestTimelineApplyMove(t *testing.T) {
 func TestTimelineAddRemoveRoundTrip(t *testing.T) {
 	prof := power.Constant(100, 5)
 	inst := chainInstance(t, 1, []int64{1}, 0, 1)
-	tl := NewTimeline(inst, New(1), prof)
+	tl := oneZoneTimeline(inst, New(1), prof)
 	before := tl.TotalCost()
 	tl.Add(10, 20, 7)
 	tl.Remove(10, 20, 7)
@@ -326,7 +332,7 @@ func TestTimelineAddRemoveRoundTrip(t *testing.T) {
 
 func TestTimelineCompactPreservesCost(t *testing.T) {
 	inst, prof, s := randomHEFTInstance(t, 40, 4)
-	tl := NewTimeline(inst, s, prof)
+	tl := oneZoneTimeline(inst, s, prof)
 	want := tl.TotalCost()
 	segs := tl.NumSegments()
 	tl.Add(3, 9, 5)
@@ -343,7 +349,7 @@ func TestTimelineCompactPreservesCost(t *testing.T) {
 func TestTimelineRangeCostClamps(t *testing.T) {
 	inst := chainInstance(t, 1, []int64{2}, 3, 4)
 	prof := power.Constant(10, 0)
-	tl := NewTimeline(inst, New(1), prof)
+	tl := oneZoneTimeline(inst, New(1), prof)
 	full := tl.TotalCost()
 	if got := tl.RangeCost(-5, 100); got != full {
 		t.Errorf("clamped range cost %d != total %d", got, full)
@@ -355,15 +361,16 @@ func TestTimelineRangeCostClamps(t *testing.T) {
 
 func BenchmarkCarbonCostSweep(b *testing.B) {
 	inst, prof, s := randomHEFTInstance(b, 500, 1)
+	zs := power.SingleZone(prof)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CarbonCost(inst, s, prof)
+		CarbonCost(inst, s, zs)
 	}
 }
 
 func BenchmarkTimelineMoveGain(b *testing.B) {
 	inst, prof, s := randomHEFTInstance(b, 500, 1)
-	tl := NewTimeline(inst, s, prof)
+	tl := oneZoneTimeline(inst, s, prof)
 	_, work := inst.ProcPower(10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,7 +1,6 @@
 package schedule
 
 import (
-	"repro/internal/ceg"
 	"repro/internal/power"
 )
 
@@ -105,23 +104,6 @@ func newTimeline(idle int64, prof *power.Profile) *Timeline {
 // representation (horizon ≤ denseHorizonLimit) rather than the sorted
 // sparse breakpoints — search introspection for the observability layer.
 func (tl *Timeline) Dense() bool { return tl.dense }
-
-// NewEmptyTimeline builds a timeline with no tasks placed: only the idle
-// floor of the platform draws power. Callers (e.g. branch-and-bound) add
-// tasks incrementally.
-func NewEmptyTimeline(inst *ceg.Instance, prof *power.Profile) *Timeline {
-	return newTimeline(inst.TotalIdlePower(), prof)
-}
-
-// NewTimeline builds the power timeline of a schedule.
-func NewTimeline(inst *ceg.Instance, s *Schedule, prof *power.Profile) *Timeline {
-	tl := newTimeline(inst.TotalIdlePower(), prof)
-	for v := 0; v < inst.N(); v++ {
-		_, work := inst.ProcPower(v)
-		tl.Add(s.Start[v], s.Start[v]+inst.Dur[v], work)
-	}
-	return tl
-}
 
 // find returns the index i with t[i] <= x < t[i+1] (or the last index if x
 // is beyond the end). x must be >= t[0]. Hand-rolled binary search: this

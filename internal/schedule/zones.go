@@ -7,12 +7,12 @@ import (
 	"repro/internal/power"
 )
 
-// Per-zone cost evaluation: with geo-distributed capacity every grid zone
-// has its own green power profile, the platform draw decomposes into one
+// Per-zone evaluation: with geo-distributed capacity every grid zone has
+// its own green power profile, the platform draw decomposes into one
 // piecewise-constant function per zone, and the total carbon cost is the
 // sum of the per-zone costs. A single-zone set evaluates every node
 // against the one profile above the whole-platform idle floor — exactly
-// the paper's (and CarbonCost's) semantics, through the same sweep code.
+// the paper's semantics, through the same sweep code.
 
 // CheckZones verifies that the zone set is usable with the instance: a
 // single zone always is (the whole cluster shares it, whatever its zone
@@ -50,7 +50,7 @@ func zoneIdle(inst *ceg.Instance, zs *power.ZoneSet, z int) int64 {
 
 // zoneNodes partitions the instance's nodes by evaluation zone. For a
 // single-zone set it returns one nil entry (sweepNodes reads nil as "all
-// nodes"), so the degenerate case takes exactly the legacy sweep.
+// nodes").
 func zoneNodes(inst *ceg.Instance, zs *power.ZoneSet) [][]int {
 	if zs.Single() {
 		return [][]int{nil}
@@ -66,105 +66,6 @@ func zoneNodes(inst *ceg.Instance, zs *power.ZoneSet) [][]int {
 	return out
 }
 
-// CarbonCostZones computes the total carbon cost of the schedule under
-// per-zone green power: Σ over zones z of Σ over z's subintervals of
-// max(P_z − G_z, 0) · length. For a single-zone set it equals
-// CarbonCost(inst, s, zs.Profile(0)) exactly.
-func CarbonCostZones(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) int64 {
-	var cost int64
-	nodes := zoneNodes(inst, zs)
-	for z, zone := range zs.Zones {
-		prof := zone.Profile
-		sweepNodes(inst, s, prof, zoneIdle(inst, zs, z), nodes[z], func(j int, from, to, totalPower int64) {
-			if over := totalPower - prof.Intervals[j].Budget; over > 0 {
-				cost += over * (to - from)
-			}
-		})
-	}
-	return cost
-}
-
-// CarbonCostBruteZones evaluates the per-zone cost time unit by time
-// unit, the zone extension of the CarbonCostBrute ground-truth oracle:
-// CC = Σ_z Σ_t max(P_z,t − G_z,t, 0).
-func CarbonCostBruteZones(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) int64 {
-	var cost int64
-	for z, zone := range zs.Zones {
-		idle := zoneIdle(inst, zs, z)
-		prof := zone.Profile
-		for t := int64(0); t < prof.T(); t++ {
-			var workPower int64
-			for v := 0; v < inst.N(); v++ {
-				if NodeZone(inst, zs, v) != z {
-					continue
-				}
-				if s.Start[v] <= t && t < s.Start[v]+inst.Dur[v] {
-					_, w := inst.ProcPower(v)
-					workPower += w
-				}
-			}
-			if over := idle + workPower - prof.BudgetAt(t); over > 0 {
-				cost += over
-			}
-		}
-	}
-	return cost
-}
-
-// ZoneCost is the carbon accounting of one grid zone: its name, total
-// brown energy, and the per-interval breakdown of its profile.
-type ZoneCost struct {
-	Zone      string         `json:"zone"`
-	Cost      int64          `json:"cost"` // Σ Brown over the zone's intervals
-	Intervals []IntervalCost `json:"intervals"`
-}
-
-// CostBreakdownZones evaluates the schedule per zone and per profile
-// interval with the shared event sweep. The per-zone Cost fields sum to
-// CarbonCostZones(inst, s, zs) by construction; for a single-zone set the
-// lone entry's Intervals equal CostBreakdown against that profile.
-func CostBreakdownZones(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) []ZoneCost {
-	out := make([]ZoneCost, zs.NumZones())
-	nodes := zoneNodes(inst, zs)
-	for z, zone := range zs.Zones {
-		prof := zone.Profile
-		ivs := make([]IntervalCost, len(prof.Intervals))
-		for j, iv := range prof.Intervals {
-			ivs[j] = IntervalCost{Start: iv.Start, End: iv.End, Budget: iv.Budget}
-		}
-		sweepNodes(inst, s, prof, zoneIdle(inst, zs, z), nodes[z], func(j int, from, to, totalPower int64) {
-			ivs[j].Energy += totalPower * (to - from)
-			if over := totalPower - prof.Intervals[j].Budget; over > 0 {
-				ivs[j].Brown += over * (to - from)
-			}
-		})
-		var total int64
-		for j := range ivs {
-			ivs[j].Green = ivs[j].Energy - ivs[j].Brown
-			total += ivs[j].Brown
-		}
-		out[z] = ZoneCost{Zone: zone.Name, Cost: total, Intervals: ivs}
-	}
-	return out
-}
-
-// GreenFloorCostZones returns the unavoidable carbon cost of keeping the
-// platform idle over the whole horizon under per-zone supply:
-// Σ_z Σ_j max(idle_z − G_z,j, 0) · len_j. Any schedule's cost is at least
-// this floor.
-func GreenFloorCostZones(inst *ceg.Instance, zs *power.ZoneSet) int64 {
-	var cost int64
-	for z, zone := range zs.Zones {
-		idle := zoneIdle(inst, zs, z)
-		for _, iv := range zone.Profile.Intervals {
-			if over := idle - iv.Budget; over > 0 {
-				cost += over * iv.Len()
-			}
-		}
-	}
-	return cost
-}
-
 // ZoneTimelines maintains one power Timeline per grid zone and routes
 // per-task queries — MoveGain, FirstImprovingMove, candidate starts — to
 // the moving task's zone. Moving a task only perturbs its own zone's
@@ -178,8 +79,9 @@ type ZoneTimelines struct {
 }
 
 // NewZoneTimelines builds the per-zone timelines of a schedule. A nil
-// schedule yields empty timelines (only the idle floors draw power), the
-// zone analogue of NewEmptyTimeline.
+// schedule yields empty timelines (only the idle floors draw power) for
+// callers that add tasks incrementally (branch-and-bound, the marginal
+// greedy).
 func NewZoneTimelines(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) *ZoneTimelines {
 	if err := CheckZones(inst, zs); err != nil {
 		panic(err)

@@ -48,52 +48,21 @@ func zonedHEFTInstance(t testing.TB, n int, seed uint64, zones int) (*ceg.Instan
 	return inst, zs, s
 }
 
-// TestSingleZoneCostEqualsLegacy pins the degenerate case: a one-zone set
-// evaluates exactly like its bare profile through every cost entry point.
-func TestSingleZoneCostEqualsLegacy(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		inst, prof, s := randomHEFTInstance(t, 40, seed)
-		zs := power.SingleZone(prof)
-		if got, want := CarbonCostZones(inst, s, zs), CarbonCost(inst, s, prof); got != want {
-			t.Errorf("seed %d: CarbonCostZones %d != CarbonCost %d", seed, got, want)
-		}
-		if got, want := CarbonCostBruteZones(inst, s, zs), CarbonCostBrute(inst, s, prof); got != want {
-			t.Errorf("seed %d: brute %d != %d", seed, got, want)
-		}
-		if got, want := GreenFloorCostZones(inst, zs), GreenFloorCost(inst, prof); got != want {
-			t.Errorf("seed %d: floor %d != %d", seed, got, want)
-		}
-		bz := CostBreakdownZones(inst, s, zs)
-		if len(bz) != 1 || bz[0].Zone != power.DefaultZoneName {
-			t.Fatalf("seed %d: breakdown zones %v", seed, len(bz))
-		}
-		legacy := CostBreakdown(inst, s, prof)
-		for j := range legacy {
-			if bz[0].Intervals[j] != legacy[j] {
-				t.Fatalf("seed %d: interval %d differs: %+v vs %+v", seed, j, bz[0].Intervals[j], legacy[j])
-			}
-		}
-		if tl := NewZoneTimelines(inst, s, zs); tl.TotalCost() != CarbonCost(inst, s, prof) {
-			t.Errorf("seed %d: timeline cost %d != %d", seed, tl.TotalCost(), CarbonCost(inst, s, prof))
-		}
-	}
-}
-
 // TestZoneCostMatchesBrute cross-checks the multi-zone sweep against the
 // per-zone per-time-unit oracle.
 func TestZoneCostMatchesBrute(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		for _, zones := range []int{2, 3} {
 			inst, zs, s := zonedHEFTInstance(t, 30, seed, zones)
-			sweep := CarbonCostZones(inst, s, zs)
-			brute := CarbonCostBruteZones(inst, s, zs)
+			sweep := CarbonCost(inst, s, zs)
+			brute := CarbonCostBrute(inst, s, zs)
 			if sweep != brute {
 				t.Errorf("seed %d zones %d: sweep %d != brute %d", seed, zones, sweep, brute)
 			}
 			if tl := NewZoneTimelines(inst, s, zs); tl.TotalCost() != sweep {
 				t.Errorf("seed %d zones %d: timelines %d != sweep %d", seed, zones, tl.TotalCost(), sweep)
 			}
-			bz := CostBreakdownZones(inst, s, zs)
+			bz := CostBreakdown(inst, s, zs)
 			var sum int64
 			for _, z := range bz {
 				sum += z.Cost
@@ -105,13 +74,12 @@ func TestZoneCostMatchesBrute(t *testing.T) {
 	}
 }
 
-// TestMultiZoneAllProcsInOneZoneMatchesLegacy is the equivalence pin of
-// the zone refactor: with every *node* evaluated in zone 0 and the extra
-// zones empty, a multi-zone evaluation must reproduce the legacy
-// single-profile numbers exactly (the empty zones contribute only their
-// green floor, which is zero whenever budgets cover their — empty — idle
-// floor of 0).
-func TestMultiZoneAllProcsInOneZoneMatchesLegacy(t *testing.T) {
+// TestMultiZoneAllProcsInOneZoneMatchesOneZone is the equivalence pin of
+// the zone model: with every *node* evaluated in zone 0 and the extra
+// zones empty, a multi-zone evaluation must reproduce the one-zone
+// numbers exactly (the empty zones contribute only their green floor,
+// which is zero whenever budgets cover their — empty — idle floor of 0).
+func TestMultiZoneAllProcsInOneZoneMatchesOneZone(t *testing.T) {
 	// A cluster whose zone layout is multi-zone on paper but where the
 	// HEFT mapping is forced onto zone-0 processors: build a 2-zone
 	// cluster where zone 1 holds a single processor no task is mapped to.
@@ -160,21 +128,21 @@ func TestMultiZoneAllProcsInOneZoneMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	legacy := CarbonCost(inst, s, prof)
-	if got := CarbonCostZones(inst, s, zs); got != legacy {
-		t.Errorf("multi-zone all-in-one cost %d != legacy %d", got, legacy)
+	one := CarbonCost(inst, s, power.SingleZone(prof))
+	if got := CarbonCost(inst, s, zs); got != one {
+		t.Errorf("multi-zone all-in-one cost %d != one-zone %d", got, one)
 	}
-	if got := CarbonCostBruteZones(inst, s, zs); got != legacy+0 {
+	if got := CarbonCostBrute(inst, s, zs); got != one {
 		// Zone 1's idle floor is 0 and its budgets are ≥ 0, so it adds 0.
-		t.Errorf("brute %d != legacy %d", got, legacy)
+		t.Errorf("brute %d != one-zone %d", got, one)
 	}
 	tls := NewZoneTimelines(inst, s, zs)
-	if tls.TotalCost() != legacy {
-		t.Errorf("timelines %d != legacy %d", tls.TotalCost(), legacy)
+	if tls.TotalCost() != one {
+		t.Errorf("timelines %d != one-zone %d", tls.TotalCost(), one)
 	}
 	// Per-task moves route to zone 0's timeline and report the same gains
-	// as a legacy single-profile timeline.
-	legacyTL := NewTimeline(inst, s, prof)
+	// as a one-zone timeline.
+	oneTL := oneZoneTimeline(inst, s, prof)
 	for v := 0; v < inst.N(); v += 7 {
 		dur := inst.Dur[v]
 		_, work := inst.ProcPower(v)
@@ -184,8 +152,8 @@ func TestMultiZoneAllProcsInOneZoneMatchesLegacy(t *testing.T) {
 			if newA < 0 || newA+dur > T {
 				continue
 			}
-			if g1, g2 := tls.For(v).MoveGain(cur, newA, dur, work), legacyTL.MoveGain(cur, newA, dur, work); g1 != g2 {
-				t.Fatalf("node %d delta %d: zone gain %d != legacy gain %d", v, delta, g1, g2)
+			if g1, g2 := tls.For(v).MoveGain(cur, newA, dur, work), oneTL.MoveGain(cur, newA, dur, work); g1 != g2 {
+				t.Fatalf("node %d delta %d: zone gain %d != one-zone gain %d", v, delta, g1, g2)
 			}
 		}
 	}

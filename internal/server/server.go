@@ -441,7 +441,7 @@ func buildRequest(wreq *wire.SolveRequest, defaultMapping string) (cawosched.Req
 // (single-zone solves additionally keep the legacy top-level interval
 // list, so pre-zone clients read exactly what they always did).
 func buildResponse(res *cawosched.Response) *wire.SolveResponse {
-	zones := schedule.CostBreakdownZones(res.Instance, res.Schedule, res.Zones)
+	zones := schedule.CostBreakdown(res.Instance, res.Schedule, res.Zones)
 	out := &wire.SolveResponse{
 		Variant:      res.Variant,
 		Mapping:      res.Mapping,

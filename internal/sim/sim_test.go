@@ -39,7 +39,7 @@ func testInstance(tb testing.TB, n int, seed uint64) (*ceg.Instance, *power.Prof
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, _, err := core.Run(context.Background(), inst, prof, core.Options{Score: core.ScorePressureW, Refined: true, LocalSearch: true})
+	s, _, err := core.Run(context.Background(), inst, power.SingleZone(prof), core.Options{Score: core.ScorePressureW, Refined: true, LocalSearch: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestReplayReproducesPlan(t *testing.T) {
 		if !res.DeadlineMet {
 			t.Errorf("seed %d: replay missed the deadline", seed)
 		}
-		if want := schedule.CarbonCost(inst, plan, prof); res.Cost != want {
+		if want := schedule.CarbonCost(inst, plan, power.SingleZone(prof)); res.Cost != want {
 			t.Errorf("seed %d: replay cost %d != static cost %d", seed, res.Cost, want)
 		}
 		if res.Makespan != schedule.Makespan(inst, plan) {
@@ -242,7 +242,7 @@ func TestPlanOnForecastEvaluateOnActual(t *testing.T) {
 	// the realized cost equals the planned cost.
 	inst, actual, _ := testInstance(t, 60, 5)
 	forecast := (ForecastError{Base: 0.2, Growth: 0.3, Seed: 7}).Forecast(actual)
-	plan, _, err := core.Run(context.Background(), inst, forecast, core.Options{Score: core.ScoreSlackW, LocalSearch: true})
+	plan, _, err := core.Run(context.Background(), inst, power.SingleZone(forecast), core.Options{Score: core.ScoreSlackW, LocalSearch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestPlanOnForecastEvaluateOnActual(t *testing.T) {
 	if !res.DeadlineMet {
 		t.Error("same horizon, no runtime noise: deadline must hold")
 	}
-	if res.Cost != schedule.CarbonCost(inst, plan, actual) {
+	if res.Cost != schedule.CarbonCost(inst, plan, power.SingleZone(actual)) {
 		t.Error("realized cost disagrees with static evaluation under the actual profile")
 	}
 }

@@ -385,7 +385,7 @@ func (m *Manager) submit(ctx context.Context, req SubmitRequest) (*WorkflowStatu
 			claims[i].Start += delta
 			claims[i].End += delta
 		}
-		cost = schedule.CarbonCostZones(res.Instance, sched, residual)
+		cost = schedule.CarbonCost(res.Instance, sched, residual)
 	}
 
 	m.seq++
@@ -567,7 +567,7 @@ func (m *Manager) rebalance(ctx context.Context) (RebalanceReport, error) {
 		// The incumbent placement, re-priced on today's residual view: the
 		// yardstick the fresh solve has to beat.
 		oldRel := shifted(rec.sched, rec.base-now)
-		oldCost := schedule.CarbonCostZones(rec.inst, oldRel, residual)
+		oldCost := schedule.CarbonCost(rec.inst, oldRel, residual)
 
 		res, err := m.solver.Solve(ctx, cawosched.Request{
 			Workflow:      rec.wf,
@@ -591,7 +591,7 @@ func (m *Manager) rebalance(ctx context.Context) (RebalanceReport, error) {
 						newClaims[i].Start += delta
 						newClaims[i].End += delta
 					}
-					newCost = schedule.CarbonCostZones(res.Instance, newSched, residual)
+					newCost = schedule.CarbonCost(res.Instance, newSched, residual)
 				} else {
 					newCost = res.Cost
 				}

@@ -90,7 +90,7 @@ type Request struct {
 	// Variant.
 	Options *Options
 	// Marginal switches the greedy phase to the exact-marginal-cost greedy
-	// (RunMarginal) instead of the paper's budget-based one.
+	// (core.GreedyMarginal) instead of the paper's budget-based one.
 	Marginal bool
 
 	// Zones, if non-nil, is the per-grid-zone green power supply; its
@@ -488,14 +488,15 @@ func (s *Solver) ZonesFor(ctx context.Context, inst *Instance, req Request) (*Zo
 // pass only once per request. forceSingle collapses generation to one
 // cluster-wide profile regardless of the cluster's zones (ProfileFor).
 func zonesFor(ctx context.Context, inst *Instance, req Request, D int64, forceSingle bool) (*ZoneSet, error) {
-	if req.Zones != nil {
-		if err := schedule.CheckZones(inst, req.Zones); err != nil {
+	zones := req.Zones
+	if zones == nil && req.Profile != nil {
+		zones = power.SingleZone(req.Profile)
+	}
+	if zones != nil {
+		if err := schedule.CheckZones(inst, zones); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 		}
-		return req.Zones, nil
-	}
-	if req.Profile != nil {
-		return power.SingleZone(req.Profile), nil
+		return zones, nil
 	}
 	if err := scherr.Canceled(ctx.Err()); err != nil {
 		return nil, err
@@ -532,24 +533,20 @@ func zonesFor(ctx context.Context, inst *Instance, req Request, D int64, forceSi
 		}
 	}
 	if K == 1 {
-		// The degenerate case generates byte-for-byte the paper's profile
-		// (same seed consumption as before the zone layer), wrapped.
+		// One zone draws the paper's profile straight from the seed, where
+		// ZonesForInstance derives one stream per zone index: its own path,
+		// so the bytes of generated single-zone profiles never move.
 		prof, err := ProfileForInstance(inst, sc, T, intervals, req.Seed)
 		if err != nil {
 			return nil, err
 		}
 		return power.SingleZone(prof), nil
 	}
-	specs := make([]power.ZoneSpec, K)
-	for z := 0; z < K; z++ {
-		zsc := sc
-		if len(req.ZoneScenarios) > 0 {
-			zsc = req.ZoneScenarios[z]
-		}
-		gmin, gmax := power.PlatformBounds(inst.ZoneIdlePower(z), inst.Cluster.ZoneComputeWork(z))
-		specs[z] = power.ZoneSpec{Name: fmt.Sprintf("z%d", z), Scenario: zsc, Gmin: gmin, Gmax: gmax}
+	scenarios := req.ZoneScenarios
+	if len(scenarios) == 0 {
+		scenarios = []Scenario{sc}
 	}
-	return power.GenerateZones(specs, T, intervals, req.Seed)
+	return ZonesForInstance(inst, scenarios, T, intervals, req.Seed)
 }
 
 // resolveOptions picks the variant for a request and returns its options
@@ -934,7 +931,7 @@ func (s *Solver) compute(ctx context.Context, clock *stageClock, job *solveJob) 
 		inst, asap, D, planHit = me.inst, me.asap, me.d, mhit
 	}
 	sctx, ssp := obs.Start(ctx, "schedule")
-	sched, st, err := runCore(sctx, inst, zones, opt, req.Marginal)
+	sched, st, err := core.RunWith(sctx, inst, zones, opt, req.Marginal)
 	if err != nil {
 		ssp.End()
 		return nil, err
@@ -955,141 +952,49 @@ func (s *Solver) compute(ctx context.Context, clock *stageClock, job *solveJob) 
 		D:        D,
 		Deadline: zones.T(),
 		Cost:     st.Cost,
-		ASAPCost: schedule.CarbonCostZones(inst, asap, zones),
+		ASAPCost: schedule.CarbonCost(inst, asap, zones),
 		PlanHit:  planHit,
 	}
 	return resp, nil
 }
 
-// runCore dispatches to the requested greedy flavor of the zone-aware
-// scheduler.
-func runCore(ctx context.Context, inst *Instance, zones *ZoneSet, opt Options, marginal bool) (*Schedule, Stats, error) {
-	if marginal {
-		return core.RunMarginalZones(ctx, inst, zones, opt)
-	}
-	return core.RunZones(ctx, inst, zones, opt)
-}
-
-// mapSearch is the two-pass pipeline inside Solve: schedule the workflow
-// under every candidate mapping policy (each plan memoized per (policy,
-// zone-digest)) against the shared supply and keep the lowest-carbon
-// feasible plan. Candidates that cannot meet the horizon are skipped; the
-// EFT candidate is feasible by construction whenever the supply was
-// generated from the request, so the search never returns a plan worse
-// than fixed-mapping scheduling.
-//
-// With opt.SearchWorkers > 1 the candidates' solves run concurrently
-// across a bounded pool. The planning pass stays sequential in policy
-// order regardless: building a mapped plan materializes link processors,
-// whose ids are assigned in first-use order (platform.Cluster.Link), so
-// racing the builds would make instance processor ids depend on goroutine
-// interleaving. The solves are independent, and the reduction walks the
-// policies in order, so the winner and errors match the sequential search
-// exactly — responses are byte-identical at any worker count.
+// mapSearch is the two-pass pipeline inside Solve: greenheft.Search over
+// every candidate mapping policy, each plan taken from the memo (keyed per
+// (policy, zone-digest)), all scheduled against the shared supply. The EFT
+// candidate is feasible by construction whenever the supply was generated
+// from the request, so the search never returns a plan worse than
+// fixed-mapping scheduling. Responses are byte-identical at any
+// opt.SearchWorkers.
 func (s *Solver) mapSearch(ctx context.Context, req Request, zones *ZoneSet, opt Options, variant string) (*Response, error) {
-	policies := greenheft.AllPolicies()
-	type polOutcome struct {
-		e       *planEntry
-		sched   *Schedule
-		st      Stats
-		planErr error // structural: aborts the whole search
-		err     error // per-candidate scheduling failure (or cancellation)
-	}
-	outcomes := make([]*polOutcome, len(policies))
-	mapped := make([]int, 0, len(policies))
-	for i, pol := range policies {
-		r := &polOutcome{}
-		outcomes[i] = r
-		r.e, _, r.planErr = s.planFor(ctx, req.Workflow, pol, zones)
-		if r.planErr != nil {
-			break // the reduction below returns at this index
-		}
-		mapped = append(mapped, i)
-	}
-	candidates := obs.MeterFrom(ctx).Counter("schedd_mapsearch_candidates_total",
-		"map-search candidate mappings scheduled, by policy and outcome", "policy", "outcome")
-	solve := func(i int) {
-		r := outcomes[i]
-		cctx, csp := obs.Start(ctx, "map-candidate")
-		r.sched, r.st, r.err = runCore(cctx, r.e.inst, zones, opt, req.Marginal)
-		outcome := "ok"
-		if r.err != nil {
-			outcome = "error"
-		}
-		if csp != nil {
-			csp.SetAttr("policy", policies[i].String())
-			if r.err != nil {
-				csp.SetAttr("error", r.err.Error())
-			} else {
-				csp.SetAttr("cost", r.st.Cost)
+	// The planning pass is sequential, so the closure needs no lock; the
+	// entries are kept so the winner's asap and d need no second lookup.
+	entries := make(map[greenheft.Policy]*planEntry)
+	res, err := greenheft.Search(ctx, zones,
+		greenheft.MapSolveOptions{Sched: opt, Marginal: req.Marginal, Workers: opt.SearchWorkers},
+		func(ctx context.Context, pol greenheft.Policy) (*Instance, int64, error) {
+			e, _, err := s.planFor(ctx, req.Workflow, pol, zones)
+			if err != nil {
+				return nil, 0, err
 			}
-			csp.End()
-		}
-		candidates.With(policies[i].String(), outcome).Inc()
+			entries[pol] = e
+			return e.inst, e.d, nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	if workers := min(opt.SearchWorkers, len(mapped)); workers > 1 {
-		idxCh := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idxCh {
-					solve(i)
-				}
-			}()
-		}
-		for _, i := range mapped {
-			idxCh <- i
-		}
-		close(idxCh)
-		wg.Wait()
-	} else {
-		for _, i := range mapped {
-			solve(i)
-			if errors.Is(outcomes[i].err, ErrCanceled) {
-				break // the reduction below returns at this index
-			}
-		}
+	if res.Schedule == nil {
+		return nil, res.FirstErr
 	}
-
-	var best *Response
-	var firstErr error
-	for i, pol := range policies {
-		r := outcomes[i]
-		if r == nil {
-			break // unreachable: only indices past an aborting sequential eval
-		}
-		if r.planErr != nil {
-			return nil, r.planErr
-		}
-		switch {
-		case errors.Is(r.err, ErrCanceled):
-			return nil, r.err
-		case r.err != nil:
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
-		}
-		if best != nil && r.st.Cost >= best.Cost {
-			continue
-		}
-		best = &Response{
-			Schedule: r.sched,
-			Instance: r.e.inst,
-			Zones:    zones,
-			Stats:    r.st,
-			Variant:  variant,
-			Mapping:  pol.String(),
-			D:        r.e.d,
-			Deadline: zones.T(),
-			Cost:     r.st.Cost,
-			ASAPCost: schedule.CarbonCostZones(r.e.inst, r.e.asap, zones),
-		}
-	}
-	if best == nil {
-		return nil, firstErr
-	}
-	return best, nil
+	return &Response{
+		Schedule: res.Schedule,
+		Instance: res.Inst,
+		Zones:    zones,
+		Stats:    res.Stats,
+		Variant:  variant,
+		Mapping:  res.Policy.String(),
+		D:        res.D,
+		Deadline: zones.T(),
+		Cost:     res.Cost,
+		ASAPCost: schedule.CarbonCost(res.Inst, entries[res.Policy].asap, zones),
+	}, nil
 }

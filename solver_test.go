@@ -338,7 +338,7 @@ func TestSolverStagesCompose(t *testing.T) {
 	if res.Profile != prof || res.Instance != inst {
 		t.Error("Solve did not reuse the precomputed stages")
 	}
-	// The marginal greedy path must also validate (RunMarginal parity).
+	// The marginal greedy path must also validate (same pipeline as the budget greedy).
 	req.Marginal = true
 	mres, err := solver.Solve(ctx, req)
 	if err != nil {

@@ -2,6 +2,7 @@ package cawosched_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	cawosched "repro"
@@ -140,6 +141,15 @@ func TestSolverRejectsMismatchedZones(t *testing.T) {
 		ZoneScenarios: []cawosched.Scenario{cawosched.S1},
 	}); err == nil {
 		t.Error("1 zone scenario accepted on a 3-zone cluster")
+	}
+	// An explicit Profile is a one-zone supply and gets the same check.
+	gap := cawosched.ConstantProfile(10_000, 1_000)
+	gap.Intervals = []cawosched.Interval{{Start: 0, End: 10, Budget: 5}, {Start: 20, End: 10_000, Budget: 5}}
+	for name, bad := range map[string]*cawosched.Profile{"empty": {}, "gap": gap} {
+		_, err := solver.Solve(context.Background(), cawosched.Request{Workflow: wf, Profile: bad})
+		if !errors.Is(err, cawosched.ErrInvalidRequest) || cawosched.ErrorCode(err) != "invalid_request" {
+			t.Errorf("%s profile: err = %v (code %q), want ErrInvalidRequest", name, err, cawosched.ErrorCode(err))
+		}
 	}
 }
 
