@@ -1,7 +1,6 @@
 package cawosched
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -16,10 +15,8 @@ import (
 // CacheTier is a pluggable external cache consulted between the
 // in-process solve-response cache and a full solve: Get/Put on serialized
 // solve records keyed by the hex solve-key digest. It is the seam that
-// lets a fleet of schedd instances share warm solves — the in-process
-// MemoryTier is the reference implementation; a peer tier (fanning Get
-// out to `schedd -cache-peers` style replicas) plugs in here without
-// touching the solver.
+// lets a fleet of schedd instances share warm solves: PeerTier fans Get
+// out to the fleet, MemoryTier is its local store and the tests' double.
 //
 // Implementations must be safe for concurrent use and are treated as
 // caches, not sources of truth: a Get may miss arbitrarily, records that
@@ -133,26 +130,27 @@ func (s *Solver) tierPut(ctx context.Context, key solveKey, resp *Response) {
 // tierGet consults the external tier for the key and, on a valid record,
 // rebuilds the full response: the instance comes from the local plan memo
 // under the record's winning mapping policy (re-planning is exactly what
-// the memo makes cheap, and it revalidates the workflow), and the
-// schedule is validated against the instance and horizon before the
-// response is trusted. Any failure — miss, decode error, key mismatch,
-// validation failure — is a plain miss: the caller falls through to a
-// real solve.
-func (s *Solver) tierGet(ctx context.Context, key solveKey, job *solveJob) (*Response, bool) {
+// the memo makes cheap, and it revalidates the workflow), the schedule is
+// validated against the instance and horizon, and both carbon costs are
+// recomputed from it — a record is only ever trusted for its start times.
+// Any failure — miss, decode error, key mismatch, validation failure, a
+// price that disagrees with the schedule — is a plain miss (nil): the
+// caller falls through to a real solve.
+func (s *Solver) tierGet(ctx context.Context, key solveKey, job *solveJob) *Response {
 	data, ok := s.tier.Get(ctx, tierKey(key))
 	if !ok {
-		return nil, false
+		return nil
 	}
 	var rec tierRecord
 	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, false
+		return nil
 	}
 	if rec.recordKey() != key {
-		return nil, false // digest collision across processes
+		return nil // digest collision across processes
 	}
 	pol, err := greenheft.ParsePolicy(rec.Mapping)
 	if err != nil {
-		return nil, false
+		return nil
 	}
 	var pz *ZoneSet
 	if pol.ZoneAware() {
@@ -160,49 +158,43 @@ func (s *Solver) tierGet(ctx context.Context, key solveKey, job *solveJob) (*Res
 	}
 	e, _, err := s.planFor(ctx, job.req.Workflow, pol, pz)
 	if err != nil {
-		return nil, false
+		return nil
 	}
 	sched := &Schedule{Start: append([]int64(nil), rec.Start...)}
 	if len(sched.Start) != len(e.asap.Start) {
-		return nil, false
+		return nil
 	}
 	if err := schedule.Validate(e.inst, sched, key.deadline); err != nil {
-		return nil, false
+		return nil
+	}
+	cost := schedule.CarbonCost(e.inst, sched, job.zones)
+	asapCost := schedule.CarbonCost(e.inst, e.asap, job.zones)
+	if rec.Cost != cost || rec.Stats.Cost != cost || rec.ASAPCost != asapCost {
+		return nil // a version-skewed or buggy peer: feasible schedule, wrong price
 	}
 	return &Response{
 		Schedule: sched,
 		Instance: e.inst,
-		Zones:    job.zones,
-		Profile:  job.prof,
 		Stats:    rec.Stats,
 		Variant:  job.variant,
 		Mapping:  rec.Mapping,
-		D:        rec.D,
+		D:        e.d,
 		Deadline: key.deadline,
-		Cost:     rec.Cost,
-		ASAPCost: rec.ASAPCost,
+		Cost:     cost,
+		ASAPCost: asapCost,
 		CacheHit: true,
-	}, true
+	}
 }
 
 // MemoryTier is the in-process CacheTier: a mutex-guarded LRU of
-// serialized records, bounded by entry count. It exists as the reference
-// implementation and the test double for the fleet seam; within one
-// process it adds nothing over the solver's own response cache (which
-// sits in front of it), so production deployments would plug a shared
-// remote tier into the same interface instead.
+// serialized records, bounded by entry count. It is the store each
+// PeerTier member contributes to the ring, and the test double for the
+// CacheTier seam.
 type MemoryTier struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	lru     *list.List // memEntry values; front = most recently used
+	mu    sync.Mutex
+	store lru[string, []byte]
 
 	gets, hits, puts int64
-}
-
-type memEntry struct {
-	key string
-	val []byte
 }
 
 // DefaultMemoryTierEntries bounds a MemoryTier built without an explicit
@@ -215,11 +207,10 @@ func NewMemoryTier(maxEntries int) *MemoryTier {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMemoryTierEntries
 	}
-	return &MemoryTier{
-		cap:     maxEntries,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-	}
+	t := &MemoryTier{}
+	t.store.reset()
+	t.store.resize(maxEntries)
+	return t
 }
 
 // Get returns the record stored under key. The context is ignored: the
@@ -228,13 +219,11 @@ func (t *MemoryTier) Get(_ context.Context, key string) ([]byte, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.gets++
-	el, ok := t.entries[key]
-	if !ok {
-		return nil, false
+	val, ok := t.store.get(key)
+	if ok {
+		t.hits++
 	}
-	t.hits++
-	t.lru.MoveToFront(el)
-	return el.Value.(memEntry).val, true
+	return val, ok
 }
 
 // Put stores value under key, evicting the least-recently-used record
@@ -244,36 +233,22 @@ func (t *MemoryTier) Put(_ context.Context, key string, value []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.puts++
-	val := append([]byte(nil), value...)
-	if el, ok := t.entries[key]; ok {
-		el.Value = memEntry{key: key, val: val}
-		t.lru.MoveToFront(el)
-		return
-	}
-	for len(t.entries) >= t.cap {
-		back := t.lru.Back()
-		if back == nil {
-			break
-		}
-		delete(t.entries, back.Value.(memEntry).key)
-		t.lru.Remove(back)
-	}
-	t.entries[key] = t.lru.PushFront(memEntry{key: key, val: val})
+	t.store.put(key, append([]byte(nil), value...))
 }
 
 // Len returns the number of records currently held.
 func (t *MemoryTier) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.entries)
+	return t.store.len()
 }
 
 // Keys returns the keys currently held, in no particular order.
 func (t *MemoryTier) Keys() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	keys := make([]string, 0, len(t.entries))
-	for k := range t.entries {
+	keys := make([]string, 0, t.store.len())
+	for k := range t.store.items {
 		keys = append(keys, k)
 	}
 	return keys
@@ -289,15 +264,13 @@ type TierStats struct {
 func (t *MemoryTier) Stats() TierStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return TierStats{Gets: t.gets, Hits: t.hits, Puts: t.puts, Entries: len(t.entries)}
+	return TierStats{Gets: t.gets, Hits: t.hits, Puts: t.puts, Entries: t.store.len()}
 }
 
 // ParseCacheTier resolves a CLI tier spec (`schedd -cache-tier`):
 //
 //	""                       no tier (nil)
 //	"none"                   no tier (nil)
-//	"memory"                 in-process MemoryTier with the default bound
-//	"memory:N"               in-process MemoryTier bounded to N records
 //	"peers:h1,h2[:mem=N]"    distributed PeerTier over the listed schedd
 //	                         instances (every fleet member lists the same
 //	                         hosts, itself included, so the hash ring is
@@ -307,14 +280,6 @@ func ParseCacheTier(spec string) (CacheTier, error) {
 	switch {
 	case spec == "" || spec == "none":
 		return nil, nil
-	case spec == "memory":
-		return NewMemoryTier(0), nil
-	case strings.HasPrefix(spec, "memory:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(spec, "memory:"))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("cache tier %q: want memory:<entries> with a positive count", spec)
-		}
-		return NewMemoryTier(n), nil
 	case strings.HasPrefix(spec, "peers:"):
 		hosts, entries, err := parsePeersSpec(strings.TrimPrefix(spec, "peers:"))
 		if err != nil {
@@ -322,7 +287,7 @@ func ParseCacheTier(spec string) (CacheTier, error) {
 		}
 		return NewPeerTier(hosts, PeerTierOptions{LocalEntries: entries})
 	default:
-		return nil, fmt.Errorf(`unknown cache tier %q (want "none", "memory", "memory:<entries>", or "peers:<host,...>[:mem=<entries>]")`, spec)
+		return nil, fmt.Errorf(`unknown cache tier %q (want "none" or "peers:<host,...>[:mem=<entries>]")`, spec)
 	}
 }
 

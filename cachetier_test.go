@@ -2,7 +2,9 @@ package cawosched_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -43,21 +45,18 @@ func TestMemoryTier(t *testing.T) {
 }
 
 // TestParseCacheTier pins the `schedd -cache-tier` spec grammar across
-// every form: none/memory/memory:N/peers:..., with each malformed spec
-// yielding a named error.
+// every form: none/peers:..., with each malformed spec yielding a named
+// error (the in-process memory tier is not a deployment option).
 func TestParseCacheTier(t *testing.T) {
 	cases := []struct {
 		spec    string
-		want    string // "" → nil tier, "memory"/"peers" → concrete type
+		want    string // "" → nil tier, "peers" → *PeerTier
 		wantErr string // substring of the expected error ("" → no error)
 	}{
 		{spec: "", want: ""},
 		{spec: "none", want: ""},
-		{spec: "memory", want: "memory"},
-		{spec: "memory:128", want: "memory"},
-		{spec: "memory:0", wantErr: "positive count"},
-		{spec: "memory:-1", wantErr: "positive count"},
-		{spec: "memory:x", wantErr: "positive count"},
+		{spec: "memory", wantErr: "unknown cache tier"},
+		{spec: "memory:128", wantErr: "unknown cache tier"},
 		{spec: "redis://x", wantErr: "unknown cache tier"},
 		{spec: "peers:a,b", want: "peers"},
 		{spec: "peers:h1:8080,h2:8080:mem=256", want: "peers"},
@@ -85,10 +84,6 @@ func TestParseCacheTier(t *testing.T) {
 		case "":
 			if tier != nil {
 				t.Errorf("ParseCacheTier(%q) = %T, want nil", tc.spec, tier)
-			}
-		case "memory":
-			if _, ok := tier.(*cawosched.MemoryTier); !ok {
-				t.Errorf("ParseCacheTier(%q) = %T, want *MemoryTier", tc.spec, tier)
 			}
 		case "peers":
 			pt, ok := tier.(*cawosched.PeerTier)
@@ -225,6 +220,37 @@ func TestSolverCacheTierGarbage(t *testing.T) {
 	}
 	if st := b.Stats(); st.TierHits != 0 {
 		t.Errorf("stats = %+v, want 0 tier hits", st)
+	}
+
+	// A well-formed record with a valid schedule and a wrong price (a
+	// version-skewed or buggy peer) is a miss too: the cost is recomputed
+	// from the schedule, never taken from the wire.
+	honest := cawosched.NewMemoryTier(0)
+	c0 := cawosched.NewSolver(cawosched.SmallCluster(29), cawosched.WithCacheTier(honest))
+	first, err := c0.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range honest.Keys() {
+		data, _ := honest.Get(context.Background(), key)
+		var rec map[string]json.RawMessage // raw: the 64-bit key fields must survive
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatal(err)
+		}
+		rec["cost"] = json.RawMessage(strconv.FormatInt(first.Cost+1, 10))
+		if data, err = json.Marshal(rec); err != nil {
+			t.Fatal(err)
+		}
+		honest.Put(context.Background(), key, data)
+	}
+	c1 := cawosched.NewSolver(cawosched.SmallCluster(29), cawosched.WithCacheTier(honest))
+	res, err = c1.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c1.Stats(); res.CacheHit || st.TierHits != 0 || res.Cost != first.Cost {
+		t.Errorf("tampered price: hit=%v tier hits=%d cost=%d, want a miss re-solved to cost %d",
+			res.CacheHit, st.TierHits, res.Cost, first.Cost)
 	}
 
 	// Errors are never written to the tier.

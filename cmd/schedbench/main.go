@@ -73,7 +73,6 @@ type options struct {
 	zones       int
 	seed        uint64
 	shards      int
-	coalesce    bool
 	timeout     time.Duration
 	out         string
 	minCoalesce float64
@@ -98,7 +97,6 @@ func main() {
 	flag.IntVar(&opt.zones, "zones", 1, "in-process cluster grid zones")
 	flag.Uint64Var(&opt.seed, "seed", 7, "workflow/cluster generation seed")
 	flag.IntVar(&opt.shards, "cache-shards", 0, "in-process solver cache shards (0 = auto)")
-	flag.BoolVar(&opt.coalesce, "coalesce", true, "in-process solver request coalescing")
 	flag.DurationVar(&opt.timeout, "timeout", 60*time.Second, "per-request client timeout")
 	flag.StringVar(&opt.out, "out", "", "write the JSON report here (empty = stdout)")
 	flag.Float64Var(&opt.minCoalesce, "min-coalesce-rate", 0, "fail when the measured coalesce rate is below this (0 = no gate)")
@@ -271,7 +269,6 @@ func runFleet(opt options, reqFor func(uint64) *wire.SolveRequest) (*report, err
 		}
 		solver := cawosched.NewSolver(cluster,
 			cawosched.WithCacheShards(opt.shards),
-			cawosched.WithCoalescing(opt.coalesce),
 			cawosched.WithCacheTier(tier),
 		)
 		ts := httptest.NewServer(server.New(solver, server.Config{
@@ -383,10 +380,7 @@ func target(opt options) (base string, client *http.Client, cleanup func(), err 
 	if err != nil {
 		return "", nil, nil, err
 	}
-	solver := cawosched.NewSolver(cluster,
-		cawosched.WithCacheShards(opt.shards),
-		cawosched.WithCoalescing(opt.coalesce),
-	)
+	solver := cawosched.NewSolver(cluster, cawosched.WithCacheShards(opt.shards))
 	// Parallel search workers keep the solve preemptible (channel
 	// handoffs are scheduler yield points), so on few-core hosts follower
 	// requests still reach the in-flight solve instead of queueing behind

@@ -21,7 +21,6 @@ func baseOptions() options {
 		cluster:     "small",
 		zones:       1,
 		seed:        7,
-		coalesce:    true,
 		timeout:     60 * time.Second,
 	}
 }

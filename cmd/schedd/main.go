@@ -71,7 +71,6 @@ type options struct {
 	planCacheLimit  int
 	cacheShards     int
 	cacheTier       string
-	coalesce        bool
 
 	// Observability.
 	debugAddr   string
@@ -105,8 +104,7 @@ func main() {
 	flag.IntVar(&opt.solveCacheLimit, "solve-cache-limit", 4096, "maximum cached solve responses across shards (0 = response caching off)")
 	flag.IntVar(&opt.planCacheLimit, "plan-cache-limit", 4096, "maximum memoized plans across shards (0 = plan memoization off)")
 	flag.IntVar(&opt.cacheShards, "cache-shards", 0, "power-of-two shard count of the solver caches (0 = next power of two >= GOMAXPROCS; responses are identical at any count)")
-	flag.StringVar(&opt.cacheTier, "cache-tier", "", `external cache tier between the response cache and a full solve: "none" | "memory" | "memory:<entries>" | "peers:<host,...>[:mem=<entries>]" — list every fleet member, this instance included, identically on every peer (empty = none)`)
-	flag.BoolVar(&opt.coalesce, "coalesce", true, "coalesce concurrent identical solves onto one in-flight leader (singleflight)")
+	flag.StringVar(&opt.cacheTier, "cache-tier", "", `external cache tier between the response cache and a full solve: "none" | "peers:<host,...>[:mem=<entries>]" — list every fleet member, this instance included, identically on every peer (empty = none)`)
 	flag.DurationVar(&opt.grace, "shutdown-grace", 30*time.Second, "how long in-flight requests may finish after SIGINT/SIGTERM")
 	flag.DurationVar(&opt.drainDelay, "drain-delay", 0, "how long /healthz serves 503 (draining) before the listener closes, so load balancers can deregister")
 	flag.StringVar(&opt.debugAddr, "debug-addr", "", "serve net/http/pprof, /metrics, and /debug/traces on this side address (empty = disabled; the main listener serves /metrics and /debug/traces regardless)")
@@ -286,7 +284,6 @@ func run(ctx context.Context, opt options, ready chan<- string) error {
 		cawosched.WithSolveCacheLimit(opt.solveCacheLimit),
 		cawosched.WithPlanCacheLimit(opt.planCacheLimit),
 		cawosched.WithCacheShards(opt.cacheShards),
-		cawosched.WithCoalescing(opt.coalesce),
 		cawosched.WithCacheTier(tier),
 	)
 
@@ -333,7 +330,7 @@ func run(ctx context.Context, opt options, ready chan<- string) error {
 	}
 	lg.Info("serving", "cluster", label,
 		"compute_processors", cluster.NumCompute(), "zones", cluster.NumZones(),
-		"cache_shards", solver.Stats().CacheShards, "coalesce", opt.coalesce,
+		"cache_shards", solver.Stats().CacheShards,
 		"addr", ln.Addr().String())
 	if ready != nil {
 		ready <- ln.Addr().String()

@@ -182,7 +182,7 @@ func TestServeFleetSmoke(t *testing.T) {
 			reqTimeout: 30 * time.Second, batchWork: 2, searchWork: 2,
 			maxBatch: 16, grace: 5 * time.Second,
 			solveCacheLimit: 1024, planCacheLimit: 1024,
-			cacheTier: spec, coalesce: true,
+			cacheTier: spec,
 		}
 		go func() { done <- run(ctx, opt, ready) }()
 		select {
@@ -606,7 +606,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	for _, c := range solveSpan.Children {
 		names[c.Name] = true
 	}
-	for _, want := range []string{"plan", "supply", "solve-cache", "schedule"} {
+	for _, want := range []string{obs.StagePlan, obs.StageSupply, obs.StageCache, obs.StageSchedule} {
 		if !names[want] {
 			t.Errorf("solve span missing %q child (have %v)", want, names)
 		}

@@ -279,49 +279,3 @@ func TestSolveCoalescingLeaderCancel(t *testing.T) {
 		t.Errorf("cache holds %d entries after the recovered herd, want 1", st.SolveEntries)
 	}
 }
-
-// TestSolveCoalescingDisabled pins the WithCoalescing(false) escape hatch:
-// concurrent identical requests each solve solo (no coalesce counts), and
-// sequential accounting is bit-identical to the coalescing solver's.
-func TestSolveCoalescingDisabled(t *testing.T) {
-	wf, err := cawosched.GenerateWorkflow(cawosched.Eager, 40, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solver := cawosched.NewSolver(cawosched.SmallCluster(3), cawosched.WithCoalescing(false))
-	req := cawosched.Request{Workflow: wf, Variant: "press", Scenario: cawosched.S1, Seed: 3}
-
-	const N = 4
-	var wg sync.WaitGroup
-	errs := make([]error, N)
-	for i := 0; i < N; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = solver.Solve(context.Background(), req)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d failed: %v", i, err)
-		}
-	}
-	st := solver.Stats()
-	if st.SolveCoalesced != 0 {
-		t.Errorf("disabled coalescing still coalesced %d requests", st.SolveCoalesced)
-	}
-	if st.SolveHits+st.SolveMisses != N {
-		t.Errorf("stats = %+v, want hits+misses == %d", st, N)
-	}
-	// Sequential traffic keys and counts identically with coalescing on.
-	on := cawosched.NewSolver(cawosched.SmallCluster(3))
-	for i := 0; i < 3; i++ {
-		if _, err := on.Solve(context.Background(), req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := on.Stats(); st.SolveMisses != 1 || st.SolveHits != 2 || st.SolveCoalesced != 0 {
-		t.Errorf("sequential stats with coalescing on = %+v, want 1 miss, 2 hits, 0 coalesced", st)
-	}
-}

@@ -83,13 +83,6 @@ func RequestIDFrom(ctx context.Context) string {
 	return id
 }
 
-// StageTiming is one top-level stage's wall-clock duration, as surfaced
-// in solve responses ("timings") alongside the trace spans.
-type StageTiming struct {
-	Stage  string `json:"stage"`
-	Micros int64  `json:"micros"`
-}
-
 // NewRequestID returns a fresh 16-hex-character request ID.
 func NewRequestID() string {
 	var b [8]byte

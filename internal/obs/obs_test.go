@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -180,5 +181,46 @@ func BenchmarkStartEnabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, sp := Start(ctx, "stage")
 		sp.End()
+	}
+}
+
+// TestStage pins the stage primitive: one name becomes the span, the
+// timing and the histogram label; and a stage on a bare context — the
+// library and benchmark path — allocates nothing.
+func TestStage(t *testing.T) {
+	tr, reg := NewTracer(4), NewRegistry()
+	ctx, root := Start(WithMeter(WithTracer(context.Background(), tr), reg), "solve")
+	var timings []StageTiming
+	sctx, st := BeginStage(ctx, StageCache)
+	if SpanFrom(sctx) != st.Span || st.Span == nil {
+		t.Fatal("the stage's context is not inside the stage's span")
+	}
+	st.End(&timings)
+	_, st = BeginStage(ctx, StageAdmission)
+	st.End(nil) // timings not kept
+	root.End()
+
+	if len(timings) != 1 || timings[0].Stage != StageCache {
+		t.Errorf("timings = %+v, want the one kept stage", timings)
+	}
+	got := tr.Snapshot()[0].Root.Children
+	if len(got) != 2 || got[0].Name != StageCache || got[1].Name != StageAdmission {
+		t.Errorf("spans = %+v, want one per stage, named as the stage", got)
+	}
+	text := reg.RenderText()
+	for _, stage := range []string{StageCache, StageAdmission} {
+		if want := `schedd_stage_latency_seconds_count{stage="` + stage + `"} 1`; !strings.Contains(text, want) {
+			t.Errorf("exposition lacks %s:\n%s", want, text)
+		}
+	}
+
+	bare := context.Background()
+	timings = make([]StageTiming, 0, 1)
+	if n := testing.AllocsPerRun(100, func() {
+		timings = timings[:0]
+		_, st := BeginStage(bare, StagePlan)
+		st.End(&timings)
+	}); n != 0 {
+		t.Errorf("a stage on a bare context allocates %v times, want 0", n)
 	}
 }

@@ -59,23 +59,17 @@ func TestSearchWorkersByteIdenticalResponses(t *testing.T) {
 
 // TestCacheShardsByteIdenticalResponses pins the scale-out face of the
 // same guarantee: servers whose solvers shard their caches 1, 4, and 16
-// ways (crossed with coalescing on/off) produce byte-identical wire
-// responses, cold and warm — sharding and singleflight are pure mechanism.
+// ways produce byte-identical wire responses, cold and warm — sharding is
+// pure mechanism.
 // The warm pass additionally pins that the cache-served response equals
 // the computed one except for the cache_hit flag itself. Run under
 // -race -count=2 in CI.
 func TestCacheShardsByteIdenticalResponses(t *testing.T) {
 	wreq := pinnedWireRequest(t)
 
-	type variant struct {
-		shards   int
-		coalesce bool
-	}
-	variants := []variant{{1, true}, {4, true}, {16, true}, {4, false}}
 	var wantCold, wantWarm []byte
-	for _, v := range variants {
-		solver := cawosched.NewSolver(cawosched.SmallCluster(7),
-			cawosched.WithCacheShards(v.shards), cawosched.WithCoalescing(v.coalesce))
+	for _, shards := range []int{1, 4, 16} {
+		solver := cawosched.NewSolver(cawosched.SmallCluster(7), cawosched.WithCacheShards(shards))
 		srv := New(solver, Config{})
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
@@ -84,14 +78,14 @@ func TestCacheShardsByteIdenticalResponses(t *testing.T) {
 		for pass := 0; pass < 2; pass++ {
 			resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/solve", wreq)
 			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("shards=%d pass %d: status %d: %s", v.shards, pass, resp.StatusCode, raw)
+				t.Fatalf("shards=%d pass %d: status %d: %s", shards, pass, resp.StatusCode, raw)
 			}
 			var sr wire.SolveResponse
 			if err := json.Unmarshal(raw, &sr); err != nil {
-				t.Fatalf("shards=%d pass %d: bad response: %v", v.shards, pass, err)
+				t.Fatalf("shards=%d pass %d: bad response: %v", shards, pass, err)
 			}
 			if sr.CacheHit != (pass == 1) {
-				t.Fatalf("shards=%d pass %d: cache_hit = %v", v.shards, pass, sr.CacheHit)
+				t.Fatalf("shards=%d pass %d: cache_hit = %v", shards, pass, sr.CacheHit)
 			}
 			if pass == 0 {
 				cold = stripTimings(t, raw)
@@ -100,15 +94,15 @@ func TestCacheShardsByteIdenticalResponses(t *testing.T) {
 			}
 		}
 		if st := solver.Stats(); st.SolveHits != 1 || st.SolveMisses != 1 {
-			t.Errorf("shards=%d: stats = %+v, want 1 hit / 1 miss at every shard count", v.shards, st)
+			t.Errorf("shards=%d: stats = %+v, want 1 hit / 1 miss at every shard count", shards, st)
 		}
 		switch {
 		case wantCold == nil:
 			wantCold, wantWarm = cold, warm
 		case !bytes.Equal(cold, wantCold):
-			t.Fatalf("shards=%d coalesce=%v: cold response differs:\n%s\nvs\n%s", v.shards, v.coalesce, cold, wantCold)
+			t.Fatalf("shards=%d: cold response differs:\n%s\nvs\n%s", shards, cold, wantCold)
 		case !bytes.Equal(warm, wantWarm):
-			t.Fatalf("shards=%d coalesce=%v: warm response differs:\n%s\nvs\n%s", v.shards, v.coalesce, warm, wantWarm)
+			t.Fatalf("shards=%d: warm response differs:\n%s\nvs\n%s", shards, warm, wantWarm)
 		}
 	}
 

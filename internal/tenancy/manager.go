@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	cawosched "repro"
 	"repro/internal/dag"
@@ -280,12 +279,10 @@ func (m *Manager) appendEvent(e Event) {
 // "admission_rejected") and errors.Is(err, scherr.ErrInfeasibleDeadline).
 //
 // Under an observability-carrying context (internal/obs) the admission
-// runs inside an "admission" span (the solve and offset-search children
-// record under it), counts into schedd_admissions_total{outcome}, and
-// observes the schedd_stage_latency_seconds{stage="admission"} histogram.
+// is the obs.StageAdmission stage (the solve and offset-search spans
+// record under its span) and counts into schedd_admissions_total{outcome}.
 func (m *Manager) Submit(ctx context.Context, req SubmitRequest) (*WorkflowStatus, error) {
-	ctx, sp := obs.Start(ctx, "admission")
-	t0 := time.Now()
+	ctx, stage := obs.BeginStage(ctx, obs.StageAdmission)
 	st, err := m.submit(ctx, req)
 	outcome := "admitted"
 	switch {
@@ -297,18 +294,15 @@ func (m *Manager) Submit(ctx context.Context, req SubmitRequest) (*WorkflowStatu
 	if meter := obs.MeterFrom(ctx); meter != nil {
 		meter.Counter("schedd_admissions_total", "workflow admission decisions by outcome",
 			"outcome").With(outcome).Inc()
-		meter.Histogram("schedd_stage_latency_seconds",
-			"wall-clock latency of scheduler pipeline stages", nil, "stage").
-			With("admission").Observe(time.Since(t0).Seconds())
 	}
-	if sp != nil {
+	if sp := stage.Span; sp != nil {
 		sp.SetAttr("outcome", outcome)
 		if st != nil {
 			sp.SetAttr("id", st.ID)
 			sp.SetAttr("cost", st.Cost)
 		}
-		sp.End()
 	}
+	stage.End(nil)
 	return st, err
 }
 
@@ -501,21 +495,16 @@ func (m *Manager) Cancel(id string) (*WorkflowStatus, error) {
 // workflow, and a placement is never lost (the old claims are restored
 // under the same lock when the re-solve does not improve on them).
 //
-// Like Submit, a pass runs inside a "rebalance" span when the context
-// carries observability, observes the rebalance stage histogram, and
-// accumulates schedd_rebalance_saved_units_total.
+// Like Submit, a pass is a stage (obs.StageRebalance) when the context
+// carries observability, and accumulates schedd_rebalance_saved_units_total.
 func (m *Manager) Rebalance(ctx context.Context) (RebalanceReport, error) {
-	ctx, sp := obs.Start(ctx, "rebalance")
-	t0 := time.Now()
+	ctx, stage := obs.BeginStage(ctx, obs.StageRebalance)
 	rep, err := m.rebalance(ctx)
 	if meter := obs.MeterFrom(ctx); meter != nil {
-		meter.Histogram("schedd_stage_latency_seconds",
-			"wall-clock latency of scheduler pipeline stages", nil, "stage").
-			With("rebalance").Observe(time.Since(t0).Seconds())
 		meter.Counter("schedd_rebalance_saved_units_total",
 			"carbon units saved by adopted rebalance moves").With().Add(rep.Saved)
 	}
-	if sp != nil {
+	if sp := stage.Span; sp != nil {
 		sp.SetAttr("considered", rep.Considered)
 		sp.SetAttr("moved", rep.Moved)
 		sp.SetAttr("saved", rep.Saved)
@@ -526,10 +515,9 @@ func (m *Manager) Rebalance(ctx context.Context) (RebalanceReport, error) {
 			// An idle pass: a fast -rebalance-every loop would flood the
 			// trace ring with these and evict real request traces.
 			sp.Discard()
-		} else {
-			sp.End()
 		}
 	}
+	stage.End(nil)
 	return rep, err
 }
 

@@ -44,9 +44,9 @@ import (
 //     peer can never stall the solve path of a leader.
 //
 // Trust follows the CacheTier contract: fetched bytes are opaque until
-// the solver's structural re-validation (key-field equality plus
-// schedule.Validate), so a corrupt or version-skewed peer response is a
-// miss, never a wrong answer.
+// the solver's re-validation (key-field equality, schedule.Validate, and
+// both carbon costs recomputed), so a corrupt or version-skewed peer
+// response is a miss, never a wrong answer.
 type PeerTier struct {
 	opts   PeerTierOptions
 	local  *MemoryTier

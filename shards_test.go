@@ -138,7 +138,7 @@ func TestShardedCacheBound(t *testing.T) {
 }
 
 // TestShardCountAboveLimit is the zero-capacity-shard regression pin.
-// With more shards than the entry limit, shardShare used to give most
+// With more shards than the entry limit, the per-shard split used to give most
 // shards capacity 0, so any key routed to one of them was silently never
 // cached — a repeat solve of the same request missed forever. The fix
 // clamps key routing to an effective power-of-two shard count bounded by
@@ -214,6 +214,25 @@ func TestPlanCacheLimit(t *testing.T) {
 	}
 	if st := solver.Stats(); st.PlanEntries > 2 {
 		t.Errorf("plan memo holds %d entries, want <= 2", st.PlanEntries)
+	}
+
+	// The memo keeps what is hot: with room for two, a never-seen plan
+	// evicts the least recently used one, not whichever the map yields.
+	a, b := wfs[0], wfs[1]
+	for round := 0; round < 20; round++ {
+		c, err := cawosched.GenerateWorkflow(cawosched.Eager, 30, uint64(100+round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, wf := range []*cawosched.DAG{a, b, a, c, a} {
+			_, hit, err := solver.Plan(context.Background(), wf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i >= 2 && hit != (wf == a) {
+				t.Fatalf("round %d step %d: plan hit = %v, want hits on the hot workflow only", round, i, hit)
+			}
+		}
 	}
 
 	// Shrinking an over-full memo evicts down to the new bound.

@@ -1,13 +1,12 @@
 package cawosched
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/greenheft"
@@ -160,9 +159,10 @@ type Response struct {
 	// scheduler of its own.
 	Coalesced bool
 	// Timings are the wall-clock durations of the solve's top-level
-	// stages (plan, supply, cache, map, schedule). Always measured (a
-	// handful of time.Now calls per request); never cached — a cache hit
-	// reports the hit's own timings, not the original solve's.
+	// stages, in the order they ran and named by the obs.Stage* constants.
+	// Always measured (a handful of time.Now calls per request); never
+	// cached — a cache hit reports the hit's own timings, not the original
+	// solve's.
 	Timings []obs.StageTiming
 }
 
@@ -204,40 +204,30 @@ type SolverStats struct {
 type Solver struct {
 	cluster *Cluster
 
-	// First cache level: memoized plans, sharded (see solvercache.go).
-	// planEff is the effective shard count keys are routed over — at most
-	// the entry limit, so no shard is left with zero capacity.
-	planShards []planShard
-	planCap    atomic.Int64 // total bound across shards
-	planEff    atomic.Int64 // power-of-two count of shards receiving keys
-
-	// Second cache level: whole solve responses, LRU-bounded per shard,
-	// keyed by (workflow fingerprint, profile digest, deadline, normalized
-	// options, greedy flavor). See solveCacheGet/solveCachePut.
-	solveShards []solveShard
-	solveCap    atomic.Int64 // total bound across shards
-	solveEff    atomic.Int64 // power-of-two count of shards receiving keys
+	// First cache level: memoized plans. Second: whole solve responses,
+	// keyed by (workflow fingerprint, zone-set digest, deadline, normalized
+	// options, greedy flavor, mapping). Both are sharded LRUs (see
+	// solvercache.go).
+	planMemo   *sharded[planKey, *planEntry]
+	solveCache *sharded[solveKey, *solveEntry]
 
 	// Singleflight: concurrent identical cacheable solves coalesce onto
 	// one in-flight leader (see joinFlight). The table is tiny — one entry
 	// per distinct key currently being solved — so one mutex suffices.
-	coalesce bool
-	fmu      sync.Mutex
-	flights  map[solveKey]*flight
+	fmu     sync.Mutex
+	flights map[solveKey]*flight
 
 	// Optional external cache tier between the in-process response cache
 	// and a full solve (see CacheTier).
 	tier CacheTier
 
-	solves          atomic.Int64
-	planHits        atomic.Int64
-	planMisses      atomic.Int64
-	solveHits       atomic.Int64
-	solveMisses     atomic.Int64
-	solveCoalesced  atomic.Int64
-	tierHits        atomic.Int64
-	planContention  atomic.Int64
-	solveContention atomic.Int64
+	solves         atomic.Int64
+	planHits       atomic.Int64
+	planMisses     atomic.Int64
+	solveHits      atomic.Int64
+	solveMisses    atomic.Int64
+	solveCoalesced atomic.Int64
+	tierHits       atomic.Int64
 
 	// testLeaderGate, when set (tests only), runs on the leader's
 	// goroutine right after it wins the flight election and before it
@@ -255,9 +245,8 @@ const defaultSolveCache = 4096
 
 // planKey identifies one memoized plan: which workflow, under which
 // mapping policy, against which zone forecast (zone-aware policies map
-// differently under different supplies; zone-blind policies — including
-// the legacy HEFT mapping — key with a zero digest, so they share one
-// plan across supplies exactly as before the mapping layer).
+// differently under different supplies; zone-blind policies — HEFT among
+// them — key with a zero digest, so they share one plan across supplies).
 type planKey struct {
 	fp     uint64
 	policy greenheft.Policy
@@ -284,8 +273,7 @@ type planEntry struct {
 func (e *planEntry) build(cluster *Cluster) {
 	e.once.Do(func() {
 		if e.policy == greenheft.EFT {
-			// Byte-for-byte the legacy path (greenheft's EFT is pinned
-			// identical to heft, but PlanHEFT keeps this explicit).
+			// greenheft's EFT is pinned identical to this; kept explicit.
 			e.inst, e.err = PlanHEFT(e.wf, cluster)
 		} else {
 			e.inst, e.err = greenheft.MapInstance(e.wf, cluster, greenheft.Options{Policy: e.policy, Zones: e.zones})
@@ -298,47 +286,24 @@ func (e *planEntry) build(cluster *Cluster) {
 }
 
 // NewSolver returns a solver bound to the given target cluster. Options
-// tune the caching/concurrency layer (shard count, cache bounds,
-// coalescing, external tier); the zero-option solver shards both caches
-// by GOMAXPROCS and coalesces concurrent identical solves.
+// tune the caching layer (shard count, cache bounds, external tier); the
+// zero-option solver shards both caches by GOMAXPROCS.
 func NewSolver(cluster *Cluster, opts ...SolverOption) *Solver {
 	cfg := solverConfig{
-		shards:   defaultCacheShards(),
+		shards:   normalizeShards(runtime.GOMAXPROCS(0)),
 		solveCap: defaultSolveCache,
 		planCap:  maxPlans,
-		coalesce: true,
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s := &Solver{
-		cluster:     cluster,
-		planShards:  make([]planShard, cfg.shards),
-		solveShards: make([]solveShard, cfg.shards),
-		coalesce:    cfg.coalesce,
-		flights:     make(map[solveKey]*flight),
-		tier:        cfg.tier,
+	return &Solver{
+		cluster:    cluster,
+		planMemo:   newSharded[planKey, *planEntry](cfg.shards, cfg.planCap),
+		solveCache: newSharded[solveKey, *solveEntry](cfg.shards, cfg.solveCap),
+		flights:    make(map[solveKey]*flight),
+		tier:       cfg.tier,
 	}
-	s.planCap.Store(int64(cfg.planCap))
-	s.solveCap.Store(int64(cfg.solveCap))
-	planEff := effectiveShards(cfg.shards, cfg.planCap)
-	solveEff := effectiveShards(cfg.shards, cfg.solveCap)
-	s.planEff.Store(int64(planEff))
-	s.solveEff.Store(int64(solveEff))
-	for i := range s.planShards {
-		s.planShards[i].entries = make(map[planKey]*planEntry)
-		if i < planEff {
-			s.planShards[i].cap = shardShare(cfg.planCap, i, planEff)
-		}
-	}
-	for i := range s.solveShards {
-		s.solveShards[i].responses = make(map[solveKey]*solveEntry)
-		s.solveShards[i].lru = list.New()
-		if i < solveEff {
-			s.solveShards[i].cap = shardShare(cfg.solveCap, i, solveEff)
-		}
-	}
-	return s
 }
 
 // Cluster returns the target platform the solver plans against.
@@ -355,21 +320,20 @@ func (s *Solver) Stats() SolverStats {
 		SolveMisses:     s.solveMisses.Load(),
 		SolveCoalesced:  s.solveCoalesced.Load(),
 		TierHits:        s.tierHits.Load(),
-		SolveEntries:    s.solveEntriesCount(),
-		SolveCapacity:   int(s.solveCap.Load()),
-		PlanEntries:     s.planEntries(),
-		PlanCapacity:    int(s.planCap.Load()),
-		CacheShards:     len(s.solveShards),
-		PlanContention:  s.planContention.Load(),
-		SolveContention: s.solveContention.Load(),
+		SolveEntries:    s.solveCache.len(),
+		SolveCapacity:   int(s.solveCache.limit.Load()),
+		PlanEntries:     s.planMemo.len(),
+		PlanCapacity:    int(s.planMemo.limit.Load()),
+		CacheShards:     len(s.solveCache.shards),
+		PlanContention:  s.planMemo.contended.Load(),
+		SolveContention: s.solveCache.contended.Load(),
 	}
 }
 
 // solveKey identifies one cacheable solve: which workflow, against which
 // per-zone supply (the zone-set digest pins every zone's name and
-// intervals and hence the horizon; a degenerate single-zone set digests
-// exactly like its bare profile, so legacy keys are unchanged; the
-// deadline is kept explicitly for clarity and as an extra collision bit),
+// intervals and hence the horizon; a single-zone set digests exactly like
+// its bare profile; the deadline is an extra collision bit),
 // with which fully-normalized variant configuration.
 type solveKey struct {
 	fp        uint64           // workflow fingerprint
@@ -381,16 +345,13 @@ type solveKey struct {
 	mapSearch bool             // two-pass mapping search
 }
 
-// solveEntry is one cached response. The stored Response owns private
-// copies of the mutable parts (Schedule); the workflow and zone set are
-// retained as collision guards, exactly like planEntry guards the plan
-// cache.
+// solveEntry is one cached response, immutable once stored. The workflow
+// and zone set are retained as collision guards, exactly like planEntry
+// guards the plan cache.
 type solveEntry struct {
-	key   solveKey
 	wf    *DAG
 	zones *ZoneSet
-	resp  Response
-	elem  *list.Element
+	resp  *Response // the shared form (see Response.shared)
 }
 
 // normalizeOptions applies the paper defaults to the tuning fields so that
@@ -405,7 +366,7 @@ func normalizeOptions(opt Options) Options {
 	return opt
 }
 
-// plan returns the memoized legacy (HEFT) entry for the workflow.
+// plan returns the memoized base (HEFT) entry for the workflow.
 func (s *Solver) plan(ctx context.Context, wf *DAG) (*planEntry, bool, error) {
 	return s.planFor(ctx, wf, greenheft.EFT, nil)
 }
@@ -566,34 +527,6 @@ func resolveOptions(req Request) (Options, string, error) {
 	return opt, opt.Name(), nil
 }
 
-// stageClock accumulates the wall-clock stage timings of one solve and
-// mirrors each stage into the context's schedd_stage_latency_seconds
-// histogram when a metrics registry is installed. The clock itself is a
-// few time.Now calls per request, so it runs unconditionally.
-type stageClock struct {
-	last    time.Time
-	timings []obs.StageTiming
-	hist    obs.HistogramVec
-}
-
-func startStages(ctx context.Context) *stageClock {
-	return &stageClock{
-		last: time.Now(),
-		hist: obs.MeterFrom(ctx).Histogram("schedd_stage_latency_seconds",
-			"wall-clock latency of scheduler pipeline stages", nil, "stage"),
-	}
-}
-
-// mark closes the current stage: everything since the previous mark (or
-// the clock's start) is attributed to it.
-func (c *stageClock) mark(stage string) {
-	now := time.Now()
-	d := now.Sub(c.last)
-	c.last = now
-	c.timings = append(c.timings, obs.StageTiming{Stage: stage, Micros: d.Microseconds()})
-	c.hist.With(stage).Observe(d.Seconds())
-}
-
 // Solve runs the full pipeline for one request — plan (memoized), profile,
 // schedule, validate — and returns the response. It is safe for concurrent
 // use. Canceling ctx aborts the run promptly (the hot loops poll the
@@ -643,13 +576,34 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Response, error) {
 	return resp, err
 }
 
-// doSolve is Solve without the instrumentation envelope.
+// solveJob is one request on its way through doSolve: what it resolved
+// to, then what each stage found.
+type solveJob struct {
+	req     Request
+	opt     Options
+	variant string
+
+	// The plan the scheduler runs on, with its ASAP schedule and makespan:
+	// the base (HEFT) plan after the plan stage, the mapped plan once a
+	// non-default mapping policy has run. planHit is that plan's memo
+	// outcome.
+	inst    *Instance
+	asap    *Schedule
+	D       int64
+	planHit bool
+
+	zones   *ZoneSet
+	timings []obs.StageTiming
+}
+
+// doSolve is Solve without the instrumentation envelope: resolve → plan →
+// supply → cache → flight{tier → compute}, or straight to compute for a
+// prebuilt instance.
 func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 	s.solves.Add(1)
 	if err := scherr.Canceled(ctx.Err()); err != nil {
 		return nil, err
 	}
-	clock := startStages(ctx)
 	opt, variant, err := resolveOptions(req)
 	if err != nil {
 		return nil, err
@@ -664,98 +618,92 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 	if req.Instance != nil && (req.MapSearch || pol != MapEFT) {
 		return nil, fmt.Errorf("cawosched: mapping options need a workflow request (prebuilt instances carry their mapping): %w", ErrInvalidRequest)
 	}
+	job := &solveJob{req: req, opt: opt, variant: variant, timings: make([]obs.StageTiming, 0, 4)}
 
-	// Resolve the instance plus its ASAP schedule and makespan D — from
-	// the plan cache when the request names a workflow (one EST pass per
-	// workflow lifetime), computed directly for a prebuilt instance. The
-	// base (HEFT) plan anchors the horizon and the generated supply even
-	// when another mapping policy runs, so every candidate mapping of a
-	// request competes under the identical per-zone forecast.
-	var inst *Instance
-	var asap *Schedule
-	var D int64
-	planHit := false
-	pctx, psp := obs.Start(ctx, "plan")
-	if req.Instance != nil {
-		inst = req.Instance
-		asap = ASAP(inst)
-		D = Makespan(inst, asap)
+	// The instance plus its ASAP schedule and makespan D — from the plan
+	// memo when the request names a workflow (one EST pass per workflow
+	// lifetime), computed directly for a prebuilt instance. The base
+	// (HEFT) plan anchors the horizon and the generated supply even when
+	// another mapping policy runs, so every candidate mapping of a request
+	// competes under the identical per-zone forecast.
+	pctx, st := obs.BeginStage(ctx, obs.StagePlan)
+	if inst := req.Instance; inst != nil {
+		job.inst, job.asap = inst, ASAP(inst)
+		job.D = Makespan(inst, job.asap)
 	} else {
 		var e *planEntry
-		e, planHit, err = s.plan(pctx, req.Workflow)
-		if err != nil {
-			psp.End()
-			return nil, err
+		if e, job.planHit, err = s.plan(pctx, req.Workflow); err == nil {
+			job.inst, job.asap, job.D = e.inst, e.asap, e.d
 		}
-		inst, asap, D = e.inst, e.asap, e.d
 	}
-	if psp != nil {
-		psp.SetAttr("hit", planHit)
-		psp.SetAttr("tasks", inst.N())
-		psp.End()
+	if err == nil && st.Span != nil {
+		st.Span.SetAttr("hit", job.planHit)
+		st.Span.SetAttr("tasks", job.inst.N())
 	}
-	clock.mark("plan")
-
-	zctx, zsp := obs.Start(ctx, "supply")
-	zones, err := zonesFor(zctx, inst, req, D, false)
+	st.End(&job.timings)
 	if err != nil {
-		zsp.End()
 		return nil, err
 	}
-	if zsp != nil {
-		zsp.SetAttr("zones", zones.NumZones())
-		zsp.SetAttr("horizon", zones.T())
-		zsp.End()
+
+	zctx, st := obs.BeginStage(ctx, obs.StageSupply)
+	job.zones, err = zonesFor(zctx, job.inst, req, job.D, false)
+	if err == nil && st.Span != nil {
+		st.Span.SetAttr("zones", job.zones.NumZones())
+		st.Span.SetAttr("horizon", job.zones.T())
 	}
-	clock.mark("supply")
-	var prof *Profile
-	if zones.Single() {
-		prof = zones.Profile(0)
+	st.End(&job.timings)
+	if err != nil {
+		return nil, err
 	}
 
-	job := &solveJob{
-		req: req, opt: opt, variant: variant, pol: pol,
-		inst: inst, asap: asap, D: D, planHit: planHit,
-		zones: zones, prof: prof,
-	}
-
-	// Prebuilt-instance requests are not cacheable (instances carry no
-	// fingerprint): straight to the scheduler.
+	var resp *Response
 	if req.Instance != nil {
-		resp, err := s.compute(ctx, clock, job)
-		if err != nil {
-			return nil, err
-		}
-		resp.Timings = clock.timings
-		return resp, nil
+		// Not cacheable: a prebuilt instance carries no fingerprint.
+		resp, err = s.compute(ctx, job)
+	} else {
+		resp, err = s.solveCached(ctx, job)
 	}
+	if err != nil {
+		return nil, err
+	}
+	// The one exit. Whatever produced resp — the scheduler, either cache
+	// level, or another request's flight — these fields are this request's
+	// own: its plan-memo outcome, its supply view, its wall clock.
+	resp.PlanHit = job.planHit
+	resp.Zones = job.zones
+	if job.zones.Single() {
+		resp.Profile = job.zones.Profile(0)
+	}
+	resp.Timings = job.timings
+	return resp, nil
+}
 
-	// Second cache level: identical (workflow, zones, mapping, variant)
-	// requests are served straight from the solve-response cache — before
-	// any non-EFT mapping pass runs, so a warmed hit never pays for
-	// rebuilding a mapped plan the stored response already embodies.
+// solveCached serves a workflow request through the second cache level:
+// the solve-response cache, then the singleflight, whose leader consults
+// the tier and runs the scheduler. The cache is consulted before any
+// non-EFT mapping pass runs, so a warmed hit never pays for rebuilding a
+// mapped plan the stored response already embodies.
+func (s *Solver) solveCached(ctx context.Context, job *solveJob) (*Response, error) {
+	wf, zones := job.req.Workflow, job.zones
+	_, st := obs.BeginStage(ctx, obs.StageCache) // keying is the larger part of a consult
 	key := solveKey{
-		fp:        req.Workflow.Fingerprint(),
+		fp:        wf.Fingerprint(),
 		digest:    zones.Digest(),
 		deadline:  zones.T(),
-		opt:       normalizeOptions(opt),
-		marginal:  req.Marginal,
-		mapSearch: req.MapSearch,
+		opt:       normalizeOptions(job.opt),
+		marginal:  job.req.Marginal,
+		mapSearch: job.req.MapSearch,
 	}
-	if !req.MapSearch {
-		key.policy = pol
+	if !job.req.MapSearch {
+		key.policy = job.req.MappingPolicy
 	}
-	_, csp := obs.Start(ctx, "solve-cache")
-	if resp, ok := s.solveCacheGet(key, req.Workflow, zones); ok {
+	resp, hit := s.solveCacheGet(key, wf, zones)
+	st.Span.SetAttr("hit", hit)
+	st.End(&job.timings)
+	if hit {
 		s.solveHits.Add(1)
-		csp.SetAttr("hit", true)
-		csp.End()
-		clock.mark("cache")
-		return finishShared(resp, job, clock), nil
+		return resp, nil
 	}
-	csp.SetAttr("hit", false)
-	csp.End()
-	clock.mark("cache")
 
 	// Singleflight: a thundering herd of identical requests costs one
 	// solve — the first becomes the leader, the rest block on its flight
@@ -763,199 +711,133 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 	// but are never cached; a follower whose own context dies detaches
 	// without disturbing the leader.
 	for {
-		f, leader := s.joinFlight(key, req.Workflow, zones)
+		f, leader := s.joinFlight(key, wf, zones)
 		if leader {
-			return s.leadSolve(ctx, clock, key, f, job)
+			return s.leadSolve(ctx, key, f, job)
 		}
 		if f == nil {
-			// Coalescing disabled, or a digest-colliding request is in
-			// flight: solve solo (the put below overwrites collision
-			// victims, freshest wins — exactly the cache's own policy).
+			// A digest-colliding request is in flight: solve solo (the put
+			// overwrites collision victims, freshest wins).
 			s.solveMisses.Add(1)
-			resp, err := s.compute(ctx, clock, job)
-			if err != nil {
-				return nil, err
+			resp, err := s.compute(ctx, job)
+			if err == nil {
+				s.solveCachePut(key, wf, zones, resp.shared())
 			}
-			s.solveCachePut(key, req.Workflow, zones, resp)
-			resp.Timings = clock.timings
-			return resp, nil
+			return resp, err
 		}
 
-		// Follower: wait for the leader's published result (or our own
-		// cancellation, which detaches without killing the leader).
 		s.solveCoalesced.Add(1)
-		_, wsp := obs.Start(ctx, "coalesce")
+		_, st := obs.BeginStage(ctx, obs.StageCoalesce)
 		select {
 		case <-f.done:
-			if f.err != nil {
-				if wsp != nil {
-					wsp.SetAttr("error", f.err.Error())
-					wsp.End()
-				}
-				if errors.Is(f.err, ErrCanceled) && ctx.Err() == nil {
-					// The leader's own context died, not ours: re-run the
-					// election — one of the surviving followers becomes
-					// the new leader and the herd still costs one solve.
-					clock.mark("coalesce")
-					continue
-				}
-				return nil, f.err
-			}
-			if wsp != nil {
-				wsp.End()
-			}
-			clock.mark("coalesce")
-			resp := *f.resp
-			resp.Schedule = f.resp.Schedule.Clone()
-			resp.Coalesced = true
-			return finishShared(&resp, job, clock), nil
 		case <-ctx.Done():
-			if wsp != nil {
-				wsp.SetAttr("detached", true)
-				wsp.End()
-			}
+			st.Span.SetAttr("detached", true)
+			st.End(&job.timings)
 			return nil, scherr.Canceled(ctx.Err())
 		}
+		if f.err != nil && st.Span != nil {
+			st.Span.SetAttr("error", f.err.Error())
+		}
+		st.End(&job.timings)
+		if f.err == nil {
+			resp := f.resp.checkout()
+			resp.Coalesced = true
+			return resp, nil
+		}
+		if !errors.Is(f.err, ErrCanceled) || ctx.Err() != nil {
+			return nil, f.err
+		}
+		// The leader's own context died, not ours: re-run the election —
+		// one of the surviving followers becomes the new leader and the
+		// herd still costs one solve.
 	}
 }
 
-// solveJob carries one request's resolved state — everything doSolve
-// derives before the cache consult — through the coalescing and compute
-// paths.
-type solveJob struct {
-	req     Request
-	opt     Options
-	variant string
-	pol     MappingPolicy
-	inst    *Instance
-	asap    *Schedule
-	D       int64
-	planHit bool
-	zones   *ZoneSet
-	prof    *Profile
-}
-
-// finishShared completes a response that came from a shared source (cache
-// hit, tier hit, or a coalesced leader's flight) with this request's own
-// per-request fields: its plan-consult outcome, its supply view, and its
-// own wall-clock timings.
-func finishShared(resp *Response, job *solveJob, clock *stageClock) *Response {
-	resp.PlanHit = job.planHit
-	resp.Zones = job.zones
-	resp.Profile = job.prof
-	resp.Timings = clock.timings
-	return resp
-}
-
 // leadSolve is the leader side of a coalesced solve: consult the external
-// tier (if any), otherwise run the scheduler; publish the outcome to the
-// flight's followers; cache successes. The flight is always finished —
-// even when the solve panics, followers receive an error instead of
-// hanging (the panic still propagates on the leader's own request).
-func (s *Solver) leadSolve(ctx context.Context, clock *stageClock, key solveKey, f *flight, job *solveJob) (resp *Response, err error) {
+// tier (if any), otherwise run the scheduler; store a success in the cache
+// and the tier; publish the outcome to the flight's followers (after the
+// put: see finishFlight). The flight is always finished — when the solve
+// panics, followers receive errLeaderAborted instead of hanging, and the
+// panic still propagates on the leader's own request.
+func (s *Solver) leadSolve(ctx context.Context, key solveKey, f *flight, job *solveJob) (resp *Response, err error) {
 	s.solveMisses.Add(1)
 	if s.testLeaderGate != nil {
 		s.testLeaderGate()
 	}
-	published := false
-	defer func() {
-		if !published {
-			s.finishFlight(key, f, nil, errLeaderAborted)
-		}
-	}()
+	var shared *Response
+	ferr := errLeaderAborted
+	defer func() { s.finishFlight(key, f, shared, ferr) }()
 
 	if s.tier != nil {
-		tresp, ok := s.tierGet(ctx, key, job)
-		clock.mark("tier")
-		if ok {
-			s.tierHits.Add(1)
-			s.solveCachePut(key, job.req.Workflow, job.zones, tresp)
-			published = true
-			s.finishFlight(key, f, sharedCopy(tresp), nil)
-			return finishShared(tresp, job, clock), nil
+		tctx, st := obs.BeginStage(ctx, obs.StageTier)
+		resp = s.tierGet(tctx, key, job)
+		st.Span.SetAttr("hit", resp != nil)
+		st.End(&job.timings)
+	}
+	if resp != nil {
+		s.tierHits.Add(1)
+	} else {
+		if resp, err = s.compute(ctx, job); err != nil {
+			ferr = err // propagates to every follower, and is never cached
+			return nil, err
+		}
+		if s.tier != nil {
+			s.tierPut(ctx, key, resp)
 		}
 	}
-
-	resp, err = s.compute(ctx, clock, job)
-	if err != nil {
-		published = true
-		s.finishFlight(key, f, nil, err) // propagate, never cache
-		return nil, err
-	}
-	s.solveCachePut(key, job.req.Workflow, job.zones, resp)
-	if s.tier != nil {
-		s.tierPut(ctx, key, resp)
-	}
-	published = true
-	s.finishFlight(key, f, sharedCopy(resp), nil)
-	resp.Timings = clock.timings
+	shared, ferr = resp.shared(), nil
+	s.solveCachePut(key, job.req.Workflow, job.zones, shared)
 	return resp, nil
 }
 
 // compute runs the scheduling work of one request — the map-search or
 // fixed-mapping pipeline — and assembles the response. It is the part of
 // a solve that coalescing shares and the caches memoize.
-func (s *Solver) compute(ctx context.Context, clock *stageClock, job *solveJob) (*Response, error) {
-	req, opt, zones, prof := job.req, job.opt, job.zones, job.prof
-	inst, asap, D, planHit := job.inst, job.asap, job.D, job.planHit
-	var resp *Response
-	if req.MapSearch {
-		mctx, msp := obs.Start(ctx, "map-search")
-		resp, err := s.mapSearch(mctx, req, zones, opt, job.variant)
+func (s *Solver) compute(ctx context.Context, job *solveJob) (*Response, error) {
+	if job.req.MapSearch {
+		mctx, st := obs.BeginStage(ctx, obs.StageMap)
+		st.Span.SetAttr("search", true)
+		resp, err := s.mapSearch(mctx, job)
+		if err == nil && st.Span != nil {
+			st.Span.SetAttr("winner", resp.Mapping)
+		}
+		st.End(&job.timings)
+		return resp, err
+	}
+	pol := job.req.MappingPolicy
+	if pol != MapEFT {
+		mctx, st := obs.BeginStage(ctx, obs.StageMap)
+		e, hit, err := s.planFor(mctx, job.req.Workflow, pol, job.zones)
+		if st.Span != nil {
+			st.Span.SetAttr("policy", pol.String())
+			st.Span.SetAttr("hit", hit)
+		}
+		st.End(&job.timings)
 		if err != nil {
-			msp.End()
 			return nil, err
 		}
-		if msp != nil {
-			msp.SetAttr("winner", resp.Mapping)
-			msp.End()
-		}
-		clock.mark("map")
-		resp.Profile = prof
-		resp.PlanHit = planHit
-		return resp, nil
+		job.inst, job.asap, job.D, job.planHit = e.inst, e.asap, e.d, hit
 	}
-	if job.pol != MapEFT {
-		mctx, msp := obs.Start(ctx, "map")
-		me, mhit, err := s.planFor(mctx, req.Workflow, job.pol, zones)
-		if err != nil {
-			msp.End()
-			return nil, err
-		}
-		if msp != nil {
-			msp.SetAttr("policy", job.pol.String())
-			msp.SetAttr("hit", mhit)
-			msp.End()
-		}
-		clock.mark("map")
-		inst, asap, D, planHit = me.inst, me.asap, me.d, mhit
+	sctx, st := obs.BeginStage(ctx, obs.StageSchedule)
+	sched, stats, err := core.RunWith(sctx, job.inst, job.zones, job.opt, job.req.Marginal)
+	if err == nil && st.Span != nil {
+		st.Span.SetAttr("cost", stats.Cost)
 	}
-	sctx, ssp := obs.Start(ctx, "schedule")
-	sched, st, err := core.RunWith(sctx, inst, zones, opt, req.Marginal)
+	st.End(&job.timings)
 	if err != nil {
-		ssp.End()
 		return nil, err
 	}
-	if ssp != nil {
-		ssp.SetAttr("cost", st.Cost)
-		ssp.End()
-	}
-	clock.mark("schedule")
-	resp = &Response{
+	return &Response{
 		Schedule: sched,
-		Instance: inst,
-		Zones:    zones,
-		Profile:  prof,
-		Stats:    st,
+		Instance: job.inst,
+		Stats:    stats,
 		Variant:  job.variant,
-		Mapping:  job.pol.String(),
-		D:        D,
-		Deadline: zones.T(),
-		Cost:     st.Cost,
-		ASAPCost: schedule.CarbonCost(inst, asap, zones),
-		PlanHit:  planHit,
-	}
-	return resp, nil
+		Mapping:  pol.String(),
+		D:        job.D,
+		Deadline: job.zones.T(),
+		Cost:     stats.Cost,
+		ASAPCost: schedule.CarbonCost(job.inst, job.asap, job.zones),
+	}, nil
 }
 
 // mapSearch is the two-pass pipeline inside Solve: greenheft.Search over
@@ -965,7 +847,8 @@ func (s *Solver) compute(ctx context.Context, clock *stageClock, job *solveJob) 
 // from the request, so the search never returns a plan worse than
 // fixed-mapping scheduling. Responses are byte-identical at any
 // opt.SearchWorkers.
-func (s *Solver) mapSearch(ctx context.Context, req Request, zones *ZoneSet, opt Options, variant string) (*Response, error) {
+func (s *Solver) mapSearch(ctx context.Context, job *solveJob) (*Response, error) {
+	req, zones, opt := job.req, job.zones, job.opt
 	// The planning pass is sequential, so the closure needs no lock; the
 	// entries are kept so the winner's asap and d need no second lookup.
 	entries := make(map[greenheft.Policy]*planEntry)
@@ -988,9 +871,8 @@ func (s *Solver) mapSearch(ctx context.Context, req Request, zones *ZoneSet, opt
 	return &Response{
 		Schedule: res.Schedule,
 		Instance: res.Inst,
-		Zones:    zones,
 		Stats:    res.Stats,
-		Variant:  variant,
+		Variant:  job.variant,
 		Mapping:  res.Policy.String(),
 		D:        res.D,
 		Deadline: zones.T(),

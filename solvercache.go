@@ -1,9 +1,7 @@
 package cawosched
 
 import (
-	"container/list"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -11,43 +9,24 @@ import (
 	"repro/internal/greenheft"
 )
 
-// This file is the solver's caching/concurrency layer: the sharded plan
-// memo, the sharded solve-response LRU, and the singleflight table that
-// coalesces concurrent identical solves. solver.go owns the scheduling
-// pipeline; everything about how its results are stored, shared, and
-// found again lives here.
+// This file is the solver's caching/concurrency layer: the one bounded
+// store (lru) and its sharded wrapper behind the plan memo and the
+// solve-response cache, and the singleflight table that coalesces
+// concurrent identical solves. solver.go owns the scheduling pipeline;
+// everything about how its results are stored, shared, and found again
+// lives here.
 //
-// Both caches are split into a power-of-two number of shards, each with
-// its own mutex (and, for the response cache, its own LRU list). A key's
-// shard is picked by its 64-bit FNV digest, so the mapping is stable for
-// the life of the process. Sharding is pure mechanism: responses,
-// hit/miss counters, and entry accounting are identical at every shard
-// count (Stats sums the shards); the only observable difference is which
-// entry a full cache evicts first, because recency is tracked per shard.
-// Shard count 1 reproduces the pre-sharding global LRU exactly. When an
-// entry limit is smaller than the shard count, keys are routed over only
-// the first effectiveShards(shards, limit) shards, so a tiny cache still
-// admits every key instead of silently dropping the ones that hash to a
-// zero-capacity shard.
+// Sharding is pure mechanism: responses, hit/miss counters, and entry
+// accounting are identical at every shard count; the only observable
+// difference is which entry a full cache evicts first, because recency is
+// tracked per shard (one shard is one global LRU).
 
-// defaultCacheShards picks the shard count for a new solver: the next
-// power of two at or above GOMAXPROCS, clamped to [1, 64]. One shard per
-// CPU is enough to make lock collisions rare; beyond 64 the maps are so
+// normalizeShards rounds n up to a power of two in [1, 64]. One shard per
+// CPU (the default) makes lock collisions rare; beyond 64 the maps are so
 // small that sharding further only wastes memory.
-func defaultCacheShards() int {
-	return normalizeShards(runtime.GOMAXPROCS(0))
-}
-
-// normalizeShards rounds n up to a power of two in [1, 64].
 func normalizeShards(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > 64 {
-		n = 64
-	}
 	p := 1
-	for p < n {
+	for p < min(n, 64) {
 		p <<= 1
 	}
 	return p
@@ -58,10 +37,9 @@ func normalizeShards(n int) int {
 // min(shards, limit), so every active shard holds at least one entry.
 // Without the clamp a limit below the shard count would leave some
 // shards with capacity 0 — and because the key→shard mapping is fixed,
-// every key hashing there would silently never be cached (found as a
-// pre-clamp bug: -solve-cache-limit 4 on a 16-shard solver dropped 3 of
-// 4 puts). limit <= 0 (caching disabled) keeps the full shard array; the
-// caps are all zero anyway.
+// every key hashing there would silently never be cached. limit <= 0
+// (caching disabled) keeps the full shard array; the caps are all zero
+// anyway.
 func effectiveShards(shards, limit int) int {
 	if limit <= 0 || limit >= shards {
 		return shards
@@ -80,16 +58,14 @@ type solverConfig struct {
 	shards   int
 	solveCap int
 	planCap  int
-	coalesce bool
 	tier     CacheTier
 }
 
 // WithCacheShards sets the shard count of the plan memo and the
 // solve-response cache. n is rounded up to a power of two and clamped to
 // [1, 64]; n <= 0 selects the default (next power of two >= GOMAXPROCS).
-// Shard count 1 reproduces the single-mutex global-LRU behavior exactly;
-// higher counts only change which entry a full cache evicts first, never
-// a response or a hit/miss counter.
+// Shard counts only change which entry a full cache evicts first, never a
+// response or a hit/miss counter.
 func WithCacheShards(n int) SolverOption {
 	return func(c *solverConfig) {
 		if n > 0 {
@@ -101,31 +77,13 @@ func WithCacheShards(n int) SolverOption {
 // WithSolveCacheLimit bounds the solve-response cache at construction
 // (see SetSolveCacheLimit). n <= 0 disables response caching.
 func WithSolveCacheLimit(n int) SolverOption {
-	return func(c *solverConfig) {
-		if n < 0 {
-			n = 0
-		}
-		c.solveCap = n
-	}
+	return func(c *solverConfig) { c.solveCap = n }
 }
 
 // WithPlanCacheLimit bounds the plan memo at construction (see
 // SetPlanCacheLimit). n <= 0 disables plan memoization.
 func WithPlanCacheLimit(n int) SolverOption {
-	return func(c *solverConfig) {
-		if n < 0 {
-			n = 0
-		}
-		c.planCap = n
-	}
-}
-
-// WithCoalescing enables or disables singleflight coalescing of
-// concurrent identical solves (enabled by default). Coalescing is pure
-// mechanism — every request receives the identical response either way —
-// so the switch exists for measurement and bisection, not correctness.
-func WithCoalescing(on bool) SolverOption {
-	return func(c *solverConfig) { c.coalesce = on }
+	return func(c *solverConfig) { c.planCap = n }
 }
 
 // WithCacheTier installs an external cache tier consulted between the
@@ -173,259 +131,257 @@ func (k planKey) sum() uint64 {
 	return h.Sum64()
 }
 
-// lockContended acquires mu, counting into contended when the lock was
-// already held — the solver's cheap measure of real shard contention
-// (a TryLock that fails is exactly a request that would have queued on
-// the old global mutex).
-func lockContended(mu *sync.Mutex, contended *atomic.Int64) {
-	if mu.TryLock() {
+// ---- the bounded store --------------------------------------------------
+
+// lru is a map bounded to cap entries that evicts the least recently used
+// one: the store behind every shard of the plan memo and the solve cache,
+// and behind MemoryTier. It is not safe for concurrent use, and must be
+// reset in place before use (the recency list is circular through head).
+type lru[K comparable, V any] struct {
+	cap   int
+	items map[K]*lruNode[K, V]
+	head  lruNode[K, V] // sentinel: head.next is the most, head.prev the least recently used
+}
+
+type lruNode[K comparable, V any] struct {
+	key        K
+	val        V
+	prev, next *lruNode[K, V]
+}
+
+// reset drops every entry and keeps the bound.
+func (c *lru[K, V]) reset() {
+	c.items = make(map[K]*lruNode[K, V])
+	c.head.prev, c.head.next = &c.head, &c.head
+}
+
+func (c *lru[K, V]) len() int { return len(c.items) }
+
+func (n *lruNode[K, V]) unlink() { n.prev.next, n.next.prev = n.next, n.prev }
+
+func (c *lru[K, V]) pushFront(n *lruNode[K, V]) {
+	n.prev, n.next = &c.head, c.head.next
+	n.prev.next, n.next.prev = n, n
+}
+
+// get returns the value under k and marks it most recently used.
+func (c *lru[K, V]) get(k K) (v V, ok bool) {
+	n, ok := c.items[k]
+	if !ok {
+		return v, false
+	}
+	n.unlink()
+	c.pushFront(n)
+	return n.val, true
+}
+
+// put stores v under k as the most recently used entry, replacing a
+// previous value or else evicting to make room. A store with no capacity
+// keeps nothing.
+func (c *lru[K, V]) put(k K, v V) {
+	if c.cap <= 0 {
 		return
 	}
-	contended.Add(1)
-	mu.Lock()
+	n, ok := c.items[k]
+	if ok {
+		n.val = v
+		n.unlink()
+	} else {
+		c.evictTo(c.cap - 1)
+		n = &lruNode[K, V]{key: k, val: v}
+		c.items[k] = n
+	}
+	c.pushFront(n)
 }
 
-// ---- plan memo shards ---------------------------------------------------
-
-// planShard is one shard of the plan memo: its own mutex, map, and share
-// of the total capacity. When full, an arbitrary entry is evicted on
-// insert — a simple bound that keeps a long-lived service from growing
-// without limit while never evicting the entries a steady workload reuses
-// fastest (those are re-admitted on the next miss).
-type planShard struct {
-	mu      sync.Mutex
-	entries map[planKey]*planEntry
-	cap     int
+// resize sets the bound, evicting down to it.
+func (c *lru[K, V]) resize(cap int) {
+	c.cap = cap
+	c.evictTo(cap)
 }
 
-func (s *Solver) planShardFor(key planKey) *planShard {
-	return &s.planShards[key.sum()&uint64(s.planEff.Load()-1)]
+// evictTo drops least-recently-used entries until at most n remain.
+func (c *lru[K, V]) evictTo(n int) {
+	for len(c.items) > max(n, 0) {
+		victim := c.head.prev
+		victim.unlink()
+		delete(c.items, victim.key)
+	}
 }
+
+// shardKey is a cache key that can pick its shard: sum is a 64-bit digest
+// of the whole key, stable for the life of the process.
+type shardKey interface {
+	comparable
+	sum() uint64
+}
+
+// sharded splits a total entry bound over a power-of-two array of
+// mutex-guarded lrus. Keys are routed over the first eff shards only —
+// eff is effectiveShards(len(shards), limit) — so that a limit below the
+// shard count still admits every key.
+type sharded[K shardKey, V any] struct {
+	shards []shard[K, V]
+	limit  atomic.Int64 // total bound across shards
+	eff    atomic.Int64 // power-of-two count of shards receiving keys
+	// contended counts lock acquisitions that found the shard's lock held:
+	// the residual contention sharding did not eliminate.
+	contended atomic.Int64
+}
+
+type shard[K shardKey, V any] struct {
+	mu sync.Mutex
+	lru[K, V]
+}
+
+func newSharded[K shardKey, V any](shards, limit int) *sharded[K, V] {
+	c := &sharded[K, V]{shards: make([]shard[K, V], shards)}
+	for i := range c.shards {
+		c.shards[i].lru.reset()
+	}
+	c.setLimit(limit)
+	return c
+}
+
+// lock returns the key's shard, locked; the caller unlocks its mu.
+func (c *sharded[K, V]) lock(k K) *shard[K, V] {
+	return c.lockShard(int(k.sum() & uint64(c.eff.Load()-1)))
+}
+
+func (c *sharded[K, V]) lockShard(i int) *shard[K, V] {
+	sh := &c.shards[i]
+	if !sh.mu.TryLock() {
+		c.contended.Add(1)
+		sh.mu.Lock()
+	}
+	return sh
+}
+
+// setLimit bounds the store to n entries in total, evicting from every
+// shard that now holds more than its share; shards that no longer receive
+// keys are emptied. n <= 0 disables and clears the store.
+func (c *sharded[K, V]) setLimit(n int) {
+	n = max(n, 0)
+	eff := effectiveShards(len(c.shards), n)
+	c.limit.Store(int64(n))
+	c.eff.Store(int64(eff))
+	for i := range c.shards {
+		share := 0 // eff <= n, so every shard that receives keys holds at least one
+		if i < eff {
+			share = n / eff
+			if i < n%eff {
+				share++ // the remainder goes to the lowest shards: the shares sum to n
+			}
+		}
+		sh := c.lockShard(i)
+		sh.resize(share)
+		sh.mu.Unlock()
+	}
+}
+
+func (c *sharded[K, V]) reset() {
+	for i := range c.shards {
+		sh := c.lockShard(i)
+		sh.lru.reset()
+		sh.mu.Unlock()
+	}
+}
+
+// len sums the shards, so entry accounting is the same at every shard count.
+func (c *sharded[K, V]) len() int {
+	n := 0
+	for i := range c.shards {
+		sh := c.lockShard(i)
+		n += sh.lru.len()
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// ---- plan memo and solve-response cache ---------------------------------
 
 // planLookup returns the memoized entry for the key, inserting a fresh
 // one on miss. hit is false for the inserting caller (which then builds
 // the entry; concurrent lookups of the same key block on its sync.Once).
 // With plan caching disabled the fresh entry is returned unmemoized.
 func (s *Solver) planLookup(key planKey, wf *DAG, pol greenheft.Policy, zones *ZoneSet) (e *planEntry, hit bool) {
-	shard := s.planShardFor(key)
-	lockContended(&shard.mu, &s.planContention)
-	defer shard.mu.Unlock()
-	e, hit = shard.entries[key]
-	if hit {
-		return e, true
+	sh := s.planMemo.lock(key)
+	defer sh.mu.Unlock()
+	if e, hit = sh.get(key); !hit {
+		e = &planEntry{wf: wf, policy: pol, zones: zones}
+		sh.put(key, e)
 	}
-	e = &planEntry{wf: wf, policy: pol, zones: zones}
-	if shard.cap > 0 {
-		if len(shard.entries) >= shard.cap {
-			for k := range shard.entries {
-				delete(shard.entries, k)
-				break
-			}
-		}
-		shard.entries[key] = e
-	}
-	return e, false
+	return e, hit
 }
 
 // SetPlanCacheLimit bounds the plan memo to at most n entries (distributed
-// across the shards), evicting arbitrary entries if it currently holds
-// more. n <= 0 disables and clears the memo: every plan request builds
-// fresh. The default limit is 4096.
-func (s *Solver) SetPlanCacheLimit(n int) {
-	if n < 0 {
-		n = 0
-	}
-	eff := effectiveShards(len(s.planShards), n)
-	s.planCap.Store(int64(n))
-	s.planEff.Store(int64(eff))
-	for i := range s.planShards {
-		shard := &s.planShards[i]
-		cap := 0
-		if i < eff {
-			cap = shardShare(n, i, eff)
-		}
-		lockContended(&shard.mu, &s.planContention)
-		shard.cap = cap
-		if cap <= 0 {
-			// Inactive (or disabled) shard: drop its entries — with the
-			// shrunken mask no lookup will ever reach them again.
-			shard.entries = make(map[planKey]*planEntry)
-		} else {
-			for k := range shard.entries {
-				if len(shard.entries) <= cap {
-					break
-				}
-				delete(shard.entries, k)
-			}
-		}
-		shard.mu.Unlock()
-	}
-}
+// across the shards), evicting least-recently-used plans if it currently
+// holds more. n <= 0 disables and clears the memo: every plan request
+// builds fresh. The default limit is 4096.
+func (s *Solver) SetPlanCacheLimit(n int) { s.planMemo.setLimit(n) }
 
 // ResetPlans drops every memoized plan (e.g. after a batch of one-off
 // workflows). Counters and the solve-response cache are unaffected.
-func (s *Solver) ResetPlans() {
-	for i := range s.planShards {
-		shard := &s.planShards[i]
-		lockContended(&shard.mu, &s.planContention)
-		shard.entries = make(map[planKey]*planEntry)
-		shard.mu.Unlock()
-	}
+func (s *Solver) ResetPlans() { s.planMemo.reset() }
+
+// shared returns the one stored form of a fresh response: a private
+// Schedule, and the fields that belong to a single request cleared. The
+// solve cache and the flight's followers share it and never write to it;
+// each reader leaves with its own checkout.
+func (r *Response) shared() *Response {
+	stored := *r
+	stored.Schedule = r.Schedule.Clone()
+	stored.CacheHit = false
+	stored.Coalesced = false
+	stored.Timings = nil // stale wall clock must never be served
+	return &stored
 }
 
-// planEntries sums the shard sizes for Stats.
-func (s *Solver) planEntries() int {
-	n := 0
-	for i := range s.planShards {
-		shard := &s.planShards[i]
-		lockContended(&shard.mu, &s.planContention)
-		n += len(shard.entries)
-		shard.mu.Unlock()
-	}
-	return n
-}
-
-// shardShare splits a total capacity n across k shards: every shard gets
-// n/k, and the remainder goes to the lowest-indexed shards, so the shares
-// sum to exactly n. Callers pass the *effective* shard count (see
-// effectiveShards), which is clamped so that k <= n: every active shard
-// has capacity for at least one entry and every key is cacheable.
-func shardShare(n, i, k int) int {
-	share := n / k
-	if i < n%k {
-		share++
-	}
-	return share
-}
-
-// ---- solve-response cache shards ----------------------------------------
-
-// solveShard is one shard of the solve-response cache: its own mutex,
-// map, LRU list, and share of the total capacity.
-type solveShard struct {
-	mu        sync.Mutex
-	responses map[solveKey]*solveEntry
-	lru       *list.List // *solveEntry values; front = most recently used
-	cap       int
-}
-
-func (s *Solver) solveShardFor(key solveKey) *solveShard {
-	return &s.solveShards[key.sum()&uint64(s.solveEff.Load()-1)]
-}
-
-func (sh *solveShard) evictOldestLocked() {
-	back := sh.lru.Back()
-	if back == nil {
-		return
-	}
-	e := back.Value.(*solveEntry)
-	sh.lru.Remove(back)
-	delete(sh.responses, e.key)
+// checkout returns a copy of a shared response that the caller may hand
+// out: it owns its Schedule.
+func (r *Response) checkout() *Response {
+	resp := *r
+	resp.Schedule = r.Schedule.Clone()
+	return &resp
 }
 
 // solveCacheGet returns a cached response for the key, guarded against
 // fingerprint/digest collisions by structural comparison with the
-// request's actual workflow and zone set. The returned response carries a
-// fresh Schedule clone, so callers may mutate it without poisoning the
-// cache.
+// request's actual workflow and zone set.
 func (s *Solver) solveCacheGet(key solveKey, wf *DAG, zones *ZoneSet) (*Response, bool) {
-	sh := s.solveShardFor(key)
-	lockContended(&sh.mu, &s.solveContention)
-	defer sh.mu.Unlock()
-	e, ok := sh.responses[key]
+	sh := s.solveCache.lock(key)
+	e, ok := sh.get(key)
+	sh.mu.Unlock()
 	if !ok || !e.wf.Equal(wf) || !e.zones.EqualZoneSet(zones) {
 		return nil, false
 	}
-	sh.lru.MoveToFront(e.elem)
-	resp := e.resp
-	resp.Schedule = e.resp.Schedule.Clone()
+	resp := e.resp.checkout()
 	resp.CacheHit = true
-	return &resp, true
+	return resp, true
 }
 
-// solveCachePut stores a successful response under the key, evicting the
-// shard's least-recently-used entry when it is full. The cache keeps its
-// own Schedule clone so later caller mutations cannot corrupt it.
-func (s *Solver) solveCachePut(key solveKey, wf *DAG, zones *ZoneSet, resp *Response) {
-	sh := s.solveShardFor(key)
-	lockContended(&sh.mu, &s.solveContention)
-	defer sh.mu.Unlock()
-	if sh.cap <= 0 {
-		return
-	}
-	stored := *resp
-	stored.Schedule = resp.Schedule.Clone()
-	stored.CacheHit = false
-	stored.Coalesced = false
-	stored.Timings = nil // stale wall clock must never be served from cache
-	if e, ok := sh.responses[key]; ok {
-		// Overwrite (e.g. a collision victim re-solved): freshest wins.
-		e.wf, e.zones, e.resp = wf, zones.Clone(), stored
-		sh.lru.MoveToFront(e.elem)
-		return
-	}
-	for len(sh.responses) >= sh.cap {
-		sh.evictOldestLocked()
-	}
-	e := &solveEntry{key: key, wf: wf, zones: zones.Clone(), resp: stored}
-	e.elem = sh.lru.PushFront(e)
-	sh.responses[key] = e
+// solveCachePut stores a shared response under the key; on a collision
+// the freshest wins.
+func (s *Solver) solveCachePut(key solveKey, wf *DAG, zones *ZoneSet, shared *Response) {
+	e := &solveEntry{wf: wf, zones: zones.Clone(), resp: shared}
+	sh := s.solveCache.lock(key)
+	sh.put(key, e)
+	sh.mu.Unlock()
 }
 
 // SetSolveCacheLimit bounds the solve-response cache to at most n entries
 // in total (distributed across the shards), evicting least-recently-used
 // responses if it currently holds more. n <= 0 disables and clears the
 // cache. The default limit is 4096.
-func (s *Solver) SetSolveCacheLimit(n int) {
-	if n < 0 {
-		n = 0
-	}
-	eff := effectiveShards(len(s.solveShards), n)
-	s.solveCap.Store(int64(n))
-	s.solveEff.Store(int64(eff))
-	for i := range s.solveShards {
-		sh := &s.solveShards[i]
-		cap := 0
-		if i < eff {
-			cap = shardShare(n, i, eff)
-		}
-		lockContended(&sh.mu, &s.solveContention)
-		sh.cap = cap
-		for len(sh.responses) > 0 && len(sh.responses) > cap {
-			sh.evictOldestLocked()
-		}
-		sh.mu.Unlock()
-	}
-}
+func (s *Solver) SetSolveCacheLimit(n int) { s.solveCache.setLimit(n) }
 
 // ResetSolveCache drops every cached response. Counters are unaffected.
-func (s *Solver) ResetSolveCache() {
-	for i := range s.solveShards {
-		sh := &s.solveShards[i]
-		lockContended(&sh.mu, &s.solveContention)
-		sh.responses = make(map[solveKey]*solveEntry)
-		sh.lru = list.New()
-		sh.mu.Unlock()
-	}
-}
-
-// solveEntriesCount sums the shard sizes for Stats.
-func (s *Solver) solveEntriesCount() int {
-	n := 0
-	for i := range s.solveShards {
-		sh := &s.solveShards[i]
-		lockContended(&sh.mu, &s.solveContention)
-		n += len(sh.responses)
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (s *Solver) ResetSolveCache() { s.solveCache.reset() }
 
 // ---- singleflight coalescing --------------------------------------------
 
 // errLeaderAborted is published to followers when a coalesced solve's
-// leader unwinds (panics) between election and publication; the panic
-// itself propagates on the leader's own request.
+// leader unwinds (panics) between election and publication.
 var errLeaderAborted = errors.New("cawosched: coalesced solve leader aborted")
 
 // flight is one in-flight cacheable solve that concurrent identical
@@ -438,19 +394,16 @@ type flight struct {
 	wf    *DAG
 	zones *ZoneSet
 	done  chan struct{}
-	resp  *Response // stored copy (private Schedule); nil on error
+	resp  *Response // the shared form (see Response.shared); nil on error
 	err   error
 }
 
 // joinFlight coalesces the key's solve. Returns:
 //   - (f, true): this request is the leader and must finishFlight f.
 //   - (f, false): follower — wait on f.done.
-//   - (nil, false): no coalescing (disabled, or the in-flight leader's
-//     key collides structurally): solve solo.
+//   - (nil, false): the in-flight leader's key collides structurally:
+//     solve solo.
 func (s *Solver) joinFlight(key solveKey, wf *DAG, zones *ZoneSet) (*flight, bool) {
-	if !s.coalesce {
-		return nil, false
-	}
 	s.fmu.Lock()
 	defer s.fmu.Unlock()
 	if f, ok := s.flights[key]; ok {
@@ -474,16 +427,4 @@ func (s *Solver) finishFlight(key solveKey, f *flight, resp *Response, err error
 	s.fmu.Unlock()
 	f.resp, f.err = resp, err
 	close(f.done)
-}
-
-// sharedCopy returns the flight-publishable form of a fresh response: a
-// private Schedule clone with the per-request fields (timings, hit/
-// coalesce flags) zeroed, mirroring what the cache stores.
-func sharedCopy(resp *Response) *Response {
-	stored := *resp
-	stored.Schedule = resp.Schedule.Clone()
-	stored.CacheHit = false
-	stored.Coalesced = false
-	stored.Timings = nil
-	return &stored
 }
