@@ -156,7 +156,7 @@ func (s *Solver) tierGet(ctx context.Context, key solveKey, job *solveJob) *Resp
 	if pol.ZoneAware() {
 		pz = job.zones
 	}
-	e, _, err := s.planFor(ctx, job.req.Workflow, pol, pz)
+	e, _, err := s.planFor(ctx, job.req.Workflow, job.fp, pol, pz)
 	if err != nil {
 		return nil
 	}

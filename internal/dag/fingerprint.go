@@ -1,30 +1,35 @@
 package dag
 
-import (
-	"hash"
-	"hash/fnv"
-)
-
 // Hash is an incremental FNV-1a 64-bit digest with a fixed, length-prefixed
 // encoding of the primitive scheduling types. It is the shared fingerprint
 // builder of the repository: DAG.Fingerprint uses it for workflows,
 // power.Profile.Digest for green power profiles, and the solver combines
 // both into its solve-response cache key — so every cache layer hashes the
 // same input the same way.
+//
+// The state is a bare uint64 and the bytes are mixed inline, bit for bit
+// what hash/fnv computes: through hash.Hash64 the 8-byte buffer of every
+// U64 escaped to the heap, which made keying the bulk of a cache hit's
+// allocations.
 type Hash struct {
-	h hash.Hash64
+	h uint64
 }
 
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // NewHash returns an empty FNV-1a 64-bit digest.
-func NewHash() *Hash { return &Hash{h: fnv.New64a()} }
+func NewHash() *Hash { return &Hash{h: fnvOffset64} }
 
 // U64 feeds one 64-bit value (little-endian) into the digest.
 func (h *Hash) U64(x uint64) {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(x >> (8 * i))
+	s := h.h
+	for i := 0; i < 64; i += 8 {
+		s = (s ^ (x >> i & 0xff)) * fnvPrime64
 	}
-	h.h.Write(buf[:])
+	h.h = s
 }
 
 // I64 feeds one signed 64-bit value into the digest.
@@ -33,12 +38,15 @@ func (h *Hash) I64(x int64) { h.U64(uint64(x)) }
 // Str feeds a NUL-terminated string into the digest (the terminator keeps
 // adjacent strings from sliding into each other).
 func (h *Hash) Str(s string) {
-	h.h.Write([]byte(s))
-	h.h.Write([]byte{0})
+	sum := h.h
+	for i := 0; i < len(s); i++ {
+		sum = (sum ^ uint64(s[i])) * fnvPrime64
+	}
+	h.h = sum * fnvPrime64 // the terminator: XOR with 0 leaves the state as it is
 }
 
 // Sum64 returns the digest of everything fed so far.
-func (h *Hash) Sum64() uint64 { return h.h.Sum64() }
+func (h *Hash) Sum64() uint64 { return h.h }
 
 // Equal reports whether two DAGs are structurally identical: same task
 // weights and names, same edges in the same insertion order with the same

@@ -156,12 +156,18 @@ func TestServerConcurrentMixedLoad(t *testing.T) {
 		}
 	}
 
-	// Drain, shut down, and verify no goroutine outlives its request.
+	drainAndCheckLeaks(t, srv, ts, before)
+}
+
+// drainAndCheckLeaks drains and shuts the server down and verifies that no
+// goroutine outlives its request: the count returns to before.
+func drainAndCheckLeaks(t *testing.T, srv *Server, ts *httptest.Server, before int) {
+	t.Helper()
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Errorf("Drain: %v", err)
 	}
 	ts.Close()
-	client.CloseIdleConnections()
+	ts.Client().CloseIdleConnections()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		runtime.GC()

@@ -65,6 +65,10 @@ func newMetrics(solver *cawosched.Solver, mgr *tenancy.Manager, tier *cawosched.
 	solveCoalesced := reg.Counter("schedd_solve_coalesced_total",
 		"solves served by joining a concurrent identical in-flight solve").With()
 	tierHits := reg.Counter("schedd_solver_tier_hits_total", "solves served from the external cache tier").With()
+	solveRepeats := reg.Counter("schedd_solve_repeats_total",
+		"response-cache hits answered from the raw request bytes, without decoding them").With()
+	repeatBytes := reg.Gauge("schedd_repeat_index_bytes",
+		"request and answer bytes held for byte-identical repeats (bounded by the solve cache's entry bound)").With()
 	solveEntries := reg.Gauge("schedd_solve_cache_entries", "responses currently cached").With()
 	solveCapacity := reg.Gauge("schedd_solve_cache_capacity",
 		"solve-response cache entry bound (0 = caching disabled)").With()
@@ -84,6 +88,8 @@ func newMetrics(solver *cawosched.Solver, mgr *tenancy.Manager, tier *cawosched.
 		solveMisses.Store(st.SolveMisses)
 		solveCoalesced.Store(st.SolveCoalesced)
 		tierHits.Store(st.TierHits)
+		solveRepeats.Store(st.SolveRepeats)
+		repeatBytes.Set(st.RepeatIndexBytes)
 		solveEntries.Set(int64(st.SolveEntries))
 		solveCapacity.Set(int64(st.SolveCapacity))
 		planEntries.Set(int64(st.PlanEntries))
@@ -202,12 +208,21 @@ func (m *metrics) observeLatency(outcome string, d time.Duration) {
 // cumulative green/brown ledger.
 func (m *metrics) observeCarbon(zones []schedule.ZoneCost) {
 	for _, z := range zones {
-		var green, brown int64
-		for _, iv := range z.Intervals {
-			green += iv.Green
-			brown += iv.Brown
-		}
-		m.green.With(z.Zone).Add(green)
-		m.brown.With(z.Zone).Add(brown)
+		green, brown := zoneEnergy(z)
+		m.addCarbon(z.Zone, green, brown)
 	}
+}
+
+// zoneEnergy sums one zone's breakdown over its intervals.
+func zoneEnergy(z schedule.ZoneCost) (green, brown int64) {
+	for _, iv := range z.Intervals {
+		green += iv.Green
+		brown += iv.Brown
+	}
+	return green, brown
+}
+
+func (m *metrics) addCarbon(zone string, green, brown int64) {
+	m.green.With(zone).Add(green)
+	m.brown.With(zone).Add(brown)
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -14,14 +15,16 @@ import (
 )
 
 // TestMetricsExpositionValid drives a mix of traffic — a computed solve, a
-// cache hit, and an error — then scrapes /metrics and checks that the
-// exposition parses under the Prometheus text-format rules and carries the
-// observability families added by the instrumented layers.
+// cache hit, a byte-identical repeat of it, and an error — then scrapes
+// /metrics and checks that the exposition parses under the Prometheus
+// text-format rules and carries the observability families added by the
+// instrumented layers.
 func TestMetricsExpositionValid(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	// Computed solve, then the identical request again (cache hit).
-	for i := 0; i < 2; i++ {
+	// Computed solve, then the identical request again (cache hit), and
+	// once more (answered from the body index).
+	for i := 0; i < 3; i++ {
 		resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/solve", pinnedWireRequest(t))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solve %d: status %d: %s", i, resp.StatusCode, raw)
@@ -41,14 +44,20 @@ func TestMetricsExpositionValid(t *testing.T) {
 	if err := obs.ValidateExposition(string(mraw)); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, mraw)
 	}
+	// The index holds the one request and its answer up to the timings.
+	if !regexp.MustCompile(`(?m)^schedd_repeat_index_bytes [1-9][0-9]{3,}$`).Match(mraw) {
+		t.Error("schedd_repeat_index_bytes is missing, or under a kilobyte with a body remembered")
+	}
 	for _, want := range []string{
 		`schedd_solve_latency_seconds_count{outcome="ok"} 1`,
-		`schedd_solve_latency_seconds_count{outcome="cache_hit"} 1`,
+		`schedd_solve_latency_seconds_count{outcome="cache_hit"} 2`,
 		`schedd_solve_latency_seconds_count{outcome="error"} 1`,
 		`schedd_stage_latency_seconds_count{stage="plan"}`,
 		`schedd_stage_latency_seconds_count{stage="schedule"}`,
 		`schedd_solves_total{variant="pressWR-LS",mapping="heft",outcome="ok"} 1`,
-		`schedd_solves_total{variant="pressWR-LS",mapping="heft",outcome="cache_hit"} 1`,
+		`schedd_solves_total{variant="pressWR-LS",mapping="heft",outcome="cache_hit"} 2`,
+		`schedd_solve_cache_hits_total 2`,
+		`schedd_solve_repeats_total 1`,
 		`schedd_carbon_green_units_total{zone=`,
 		`schedd_carbon_brown_units_total{zone=`,
 		`schedd_build_info{go_version=`,
@@ -91,6 +100,40 @@ func TestRequestIDEcho(t *testing.T) {
 		t.Error("no X-Request-ID minted for bare request")
 	}
 
+	// An ID is echoed only if it is 1–128 bytes of visible ASCII: the
+	// server keeps it in the trace ring and the log, so a client does not
+	// get to choose how much of either it fills. Otherwise one is minted.
+	for _, c := range []struct {
+		name, id string
+		echoed   bool
+	}{
+		{"128 bytes", strings.Repeat("a", 128), true},
+		{"129 bytes", strings.Repeat("a", 129), false},
+		{"64 kB", strings.Repeat("a", 64<<10), false},
+		{"inner space", "req 42", false},
+		{"inner tab", "req\t42", false},
+		{"non-ASCII", "req-é", false},
+	} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/variants", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-ID", c.id)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		got := resp.Header.Get("X-Request-ID")
+		if c.echoed && got != c.id {
+			t.Errorf("%s: echoed as %q, want it back unchanged", c.name, got)
+		}
+		if !c.echoed && (got == c.id || !validRequestID(got)) {
+			t.Errorf("%s: answered with X-Request-ID %.40q, want a minted one", c.name, got)
+		}
+	}
+
 	// The supplied ID keys the trace in /debug/traces.
 	_, traw := getBody(t, ts.Client(), ts.URL+"/debug/traces")
 	var tresp obs.TracesResponse
@@ -112,11 +155,12 @@ func TestRequestIDEcho(t *testing.T) {
 // route pattern, with a solve child whose children are exactly the stages
 // the response's timings name (one vocabulary: obs.Stage*); the schedule
 // span nests the greedy and local-search phases. A repeated request leaves
-// a trace whose cache span records the hit.
+// a trace whose cache span records the hit; repeated once more it is
+// answered from the body index, having run the two cache consults only.
 func TestDebugTraces(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	var timed [2][]string // per request: its timings' stage names, in order
-	for i := 0; i < 2; i++ {
+	var timed [3][]string // per request: its timings' stage names, in order
+	for i := 0; i < 3; i++ {
 		resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/solve", pinnedWireRequest(t))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solve %d: status %d: %s", i, resp.StatusCode, raw)
@@ -129,9 +173,10 @@ func TestDebugTraces(t *testing.T) {
 			timed[i] = append(timed[i], st.Stage)
 		}
 	}
-	want := [2][]string{
+	want := [3][]string{
 		{obs.StagePlan, obs.StageSupply, obs.StageCache, obs.StageSchedule},
 		{obs.StagePlan, obs.StageSupply, obs.StageCache},
+		{obs.StagePlan, obs.StageCache},
 	}
 	if !reflect.DeepEqual(timed, want) {
 		t.Fatalf("timings name stages %v, want %v", timed, want)
@@ -143,13 +188,13 @@ func TestDebugTraces(t *testing.T) {
 		t.Fatalf("parsing traces: %v\n%s", err, traw)
 	}
 	traces := tresp.Traces
-	if len(traces) != 2 {
-		t.Fatalf("got %d traces, want 2:\n%s", len(traces), traw)
+	if len(traces) != 3 {
+		t.Fatalf("got %d traces, want 3:\n%s", len(traces), traw)
 	}
 
-	// Traces are served newest first: traces[1] is the computed solve with
-	// the full stage tree, traces[0] the cache hit.
-	root := traces[1].Root
+	// Traces are served newest first: traces[2] is the computed solve with
+	// the full stage tree, traces[1] the cache hit, traces[0] the repeat.
+	root := traces[2].Root
 	if root.Name != "POST /v1/solve" {
 		t.Fatalf("root span %q, want POST /v1/solve", root.Name)
 	}
@@ -169,17 +214,31 @@ func TestDebugTraces(t *testing.T) {
 		}
 	}
 
-	// Newest trace: the cache hit, recorded on the cache span.
-	solve2 := childNamed(traces[0].Root, "solve")
-	if solve2 == nil {
-		t.Fatalf("no solve span in second trace:\n%s", traw)
+	// The cache hit (traces[1]) and the repeat (traces[0]): recorded on the
+	// cache span. The repeat's solve and plan spans say what the hit's say.
+	var solves [3]*obs.SpanData
+	for i := 1; i <= 2; i++ {
+		solve := childNamed(traces[2-i].Root, "solve")
+		if solve == nil {
+			t.Fatalf("request %d: no solve span:\n%s", i, traw)
+		}
+		if got := childNames(solve); !reflect.DeepEqual(got, timed[i]) {
+			t.Fatalf("request %d: solve span's children are %v, the response's timings %v", i, got, timed[i])
+		}
+		cache := childNamed(solve, obs.StageCache)
+		if hit, _ := cache.Attrs["hit"].(bool); !hit {
+			t.Errorf("request %d: cache span hit=%v, want true", i, cache.Attrs["hit"])
+		}
+		if repeat, _ := cache.Attrs["repeat"].(bool); repeat != (i == 2) {
+			t.Errorf("request %d: cache span repeat=%v", i, cache.Attrs["repeat"])
+		}
+		solves[i] = solve
 	}
-	if got := childNames(solve2); !reflect.DeepEqual(got, timed[1]) {
-		t.Fatalf("second solve span's children are %v, the response's timings %v", got, timed[1])
+	if !reflect.DeepEqual(solves[2].Attrs, solves[1].Attrs) {
+		t.Errorf("repeat's solve span attrs %v, the cache hit's %v", solves[2].Attrs, solves[1].Attrs)
 	}
-	cache := childNamed(solve2, obs.StageCache)
-	if hit, _ := cache.Attrs["hit"].(bool); !hit {
-		t.Errorf("second cache span hit=%v, want true", cache.Attrs["hit"])
+	if got, want := childNamed(solves[2], obs.StagePlan).Attrs, childNamed(solves[1], obs.StagePlan).Attrs; !reflect.DeepEqual(got, want) {
+		t.Errorf("repeat's plan span attrs %v, the cache hit's %v", got, want)
 	}
 
 	// min_ms filters: nothing here takes a minute.

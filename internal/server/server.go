@@ -32,12 +32,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -297,7 +300,7 @@ func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 		// Accept the client's X-Request-ID (so traces and logs join with
 		// upstream systems), or mint one; either way echo it back.
 		reqID := r.Header.Get("X-Request-ID")
-		if reqID == "" {
+		if !validRequestID(reqID) {
 			reqID = obs.NewRequestID()
 		}
 		w.Header().Set("X-Request-ID", reqID)
@@ -330,6 +333,22 @@ func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 	})
 }
 
+// validRequestID reports whether a client's X-Request-ID may be echoed,
+// logged and kept in the trace ring: 1–128 bytes of visible ASCII. The
+// header itself may run to the 1 MiB header limit, and the ring retains
+// TraceBuffer of them.
+func validRequestID(id string) bool {
+	if len(id) == 0 || len(id) > 128 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if id[i] < '!' || id[i] > '~' {
+			return false
+		}
+	}
+	return true
+}
+
 // logger returns the configured request logger (nil disables logging).
 func (s *Server) logger() *slog.Logger { return s.cfg.Logger }
 
@@ -343,30 +362,78 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	return context.WithCancel(r.Context())
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+// encodeJSON writes v in the service's one rendering: two-space indented.
+func encodeJSON(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) // a write error means the client is gone; nothing to do
+}
+
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	encodeJSON(w, v)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, werr *wire.Error) {
 	s.writeJSON(w, scherr.StatusForCode(werr.Code), wire.ErrorResponse{Error: werr})
 }
 
-// decode parses a JSON request body strictly (unknown fields rejected,
-// size-capped). On failure it writes the invalid_request error itself and
-// returns false.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+// bufPool recycles the buffers request bodies are read into and solve
+// answers are encoded into.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBuf keeps the odd multi-megabyte batch body from living on in
+// the pool.
+const maxPooledBuf = 1 << 20
+
+func putBuf(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBuf {
+		b.Reset()
+		bufPool.Put(b)
+	}
+}
+
+// readBody reads the size-capped request body into a pooled buffer, which
+// the caller hands back with putBuf. On failure it writes the
+// invalid_request error itself and returns nil.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) *bytes.Buffer {
+	buf := bufPool.Get().(*bytes.Buffer)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
+		putBuf(buf)
+		s.writeError(w, &wire.Error{Code: scherr.CodeInvalidRequest, Message: "decoding request body: " + err.Error()})
+		return nil
+	}
+	return buf
+}
+
+// decodeBody parses a JSON request body strictly: unknown fields are
+// rejected, and after the value only JSON whitespace may remain. On
+// failure it writes the invalid_request error itself and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, body []byte, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+			err = fmt.Errorf("invalid character %q after the request value", rest[0])
+		}
+	}
+	if err != nil {
 		s.writeError(w, &wire.Error{Code: scherr.CodeInvalidRequest, Message: "decoding request body: " + err.Error()})
 		return false
 	}
 	return true
+}
+
+// decode reads and parses a request body (size-capped, strict).
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	buf := s.readBody(w, r)
+	if buf == nil {
+		return false
+	}
+	defer putBuf(buf)
+	return s.decodeBody(w, buf.Bytes(), v)
 }
 
 // errorBody maps a solve error to the wire error body, classifying it
@@ -468,25 +535,28 @@ func buildResponse(res *cawosched.Response) *wire.SolveResponse {
 // engine's isolation idiom: a panic anywhere in planning or scheduling
 // becomes an in-band internal error instead of killing the server (the
 // net/http panic recovery would kill the whole connection, and a batch).
-func (s *Server) solveOne(ctx context.Context, wreq *wire.SolveRequest) (resp *wire.SolveResponse, werr *wire.Error) {
+//
+// res is the solver's own response, which Solver.Remember needs beside
+// the rendered one.
+func (s *Server) solveOne(ctx context.Context, wreq *wire.SolveRequest) (resp *wire.SolveResponse, res *cawosched.Response, werr *wire.Error) {
 	defer func() {
 		if p := recover(); p != nil {
-			resp = nil
+			resp, res = nil, nil
 			werr = &wire.Error{Code: scherr.CodeInternal, Message: fmt.Sprintf("panic: %v", p)}
 		}
 	}()
 	req, err := buildRequest(wreq, s.cfg.DefaultMapping)
 	if err != nil {
-		return nil, &wire.Error{Code: scherr.CodeInvalidRequest, Message: err.Error()}
+		return nil, nil, &wire.Error{Code: scherr.CodeInvalidRequest, Message: err.Error()}
 	}
 	req.SearchWorkers = s.cfg.SearchWorkers
-	res, err := s.solver.Solve(ctx, req)
+	res, err = s.solver.Solve(ctx, req)
 	if err != nil {
-		return nil, errorBody(err)
+		return nil, nil, errorBody(err)
 	}
 	out := buildResponse(res)
 	s.metrics.observeCarbon(out.Zones)
-	return out, nil
+	return out, res, nil
 }
 
 // solveOutcome classifies one solve for the latency histogram's
@@ -502,21 +572,91 @@ func solveOutcome(resp *wire.SolveResponse, werr *wire.Error) string {
 	}
 }
 
+// timingsKey opens the last member of a rendered wire.SolveResponse: what
+// comes before it is the same for every answer to the same request.
+const timingsKey = ",\n  \"timings\": ["
+
+// appendTimings renders a solve answer's timings member and closes the
+// body, byte for byte as encodeJSON does.
+func appendTimings(b []byte, timings []obs.StageTiming) []byte {
+	b = append(b, timingsKey...)
+	for i, t := range timings {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"stage\": \""...)
+		b = append(b, t.Stage...) // an obs.Stage* constant: nothing to escape
+		b = append(b, "\",\n      \"micros\": "...)
+		b = strconv.AppendInt(b, t.Micros, 10)
+		b = append(b, "\n    }"...)
+	}
+	return append(b, "\n  ]\n}\n"...)
+}
+
+// writeAnswer sends a rendered solve answer in up to two pieces.
+func writeAnswer(w http.ResponseWriter, head, tail []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(head) // a write error means the client is gone; nothing to do
+	w.Write(tail)
+}
+
+// handleSolve answers a byte-identical repeat of a request the caches
+// answered before with the bytes it sent then (see Solver.Recall), and
+// everything else by decoding, solving and encoding.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var wreq wire.SolveRequest
-	if !s.decode(w, r, &wreq) {
+	body := s.readBody(w, r)
+	if body == nil {
 		return
 	}
+	defer putBuf(body)
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	start := time.Now()
-	resp, werr := s.solveOne(ctx, &wreq)
+	if answer, timings := s.solver.Recall(ctx, body.Bytes()); answer != nil {
+		s.metrics.observeLatency("cache_hit", time.Since(start))
+		for _, c := range answer.Carbon {
+			s.metrics.addCarbon(c.Zone, c.Green, c.Brown)
+		}
+		body.Reset() // recalled: the request's bytes have done their work
+		writeAnswer(w, answer.Body, appendTimings(body.AvailableBuffer(), timings))
+		return
+	}
+
+	var wreq wire.SolveRequest
+	if !s.decodeBody(w, body.Bytes(), &wreq) {
+		return
+	}
+	start = time.Now()
+	resp, res, werr := s.solveOne(ctx, &wreq)
 	s.metrics.observeLatency(solveOutcome(resp, werr), time.Since(start))
 	if werr != nil {
 		s.writeError(w, werr)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	out := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(out)
+	encodeJSON(out, resp)
+	writeAnswer(w, out.Bytes(), nil)
+	if res.Repeatable() {
+		s.remember(body.Bytes(), res, resp, out.Bytes())
+	}
+}
+
+// remember stores the answer just sent beside the body it answered: the
+// bytes up to the timings, and the energy observeCarbon counted for it.
+func (s *Server) remember(body []byte, res *cawosched.Response, resp *wire.SolveResponse, sent []byte) {
+	cut := bytes.LastIndex(sent, []byte(timingsKey))
+	if cut < 0 {
+		return
+	}
+	answer := &cawosched.Answer{Body: bytes.Clone(sent[:cut]), Carbon: make([]cawosched.ZoneCarbon, len(resp.Zones))}
+	for i, z := range resp.Zones {
+		green, brown := zoneEnergy(z)
+		answer.Carbon[i] = cawosched.ZoneCarbon{Zone: z.Zone, Green: green, Brown: brown}
+	}
+	s.solver.Remember(body, res, answer)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -568,7 +708,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			start := time.Now()
 			select {
 			case s.batchSem <- struct{}{}:
-				item.Response, item.Error = s.solveOne(ctx, &breq.Requests[i])
+				item.Response, _, item.Error = s.solveOne(ctx, &breq.Requests[i])
 				s.metrics.observeLatency(solveOutcome(item.Response, item.Error), time.Since(start))
 				<-s.batchSem
 			case <-ctx.Done():

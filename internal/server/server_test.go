@@ -270,6 +270,36 @@ func TestServerErrorMapping(t *testing.T) {
 	resp.Body.Close()
 	check("unknown field", http.StatusBadRequest, "invalid_request", resp, raw)
 
+	// Anything but whitespace after the request value: a second value, or
+	// garbage. (Trailing whitespace is fine; the repeat tests send it.)
+	good, err := json.Marshal(pinnedWireRequest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{`{"x":1}`, " garbage", "\n]"} {
+		resp, err = client.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(string(good)+tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		check(fmt.Sprintf("trailing %q", tail), http.StatusBadRequest, "invalid_request", resp, raw)
+	}
+
+	// A body over MaxBodyBytes, on a server with a cap the pinned request
+	// exceeds.
+	_, small := newTestServer(t, Config{MaxBodyBytes: 512})
+	resp, err = small.Client().Post(small.URL+"/v1/solve", "application/json", bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	check("oversize body", http.StatusBadRequest, "invalid_request", resp, raw)
+	if !strings.Contains(string(raw), "request body too large") {
+		t.Errorf("oversize body: message does not say so: %s", raw)
+	}
+
 	// Missing workflow.
 	r2, raw2 := postJSON(t, client, ts.URL+"/v1/solve", wire.SolveRequest{Variant: "slack"})
 	check("missing workflow", http.StatusBadRequest, "invalid_request", r2, raw2)

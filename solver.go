@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -164,6 +165,10 @@ type Response struct {
 	// cached — a cache hit reports the hit's own timings, not the original
 	// solve's.
 	Timings []obs.StageTiming
+
+	// origin names the resident cache entries that answered this request,
+	// as far as both caches did: what Remember records beside the body.
+	origin residency
 }
 
 // SolverStats is a snapshot of a solver's lifetime counters.
@@ -178,6 +183,12 @@ type SolverStats struct {
 	// A coalesced request counts neither a hit nor a miss — the leader
 	// already counted the one miss the herd cost.
 	SolveCoalesced int64
+	// SolveRepeats counts the SolveHits that Recall answered: byte-identical
+	// repeats served from the body index without decoding the request.
+	SolveRepeats int64
+	// RepeatIndexBytes is the memory the body index holds: the request and
+	// answer bytes of every remembered body. It shares SolveCapacity.
+	RepeatIndexBytes int64
 	// TierHits counts solves served from the external cache tier (0
 	// without a configured tier).
 	TierHits     int64
@@ -210,6 +221,11 @@ type Solver struct {
 	// solvercache.go).
 	planMemo   *sharded[planKey, *planEntry]
 	solveCache *sharded[solveKey, *solveEntry]
+	// In front of both: raw request bodies a front-end answered from them,
+	// each remembering the two entries that answered it (see Recall). It
+	// shares the solve cache's bound.
+	repeats  *sharded[repeatKey, *repeatEntry]
+	bodySeed maphash.Seed
 
 	// Singleflight: concurrent identical cacheable solves coalesce onto
 	// one in-flight leader (see joinFlight). The table is tiny — one entry
@@ -227,6 +243,7 @@ type Solver struct {
 	solveHits      atomic.Int64
 	solveMisses    atomic.Int64
 	solveCoalesced atomic.Int64
+	solveRepeats   atomic.Int64
 	tierHits       atomic.Int64
 
 	// testLeaderGate, when set (tests only), runs on the leader's
@@ -234,6 +251,9 @@ type Solver struct {
 	// consults the tier or solves — the hook the coalescing tests use to
 	// hold a leader in flight while followers pile up.
 	testLeaderGate func()
+	// testBodyHash, when set (tests only), replaces the body index's hash,
+	// so that a test can force two bodies onto one index key.
+	testBodyHash func([]byte) uint64
 }
 
 // maxPlans is the default plan-memo bound (total entries across shards).
@@ -301,6 +321,8 @@ func NewSolver(cluster *Cluster, opts ...SolverOption) *Solver {
 		cluster:    cluster,
 		planMemo:   newSharded[planKey, *planEntry](cfg.shards, cfg.planCap),
 		solveCache: newSharded[solveKey, *solveEntry](cfg.shards, cfg.solveCap),
+		repeats:    newSharded[repeatKey, *repeatEntry](cfg.shards, cfg.solveCap),
+		bodySeed:   maphash.MakeSeed(),
 		flights:    make(map[solveKey]*flight),
 		tier:       cfg.tier,
 	}
@@ -312,21 +334,25 @@ func (s *Solver) Cluster() *Cluster { return s.cluster }
 // Stats returns a snapshot of the solver's counters. Entry counts sum the
 // cache shards, so the accounting is identical at every shard count.
 func (s *Solver) Stats() SolverStats {
+	var indexed int64
+	s.repeats.each(func(e *repeatEntry) { indexed += int64(len(e.body) + len(e.answer.Body)) })
 	return SolverStats{
-		Solves:          s.solves.Load(),
-		PlanHits:        s.planHits.Load(),
-		PlanMisses:      s.planMisses.Load(),
-		SolveHits:       s.solveHits.Load(),
-		SolveMisses:     s.solveMisses.Load(),
-		SolveCoalesced:  s.solveCoalesced.Load(),
-		TierHits:        s.tierHits.Load(),
-		SolveEntries:    s.solveCache.len(),
-		SolveCapacity:   int(s.solveCache.limit.Load()),
-		PlanEntries:     s.planMemo.len(),
-		PlanCapacity:    int(s.planMemo.limit.Load()),
-		CacheShards:     len(s.solveCache.shards),
-		PlanContention:  s.planMemo.contended.Load(),
-		SolveContention: s.solveCache.contended.Load(),
+		Solves:           s.solves.Load(),
+		PlanHits:         s.planHits.Load(),
+		PlanMisses:       s.planMisses.Load(),
+		SolveHits:        s.solveHits.Load(),
+		SolveMisses:      s.solveMisses.Load(),
+		SolveCoalesced:   s.solveCoalesced.Load(),
+		SolveRepeats:     s.solveRepeats.Load(),
+		RepeatIndexBytes: indexed,
+		TierHits:         s.tierHits.Load(),
+		SolveEntries:     s.solveCache.len(),
+		SolveCapacity:    int(s.solveCache.limit.Load()),
+		PlanEntries:      s.planMemo.len(),
+		PlanCapacity:     int(s.planMemo.limit.Load()),
+		CacheShards:      len(s.solveCache.shards),
+		PlanContention:   s.planMemo.contended.Load(),
+		SolveContention:  s.solveCache.contended.Load(),
 	}
 }
 
@@ -366,25 +392,20 @@ func normalizeOptions(opt Options) Options {
 	return opt
 }
 
-// plan returns the memoized base (HEFT) entry for the workflow.
-func (s *Solver) plan(ctx context.Context, wf *DAG) (*planEntry, bool, error) {
-	return s.planFor(ctx, wf, greenheft.EFT, nil)
-}
+var errNilWorkflow = errors.New("cawosched: Plan: nil workflow")
 
 // planFor returns the memoized entry for (workflow, mapping policy),
-// building it if needed. zones is consulted only by zone-aware policies:
-// it enters the key as the zone-set digest (with a structural collision
-// guard), because those policies map differently under different per-zone
-// forecasts.
-func (s *Solver) planFor(ctx context.Context, wf *DAG, pol greenheft.Policy, zones *ZoneSet) (*planEntry, bool, error) {
-	if wf == nil {
-		return nil, false, fmt.Errorf("cawosched: Plan: nil workflow")
-	}
+// building it if needed. fp is wf's fingerprint: a request computes it
+// once and hands it to every plan it looks up and to its solve key. zones
+// is consulted only by zone-aware policies: it enters the key as the
+// zone-set digest (with a structural collision guard), because those
+// policies map differently under different per-zone forecasts.
+func (s *Solver) planFor(ctx context.Context, wf *DAG, fp uint64, pol greenheft.Policy, zones *ZoneSet) (*planEntry, bool, error) {
 	if err := scherr.Canceled(ctx.Err()); err != nil {
 		return nil, false, err
 	}
 	var pz *ZoneSet
-	key := planKey{fp: wf.Fingerprint(), policy: pol}
+	key := planKey{fp: fp, policy: pol}
 	if pol.ZoneAware() {
 		if zones == nil {
 			return nil, false, fmt.Errorf("cawosched: mapping policy %s needs a per-zone supply: %w", pol, ErrInvalidRequest)
@@ -416,7 +437,10 @@ func (s *Solver) planFor(ctx context.Context, wf *DAG, pol greenheft.Policy, zon
 // against collisions). Concurrent calls with the same workflow share one
 // construction; repeated calls are cache hits.
 func (s *Solver) Plan(ctx context.Context, wf *DAG) (*Instance, bool, error) {
-	e, hit, err := s.plan(ctx, wf)
+	if wf == nil {
+		return nil, false, errNilWorkflow
+	}
+	e, hit, err := s.planFor(ctx, wf, wf.Fingerprint(), greenheft.EFT, nil)
 	if err != nil {
 		return nil, hit, err
 	}
@@ -541,6 +565,14 @@ func resolveOptions(req Request) (Options, string, error) {
 func (s *Solver) Solve(ctx context.Context, req Request) (*Response, error) {
 	ctx, sp := obs.Start(ctx, "solve")
 	resp, err := s.doSolve(ctx, req)
+	finishSolve(ctx, sp, req.Variant, resp, err)
+	return resp, err
+}
+
+// finishSolve closes a solve's instrumentation envelope: the attributes of
+// its span and its count in schedd_solves_total. variant is the request's
+// spelling, the label of a solve that failed before resolving it.
+func finishSolve(ctx context.Context, sp *obs.Span, variant string, resp *Response, err error) {
 	if sp != nil {
 		if resp != nil {
 			sp.SetAttr("variant", resp.Variant)
@@ -558,7 +590,7 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Response, error) {
 		sp.End()
 	}
 	if m := obs.MeterFrom(ctx); m != nil {
-		variant, mapping, outcome := req.Variant, "", "ok"
+		mapping, outcome := "", "ok"
 		switch {
 		case err != nil:
 			outcome = "error"
@@ -573,7 +605,6 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Response, error) {
 		m.Counter("schedd_solves_total", "completed solves by variant, mapping, and outcome",
 			"variant", "mapping", "outcome").With(variant, mapping, outcome).Inc()
 	}
-	return resp, err
 }
 
 // solveJob is one request on its way through doSolve: what it resolved
@@ -591,6 +622,9 @@ type solveJob struct {
 	asap    *Schedule
 	D       int64
 	planHit bool
+
+	fp     uint64    // the workflow's fingerprint, computed once
+	origin residency // the base plan and the solve entry, where the caches answered
 
 	zones   *ZoneSet
 	timings []obs.StageTiming
@@ -630,10 +664,16 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 	if inst := req.Instance; inst != nil {
 		job.inst, job.asap = inst, ASAP(inst)
 		job.D = Makespan(inst, job.asap)
+	} else if wf := req.Workflow; wf == nil {
+		err = errNilWorkflow
 	} else {
 		var e *planEntry
-		if e, job.planHit, err = s.plan(pctx, req.Workflow); err == nil {
+		job.fp = wf.Fingerprint()
+		if e, job.planHit, err = s.planFor(pctx, wf, job.fp, greenheft.EFT, nil); err == nil {
 			job.inst, job.asap, job.D = e.inst, e.asap, e.d
+			if job.planHit {
+				job.origin.planKey, job.origin.plan = planKey{fp: job.fp, policy: greenheft.EFT}, e
+			}
 		}
 	}
 	if err == nil && st.Span != nil {
@@ -670,6 +710,7 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 	// level, or another request's flight — these fields are this request's
 	// own: its plan-memo outcome, its supply view, its wall clock.
 	resp.PlanHit = job.planHit
+	resp.origin = job.origin
 	resp.Zones = job.zones
 	if job.zones.Single() {
 		resp.Profile = job.zones.Profile(0)
@@ -687,7 +728,7 @@ func (s *Solver) solveCached(ctx context.Context, job *solveJob) (*Response, err
 	wf, zones := job.req.Workflow, job.zones
 	_, st := obs.BeginStage(ctx, obs.StageCache) // keying is the larger part of a consult
 	key := solveKey{
-		fp:        wf.Fingerprint(),
+		fp:        job.fp,
 		digest:    zones.Digest(),
 		deadline:  zones.T(),
 		opt:       normalizeOptions(job.opt),
@@ -697,11 +738,12 @@ func (s *Solver) solveCached(ctx context.Context, job *solveJob) (*Response, err
 	if !job.req.MapSearch {
 		key.policy = job.req.MappingPolicy
 	}
-	resp, hit := s.solveCacheGet(key, wf, zones)
-	st.Span.SetAttr("hit", hit)
+	resp, e := s.solveCacheGet(key, wf, zones)
+	st.Span.SetAttr("hit", e != nil)
 	st.End(&job.timings)
-	if hit {
+	if e != nil {
 		s.solveHits.Add(1)
+		job.origin.solveKey, job.origin.solve = key, e
 		return resp, nil
 	}
 
@@ -807,7 +849,7 @@ func (s *Solver) compute(ctx context.Context, job *solveJob) (*Response, error) 
 	pol := job.req.MappingPolicy
 	if pol != MapEFT {
 		mctx, st := obs.BeginStage(ctx, obs.StageMap)
-		e, hit, err := s.planFor(mctx, job.req.Workflow, pol, job.zones)
+		e, hit, err := s.planFor(mctx, job.req.Workflow, job.fp, pol, job.zones)
 		if st.Span != nil {
 			st.Span.SetAttr("policy", pol.String())
 			st.Span.SetAttr("hit", hit)
@@ -855,7 +897,7 @@ func (s *Solver) mapSearch(ctx context.Context, job *solveJob) (*Response, error
 	res, err := greenheft.Search(ctx, zones,
 		greenheft.MapSolveOptions{Sched: opt, Marginal: req.Marginal, Workers: opt.SearchWorkers},
 		func(ctx context.Context, pol greenheft.Policy) (*Instance, int64, error) {
-			e, _, err := s.planFor(ctx, req.Workflow, pol, zones)
+			e, _, err := s.planFor(ctx, req.Workflow, job.fp, pol, zones)
 			if err != nil {
 				return nil, 0, err
 			}

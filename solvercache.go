@@ -1,20 +1,24 @@
 package cawosched
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/dag"
 	"repro/internal/greenheft"
+	"repro/internal/obs"
 )
 
 // This file is the solver's caching/concurrency layer: the one bounded
-// store (lru) and its sharded wrapper behind the plan memo and the
-// solve-response cache, and the singleflight table that coalesces
-// concurrent identical solves. solver.go owns the scheduling pipeline;
-// everything about how its results are stored, shared, and found again
-// lives here.
+// store (lru) and its sharded wrapper behind the plan memo, the
+// solve-response cache and the body index in front of them, and the
+// singleflight table that coalesces concurrent identical solves.
+// solver.go owns the scheduling pipeline; everything about how its
+// results are stored, shared, and found again lives here.
 //
 // Sharding is pure mechanism: responses, hit/miss counters, and entry
 // accounting are identical at every shard count; the only observable
@@ -175,6 +179,14 @@ func (c *lru[K, V]) get(k K) (v V, ok bool) {
 	return n.val, true
 }
 
+// peek returns the value under k and leaves the recency order alone.
+func (c *lru[K, V]) peek(k K) (v V, ok bool) {
+	if n, ok := c.items[k]; ok {
+		return n.val, true
+	}
+	return v, false
+}
+
 // put stores v under k as the most recently used entry, replacing a
 // previous value or else evicting to make room. A store with no capacity
 // keeps nothing.
@@ -257,6 +269,25 @@ func (c *sharded[K, V]) lockShard(i int) *shard[K, V] {
 	return sh
 }
 
+// get, peek and put are the lru's, on the key's shard under its lock.
+func (c *sharded[K, V]) get(k K) (V, bool) {
+	sh := c.lock(k)
+	defer sh.mu.Unlock()
+	return sh.lru.get(k)
+}
+
+func (c *sharded[K, V]) peek(k K) (V, bool) {
+	sh := c.lock(k)
+	defer sh.mu.Unlock()
+	return sh.lru.peek(k)
+}
+
+func (c *sharded[K, V]) put(k K, v V) {
+	sh := c.lock(k)
+	defer sh.mu.Unlock()
+	sh.lru.put(k, v)
+}
+
 // setLimit bounds the store to n entries in total, evicting from every
 // shard that now holds more than its share; shards that no longer receive
 // keys are emptied. n <= 0 disables and clears the store.
@@ -296,6 +327,17 @@ func (c *sharded[K, V]) len() int {
 		sh.mu.Unlock()
 	}
 	return n
+}
+
+// each calls f on every stored value, one shard at a time under its lock.
+func (c *sharded[K, V]) each(f func(V)) {
+	for i := range c.shards {
+		sh := c.lockShard(i)
+		for n := sh.head.next; n != &sh.head; n = n.next {
+			f(n.val)
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // ---- plan memo and solve-response cache ---------------------------------
@@ -348,35 +390,181 @@ func (r *Response) checkout() *Response {
 // solveCacheGet returns a cached response for the key, guarded against
 // fingerprint/digest collisions by structural comparison with the
 // request's actual workflow and zone set.
-func (s *Solver) solveCacheGet(key solveKey, wf *DAG, zones *ZoneSet) (*Response, bool) {
-	sh := s.solveCache.lock(key)
-	e, ok := sh.get(key)
-	sh.mu.Unlock()
+func (s *Solver) solveCacheGet(key solveKey, wf *DAG, zones *ZoneSet) (*Response, *solveEntry) {
+	e, ok := s.solveCache.get(key)
 	if !ok || !e.wf.Equal(wf) || !e.zones.EqualZoneSet(zones) {
-		return nil, false
+		return nil, nil
 	}
 	resp := e.resp.checkout()
 	resp.CacheHit = true
-	return resp, true
+	return resp, e
 }
 
 // solveCachePut stores a shared response under the key; on a collision
 // the freshest wins.
 func (s *Solver) solveCachePut(key solveKey, wf *DAG, zones *ZoneSet, shared *Response) {
-	e := &solveEntry{wf: wf, zones: zones.Clone(), resp: shared}
-	sh := s.solveCache.lock(key)
-	sh.put(key, e)
-	sh.mu.Unlock()
+	s.solveCache.put(key, &solveEntry{wf: wf, zones: zones.Clone(), resp: shared})
 }
 
 // SetSolveCacheLimit bounds the solve-response cache to at most n entries
 // in total (distributed across the shards), evicting least-recently-used
 // responses if it currently holds more. n <= 0 disables and clears the
-// cache. The default limit is 4096.
-func (s *Solver) SetSolveCacheLimit(n int) { s.solveCache.setLimit(n) }
+// cache. The default limit is 4096. The body index (see Recall) holds at
+// most as many bodies, and is disabled with the cache.
+func (s *Solver) SetSolveCacheLimit(n int) {
+	s.solveCache.setLimit(n)
+	s.repeats.setLimit(n)
+}
 
-// ResetSolveCache drops every cached response. Counters are unaffected.
-func (s *Solver) ResetSolveCache() { s.solveCache.reset() }
+// ResetSolveCache drops every cached response and every remembered body.
+// Counters are unaffected.
+func (s *Solver) ResetSolveCache() {
+	s.solveCache.reset()
+	s.repeats.reset()
+}
+
+// ---- the body index: byte-identical repeats -----------------------------
+
+// A front-end that receives requests as bytes pays to decode them, and
+// pays again to encode an answer the caches hold. The body index lets it
+// skip both for a request it has answered before: it maps the raw body to
+// the answer as sent, and to the two cache entries that answer came from.
+// The stored answer is served only while those two are still the resident
+// entries under their keys — whatever evicted, reset or overwrote either
+// one also, by that check, retired every body that was answered from it.
+
+// residency names the entries that answered one request from the caches:
+// the base plan in the memo and the response in the solve cache. A zero
+// pointer means that cache did not answer.
+type residency struct {
+	planKey  planKey
+	plan     *planEntry
+	solveKey solveKey
+	solve    *solveEntry
+}
+
+// resident reports whether both entries are still the ones stored under
+// their keys, without touching either cache's recency order.
+func (s *Solver) resident(o *residency) bool {
+	if pe, _ := s.planMemo.peek(o.planKey); pe != o.plan {
+		return false
+	}
+	se, _ := s.solveCache.peek(o.solveKey)
+	return se == o.solve
+}
+
+// Answer is what a front-end stores beside a request body: the bytes it
+// answered with, and what its own accounting needs to count that answer
+// again. The solver never reads or writes either.
+type Answer struct {
+	Body   []byte       // as sent, up to whatever the front-end renders per request
+	Carbon []ZoneCarbon // the schedule's energy by zone
+}
+
+// ZoneCarbon is one zone's green and brown energy under a schedule.
+type ZoneCarbon struct {
+	Zone         string
+	Green, Brown int64
+}
+
+// repeatKey is a body's length and 64-bit hash. It only finds the entry:
+// a recall compares the bytes.
+type repeatKey struct {
+	n    int
+	hash uint64
+}
+
+func (k repeatKey) sum() uint64 { return k.hash }
+
+// repeatEntry is one remembered body, immutable once stored.
+type repeatEntry struct {
+	body   []byte
+	from   residency
+	answer *Answer
+}
+
+func (s *Solver) repeatKeyOf(body []byte) repeatKey {
+	if s.testBodyHash != nil {
+		return repeatKey{n: len(body), hash: s.testBodyHash(body)}
+	}
+	return repeatKey{n: len(body), hash: maphash.Bytes(s.bodySeed, body)}
+}
+
+// Recall answers a request from its raw bytes: if this exact body was
+// Remembered and the cache entries that answered it then are still
+// resident, it returns the stored answer and the timings of the stages it
+// ran; otherwise nil, and the caller decodes the body and calls Solve as
+// if Recall had not been called: nothing was counted, and nothing traced
+// unless an entry was evicted in the instant between the residency check
+// and the consults.
+//
+// A recall is a Solve that hit the plan memo and the solve cache, told
+// apart only by its speed: it consults both caches in Solve's order, so
+// their recency orders move alike, advances the same counters, and runs
+// under the same "solve" span and schedd_solves_total count. Its stages
+// are the two consults, plan and cache; it builds no supply.
+func (s *Solver) Recall(ctx context.Context, body []byte) (*Answer, []obs.StageTiming) {
+	if s.repeats.limit.Load() == 0 {
+		return nil, nil
+	}
+	e, ok := s.repeats.get(s.repeatKeyOf(body))
+	if !ok || !bytes.Equal(e.body, body) || ctx.Err() != nil || !s.resident(&e.from) {
+		return nil, nil
+	}
+
+	ctx, sp := obs.Start(ctx, "solve")
+	timings := make([]obs.StageTiming, 0, 2)
+	_, st := obs.BeginStage(ctx, obs.StagePlan)
+	pe, _ := s.planMemo.get(e.from.planKey)
+	if st.Span != nil {
+		st.Span.SetAttr("hit", pe == e.from.plan)
+		st.Span.SetAttr("tasks", e.from.plan.inst.N())
+	}
+	st.End(&timings)
+
+	_, st = obs.BeginStage(ctx, obs.StageCache)
+	se, _ := s.solveCache.get(e.from.solveKey)
+	still := pe == e.from.plan && se == e.from.solve
+	if st.Span != nil {
+		st.Span.SetAttr("hit", still)
+		st.Span.SetAttr("repeat", true)
+	}
+	st.End(&timings)
+
+	if !still {
+		// An entry left between the check and the consult. Solve answers;
+		// this request's trace keeps the abandoned attempt.
+		sp.SetAttr("abandoned", true)
+		sp.End()
+		return nil, nil
+	}
+	s.solves.Add(1)
+	s.planHits.Add(1)
+	s.solveHits.Add(1)
+	s.solveRepeats.Add(1)
+	hit := *e.from.solve.resp
+	hit.CacheHit, hit.PlanHit = true, true
+	finishSolve(ctx, sp, hit.Variant, &hit, nil)
+	return e.answer, timings
+}
+
+// Repeatable reports whether Remember would keep an answer rendered from
+// this response, so that a front-end copies its bytes only then.
+func (r *Response) Repeatable() bool { return r.origin.plan != nil && r.origin.solve != nil }
+
+// Remember records that the front-end answered body with answer, the
+// rendering of resp. It keeps a copy of body and takes ownership of
+// answer. Only an answer that both caches served is kept (resp.CacheHit
+// and resp.PlanHit, not coalesced, not from the tier): that makes it the
+// second sighting of the request at the earliest, so a body seen once
+// costs the index nothing, and it is what names the two entries whose
+// residency a recall checks.
+func (s *Solver) Remember(body []byte, resp *Response, answer *Answer) {
+	if !resp.Repeatable() {
+		return
+	}
+	s.repeats.put(s.repeatKeyOf(body), &repeatEntry{body: bytes.Clone(body), from: resp.origin, answer: answer})
+}
 
 // ---- singleflight coalescing --------------------------------------------
 
