@@ -10,6 +10,7 @@ import (
 	cawosched "repro"
 	"repro/internal/core"
 	"repro/internal/dp"
+	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/rng"
 )
@@ -58,14 +59,41 @@ func localSearchInput(b *testing.B, n int) (*cawosched.Instance, *cawosched.Prof
 // BenchmarkLocalSearch measures the interval-jumping hill climber
 // (schedule.FirstImprovingMove); BenchmarkLocalSearchUnitStep is the
 // original O(µ) scan it replaced. Both accept identical moves, so the
-// ns/op ratio is the pure candidate-enumeration speedup.
+// ns/op ratio of the 500-task case is the pure candidate-enumeration
+// speedup. The 1000-task, 3-zone case is the shape of the repo benchmark's
+// solve_cold_1k; scans/op are the task visits (Stats.LSScans) and evals/op
+// the visits that had to run FirstImprovingMove, the rest being answered
+// by "nothing a move touched since the last evaluation".
 func BenchmarkLocalSearch(b *testing.B) {
-	inst, prof, s := localSearchInput(b, 500)
-	zs := power.SingleZone(prof)
+	b.Run("500x1zone", func(b *testing.B) {
+		inst, prof, s := localSearchInput(b, 500)
+		benchLocalSearch(b, inst, power.SingleZone(prof), s)
+	})
+	b.Run("1000x3zones", func(b *testing.B) {
+		inst, zs := benchZonedInstance(b, 1000, 3)
+		s, _, err := core.Run(context.Background(), inst, zs, core.Options{Score: core.ScorePressureW, Refined: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchLocalSearch(b, inst, zs, s)
+	})
+}
+
+func benchLocalSearch(b *testing.B, inst *cawosched.Instance, zs *cawosched.ZoneSet, s *cawosched.Schedule) {
+	tr := obs.NewTracer(1)
+	var st core.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.LocalSearch(context.Background(), inst, zs, s.Clone(), core.DefaultMu, 1, nil)
+		ctx, sp := obs.Start(obs.WithTracer(context.Background(), tr), "local-search")
+		st = core.Stats{}
+		if err := core.LocalSearch(ctx, inst, zs, s.Clone(), core.DefaultMu, 1, &st); err != nil {
+			b.Fatal(err)
+		}
+		sp.End()
 	}
+	// The search is deterministic: every iteration counts the same.
+	b.ReportMetric(float64(st.LSScans), "scans/op")
+	b.ReportMetric(float64(tr.Snapshot()[0].Root.Attrs["evals"].(int)), "evals/op")
 }
 
 func BenchmarkLocalSearchUnitStep(b *testing.B) {

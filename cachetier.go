@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/greenheft"
+	"repro/internal/obs"
 	"repro/internal/schedule"
 )
 
@@ -133,24 +134,33 @@ func (s *Solver) tierPut(ctx context.Context, key solveKey, resp *Response) {
 // the memo makes cheap, and it revalidates the workflow), the schedule is
 // validated against the instance and horizon, and both carbon costs are
 // recomputed from it — a record is only ever trusted for its start times.
-// Any failure — miss, decode error, key mismatch, validation failure, a
-// price that disagrees with the schedule — is a plain miss (nil): the
-// caller falls through to a real solve.
+// Any failure is a plain miss (nil) and the caller falls through to a real
+// solve; a record that was fetched and then refused is counted by cause in
+// schedd_cache_tier_rejects_total{reason}: decode (not a record), key (a
+// digest collision across processes), mapping (unknown policy name), plan
+// (the workflow would not plan under that policy), shape (wrong number of
+// start times), invalid (infeasible schedule), price (a version-skewed or
+// buggy peer: feasible schedule, wrong cost).
 func (s *Solver) tierGet(ctx context.Context, key solveKey, job *solveJob) *Response {
 	data, ok := s.tier.Get(ctx, tierKey(key))
 	if !ok {
 		return nil
 	}
-	var rec tierRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
+	reject := func(reason string) *Response {
+		obs.MeterFrom(ctx).Counter("schedd_cache_tier_rejects_total",
+			"cache-tier records fetched and then refused, by reason", "reason").With(reason).Inc()
 		return nil
 	}
+	var rec tierRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return reject("decode")
+	}
 	if rec.recordKey() != key {
-		return nil // digest collision across processes
+		return reject("key")
 	}
 	pol, err := greenheft.ParsePolicy(rec.Mapping)
 	if err != nil {
-		return nil
+		return reject("mapping")
 	}
 	var pz *ZoneSet
 	if pol.ZoneAware() {
@@ -158,19 +168,19 @@ func (s *Solver) tierGet(ctx context.Context, key solveKey, job *solveJob) *Resp
 	}
 	e, _, err := s.planFor(ctx, job.req.Workflow, job.fp, pol, pz)
 	if err != nil {
-		return nil
+		return reject("plan")
 	}
 	sched := &Schedule{Start: append([]int64(nil), rec.Start...)}
 	if len(sched.Start) != len(e.asap.Start) {
-		return nil
+		return reject("shape")
 	}
 	if err := schedule.Validate(e.inst, sched, key.deadline); err != nil {
-		return nil
+		return reject("invalid")
 	}
 	cost := schedule.CarbonCost(e.inst, sched, job.zones)
 	asapCost := schedule.CarbonCost(e.inst, e.asap, job.zones)
 	if rec.Cost != cost || rec.Stats.Cost != cost || rec.ASAPCost != asapCost {
-		return nil // a version-skewed or buggy peer: feasible schedule, wrong price
+		return reject("price")
 	}
 	return &Response{
 		Schedule: sched,

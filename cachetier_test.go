@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	cawosched "repro"
+	"repro/internal/obs"
 )
 
 // TestMemoryTier pins the reference tier implementation: bounded LRU of
@@ -196,61 +197,76 @@ func TestSolverCacheTierGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier := cawosched.NewMemoryTier(0)
-	a := cawosched.NewSolver(cawosched.SmallCluster(29), cawosched.WithCacheTier(tier))
 	req := cawosched.Request{Workflow: wf, Variant: "press", Scenario: cawosched.S1, Seed: 29}
-	if _, err := a.Solve(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	if tier.Len() != 1 {
-		t.Fatalf("tier holds %d records, want 1", tier.Len())
-	}
-	// Overwrite every record with garbage; a fresh solver must fall back
-	// to a real solve without error.
-	for _, key := range tier.Keys() {
-		tier.Put(context.Background(), key, []byte("{not json"))
-	}
-	b := cawosched.NewSolver(cawosched.SmallCluster(29), cawosched.WithCacheTier(tier))
-	res, err := b.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHit {
-		t.Error("garbage record served as a hit")
-	}
-	if st := b.Stats(); st.TierHits != 0 {
-		t.Errorf("stats = %+v, want 0 tier hits", st)
-	}
+	var first *cawosched.Response
 
-	// A well-formed record with a valid schedule and a wrong price (a
-	// version-skewed or buggy peer) is a miss too: the cost is recomputed
-	// from the schedule, never taken from the wire.
-	honest := cawosched.NewMemoryTier(0)
-	c0 := cawosched.NewSolver(cawosched.SmallCluster(29), cawosched.WithCacheTier(honest))
-	first, err := c0.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	// Every way a stored record can be wrong is a miss re-solved to the
+	// honest answer — a record is trusted for nothing but its start times,
+	// and those only once validated — and is counted under its own reason.
+	// (The seventh reason, "plan", needs a workflow that plans under the
+	// request's policy and not under the record's; no tampering makes one.)
+	set := func(field, value string) func(map[string]json.RawMessage) {
+		return func(rec map[string]json.RawMessage) { rec[field] = json.RawMessage(value) }
 	}
-	for _, key := range honest.Keys() {
-		data, _ := honest.Get(context.Background(), key)
-		var rec map[string]json.RawMessage // raw: the 64-bit key fields must survive
-		if err := json.Unmarshal(data, &rec); err != nil {
+	for _, tc := range []struct {
+		reason string
+		tamper func(rec map[string]json.RawMessage) // nil: not JSON at all
+	}{
+		{"decode", nil},
+		{"key", set("deadline", "1")},
+		{"mapping", set("mapping", `"bogus"`)},
+		{"shape", set("start", "[0]")},
+		{"invalid", func(rec map[string]json.RawMessage) {
+			var start []int64
+			if err := json.Unmarshal(rec["start"], &start); err != nil {
+				t.Fatal(err)
+			}
+			for i := range start {
+				start[i] = 0 // every task at once: precedence and processor order both break
+			}
+			rec["start"], _ = json.Marshal(start)
+		}},
+		{"price", func(rec map[string]json.RawMessage) {
+			rec["cost"] = json.RawMessage(strconv.FormatInt(first.Cost+1, 10))
+		}},
+	} {
+		tier := cawosched.NewMemoryTier(0)
+		honest := cawosched.NewSolver(cawosched.SmallCluster(29), cawosched.WithCacheTier(tier))
+		if first, err = honest.Solve(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
-		rec["cost"] = json.RawMessage(strconv.FormatInt(first.Cost+1, 10))
-		if data, err = json.Marshal(rec); err != nil {
-			t.Fatal(err)
+		if tier.Len() != 1 {
+			t.Fatalf("tier holds %d records, want 1", tier.Len())
 		}
-		honest.Put(context.Background(), key, data)
-	}
-	c1 := cawosched.NewSolver(cawosched.SmallCluster(29), cawosched.WithCacheTier(honest))
-	res, err = c1.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := c1.Stats(); res.CacheHit || st.TierHits != 0 || res.Cost != first.Cost {
-		t.Errorf("tampered price: hit=%v tier hits=%d cost=%d, want a miss re-solved to cost %d",
-			res.CacheHit, st.TierHits, res.Cost, first.Cost)
+		for _, key := range tier.Keys() {
+			data := []byte("{not json")
+			if tc.tamper != nil {
+				data, _ = tier.Get(context.Background(), key)
+				var rec map[string]json.RawMessage // raw: the 64-bit key fields must survive
+				if err := json.Unmarshal(data, &rec); err != nil {
+					t.Fatal(err)
+				}
+				tc.tamper(rec)
+				if data, err = json.Marshal(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tier.Put(context.Background(), key, data)
+		}
+		reg := obs.NewRegistry()
+		fresh := cawosched.NewSolver(cawosched.SmallCluster(29), cawosched.WithCacheTier(tier))
+		res, err := fresh.Solve(obs.WithMeter(context.Background(), reg), req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.reason, err)
+		}
+		if st := fresh.Stats(); res.CacheHit || st.TierHits != 0 || res.Cost != first.Cost {
+			t.Errorf("%s: hit=%v tier hits=%d cost=%d, want a miss re-solved to cost %d",
+				tc.reason, res.CacheHit, st.TierHits, res.Cost, first.Cost)
+		}
+		want := `schedd_cache_tier_rejects_total{reason="` + tc.reason + `"} 1`
+		if text := reg.RenderText(); !strings.Contains(text, want) || strings.Count(text, "schedd_cache_tier_rejects_total{") != 1 {
+			t.Errorf("%s: metrics lack %q or count another reason:\n%s", tc.reason, want, text)
+		}
 	}
 
 	// Errors are never written to the tier.

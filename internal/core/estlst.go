@@ -62,6 +62,7 @@ type windows struct {
 	est   []int64
 	lst   []int64
 	fixed []bool
+	queue []int // Fix's worklist, reused across calls
 }
 
 // newWindows initializes the windows for deadline T. It returns an error if
@@ -96,10 +97,9 @@ func (w *windows) Fix(v int, start int64) {
 
 	// Forward propagation: ESTs of descendants may increase.
 	g := w.inst.G
-	queue := []int{v}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue := append(w.queue[:0], v)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, ei := range g.OutEdges(u) {
 			t := g.Edges[ei].To
 			if w.fixed[t] {
@@ -113,9 +113,8 @@ func (w *windows) Fix(v int, start int64) {
 	}
 	// Backward propagation: LSTs of ancestors may decrease.
 	queue = append(queue[:0], v)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, ei := range g.InEdges(u) {
 			s := g.Edges[ei].From
 			if w.fixed[s] {
@@ -127,6 +126,7 @@ func (w *windows) Fix(v int, start int64) {
 			}
 		}
 	}
+	w.queue = queue
 }
 
 // Slack returns s(v) = LST(v) − EST(v) under the current windows.

@@ -2,15 +2,17 @@ package core
 
 import (
 	"context"
-
+	"errors"
 	"testing"
 
 	"repro/internal/ceg"
 	"repro/internal/heft"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/power"
 	"repro/internal/rng"
 	"repro/internal/schedule"
+	"repro/internal/scherr"
 	"repro/internal/wfgen"
 )
 
@@ -46,39 +48,78 @@ func equivInstance(t *testing.T, fam wfgen.Family, n int, seed uint64, factor fl
 }
 
 // TestLocalSearchMatchesUnitStep is the equivalence property of the
-// interval-jumping rewrite: on seeded instances the accelerated scan must
-// accept exactly the moves of the unit-step scan, producing identical
-// start times (and therefore identical cost).
+// interval-jumping rewrite and of the cross-round skip (lsSettled): the
+// accelerated scan must accept exactly the moves of the unit-step scan,
+// which evaluates every task on every visit, and so produce identical
+// start times and identical counters, sequentially and through the worker
+// pool. The zoned cases are large enough to run many rounds; evals < scans
+// there proves the skip was exercised rather than never taken.
 func TestLocalSearchMatchesUnitStep(t *testing.T) {
+	ctx := context.Background()
 	fams := wfgen.Families()
 	for seed := uint64(1); seed <= 6; seed++ {
+		fam := fams[int(seed)%len(fams)]
+		inst, prof := equivInstance(t, fam, 45, seed, 2, power.Scenarios()[int(seed)%4])
+		zs := power.SingleZone(prof)
+		base, _, err := Run(ctx, inst, zs, Options{Score: ScorePressureW, Refined: true})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, mu := range []int64{3, 10, 30} {
-			fam := fams[int(seed)%len(fams)]
-			inst, prof := equivInstance(t, fam, 45, seed, 2, power.Scenarios()[int(seed)%4])
-			s, _, err := Run(context.Background(), inst, power.SingleZone(prof), Options{Score: ScorePressureW, Refined: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			jump := s.Clone()
-			step := s.Clone()
-			var jumpStats, stepStats Stats
-			LocalSearch(context.Background(), inst, power.SingleZone(prof), jump, mu, 1, &jumpStats)
-			LocalSearchUnitStep(context.Background(), inst, power.SingleZone(prof), step, mu, &stepStats)
-			for v := range jump.Start {
-				if jump.Start[v] != step.Start[v] {
-					t.Fatalf("seed %d mu %d: task %d start %d (jump) != %d (unit step)",
-						seed, mu, v, jump.Start[v], step.Start[v])
+			checkMatchesUnitStep(t, inst, zs, base, mu, 1)
+		}
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		inst, zs := zonedCoreInstance(t, 300, seed, 3)
+		base, err := Greedy(ctx, inst, zs, Options{Score: ScorePressureW, Refined: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mu := range []int64{3, 10, 30} {
+			for _, workers := range []int{1, 2, 4} {
+				scans, evals := checkMatchesUnitStep(t, inst, zs, base, mu, workers)
+				if evals >= scans {
+					t.Errorf("seed %d mu %d workers %d: %d evaluations for %d scans: no visit was skipped",
+						seed, mu, workers, evals, scans)
 				}
-			}
-			if jumpStats.LSMoves != stepStats.LSMoves || jumpStats.LSGain != stepStats.LSGain {
-				t.Errorf("seed %d mu %d: stats diverge: jump %d moves/%d gain, step %d moves/%d gain",
-					seed, mu, jumpStats.LSMoves, jumpStats.LSGain, stepStats.LSMoves, stepStats.LSGain)
-			}
-			if err := schedule.Validate(inst, jump, prof.T()); err != nil {
-				t.Fatal(err)
 			}
 		}
 	}
+}
+
+// checkMatchesUnitStep runs LocalSearch and LocalSearchUnitStep from the
+// same schedule and fails on any difference in a start time or a counter.
+// It returns LocalSearch's scans and the evaluations its span reports.
+func checkMatchesUnitStep(t *testing.T, inst *ceg.Instance, zs *power.ZoneSet, base *schedule.Schedule, mu int64, workers int) (scans, evals int) {
+	t.Helper()
+	tr := obs.NewTracer(1)
+	ctx, sp := obs.Start(obs.WithTracer(context.Background(), tr), "local-search")
+	jump, step := base.Clone(), base.Clone()
+	var jumpStats, stepStats Stats
+	if err := LocalSearch(ctx, inst, zs, jump, mu, workers, &jumpStats); err != nil {
+		t.Fatal(err)
+	}
+	sp.End()
+	if err := LocalSearchUnitStep(context.Background(), inst, zs, step, mu, &stepStats); err != nil {
+		t.Fatal(err)
+	}
+	for v := range jump.Start {
+		if jump.Start[v] != step.Start[v] {
+			t.Fatalf("mu %d workers %d: task %d start %d != %d (unit step)",
+				mu, workers, v, jump.Start[v], step.Start[v])
+		}
+	}
+	if jumpStats != stepStats {
+		t.Errorf("mu %d workers %d: stats %+v != unit step %+v", mu, workers, jumpStats, stepStats)
+	}
+	if err := schedule.Validate(inst, jump, zs.T()); err != nil {
+		t.Fatal(err)
+	}
+	evals, ok := tr.Snapshot()[0].Root.Attrs["evals"].(int)
+	if !ok {
+		t.Fatalf("local-search span carries no evals: %v", tr.Snapshot()[0].Root.Attrs)
+	}
+	return jumpStats.LSScans, evals
 }
 
 // TestLocalSearchNeverWorseThanUnitStep is the weaker ≤ property on larger
@@ -127,5 +168,113 @@ func TestLocalSearchNeverWorseThanUnitStep(t *testing.T) {
 		if jumpCost > greedyCost {
 			t.Errorf("seed %d: local search worsened cost %d > %d", seed, jumpCost, greedyCost)
 		}
+	}
+}
+
+// TestLSSettledSkipIsExact checks the invalidation rule at every visit
+// rather than through the final schedule: it replays the sequential scan
+// evaluating every task, and a task lsSettled would have skipped must
+// evaluate to "no move". One-unit buckets test the rule as stated (DAG
+// neighbours and overlapping windows); the production width tests the
+// outward rounding.
+func TestLSSettledSkipIsExact(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		inst, zs := zonedCoreInstance(t, 150, seed, 3)
+		base, err := Greedy(context.Background(), inst, zs, Options{Score: ScoreSlack}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mu := range []int64{3, 10, 30} {
+			for _, shift := range []uint{0, lsBucketShift} {
+				checkSkipIsExact(t, inst, zs, base.Clone(), mu, shift)
+			}
+		}
+	}
+}
+
+func checkSkipIsExact(t *testing.T, inst *ceg.Instance, zs *power.ZoneSet, s *schedule.Schedule, mu int64, shift uint) {
+	T := zs.T()
+	tls := schedule.NewZoneTimelines(inst, s, zs)
+	d := newLSSettled(inst, zs)
+	d.shift = shift
+	for z := range d.stamp {
+		d.stamp[z] = make([]int, T>>shift+1)
+	}
+	skips := 0
+	for improved := true; improved; {
+		improved = false
+		for _, v := range scanOrder(inst) {
+			dur, cur := inst.Dur[v], s.Start[v]
+			lo, hi := moveWindow(inst, s, v, T, mu)
+			_, work := inst.ProcPower(v)
+			cand, _, ok := tls.For(v).FirstImprovingMove(cur, lo, hi, dur, work)
+			switch {
+			case d.skip(v):
+				skips++
+				if ok {
+					t.Fatalf("mu %d shift %d: task %d would be skipped after commit %d, but moving %d → %d improves",
+						mu, shift, v, d.commits, cur, cand)
+				}
+			case !ok:
+				d.settle(v, lo, hi, dur)
+			default:
+				tls.For(v).ApplyMove(cur, cand, dur, work)
+				s.Start[v] = cand
+				d.commit(inst, v, cur, cand, dur)
+				improved = true
+			}
+		}
+	}
+	if skips == 0 {
+		t.Errorf("mu %d shift %d: no visit was skipped", mu, shift)
+	}
+}
+
+// lateCancelCtx reports cancellation once the search has made `from`
+// scans. The sequential scan polls it on its own goroutine, so reading the
+// counter it advances is not a race.
+type lateCancelCtx struct {
+	context.Context
+	st   *Stats
+	from int
+}
+
+func (c lateCancelCtx) Err() error {
+	if c.st.LSScans >= c.from {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestLocalSearchSeqCanceledInSkippedRound: the final round finds nothing
+// to move and skips nearly every task, and a skipped visit must still
+// advance the context poll: a context canceled as that round begins is
+// noticed within ctxCheckStride visits.
+func TestLocalSearchSeqCanceledInSkippedRound(t *testing.T) {
+	inst, zs := zonedCoreInstance(t, 300, 1, 3)
+	base, err := Greedy(context.Background(), inst, zs, Options{Score: ScorePressureW, Refined: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full Stats
+	if err := LocalSearch(context.Background(), inst, zs, base.Clone(), DefaultMu, 1, &full); err != nil {
+		t.Fatal(err)
+	}
+	perRound := full.LSScans / full.LSRounds
+	if full.LSRounds < 2 || perRound < 2*ctxCheckStride {
+		t.Fatalf("instance too small to cancel inside its last round: %+v", full)
+	}
+	var st Stats
+	s := base.Clone()
+	from := full.LSScans - perRound + 1
+	err = LocalSearch(lateCancelCtx{context.Background(), &st, from}, inst, zs, s, DefaultMu, 1, &st)
+	if !errors.Is(err, scherr.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+	}
+	if st.LSRounds != full.LSRounds || st.LSScans >= from+ctxCheckStride {
+		t.Errorf("canceled from scan %d, noticed at %+v (a full run: %+v)", from, st, full)
+	}
+	if err := schedule.Validate(inst, s, zs.T()); err != nil {
+		t.Fatalf("schedule left infeasible after cancellation: %v", err)
 	}
 }

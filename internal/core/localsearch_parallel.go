@@ -19,13 +19,17 @@ import (
 // however many moves have committed since their last sync; a single
 // committer consumes results strictly in scan order. A speculative result
 // is trusted only if no move committed after the worker's snapshot could
-// have influenced it — otherwise the committer re-evaluates that one task
-// on the authoritative state. Because commits happen in scan order and a
-// stale result is always recomputed, the accepted moves, the final
-// schedule, and the Stats counters are bit-identical to the sequential
-// scan at every worker count and under any goroutine interleaving. Ties
-// break exactly as in the sequential scan: the lowest scan index commits
-// first, and FirstImprovingMove returns the earliest improving start.
+// have influenced it (lsSettled.changedSince, the rule the scans also skip
+// settled tasks by) — otherwise the committer re-evaluates that one task
+// on the authoritative state. A task that was settled when the round began
+// is the cheapest speculation of all: workers do not evaluate it, and the
+// committer does only if a commit of this round unsettled it. Because
+// commits happen in scan order and a stale result is always recomputed,
+// the accepted moves, the final schedule, and the Stats counters are
+// bit-identical to the sequential scan at every worker count and under any
+// goroutine interleaving. Ties break exactly as in the sequential scan:
+// the lowest scan index commits first, and FirstImprovingMove returns the
+// earliest improving start.
 
 // lsMove is one committed move, appended to the round's shared log so
 // workers can fast-forward their replicas. Entries are published by
@@ -37,52 +41,6 @@ type lsMove struct {
 	zone     int
 	from, to int64
 	dur, p   int64
-}
-
-// lsResult is a worker's speculative evaluation of one scan index:
-// FirstImprovingMove's answer, the move window it was derived in, and the
-// log version the replica was synced to when it was computed.
-type lsResult struct {
-	cand, gain int64
-	lo, hi     int64
-	ok         bool
-	baseVer    int
-}
-
-// lsConflicts reports whether any of the moves committed after a worker's
-// snapshot could change the evaluation of task v over the window
-// [lo, hiEnd) (hiEnd = hi + dur, the last unit any candidate placement
-// touches). A later move matters only if it moved v itself (shifting cur),
-// moved a DAG neighbor of v (shifting the window bounds), or re-shaped
-// v's own zone timeline inside the window. Everything else is invisible
-// to FirstImprovingMove, so the speculative answer is exact.
-func lsConflicts(inst *ceg.Instance, zoneOf []int, v int, lo, hiEnd int64, moves []lsMove) bool {
-	g := inst.G
-	for i := range moves {
-		m := &moves[i]
-		if m.v == v {
-			return true
-		}
-		if m.zone == zoneOf[v] {
-			if m.from < hiEnd && m.from+m.dur > lo {
-				return true
-			}
-			if m.to < hiEnd && m.to+m.dur > lo {
-				return true
-			}
-		}
-		for _, ei := range g.InEdges(v) {
-			if g.Edges[ei].From == m.v {
-				return true
-			}
-		}
-		for _, ei := range g.OutEdges(v) {
-			if g.Edges[ei].To == m.v {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // LocalSearch improves a feasible schedule in place with the hill climber
@@ -126,12 +84,7 @@ func LocalSearch(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *
 	T := zs.T()
 	tls := schedule.NewZoneTimelines(inst, s, zs)
 
-	// Flattened scan order — identical to the sequential nested loops
-	// (processors by non-increasing work power, tasks left to right).
-	seq := make([]int, 0, inst.N())
-	for _, p := range powerOrder(inst) {
-		seq = append(seq, inst.Order[p]...)
-	}
+	seq := scanOrder(inst)
 	n := len(seq)
 	if n == 0 {
 		return nil
@@ -139,21 +92,31 @@ func LocalSearch(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *
 	if workers > n {
 		workers = n
 	}
-	zoneOf := make([]int, inst.N())
-	for v := range zoneOf {
-		zoneOf[v] = schedule.NodeZone(inst, zs, v)
-	}
+	settled := newLSSettled(inst, zs)
+	zoneOf := settled.zoneOf
 
 	// Shared per-round move log. Each task is scanned once per round, so
 	// at most n moves commit; the log never reallocates mid-round.
 	log := make([]lsMove, n)
 	var ver atomic.Int64
 
-	// conflictReevals counts speculative results the committer had to
-	// recompute on the authoritative state. The count depends on goroutine
-	// timing, so it is reported only through the observability layer —
-	// never in Stats, which is pinned bit-identical across worker counts.
-	conflictReevals := 0
+	// skipped[idx] is set for the scan indices whose task is settled when
+	// the round begins. Written between rounds only, read by the workers.
+	skipped := make([]bool, n)
+
+	// conflictReevals counts speculative results — a worker's evaluation or
+	// a round-start skip — that the committer had to recompute on the
+	// authoritative state, evals every evaluation it consumed or made. Both
+	// depend on goroutine timing, so they are reported only through the
+	// observability layer — never in Stats, which is pinned bit-identical
+	// across worker counts.
+	conflictReevals, evals := 0, 0
+
+	// evaluate is the committer's own evaluation, on the authoritative state.
+	evaluate := func(v int) lsResult {
+		evals++
+		return evaluateMove(inst, tls.Zone(zoneOf[v]), s, v, T, mu)
+	}
 	scans := 0
 	for {
 		improved := false
@@ -161,6 +124,10 @@ func LocalSearch(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *
 			st.LSRounds++
 		}
 		ver.Store(0)
+		roundBase := settled.commits
+		for idx, v := range seq {
+			skipped[idx] = settled.skip(v)
+		}
 
 		// Spawn the round's workers over replicas snapshotted before any
 		// of this round's commits. Result channels are buffered to the
@@ -181,6 +148,9 @@ func LocalSearch(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *
 				defer close(out)
 				synced := 0
 				for idx := w; idx < n; idx += workers {
+					if skipped[idx] {
+						continue
+					}
 					select {
 					case <-done:
 						return
@@ -197,7 +167,7 @@ func LocalSearch(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *
 					lo, hi := moveWindowStarts(inst, starts, u, T, mu)
 					_, work := inst.ProcPower(u)
 					cand, gain, ok := rtls.Zone(zoneOf[u]).FirstImprovingMove(starts[u], lo, hi, inst.Dur[u], work)
-					out <- lsResult{cand: cand, gain: gain, lo: lo, hi: hi, ok: ok, baseVer: synced}
+					out <- lsResult{cand: cand, gain: gain, lo: lo, hi: hi, ok: ok, base: roundBase + synced}
 				}
 			}(w, starts, rtls, out)
 		}
@@ -215,35 +185,46 @@ func LocalSearch(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *
 			if st != nil {
 				st.LSScans++
 			}
-			r, chOK := <-outs[idx%workers]
-			if !chOK {
-				// Unreachable before close(done): every worker sends one
-				// result per assigned index before closing its channel.
-				break
-			}
 			v := seq[idx]
-			cand, gain, ok := r.cand, r.gain, r.ok
-			if r.baseVer < commit && lsConflicts(inst, zoneOf, v, r.lo, r.hi+inst.Dur[v], log[r.baseVer:commit]) {
-				// A later commit invalidated the speculation; re-evaluate
-				// this one task on the authoritative state.
-				conflictReevals++
-				lo, hi := moveWindow(inst, s, v, T, mu)
-				_, work := inst.ProcPower(v)
-				cand, gain, ok = tls.Zone(zoneOf[v]).FirstImprovingMove(s.Start[v], lo, hi, inst.Dur[v], work)
-			}
-			if ok {
-				dur := inst.Dur[v]
-				_, work := inst.ProcPower(v)
-				tls.Zone(zoneOf[v]).ApplyMove(s.Start[v], cand, dur, work)
-				log[commit] = lsMove{v: v, zone: zoneOf[v], from: s.Start[v], to: cand, dur: dur, p: work}
-				s.Start[v] = cand
-				commit++
-				ver.Store(int64(commit))
-				improved = true
-				if st != nil {
-					st.LSMoves++
-					st.LSGain += gain
+			var r lsResult
+			if skipped[idx] {
+				if settled.skip(v) {
+					continue
 				}
+				// A commit of this round unsettled the task.
+				conflictReevals++
+				r = evaluate(v)
+			} else {
+				var chOK bool
+				if r, chOK = <-outs[idx%workers]; !chOK {
+					// Unreachable before close(done): every worker sends one
+					// result per assigned index before closing its channel.
+					break
+				}
+				evals++
+				if settled.changedSince(v, r.base, r.lo, r.hi+inst.Dur[v]) {
+					// A later commit invalidated the speculation; re-evaluate
+					// this one task on the authoritative state.
+					conflictReevals++
+					r = evaluate(v)
+				}
+			}
+			dur := inst.Dur[v]
+			if !r.ok {
+				settled.settle(v, r.lo, r.hi, dur)
+				continue
+			}
+			_, work := inst.ProcPower(v)
+			tls.Zone(zoneOf[v]).ApplyMove(s.Start[v], r.cand, dur, work)
+			log[commit] = lsMove{v: v, zone: zoneOf[v], from: s.Start[v], to: r.cand, dur: dur, p: work}
+			settled.commit(inst, v, s.Start[v], r.cand, dur)
+			s.Start[v] = r.cand
+			commit++
+			ver.Store(int64(commit))
+			improved = true
+			if st != nil {
+				st.LSMoves++
+				st.LSGain += r.gain
 			}
 		}
 		close(done)
@@ -255,6 +236,7 @@ func LocalSearch(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *
 			if sp := obs.SpanFrom(ctx); sp != nil {
 				sp.SetAttr("zones", tls.NumZones())
 				sp.SetAttr("dense_zones", tls.DenseZones())
+				sp.SetAttr("evals", evals)
 				sp.SetAttr("conflict_reevals", conflictReevals)
 			}
 			obs.MeterFrom(ctx).Counter("schedd_search_conflict_reevals_total",

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Score selects the greedy's task-ordering criterion (Section 5.2).
@@ -70,15 +71,15 @@ func taskOrder(w *windows, sc Score) []int {
 		order[i] = i
 	}
 	ascending := sc == ScoreSlack || sc == ScoreSlackW
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := val[order[i]], val[order[j]]
+	slices.SortFunc(order, func(u, v int) int {
+		a, b := val[u], val[v]
 		if a != b {
-			if ascending {
-				return a < b
+			if ascending == (a < b) {
+				return -1
 			}
-			return a > b
+			return 1
 		}
-		return order[i] < order[j]
+		return cmp.Compare(u, v)
 	})
 	return order
 }

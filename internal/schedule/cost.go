@@ -1,7 +1,8 @@
 package schedule
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/ceg"
 	"repro/internal/power"
@@ -34,7 +35,9 @@ func sweepNodes(inst *ceg.Instance, s *Schedule, prof *power.Profile, idle int64
 		events = append(events, event{s.Start[v], work})
 		events = append(events, event{s.Start[v] + inst.Dur[v], -work})
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].t < events[j].t })
+	// Any order among equal times will do: the loops below apply all the
+	// events of one instant before the next segment is emitted.
+	slices.SortFunc(events, func(a, b event) int { return cmp.Compare(a.t, b.t) })
 
 	var workPower int64
 	ei := 0

@@ -151,18 +151,11 @@ func replayDifferential(t *testing.T, n int, seed uint64, zones, moves int) {
 // a grid of workflow sizes, seeds, and zone counts (including the
 // single-zone degenerate case), in both timeline representations.
 func TestDifferentialIncrementalZones(t *testing.T) {
-	modes := []struct {
-		name  string
-		limit int64
-	}{
-		{"dense", denseHorizonLimit}, // default: these horizons fit the per-unit arrays
-		{"sparse", 0},                // force the breakpoint representation
-	}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
-			old := denseHorizonLimit
-			denseHorizonLimit = mode.limit
-			defer func() { denseHorizonLimit = old }()
+	for _, mode := range []string{"dense", "sparse"} { // these horizons are dense by default
+		t.Run(mode, func(t *testing.T) {
+			if mode == "sparse" {
+				defer ForceSparseTimelines()()
+			}
 			for _, zones := range []int{1, 2, 3} {
 				for seed := uint64(1); seed <= 3; seed++ {
 					replayDifferential(t, 30+10*int(seed), seed, zones, 48)

@@ -146,3 +146,18 @@ func TestGanttDefaults(t *testing.T) {
 		t.Errorf("default rendering broken:\n%s", out)
 	}
 }
+
+// Hooks for the external tests of this directory (package schedule_test),
+// which may import packages that import schedule.
+
+// ForceSparseTimelines makes every timeline built until the returned
+// function is called use the sparse breakpoint representation, whatever
+// its horizon.
+func ForceSparseTimelines() (restore func()) {
+	old := denseHorizonLimit
+	denseHorizonLimit = 0
+	return func() { denseHorizonLimit = old }
+}
+
+// ZonedHEFTInstance is the zoned fixture of this package's own tests.
+var ZonedHEFTInstance = zonedHEFTInstance
