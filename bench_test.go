@@ -86,7 +86,7 @@ func benchLocalSearch(b *testing.B, inst *cawosched.Instance, zs *cawosched.Zone
 	for i := 0; i < b.N; i++ {
 		ctx, sp := obs.Start(obs.WithTracer(context.Background(), tr), "local-search")
 		st = core.Stats{}
-		if err := core.LocalSearch(ctx, inst, zs, s.Clone(), core.DefaultMu, 1, &st); err != nil {
+		if err := core.LocalSearch(ctx, inst, zs, s.Clone(), core.DefaultMu, &st); err != nil {
 			b.Fatal(err)
 		}
 		sp.End()

@@ -44,7 +44,7 @@ func main() {
 		mapping  = flag.String("mapping", "heft", `first-pass mapping: heft | lowpower | energy | zonegreen | zoneenergy | map-search (two-pass search keeping the lowest-carbon feasible plan)`)
 		variant  = flag.String("variant", "all", `heuristic to run: "all", "asap", or a registry name like pressWR-LS (see -list-variants)`)
 		seed     = flag.Uint64("seed", 42, "random seed for workflow/profile generation")
-		workers  = flag.Int("search-workers", 0, "worker pool for the local search and the map-search fan-out (<= 1 = sequential; the result is identical at any count)")
+		workers  = flag.Int("search-workers", 0, "how many candidate mappings -mapping map-search schedules at once (<= 1 = one after another; no effect on a fixed mapping, the result is identical at any count)")
 		verbose  = flag.Bool("v", false, "print the schedule's start times")
 		gantt    = flag.Bool("gantt", false, "render an ASCII Gantt chart of the last variant's schedule")
 		jsonOut  = flag.String("json", "", "write the last variant's schedule to this JSON file")

@@ -381,10 +381,6 @@ func target(opt options) (base string, client *http.Client, cleanup func(), err 
 		return "", nil, nil, err
 	}
 	solver := cawosched.NewSolver(cluster, cawosched.WithCacheShards(opt.shards))
-	// Parallel search workers keep the solve preemptible (channel
-	// handoffs are scheduler yield points), so on few-core hosts follower
-	// requests still reach the in-flight solve instead of queueing behind
-	// it; search parallelism never changes the response bytes.
 	ts := httptest.NewServer(server.New(solver, server.Config{
 		SearchWorkers: 4,
 		BatchWorkers:  opt.concurrency,

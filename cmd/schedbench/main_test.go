@@ -31,6 +31,10 @@ func baseOptions() options {
 // else coalesced or cache-served, and zero errors.
 func TestHerdScenario(t *testing.T) {
 	opt := baseOptions()
+	// Followers can only join a solve that is still running when they
+	// arrive: the herd needs a leader that takes milliseconds, not the
+	// ~100 µs of a 40-task fixed-mapping solve.
+	opt.tasks, opt.mapSearch = 400, true
 	rep, err := run(opt)
 	if err != nil {
 		t.Fatal(err)

@@ -98,7 +98,7 @@ func main() {
 	flag.Uint64Var(&opt.seed, "seed", 42, "cluster link seed (ignored with -cluster-file)")
 	flag.DurationVar(&opt.reqTimeout, "request-timeout", 60*time.Second, "per-request solving deadline (0 = none)")
 	flag.IntVar(&opt.batchWork, "batch-workers", 0, "bounded worker pool for batched solves (0 = min(GOMAXPROCS, 16))")
-	flag.IntVar(&opt.searchWork, "search-workers", 0, "per-solve worker pool for the local search and the map-search fan-out (<= 1 = sequential; responses are identical at any count)")
+	flag.IntVar(&opt.searchWork, "search-workers", 0, "how many candidate mappings a map-search solve schedules at once (<= 1 = one after another; no effect on fixed-mapping requests, responses are identical at any count)")
 	flag.IntVar(&opt.maxBatch, "max-batch", 256, "maximum requests per batch body")
 	flag.IntVar(&opt.maxQueue, "max-queue", 0, "maximum batch items in flight across all batch requests before 429 (0 = 4096)")
 	flag.IntVar(&opt.solveCacheLimit, "solve-cache-limit", 4096, "maximum cached solve responses across shards (0 = response caching off)")

@@ -103,22 +103,20 @@ func greedyAttrs(sp *obs.Span, st *Stats, err error) {
 }
 
 // localSearchSpan runs the optional local-search phase under a
-// "local-search" span carrying the round/move/gain/scan counters. The
-// worker pool inside additionally reports nondeterministic mechanism
-// detail (speculation conflicts, timeline mode) on the same span.
+// "local-search" span carrying the round/move/gain/scan counters; the
+// scan inside adds the timeline mode and its evaluation count.
 func localSearchSpan(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *schedule.Schedule, opt Options, st *Stats) error {
 	if !opt.LocalSearch {
 		return nil
 	}
 	lctx, lsp := obs.Start(ctx, "local-search")
-	err := LocalSearch(lctx, inst, zs, s, opt.EffectiveMu(), opt.SearchWorkers, st)
+	err := LocalSearch(lctx, inst, zs, s, opt.EffectiveMu(), st)
 	if lsp != nil {
 		if err == nil {
 			lsp.SetAttr("rounds", st.LSRounds)
 			lsp.SetAttr("moves", st.LSMoves)
 			lsp.SetAttr("gain", st.LSGain)
 			lsp.SetAttr("scans", st.LSScans)
-			lsp.SetAttr("workers", opt.SearchWorkers)
 		} else {
 			lsp.SetAttr("error", err.Error())
 		}
@@ -137,10 +135,7 @@ type Stats struct {
 	LSMoves        int   // accepted local search moves
 	LSGain         int64 // total cost reduction achieved by the local search
 	// LSScans counts task visits across all local-search rounds
-	// (rounds × tasks). It is deterministic — bit-identical at every
-	// worker count, like every other field; nondeterministic mechanism
-	// counters (speculation conflicts) are reported through the
-	// observability layer only, never here.
+	// (rounds × tasks), evaluated or skipped.
 	LSScans int
 	// Repushes counts stale-score heap re-insertions in GreedyDynamic:
 	// how often window updates actually perturbed the task order.

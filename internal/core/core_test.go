@@ -362,7 +362,7 @@ func TestLocalSearchNeverWorsens(t *testing.T) {
 		}
 		before := schedule.CarbonCost(inst, s, power.SingleZone(prof))
 		var st Stats
-		LocalSearch(context.Background(), inst, power.SingleZone(prof), s, 10, 1, &st)
+		LocalSearch(context.Background(), inst, power.SingleZone(prof), s, 10, &st)
 		after := schedule.CarbonCost(inst, s, power.SingleZone(prof))
 		if after > before {
 			t.Errorf("seed %d: LS worsened %d → %d", seed, before, after)
@@ -387,7 +387,7 @@ func TestLocalSearchImprovesBadSchedule(t *testing.T) {
 	s := schedule.New(1)
 	s.Start[0] = 7 // fully brown: cost 30
 	var st Stats
-	LocalSearch(context.Background(), inst, power.SingleZone(prof), s, 10, 1, &st)
+	LocalSearch(context.Background(), inst, power.SingleZone(prof), s, 10, &st)
 	if got := schedule.CarbonCost(inst, s, power.SingleZone(prof)); got != 0 {
 		t.Errorf("LS left cost %d, want 0 (move into the green window)", got)
 	}

@@ -37,14 +37,8 @@ func scanOrder(inst *ceg.Instance) []int {
 // successors, the horizon, and the ±mu search radius around the current
 // start.
 func moveWindow(inst *ceg.Instance, s *schedule.Schedule, v int, T, mu int64) (lo, hi int64) {
-	return moveWindowStarts(inst, s.Start, v, T, mu)
-}
-
-// moveWindowStarts is moveWindow against a bare start-time slice, so the
-// speculative search workers can evaluate windows on their replica
-// snapshots without materializing a Schedule.
-func moveWindowStarts(inst *ceg.Instance, start []int64, v int, T, mu int64) (lo, hi int64) {
 	g := inst.G
+	start := s.Start
 	dur := inst.Dur[v]
 	cur := start[v]
 	lo = 0
@@ -70,32 +64,35 @@ func moveWindowStarts(inst *ceg.Instance, start []int64, v int, T, mu int64) (lo
 	return lo, hi
 }
 
-// lsResult is one evaluation of a task: FirstImprovingMove's answer and the
-// move window it was derived in. base is set on a worker's speculative
-// evaluation only: the commit (numbered as lsSettled numbers them) its
-// replica was synced to.
-type lsResult struct {
-	cand, gain int64
-	lo, hi     int64
-	ok         bool
-	base       int
-}
-
-// evaluateMove is FirstImprovingMove for v on the schedule s and the
-// timeline tl of v's zone.
-func evaluateMove(inst *ceg.Instance, tl *schedule.Timeline, s *schedule.Schedule, v int, T, mu int64) lsResult {
-	lo, hi := moveWindow(inst, s, v, T, mu)
-	_, work := inst.ProcPower(v)
-	cand, gain, ok := tl.FirstImprovingMove(s.Start[v], lo, hi, inst.Dur[v], work)
-	return lsResult{cand: cand, gain: gain, lo: lo, hi: hi, ok: ok}
-}
-
-// localSearchSeq is the sequential scan of LocalSearch (workers ≤ 1): no
-// replicas, no move log, one timeline per zone updated in place. A visit
-// to a task whose last evaluation found no move and still stands (see
-// lsSettled) is a scan like any other — it counts in LSScans and advances
-// the context poll — but costs no evaluation.
-func localSearchSeq(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *schedule.Schedule, mu int64, st *Stats) error {
+// LocalSearch improves a feasible schedule in place with the hill climber
+// of Section 5.3: processors are visited in non-increasing work-power
+// order; on each processor, tasks are scanned left to right, and each task
+// tries every shift within ±mu time units (earliest candidate first). The
+// first legal move with a strictly positive carbon gain is applied. The
+// search stops after a full round without any gain. The schedule's cost
+// never increases.
+//
+// There is one power timeline per grid zone, with every task's candidate
+// starts enumerated from — and its move gain evaluated on — the timeline
+// of its own zone (a move only perturbs the draw of the zone it runs in,
+// so the per-zone incremental evaluation is exact). Candidates are
+// enumerated by interval jumping rather than unit steps: the gain of a
+// shift is piecewise linear in the new start, with slope changes only
+// where a task edge crosses a timeline breakpoint or profile boundary, so
+// only those O(#breakpoints in window) starts are evaluated (see
+// schedule.FirstImprovingMove). The accepted moves — and therefore the
+// final schedule — are identical to the unit-step scan's, kept as
+// LocalSearchUnitStep for differential testing and benchmarking.
+//
+// A visit to a task whose last evaluation found no move and still stands
+// (see lsSettled) is a scan like any other — it counts in LSScans and
+// advances the context poll — but costs no evaluation.
+//
+// The context is polled every ctxCheckStride task scans; on cancellation
+// the schedule is left at the last accepted move (still feasible — every
+// accepted move preserves feasibility) and a scherr.ErrCanceled-wrapping
+// error is returned, so cancellation takes effect well within one round.
+func LocalSearch(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *schedule.Schedule, mu int64, st *Stats) error {
 	if err := schedule.CheckZones(inst, zs); err != nil {
 		return err
 	}
@@ -124,20 +121,22 @@ func localSearchSeq(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, 
 			}
 			evals++
 			dur := inst.Dur[v]
+			cur := s.Start[v]
+			lo, hi := moveWindow(inst, s, v, T, mu)
+			_, work := inst.ProcPower(v)
 			tl := tls.Zone(settled.zoneOf[v])
-			r := evaluateMove(inst, tl, s, v, T, mu)
-			if !r.ok {
-				settled.settle(v, r.lo, r.hi, dur)
+			cand, gain, ok := tl.FirstImprovingMove(cur, lo, hi, dur, work)
+			if !ok {
+				settled.settle(v, lo, hi, dur)
 				continue
 			}
-			_, work := inst.ProcPower(v)
-			tl.ApplyMove(s.Start[v], r.cand, dur, work)
-			settled.commit(inst, v, s.Start[v], r.cand, dur)
-			s.Start[v] = r.cand
+			tl.ApplyMove(cur, cand, dur, work)
+			settled.commit(inst, v, cur, cand, dur)
+			s.Start[v] = cand
 			improved = true
 			if st != nil {
 				st.LSMoves++
-				st.LSGain += r.gain
+				st.LSGain += gain
 			}
 		}
 		if !improved {

@@ -47,13 +47,50 @@ func equivInstance(t *testing.T, fam wfgen.Family, n int, seed uint64, factor fl
 	return inst, prof
 }
 
+// zonedCoreInstance builds a workflow instance on a round-robin K-zone
+// small cluster with one independently generated profile per zone — the
+// core-package twin of the schedule package's zonedHEFTInstance.
+func zonedCoreInstance(t testing.TB, n int, seed uint64, zones int) (*ceg.Instance, *power.ZoneSet) {
+	t.Helper()
+	fam := wfgen.Families()[int(seed%4)]
+	d, err := wfgen.Generate(fam, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster := platform.SmallZoned(seed, zones)
+	h, err := heft.Schedule(d, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := ceg.Build(d, ceg.FromHEFT(h.Proc, h.Order, h.Finish), cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	T := ASAPMakespan(inst) * 2
+	specs := make([]power.ZoneSpec, zones)
+	for z := 0; z < zones; z++ {
+		gmin, gmax := power.PlatformBounds(inst.ZoneIdlePower(z), cluster.ZoneComputeWork(z))
+		specs[z] = power.ZoneSpec{
+			Name:     string(rune('a' + z)),
+			Scenario: power.Scenarios()[z%4],
+			Gmin:     gmin,
+			Gmax:     gmax,
+		}
+	}
+	zs, err := power.GenerateZones(specs, T, 24, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst, zs
+}
+
 // TestLocalSearchMatchesUnitStep is the equivalence property of the
 // interval-jumping rewrite and of the cross-round skip (lsSettled): the
 // accelerated scan must accept exactly the moves of the unit-step scan,
 // which evaluates every task on every visit, and so produce identical
-// start times and identical counters, sequentially and through the worker
-// pool. The zoned cases are large enough to run many rounds; evals < scans
-// there proves the skip was exercised rather than never taken.
+// start times and identical counters. The zoned cases are large enough to
+// run many rounds; evals < scans there proves the skip was exercised rather
+// than never taken.
 func TestLocalSearchMatchesUnitStep(t *testing.T) {
 	ctx := context.Background()
 	fams := wfgen.Families()
@@ -66,7 +103,7 @@ func TestLocalSearchMatchesUnitStep(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mu := range []int64{3, 10, 30} {
-			checkMatchesUnitStep(t, inst, zs, base, mu, 1)
+			checkMatchesUnitStep(t, inst, zs, base, mu)
 		}
 	}
 	for seed := uint64(1); seed <= 2; seed++ {
@@ -76,12 +113,10 @@ func TestLocalSearchMatchesUnitStep(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mu := range []int64{3, 10, 30} {
-			for _, workers := range []int{1, 2, 4} {
-				scans, evals := checkMatchesUnitStep(t, inst, zs, base, mu, workers)
-				if evals >= scans {
-					t.Errorf("seed %d mu %d workers %d: %d evaluations for %d scans: no visit was skipped",
-						seed, mu, workers, evals, scans)
-				}
+			scans, evals := checkMatchesUnitStep(t, inst, zs, base, mu)
+			if evals >= scans {
+				t.Errorf("seed %d mu %d: %d evaluations for %d scans: no visit was skipped",
+					seed, mu, evals, scans)
 			}
 		}
 	}
@@ -90,13 +125,13 @@ func TestLocalSearchMatchesUnitStep(t *testing.T) {
 // checkMatchesUnitStep runs LocalSearch and LocalSearchUnitStep from the
 // same schedule and fails on any difference in a start time or a counter.
 // It returns LocalSearch's scans and the evaluations its span reports.
-func checkMatchesUnitStep(t *testing.T, inst *ceg.Instance, zs *power.ZoneSet, base *schedule.Schedule, mu int64, workers int) (scans, evals int) {
+func checkMatchesUnitStep(t *testing.T, inst *ceg.Instance, zs *power.ZoneSet, base *schedule.Schedule, mu int64) (scans, evals int) {
 	t.Helper()
 	tr := obs.NewTracer(1)
 	ctx, sp := obs.Start(obs.WithTracer(context.Background(), tr), "local-search")
 	jump, step := base.Clone(), base.Clone()
 	var jumpStats, stepStats Stats
-	if err := LocalSearch(ctx, inst, zs, jump, mu, workers, &jumpStats); err != nil {
+	if err := LocalSearch(ctx, inst, zs, jump, mu, &jumpStats); err != nil {
 		t.Fatal(err)
 	}
 	sp.End()
@@ -105,12 +140,11 @@ func checkMatchesUnitStep(t *testing.T, inst *ceg.Instance, zs *power.ZoneSet, b
 	}
 	for v := range jump.Start {
 		if jump.Start[v] != step.Start[v] {
-			t.Fatalf("mu %d workers %d: task %d start %d != %d (unit step)",
-				mu, workers, v, jump.Start[v], step.Start[v])
+			t.Fatalf("mu %d: task %d start %d != %d (unit step)", mu, v, jump.Start[v], step.Start[v])
 		}
 	}
 	if jumpStats != stepStats {
-		t.Errorf("mu %d workers %d: stats %+v != unit step %+v", mu, workers, jumpStats, stepStats)
+		t.Errorf("mu %d: stats %+v != unit step %+v", mu, jumpStats, stepStats)
 	}
 	if err := schedule.Validate(inst, jump, zs.T()); err != nil {
 		t.Fatal(err)
@@ -158,7 +192,7 @@ func TestLocalSearchNeverWorseThanUnitStep(t *testing.T) {
 		greedyCost := st.Cost
 		jump := s.Clone()
 		step := s.Clone()
-		LocalSearch(context.Background(), inst, power.SingleZone(prof), jump, DefaultMu, 1, nil)
+		LocalSearch(context.Background(), inst, power.SingleZone(prof), jump, DefaultMu, nil)
 		LocalSearchUnitStep(context.Background(), inst, power.SingleZone(prof), step, DefaultMu, nil)
 		jumpCost := schedule.CarbonCost(inst, jump, power.SingleZone(prof))
 		stepCost := schedule.CarbonCost(inst, step, power.SingleZone(prof))
@@ -257,7 +291,7 @@ func TestLocalSearchSeqCanceledInSkippedRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var full Stats
-	if err := LocalSearch(context.Background(), inst, zs, base.Clone(), DefaultMu, 1, &full); err != nil {
+	if err := LocalSearch(context.Background(), inst, zs, base.Clone(), DefaultMu, &full); err != nil {
 		t.Fatal(err)
 	}
 	perRound := full.LSScans / full.LSRounds
@@ -267,7 +301,7 @@ func TestLocalSearchSeqCanceledInSkippedRound(t *testing.T) {
 	var st Stats
 	s := base.Clone()
 	from := full.LSScans - perRound + 1
-	err = LocalSearch(lateCancelCtx{context.Background(), &st, from}, inst, zs, s, DefaultMu, 1, &st)
+	err = LocalSearch(lateCancelCtx{context.Background(), &st, from}, inst, zs, s, DefaultMu, &st)
 	if !errors.Is(err, scherr.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
 	}

@@ -29,10 +29,8 @@ import (
 // outwards (a move marks, and a window reads, whole buckets), which can
 // only cause an evaluation that was not needed, never skip one that was.
 //
-// Both users go through changedSince: the scans skip a task whose last
-// evaluation found no move and has not gone stale since, and the parallel
-// committer trusts a worker's speculative answer only if it has not gone
-// stale since the worker's replica was synced.
+// The scan skips a task whose last evaluation found no move and has not
+// gone stale since.
 type lsSettled struct {
 	commits int
 	zoneOf  []int // per task, its evaluation zone; never written after construction

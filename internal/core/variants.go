@@ -14,13 +14,6 @@ type Options struct {
 	// Mu is the local search shift radius in time units; 0 means the
 	// paper's default of 10.
 	Mu int64
-	// SearchWorkers bounds the local-search worker pool; values ≤ 1 run
-	// the sequential scan. The setting is pure mechanism: any worker
-	// count produces the identical schedule, cost, and stats (see
-	// LocalSearch), so it is not part of a variant's
-	// identity — Name ignores it and the solver strips it from cache
-	// keys.
-	SearchWorkers int
 }
 
 // DefaultK and DefaultMu are the tuning parameters used for all simulation

@@ -219,7 +219,7 @@ func TestZoneAwareSearchShiftsPerZone(t *testing.T) {
 	// tasks at 0) — moving the late-zone task right, keeping the early
 	// one, i.e. different directions per zone.
 	ls := ASAP(inst)
-	if err := LocalSearch(ctx, inst, zs, ls, 20, 1, nil); err != nil {
+	if err := LocalSearch(ctx, inst, zs, ls, 20, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := schedule.CarbonCost(inst, ls, zs); got != 0 {
@@ -239,7 +239,7 @@ func TestZoneAwareSearchShiftsPerZone(t *testing.T) {
 		t.Fatal(err)
 	}
 	lsw := ASAP(inst)
-	if err := LocalSearch(ctx, inst, swapped, lsw, 20, 1, nil); err != nil {
+	if err := LocalSearch(ctx, inst, swapped, lsw, 20, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := schedule.CarbonCost(inst, lsw, swapped); got != 0 {

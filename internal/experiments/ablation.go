@@ -137,7 +137,7 @@ func AblationImprovers(ctx context.Context, specs []Spec, workers int) (*Table, 
 		}
 	}
 	hill := func(ctx context.Context, in *Instance, s *schedule.Schedule) error {
-		return core.LocalSearch(ctx, in.Inst, in.Zones, s, core.DefaultMu, 1, nil)
+		return core.LocalSearch(ctx, in.Inst, in.Zones, s, core.DefaultMu, nil)
 	}
 	anneal := func(ctx context.Context, in *Instance, s *schedule.Schedule) error {
 		_, err := core.Anneal(ctx, in.Inst, in.Zones, s, core.AnnealOptions{Seed: in.Spec.Seed})
@@ -253,7 +253,7 @@ func AblationGreedies(ctx context.Context, specs []Spec, workers int) (*Table, e
 					return nil, err
 				}
 				if ls {
-					if err := core.LocalSearch(ctx, in.Inst, in.Zones, s, core.DefaultMu, 1, nil); err != nil {
+					if err := core.LocalSearch(ctx, in.Inst, in.Zones, s, core.DefaultMu, nil); err != nil {
 						return nil, err
 					}
 				}

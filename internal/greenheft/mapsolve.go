@@ -47,11 +47,12 @@ type MapSolveOptions struct {
 	Sched core.Options
 	// Marginal switches the second pass to the exact-marginal greedy.
 	Marginal bool
-	// Workers bounds the candidate fan-out: up to Workers policies are
-	// mapped and solved concurrently. Values ≤ 1 evaluate sequentially.
-	// Like core.Options.SearchWorkers this is pure mechanism — the
-	// winner, outcomes, and errors are reduced in policy order, so the
-	// result is identical at any worker count.
+	// Workers is the width of the candidate fan-out: up to Workers
+	// candidate mappings are scheduled at once (planning stays
+	// sequential, see Search). Values ≤ 1 schedule them one after
+	// another. It is the only parallelism inside a solve and pure
+	// mechanism — the winner, outcomes, and errors are reduced in policy
+	// order, so the result is identical at any width.
 	Workers int
 }
 

@@ -13,9 +13,9 @@ import (
 // (TestLocalSearchMatchesUnitStep) with the sparse timeline representation
 // forced, which these horizons would never reach on their own: the hill
 // climber, skipping what no move touched, must reproduce every start and
-// every counter of the scan that evaluates each task on each visit, at
-// every worker count. It lives here because only a test of this directory
-// can lower denseHorizonLimit.
+// every counter of the scan that evaluates each task on each visit. It
+// lives here because only a test of this directory can lower
+// denseHorizonLimit.
 func TestLocalSearchMatchesUnitStepSparse(t *testing.T) {
 	defer schedule.ForceSparseTimelines()()
 	ctx := context.Background()
@@ -33,28 +33,24 @@ func TestLocalSearchMatchesUnitStepSparse(t *testing.T) {
 		if err := core.LocalSearchUnitStep(ctx, inst, zs, step, mu, &stepStats); err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			tr := obs.NewTracer(1)
-			lctx, sp := obs.Start(obs.WithTracer(ctx, tr), "local-search")
-			jump := base.Clone()
-			var jumpStats core.Stats
-			if err := core.LocalSearch(lctx, inst, zs, jump, mu, workers, &jumpStats); err != nil {
-				t.Fatal(err)
+		tr := obs.NewTracer(1)
+		lctx, sp := obs.Start(obs.WithTracer(ctx, tr), "local-search")
+		jump := base.Clone()
+		var jumpStats core.Stats
+		if err := core.LocalSearch(lctx, inst, zs, jump, mu, &jumpStats); err != nil {
+			t.Fatal(err)
+		}
+		sp.End()
+		for v := range jump.Start {
+			if jump.Start[v] != step.Start[v] {
+				t.Fatalf("mu %d: task %d start %d != %d (unit step)", mu, v, jump.Start[v], step.Start[v])
 			}
-			sp.End()
-			for v := range jump.Start {
-				if jump.Start[v] != step.Start[v] {
-					t.Fatalf("mu %d workers %d: task %d start %d != %d (unit step)",
-						mu, workers, v, jump.Start[v], step.Start[v])
-				}
-			}
-			if jumpStats != stepStats {
-				t.Errorf("mu %d workers %d: stats %+v != unit step %+v", mu, workers, jumpStats, stepStats)
-			}
-			if evals, _ := tr.Snapshot()[0].Root.Attrs["evals"].(int); evals == 0 || evals >= jumpStats.LSScans {
-				t.Errorf("mu %d workers %d: %d evaluations for %d scans: no visit was skipped",
-					mu, workers, evals, jumpStats.LSScans)
-			}
+		}
+		if jumpStats != stepStats {
+			t.Errorf("mu %d: stats %+v != unit step %+v", mu, jumpStats, stepStats)
+		}
+		if evals, _ := tr.Snapshot()[0].Root.Attrs["evals"].(int); evals == 0 || evals >= jumpStats.LSScans {
+			t.Errorf("mu %d: %d evaluations for %d scans: no visit was skipped", mu, evals, jumpStats.LSScans)
 		}
 	}
 }

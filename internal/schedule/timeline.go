@@ -516,26 +516,3 @@ func (tl *Timeline) NumSegments() int {
 	}
 	return n
 }
-
-// Clone returns a deep copy of the timeline sharing only the immutable
-// profile: the copy can be mutated (speculative search replicas) without
-// affecting the original. Scratch buffers are not carried over.
-func (tl *Timeline) Clone() *Timeline {
-	cp := &Timeline{
-		prof:  tl.prof,
-		idle:  tl.idle,
-		dense: tl.dense,
-		cost:  tl.cost,
-		workE: append([]int64(nil), tl.workE...),
-		brown: append([]int64(nil), tl.brown...),
-	}
-	if tl.dense {
-		cp.lvl = append([]int64(nil), tl.lvl...)
-		cp.bud = tl.bud // per-unit profile caches are immutable; share
-		cp.ivx = tl.ivx
-	} else {
-		cp.t = append([]int64(nil), tl.t...)
-		cp.w = append([]int64(nil), tl.w...)
-	}
-	return cp
-}

@@ -139,13 +139,3 @@ func (m *ZoneTimelines) Compact() {
 		tl.Compact()
 	}
 }
-
-// Clone returns a deep copy of the per-zone timelines (see
-// Timeline.Clone): a mutable replica for speculative search workers.
-func (m *ZoneTimelines) Clone() *ZoneTimelines {
-	cp := &ZoneTimelines{inst: m.inst, zs: m.zs, tls: make([]*Timeline, len(m.tls))}
-	for z, tl := range m.tls {
-		cp.tls[z] = tl.Clone()
-	}
-	return cp
-}

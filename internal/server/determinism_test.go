@@ -17,9 +17,8 @@ import (
 // configured with 1, 4, and GOMAXPROCS search workers produces
 // byte-identical wire responses — parallelism in the scheduler is pure
 // mechanism, invisible on the wire. The request uses the map-search
-// two-pass pipeline with a local-search variant, so both worker pools
-// (candidate-policy fan-out and move evaluation) are exercised. Run under
-// -race -count=2 in CI.
+// two-pass pipeline, whose candidate fan-out is what the setting widens.
+// Run under -race -count=2 in CI.
 func TestSearchWorkersByteIdenticalResponses(t *testing.T) {
 	wreq := pinnedWireRequest(t)
 	wreq.Mapping = "map-search"

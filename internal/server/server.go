@@ -74,11 +74,12 @@ type Config struct {
 	// paper's fixed HEFT mapping. The spelling is validated per request
 	// (cmd/schedd validates the flag at startup).
 	DefaultMapping string
-	// SearchWorkers bounds each solve's internal worker pools (local-search
-	// move evaluation and map-search candidate fan-out). ≤ 1 runs every
-	// solve sequentially. It never changes a response — only how fast it is
-	// computed — and composes with BatchWorkers (a batch of B requests at W
-	// search workers may run up to B·W goroutines in the scheduler).
+	// SearchWorkers is the width of the map-search candidate fan-out: how
+	// many candidate mappings one solve schedules at once. ≤ 1 schedules
+	// them one after another; fixed-mapping requests are not affected. It
+	// never changes a response — only how fast it is computed — and
+	// composes with BatchWorkers (a batch of B map-search requests at
+	// width W may run up to B·W goroutines in the scheduler).
 	SearchWorkers int
 	// MaxQueue bounds the number of batch items admitted but not yet
 	// finished, across all in-flight batch requests. A batch that would

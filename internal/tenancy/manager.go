@@ -120,8 +120,9 @@ type Config struct {
 	// beyond its horizon.
 	Supply *power.ZoneSet
 	Clock  Clock
-	// SearchWorkers bounds each solve's internal worker pools (responses
-	// are identical at any setting).
+	// SearchWorkers is the width of each map-search solve's candidate
+	// fan-out (responses are identical at any setting; fixed-mapping
+	// solves are not affected).
 	SearchWorkers int
 }
 

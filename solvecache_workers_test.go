@@ -8,9 +8,8 @@ import (
 )
 
 // TestSearchWorkersDoNotForkCacheKeys pins the cache-hygiene half of the
-// parallel-search contract: SearchWorkers is pure mechanism, so requests
-// that differ only in worker count (via Request.SearchWorkers or
-// Options.SearchWorkers) must share one solve-cache entry, with hit/miss
+// fan-out contract: Request.SearchWorkers is pure mechanism, so requests
+// that differ only in it must share one solve-cache entry, with hit/miss
 // accounting identical to repeating the same request verbatim.
 func TestSearchWorkersDoNotForkCacheKeys(t *testing.T) {
 	wf, err := cawosched.GenerateWorkflow(cawosched.Methylseq, 60, 13)
@@ -29,12 +28,6 @@ func TestSearchWorkersDoNotForkCacheKeys(t *testing.T) {
 		t.Fatal("first solve reported a response-cache hit")
 	}
 
-	lsOpts := func(workers int) *cawosched.Options {
-		return &cawosched.Options{
-			Score: cawosched.ScorePressureW, Refined: true, LocalSearch: true,
-			SearchWorkers: workers,
-		}
-	}
 	table := []struct {
 		name string
 		req  cawosched.Request
@@ -42,8 +35,6 @@ func TestSearchWorkersDoNotForkCacheKeys(t *testing.T) {
 		{"sequential", cawosched.Request{Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S1, Seed: 13}},
 		{"one-worker", cawosched.Request{Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S1, Seed: 13, SearchWorkers: 1}},
 		{"many-workers", cawosched.Request{Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S1, Seed: 13, SearchWorkers: 16}},
-		{"options-workers", cawosched.Request{Workflow: wf, Options: lsOpts(8), Scenario: cawosched.S1, Seed: 13}},
-		{"both-set", cawosched.Request{Workflow: wf, Options: lsOpts(2), Scenario: cawosched.S1, Seed: 13, SearchWorkers: 32}},
 	}
 	for _, tc := range table {
 		res, err := solver.Solve(context.Background(), tc.req)
@@ -62,8 +53,8 @@ func TestSearchWorkersDoNotForkCacheKeys(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 miss, %d hits, 1 entry", st, len(table))
 	}
 
-	// Same property through the map-search pipeline, whose candidate
-	// fan-out is the second pool SearchWorkers bounds.
+	// Same property through the map-search pipeline, the one place the
+	// setting changes what runs.
 	ms, err := solver.Solve(context.Background(), cawosched.Request{
 		Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S1, Seed: 13,
 		MapSearch: true, SearchWorkers: 4,

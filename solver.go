@@ -121,12 +121,12 @@ type Request struct {
 	// reported in Response.Mapping.
 	MapSearch bool
 
-	// SearchWorkers bounds the scheduler's worker pools: the local-search
-	// move evaluation and, under MapSearch, the candidate-policy fan-out.
-	// Values ≤ 1 run sequentially. The setting is pure mechanism — any
-	// worker count produces the identical response — so it does not enter
-	// the solve-cache key: a request solved with 4 workers is a cache hit
-	// for the same request with 1.
+	// SearchWorkers is the width of the MapSearch candidate fan-out: how
+	// many candidate mappings are scheduled at once. Values ≤ 1 schedule
+	// them one after another; it has no effect on a fixed-mapping request.
+	// The setting is pure mechanism — any width produces the identical
+	// response — so it is not in the solve-cache key: a request solved
+	// at width 4 is a cache hit for the same request at width 1.
 	SearchWorkers int
 
 	// DeadlineFactor sets the deadline T = factor·D where D is the ASAP
@@ -381,14 +381,10 @@ type solveEntry struct {
 }
 
 // normalizeOptions applies the paper defaults to the tuning fields so that
-// Options{} and Options{K: 3, Mu: 10} key identically. SearchWorkers is
-// zeroed: it parallelizes the search without changing its result, so it
-// must never fork cache keys — the same solve at different worker counts
-// is one cache entry.
+// Options{} and Options{K: 3, Mu: 10} key identically.
 func normalizeOptions(opt Options) Options {
 	opt.K = opt.EffectiveK()
 	opt.Mu = opt.EffectiveMu()
-	opt.SearchWorkers = 0
 	return opt
 }
 
@@ -642,9 +638,6 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if req.SearchWorkers > 0 {
-		opt.SearchWorkers = req.SearchWorkers
-	}
 	pol := req.MappingPolicy
 	if !pol.Valid() {
 		return nil, fmt.Errorf("cawosched: unknown mapping policy %d: %w", int(pol), ErrInvalidRequest)
@@ -888,14 +881,14 @@ func (s *Solver) compute(ctx context.Context, job *solveJob) (*Response, error) 
 // candidate is feasible by construction whenever the supply was generated
 // from the request, so the search never returns a plan worse than
 // fixed-mapping scheduling. Responses are byte-identical at any
-// opt.SearchWorkers.
+// req.SearchWorkers.
 func (s *Solver) mapSearch(ctx context.Context, job *solveJob) (*Response, error) {
 	req, zones, opt := job.req, job.zones, job.opt
 	// The planning pass is sequential, so the closure needs no lock; the
 	// entries are kept so the winner's asap and d need no second lookup.
 	entries := make(map[greenheft.Policy]*planEntry)
 	res, err := greenheft.Search(ctx, zones,
-		greenheft.MapSolveOptions{Sched: opt, Marginal: req.Marginal, Workers: opt.SearchWorkers},
+		greenheft.MapSolveOptions{Sched: opt, Marginal: req.Marginal, Workers: req.SearchWorkers},
 		func(ctx context.Context, pol greenheft.Policy) (*Instance, int64, error) {
 			e, _, err := s.planFor(ctx, req.Workflow, job.fp, pol, zones)
 			if err != nil {
