@@ -70,7 +70,7 @@ func BenchmarkLocalSearch(b *testing.B) {
 		benchLocalSearch(b, inst, power.SingleZone(prof), s)
 	})
 	b.Run("1000x3zones", func(b *testing.B) {
-		inst, zs := benchZonedInstance(b, 1000, 3)
+		inst, zs := benchZonedInstance(b, 1000, 3, 2)
 		s, _, err := core.Run(context.Background(), inst, zs, core.Options{Score: core.ScorePressureW, Refined: true})
 		if err != nil {
 			b.Fatal(err)
@@ -114,9 +114,10 @@ func BenchmarkCarbonCost500(b *testing.B) {
 	}
 }
 
-// benchZonedInstance builds a 500-task instance on a 3-zone small cluster
-// with one rotated-scenario profile per zone.
-func benchZonedInstance(b *testing.B, n, zones int) (*cawosched.Instance, *cawosched.ZoneSet) {
+// benchZonedInstance builds an n-task instance on a small cluster split
+// into the given zones, with one rotated-scenario profile per zone over
+// factor × the ASAP makespan.
+func benchZonedInstance(b *testing.B, n, zones int, factor int64) (*cawosched.Instance, *cawosched.ZoneSet) {
 	b.Helper()
 	wf, err := cawosched.GenerateWorkflow(cawosched.Atacseq, n, 42)
 	if err != nil {
@@ -128,25 +129,39 @@ func benchZonedInstance(b *testing.B, n, zones int) (*cawosched.Instance, *cawos
 	}
 	D := cawosched.ASAPMakespan(inst)
 	zs, err := cawosched.ZonesForInstance(inst,
-		[]cawosched.Scenario{cawosched.S1, cawosched.S2, cawosched.S3, cawosched.S4}, 2*D, 24, 42)
+		[]cawosched.Scenario{cawosched.S1, cawosched.S2, cawosched.S3, cawosched.S4}, factor*D, 24, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return inst, zs
 }
 
-// BenchmarkCarbonCostZones measures the per-zone cost sweep (3 zones);
-// compare against BenchmarkCarbonCost500, the single-zone sweep over the
-// same workflow size.
+// BenchmarkCarbonCostZones measures the per-zone cost sweep (3 zones), one
+// case on each side of the rule that picks the sweep's event
+// representation (schedule.sweepNodes): 500 tasks over twice the makespan
+// are counted into a difference array, 60 tasks over thirty times the
+// makespan are sorted. Compare the first against BenchmarkCarbonCost500,
+// the single-zone sweep over the same workflow size.
 func BenchmarkCarbonCostZones(b *testing.B) {
-	inst, zs := benchZonedInstance(b, 500, 3)
-	s := cawosched.ASAP(inst)
-	if got, want := cawosched.CarbonCostZones(inst, s, zs), int64(0); got < want {
-		b.Fatalf("cost %d", got)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cawosched.CarbonCostZones(inst, s, zs)
+	for _, c := range []struct {
+		name      string
+		n         int
+		factor    int64
+		wantCount bool
+	}{{"500xDF2", 500, 2, true}, {"60xDF30", 60, 30, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			inst, zs := benchZonedInstance(b, c.n, 3, c.factor)
+			// schedule.sweepSlotsPerNode = 16, over a third of the nodes a zone.
+			if counted := zs.T() <= 16*int64(inst.N()/3); counted != c.wantCount {
+				b.Fatalf("T=%d, %d nodes: on the wrong side of the sweep's rule", zs.T(), inst.N())
+			}
+			s := cawosched.ASAP(inst)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cawosched.CarbonCostZones(inst, s, zs)
+			}
+		})
 	}
 }
 

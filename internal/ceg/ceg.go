@@ -20,6 +20,7 @@ package ceg
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
@@ -116,7 +117,7 @@ func Build(d *dag.DAG, m *Mapping, cluster *platform.Cluster) (*Instance, error)
 		NumReal:  n,
 		Proc:     make([]int, N),
 		Dur:      make([]int64, N),
-		Order:    map[int][]int{},
+		Order:    make(map[int][]int, len(m.Order)+len(comms)),
 		CommEdge: make([]int, N),
 		Cluster:  cluster,
 	}
@@ -127,9 +128,12 @@ func Build(d *dag.DAG, m *Mapping, cluster *platform.Cluster) (*Instance, error)
 		inst.Dur[v] = cluster.ExecTime(d.Tasks[v].Weight, m.Proc[v])
 		inst.CommEdge[v] = -1
 	}
+	name := []byte("comm_") // comm_<from>_<to>, built in place
 	for _, ct := range comms {
 		e := d.Edges[ct.edgeIdx]
-		g.SetName(ct.node, fmt.Sprintf("comm_%d_%d", e.From, e.To))
+		name = strconv.AppendInt(name[:len("comm_")], int64(e.From), 10)
+		name = strconv.AppendInt(append(name, '_'), int64(e.To), 10)
+		g.SetName(ct.node, string(name))
 		inst.Proc[ct.node] = ct.link
 		inst.Dur[ct.node] = cluster.CommTime(e.Weight)
 		inst.CommEdge[ct.node] = ct.edgeIdx
@@ -180,7 +184,7 @@ func Build(d *dag.DAG, m *Mapping, cluster *platform.Cluster) (*Instance, error)
 	// Ordering edges on links (E″): communications on the same directed
 	// link execute in order of their reference ready times (ties broken
 	// by edge index, which is deterministic).
-	byLink := map[int][]commTask{}
+	byLink := make(map[int][]commTask, len(comms))
 	for _, ct := range comms {
 		byLink[ct.link] = append(byLink[ct.link], ct)
 	}

@@ -1,6 +1,7 @@
 package ceg
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -226,6 +227,14 @@ func TestBuildFromHEFTWorkflow(t *testing.T) {
 	}
 	if count != inst.N() {
 		t.Errorf("order lists cover %d nodes, want %d", count, inst.N())
+	}
+	// A communication task is named after the edge it carries (the names
+	// reach DOT dumps and the wire export).
+	for v := inst.NumReal; v < inst.N(); v++ {
+		e := d.Edges[inst.CommEdge[v]]
+		if want := fmt.Sprintf("comm_%d_%d", e.From, e.To); inst.G.Tasks[v].Name != want {
+			t.Fatalf("node %d is named %q, want %q", v, inst.G.Tasks[v].Name, want)
+		}
 	}
 }
 

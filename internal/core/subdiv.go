@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/ceg"
 	"repro/internal/power"
@@ -19,6 +18,14 @@ import (
 // uniprocessor optimality of E-schedules (Lemma 4.2) and fixes k = 3 to
 // bound the interval count.
 //
+// A block member's start is a boundary plus or minus an offset that does
+// not depend on the boundary: start-aligned, the durations of the j < k
+// tasks before it on its processor; end-aligned, its own duration plus
+// those of the r < k tasks after it. The ≈ 2k offsets per task take few
+// distinct values (at most k·maxDur+1, and none at or above T can yield a
+// point), so the enumeration collects the distinct offsets of a zone
+// first and only then crosses them with the zone's J+1 boundaries.
+//
 // The result has one sorted, deduplicated point list per zone, restricted
 // to (0, T); the original boundaries are implicitly present in the budget
 // structure.
@@ -27,124 +34,114 @@ func refinedPoints(inst *ceg.Instance, zs *power.ZoneSet, k int) [][]int64 {
 		k = 1
 	}
 	T := zs.T()
-	out := make([][]int64, zs.NumZones())
-
-	// The block enumeration emits every alignment k·J·m times with heavy
-	// duplication (hundreds of thousands of raw points on the evaluation
-	// workloads). For the usual small horizons, mark each point in a
-	// per-zone bitset over (0, T) as it is generated — deduplication is a
-	// bit-OR, no intermediate list, no comparison sort. Huge horizons
-	// (where a bitset would dwarf the point count) collect raw points and
-	// fall back to sortedUniquePoints.
-	const bitsetMaxT = 1 << 22
-	var sets [][]uint64
-	if T <= bitsetMaxT {
-		sets = make([][]uint64, zs.NumZones())
-		words := int((T + 63) >> 6)
-		for z := range sets {
-			sets[z] = make([]uint64, words)
-		}
+	var maxDur int64
+	for _, d := range inst.Dur {
+		maxDur = max(maxDur, d)
+	}
+	span := min(T, int64(k)*maxDur+1)
+	starts := make([]offsetSet, zs.NumZones())
+	ends := make([]offsetSet, zs.NumZones())
+	for z := range starts {
+		starts[z] = newOffsetSet(span)
+		ends[z] = newOffsetSet(span)
 	}
 
-	boundsOf := make([][]int64, zs.NumZones())
-	for z := range boundsOf {
-		boundsOf[z] = zs.Profile(z).Boundaries()
-	}
-
-	// procs in deterministic order.
-	procIDs := make([]int, 0, len(inst.Order))
-	for p := range inst.Order {
-		procIDs = append(procIDs, p)
-	}
-	sort.Ints(procIDs)
-
-	for _, p := range procIDs {
-		tasks := inst.Order[p]
+	for _, tasks := range inst.Order {
 		if len(tasks) == 0 {
 			continue
 		}
-		z := schedule.NodeZone(inst, zs, tasks[0]) // all of p's tasks share its zone
-		bounds := boundsOf[z]
-		pts := out[z]
-		var set []uint64
-		if sets != nil {
-			set = sets[z]
-		}
-		mark := func(s int64) {
-			if set != nil {
-				set[s>>6] |= 1 << uint(s&63)
-			} else {
-				pts = append(pts, s)
-			}
-		}
-		m := len(tasks)
-		for i := 0; i < m; i++ {
-			// prefix[j] = total duration of tasks[i..i+j-1].
-			var prefix int64
-			for L := 1; L <= k && i+L <= m; L++ {
-				blockDur := prefix + inst.Dur[tasks[i+L-1]]
-				// Candidate alignments of the block [i, i+L).
-				for _, e := range bounds {
-					// Block starts at e: task i+j starts at e + prefix(j).
-					var acc int64
-					for j := 0; j < L; j++ {
-						u := tasks[i+j]
-						s := e + acc
-						if s > 0 && s < T && s+inst.Dur[u] <= T {
-							mark(s)
-						}
-						acc += inst.Dur[u]
-					}
-					// Block ends at e: last task ends at e, so task i+j
-					// starts at e − (blockDur − prefix(j)).
-					acc = 0
-					for j := 0; j < L; j++ {
-						u := tasks[i+j]
-						s := e - (blockDur - acc)
-						if s > 0 && s < T {
-							mark(s)
-						}
-						acc += inst.Dur[u]
-					}
+		z := schedule.NodeZone(inst, zs, tasks[0]) // all of a processor's tasks share its zone
+		st, en := &starts[z], &ends[z]
+		for i, u := range tasks {
+			// u starts the block, or follows its j nearest predecessors.
+			var off int64
+			for j := 0; off < T; j++ {
+				st.add(off, inst.Dur[u])
+				if j+1 == k || j == i {
+					break
 				}
-				prefix = blockDur
+				off += inst.Dur[tasks[i-j-1]]
+			}
+			// The block ends with u, or with one of its k−1 successors.
+			off = 0
+			for r := i; r < i+k && r < len(tasks); r++ {
+				if off += inst.Dur[tasks[r]]; off >= T {
+					break
+				}
+				en.add(off, 0)
 			}
 		}
-		out[z] = pts
 	}
+
+	out := make([][]int64, zs.NumZones())
+	var raw []int64 // reused: sortedUniquePoints compacts in place
 	for z := range out {
-		if sets != nil {
-			out[z] = bitsetToSorted(sets[z])
-		} else {
-			out[z] = sortedUniquePoints(out[z], T)
+		bounds := zs.Profile(z).Boundaries()
+		raw = raw[:0]
+		st, en := &starts[z], &ends[z]
+		for i, off := range st.off {
+			// The smallest duration seen at an offset admits every start
+			// a longer task there would.
+			last := T - st.dur[i]
+			for _, e := range bounds {
+				if s := e + off; s > 0 && s < T && s <= last {
+					raw = append(raw, s)
+				}
+			}
 		}
+		for _, off := range en.off {
+			for _, e := range bounds {
+				if s := e - off; s > 0 && s < T {
+					raw = append(raw, s)
+				}
+			}
+		}
+		out[z] = slices.Clone(sortedUniquePoints(raw, T))
 	}
 	return out
 }
 
-// bitsetToSorted extracts the set bits of a bitset as a sorted slice.
-func bitsetToSorted(set []uint64) []int64 {
-	n := 0
-	for _, w := range set {
-		n += bits.OnesCount64(w)
-	}
-	pts := make([]int64, 0, n)
-	for wi, w := range set {
-		base := int64(wi) << 6
-		for w != 0 {
-			pts = append(pts, base+int64(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return pts
+// offsetSetMaxSlots bounds an offsetSet's table: past it (a horizon and
+// durations in the tens of thousands) two offsets may share a slot.
+const offsetSetMaxSlots = 1 << 14
+
+// offsetSet collects distinct offsets in first-seen order, each with the
+// smallest duration it was added with. Membership is a direct-mapped table
+// over the offset's low bits, sized by the span the offsets can take, not
+// by the horizon; when the span exceeds offsetSetMaxSlots an offset evicted
+// by a colliding one can be listed twice, which only costs a repeated
+// point that sortedUniquePoints drops.
+type offsetSet struct {
+	off  []int64
+	dur  []int64
+	slot []int32 // slot[off&mask] = 1 + index in off of the last offset mapped there; 0 = empty
+	mask int64
 }
 
-// sortedUniquePoints sorts and deduplicates a list of points in (0, T).
-// The block enumeration emits every alignment k·J·m times, so the raw list
-// runs to hundreds of thousands of entries with heavy duplication; a
-// bitset over [0, T) collapses it in O(n + T/64) without a comparison
-// sort, which profiling shows otherwise dominates the whole greedy phase.
-// Sparse point sets over a huge horizon fall back to an ordinary sort.
+func newOffsetSet(span int64) offsetSet {
+	n := int64(1)
+	for n < span && n < offsetSetMaxSlots {
+		n <<= 1
+	}
+	return offsetSet{slot: make([]int32, n), mask: n - 1}
+}
+
+func (os *offsetSet) add(off, dur int64) {
+	at := &os.slot[off&os.mask]
+	if i := int(*at) - 1; i >= 0 && os.off[i] == off {
+		os.dur[i] = min(os.dur[i], dur)
+		return
+	}
+	os.off = append(os.off, off)
+	os.dur = append(os.dur, dur)
+	*at = int32(len(os.off))
+}
+
+// sortedUniquePoints sorts and deduplicates a list of points in (0, T),
+// in place. Crossing offsets with boundaries repeats points heavily; a
+// bitset over [0, T) collapses the list in O(n + T/64) without a
+// comparison sort. Sparse point sets over a huge horizon fall back to an
+// ordinary sort.
 func sortedUniquePoints(pts []int64, T int64) []int64 {
 	if len(pts) == 0 {
 		return pts

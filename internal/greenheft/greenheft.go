@@ -13,9 +13,9 @@ package greenheft
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dag"
+	"repro/internal/heft"
 	"repro/internal/platform"
 	"repro/internal/power"
 )
@@ -120,23 +120,11 @@ type Result struct {
 	Makespan int64
 }
 
-type slot struct {
-	start, end int64
-	task       int
-}
-
-// Schedule runs the carbon-aware mapping pass. The task prioritization is
-// HEFT's upward rank (unchanged — it encodes the critical path); only the
-// processor selection differs by policy.
+// Schedule runs the carbon-aware mapping pass: HEFT's list scheduler
+// (heft.ListSchedule — the task prioritization by upward rank is unchanged,
+// it encodes the critical path) with the policy's objective as the score
+// of a candidate placement.
 func Schedule(d *dag.DAG, c *platform.Cluster, opt Options) (*Result, error) {
-	n := d.N()
-	if n == 0 {
-		return nil, fmt.Errorf("greenheft: empty workflow")
-	}
-	P := c.NumCompute()
-	if P == 0 {
-		return nil, fmt.Errorf("greenheft: cluster has no compute processors")
-	}
 	if !opt.Policy.Valid() {
 		return nil, fmt.Errorf("greenheft: unknown policy %d", int(opt.Policy))
 	}
@@ -156,99 +144,21 @@ func Schedule(d *dag.DAG, c *platform.Cluster, opt Options) (*Result, error) {
 	if alpha == 0 {
 		alpha = 1
 	}
-
-	wbar := make([]float64, n)
-	for v := 0; v < n; v++ {
-		var sum int64
-		for p := 0; p < P; p++ {
-			sum += c.ExecTime(d.Tasks[v].Weight, p)
-		}
-		wbar[v] = float64(sum) / float64(P)
+	draw := make([]int64, c.NumCompute()) // P_idle + P_work per processor
+	for p := range draw {
+		draw[p] = c.Proc(p).Type.Idle + c.Proc(p).Type.Work
 	}
-	order, err := d.TopoOrder()
+	res, err := heft.ListSchedule(d, c, func(p int, start, finish, dur int64) float64 {
+		avail := 0.0
+		if opt.Policy.ZoneAware() {
+			avail = zoneAvail(c, opt.Zones, p, start, finish)
+		}
+		return objective(opt.Policy, alpha, finish, dur, draw[p], avail)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("greenheft: %w", err)
 	}
-	rank := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		v := order[i]
-		var best float64
-		for _, ei := range d.OutEdges(v) {
-			e := d.Edges[ei]
-			if r := float64(c.CommTime(e.Weight)) + rank[e.To]; r > best {
-				best = r
-			}
-		}
-		rank[v] = wbar[v] + best
-	}
-	prio := make([]int, n)
-	for i := range prio {
-		prio[i] = i
-	}
-	sort.SliceStable(prio, func(i, j int) bool {
-		if rank[prio[i]] != rank[prio[j]] {
-			return rank[prio[i]] > rank[prio[j]]
-		}
-		return prio[i] < prio[j]
-	})
-
-	res := &Result{
-		Proc:   make([]int, n),
-		Start:  make([]int64, n),
-		Finish: make([]int64, n),
-		Order:  make([][]int, P),
-	}
-	timeline := make([][]slot, P)
-	scheduled := make([]bool, n)
-
-	for _, v := range prio {
-		bestProc := -1
-		var bestStart, bestFinish int64
-		bestObjective := 0.0
-		for p := 0; p < P; p++ {
-			ready := int64(0)
-			for _, ei := range d.InEdges(v) {
-				e := d.Edges[ei]
-				if !scheduled[e.From] {
-					return nil, fmt.Errorf("greenheft: priority order visited %d before predecessor %d", v, e.From)
-				}
-				arr := res.Finish[e.From]
-				if res.Proc[e.From] != p {
-					arr += c.CommTime(e.Weight)
-				}
-				if arr > ready {
-					ready = arr
-				}
-			}
-			dur := c.ExecTime(d.Tasks[v].Weight, p)
-			start := insertionStart(timeline[p], ready, dur)
-			finish := start + dur
-			pw := c.Proc(p).Type.Idle + c.Proc(p).Type.Work
-			avail := 0.0
-			if opt.Policy.ZoneAware() {
-				avail = zoneAvail(c, opt.Zones, p, start, finish)
-			}
-			obj := objective(opt.Policy, alpha, finish, dur, pw, avail)
-			if bestProc == -1 || obj < bestObjective ||
-				(obj == bestObjective && finish < bestFinish) {
-				bestProc, bestStart, bestFinish, bestObjective = p, start, finish, obj
-			}
-		}
-		res.Proc[v] = bestProc
-		res.Start[v] = bestStart
-		res.Finish[v] = bestFinish
-		scheduled[v] = true
-		timeline[bestProc] = insertSlot(timeline[bestProc], slot{bestStart, bestFinish, v})
-		if bestFinish > res.Makespan {
-			res.Makespan = bestFinish
-		}
-	}
-	for p := 0; p < P; p++ {
-		for _, s := range timeline[p] {
-			res.Order[p] = append(res.Order[p], s.task)
-		}
-	}
-	return res, nil
+	return (*Result)(res), nil
 }
 
 func objective(policy Policy, alpha float64, finish, dur, power int64, avail float64) float64 {
@@ -343,30 +253,6 @@ func pow(x, alpha float64) float64 {
 		}
 		return r
 	}
-}
-
-func insertionStart(tl []slot, ready, dur int64) int64 {
-	cur := ready
-	for _, s := range tl {
-		if s.end <= cur {
-			continue
-		}
-		if s.start >= cur+dur {
-			return cur
-		}
-		if s.end > cur {
-			cur = s.end
-		}
-	}
-	return cur
-}
-
-func insertSlot(tl []slot, s slot) []slot {
-	i := sort.Search(len(tl), func(i int) bool { return tl[i].start >= s.start })
-	tl = append(tl, slot{})
-	copy(tl[i+1:], tl[i:])
-	tl[i] = s
-	return tl
 }
 
 // Validate checks the same legality conditions as heft.Result.Validate.

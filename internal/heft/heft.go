@@ -11,7 +11,9 @@
 package heft
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dag"
@@ -42,6 +44,21 @@ type slot struct {
 // Section 3), so overlapping communications are allowed here; serializing
 // them per link is the job of the communication-enhanced DAG.
 func Schedule(d *dag.DAG, c *platform.Cluster) (*Result, error) {
+	return ListSchedule(d, c, nil)
+}
+
+// A Score ranks one candidate placement of a task: on processor p, over
+// [start, finish), dur = finish − start. Lower is better.
+type Score func(p int, start, finish, dur int64) float64
+
+// ListSchedule is the insertion-based list scheduler behind HEFT and the
+// carbon-aware mapping policies of package greenheft, which differ only in
+// how they choose among a task's candidate placements. Tasks are taken in
+// order of non-increasing upward rank; each is offered its earliest start
+// on every compute processor and goes to the placement with the lowest
+// score, ties broken by earlier finish and then by lower processor id. A
+// nil score is HEFT's: the finish time itself.
+func ListSchedule(d *dag.DAG, c *platform.Cluster, score Score) (*Result, error) {
 	n := d.N()
 	if n == 0 {
 		return nil, fmt.Errorf("heft: empty workflow")
@@ -51,12 +68,34 @@ func Schedule(d *dag.DAG, c *platform.Cluster) (*Result, error) {
 		return nil, fmt.Errorf("heft: cluster has no compute processors")
 	}
 
+	// A task's execution time depends on the processor's speed only, and
+	// a cluster has few distinct speeds (six in Table 1, for 72 or 144
+	// processors): class[p] indexes processor p's speed among them, and
+	// dur[v*K+k] is task v's execution time at the k-th.
+	class := make([]int, P)
+	var rep, count []int // per speed class: a processor that has it, how many do
+	bySpeed := map[int64]int{}
+	for p := 0; p < P; p++ {
+		speed := c.Proc(p).Type.Speed
+		k, ok := bySpeed[speed]
+		if !ok {
+			k = len(rep)
+			bySpeed[speed] = k
+			rep, count = append(rep, p), append(count, 0)
+		}
+		class[p] = k
+		count[k]++
+	}
+	K := len(rep)
+	dur := make([]int64, n*K)
+
 	// Mean execution cost per task over all processors.
 	wbar := make([]float64, n)
 	for v := 0; v < n; v++ {
 		var sum int64
-		for p := 0; p < P; p++ {
-			sum += c.ExecTime(d.Tasks[v].Weight, p)
+		for k := 0; k < K; k++ {
+			dur[v*K+k] = c.ExecTime(d.Tasks[v].Weight, rep[k])
+			sum += int64(count[k]) * dur[v*K+k]
 		}
 		wbar[v] = float64(sum) / float64(P)
 	}
@@ -85,11 +124,11 @@ func Schedule(d *dag.DAG, c *platform.Cluster) (*Result, error) {
 	for i := range prio {
 		prio[i] = i
 	}
-	sort.SliceStable(prio, func(i, j int) bool {
-		if rank[prio[i]] != rank[prio[j]] {
-			return rank[prio[i]] > rank[prio[j]]
+	slices.SortFunc(prio, func(a, b int) int {
+		if rank[a] != rank[b] {
+			return cmp.Compare(rank[b], rank[a])
 		}
-		return prio[i] < prio[j]
+		return cmp.Compare(a, b)
 	})
 
 	res := &Result{
@@ -100,33 +139,53 @@ func Schedule(d *dag.DAG, c *platform.Cluster) (*Result, error) {
 	}
 	timeline := make([][]slot, P)
 	scheduled := make([]bool, n)
+	hosts := make([]bool, P) // hosts[p]: p runs a predecessor of the task at hand
 
 	for _, v := range prio {
 		// HEFT's priority order is a topological order (rank decreases
-		// along edges), so all predecessors are already scheduled.
-		bestProc, bestStart := -1, int64(0)
-		bestFinish := int64(-1)
+		// along edges), so all predecessors are already scheduled. One
+		// pass over them gives the ready time on every processor that
+		// runs none of them — all their data arrives over a link — and
+		// marks the at most indegree(v) processors where some arrives for
+		// free.
+		in := d.InEdges(v)
+		remote := int64(0)
+		for _, ei := range in {
+			e := d.Edges[ei]
+			if !scheduled[e.From] {
+				return nil, fmt.Errorf("heft: priority order visited %d before predecessor %d", v, e.From)
+			}
+			remote = max(remote, res.Finish[e.From]+c.CommTime(e.Weight))
+			hosts[res.Proc[e.From]] = true
+		}
+		bestProc, bestStart, bestFinish := -1, int64(0), int64(0)
+		bestScore := 0.0
 		for p := 0; p < P; p++ {
-			ready := int64(0)
-			for _, ei := range d.InEdges(v) {
-				e := d.Edges[ei]
-				if !scheduled[e.From] {
-					return nil, fmt.Errorf("heft: priority order visited %d before predecessor %d", v, e.From)
-				}
-				arr := res.Finish[e.From]
-				if res.Proc[e.From] != p {
-					arr += c.CommTime(e.Weight)
-				}
-				if arr > ready {
-					ready = arr
+			ready := remote
+			if hosts[p] {
+				ready = 0
+				for _, ei := range in {
+					e := d.Edges[ei]
+					arr := res.Finish[e.From]
+					if res.Proc[e.From] != p {
+						arr += c.CommTime(e.Weight)
+					}
+					ready = max(ready, arr)
 				}
 			}
-			dur := c.ExecTime(d.Tasks[v].Weight, p)
-			start := insertionStart(timeline[p], ready, dur)
-			finish := start + dur
-			if bestFinish < 0 || finish < bestFinish {
-				bestProc, bestStart, bestFinish = p, start, finish
+			w := dur[v*K+class[p]]
+			start := insertionStart(timeline[p], ready, w)
+			finish := start + w
+			sc := float64(finish)
+			if score != nil {
+				sc = score(p, start, finish, w)
 			}
+			if bestProc == -1 || sc < bestScore || (sc == bestScore && finish < bestFinish) {
+				bestProc, bestStart, bestFinish, bestScore = p, start, finish, sc
+			}
+		}
+		for _, ei := range in {
+			hosts[res.Proc[d.Edges[ei].From]] = false
 		}
 		res.Proc[v] = bestProc
 		res.Start[v] = bestStart
@@ -148,20 +207,25 @@ func Schedule(d *dag.DAG, c *platform.Cluster) (*Result, error) {
 
 // insertionStart returns the earliest start ≥ ready on the timeline such
 // that a task of length dur fits without overlapping existing slots
-// (HEFT's insertion-based scheduling policy).
+// (HEFT's insertion-based scheduling policy). The slots are disjoint and
+// sorted by start, hence by end too: everything before the first slot
+// that ends after ready is out of the way, and a binary search finds it.
 func insertionStart(tl []slot, ready, dur int64) int64 {
-	cur := ready
-	for _, s := range tl {
-		if s.end <= cur {
-			continue
+	lo, hi := 0, len(tl)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); tl[m].end <= ready {
+			lo = m + 1
+		} else {
+			hi = m
 		}
+	}
+	cur := ready
+	for _, s := range tl[lo:] {
 		if s.start >= cur+dur {
 			return cur // gap before this slot fits
 		}
 		// Overlaps the candidate window; retry after this slot.
-		if s.end > cur {
-			cur = s.end
-		}
+		cur = s.end
 	}
 	return cur
 }

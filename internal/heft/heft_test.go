@@ -1,11 +1,15 @@
 package heft
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
+	"repro/internal/rng"
 	"repro/internal/wfgen"
 )
 
@@ -229,11 +233,183 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// textbookListSchedule is the list scheduler as the HEFT paper states it
+// and as this package first had it: for every task, every processor walks
+// the task's predecessors for its ready time, divides the weight by its own
+// speed, and scans its timeline from the front. ListSchedule must place
+// every task exactly where this does.
+func textbookListSchedule(d *dag.DAG, c *platform.Cluster, score Score) *Result {
+	n, P := d.N(), c.NumCompute()
+	wbar := make([]float64, n)
+	for v := 0; v < n; v++ {
+		var sum int64
+		for p := 0; p < P; p++ {
+			sum += c.ExecTime(d.Tasks[v].Weight, p)
+		}
+		wbar[v] = float64(sum) / float64(P)
+	}
+	order, err := d.TopoOrder()
+	if err != nil {
+		panic(err)
+	}
+	rank := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		v := order[i]
+		var best float64
+		for _, ei := range d.OutEdges(v) {
+			e := d.Edges[ei]
+			if r := float64(c.CommTime(e.Weight)) + rank[e.To]; r > best {
+				best = r
+			}
+		}
+		rank[v] = wbar[v] + best
+	}
+	prio := make([]int, n)
+	for i := range prio {
+		prio[i] = i
+	}
+	sort.SliceStable(prio, func(i, j int) bool {
+		if rank[prio[i]] != rank[prio[j]] {
+			return rank[prio[i]] > rank[prio[j]]
+		}
+		return prio[i] < prio[j]
+	})
+
+	res := &Result{Proc: make([]int, n), Start: make([]int64, n), Finish: make([]int64, n), Order: make([][]int, P)}
+	timeline := make([][]slot, P)
+	for _, v := range prio {
+		bestProc := -1
+		var bestStart, bestFinish int64
+		var bestScore float64
+		for p := 0; p < P; p++ {
+			ready := int64(0)
+			for _, ei := range d.InEdges(v) {
+				e := d.Edges[ei]
+				arr := res.Finish[e.From]
+				if res.Proc[e.From] != p {
+					arr += c.CommTime(e.Weight)
+				}
+				if arr > ready {
+					ready = arr
+				}
+			}
+			dur := c.ExecTime(d.Tasks[v].Weight, p)
+			start := ready
+			for _, s := range timeline[p] {
+				if s.end <= start {
+					continue
+				}
+				if s.start >= start+dur {
+					break
+				}
+				start = s.end
+			}
+			finish := start + dur
+			sc := float64(finish)
+			if score != nil {
+				sc = score(p, start, finish, dur)
+			}
+			if bestProc == -1 || sc < bestScore || (sc == bestScore && finish < bestFinish) {
+				bestProc, bestStart, bestFinish, bestScore = p, start, finish, sc
+			}
+		}
+		res.Proc[v], res.Start[v], res.Finish[v] = bestProc, bestStart, bestFinish
+		timeline[bestProc] = insertSlot(timeline[bestProc], slot{bestStart, bestFinish, v})
+		if bestFinish > res.Makespan {
+			res.Makespan = bestFinish
+		}
+	}
+	for p := range timeline {
+		for _, s := range timeline[p] {
+			res.Order[p] = append(res.Order[p], s.task)
+		}
+	}
+	return res
+}
+
+// energyScore is a stand-in for greenheft's scored policies: it prefers
+// frugal processors over early finishes, so its schedules leave gaps and
+// collide on score far more often than EFT's do.
+func energyScore(c *platform.Cluster) Score {
+	return func(p int, start, finish, dur int64) float64 {
+		return float64(dur * (c.Proc(p).Type.Idle + c.Proc(p).Type.Work))
+	}
+}
+
+func checkAgainstTextbook(t *testing.T, name string, d *dag.DAG, c *platform.Cluster) {
+	t.Helper()
+	for scoreName, score := range map[string]Score{"eft": nil, "energy": energyScore(c)} {
+		got, err := ListSchedule(d, c, score)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", name, scoreName, err)
+		}
+		want := textbookListSchedule(d, c, score)
+		if !reflect.DeepEqual(got, want) {
+			for v := range want.Proc {
+				if got.Proc[v] != want.Proc[v] || got.Start[v] != want.Start[v] || got.Finish[v] != want.Finish[v] {
+					t.Fatalf("%s/%s: task %d on proc %d over [%d, %d), textbook has proc %d over [%d, %d)", name, scoreName,
+						v, got.Proc[v], got.Start[v], got.Finish[v], want.Proc[v], want.Start[v], want.Finish[v])
+				}
+			}
+			t.Fatalf("%s/%s: same placements, different Order or Makespan", name, scoreName)
+		}
+	}
+}
+
+func TestListScheduleMatchesTextbook(t *testing.T) {
+	for fi, fam := range wfgen.Families() {
+		d, err := wfgen.Generate(fam, 120+40*fi, uint64(fi+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]*platform.Cluster{
+			"72":         platform.Small(1),
+			"144":        platform.Large(1),
+			"72x3zones":  platform.SmallZoned(1, 3),
+			"144x3zones": platform.LargeZoned(1, 3),
+		} {
+			checkAgainstTextbook(t, fmt.Sprint(fam, "/", name), d, c)
+		}
+	}
+}
+
+// TestListScheduleMatchesTextbookRandom draws what the generated families
+// do not have: arbitrary fan-in, edges heavier than tasks (so co-location
+// decides the ready time), weights below the speeds (durations clamp to
+// one unit) and clusters whose processors repeat speeds out of order.
+func TestListScheduleMatchesTextbookRandom(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		n := 2 + r.Intn(40)
+		d := dag.New(n)
+		for v := 0; v < n; v++ {
+			d.SetWeight(v, r.IntRange(1, 60))
+			for u := 0; u < v; u++ {
+				if r.Intn(4) == 0 {
+					d.AddEdge(u, v, r.IntRange(0, 30))
+				}
+			}
+		}
+		var types []platform.ProcType
+		var counts []int
+		for i, k := 0, 1+r.Intn(5); i < k; i++ {
+			types = append(types, platform.ProcType{Name: fmt.Sprint("T", i), Speed: r.IntRange(1, 4), Idle: r.IntRange(1, 9), Work: r.IntRange(1, 9)})
+			counts = append(counts, 1+r.Intn(3))
+		}
+		checkAgainstTextbook(t, fmt.Sprint("seed ", seed), d, platform.New(types, counts, seed))
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
 func BenchmarkHEFT1000Small(b *testing.B) {
 	d, err := wfgen.Generate(wfgen.Atacseq, 1000, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := platform.Small(1)

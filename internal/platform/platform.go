@@ -68,6 +68,7 @@ type Cluster struct {
 	procs    atomic.Pointer[[]Processor] // copy-on-write snapshot
 	nCompute int
 	numZones int
+	maxTotal int64          // max P_idle + P_work over compute processors
 	mu       sync.Mutex     // guards links and snapshot replacement
 	links    map[[2]int]int // (src, dst) → processor id
 	linkSeed uint64         // deterministic link power derivation
@@ -104,6 +105,9 @@ func NewZoned(types []ProcType, counts []int, zones []int, linkSeed uint64) *Clu
 		for j := 0; j < counts[i]; j++ {
 			procs = append(procs, Processor{ID: id, Type: pt})
 			id++
+		}
+		if counts[i] > 0 {
+			c.maxTotal = max(c.maxTotal, pt.Idle+pt.Work)
 		}
 	}
 	c.nCompute = id
@@ -341,24 +345,16 @@ func (c *Cluster) MaxPower() int64 {
 
 // MaxTotalPower returns max_j(P_idle(j) + P_work(j)) over compute
 // processors, the normalization constant of the weighting factor wf(i)
-// in Section 5.2.
-func (c *Cluster) MaxTotalPower() int64 {
-	procs := c.snapshot()
-	var max int64
-	for i := 0; i < c.nCompute; i++ {
-		if s := procs[i].Type.Idle + procs[i].Type.Work; s > max {
-			max = s
-		}
-	}
-	return max
-}
+// in Section 5.2. The compute processors are fixed at construction, and so
+// is the maximum.
+func (c *Cluster) MaxTotalPower() int64 { return c.maxTotal }
 
 // WeightFactor returns wf(i) = (P_idle(i)+P_work(i)) / max_j(P_idle(j)+P_work(j))
 // from Section 5.2, used by the weighted slack and pressure scores. The
 // maximum is taken over compute processors; link processors get their own
 // (tiny) numerator so communication tasks are nearly weightless.
 func (c *Cluster) WeightFactor(id int) float64 {
-	den := c.MaxTotalPower()
+	den := c.maxTotal
 	if den == 0 {
 		return 1
 	}

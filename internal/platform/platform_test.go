@@ -177,6 +177,10 @@ func TestPowerAggregates(t *testing.T) {
 	if got := c.MaxTotalPower(); got != 300 {
 		t.Errorf("MaxTotalPower = %d, want 300 (PT6)", got)
 	}
+	// A type no processor has does not count.
+	if got := New(Table1(), []int{1, 1, 1, 1, 1, 0}, 1).MaxTotalPower(); got != 220 {
+		t.Errorf("MaxTotalPower without PT6 = %d, want 220 (PT5)", got)
+	}
 }
 
 func TestWeightFactor(t *testing.T) {
