@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -92,6 +93,38 @@ func TestRunArrivalsDeterministicFrontier(t *testing.T) {
 	}
 	if !strings.Contains(table.String(), "/a4") {
 		t.Error("rendered frontier lost the /a<rate> job keys")
+	}
+}
+
+// TestArrivalResultsPinned pins utilization and carbon on a small grid
+// whose traces are long enough for early workflows to finish before the
+// last arrivals, so the ledger's accounting of finished work shows.
+func TestArrivalResultsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("online simulation in -short mode")
+	}
+	specs := ArrivalGrid(30, 42, []float64{0.5, 1, 4}, []int{1, 2}, 8)
+	results, err := RunArrivals(context.Background(), specs, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"util=0.005022462667679068 admitted=5 rejected=3 admit_cost=0 final_cost=0 moves=0 saved=0 span=1756",
+		"util=0.00796146550863532 admitted=5 rejected=3 admit_cost=0 final_cost=0 moves=0 saved=0 span=1113",
+		"util=0.014926233287229139 admitted=2 rejected=6 admit_cost=0 final_cost=0 moves=0 saved=0 span=241",
+		"util=0.005005360070626813 admitted=5 rejected=3 admit_cost=1681 final_cost=1681 moves=0 saved=0 span=1762",
+		"util=0.007968625099920064 admitted=5 rejected=3 admit_cost=2078 final_cost=2078 moves=0 saved=0 span=1112",
+		"util=0.012779706790123456 admitted=2 rejected=6 admit_cost=855 final_cost=855 moves=0 saved=0 span=288",
+	}
+	if len(results) != len(want) {
+		t.Fatalf("%d results for %d pinned cells", len(results), len(want))
+	}
+	for i, r := range results {
+		got := fmt.Sprintf("util=%v admitted=%d rejected=%d admit_cost=%d final_cost=%d moves=%d saved=%d span=%d",
+			r.Utilization, r.Admitted, r.Rejected, r.AdmittedCost, r.FinalCost, r.Moves, r.SavedCarbon, r.Span)
+		if got != want[i] {
+			t.Errorf("%s:\n got %s\nwant %s", r.Spec, got, want[i])
+		}
 	}
 }
 
