@@ -5,7 +5,10 @@ package cawosched_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	cawosched "repro"
 	"repro/internal/core"
@@ -13,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/rng"
+	"repro/internal/tenancy"
 )
 
 func benchInstance(b *testing.B, n int) (*cawosched.Instance, *cawosched.Profile) {
@@ -264,5 +268,61 @@ func BenchmarkUniprocessorDP(b *testing.B) {
 		if _, err := dp.Solve(p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkManagerGet measures a status read of a long-finished workflow
+// on a tenancy manager whose history holds 500 or 4 000 admissions, and
+// reports the mean submission on the same manager as submit-ns. Both
+// cost what the live claims and the workflow's own claims cost, so the
+// two history lengths should read the same.
+func BenchmarkManagerGet(b *testing.B) {
+	for _, history := range []int{500, 4000} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			cluster := cawosched.SmallZonedCluster(42, 2)
+			specs := make([]power.ZoneSpec, 2)
+			for z := range specs {
+				gmin, gmax := power.PlatformBounds(cluster.ZoneComputeIdle(z), cluster.ZoneComputeWork(z))
+				specs[z] = power.ZoneSpec{Name: fmt.Sprint("z", z), Scenario: power.Scenarios()[z], Gmin: gmin, Gmax: gmax}
+			}
+			supply, err := power.GenerateZones(specs, 480, 24, 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			clock := tenancy.NewSimClock(0)
+			m, err := tenancy.NewManager(tenancy.Config{Solver: cawosched.NewSolver(cluster), Supply: supply, Clock: clock})
+			if err != nil {
+				b.Fatal(err)
+			}
+			wf, err := cawosched.GenerateWorkflow(cawosched.Bacass, 20, 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			submit := func() {
+				clock.Advance(200)
+				_, err := m.Submit(ctx, tenancy.SubmitRequest{Workflow: wf, DeadlineFactor: 30})
+				if err != nil && !errors.Is(err, cawosched.ErrInfeasibleDeadline) {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < history; i++ {
+				submit()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Get("wf-000001"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			const submits = 50
+			start := time.Now()
+			for i := 0; i < submits; i++ {
+				submit()
+			}
+			b.ReportMetric(float64(time.Since(start).Nanoseconds())/submits, "submit-ns")
+		})
 	}
 }

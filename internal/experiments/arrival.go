@@ -214,7 +214,7 @@ func runArrival(ctx context.Context, as ArrivalSpec) (ArrivalResult, error) {
 		}
 	}
 	if res.Span > 0 {
-		busy := m.Ledger().BusyUnits(cluster.NumCompute(), 0, res.Span)
+		busy := m.Ledger().BusyUnits(cluster.NumCompute())
 		res.Utilization = float64(busy) / (float64(cluster.NumCompute()) * float64(res.Span))
 	}
 	return res, nil

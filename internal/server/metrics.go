@@ -143,7 +143,7 @@ func newMetrics(solver *cawosched.Solver, mgr *tenancy.Manager, tier *cawosched.
 		rebalMoves := reg.Counter("schedd_rebalance_moves_total", "placements improved and re-committed").With()
 		saved := reg.Counter("schedd_rebalance_saved_units_total",
 			"carbon units saved by adopted rebalance moves").With()
-		claims := reg.Gauge("schedd_ledger_claims", "committed reservations").With()
+		claims := reg.Gauge("schedd_ledger_claims", "live reservations (ending after the compaction horizon)").With()
 		reserved := reg.Gauge("schedd_ledger_reserved_units", "total proc-time units committed").With()
 		// The regret view: admitted vs current placement cost over the
 		// non-canceled fleet. current − admitted ≤ 0; its magnitude is the

@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	cawosched "repro"
+	"repro/internal/power"
 	"repro/internal/rng"
 	"repro/internal/scherr"
 )
@@ -172,4 +174,209 @@ func TestManagerChurnPinned(t *testing.T) {
 		t.Errorf("gauges = %+v\nwant     %+v", g, want)
 	}
 	t.Logf("ledger claims %d, rejected %d, finished gets %d, truncated %d", m.Ledger().NumClaims(), rejected, finished, truncated)
+}
+
+// ledgerTwin is the brute-force reference for the compacting ledger: it
+// keeps every claim ever committed, never compacts, and replays the
+// manager's commits and releases from its history.
+type ledgerTwin struct {
+	ledger *Ledger            // never compacted
+	owned  map[string][]Claim // per owner, sorted by (proc, start)
+}
+
+func (tw *ledgerTwin) commit(t testing.TB, owner string, claims []Claim) {
+	t.Helper()
+	if err := tw.ledger.Commit(owner, claims); err != nil {
+		t.Fatalf("twin commit %s: %v", owner, err)
+	}
+	tw.owned[owner] = claims
+}
+
+func (tw *ledgerTwin) release(owner string, at int64) {
+	tw.ledger.ReleaseFrom(owner, tw.owned[owner], at)
+	var kept []Claim
+	for _, c := range tw.owned[owner] {
+		if c.End = cut(c.Start, c.End, at); c.End > c.Start {
+			kept = append(kept, c)
+		}
+	}
+	tw.owned[owner] = kept
+}
+
+// residual prices the window [from, from+T) unit by unit against every
+// claim ever committed, merging equal neighbours into intervals.
+func (tw *ledgerTwin) residual(supply *power.ZoneSet, zoneOf func(int) int, from, T int64) [][]power.Interval {
+	demand := make([][]int64, supply.NumZones())
+	for z := range demand {
+		demand[z] = make([]int64, T)
+	}
+	for _, claims := range tw.owned {
+		for _, c := range claims {
+			for u := max(c.Start, from); u < min(c.End, from+T); u++ {
+				demand[zoneOf(c.Proc)][u-from] += c.Work
+			}
+		}
+	}
+	out := make([][]power.Interval, len(demand))
+	for z, d := range demand {
+		base := supply.Profile(z)
+		for u := int64(0); u < T; u++ {
+			budget := max(0, base.BudgetAt((from+u)%base.T())-d[u])
+			if n := len(out[z]); n > 0 && out[z][n-1].Budget == budget {
+				out[z][n-1].End++
+			} else {
+				out[z] = append(out[z], power.Interval{Start: u, End: u + 1, Budget: budget})
+			}
+		}
+	}
+	return out
+}
+
+// TestLedgerCompactionMatchesTwin replays the churn trace and checks,
+// after every op, that the compacted ledger answers exactly like a twin
+// that forgets nothing: the residual supply interval by interval, the
+// offset search for the last admission's claims shifted to now, the
+// busy and reserved totals, and every status's claims.
+func TestLedgerCompactionMatchesTwin(t *testing.T) {
+	m, clock := testManager(t, 7, 2)
+	zoneOf := m.solver.Cluster().ZoneOf
+	tw := &ledgerTwin{ledger: NewLedger(), owned: make(map[string][]Claim)}
+	seen := 0
+	var last *WorkflowStatus
+	replayChurn(t, m, clock, func(r churnResult) {
+		hist := m.History()
+		for _, e := range hist[seen:] {
+			switch e.Kind {
+			case "cancel":
+				tw.release(e.ID, e.Time)
+			case "rebalance":
+				tw.release(e.ID, 0)
+				fallthrough
+			case "admit":
+				st, err := m.Get(e.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tw.commit(t, e.ID, st.Claims)
+			}
+		}
+		seen = len(hist)
+		if r.op.class == churnSubmit && r.err == nil {
+			last = r.status
+		}
+		if r.status != nil && !slices.Equal(r.status.Claims, tw.owned[r.status.ID]) {
+			t.Fatalf("op %d: %s claims %v, twin %v", r.i, r.status.ID, r.status.Claims, tw.owned[r.status.ID])
+		}
+		if err := m.Ledger().Audit(); err != nil {
+			t.Fatalf("op %d: %v", r.i, err)
+		}
+		if got, want := m.Ledger().BusyUnits(0), tw.ledger.BusyUnits(0); got != want {
+			t.Fatalf("op %d: busy units %d, twin %d", r.i, got, want)
+		}
+		if got, want := m.Ledger().ReservedUnits(), tw.ledger.ReservedUnits(); got != want {
+			t.Fatalf("op %d: reserved units %d, twin %d", r.i, got, want)
+		}
+
+		window := last.Deadline - last.SubmittedAt
+		res, err := m.Ledger().Residual(m.Supply(), zoneOf, r.now, window)
+		if err != nil {
+			t.Fatalf("op %d: residual: %v", r.i, err)
+		}
+		for z, want := range tw.residual(m.Supply(), zoneOf, r.now, window) {
+			if got := res.Profile(z).Intervals; !slices.Equal(got, want) {
+				t.Fatalf("op %d: zone %d residual over [%d, +%d):\n got %v\nwant %v", r.i, z, r.now, window, got, want)
+			}
+		}
+
+		shifted := make([]Claim, len(last.Claims))
+		for i, c := range last.Claims {
+			d := r.now - last.SubmittedAt
+			shifted[i] = Claim{Proc: c.Proc, Start: c.Start + d, End: c.End + d, Work: c.Work}
+		}
+		delta, ok, err := m.Ledger().FindOffset(shifted, r.now+window)
+		wantDelta, wantOK, wantErr := tw.ledger.FindOffset(shifted, r.now+window)
+		if err != nil || wantErr != nil || delta != wantDelta || ok != wantOK {
+			t.Fatalf("op %d: FindOffset = (%d, %v, %v), twin (%d, %v, %v)", r.i, delta, ok, err, wantDelta, wantOK, wantErr)
+		}
+	})
+	// Compaction happened: the live set is a small part of the history.
+	if live, total := m.Ledger().NumClaims(), tw.ledger.NumClaims(); live*10 > total {
+		t.Errorf("%d live reservations of %d committed: compaction did not keep up", live, total)
+	}
+}
+
+// rewindClock is a Clock a test sets by hand, backwards included.
+type rewindClock struct{ t int64 }
+
+func (c *rewindClock) Now() int64 { return c.t }
+
+// TestLedgerRefusesWindowBeforeHorizon: once Compact(h) has dropped what
+// ended by h, a window starting before h would be priced without that
+// work, so every query over one fails instead.
+func TestLedgerRefusesWindowBeforeHorizon(t *testing.T) {
+	supply, err := power.NewZoneSet(power.Zone{Name: "a", Profile: &power.Profile{Intervals: []power.Interval{{Start: 0, End: 20, Budget: 10}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zoneOf := func(int) int { return 0 }
+	l := NewLedger()
+	if err := l.Commit("a", []Claim{{Proc: 0, Start: 0, End: 10, Work: 4}, {Proc: 0, Start: 12, End: 20, Work: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Compact(11); err != nil {
+		t.Fatal(err)
+	}
+	early := []Claim{{Proc: 1, Start: 5, End: 8, Work: 1}}
+	if _, err := l.Residual(supply, zoneOf, 5, 10); !errors.Is(err, errBeforeHorizon) {
+		t.Errorf("Residual before the horizon: %v", err)
+	}
+	if _, _, err := l.FindOffset(early, 100); !errors.Is(err, errBeforeHorizon) {
+		t.Errorf("FindOffset before the horizon: %v", err)
+	}
+	if err := l.Commit("b", early); !errors.Is(err, errBeforeHorizon) {
+		t.Errorf("Commit before the horizon: %v", err)
+	}
+	if err := l.Compact(10); !errors.Is(err, errBeforeHorizon) {
+		t.Errorf("Compact below the horizon: %v", err)
+	}
+	// At the horizon everything works again.
+	if _, err := l.Residual(supply, zoneOf, 11, 10); err != nil {
+		t.Error(err)
+	}
+	if err := l.Commit("b", []Claim{{Proc: 1, Start: 11, End: 14, Work: 1}}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestManagerClockSteppingBack: a clock that runs backwards makes every
+// state transition fail with the horizon error and change nothing.
+func TestManagerClockSteppingBack(t *testing.T) {
+	m, _ := testManager(t, 3, 2)
+	clock := &rewindClock{t: 500}
+	m.clock = clock
+	ctx := context.Background()
+	st, err := m.Submit(ctx, SubmitRequest{Workflow: testWorkflow(t, 40, 7), DeadlineFactor: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.t = 400
+	if _, err := m.Submit(ctx, SubmitRequest{Workflow: testWorkflow(t, 40, 7), DeadlineFactor: 4}); !errors.Is(err, errBeforeHorizon) {
+		t.Errorf("Submit after the clock stepped back: %v", err)
+	}
+	if _, err := m.Cancel(st.ID); !errors.Is(err, errBeforeHorizon) {
+		t.Errorf("Cancel after the clock stepped back: %v", err)
+	}
+	if _, err := m.Rebalance(ctx); !errors.Is(err, errBeforeHorizon) {
+		t.Errorf("Rebalance after the clock stepped back: %v", err)
+	}
+	got, err := m.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Claims, st.Claims) || len(m.History()) != 1 {
+		t.Errorf("a refused transition changed state: claims %v -> %v, history %+v", st.Claims, got.Claims, m.History())
+	}
+	if err := m.Ledger().Audit(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -11,6 +11,10 @@ import (
 // elapsed wall time onto units; tests and simulations inject a SimClock so
 // every admission decision and rolling-horizon pass happens at an exact,
 // reproducible instant.
+//
+// Model time must not run backwards. The Manager drops from its ledger
+// the work that ended before the last now it saw, so a state transition
+// at an earlier time fails rather than price a window without that work.
 type Clock interface {
 	// Now returns the current model time in schedule time units. It must
 	// be monotonically non-decreasing.

@@ -7,7 +7,9 @@
 //   - Ledger: a concurrency-safe record of committed reservations — one
 //     time-interval claim per scheduled node, per processor. A commit is
 //     all-or-nothing and refuses any overlap, so the ledger can never
-//     double-book a processor.
+//     double-book a processor. It holds only what can still matter:
+//     reservations that ended before the compaction horizon are dropped,
+//     their units kept as per-processor totals.
 //   - Residual view: the green power supply minus the power the committed
 //     reservations already draw, per grid zone. The existing core/greenheft
 //     pipeline solves new workflows against this view unchanged — tenants
@@ -20,6 +22,7 @@
 package tenancy
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -56,23 +59,67 @@ type reservation struct {
 	owner      string
 }
 
+// errBeforeHorizon marks a window that starts before the compaction
+// horizon, where reservations Compact dropped could still matter.
+var errBeforeHorizon = errors.New("tenancy: window starts before the compaction horizon")
+
 // Ledger is the concurrency-safe cluster-state record of committed
 // reservations. All methods are safe for concurrent use; Commit is
 // atomic (all claims or none).
+//
+// Only live reservations are stored: Compact(h) drops every reservation
+// that ends at or before h and raises the horizon to h. Every query looks
+// at a window [from, …) and skips a reservation that ends at or before
+// from, so dropping them changes no answer as long as no window starts
+// before the horizon; Residual, FindOffset and Commit refuse one that does.
 type Ledger struct {
-	mu       sync.RWMutex
-	procs    map[int][]reservation       // per processor, sorted by start, non-overlapping
-	owners   map[string]map[int]struct{} // owner -> processors holding its claims
-	claims   int64
-	reserved int64 // Σ (end-start) over all committed claims
+	mu      sync.RWMutex
+	procs   map[int][]reservation // per processor, live, sorted by start, non-overlapping
+	busy    map[int]int64         // per processor, Σ (end-start) booked, compacted history included
+	horizon int64                 // every reservation ending at or before it has been dropped
+	claims  int64                 // live reservations
 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
 	return &Ledger{
-		procs:  make(map[int][]reservation),
-		owners: make(map[string]map[int]struct{}),
+		procs: make(map[int][]reservation),
+		busy:  make(map[int]int64),
 	}
+}
+
+// beforeHorizon refuses a window starting at from when reservations
+// Compact dropped could overlap it. Caller holds at least a read lock.
+func (l *Ledger) beforeHorizon(from int64) error {
+	if from < l.horizon {
+		return fmt.Errorf("%w: window starts at %d, horizon is %d", errBeforeHorizon, from, l.horizon)
+	}
+	return nil
+}
+
+// Compact drops every reservation that ends at or before h and raises
+// the horizon to h. The dropped units stay in BusyUnits and
+// ReservedUnits. It fails when h is below the horizon: model time ran
+// backwards.
+func (l *Ledger) Compact(h int64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.beforeHorizon(h); err != nil {
+		return err
+	}
+	l.horizon = h
+	for proc, rs := range l.procs {
+		// Non-overlapping and sorted by start, so sorted by end too: the
+		// ended reservations are a prefix.
+		i := sort.Search(len(rs), func(i int) bool { return rs[i].end > h })
+		l.claims -= int64(i)
+		if i == len(rs) {
+			delete(l.procs, proc)
+		} else {
+			l.procs[proc] = rs[i:]
+		}
+	}
+	return nil
 }
 
 // firstOverlap returns the first reservation on proc overlapping
@@ -128,8 +175,8 @@ func (l *Ledger) Commit(owner string, claims []Claim) error {
 		if c.End <= c.Start {
 			continue
 		}
-		if c.Start < 0 {
-			return fmt.Errorf("tenancy: claim on processor %d starts at %d < 0", c.Proc, c.Start)
+		if err := l.beforeHorizon(c.Start); err != nil {
+			return fmt.Errorf("tenancy: claim on processor %d: %w", c.Proc, err)
 		}
 		byProc[c.Proc] = append(byProc[c.Proc], c)
 	}
@@ -150,101 +197,76 @@ func (l *Ledger) Commit(owner string, claims []Claim) error {
 			copy(rs[i+1:], rs[i:])
 			rs[i] = reservation{start: c.Start, end: c.End, work: c.Work, owner: owner}
 			l.claims++
-			l.reserved += c.End - c.Start
+			l.busy[proc] += c.End - c.Start
 		}
 		l.procs[proc] = rs
-		set, ok := l.owners[owner]
-		if !ok {
-			set = make(map[int]struct{})
-			l.owners[owner] = set
-		}
-		set[proc] = struct{}{}
 	}
 	return nil
 }
 
-// ReleaseFrom removes owner's share of the timeline from t onward: claims
-// starting at or after t are dropped, and a claim spanning t is truncated
-// to end at t (the work already performed stays booked). It returns the
-// number of proc-time units released. ReleaseFrom(owner, math.MinInt64)
-// releases everything the owner holds.
-func (l *Ledger) ReleaseFrom(owner string, t int64) int64 {
+// ReleaseFrom removes owner's share of the timeline from t onward, on the
+// processors its claims name: a reservation starting at or after t is
+// dropped, and one spanning t is truncated to end at t (the work already
+// performed stays booked). It returns the number of proc-time units
+// released. Time before the compaction horizon is history: t is raised to
+// the horizon.
+func (l *Ledger) ReleaseFrom(owner string, claims []Claim, t int64) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	t = max(t, l.horizon)
 	var released int64
-	set := l.owners[owner]
-	for proc := range set {
-		rs := l.procs[proc]
+	for i, c := range claims {
+		if i > 0 && claims[i-1].Proc == c.Proc {
+			continue // already visited: claims come sorted by proc
+		}
+		rs := l.procs[c.Proc]
 		out := rs[:0]
-		remaining := false
 		for _, r := range rs {
-			switch {
-			case r.owner != owner || r.end <= t:
-				out = append(out, r)
-				if r.owner == owner {
-					remaining = true
+			if r.owner == owner {
+				end := cut(r.start, r.end, t)
+				released += r.end - end
+				l.busy[c.Proc] -= r.end - end
+				if end == r.start || end <= l.horizon {
+					l.claims-- // released whole, or truncated into history
+					continue
 				}
-			case r.start >= t:
-				released += r.end - r.start
-				l.claims--
-				l.reserved -= r.end - r.start
-			default: // spans t: truncate
-				released += r.end - t
-				l.reserved -= r.end - t
-				r.end = t
-				out = append(out, r)
-				remaining = true
+				r.end = end
 			}
+			out = append(out, r)
 		}
-		l.procs[proc] = out
-		if !remaining {
-			delete(set, proc)
-		}
-	}
-	if len(set) == 0 {
-		delete(l.owners, owner)
+		l.procs[c.Proc] = out
 	}
 	return released
 }
 
-// OwnerClaims returns owner's committed claims, sorted by (proc, start).
-func (l *Ledger) OwnerClaims(owner string) []Claim {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []Claim
-	procs := make([]int, 0, len(l.owners[owner]))
-	for proc := range l.owners[owner] {
-		procs = append(procs, proc)
-	}
-	sort.Ints(procs)
-	for _, proc := range procs {
-		for _, r := range l.procs[proc] {
-			if r.owner == owner {
-				out = append(out, Claim{Proc: proc, Start: r.start, End: r.end, Work: r.work})
-			}
-		}
-	}
-	return out
-}
+// cut is ReleaseFrom's rule for a booking [start, end) released from t:
+// it returns the end of the part that stays booked, start when none does.
+func cut(start, end, t int64) int64 { return max(start, min(end, t)) }
 
 // FindOffset returns the smallest delta >= 0 such that every claim,
 // shifted by delta, commits without conflict and no shifted claim ends
 // after maxEnd. The search is conflict-driven: each round jumps delta to
 // the latest blocking reservation's end, so it terminates after at most
 // one round per blocking reservation. ok is false when no such delta
-// exists within the deadline.
-func (l *Ledger) FindOffset(claims []Claim, maxEnd int64) (delta int64, ok bool) {
+// exists within the deadline; the error reports a claim that starts
+// before the compaction horizon.
+func (l *Ledger) FindOffset(claims []Claim, maxEnd int64) (delta int64, ok bool, err error) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	var latest int64
 	for _, c := range claims {
 		if c.End > latest {
 			latest = c.End
 		}
+		if c.End > c.Start {
+			if err := l.beforeHorizon(c.Start); err != nil {
+				return 0, false, err
+			}
+		}
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	for {
 		if latest+delta > maxEnd {
-			return 0, false
+			return 0, false, nil
 		}
 		shift := int64(-1)
 		for _, c := range claims {
@@ -260,13 +282,14 @@ func (l *Ledger) FindOffset(claims []Claim, maxEnd int64) (delta int64, ok bool)
 			}
 		}
 		if shift < 0 {
-			return delta, true
+			return delta, true, nil
 		}
 		delta = shift
 	}
 }
 
-// NumClaims returns the number of committed reservations.
+// NumClaims returns the number of live reservations (ending after the
+// compaction horizon).
 func (l *Ledger) NumClaims() int64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -274,44 +297,27 @@ func (l *Ledger) NumClaims() int64 {
 }
 
 // ReservedUnits returns the total committed proc-time units (Σ end-start
-// over all reservations, past and future).
-func (l *Ledger) ReservedUnits() int64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.reserved
-}
+// over all reservations, past and future, compacted ones included).
+func (l *Ledger) ReservedUnits() int64 { return l.BusyUnits(0) }
 
-// BusyUnits returns the committed proc-time units that fall within
-// [from, to) on processors with id < maxProc (pass the cluster's compute
-// count to measure compute utilization; 0 or negative means every
-// processor).
-func (l *Ledger) BusyUnits(maxProc int, from, to int64) int64 {
+// BusyUnits returns the proc-time units ever committed and not released
+// on processors with id < maxProc (pass the cluster's compute count to
+// measure compute utilization; 0 or negative means every processor).
+func (l *Ledger) BusyUnits(maxProc int) int64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	var units int64
-	for proc, rs := range l.procs {
-		if maxProc > 0 && proc >= maxProc {
-			continue
-		}
-		for _, r := range rs {
-			lo, hi := r.start, r.end
-			if lo < from {
-				lo = from
-			}
-			if hi > to {
-				hi = to
-			}
-			if hi > lo {
-				units += hi - lo
-			}
+	for proc, u := range l.busy {
+		if maxProc <= 0 || proc < maxProc {
+			units += u
 		}
 	}
 	return units
 }
 
 // Audit verifies the ledger invariant: every per-processor timeline is
-// sorted and strictly non-overlapping. It is the test hook behind the
-// "never double-books" guarantee.
+// sorted and strictly non-overlapping, and ends after the compaction
+// horizon. It is the test hook behind the "never double-books" guarantee.
 func (l *Ledger) Audit() error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -319,6 +325,9 @@ func (l *Ledger) Audit() error {
 		for i, r := range rs {
 			if r.end <= r.start {
 				return fmt.Errorf("tenancy: processor %d reservation %d empty [%d, %d)", proc, i, r.start, r.end)
+			}
+			if r.end <= l.horizon {
+				return fmt.Errorf("tenancy: processor %d reservation [%d, %d) ended by the horizon %d", proc, r.start, r.end, l.horizon)
 			}
 			if i > 0 && rs[i-1].end > r.start {
 				return fmt.Errorf("tenancy: processor %d reservations overlap: [%d, %d) by %s then [%d, %d) by %s",

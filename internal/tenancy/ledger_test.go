@@ -11,6 +11,21 @@ import (
 	"repro/internal/rng"
 )
 
+// ownerClaims lists owner's live reservations, sorted by (proc, start).
+func ownerClaims(l *Ledger, owner string) []Claim {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	var out []Claim
+	for proc, rs := range l.procs {
+		for _, r := range rs {
+			if r.owner == owner {
+				out = append(out, Claim{Proc: proc, Start: r.start, End: r.end, Work: r.work})
+			}
+		}
+	}
+	return byProcStart(out)
+}
+
 func TestLedgerCommitRejectsOverlapAtomically(t *testing.T) {
 	l := NewLedger()
 	if err := l.Commit("a", []Claim{
@@ -41,7 +56,7 @@ func TestLedgerCommitRejectsOverlapAtomically(t *testing.T) {
 	if n := l.NumClaims(); n != 2 {
 		t.Errorf("failed commit leaked claims: NumClaims = %d", n)
 	}
-	if got := l.OwnerClaims("b"); len(got) != 0 {
+	if got := ownerClaims(l, "b"); len(got) != 0 {
 		t.Errorf("failed commit left owner claims: %v", got)
 	}
 
@@ -60,21 +75,22 @@ func TestLedgerCommitRejectsOverlapAtomically(t *testing.T) {
 
 func TestLedgerReleaseFromTruncatesAtT(t *testing.T) {
 	l := NewLedger()
-	if err := l.Commit("a", []Claim{
+	a := []Claim{
 		{Proc: 0, Start: 0, End: 10, Work: 5},  // spans t=6: truncated
 		{Proc: 0, Start: 20, End: 30, Work: 5}, // future: dropped
 		{Proc: 1, Start: 0, End: 4, Work: 2},   // past: kept
-	}); err != nil {
+	}
+	if err := l.Commit("a", a); err != nil {
 		t.Fatal(err)
 	}
-	released := l.ReleaseFrom("a", 6)
+	released := l.ReleaseFrom("a", a, 6)
 	if want := int64((10 - 6) + (30 - 20)); released != want {
 		t.Errorf("released = %d, want %d", released, want)
 	}
-	claims := l.OwnerClaims("a")
+	claims := ownerClaims(l, "a")
 	want := []Claim{{Proc: 0, Start: 0, End: 6, Work: 5}, {Proc: 1, Start: 0, End: 4, Work: 2}}
 	if len(claims) != len(want) {
-		t.Fatalf("OwnerClaims = %v, want %v", claims, want)
+		t.Fatalf("owner claims = %v, want %v", claims, want)
 	}
 	for i := range want {
 		if claims[i] != want[i] {
@@ -85,9 +101,9 @@ func TestLedgerReleaseFromTruncatesAtT(t *testing.T) {
 	if err := l.Commit("b", []Claim{{Proc: 0, Start: 6, End: 25, Work: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	// Releasing everything clears the owner index.
-	l.ReleaseFrom("a", math.MinInt64)
-	if got := l.OwnerClaims("a"); len(got) != 0 {
+	// Releasing from the beginning of time leaves nothing.
+	l.ReleaseFrom("a", a, math.MinInt64)
+	if got := ownerClaims(l, "a"); len(got) != 0 {
 		t.Errorf("full release left claims: %v", got)
 	}
 	if err := l.Audit(); err != nil {
@@ -110,33 +126,44 @@ func TestLedgerFindOffset(t *testing.T) {
 		{Proc: 0, Start: 0, End: 4, Work: 1},
 		{Proc: 1, Start: 4, End: 6, Work: 1},
 	}
-	delta, ok := l.FindOffset(claims, 100)
-	if !ok || delta != 10 {
-		t.Fatalf("FindOffset = (%d, %v), want (10, true)", delta, ok)
+	delta, ok, err := l.FindOffset(claims, 100)
+	if err != nil || !ok || delta != 10 {
+		t.Fatalf("FindOffset = (%d, %v, %v), want (10, true, nil)", delta, ok, err)
 	}
 	// Tight deadline: latest shifted end would be 16 > 12.
-	if _, ok := l.FindOffset(claims, 12); ok {
+	if _, ok, _ := l.FindOffset(claims, 12); ok {
 		t.Error("FindOffset fit inside an impossible deadline")
 	}
 	// No conflicts at all: delta 0.
-	if delta, ok := l.FindOffset([]Claim{{Proc: 5, Start: 0, End: 3, Work: 1}}, 3); !ok || delta != 0 {
-		t.Errorf("free slot: FindOffset = (%d, %v), want (0, true)", delta, ok)
+	if delta, ok, err := l.FindOffset([]Claim{{Proc: 5, Start: 0, End: 3, Work: 1}}, 3); err != nil || !ok || delta != 0 {
+		t.Errorf("free slot: FindOffset = (%d, %v, %v), want (0, true, nil)", delta, ok, err)
 	}
 }
 
+// TestLedgerBusyUnits: the whole-history total per processor range counts
+// compacted reservations as well as live ones, and not released units.
 func TestLedgerBusyUnits(t *testing.T) {
 	l := NewLedger()
-	if err := l.Commit("a", []Claim{
+	a := []Claim{
 		{Proc: 0, Start: 0, End: 10, Work: 1},
-		{Proc: 7, Start: 0, End: 10, Work: 1}, // beyond maxProc 4
-	}); err != nil {
+		{Proc: 0, Start: 12, End: 30, Work: 1}, // live after Compact(10); half released at 21
+		{Proc: 7, Start: 0, End: 10, Work: 1},  // beyond maxProc 4
+	}
+	if err := l.Commit("a", a); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.BusyUnits(4, 5, 20); got != 5 {
-		t.Errorf("BusyUnits(4, 5, 20) = %d, want 5", got)
+	if err := l.Compact(10); err != nil {
+		t.Fatal(err)
 	}
-	if got := l.BusyUnits(0, 0, 20); got != 20 {
-		t.Errorf("BusyUnits(0, ...) = %d, want 20 (all procs)", got)
+	if n := l.NumClaims(); n != 1 {
+		t.Errorf("NumClaims after Compact(10) = %d, want 1 live", n)
+	}
+	l.ReleaseFrom("a", byProcStart(a), 21)
+	if got := l.BusyUnits(4); got != 10+9 {
+		t.Errorf("BusyUnits(4) = %d, want 19", got)
+	}
+	if got, want := l.BusyUnits(0), int64(10+9+10); got != want || l.ReservedUnits() != want {
+		t.Errorf("BusyUnits(0) = %d, ReservedUnits = %d, want %d (all procs)", got, l.ReservedUnits(), want)
 	}
 }
 
@@ -165,7 +192,7 @@ func TestLedgerConcurrentCommitReleaseAudit(t *testing.T) {
 						Work:  int64(r.Intn(10)),
 					})
 				}
-				if delta, ok := l.FindOffset(claims, 5000); ok {
+				if delta, ok, _ := l.FindOffset(claims, 5000); ok {
 					for j := range claims {
 						claims[j].Start += delta
 						claims[j].End += delta
@@ -175,7 +202,12 @@ func TestLedgerConcurrentCommitReleaseAudit(t *testing.T) {
 					_ = l.Commit(owner, claims)
 				}
 				if r.Intn(3) == 0 {
-					l.ReleaseFrom(owner, int64(r.Intn(600)))
+					l.ReleaseFrom(owner, claims, int64(r.Intn(600)))
+				}
+				if g == 0 {
+					// Commits and searches behind the horizon fail, which
+					// is fine; the invariant must hold through it.
+					_ = l.Compact(int64(i))
 				}
 			}
 		}(g)

@@ -1,9 +1,11 @@
 package tenancy
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	cawosched "repro"
@@ -92,7 +94,7 @@ type Gauges struct {
 	CanceledTotal       int64
 	RebalancePasses     int64 // completed Rebalance calls
 	RebalanceMoves      int64 // placements improved and re-committed
-	LedgerClaims        int64 // committed reservations
+	LedgerClaims        int64 // live reservations (ending after the compaction horizon)
 	LedgerReservedUnits int64 // Σ proc-time units committed
 
 	// Per-tenant carbon accounting: the admitted-vs-current cost view.
@@ -132,6 +134,7 @@ type record struct {
 	wf         *cawosched.DAG
 	inst       *cawosched.Instance
 	sched      *cawosched.Schedule // relative to base
+	claims     []Claim             // committed, sorted by (proc, start); finished ones stay
 	base       int64               // absolute time of the schedule's t=0
 	start      int64               // earliest claim start (absolute)
 	finish     int64               // latest claim end (absolute)
@@ -242,6 +245,16 @@ func placementDigest(claims []Claim) uint64 {
 	return h.Sum64()
 }
 
+// byProcStart returns a copy of claims sorted by (proc, start), the order
+// a status lists them in.
+func byProcStart(claims []Claim) []Claim {
+	out := slices.Clone(claims)
+	slices.SortFunc(out, func(a, b Claim) int {
+		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Start, b.Start))
+	})
+	return out
+}
+
 func shifted(s *cawosched.Schedule, delta int64) *cawosched.Schedule {
 	if delta == 0 {
 		return s
@@ -335,6 +348,9 @@ func (m *Manager) submit(ctx context.Context, req SubmitRequest) (*WorkflowStatu
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := m.clock.Now()
+	if err := m.ledger.Compact(now); err != nil {
+		return nil, err
+	}
 	deadline := now + T
 
 	residual, err := m.ledger.Residual(m.supply, m.solver.Cluster().ZoneOf, now, T)
@@ -361,11 +377,14 @@ func (m *Manager) submit(ctx context.Context, req SubmitRequest) (*WorkflowStatu
 
 	claims := claimsOf(res.Instance, res.Schedule, now)
 	_, osp := obs.Start(ctx, "offset-search")
-	delta, ok := m.ledger.FindOffset(claims, deadline)
+	delta, ok, err := m.ledger.FindOffset(claims, deadline)
 	if osp != nil {
 		osp.SetAttr("offset", delta)
 		osp.SetAttr("found", ok)
 		osp.End()
+	}
+	if err != nil {
+		return nil, err
 	}
 	if !ok {
 		m.rejected++
@@ -393,7 +412,7 @@ func (m *Manager) submit(ctx context.Context, req SubmitRequest) (*WorkflowStatu
 	start, finish := claimBounds(claims, now)
 	rec := &record{
 		id: id, wf: req.Workflow, inst: res.Instance, sched: sched,
-		base: now, start: start, finish: finish, deadline: deadline,
+		claims: byProcStart(claims), base: now, start: start, finish: finish, deadline: deadline,
 		submitted: now, variant: res.Variant, mapping: res.Mapping,
 		req: req, cost: cost, admitCost: cost,
 	}
@@ -433,7 +452,7 @@ func (m *Manager) statusLocked(rec *record, now int64) *WorkflowStatus {
 		Rebalances:   rec.rebalances,
 		Variant:      rec.variant,
 		Mapping:      rec.mapping,
-		Claims:       m.ledger.OwnerClaims(rec.id),
+		Claims:       append([]Claim(nil), rec.claims...),
 	}
 }
 
@@ -472,10 +491,20 @@ func (m *Manager) Cancel(id string) (*WorkflowStatus, error) {
 		return nil, &scherr.NotFoundError{Kind: "workflow", ID: id}
 	}
 	now := m.clock.Now()
+	if err := m.ledger.Compact(now); err != nil {
+		return nil, err
+	}
 	if rec.canceled || now >= rec.finish {
 		return m.statusLocked(rec, now), nil
 	}
-	m.ledger.ReleaseFrom(id, now)
+	m.ledger.ReleaseFrom(id, rec.claims, now)
+	kept := rec.claims[:0]
+	for _, c := range rec.claims {
+		if c.End = cut(c.Start, c.End, now); c.End > c.Start {
+			kept = append(kept, c)
+		}
+	}
+	rec.claims = kept
 	rec.canceled = true
 	if rec.finish > now {
 		rec.finish = now
@@ -527,6 +556,9 @@ func (m *Manager) rebalance(ctx context.Context) (RebalanceReport, error) {
 	defer m.mu.Unlock()
 	now := m.clock.Now()
 	rep := RebalanceReport{Time: now}
+	if err := m.ledger.Compact(now); err != nil {
+		return rep, err
+	}
 	for _, rec := range m.recs {
 		if rec.canceled || rec.start <= now || rec.deadline <= now {
 			continue
@@ -536,8 +568,8 @@ func (m *Manager) rebalance(ctx context.Context) (RebalanceReport, error) {
 		}
 		rep.Considered++
 		T := rec.deadline - now
-		oldClaims := m.ledger.OwnerClaims(rec.id)
-		m.ledger.ReleaseFrom(rec.id, 0)
+		oldClaims := rec.claims
+		m.ledger.ReleaseFrom(rec.id, oldClaims, 0)
 
 		restore := func() error {
 			if err := m.ledger.Commit(rec.id, oldClaims); err != nil {
@@ -573,7 +605,8 @@ func (m *Manager) rebalance(ctx context.Context) (RebalanceReport, error) {
 		var newCost int64
 		if err == nil {
 			newClaims = claimsOf(res.Instance, res.Schedule, now)
-			if delta, ok := m.ledger.FindOffset(newClaims, rec.deadline); ok {
+			// newClaims start at now, the horizon: FindOffset cannot fail.
+			if delta, ok, _ := m.ledger.FindOffset(newClaims, rec.deadline); ok {
 				newSched = shifted(res.Schedule, delta)
 				if delta != 0 {
 					for i := range newClaims {
@@ -605,6 +638,7 @@ func (m *Manager) rebalance(ctx context.Context) (RebalanceReport, error) {
 		}
 		rec.inst = res.Instance
 		rec.sched = newSched
+		rec.claims = byProcStart(newClaims)
 		rec.base = now
 		rec.start, rec.finish = claimBounds(newClaims, now)
 		rec.mapping = res.Mapping

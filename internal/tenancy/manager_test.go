@@ -267,7 +267,8 @@ func TestManagerHistoryDeterministic(t *testing.T) {
 // TestManagerConcurrentSubmitCancel is the randomized concurrency test
 // behind the never-double-books acceptance criterion: goroutines submit,
 // cancel, and advance time against one manager; under -race the ledger
-// must stay sorted and non-overlapping through every interleaving.
+// must stay sorted and non-overlapping through every interleaving, which
+// an audit after every operation checks.
 func TestManagerConcurrentSubmitCancel(t *testing.T) {
 	m, clock := testManager(t, 9, 2)
 	ctx := context.Background()
@@ -280,9 +281,15 @@ func TestManagerConcurrentSubmitCancel(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			r := rng.New(uint64(g) + 100)
+			audit := func(op string) {
+				if err := m.Ledger().Audit(); err != nil {
+					t.Errorf("after %s: %v", op, err)
+				}
+			}
 			for i := 0; i < rounds; i++ {
 				wf := testWorkflow(t, 20+2*g, uint64(g*rounds+i))
 				st, err := m.Submit(ctx, SubmitRequest{Workflow: wf, DeadlineFactor: 4})
+				audit("submit")
 				if err != nil {
 					if !errors.Is(err, scherr.ErrAdmissionRejected) {
 						t.Errorf("submit: %v", err)
@@ -298,6 +305,7 @@ func TestManagerConcurrentSubmitCancel(t *testing.T) {
 					if _, err := m.Cancel(victim); err != nil {
 						t.Errorf("cancel %s: %v", victim, err)
 					}
+					audit("cancel")
 				}
 				if r.Intn(3) == 0 {
 					clock.Advance(int64(r.Intn(5)))

@@ -60,7 +60,8 @@ func SupplyWindow(supply *power.ZoneSet, from, T int64) (*power.ZoneSet, error) 
 // every committed reservation overlapping the window, floored at zero.
 // zoneOf maps a processor id to its grid zone (typically
 // Cluster.ZoneOf); K is the zone count of the returned set (the
-// cluster's, which must equal the supply's).
+// cluster's, which must equal the supply's). A window starting before the
+// compaction horizon is refused.
 func (l *Ledger) Residual(supply *power.ZoneSet, zoneOf func(proc int) int, from, T int64) (*power.ZoneSet, error) {
 	window, err := SupplyWindow(supply, from, T)
 	if err != nil {
@@ -76,6 +77,10 @@ func (l *Ledger) Residual(supply *power.ZoneSet, zoneOf func(proc int) int, from
 	}
 	events := make([][]event, K)
 	l.mu.RLock()
+	if err := l.beforeHorizon(from); err != nil {
+		l.mu.RUnlock()
+		return nil, err
+	}
 	for proc, rs := range l.procs {
 		z := zoneOf(proc)
 		if z < 0 || z >= K {
