@@ -2,6 +2,9 @@ package ceg
 
 import (
 	"fmt"
+	"slices"
+	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -279,5 +282,314 @@ func TestTotalIdlePowerIncludesLinks(t *testing.T) {
 	got := inst.TotalIdlePower()
 	if got < 7 || got > 8 {
 		t.Errorf("TotalIdlePower = %d, want 7 or 8", got)
+	}
+}
+
+// mapBuild is the map-based construction of Gc that Build replaced, kept
+// verbatim as the oracle of TestBuildMatchesMapBuild: edges are deduped
+// through a map, communications are grouped per link in a map and sorted
+// link by link, and the graph grows one AddEdge at a time.
+func mapBuild(d *dag.DAG, m *Mapping, cluster *platform.Cluster) (*Instance, error) {
+	n := d.N()
+	if len(m.Proc) != n {
+		return nil, fmt.Errorf("ceg: mapping covers %d tasks, workflow has %d", len(m.Proc), n)
+	}
+	if len(m.Finish) != n {
+		return nil, fmt.Errorf("ceg: mapping has %d finish times, want %d", len(m.Finish), n)
+	}
+	for v, p := range m.Proc {
+		if p < 0 || p >= cluster.NumCompute() {
+			return nil, fmt.Errorf("ceg: task %d mapped to invalid processor %d", v, p)
+		}
+	}
+
+	// Identify cross-processor edges E′ and assign communication nodes.
+	type commTask struct {
+		node    int // node id in Gc
+		edgeIdx int // index into d.Edges
+		link    int // link processor id
+		ready   int64
+	}
+	var comms []commTask
+	next := n
+	for ei, e := range d.Edges {
+		if m.Proc[e.From] != m.Proc[e.To] {
+			link := cluster.Link(m.Proc[e.From], m.Proc[e.To])
+			comms = append(comms, commTask{
+				node:    next,
+				edgeIdx: ei,
+				link:    link,
+				ready:   m.Finish[e.From],
+			})
+			next++
+		}
+	}
+
+	N := n + len(comms)
+	g := dag.New(N)
+	inst := &Instance{
+		G:        g,
+		NumReal:  n,
+		Proc:     make([]int, N),
+		Dur:      make([]int64, N),
+		Order:    make(map[int][]int, len(m.Order)+len(comms)),
+		CommEdge: make([]int, N),
+		Cluster:  cluster,
+	}
+
+	for v := 0; v < n; v++ {
+		g.SetName(v, d.Tasks[v].Name)
+		inst.Proc[v] = m.Proc[v]
+		inst.Dur[v] = cluster.ExecTime(d.Tasks[v].Weight, m.Proc[v])
+		inst.CommEdge[v] = -1
+	}
+	name := []byte("comm_") // comm_<from>_<to>, built in place
+	for _, ct := range comms {
+		e := d.Edges[ct.edgeIdx]
+		name = strconv.AppendInt(name[:len("comm_")], int64(e.From), 10)
+		name = strconv.AppendInt(append(name, '_'), int64(e.To), 10)
+		g.SetName(ct.node, string(name))
+		inst.Proc[ct.node] = ct.link
+		inst.Dur[ct.node] = cluster.CommTime(e.Weight)
+		inst.CommEdge[ct.node] = ct.edgeIdx
+	}
+	// dag.New gives every node weight 1; mirror durations into the graph
+	// weights so generic dag tooling (critical path, DOT dumps) is
+	// meaningful on Gc.
+	for v := 0; v < N; v++ {
+		g.SetWeight(v, inst.Dur[v])
+	}
+
+	// hasEdge avoids duplicates when an ordering edge coincides with a
+	// precedence edge.
+	added := make(map[[2]int]bool, d.M()+3*len(comms))
+	addEdge := func(u, v int) {
+		key := [2]int{u, v}
+		if added[key] {
+			return
+		}
+		added[key] = true
+		g.AddEdge(u, v, 0)
+	}
+
+	// Same-processor precedence edges (E \ E′) and the comm chains.
+	commByEdge := make(map[int]int, len(comms)) // edge idx → comm node
+	for _, ct := range comms {
+		commByEdge[ct.edgeIdx] = ct.node
+	}
+	for ei, e := range d.Edges {
+		if cnode, ok := commByEdge[ei]; ok {
+			addEdge(e.From, cnode)
+			addEdge(cnode, e.To)
+		} else {
+			addEdge(e.From, e.To)
+		}
+	}
+
+	// Ordering edges on compute processors.
+	for p, tasks := range m.Order {
+		for i := 1; i < len(tasks); i++ {
+			addEdge(tasks[i-1], tasks[i])
+		}
+		if len(tasks) > 0 {
+			inst.Order[p] = append([]int(nil), tasks...)
+		}
+	}
+
+	// Ordering edges on links (E″): communications on the same directed
+	// link execute in order of their reference ready times (ties broken
+	// by edge index, which is deterministic).
+	byLink := make(map[int][]commTask, len(comms))
+	for _, ct := range comms {
+		byLink[ct.link] = append(byLink[ct.link], ct)
+	}
+	links := make([]int, 0, len(byLink))
+	for l := range byLink {
+		links = append(links, l)
+	}
+	sort.Ints(links)
+	for _, l := range links {
+		cts := byLink[l]
+		sort.Slice(cts, func(i, j int) bool {
+			if cts[i].ready != cts[j].ready {
+				return cts[i].ready < cts[j].ready
+			}
+			return cts[i].edgeIdx < cts[j].edgeIdx
+		})
+		for i := 1; i < len(cts); i++ {
+			addEdge(cts[i-1].node, cts[i].node)
+		}
+		order := make([]int, len(cts))
+		for i, ct := range cts {
+			order[i] = ct.node
+		}
+		inst.Order[l] = order
+	}
+
+	// Memoize the instance-local idle floor: compute processors plus the
+	// distinct links this instance's communications occupy. Summing only
+	// the instance's own links (instead of every processor the shared
+	// cluster happens to have materialized) keeps the value — and with it
+	// profile corridors and carbon costs — a pure function of (workflow,
+	// mapping, cluster), independent of what other workflows were planned
+	// on the same cluster before or concurrently.
+	inst.zoneIdle = make([]int64, cluster.NumZones())
+	for z := range inst.zoneIdle {
+		inst.zoneIdle[z] = cluster.ZoneComputeIdle(z)
+	}
+	seenLink := make(map[int]bool, len(comms))
+	for _, ct := range comms {
+		if !seenLink[ct.link] {
+			seenLink[ct.link] = true
+			inst.zoneIdle[cluster.ZoneOf(ct.link)] += cluster.Proc(ct.link).Type.Idle
+		}
+	}
+	for _, zi := range inst.zoneIdle {
+		inst.idlePower += zi
+	}
+
+	if err := inst.Validate(); err != nil {
+		return nil, err
+	}
+	return inst, nil
+}
+
+// instanceDiff returns the first difference between two instances, or ""
+// when they agree on every node, edge, adjacency list, processor,
+// duration, carried edge, order list and idle floor.
+func instanceDiff(got, want *Instance) string {
+	if !slices.Equal(got.G.Tasks, want.G.Tasks) {
+		return fmt.Sprintf("tasks differ:\n got %v\nwant %v", got.G.Tasks, want.G.Tasks)
+	}
+	if !slices.Equal(got.G.Edges, want.G.Edges) {
+		return fmt.Sprintf("edges differ:\n got %v\nwant %v", got.G.Edges, want.G.Edges)
+	}
+	for v := 0; v < want.N(); v++ {
+		if !slices.Equal(got.G.OutEdges(v), want.G.OutEdges(v)) || !slices.Equal(got.G.InEdges(v), want.G.InEdges(v)) {
+			return fmt.Sprintf("adjacency of node %d differs: out %v/%v, in %v/%v",
+				v, got.G.OutEdges(v), want.G.OutEdges(v), got.G.InEdges(v), want.G.InEdges(v))
+		}
+	}
+	if got.NumReal != want.NumReal || !slices.Equal(got.Proc, want.Proc) || !slices.Equal(got.Dur, want.Dur) || !slices.Equal(got.CommEdge, want.CommEdge) {
+		return fmt.Sprintf("node arrays differ:\n got %d %v %v %v\nwant %d %v %v %v",
+			got.NumReal, got.Proc, got.Dur, got.CommEdge, want.NumReal, want.Proc, want.Dur, want.CommEdge)
+	}
+	if len(got.Order) != len(want.Order) {
+		return fmt.Sprintf("%d order lists, want %d", len(got.Order), len(want.Order))
+	}
+	for p, tasks := range want.Order {
+		if !slices.Equal(got.Order[p], tasks) {
+			return fmt.Sprintf("order of proc %d is %v, want %v", p, got.Order[p], tasks)
+		}
+	}
+	if got.TotalIdlePower() != want.TotalIdlePower() || !slices.Equal(got.zoneIdle, want.zoneIdle) {
+		return fmt.Sprintf("idle floors %d %v, want %d %v", got.TotalIdlePower(), got.zoneIdle, want.TotalIdlePower(), want.zoneIdle)
+	}
+	return ""
+}
+
+// TestBuildMatchesMapBuild holds Build to mapBuild on HEFT mappings of
+// every workflow family over one to three zones, and on hand cases for
+// each way an edge can be dropped or duplicated, for tied ready times on a
+// link, for an instance without communications and for malformed
+// mappings (which must fail with the same error). Each side builds on a
+// fresh cluster of its own, so link ids are compared as first-use ids.
+func TestBuildMatchesMapBuild(t *testing.T) {
+	type buildCase struct {
+		name      string
+		d         *dag.DAG
+		m         *Mapping
+		cluster   func() *platform.Cluster
+		malformed bool
+	}
+	var cases []buildCase
+	for _, fam := range wfgen.Families() {
+		for _, n := range []int{30, 150} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				zones := 1 + int(seed%3)
+				d, err := wfgen.Generate(fam, n, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, err := heft.Schedule(d, platform.SmallZoned(seed, zones))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cases = append(cases, buildCase{
+					name:    fmt.Sprintf("%s/n=%d/seed=%d/zones=%d", fam, n, seed, zones),
+					d:       d,
+					m:       FromHEFT(h.Proc, h.Order, h.Finish),
+					cluster: func() *platform.Cluster { return platform.SmallZoned(seed, zones) },
+				})
+			}
+		}
+	}
+
+	graph := func(n int, edges ...[2]int) *dag.DAG {
+		d := dag.New(n)
+		for v := 0; v < n; v++ {
+			d.SetWeight(v, int64(3+v))
+		}
+		for i, e := range edges {
+			d.AddEdge(e[0], e[1], int64(1+i%4))
+		}
+		return d
+	}
+	hand := func(name string, d *dag.DAG, m *Mapping) {
+		cases = append(cases, buildCase{name: name, d: d, m: m, cluster: tinyZonedCluster})
+	}
+	malformed := func(name string, d *dag.DAG, m *Mapping) {
+		cases = append(cases, buildCase{name: name, d: d, m: m, cluster: tinyZonedCluster, malformed: true})
+	}
+	hand("duplicate same-processor edges", graph(3, [2]int{0, 1}, [2]int{1, 2}, [2]int{0, 1}),
+		&Mapping{Proc: []int{0, 0, 0}, Order: [][]int{{0, 1, 2}, nil}, Finish: []int64{1, 2, 3}})
+	hand("precedence edge equals an ordering edge", graph(3, [2]int{0, 2}, [2]int{1, 2}),
+		&Mapping{Proc: []int{0, 0, 1}, Order: [][]int{{0, 1}, {2}}, Finish: []int64{1, 2, 9}})
+	hand("duplicate cross-processor edges", graph(2, [2]int{0, 1}, [2]int{0, 1}),
+		&Mapping{Proc: []int{0, 1}, Order: [][]int{{0}, {1}}, Finish: []int64{3, 9}})
+	hand("equal ready times on one link", graph(4, [2]int{1, 3}, [2]int{0, 2}, [2]int{1, 2}, [2]int{0, 3}),
+		&Mapping{Proc: []int{0, 0, 1, 1}, Order: [][]int{{0, 1}, {2, 3}}, Finish: []int64{5, 5, 20, 30}})
+	hand("no communications", graph(4, [2]int{0, 1}, [2]int{0, 2}, [2]int{2, 3}),
+		&Mapping{Proc: []int{1, 1, 1, 1}, Order: [][]int{nil, {0, 2, 1, 3}}, Finish: []int64{1, 2, 3, 4}})
+	// Forty communications on one link, all ready at once: more than an
+	// insertion sort handles, so only the edge index orders them.
+	var fan [][2]int
+	wide := &Mapping{Proc: make([]int, 42), Order: [][]int{{0, 1}, nil}, Finish: make([]int64, 42)}
+	wide.Finish[0], wide.Finish[1] = 7, 7
+	for v := 2; v < 42; v++ {
+		fan = append(fan, [2]int{v % 2, v})
+		wide.Proc[v] = 1
+		wide.Finish[v] = 100
+		wide.Order[1] = append(wide.Order[1], v)
+	}
+	hand("forty tied communications on one link", graph(42, fan...), wide)
+
+	malformed("short Proc", graph(2), &Mapping{Proc: []int{0}, Order: [][]int{{0}}, Finish: []int64{1}})
+	malformed("short Finish", graph(2), &Mapping{Proc: []int{0, 0}, Order: [][]int{{0, 1}}, Finish: []int64{1}})
+	malformed("invalid processor", graph(2), &Mapping{Proc: []int{0, 9}, Order: [][]int{{0}, {1}}, Finish: []int64{1, 1}})
+	malformed("order contradicts precedence", graph(2, [2]int{0, 1}),
+		&Mapping{Proc: []int{0, 0}, Order: [][]int{{1, 0}, nil}, Finish: []int64{2, 1}})
+	malformed("node missing from the order", graph(3, [2]int{0, 1}),
+		&Mapping{Proc: []int{0, 0, 1}, Order: [][]int{{0, 1}, nil}, Finish: []int64{1, 2, 1}})
+	malformed("node in another processor's order", graph(2),
+		&Mapping{Proc: []int{0, 1}, Order: [][]int{{0, 1}, nil}, Finish: []int64{1, 2}})
+	malformed("node listed twice", graph(2),
+		&Mapping{Proc: []int{0, 0}, Order: [][]int{{0, 1, 0, 1}, nil}, Finish: []int64{1, 2}})
+
+	for _, c := range cases {
+		want, wantErr := mapBuild(c.d, c.m, c.cluster())
+		got, err := Build(c.d, c.m, c.cluster())
+		if (wantErr != nil) != c.malformed {
+			t.Fatalf("%s: mapBuild error %v", c.name, wantErr)
+		}
+		if wantErr != nil || err != nil {
+			if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("%s: Build error %v, mapBuild error %v", c.name, err, wantErr)
+			}
+			continue
+		}
+		if diff := instanceDiff(got, want); diff != "" {
+			t.Errorf("%s: %s", c.name, diff)
+		}
 	}
 }
