@@ -18,9 +18,11 @@
 package ceg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
@@ -55,6 +57,11 @@ type Instance struct {
 	// zoneIdle is the per-grid-zone split of idlePower (one entry per
 	// cluster zone), memoized by Build. See ZoneIdlePower.
 	zoneIdle []int64
+	// topo and zoneNodes are computed by Build and never written after:
+	// instances are shared by the solver's plan memo. See Topo and
+	// ZoneNodes.
+	topo      []int
+	zoneNodes [][]int
 }
 
 // N returns the total number of nodes N = n + |E′|.
@@ -62,6 +69,15 @@ func (in *Instance) N() int { return in.G.N() }
 
 // IsComm reports whether node v is a communication task.
 func (in *Instance) IsComm(v int) bool { return v >= in.NumReal }
+
+// Topo returns the topological order of Gc that Build validated the
+// instance with (dag.TopoOrder's order). It must not be modified.
+func (in *Instance) Topo() []int { return in.topo }
+
+// ZoneNodes returns the node ids of each cluster grid zone in increasing
+// order, one non-nil list per zone (empty for a zone hosting no node).
+// The lists must not be modified.
+func (in *Instance) ZoneNodes() [][]int { return in.zoneNodes }
 
 // Mapping is the fixed assignment fed into Build: processor per task and
 // execution order per processor, plus reference finish times used to fix
@@ -73,7 +89,11 @@ type Mapping struct {
 	Finish []int64 // reference finish time per task (for link ordering)
 }
 
-// Build constructs the communication-enhanced instance.
+// Build constructs the communication-enhanced instance. It allocates only
+// what the instance keeps: Gc's tasks and edges (handed to dag.FromEdges),
+// the per-node arrays, the order lists (carved from one array), the comm
+// names (cut from one string), the topological order and the zone
+// partition.
 func Build(d *dag.DAG, m *Mapping, cluster *platform.Cluster) (*Instance, error) {
 	n := d.N()
 	if len(m.Proc) != n {
@@ -88,155 +108,182 @@ func Build(d *dag.DAG, m *Mapping, cluster *platform.Cluster) (*Instance, error)
 		}
 	}
 
-	// Identify cross-processor edges E′ and assign communication nodes.
+	// Cross-processor edges E′ get one communication node each, numbered
+	// in edge order.
+	nComm := 0
+	for _, e := range d.Edges {
+		if m.Proc[e.From] != m.Proc[e.To] {
+			nComm++
+		}
+	}
+	N := n + nComm
+	inst := &Instance{
+		NumReal:  n,
+		Proc:     make([]int, N),
+		Dur:      make([]int64, N),
+		CommEdge: make([]int, N),
+		Cluster:  cluster,
+	}
+	// Graph weights mirror the durations, so generic dag tooling (critical
+	// path, DOT dumps) is meaningful on Gc.
+	tasks := make([]dag.Task, N)
+	for v := 0; v < n; v++ {
+		inst.Proc[v] = m.Proc[v]
+		inst.Dur[v] = cluster.ExecTime(d.Tasks[v].Weight, m.Proc[v])
+		inst.CommEdge[v] = -1
+		tasks[v] = dag.Task{ID: v, Name: d.Tasks[v].Name, Weight: inst.Dur[v]}
+	}
+
+	// Same-processor precedence edges (E \ E′) and the comm chains
+	// vi → v_ij → vj, in edge order. A repeated same-processor edge is
+	// added once; comm chains are distinct by construction.
 	type commTask struct {
 		node    int // node id in Gc
 		edgeIdx int // index into d.Edges
 		link    int // link processor id
 		ready   int64
 	}
-	var comms []commTask
-	next := n
+	comms := make([]commTask, 0, nComm)
+	// Room for every input edge, a second chain edge per comm, and the
+	// ordering edges: fewer than n on compute processors, nComm on links.
+	edges := make([]dag.Edge, 0, d.M()+2*nComm+n)
 	for ei, e := range d.Edges {
-		if m.Proc[e.From] != m.Proc[e.To] {
-			link := cluster.Link(m.Proc[e.From], m.Proc[e.To])
-			comms = append(comms, commTask{
-				node:    next,
-				edgeIdx: ei,
-				link:    link,
-				ready:   m.Finish[e.From],
-			})
-			next++
+		if p, q := m.Proc[e.From], m.Proc[e.To]; p != q {
+			c := n + len(comms)
+			comms = append(comms, commTask{node: c, edgeIdx: ei, link: cluster.Link(p, q), ready: m.Finish[e.From]})
+			edges = append(edges, dag.Edge{From: e.From, To: c}, dag.Edge{From: c, To: e.To})
+		} else if !repeatsEarlierEdge(d, ei) {
+			edges = append(edges, dag.Edge{From: e.From, To: e.To})
 		}
 	}
-
-	N := n + len(comms)
-	g := dag.New(N)
-	inst := &Instance{
-		G:        g,
-		NumReal:  n,
-		Proc:     make([]int, N),
-		Dur:      make([]int64, N),
-		Order:    make(map[int][]int, len(m.Order)+len(comms)),
-		CommEdge: make([]int, N),
-		Cluster:  cluster,
-	}
-
-	for v := 0; v < n; v++ {
-		g.SetName(v, d.Tasks[v].Name)
-		inst.Proc[v] = m.Proc[v]
-		inst.Dur[v] = cluster.ExecTime(d.Tasks[v].Weight, m.Proc[v])
-		inst.CommEdge[v] = -1
-	}
-	name := []byte("comm_") // comm_<from>_<to>, built in place
+	var names strings.Builder // comm_<from>_<to>, every name cut from one buffer
+	names.Grow(nComm * (len("comm__") + 2*len(strconv.Itoa(n))))
+	var num [20]byte
 	for _, ct := range comms {
 		e := d.Edges[ct.edgeIdx]
-		name = strconv.AppendInt(name[:len("comm_")], int64(e.From), 10)
-		name = strconv.AppendInt(append(name, '_'), int64(e.To), 10)
-		g.SetName(ct.node, string(name))
+		start := names.Len()
+		names.WriteString("comm_")
+		names.Write(strconv.AppendInt(num[:0], int64(e.From), 10))
+		names.WriteByte('_')
+		names.Write(strconv.AppendInt(num[:0], int64(e.To), 10))
 		inst.Proc[ct.node] = ct.link
 		inst.Dur[ct.node] = cluster.CommTime(e.Weight)
 		inst.CommEdge[ct.node] = ct.edgeIdx
-	}
-	// dag.New gives every node weight 1; mirror durations into the graph
-	// weights so generic dag tooling (critical path, DOT dumps) is
-	// meaningful on Gc.
-	for v := 0; v < N; v++ {
-		g.SetWeight(v, inst.Dur[v])
+		tasks[ct.node] = dag.Task{ID: ct.node, Name: names.String()[start:], Weight: inst.Dur[ct.node]}
 	}
 
-	// hasEdge avoids duplicates when an ordering edge coincides with a
-	// precedence edge.
-	added := make(map[[2]int]bool, d.M()+3*len(comms))
-	addEdge := func(u, v int) {
-		key := [2]int{u, v}
-		if added[key] {
-			return
+	// Communications on the same directed link execute in order of their
+	// reference ready times, ties broken by edge index: one sort by (link,
+	// ready, edge) lists every link's chain, links in increasing id order.
+	slices.SortFunc(comms, func(a, b commTask) int {
+		if a.link != b.link {
+			return cmp.Compare(a.link, b.link)
 		}
-		added[key] = true
-		g.AddEdge(u, v, 0)
+		if a.ready != b.ready {
+			return cmp.Compare(a.ready, b.ready)
+		}
+		return cmp.Compare(a.edgeIdx, b.edgeIdx)
+	})
+	nLinks := 0
+	for i := range comms {
+		if i == 0 || comms[i].link != comms[i-1].link {
+			nLinks++
+		}
 	}
+	inst.Order = make(map[int][]int, len(m.Order)+nLinks)
+	listed := nComm
+	for _, list := range m.Order {
+		listed += len(list)
+	}
+	orders := make([]int, 0, listed) // every order list, back to back
 
-	// Same-processor precedence edges (E \ E′) and the comm chains.
-	commByEdge := make(map[int]int, len(comms)) // edge idx → comm node
-	for _, ct := range comms {
-		commByEdge[ct.edgeIdx] = ct.node
-	}
-	for ei, e := range d.Edges {
-		if cnode, ok := commByEdge[ei]; ok {
-			addEdge(e.From, cnode)
-			addEdge(cnode, e.To)
-		} else {
-			addEdge(e.From, e.To)
-		}
-	}
-
-	// Ordering edges on compute processors.
-	for p, tasks := range m.Order {
-		for i := 1; i < len(tasks); i++ {
-			addEdge(tasks[i-1], tasks[i])
-		}
-		if len(tasks) > 0 {
-			inst.Order[p] = append([]int(nil), tasks...)
-		}
-	}
-
-	// Ordering edges on links (E″): communications on the same directed
-	// link execute in order of their reference ready times (ties broken
-	// by edge index, which is deterministic).
-	byLink := make(map[int][]commTask, len(comms))
-	for _, ct := range comms {
-		byLink[ct.link] = append(byLink[ct.link], ct)
-	}
-	links := make([]int, 0, len(byLink))
-	for l := range byLink {
-		links = append(links, l)
-	}
-	sort.Ints(links)
-	for _, l := range links {
-		cts := byLink[l]
-		sort.Slice(cts, func(i, j int) bool {
-			if cts[i].ready != cts[j].ready {
-				return cts[i].ready < cts[j].ready
+	// Ordering edges on compute processors. One that repeats a
+	// same-processor precedence edge is already there. (A malformed list
+	// may name comm nodes; validation rejects it.)
+	for p, list := range m.Order {
+		for i := 1; i < len(list); i++ {
+			u, v := list[i-1], list[i]
+			if u >= n || v >= n || m.Proc[u] != m.Proc[v] || !d.HasEdge(u, v) {
+				edges = append(edges, dag.Edge{From: u, To: v})
 			}
-			return cts[i].edgeIdx < cts[j].edgeIdx
-		})
-		for i := 1; i < len(cts); i++ {
-			addEdge(cts[i-1].node, cts[i].node)
 		}
-		order := make([]int, len(cts))
-		for i, ct := range cts {
-			order[i] = ct.node
+		if len(list) > 0 {
+			from := len(orders)
+			orders = append(orders, list...)
+			inst.Order[p] = orders[from:len(orders):len(orders)]
 		}
-		inst.Order[l] = order
 	}
 
-	// Memoize the instance-local idle floor: compute processors plus the
-	// distinct links this instance's communications occupy. Summing only
-	// the instance's own links (instead of every processor the shared
-	// cluster happens to have materialized) keeps the value — and with it
-	// profile corridors and carbon costs — a pure function of (workflow,
-	// mapping, cluster), independent of what other workflows were planned
-	// on the same cluster before or concurrently.
+	// Ordering edges on links (E″), and the instance-local idle floor:
+	// compute processors plus the distinct links this instance's
+	// communications occupy. Summing only the instance's own links
+	// (instead of every processor the shared cluster happens to have
+	// materialized) keeps the value — and with it profile corridors and
+	// carbon costs — a pure function of (workflow, mapping, cluster),
+	// independent of what other workflows were planned on the same cluster
+	// before or concurrently.
 	inst.zoneIdle = make([]int64, cluster.NumZones())
 	for z := range inst.zoneIdle {
 		inst.zoneIdle[z] = cluster.ZoneComputeIdle(z)
 	}
-	seenLink := make(map[int]bool, len(comms))
-	for _, ct := range comms {
-		if !seenLink[ct.link] {
-			seenLink[ct.link] = true
-			inst.zoneIdle[cluster.ZoneOf(ct.link)] += cluster.Proc(ct.link).Type.Idle
+	for i := 0; i < len(comms); {
+		l := comms[i].link
+		inst.zoneIdle[cluster.ZoneOf(l)] += cluster.Proc(l).Type.Idle
+		from := len(orders)
+		for ; i < len(comms) && comms[i].link == l; i++ {
+			if len(orders) > from {
+				edges = append(edges, dag.Edge{From: orders[len(orders)-1], To: comms[i].node})
+			}
+			orders = append(orders, comms[i].node)
 		}
+		inst.Order[l] = orders[from:len(orders):len(orders)]
 	}
 	for _, zi := range inst.zoneIdle {
 		inst.idlePower += zi
 	}
 
-	if err := inst.Validate(); err != nil {
+	inst.G = dag.FromEdges(tasks, edges)
+	order, err := inst.validate()
+	if err != nil {
 		return nil, err
 	}
+	inst.topo = order
+	inst.zoneNodes = partitionByZone(inst)
 	return inst, nil
+}
+
+// repeatsEarlierEdge reports whether an edge before d.Edges[ei] joins the
+// same two tasks.
+func repeatsEarlierEdge(d *dag.DAG, ei int) bool {
+	e := d.Edges[ei]
+	for _, j := range d.OutEdges(e.From) {
+		if j < ei && d.Edges[j].To == e.To {
+			return true
+		}
+	}
+	return false
+}
+
+// partitionByZone lists the nodes of every cluster zone, all lists carved
+// from one array.
+func partitionByZone(in *Instance) [][]int {
+	zones := make([][]int, in.NumZones())
+	all := make([]int, in.N())
+	// Count each zone's nodes in its list length; nothing is written yet.
+	for v := range all {
+		z := in.ZoneOf(v)
+		zones[z] = all[:len(zones[z])+1]
+	}
+	o := 0
+	for z, l := range zones {
+		zones[z] = all[o : o : o+len(l)]
+		o += len(l)
+	}
+	for v := range all {
+		z := in.ZoneOf(v)
+		zones[z] = append(zones[z], v)
+	}
+	return zones
 }
 
 // FromHEFT is a convenience adapter turning a HEFT-style result into a
@@ -250,46 +297,54 @@ func FromHEFT(proc []int, order [][]int, finish []int64) *Mapping {
 // positive, order lists consistent with the mapping, ordering edges
 // present, and Gc acyclic.
 func (in *Instance) Validate() error {
+	_, err := in.validate()
+	return err
+}
+
+// validate is Validate, returning the topological order that proved Gc
+// acyclic.
+func (in *Instance) validate() ([]int, error) {
 	N := in.N()
 	if len(in.Proc) != N || len(in.Dur) != N || len(in.CommEdge) != N {
-		return fmt.Errorf("ceg: array sizes inconsistent with %d nodes", N)
+		return nil, fmt.Errorf("ceg: array sizes inconsistent with %d nodes", N)
 	}
 	for v := 0; v < N; v++ {
 		if in.Dur[v] <= 0 {
-			return fmt.Errorf("ceg: node %d has non-positive duration %d", v, in.Dur[v])
+			return nil, fmt.Errorf("ceg: node %d has non-positive duration %d", v, in.Dur[v])
 		}
 		if in.Proc[v] < 0 || in.Proc[v] >= in.Cluster.NumProcs() {
-			return fmt.Errorf("ceg: node %d on invalid processor %d", v, in.Proc[v])
+			return nil, fmt.Errorf("ceg: node %d on invalid processor %d", v, in.Proc[v])
 		}
 		isLink := in.Cluster.Proc(in.Proc[v]).IsLink()
 		if in.IsComm(v) != isLink {
-			return fmt.Errorf("ceg: node %d comm/link mismatch (comm=%v on link=%v)", v, in.IsComm(v), isLink)
+			return nil, fmt.Errorf("ceg: node %d comm/link mismatch (comm=%v on link=%v)", v, in.IsComm(v), isLink)
 		}
 	}
 	seen := make([]bool, N)
 	for p, tasks := range in.Order {
 		for i, v := range tasks {
 			if in.Proc[v] != p {
-				return fmt.Errorf("ceg: order list of proc %d contains node %d mapped to %d", p, v, in.Proc[v])
+				return nil, fmt.Errorf("ceg: order list of proc %d contains node %d mapped to %d", p, v, in.Proc[v])
 			}
 			if seen[v] {
-				return fmt.Errorf("ceg: node %d appears in two order lists", v)
+				return nil, fmt.Errorf("ceg: node %d appears in two order lists", v)
 			}
 			seen[v] = true
 			if i > 0 && !in.G.HasEdge(tasks[i-1], v) {
-				return fmt.Errorf("ceg: missing ordering edge %d→%d on proc %d", tasks[i-1], v, p)
+				return nil, fmt.Errorf("ceg: missing ordering edge %d→%d on proc %d", tasks[i-1], v, p)
 			}
 		}
 	}
 	for v := 0; v < N; v++ {
 		if !seen[v] {
-			return fmt.Errorf("ceg: node %d missing from all order lists", v)
+			return nil, fmt.Errorf("ceg: node %d missing from all order lists", v)
 		}
 	}
-	if _, err := in.G.TopoOrder(); err != nil {
-		return fmt.Errorf("ceg: enhanced DAG is cyclic: %w", err)
+	order, err := in.G.TopoOrder()
+	if err != nil {
+		return nil, fmt.Errorf("ceg: enhanced DAG is cyclic: %w", err)
 	}
-	return nil
+	return order, nil
 }
 
 // TotalIdlePower returns the summed idle power of all processors hosting at

@@ -458,21 +458,29 @@ func mapBuild(d *dag.DAG, m *Mapping, cluster *platform.Cluster) (*Instance, err
 // when they agree on every node, edge, adjacency list, processor,
 // duration, carried edge, order list and idle floor.
 func instanceDiff(got, want *Instance) string {
-	if !slices.Equal(got.G.Tasks, want.G.Tasks) {
-		return fmt.Sprintf("tasks differ:\n got %v\nwant %v", got.G.Tasks, want.G.Tasks)
-	}
-	if !slices.Equal(got.G.Edges, want.G.Edges) {
-		return fmt.Sprintf("edges differ:\n got %v\nwant %v", got.G.Edges, want.G.Edges)
+	for _, c := range []struct {
+		what string
+		diff string
+	}{
+		{"tasks", mismatch(got.G.Tasks, want.G.Tasks)},
+		{"edges", mismatch(got.G.Edges, want.G.Edges)},
+		{"Proc", mismatch(got.Proc, want.Proc)},
+		{"Dur", mismatch(got.Dur, want.Dur)},
+		{"CommEdge", mismatch(got.CommEdge, want.CommEdge)},
+		{"zone idle floors", mismatch(got.zoneIdle, want.zoneIdle)},
+	} {
+		if c.diff != "" {
+			return c.what + " differ " + c.diff
+		}
 	}
 	for v := 0; v < want.N(); v++ {
 		if !slices.Equal(got.G.OutEdges(v), want.G.OutEdges(v)) || !slices.Equal(got.G.InEdges(v), want.G.InEdges(v)) {
-			return fmt.Sprintf("adjacency of node %d differs: out %v/%v, in %v/%v",
+			return fmt.Sprintf("adjacency of node %d differs: out %v, want %v; in %v, want %v",
 				v, got.G.OutEdges(v), want.G.OutEdges(v), got.G.InEdges(v), want.G.InEdges(v))
 		}
 	}
-	if got.NumReal != want.NumReal || !slices.Equal(got.Proc, want.Proc) || !slices.Equal(got.Dur, want.Dur) || !slices.Equal(got.CommEdge, want.CommEdge) {
-		return fmt.Sprintf("node arrays differ:\n got %d %v %v %v\nwant %d %v %v %v",
-			got.NumReal, got.Proc, got.Dur, got.CommEdge, want.NumReal, want.Proc, want.Dur, want.CommEdge)
+	if got.NumReal != want.NumReal || got.TotalIdlePower() != want.TotalIdlePower() {
+		return fmt.Sprintf("NumReal %d, idle floor %d; want %d, %d", got.NumReal, got.TotalIdlePower(), want.NumReal, want.TotalIdlePower())
 	}
 	if len(got.Order) != len(want.Order) {
 		return fmt.Sprintf("%d order lists, want %d", len(got.Order), len(want.Order))
@@ -482,8 +490,19 @@ func instanceDiff(got, want *Instance) string {
 			return fmt.Sprintf("order of proc %d is %v, want %v", p, got.Order[p], tasks)
 		}
 	}
-	if got.TotalIdlePower() != want.TotalIdlePower() || !slices.Equal(got.zoneIdle, want.zoneIdle) {
-		return fmt.Sprintf("idle floors %d %v, want %d %v", got.TotalIdlePower(), got.zoneIdle, want.TotalIdlePower(), want.zoneIdle)
+	return ""
+}
+
+// mismatch describes the first index at which got and want differ, or
+// returns "" when they are equal.
+func mismatch[T comparable](got, want []T) string {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return fmt.Sprintf("at %d: %v, want %v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("in length: %d, want %d", len(got), len(want))
 	}
 	return ""
 }
@@ -551,11 +570,12 @@ func TestBuildMatchesMapBuild(t *testing.T) {
 		&Mapping{Proc: []int{0, 0, 1, 1}, Order: [][]int{{0, 1}, {2, 3}}, Finish: []int64{5, 5, 20, 30}})
 	hand("no communications", graph(4, [2]int{0, 1}, [2]int{0, 2}, [2]int{2, 3}),
 		&Mapping{Proc: []int{1, 1, 1, 1}, Order: [][]int{nil, {0, 2, 1, 3}}, Finish: []int64{1, 2, 3, 4}})
-	// Forty communications on one link, all ready at once: more than an
-	// insertion sort handles, so only the edge index orders them.
+	// Forty communications on one link, in edge order alternately ready at
+	// 7 and at 3: more than an insertion sort handles, so the sort moves
+	// them and only the edge index orders each tied half.
 	var fan [][2]int
 	wide := &Mapping{Proc: make([]int, 42), Order: [][]int{{0, 1}, nil}, Finish: make([]int64, 42)}
-	wide.Finish[0], wide.Finish[1] = 7, 7
+	wide.Finish[0], wide.Finish[1] = 7, 3
 	for v := 2; v < 42; v++ {
 		fan = append(fan, [2]int{v % 2, v})
 		wide.Proc[v] = 1
@@ -590,6 +610,21 @@ func TestBuildMatchesMapBuild(t *testing.T) {
 		}
 		if diff := instanceDiff(got, want); diff != "" {
 			t.Errorf("%s: %s", c.name, diff)
+		}
+		if order, _ := want.G.TopoOrder(); mismatch(got.Topo(), order) != "" {
+			t.Errorf("%s: Topo differs %s", c.name, mismatch(got.Topo(), order))
+		}
+		zones := make([][]int, want.NumZones())
+		for v := 0; v < want.N(); v++ {
+			zones[want.ZoneOf(v)] = append(zones[want.ZoneOf(v)], v)
+		}
+		for z, nodes := range got.ZoneNodes() {
+			if nodes == nil || !slices.Equal(nodes, zones[z]) {
+				t.Errorf("%s: zone %d lists %v, want %v", c.name, z, nodes, zones[z])
+			}
+		}
+		if len(got.ZoneNodes()) != len(zones) {
+			t.Errorf("%s: %d zone lists, want %d", c.name, len(got.ZoneNodes()), len(zones))
 		}
 	}
 }

@@ -8,15 +8,11 @@ import (
 )
 
 // computeEST returns the earliest start time of every node: a forward pass
-// over a topological order of Gc, exactly the queue-based procedure of
-// Section 5.1 (Kahn-style).
+// over the instance's topological order of Gc, exactly the queue-based
+// procedure of Section 5.1 (Kahn-style).
 func computeEST(inst *ceg.Instance) []int64 {
-	order, err := inst.G.TopoOrder()
-	if err != nil {
-		panic("core: instance DAG is cyclic: " + err.Error())
-	}
 	est := make([]int64, inst.N())
-	for _, v := range order {
+	for _, v := range inst.Topo() {
 		var s int64
 		for _, ei := range inst.G.InEdges(v) {
 			e := inst.G.Edges[ei]
@@ -32,10 +28,7 @@ func computeEST(inst *ceg.Instance) []int64 {
 // computeLST returns the latest start time of every node for deadline T:
 // LST(v) = min(T, min over successors LST(w)) − ω(v), via a backward pass.
 func computeLST(inst *ceg.Instance, T int64) []int64 {
-	order, err := inst.G.TopoOrder()
-	if err != nil {
-		panic("core: instance DAG is cyclic: " + err.Error())
-	}
+	order := inst.Topo()
 	lst := make([]int64, inst.N())
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]

@@ -52,6 +52,42 @@ func New(n int) *DAG {
 	return d
 }
 
+// FromEdges creates the DAG with the given tasks (tasks[i] is vertex i)
+// and edges, in one pass per slice: the adjacency lists are exactly what
+// AddEdge in edge order would give. The DAG takes ownership of both
+// slices. Like AddEdge it panics on an endpoint out of range and checks
+// nothing else; use Validate for that.
+//
+// Every list is carved from one backing array with its capacity capped at
+// its degree, so a later AddEdge reallocates that vertex's list instead of
+// writing into its neighbour's.
+func FromEdges(tasks []Task, edges []Edge) *DAG {
+	n := len(tasks)
+	adj := make([][]int, 2*n)
+	d := &DAG{Tasks: tasks, Edges: edges, out: adj[:n:n], in: adj[n:]}
+	// Count degrees in the list lengths; nothing is written to b yet.
+	b := make([]int, 2*len(edges))
+	for i, e := range edges {
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+			panic(fmt.Sprintf("dag: FromEdges edge %d (%d, %d) out of range for %d tasks", i, e.From, e.To, n))
+		}
+		d.out[e.From] = b[:len(d.out[e.From])+1]
+		d.in[e.To] = b[:len(d.in[e.To])+1]
+	}
+	o := 0
+	for v, l := range adj {
+		if deg := len(l); deg > 0 {
+			adj[v] = b[o : o : o+deg]
+			o += deg
+		}
+	}
+	for i, e := range edges {
+		d.out[e.From] = append(d.out[e.From], i)
+		d.in[e.To] = append(d.in[e.To], i)
+	}
+	return d
+}
+
 // N returns the number of tasks.
 func (d *DAG) N() int { return len(d.Tasks) }
 

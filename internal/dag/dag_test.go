@@ -2,6 +2,8 @@ package dag
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -351,4 +353,63 @@ func BenchmarkTopoOrder1000(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestFromEdgesMatchesAddEdge builds random graphs (duplicate edges and
+// isolated vertices included) both ways and requires the same tasks, edges
+// and adjacency lists in the same order — then adds more edges to both
+// with AddEdge and requires that again, so no vertex's carved list can
+// have grown into its neighbour's.
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	r := rng.New(7)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + int(r.IntRange(0, 30))
+		var edges []Edge
+		for k := int(r.IntRange(0, 3*int64(n))); k > 0; k-- {
+			u := int(r.IntRange(0, int64(n-1)))
+			v := int(r.IntRange(0, int64(n-1)))
+			edges = append(edges, Edge{From: u, To: v, Weight: r.IntRange(0, 9)})
+		}
+		split := int(r.IntRange(0, int64(len(edges))))
+		want := New(n)
+		for v := range want.Tasks {
+			want.Tasks[v].Weight = r.IntRange(1, 20)
+		}
+		for _, e := range edges[:split] {
+			want.AddEdge(e.From, e.To, e.Weight)
+		}
+		got := FromEdges(slices.Clone(want.Tasks), slices.Clone(edges[:split]))
+		if err := sameGraph(got, want); err != "" {
+			t.Fatalf("trial %d, FromEdges of %d edges: %s", trial, split, err)
+		}
+		for _, e := range edges[split:] {
+			want.AddEdge(e.From, e.To, e.Weight)
+			got.AddEdge(e.From, e.To, e.Weight)
+		}
+		if err := sameGraph(got, want); err != "" {
+			t.Fatalf("trial %d, after %d AddEdge calls: %s", trial, len(edges)-split, err)
+		}
+	}
+}
+
+func sameGraph(got, want *DAG) string {
+	if !slices.Equal(got.Tasks, want.Tasks) || !slices.Equal(got.Edges, want.Edges) {
+		return "tasks or edges differ"
+	}
+	for v := range want.Tasks {
+		if !slices.Equal(got.OutEdges(v), want.OutEdges(v)) || !slices.Equal(got.InEdges(v), want.InEdges(v)) {
+			return fmt.Sprintf("vertex %d: out %v, want %v; in %v, want %v",
+				v, got.OutEdges(v), want.OutEdges(v), got.InEdges(v), want.InEdges(v))
+		}
+	}
+	return ""
+}
+
+func TestFromEdgesOutOfRangePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FromEdges with an endpoint out of range did not panic")
+		}
+	}()
+	FromEdges(make([]Task, 2), []Edge{{From: 0, To: 2}})
 }

@@ -23,23 +23,20 @@ func (d *DAG) TopoOrder() ([]int, error) {
 		indeg[v] = len(d.in[v])
 	}
 	// A FIFO queue seeded with sources in id order gives a deterministic,
-	// breadth-first-flavoured topological order.
-	queue := make([]int, 0, n)
+	// breadth-first-flavoured topological order. The order is the queue:
+	// a vertex is emitted in the order it is enqueued.
+	order := make([]int, 0, n)
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
-			queue = append(queue, v)
+			order = append(order, v)
 		}
 	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, ei := range d.out[v] {
+	for head := 0; head < len(order); head++ {
+		for _, ei := range d.out[order[head]] {
 			w := d.Edges[ei].To
 			indeg[w]--
 			if indeg[w] == 0 {
-				queue = append(queue, w)
+				order = append(order, w)
 			}
 		}
 	}

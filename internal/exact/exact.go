@@ -66,10 +66,7 @@ func Solve(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Optio
 		maxNodes = defaultMaxNodes
 	}
 
-	order, err := inst.G.TopoOrder()
-	if err != nil {
-		return nil, 0, fmt.Errorf("exact: %w", err)
-	}
+	order := inst.Topo()
 
 	// Static latest start times (deadline feasibility).
 	lst := make([]int64, N)

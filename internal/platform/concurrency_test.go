@@ -27,7 +27,7 @@ func TestClusterConcurrentLinkMaterialization(t *testing.T) {
 				}
 				id := c.Link(src, dst)
 				ids[w] = append(ids[w], id)
-				// Concurrent readers of the copy-on-write snapshot.
+				// Concurrent readers of the append-only snapshot.
 				if p := c.Proc(id); !p.IsLink() || p.Src != src || p.Dst != dst {
 					t.Errorf("link %d→%d resolved to wrong processor %+v", src, dst, p)
 					return
@@ -60,5 +60,39 @@ func TestClusterConcurrentLinkMaterialization(t *testing.T) {
 		if got := c.Proc(id).Type; got.Idle != want.Idle || got.Work != want.Work {
 			t.Errorf("link %v power %+v, want %+v", pair, got, want)
 		}
+	}
+}
+
+// TestProcPointerSurvivesLinkGrowth pins the append-only table: a Proc
+// pointer taken before a thousand more links are materialized (the table
+// reallocating several times under it) still reads the values it read
+// then, for a compute processor and for a link alike.
+func TestProcPointerSurvivesLinkGrowth(t *testing.T) {
+	c := SmallZoned(5, 3)
+	link := c.Link(3, 4)
+	ptrs := []*Processor{c.Proc(2), c.Proc(link)}
+	was := []Processor{*ptrs[0], *ptrs[1]}
+	made := 0
+	for src := 0; src < c.NumCompute() && made < 1000; src++ {
+		for dst := 0; dst < c.NumCompute() && made < 1000; dst++ {
+			if src != dst && !(src == 3 && dst == 4) {
+				c.Link(src, dst)
+				made++
+			}
+		}
+	}
+	if got := c.NumProcs(); got != c.NumCompute()+1001 {
+		t.Fatalf("%d processors after 1001 links, want %d", got, c.NumCompute()+1001)
+	}
+	for i, p := range ptrs {
+		if *p != was[i] {
+			t.Errorf("processor %d changed under its pointer: %+v, was %+v", was[i].ID, *p, was[i])
+		}
+		if *c.Proc(was[i].ID) != was[i] {
+			t.Errorf("processor %d reads %+v from the grown table, was %+v", was[i].ID, *c.Proc(was[i].ID), was[i])
+		}
+	}
+	if c.Link(3, 4) != link {
+		t.Error("link 3→4 changed id")
 	}
 }

@@ -61,17 +61,21 @@ func (p *Processor) IsLink() bool { return p.IsLnk }
 // A cluster is safe for concurrent use: one cluster is shared by every
 // workflow a Solver (or the schedd service) plans against it, so link
 // materialization — the only mutation after construction — is serialized
-// behind a mutex while readers work on an immutable copy-on-write
-// processor snapshot (pointers returned by Proc stay valid forever; the
-// Processor values themselves are never mutated).
+// behind a mutex. The processor table is append-only: a new link is
+// appended to the current snapshot and the longer snapshot published, so
+// a reader's snapshot never sees past its own length, pointers returned
+// by Proc stay valid forever, and the Processor values themselves are
+// never mutated.
 type Cluster struct {
-	procs    atomic.Pointer[[]Processor] // copy-on-write snapshot
+	procs    atomic.Pointer[[]Processor] // append-only snapshot
 	nCompute int
 	numZones int
-	maxTotal int64          // max P_idle + P_work over compute processors
-	mu       sync.Mutex     // guards links and snapshot replacement
-	links    map[[2]int]int // (src, dst) → processor id
-	linkSeed uint64         // deterministic link power derivation
+	maxTotal int64      // max P_idle + P_work over compute processors
+	mu       sync.Mutex // guards links and snapshot publication
+	// links[src*nCompute+dst] is the processor id of link src→dst, 0 until
+	// it is materialized (link ids start at nCompute, so 0 is never one).
+	links    []int32
+	linkSeed uint64 // deterministic link power derivation
 }
 
 // New creates a cluster with the given processor type counts. counts[i]
@@ -95,7 +99,7 @@ func NewZoned(types []ProcType, counts []int, zones []int, linkSeed uint64) *Clu
 	if len(types) != len(counts) {
 		panic("platform: types and counts length mismatch")
 	}
-	c := &Cluster{links: map[[2]int]int{}, linkSeed: linkSeed, numZones: 1}
+	c := &Cluster{linkSeed: linkSeed, numZones: 1}
 	var procs []Processor
 	id := 0
 	for i, pt := range types {
@@ -111,6 +115,7 @@ func NewZoned(types []ProcType, counts []int, zones []int, linkSeed uint64) *Clu
 		}
 	}
 	c.nCompute = id
+	c.links = make([]int32, id*id)
 	if zones != nil {
 		if len(zones) != id {
 			panic(fmt.Sprintf("platform: %d zone assignments for %d compute processors", len(zones), id))
@@ -212,9 +217,6 @@ func (c *Cluster) NumProcs() int { return len(c.snapshot()) }
 // Proc returns the processor with the given id.
 func (c *Cluster) Proc(id int) *Processor { return &c.snapshot()[id] }
 
-// Procs returns all materialized processors. The slice must not be modified.
-func (c *Cluster) Procs() []Processor { return c.snapshot() }
-
 // Link returns the id of the link processor for the directed link src→dst,
 // materializing it on first use. Its idle and work power are each drawn
 // deterministically from {1, 2} as in Section 6.1 ("we draw the values for
@@ -228,29 +230,29 @@ func (c *Cluster) Link(src, dst int) int {
 	if src < 0 || src >= c.nCompute || dst < 0 || dst >= c.nCompute {
 		panic(fmt.Sprintf("platform: Link(%d, %d) out of range for %d compute procs", src, dst, c.nCompute))
 	}
-	key := [2]int{src, dst}
+	key := src*c.nCompute + dst
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id, ok := c.links[key]; ok {
-		return id
+	if id := c.links[key]; id != 0 {
+		return int(id)
 	}
 	h := rng.Mix(c.linkSeed, uint64(src)<<32|uint64(uint32(dst)))
 	idle := int64(1 + h&1)
 	work := int64(1 + (h>>1)&1)
 	old := c.snapshot()
 	id := len(old)
-	procs := make([]Processor, id+1)
-	copy(procs, old)
-	procs[id] = Processor{
+	// Appending writes past len(old) only: no published snapshot reads
+	// there, so readers need no copy.
+	procs := append(old, Processor{
 		ID:    id,
 		Type:  ProcType{Name: fmt.Sprintf("link-%d-%d", src, dst), Speed: 1, Idle: idle, Work: work},
 		IsLnk: true,
 		Src:   src,
 		Dst:   dst,
 		Zone:  old[src].Zone, // the transfer draws power in the source's grid
-	}
+	})
 	c.procs.Store(&procs)
-	c.links[key] = id
+	c.links[key] = int32(id)
 	return id
 }
 

@@ -50,20 +50,14 @@ func zoneIdle(inst *ceg.Instance, zs *power.ZoneSet, z int) int64 {
 
 // zoneNodes partitions the instance's nodes by evaluation zone. For a
 // single-zone set it returns one nil entry (sweepNodes reads nil as "all
-// nodes").
+// nodes"); a multi-zone set has one zone per cluster zone, whose node
+// lists the instance holds (non-nil: an empty zone sweeps no nodes, not
+// all).
 func zoneNodes(inst *ceg.Instance, zs *power.ZoneSet) [][]int {
 	if zs.Single() {
 		return [][]int{nil}
 	}
-	out := make([][]int, zs.NumZones())
-	for z := range out {
-		out[z] = []int{} // non-nil: an empty zone sweeps no nodes, not all
-	}
-	for v := 0; v < inst.N(); v++ {
-		z := inst.ZoneOf(v)
-		out[z] = append(out[z], v)
-	}
-	return out
+	return inst.ZoneNodes()
 }
 
 // ZoneTimelines maintains one power Timeline per grid zone and routes

@@ -104,10 +104,6 @@ func Execute(inst *ceg.Instance, plan *schedule.Schedule, actual *power.Profile,
 	if len(plan.Start) != N {
 		return nil, fmt.Errorf("sim: plan covers %d nodes, instance has %d", len(plan.Start), N)
 	}
-	order, err := inst.G.TopoOrder()
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
 	res := &Result{
 		Start: make([]int64, N),
 		Dur:   make([]int64, N),
@@ -121,7 +117,7 @@ func Execute(inst *ceg.Instance, plan *schedule.Schedule, actual *power.Profile,
 	}
 	// Right-shift execution: planned start, delayed by late predecessors.
 	// Ordering edges are part of Gc, so processor exclusivity is implied.
-	for _, v := range order {
+	for _, v := range inst.Topo() {
 		start := plan.Start[v]
 		for _, ei := range inst.G.InEdges(v) {
 			e := inst.G.Edges[ei]

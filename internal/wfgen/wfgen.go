@@ -276,7 +276,7 @@ type builder struct {
 	r      *rng.RNG
 	names  []string
 	wts    []int64
-	edges  [][3]int64 // from, to, weight
+	edges  []dag.Edge
 }
 
 func newBuilder(f Family, r *rng.RNG) *builder {
@@ -292,17 +292,13 @@ func (b *builder) addTask(name string) int {
 }
 
 func (b *builder) addEdge(u, v int) {
-	b.edges = append(b.edges, [3]int64{int64(u), int64(v), edgeWeight(b.r)})
+	b.edges = append(b.edges, dag.Edge{From: u, To: v, Weight: edgeWeight(b.r)})
 }
 
 func (b *builder) build() *dag.DAG {
-	d := dag.New(len(b.names))
+	tasks := make([]dag.Task, len(b.names))
 	for i, name := range b.names {
-		d.SetName(i, name)
-		d.SetWeight(i, b.wts[i])
+		tasks[i] = dag.Task{ID: i, Name: name, Weight: b.wts[i]}
 	}
-	for _, e := range b.edges {
-		d.AddEdge(int(e[0]), int(e[1]), e[2])
-	}
-	return d
+	return dag.FromEdges(tasks, b.edges)
 }

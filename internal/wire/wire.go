@@ -9,6 +9,7 @@ package wire
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
@@ -57,19 +58,21 @@ func (w *DAG) ToDAG() (*dag.DAG, error) {
 	if len(w.Tasks) == 0 {
 		return nil, fmt.Errorf("wire: workflow has no tasks")
 	}
-	d := dag.New(len(w.Tasks))
+	tasks := make([]dag.Task, len(w.Tasks))
 	for i, t := range w.Tasks {
-		d.SetWeight(i, t.Weight)
-		if t.Name != "" {
-			d.SetName(i, t.Name)
+		tasks[i] = dag.Task{ID: i, Name: t.Name, Weight: t.Weight}
+		if t.Name == "" {
+			tasks[i].Name = "v" + strconv.Itoa(i)
 		}
 	}
+	edges := make([]dag.Edge, len(w.Edges))
 	for i, e := range w.Edges {
 		if e.From < 0 || e.From >= len(w.Tasks) || e.To < 0 || e.To >= len(w.Tasks) {
 			return nil, fmt.Errorf("wire: edge %d (%d→%d) endpoint out of range", i, e.From, e.To)
 		}
-		d.AddEdge(e.From, e.To, e.Weight)
+		edges[i] = dag.Edge{From: e.From, To: e.To, Weight: e.Weight}
 	}
+	d := dag.FromEdges(tasks, edges)
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("wire: invalid workflow: %w", err)
 	}
