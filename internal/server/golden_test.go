@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
@@ -132,5 +133,59 @@ func TestGoldenSolveResponses(t *testing.T) {
 	}
 	if want := len(families) * len(clusters) * len(modes); len(goldenDigests) != want {
 		t.Errorf("golden table has %d rows, roster has %d", len(goldenDigests), want)
+	}
+}
+
+// TestSolveBodiesIndependentOfClusterHistory pins what lets two schedd
+// peers agree: the body answering a request is a function of the request
+// and the cluster's construction arguments, not of what the cluster solved
+// before. Request A is answered by a fresh server, and again by a fresh
+// server that first answered B and C (other workflows, so other links).
+func TestSolveBodiesIndependentOfClusterHistory(t *testing.T) {
+	const seed = 11
+	clusters := []struct {
+		name          string
+		cluster       func() *cawosched.Cluster
+		scenario      string
+		zoneScenarios []string
+	}{
+		{name: "small", cluster: func() *cawosched.Cluster { return cawosched.SmallCluster(seed) }, scenario: "S3"},
+		{name: "zoned3", cluster: func() *cawosched.Cluster { return cawosched.SmallZonedCluster(seed, 3) }, zoneScenarios: []string{"S1", "S3", "S2"}},
+	}
+	for _, cl := range clusters {
+		request := func(f cawosched.Family) *wire.SolveRequest {
+			wf, err := cawosched.GenerateWorkflow(f, 60, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &wire.SolveRequest{
+				Workflow:       wire.FromDAG(wf),
+				Variant:        "pressWR-LS",
+				Scenario:       cl.scenario,
+				ZoneScenarios:  cl.zoneScenarios,
+				DeadlineFactor: 1.5,
+				Seed:           seed,
+			}
+		}
+		solve := func(ts *httptest.Server, req *wire.SolveRequest) []byte {
+			resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/solve", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", cl.name, resp.StatusCode, raw)
+			}
+			return stripTimings(t, raw)
+		}
+		a := request(cawosched.Atacseq)
+
+		alone := httptest.NewServer(New(cawosched.NewSolver(cl.cluster()), Config{}))
+		t.Cleanup(alone.Close)
+		want := solve(alone, a)
+
+		after := httptest.NewServer(New(cawosched.NewSolver(cl.cluster()), Config{}))
+		t.Cleanup(after.Close)
+		solve(after, request(cawosched.Eager))
+		solve(after, request(cawosched.Methylseq))
+		if got := solve(after, a); !bytes.Equal(got, want) {
+			t.Errorf("%s: body for A after B and C (%d bytes) differs from A alone (%d bytes)", cl.name, len(got), len(want))
+		}
 	}
 }

@@ -2,6 +2,7 @@ package cawosched_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	cawosched "repro"
@@ -117,9 +118,9 @@ func TestSolveResponseCacheKeying(t *testing.T) {
 
 // TestSolverPlanOrderIndependence pins the shared-cluster determinism the
 // service depends on: the result for a workflow must not depend on which
-// other workflows were planned on the same cluster first. (Before the
-// serving PR, the profile corridor summed every materialized link of the
-// shared cluster, so plan order leaked into costs.)
+// other workflows were planned on the same cluster first — neither its
+// costs nor the processor ids of its nodes, communications included, which
+// go on the wire.
 func TestSolverPlanOrderIndependence(t *testing.T) {
 	wfA, err := cawosched.GenerateWorkflow(cawosched.Methylseq, 80, 1)
 	if err != nil {
@@ -155,6 +156,9 @@ func TestSolverPlanOrderIndependence(t *testing.T) {
 	}
 	if !aFirst.Profile.EqualProfile(aSecond.Profile) {
 		t.Error("wfA generated profile depends on plan order")
+	}
+	if !reflect.DeepEqual(aFirst.Instance.Proc, aSecond.Instance.Proc) || !reflect.DeepEqual(bFirst.Instance.Proc, bSecond.Instance.Proc) {
+		t.Error("processor assignment depends on plan order")
 	}
 }
 
