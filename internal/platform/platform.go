@@ -1,19 +1,19 @@
 // Package platform models the target computing platform of Section 3: a
-// cluster of P heterogeneous compute processors plus (conceptually) P(P−1)
-// fictional link processors, one per directed communication link of the
-// fully connected, full-duplex topology.
+// cluster of P heterogeneous compute processors plus P(P−1) fictional link
+// processors, one per directed communication link of the fully connected,
+// full-duplex topology.
 //
 // Every processor draws Idle power each time unit and an additional Work
-// power while it executes a task or a communication. Link processors are
-// materialized lazily: a link that never carries a communication contributes
-// zero power, which Section 3 explicitly allows ("we could set the static
-// power of a link that is never used to 0").
+// power while it executes a task or a communication. The whole processor
+// table is built at construction; an instance charges idle power only for
+// the processors its nodes use (ceg.Instance.TotalIdlePower), so a link that
+// never carries a communication contributes zero power, which Section 3
+// explicitly allows ("we could set the static power of a link that is never
+// used to 0").
 package platform
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/rng"
 )
@@ -38,7 +38,7 @@ func Table1() []ProcType {
 	}
 }
 
-// Processor is a compute node or a (materialized) communication link.
+// Processor is a compute node or a communication link.
 type Processor struct {
 	ID    int
 	Type  ProcType
@@ -56,25 +56,20 @@ type Processor struct {
 // IsLink reports whether the processor is a communication link.
 func (p *Processor) IsLink() bool { return p.IsLnk }
 
-// Cluster is a set of compute processors plus lazily materialized links.
+// Cluster is a set of P compute processors plus every directed link
+// between them, in one fixed table of P² processors.
 //
-// A cluster is safe for concurrent use: one cluster is shared by every
-// workflow a Solver (or the schedd service) plans against it, so link
-// materialization — the only mutation after construction — is serialized
-// behind a mutex. The processor table is append-only: a new link is
-// appended to the current snapshot and the longer snapshot published, so
-// a reader's snapshot never sees past its own length, pointers returned
-// by Proc stay valid forever, and the Processor values themselves are
-// never mutated.
+// A cluster is immutable after construction and so safe for concurrent
+// use: one cluster is shared by every workflow a Solver (or the schedd
+// service) plans against it. The compute processors come first, then the
+// links in (src, dst) order, so a link's id is a function of (src, dst)
+// alone and two clusters built from the same arguments hold the same table
+// whatever they were asked before.
 type Cluster struct {
-	procs    atomic.Pointer[[]Processor] // append-only snapshot
+	procs    []Processor // compute processors, then links in (src, dst) order
 	nCompute int
 	numZones int
-	maxTotal int64      // max P_idle + P_work over compute processors
-	mu       sync.Mutex // guards links and snapshot publication
-	// links[src*nCompute+dst] is the processor id of link src→dst, 0 until
-	// it is materialized (link ids start at nCompute, so 0 is never one).
-	links    []int32
+	maxTotal int64  // max P_idle + P_work over compute processors
 	linkSeed uint64 // deterministic link power derivation
 }
 
@@ -99,26 +94,26 @@ func NewZoned(types []ProcType, counts []int, zones []int, linkSeed uint64) *Clu
 	if len(types) != len(counts) {
 		panic("platform: types and counts length mismatch")
 	}
-	c := &Cluster{linkSeed: linkSeed, numZones: 1}
-	var procs []Processor
-	id := 0
+	P := 0
+	for _, k := range counts {
+		P += max(k, 0)
+	}
+	c := &Cluster{nCompute: P, linkSeed: linkSeed, numZones: 1}
+	procs := make([]Processor, 0, P*P)
 	for i, pt := range types {
 		if pt.Speed <= 0 {
 			panic(fmt.Sprintf("platform: processor type %q has non-positive speed", pt.Name))
 		}
 		for j := 0; j < counts[i]; j++ {
-			procs = append(procs, Processor{ID: id, Type: pt})
-			id++
+			procs = append(procs, Processor{ID: len(procs), Type: pt})
 		}
 		if counts[i] > 0 {
 			c.maxTotal = max(c.maxTotal, pt.Idle+pt.Work)
 		}
 	}
-	c.nCompute = id
-	c.links = make([]int32, id*id)
 	if zones != nil {
-		if len(zones) != id {
-			panic(fmt.Sprintf("platform: %d zone assignments for %d compute processors", len(zones), id))
+		if len(zones) != P {
+			panic(fmt.Sprintf("platform: %d zone assignments for %d compute processors", len(zones), P))
 		}
 		maxZone := 0
 		for i, z := range zones {
@@ -141,7 +136,26 @@ func NewZoned(types []ProcType, counts []int, zones []int, linkSeed uint64) *Clu
 			}
 		}
 	}
-	c.procs.Store(&procs)
+	// A link's idle and work power are each drawn from {1, 2} as in Section
+	// 6.1 ("we draw the values for Pidle and Pwork randomly between 1 and 2
+	// for communication links"), as a function of (linkSeed, src, dst).
+	for src := range P {
+		for dst := range P {
+			if src == dst {
+				continue
+			}
+			h := rng.Mix(linkSeed, uint64(src)<<32|uint64(uint32(dst)))
+			procs = append(procs, Processor{
+				ID:    len(procs),
+				Type:  ProcType{Speed: 1, Idle: int64(1 + h&1), Work: int64(1 + (h>>1)&1)},
+				IsLnk: true,
+				Src:   src,
+				Dst:   dst,
+				Zone:  procs[src].Zone, // the transfer draws power in the source's grid
+			})
+		}
+	}
+	c.procs = procs
 	return c
 }
 
@@ -163,9 +177,6 @@ func RoundRobinZones(P, k int) []int {
 	}
 	return zones
 }
-
-// snapshot returns the current immutable processor list.
-func (c *Cluster) snapshot() []Processor { return *c.procs.Load() }
 
 // Small returns the paper's small cluster: 12 nodes of each of the six
 // Table 1 types (72 compute nodes).
@@ -201,8 +212,8 @@ func (c *Cluster) NumCompute() int { return c.nCompute }
 func (c *Cluster) NumZones() int { return c.numZones }
 
 // ZoneOf returns the grid zone of the processor with the given id
-// (compute or materialized link).
-func (c *Cluster) ZoneOf(id int) int { return c.snapshot()[id].Zone }
+// (compute or link).
+func (c *Cluster) ZoneOf(id int) int { return c.procs[id].Zone }
 
 // LinkSeed returns the seed that parameterizes the deterministic
 // pseudo-random power of link processors. Together with the compute
@@ -210,19 +221,15 @@ func (c *Cluster) ZoneOf(id int) int { return c.snapshot()[id].Zone }
 // the JSON wire format).
 func (c *Cluster) LinkSeed() uint64 { return c.linkSeed }
 
-// NumProcs returns the number of materialized processors (compute + links
-// created so far).
-func (c *Cluster) NumProcs() int { return len(c.snapshot()) }
+// NumProcs returns the number of processors, P compute plus P(P−1) links.
+func (c *Cluster) NumProcs() int { return len(c.procs) }
 
 // Proc returns the processor with the given id.
-func (c *Cluster) Proc(id int) *Processor { return &c.snapshot()[id] }
+func (c *Cluster) Proc(id int) *Processor { return &c.procs[id] }
 
-// Link returns the id of the link processor for the directed link src→dst,
-// materializing it on first use. Its idle and work power are each drawn
-// deterministically from {1, 2} as in Section 6.1 ("we draw the values for
-// Pidle and Pwork randomly between 1 and 2 for communication links"), so a
-// link's power depends only on (linkSeed, src, dst) — never on the order
-// in which concurrent workflows materialize links.
+// Link returns the id of the link processor for the directed link src→dst:
+// the links follow the P compute processors in (src, dst) order, skipping
+// src = dst.
 func (c *Cluster) Link(src, dst int) int {
 	if src == dst {
 		panic("platform: Link(src, src) requested; same-processor edges have no link")
@@ -230,36 +237,16 @@ func (c *Cluster) Link(src, dst int) int {
 	if src < 0 || src >= c.nCompute || dst < 0 || dst >= c.nCompute {
 		panic(fmt.Sprintf("platform: Link(%d, %d) out of range for %d compute procs", src, dst, c.nCompute))
 	}
-	key := src*c.nCompute + dst
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id := c.links[key]; id != 0 {
-		return int(id)
+	if dst > src {
+		dst--
 	}
-	h := rng.Mix(c.linkSeed, uint64(src)<<32|uint64(uint32(dst)))
-	idle := int64(1 + h&1)
-	work := int64(1 + (h>>1)&1)
-	old := c.snapshot()
-	id := len(old)
-	// Appending writes past len(old) only: no published snapshot reads
-	// there, so readers need no copy.
-	procs := append(old, Processor{
-		ID:    id,
-		Type:  ProcType{Name: fmt.Sprintf("link-%d-%d", src, dst), Speed: 1, Idle: idle, Work: work},
-		IsLnk: true,
-		Src:   src,
-		Dst:   dst,
-		Zone:  old[src].Zone, // the transfer draws power in the source's grid
-	})
-	c.procs.Store(&procs)
-	c.links[key] = int32(id)
-	return id
+	return c.nCompute + src*(c.nCompute-1) + dst
 }
 
 // ExecTime returns the running time ω of a task with the given work weight
 // on processor id: ceil(weight / speed), at least 1 time unit.
 func (c *Cluster) ExecTime(weight int64, id int) int64 {
-	sp := c.snapshot()[id].Type.Speed
+	sp := c.procs[id].Type.Speed
 	t := (weight + sp - 1) / sp
 	if t < 1 {
 		t = 1
@@ -277,32 +264,20 @@ func (c *Cluster) CommTime(volume int64) int64 {
 	return volume
 }
 
-// TotalIdle returns the sum of idle power over all materialized processors.
-// This is the constant floor of the platform's power draw.
-func (c *Cluster) TotalIdle() int64 {
-	var sum int64
-	for _, p := range c.snapshot() {
-		sum += p.Type.Idle
-	}
-	return sum
-}
-
 // ComputeIdle returns the summed idle power of compute processors only.
 func (c *Cluster) ComputeIdle() int64 {
-	procs := c.snapshot()
 	var sum int64
 	for i := 0; i < c.nCompute; i++ {
-		sum += procs[i].Type.Idle
+		sum += c.procs[i].Type.Idle
 	}
 	return sum
 }
 
 // ComputeWork returns the summed work power of compute processors only.
 func (c *Cluster) ComputeWork() int64 {
-	procs := c.snapshot()
 	var sum int64
 	for i := 0; i < c.nCompute; i++ {
-		sum += procs[i].Type.Work
+		sum += c.procs[i].Type.Work
 	}
 	return sum
 }
@@ -310,11 +285,10 @@ func (c *Cluster) ComputeWork() int64 {
 // ZoneComputeIdle returns the summed idle power of the compute processors
 // in zone z. Summed over all zones it equals ComputeIdle.
 func (c *Cluster) ZoneComputeIdle(z int) int64 {
-	procs := c.snapshot()
 	var sum int64
 	for i := 0; i < c.nCompute; i++ {
-		if procs[i].Zone == z {
-			sum += procs[i].Type.Idle
+		if c.procs[i].Zone == z {
+			sum += c.procs[i].Type.Idle
 		}
 	}
 	return sum
@@ -324,22 +298,21 @@ func (c *Cluster) ZoneComputeIdle(z int) int64 {
 // in zone z. Together with ZoneComputeIdle it spans the per-zone
 // green-power corridor (the zone analogue of power.PlatformBounds).
 func (c *Cluster) ZoneComputeWork(z int) int64 {
-	procs := c.snapshot()
 	var sum int64
 	for i := 0; i < c.nCompute; i++ {
-		if procs[i].Zone == z {
-			sum += procs[i].Type.Work
+		if c.procs[i].Zone == z {
+			sum += c.procs[i].Type.Work
 		}
 	}
 	return sum
 }
 
-// MaxPower returns the maximum possible instantaneous power draw: total idle
-// plus the work power of every materialized processor. It is the Big-M bound
+// MaxPower returns the maximum possible instantaneous power draw: the idle
+// plus work power of every processor, links included. It is the Big-M bound
 // used by the ILP (Appendix A.4).
 func (c *Cluster) MaxPower() int64 {
 	var sum int64
-	for _, p := range c.snapshot() {
+	for _, p := range c.procs {
 		sum += p.Type.Idle + p.Type.Work
 	}
 	return sum
@@ -360,7 +333,7 @@ func (c *Cluster) WeightFactor(id int) float64 {
 	if den == 0 {
 		return 1
 	}
-	p := c.snapshot()[id]
+	p := c.procs[id]
 	num := p.Type.Idle + p.Type.Work
 	return float64(num) / float64(den)
 }

@@ -179,7 +179,11 @@ func Gantt(inst *ceg.Instance, s *Schedule, horizon int64, opt GanttOptions) str
 	var b strings.Builder
 	fmt.Fprintf(&b, "time 0%s%d\n", strings.Repeat(" ", maxInt(1, width-len(fmt.Sprint(horizon))-5)), horizon)
 	for _, r := range list {
-		name := inst.Cluster.Proc(r.proc).Type.Name
+		p := inst.Cluster.Proc(r.proc)
+		name := p.Type.Name
+		if p.IsLink() {
+			name = fmt.Sprintf("link-%d-%d", p.Src, p.Dst)
+		}
 		fmt.Fprintf(&b, "p%-4d %-10s %s\n", r.proc, name, r.line)
 	}
 	if opt.Profile != nil {
