@@ -20,38 +20,38 @@ import (
 // the digest it got; only a change that means to alter schedules, costs or
 // the wire format may paste that in.
 var goldenDigests = map[string]uint64{
-	"atacseq/small/slack":         0x822b03f4a95d8f3e,
-	"atacseq/small/pressWR-LS":    0x2da16bcbed77c3e1,
-	"atacseq/small/marginal":      0x91a34f6a1d4fbe4c,
-	"atacseq/small/map-search":    0x2da16bcbed77c3e1,
-	"atacseq/zoned3/slack":        0x29b0a2e6b73b273a,
-	"atacseq/zoned3/pressWR-LS":   0xa549cea275dbd58c,
-	"atacseq/zoned3/marginal":     0xa1990afbfb7a17e3,
-	"atacseq/zoned3/map-search":   0x79672964f06c4b82,
-	"bacass/small/slack":          0xf9db19816a2def89,
-	"bacass/small/pressWR-LS":     0xcd7567b624ac0bb9,
-	"bacass/small/marginal":       0x4a6fd4c6ba8df617,
-	"bacass/small/map-search":     0x07a252b8af4ed739,
-	"bacass/zoned3/slack":         0xf37ba9272ade5220,
-	"bacass/zoned3/pressWR-LS":    0x8cbc7c9f328d3b2a,
-	"bacass/zoned3/marginal":      0xe14a454fb7a5ff39,
-	"bacass/zoned3/map-search":    0x7d374fe2c6ec1bec,
-	"eager/small/slack":           0xe7dd4d95e2de1c12,
-	"eager/small/pressWR-LS":      0xeed829b2563922cf,
-	"eager/small/marginal":        0x9de92ce2799e0cdf,
-	"eager/small/map-search":      0xb29c84992ef6965b,
-	"eager/zoned3/slack":          0x03535cd7e30b6c61,
-	"eager/zoned3/pressWR-LS":     0x38b244be4e01400c,
-	"eager/zoned3/marginal":       0x380e058d06781a1e,
-	"eager/zoned3/map-search":     0x1060eb68f55ea7c0,
-	"methylseq/small/slack":       0xf1f6cee38b925867,
-	"methylseq/small/pressWR-LS":  0x95e5905a0c914cc5,
-	"methylseq/small/marginal":    0x5a3ad6153cd3ace0,
-	"methylseq/small/map-search":  0xaeda5ccb7d1a53e4,
-	"methylseq/zoned3/slack":      0x9a57d3e276a05b50,
-	"methylseq/zoned3/pressWR-LS": 0x836406a84cd6e1c0,
-	"methylseq/zoned3/marginal":   0xe59f089fc8bd1d72,
-	"methylseq/zoned3/map-search": 0x836406a84cd6e1c0,
+	"atacseq/small/slack":         0xbd25a972966a6fa3,
+	"atacseq/small/pressWR-LS":    0x8e78a7d1402f47b4,
+	"atacseq/small/marginal":      0x753a47c3aeeb64fb,
+	"atacseq/small/map-search":    0x8e78a7d1402f47b4,
+	"atacseq/zoned3/slack":        0x36a23064128e1db5,
+	"atacseq/zoned3/pressWR-LS":   0x63a63fb74e725903,
+	"atacseq/zoned3/marginal":     0x8d5ee18e77f4e074,
+	"atacseq/zoned3/map-search":   0x651b5baa87db1470,
+	"bacass/small/slack":          0x3dea37a7a6278fca,
+	"bacass/small/pressWR-LS":     0x10c72879d0c01eb0,
+	"bacass/small/marginal":       0x5d2e2afe2cd6b874,
+	"bacass/small/map-search":     0x83b940f8ed972b45,
+	"bacass/zoned3/slack":         0x99f13e0cb33c0b0d,
+	"bacass/zoned3/pressWR-LS":    0xe294761e06de8c3d,
+	"bacass/zoned3/marginal":      0xc858c2ce07dc4498,
+	"bacass/zoned3/map-search":    0xa7f98a7f948c7ccc,
+	"eager/small/slack":           0x100dd51a12e9b920,
+	"eager/small/pressWR-LS":      0x34c58b5b3e63f1c3,
+	"eager/small/marginal":        0xe2822fc5f295f7ed,
+	"eager/small/map-search":      0x3f8f8a8eb6d4ce91,
+	"eager/zoned3/slack":          0x688097c84ae64b4e,
+	"eager/zoned3/pressWR-LS":     0x483ef97565512777,
+	"eager/zoned3/marginal":       0xd3e8e32ddad78553,
+	"eager/zoned3/map-search":     0x054f7d213aade5ae,
+	"methylseq/small/slack":       0x9ef23bf434b484ef,
+	"methylseq/small/pressWR-LS":  0xc39a09a70c2dd4c7,
+	"methylseq/small/marginal":    0xba036c9639aee388,
+	"methylseq/small/map-search":  0x1d79350362cb23c6,
+	"methylseq/zoned3/slack":      0x5a31715e323a4b8a,
+	"methylseq/zoned3/pressWR-LS": 0x735f68bfbdb66052,
+	"methylseq/zoned3/marginal":   0x6da65d5bc29c2f9e,
+	"methylseq/zoned3/map-search": 0x735f68bfbdb66052,
 }
 
 // goldenStats pins the solver's cache accounting after the whole roster
