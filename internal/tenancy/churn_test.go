@@ -155,10 +155,10 @@ func TestManagerChurnPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(hist)
-	if got, want := hex.EncodeToString(sum[:]), "d94dc086ca294c877405bded8015b317eefaab413bb24599e06198b45be46ca5"; got != want {
+	if got, want := hex.EncodeToString(sum[:]), "bf54d22ee26264aabb6ce713e44263a216736e69fd924c33f0ad38a558125f33"; got != want {
 		t.Errorf("history digest = %s, want %s", got, want)
 	}
-	if got, want := hex.EncodeToString(statuses.Sum(nil)), "2ad410675cc07d9418ac61d37b2bd0195c6599012f23353b4927022a3d25092f"; got != want {
+	if got, want := hex.EncodeToString(statuses.Sum(nil)), "51551a32b8f75133237e4e46cd426f1fb8bd16fbad5ff04b01d9369f4560d953"; got != want {
 		t.Errorf("status digest = %s, want %s", got, want)
 	}
 	g := m.Gauges()
