@@ -110,21 +110,12 @@ type Options struct {
 	Zones *power.ZoneSet
 }
 
-// Result mirrors heft.Result: the fixed mapping, ordering and reference
-// times that the second (CaWoSched) pass consumes.
-type Result struct {
-	Proc     []int
-	Start    []int64
-	Finish   []int64
-	Order    [][]int
-	Makespan int64
-}
-
 // Schedule runs the carbon-aware mapping pass: HEFT's list scheduler
 // (heft.ListSchedule — the task prioritization by upward rank is unchanged,
 // it encodes the critical path) with the policy's objective as the score
-// of a candidate placement.
-func Schedule(d *dag.DAG, c *platform.Cluster, opt Options) (*Result, error) {
+// of a candidate placement. The result is the fixed mapping, ordering and
+// reference times that the second (CaWoSched) pass consumes.
+func Schedule(d *dag.DAG, c *platform.Cluster, opt Options) (*heft.Result, error) {
 	if !opt.Policy.Valid() {
 		return nil, fmt.Errorf("greenheft: unknown policy %d", int(opt.Policy))
 	}
@@ -158,7 +149,7 @@ func Schedule(d *dag.DAG, c *platform.Cluster, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("greenheft: %w", err)
 	}
-	return (*Result)(res), nil
+	return res, nil
 }
 
 func objective(policy Policy, alpha float64, finish, dur, power int64, avail float64) float64 {
@@ -253,41 +244,4 @@ func pow(x, alpha float64) float64 {
 		}
 		return r
 	}
-}
-
-// Validate checks the same legality conditions as heft.Result.Validate.
-func (r *Result) Validate(d *dag.DAG, c *platform.Cluster) error {
-	n := d.N()
-	if len(r.Proc) != n || len(r.Start) != n || len(r.Finish) != n {
-		return fmt.Errorf("greenheft: result arrays sized %d,%d,%d, want %d",
-			len(r.Proc), len(r.Start), len(r.Finish), n)
-	}
-	for v := 0; v < n; v++ {
-		if r.Proc[v] < 0 || r.Proc[v] >= c.NumCompute() {
-			return fmt.Errorf("greenheft: task %d mapped to invalid processor %d", v, r.Proc[v])
-		}
-		if want := r.Start[v] + c.ExecTime(d.Tasks[v].Weight, r.Proc[v]); r.Finish[v] != want {
-			return fmt.Errorf("greenheft: task %d finish %d inconsistent", v, r.Finish[v])
-		}
-		if r.Start[v] < 0 {
-			return fmt.Errorf("greenheft: task %d starts at %d", v, r.Start[v])
-		}
-	}
-	for _, e := range d.Edges {
-		arr := r.Finish[e.From]
-		if r.Proc[e.From] != r.Proc[e.To] {
-			arr += c.CommTime(e.Weight)
-		}
-		if r.Start[e.To] < arr {
-			return fmt.Errorf("greenheft: edge %d→%d violated", e.From, e.To)
-		}
-	}
-	for p, tasks := range r.Order {
-		for i := 1; i < len(tasks); i++ {
-			if r.Finish[tasks[i-1]] > r.Start[tasks[i]] {
-				return fmt.Errorf("greenheft: processor %d overlap", p)
-			}
-		}
-	}
-	return nil
 }

@@ -76,7 +76,7 @@ func TestLowPowerPrefersCheaperProcessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	powerOf := func(r *Result) int64 {
+	powerOf := func(r *heft.Result) int64 {
 		pt := c.Proc(r.Proc[0]).Type
 		return pt.Idle + pt.Work
 	}
