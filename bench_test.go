@@ -252,50 +252,25 @@ func BenchmarkSolveCacheContendedSingleShard(b *testing.B) {
 
 // BenchmarkBuildInstance1000 measures ceg.Build alone on the HEFT mapping
 // of a 1000-task workflow over the 3-zone small cluster (the shape of the
-// repo benchmark's solve_cold_1k). warm builds on a cluster whose every
-// link already exists; fresh builds on a new cluster each op, so it also
-// pays for materializing the links it uses (the cluster's construction is
-// outside the clock).
+// repo benchmark's solve_cold_1k).
 func BenchmarkBuildInstance1000(b *testing.B) {
 	wf, err := cawosched.GenerateWorkflow(cawosched.Atacseq, 1000, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
-	h, err := cawosched.HEFT(wf, cawosched.SmallZonedCluster(42, 3))
+	c := cawosched.SmallZonedCluster(42, 3)
+	h, err := cawosched.HEFT(wf, c)
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := &cawosched.Mapping{Proc: h.Proc, Order: h.Order, Finish: h.Finish}
-	build := func(b *testing.B, c *cawosched.Cluster) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := cawosched.BuildInstance(wf, m, c); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.Run("warm", func(b *testing.B) {
-		c := cawosched.SmallZonedCluster(42, 3)
-		for src := 0; src < c.NumCompute(); src++ {
-			for dst := 0; dst < c.NumCompute(); dst++ {
-				if src != dst {
-					c.Link(src, dst)
-				}
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			build(b, c)
-		}
-	})
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			c := cawosched.SmallZonedCluster(42, 3)
-			b.StartTimer()
-			build(b, c)
-		}
-	})
 }
 
 func BenchmarkUniprocessorDP(b *testing.B) {

@@ -47,7 +47,7 @@ type Instance struct {
 	// CommEdge maps communication node id → index of the original edge in
 	// the source DAG it carries. Real tasks map to -1.
 	CommEdge []int
-	// Cluster is the target platform (with links materialized).
+	// Cluster is the target platform.
 	Cluster *platform.Cluster
 
 	// idlePower is the instance-local platform idle floor, memoized by
@@ -216,12 +216,10 @@ func Build(d *dag.DAG, m *Mapping, cluster *platform.Cluster) (*Instance, error)
 
 	// Ordering edges on links (E″), and the instance-local idle floor:
 	// compute processors plus the distinct links this instance's
-	// communications occupy. Summing only the instance's own links
-	// (instead of every processor the shared cluster happens to have
-	// materialized) keeps the value — and with it profile corridors and
-	// carbon costs — a pure function of (workflow, mapping, cluster),
-	// independent of what other workflows were planned on the same cluster
-	// before or concurrently.
+	// communications occupy. A link that carries nothing draws no power
+	// (Section 3), so the value — and with it profile corridors and carbon
+	// costs — is a function of (workflow, mapping, cluster), whatever else
+	// was planned on the same cluster.
 	inst.zoneIdle = make([]int64, cluster.NumZones())
 	for z := range inst.zoneIdle {
 		inst.zoneIdle[z] = cluster.ZoneComputeIdle(z)
@@ -349,10 +347,8 @@ func (in *Instance) validate() ([]int, error) {
 
 // TotalIdlePower returns the summed idle power of all processors hosting at
 // least one node of this instance, plus all other compute processors.
-// (Links without any node contribute zero, as allowed by Section 3 — even
-// when another workflow sharing the cluster materialized them.) The value
-// is memoized by Build, so it is cheap in the cost-sweep hot paths and
-// independent of concurrent planning on the shared cluster.
+// (Links without any node contribute zero, as allowed by Section 3.) The
+// value is memoized by Build, so it is cheap in the cost-sweep hot paths.
 func (in *Instance) TotalIdlePower() int64 {
 	return in.idlePower
 }

@@ -49,7 +49,7 @@ type MapSolveOptions struct {
 	Marginal bool
 	// Workers is the width of the candidate fan-out: up to Workers
 	// candidate mappings are scheduled at once (planning stays
-	// sequential, see Search). Values ≤ 1 schedule them one after
+	// sequential, see PlanFunc). Values ≤ 1 schedule them one after
 	// another. It is the only parallelism inside a solve and pure
 	// mechanism — the winner, outcomes, and errors are reduced in policy
 	// order, so the result is identical at any width.
@@ -78,7 +78,8 @@ type MapSolveResult struct {
 
 // PlanFunc supplies the search with one candidate: the scheduling
 // instance of the workflow mapped under pol, and that mapping's ASAP
-// makespan. The search calls it sequentially, in policy order.
+// makespan. The search calls it sequentially, in policy order, so it may
+// keep state across calls without a lock.
 type PlanFunc func(ctx context.Context, pol Policy) (inst *ceg.Instance, d int64, err error)
 
 // MapAndSolve runs the two-pass pipeline for the workflow on the cluster
@@ -126,14 +127,13 @@ type polEval struct {
 // holds the first candidate's error. Canceling ctx aborts the search.
 //
 // With opt.Workers > 1 the candidates' solves run concurrently across a
-// bounded pool. The planning pass stays sequential regardless: link
-// processors materialize on first use with ids assigned in order
-// (platform.Cluster.Link), so candidate mappings must be built in policy
-// order or the instances' processor ids would depend on goroutine
-// interleaving. The solves are independent, and the reduction walks the
-// policies in order — first strictly lower cost wins, a planning failure
-// or cancellation surfaces at its index exactly as in a sequential
-// search — so the result is bit-identical at any worker count.
+// bounded pool. The planning pass stays sequential regardless, so plan
+// need not be safe for concurrent use; the instances themselves do not
+// depend on planning order, since a link's processor id is fixed by the
+// cluster (platform.Cluster.Link). The solves are independent, and the
+// reduction walks the policies in order — first strictly lower cost wins,
+// a planning failure or cancellation surfaces at its index exactly as in a
+// sequential search — so the result is bit-identical at any worker count.
 func Search(ctx context.Context, zs *power.ZoneSet, opt MapSolveOptions, plan PlanFunc) (*MapSolveResult, error) {
 	policies := opt.Policies
 	if len(policies) == 0 {

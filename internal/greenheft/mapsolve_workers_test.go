@@ -19,9 +19,9 @@ import (
 // TestMapAndSolveWorkersIdentical pins that the candidate fan-out is pure
 // mechanism: MapAndSolve at any Workers count returns the same winning
 // policy, instance shape, schedule, stats, and per-candidate audit trail
-// as the sequential search. Each run gets a fresh cluster so the
-// link-materialization history (which assigns link processor ids in
-// first-use order) starts from the same blank slate.
+// as the sequential search. Each run gets a cluster of its own, built from
+// the same arguments; the link table is fixed at construction, so the
+// processor ids compared below mean the same on every one.
 func TestMapAndSolveWorkersIdentical(t *testing.T) {
 	ctx := context.Background()
 	d, err := wfgen.Generate(wfgen.Methylseq, 100, 5)

@@ -181,9 +181,9 @@ type ProcGroup struct {
 
 // Cluster is a target platform on the wire: compute processor groups in
 // id order plus the seed that derives the deterministic link powers.
-// Link processors are never serialized — they are materialized lazily on
-// demand, and the seed reproduces them exactly (including their zones,
-// which follow their source processors).
+// Link processors are never serialized — the decoded cluster builds every
+// link from the groups and the seed, with the same ids, powers and zones
+// (which follow their source processors).
 type Cluster struct {
 	Groups   []ProcGroup `json:"groups"`
 	LinkSeed uint64      `json:"link_seed"`

@@ -120,7 +120,7 @@ func TestClusterRoundTrip(t *testing.T) {
 			t.Fatalf("proc %d type changed: %+v → %+v", i, orig.Proc(i).Type, back.Proc(i).Type)
 		}
 	}
-	// Same link seed → identical lazily-derived link powers.
+	// Same link seed → identical seed-derived link powers.
 	for _, pair := range [][2]int{{0, 1}, {3, 70}, {71, 0}} {
 		a := orig.Proc(orig.Link(pair[0], pair[1])).Type
 		b := back.Proc(back.Link(pair[0], pair[1])).Type

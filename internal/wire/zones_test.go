@@ -79,7 +79,7 @@ func TestZoneSetRejectsInvalid(t *testing.T) {
 }
 
 // TestZonedClusterRoundTrip: zone assignments survive the wire, including
-// the zones of lazily derived links.
+// the zones of seed-derived links.
 func TestZonedClusterRoundTrip(t *testing.T) {
 	orig := platform.SmallZoned(9, 3)
 	data, err := json.Marshal(FromCluster(orig))

@@ -884,8 +884,9 @@ func (s *Solver) compute(ctx context.Context, job *solveJob) (*Response, error) 
 // req.SearchWorkers.
 func (s *Solver) mapSearch(ctx context.Context, job *solveJob) (*Response, error) {
 	req, zones, opt := job.req, job.zones, job.opt
-	// The planning pass is sequential, so the closure needs no lock; the
-	// entries are kept so the winner's asap and d need no second lookup.
+	// The planning pass is sequential (greenheft.PlanFunc), so the closure
+	// needs no lock; the entries are kept so the winner's asap and d need
+	// no second lookup.
 	entries := make(map[greenheft.Policy]*planEntry)
 	res, err := greenheft.Search(ctx, zones,
 		greenheft.MapSolveOptions{Sched: opt, Marginal: req.Marginal, Workers: req.SearchWorkers},
