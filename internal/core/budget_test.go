@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -132,22 +133,241 @@ func TestChunkSplitting(t *testing.T) {
 		extra = append(extra, i*33)
 	}
 	b := newBudgets(p, extra)
+	ref := newReference(p, extra)
 	if len(b.chunks) < 2 {
 		t.Fatalf("expected multiple chunks, got %d", len(b.chunks))
 	}
 	// Structure must stay consistent: consume over a wide range, then
-	// query.
+	// narrow ranges inside one chunk until it splits.
 	b.consume(500, 90000, 7)
-	if got := b.budgetAt(600); got != 43 {
-		t.Errorf("budget = %d, want 43", got)
+	ref.consume(500, 90000, 7)
+	chunks := len(b.chunks)
+	for x := int64(33 * 40); x < 33*80; x += 3 {
+		b.consume(x, x+1, 2)
+		ref.consume(x, x+1, 2)
 	}
-	if got := b.budgetAt(90001); got != 50 {
-		t.Errorf("budget past range = %d, want 50", got)
+	if len(b.chunks) <= chunks {
+		t.Fatalf("no chunk split: %d chunks before and after", chunks)
 	}
-	if s, ok := b.bestStart(400, 99999); !ok {
-		t.Error("no best start found")
-	} else if b.budgetAt(s) != 50 {
-		t.Errorf("bestStart budget = %d, want 50", b.budgetAt(s))
+	checkBudgets(t, b, ref, [][2]int64{{400, 99999}, {0, 99999}, {33 * 40, 33 * 45}, {90000, 99999}})
+}
+
+// checkBudgets compares the structure with the reference: every time
+// unit's budget, the breakpoints, each query's bestStart, and the chunk
+// invariants (sorted starts, no chunk over twice the chunk size, arg the
+// earliest maximum).
+func checkBudgets(t *testing.T, b *budgets, ref *referenceBudgets, queries [][2]int64) {
+	t.Helper()
+	for x := int64(0); x < b.T; x++ {
+		if got, want := b.budgetAt(x), ref.bud[x]; got != want {
+			t.Fatalf("budgetAt(%d) = %d, want %d", x, got, want)
+		}
+	}
+	if got, want := b.numIntervals(), len(ref.brk); got != want {
+		t.Fatalf("%d intervals, want %d", got, want)
+	}
+	for _, q := range queries {
+		gs, gok := b.bestStart(q[0], q[1])
+		ws, wok := ref.bestStart(q[0], q[1])
+		if gs != ws || gok != wok {
+			t.Fatalf("bestStart(%d, %d) = %d,%v, want %d,%v", q[0], q[1], gs, gok, ws, wok)
+		}
+	}
+	prev := int64(-1)
+	for ci, c := range b.chunks {
+		if len(c.starts) == 0 || len(c.starts) > 2*b.size || len(c.buds) != len(c.starts) {
+			t.Fatalf("chunk %d: %d starts, %d budgets (size %d)", ci, len(c.starts), len(c.buds), b.size)
+		}
+		for i, s := range c.starts {
+			if s <= prev || !ref.brk[s] {
+				t.Fatalf("chunk %d entry %d: start %d after %d (breakpoint %v)", ci, i, s, prev, ref.brk[s])
+			}
+			prev = s
+			if c.buds[i] > c.buds[c.arg] || (c.buds[i] == c.buds[c.arg] && i < c.arg) {
+				t.Fatalf("chunk %d: cached argmax %d, but entry %d is an earlier or larger maximum", ci, c.arg, i)
+			}
+		}
+	}
+}
+
+func TestChunkSize(t *testing.T) {
+	for _, c := range []struct{ n, want int }{
+		{1, 16}, {256, 16}, {257, 32}, {3000, 64}, {4096, 64}, {4097, 128}, {1 << 20, 512},
+	} {
+		if got := chunkSize(c.n); got != c.want {
+			t.Errorf("chunkSize(%d) = %d, want %d", c.n, got, c.want)
+		}
+	}
+}
+
+// The chunked cases: each op is checked against the reference.
+func TestBudgetsChunkCases(t *testing.T) {
+	// 100 intervals of 10 units with budgets 3, 3, 5, 5, 3, 3, …: several
+	// maxima per chunk, so ties decide which start is best. Chunk size
+	// 16, so chunks hold 160 time units.
+	lengths := make([]int64, 100)
+	buds := make([]int64, 100)
+	for i := range lengths {
+		lengths[i] = 10
+		buds[i] = 5
+		if i%4 < 2 {
+			buds[i] = 3
+		}
+	}
+	prof, err := power.NewProfile(lengths, buds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := [][2]int64{{0, 999}, {5, 999}, {0, 159}, {160, 319}, {161, 318}, {155, 485}, {300, 300}}
+	type op struct {
+		a, e, p int64
+	}
+	for _, c := range []struct {
+		name string
+		ops  []op
+		want func(t *testing.T, b *budgets)
+	}{
+		{
+			// Insertions before the cached argmax of chunk 0 (starts
+			// 0..150, first maximum at 20) that never lower it, so no
+			// rescan repairs a stale index: the whole-chunk query must
+			// still answer 20.
+			name: "insert before cached argmax",
+			ops:  []op{{1, 2, 1}, {3, 5, 0}, {6, 7, 2}},
+			want: func(t *testing.T, b *budgets) {
+				if s, _ := b.bestStart(0, 159); s != 20 {
+					t.Errorf("bestStart over chunk 0 = %d, want 20", s)
+				}
+			},
+		},
+		{
+			// A consume spanning most chunks, whole ones and the two
+			// partial ends; later queries see pending subtractions of
+			// different sizes.
+			name: "consume spanning chunks",
+			ops:  []op{{155, 905, 2}, {0, 1000, 1}, {320, 960, 3}, {10, 20, 9}},
+		},
+		{
+			// A full-horizon consume leaves every chunk with a pending
+			// subtraction; unit-wide consumes inside chunk 2 then add two
+			// breakpoints each until it splits.
+			name: "split while pending",
+			ops: func() []op {
+				ops := []op{{0, 1000, 4}}
+				for x := int64(322); x < 460; x += 4 {
+					ops = append(ops, op{x, x + 1, 1})
+				}
+				return ops
+			}(),
+			want: func(t *testing.T, b *budgets) {
+				if len(b.chunks) <= 7 {
+					t.Errorf("%d chunks: chunk 2 did not split", len(b.chunks))
+				}
+				for _, c := range b.chunks {
+					if c.pend < 4 {
+						t.Errorf("chunk at %d lost its pending subtraction (%d)", c.starts[0], c.pend)
+					}
+				}
+			},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := newBudgets(prof, nil)
+			ref := newReference(prof, nil)
+			if b.size != 16 || len(b.chunks) != 7 {
+				t.Fatalf("size %d, %d chunks: want 16 and 7", b.size, len(b.chunks))
+			}
+			for _, o := range c.ops {
+				b.consume(o.a, o.e, o.p)
+				ref.consume(o.a, o.e, o.p)
+				checkBudgets(t, b, ref, all)
+			}
+			if c.want != nil {
+				c.want(t, b)
+			}
+		})
+	}
+}
+
+// TestBudgetsChunkedAgainstReferenceProperty drives many-chunk
+// structures (horizons up to 4000, up to 3000 extra points, budgets from
+// a narrow range so that ties are common) through 300 random consumes
+// and queries, checking each query and, every 50 ops, every time unit.
+// Consumes are mostly short and clustered, so chunks split, often while
+// holding a pending subtraction from a wide consume.
+func TestBudgetsChunkedAgainstReferenceProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		T := r.IntRange(50, 4000)
+		J := int(r.IntRange(1, min(T, 200)))
+		lengths := make([]int64, J)
+		budgets := make([]int64, J)
+		rem := T
+		for j := range lengths {
+			if j == J-1 {
+				lengths[j] = rem
+			} else {
+				lengths[j] = r.IntRange(1, rem-int64(J-j-1))
+				rem -= lengths[j]
+			}
+			budgets[j] = r.IntRange(4, 7)
+		}
+		p, err := power.NewProfile(lengths, budgets)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		extra := make([]int64, r.IntRange(0, min(T-1, 3000)))
+		for i := range extra {
+			extra[i] = r.IntRange(1, T-1)
+		}
+		if r.Float64() < 0.5 {
+			slices.Sort(extra)
+			extra = slices.Compact(extra)
+		}
+		b := newBudgets(p, extra)
+		ref := newReference(p, extra)
+		hot := r.IntRange(0, T-1)
+		for op := 1; op <= 300; op++ {
+			var queries [][2]int64
+			switch x := r.Float64(); {
+			case x < 0.1:
+				a := r.IntRange(0, T-1)
+				e := r.IntRange(a+1, T)
+				pw := r.IntRange(0, 3)
+				b.consume(a, e, pw)
+				ref.consume(a, e, pw)
+			case x < 0.5:
+				a := min(T-1, max(0, hot+r.IntRange(-40, 40)))
+				e := min(T, a+r.IntRange(1, 6))
+				pw := r.IntRange(0, 3)
+				b.consume(a, e, pw)
+				ref.consume(a, e, pw)
+			default:
+				est := r.IntRange(0, T-1)
+				if r.Float64() < 0.5 {
+					est = min(T-1, max(0, hot+r.IntRange(-60, 20)))
+				}
+				queries = append(queries, [2]int64{est, est + r.IntRange(0, T-est)})
+			}
+			if op%50 == 0 {
+				queries = append(queries, [2]int64{0, T - 1})
+				checkBudgets(t, b, ref, queries)
+				continue
+			}
+			for _, q := range queries {
+				gs, gok := b.bestStart(q[0], q[1])
+				ws, wok := ref.bestStart(q[0], q[1])
+				if gs != ws || gok != wok {
+					t.Errorf("seed %d op %d: bestStart(%d, %d) = %d,%v, want %d,%v", seed, op, q[0], q[1], gs, gok, ws, wok)
+					return false
+				}
+			}
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }
 

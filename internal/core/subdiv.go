@@ -74,29 +74,28 @@ func refinedPoints(inst *ceg.Instance, zs *power.ZoneSet, k int) [][]int64 {
 	}
 
 	out := make([][]int64, zs.NumZones())
-	var raw []int64 // reused: sortedUniquePoints compacts in place
 	for z := range out {
 		bounds := zs.Profile(z).Boundaries()
-		raw = raw[:0]
 		st, en := &starts[z], &ends[z]
+		ps := newPointSet(T, (len(st.off)+len(en.off))*len(bounds))
 		for i, off := range st.off {
 			// The smallest duration seen at an offset admits every start
 			// a longer task there would.
 			last := T - st.dur[i]
 			for _, e := range bounds {
 				if s := e + off; s > 0 && s < T && s <= last {
-					raw = append(raw, s)
+					ps.add(s)
 				}
 			}
 		}
 		for _, off := range en.off {
 			for _, e := range bounds {
 				if s := e - off; s > 0 && s < T {
-					raw = append(raw, s)
+					ps.add(s)
 				}
 			}
 		}
-		out[z] = slices.Clone(sortedUniquePoints(raw, T))
+		out[z] = ps.sorted()
 	}
 	return out
 }
@@ -110,7 +109,7 @@ const offsetSetMaxSlots = 1 << 14
 // over the offset's low bits, sized by the span the offsets can take, not
 // by the horizon; when the span exceeds offsetSetMaxSlots an offset evicted
 // by a colliding one can be listed twice, which only costs a repeated
-// point that sortedUniquePoints drops.
+// point that pointSet drops.
 type offsetSet struct {
 	off  []int64
 	dur  []int64
@@ -137,38 +136,53 @@ func (os *offsetSet) add(off, dur int64) {
 	*at = int32(len(os.off))
 }
 
-// sortedUniquePoints sorts and deduplicates a list of points in (0, T),
-// in place. Crossing offsets with boundaries repeats points heavily; a
-// bitset over [0, T) collapses the list in O(n + T/64) without a
-// comparison sort. Sparse point sets over a huge horizon fall back to an
-// ordinary sort.
-func sortedUniquePoints(pts []int64, T int64) []int64 {
-	if len(pts) == 0 {
-		return pts
+// pointSet collects points in (0, T) and lists them sorted and
+// deduplicated. Crossing offsets with boundaries repeats points heavily,
+// so when the horizon is short next to the number of candidates (at most
+// 8 bitset words per candidate) the points go straight into a bitset over
+// [0, T), which collapses them in O(n + T/64) without a comparison sort
+// or a list of the repeats. Sparse points over a huge horizon are kept in
+// a list, sized for every candidate up front, and sorted.
+type pointSet struct {
+	bits []uint64
+	pts  []int64
+}
+
+// newPointSet returns a set for at most n candidates in (0, T).
+func newPointSet(T int64, n int) pointSet {
+	if words := (T + 63) >> 6; words <= int64(n)*8 {
+		return pointSet{bits: make([]uint64, words)}
 	}
-	if words := (T + 63) >> 6; words <= int64(len(pts))*8 {
-		set := make([]uint64, words)
-		for _, p := range pts {
-			set[p>>6] |= 1 << uint(p&63)
-		}
-		uniq := pts[:0]
-		for wi, w := range set {
-			base := int64(wi) << 6
-			for w != 0 {
-				uniq = append(uniq, base+int64(bits.TrailingZeros64(w)))
-				w &= w - 1
-			}
-		}
-		return uniq
+	return pointSet{pts: make([]int64, 0, n)}
+}
+
+func (ps *pointSet) add(p int64) {
+	if ps.bits != nil {
+		ps.bits[p>>6] |= 1 << uint(p&63)
+		return
 	}
-	slices.Sort(pts)
-	uniq := pts[:0]
-	for i, p := range pts {
-		if i == 0 || p != uniq[len(uniq)-1] {
-			uniq = append(uniq, p)
+	ps.pts = append(ps.pts, p)
+}
+
+// sorted returns the distinct points in increasing order.
+func (ps *pointSet) sorted() []int64 {
+	if ps.bits == nil {
+		slices.Sort(ps.pts)
+		return slices.Compact(ps.pts)
+	}
+	n := 0
+	for _, w := range ps.bits {
+		n += bits.OnesCount64(w)
+	}
+	out := make([]int64, 0, n)
+	for wi, w := range ps.bits {
+		base := int64(wi) << 6
+		for w != 0 {
+			out = append(out, base+int64(bits.TrailingZeros64(w)))
+			w &= w - 1
 		}
 	}
-	return uniq
+	return out
 }
 
 // mergeSortedUnique merges two sorted, deduplicated point lists into a new
