@@ -139,10 +139,17 @@ func Schedule(d *dag.DAG, c *platform.Cluster, opt Options) (*heft.Result, error
 	for p := range draw {
 		draw[p] = c.Proc(p).Type.Idle + c.Proc(p).Type.Work
 	}
+	var peak []int64 // per power zone, the profile's peak budget
+	if opt.Policy.ZoneAware() {
+		peak = make([]int64, opt.Zones.NumZones())
+		for z := range peak {
+			peak[z] = opt.Zones.Profile(z).MaxBudget()
+		}
+	}
 	res, err := heft.ListSchedule(d, c, func(p int, start, finish, dur int64) float64 {
 		avail := 0.0
 		if opt.Policy.ZoneAware() {
-			avail = zoneAvail(c, opt.Zones, p, start, finish)
+			avail = zoneAvail(c, opt.Zones, peak, p, start, finish)
 		}
 		return objective(opt.Policy, alpha, finish, dur, draw[p], avail)
 	})
@@ -171,21 +178,21 @@ func objective(policy Policy, alpha float64, finish, dur, power int64, avail flo
 
 // zoneAvail is the green availability of processor p's zone over the
 // window [start, finish): the zone profile's green energy inside the
-// window divided by the peak budget times the full window length, so
-// time beyond the forecast horizon counts as brown. On a single-zone
-// set every processor reads zone 0, whatever the cluster's layout
-// (the schedule.NodeZone convention).
-func zoneAvail(c *platform.Cluster, zs *power.ZoneSet, p int, start, finish int64) float64 {
+// window divided by the zone's peak budget (peak[z], MaxBudget of its
+// profile) times the full window length, so time beyond the forecast
+// horizon counts as brown. On a single-zone set every processor reads
+// zone 0, whatever the cluster's layout (the schedule.NodeZone
+// convention).
+func zoneAvail(c *platform.Cluster, zs *power.ZoneSet, peak []int64, p int, start, finish int64) float64 {
 	z := 0
 	if !zs.Single() {
 		z = c.ZoneOf(p)
 	}
-	prof := zs.Profile(z)
-	denom := prof.MaxBudget() * (finish - start)
+	denom := peak[z] * (finish - start)
 	if denom <= 0 {
 		return 0
 	}
-	return float64(greenEnergy(prof, start, finish)) / float64(denom)
+	return float64(greenEnergy(zs.Profile(z), start, finish)) / float64(denom)
 }
 
 // greenEnergy sums budget × length over the profile's overlap with
