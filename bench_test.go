@@ -37,14 +37,36 @@ func benchInstance(b *testing.B, n int) (*cawosched.Instance, *cawosched.Profile
 	return inst, prof
 }
 
-func BenchmarkGreedyPressWR500(b *testing.B) {
-	inst, prof := benchInstance(b, 500)
-	opt := cawosched.Options{Score: cawosched.ScorePressureW, Refined: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := cawosched.RunContext(context.Background(), inst, prof, opt); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkGreedy measures the budget greedy of Section 5.2 alone
+// (pressWR score, refined subdivision, no local search) at three sizes:
+// the 500-task single-zone instance the local-search benchmarks start
+// from, the 1000-task 3-zone shape of the repo benchmark's solve_cold_1k,
+// and ten times that, where the per-zone budget structures hold the most
+// intervals and the chunked updates matter most.
+func BenchmarkGreedy(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		n, zones int
+	}{{"500", 500, 1}, {"1k-3zone", 1000, 3}, {"10k-3zone", 10000, 3}} {
+		b.Run(c.name, func(b *testing.B) {
+			var inst *cawosched.Instance
+			var zs *cawosched.ZoneSet
+			if c.zones == 1 {
+				var prof *cawosched.Profile
+				inst, prof = benchInstance(b, c.n)
+				zs = power.SingleZone(prof)
+			} else {
+				inst, zs = benchZonedInstance(b, c.n, c.zones, 2)
+			}
+			opt := core.Options{Score: core.ScorePressureW, Refined: true}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Greedy(context.Background(), inst, zs, opt, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
