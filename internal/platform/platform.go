@@ -307,17 +307,6 @@ func (c *Cluster) ZoneComputeWork(z int) int64 {
 	return sum
 }
 
-// MaxPower returns the maximum possible instantaneous power draw: the idle
-// plus work power of every processor, links included. It is the Big-M bound
-// used by the ILP (Appendix A.4).
-func (c *Cluster) MaxPower() int64 {
-	var sum int64
-	for _, p := range c.procs {
-		sum += p.Type.Idle + p.Type.Work
-	}
-	return sum
-}
-
 // MaxTotalPower returns max_j(P_idle(j) + P_work(j)) over compute
 // processors, the normalization constant of the weighting factor wf(i)
 // in Section 5.2. The compute processors are fixed at construction, and so

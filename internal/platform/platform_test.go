@@ -230,13 +230,6 @@ func TestWeightFactor(t *testing.T) {
 	}
 }
 
-func TestMaxPower(t *testing.T) {
-	c := New(Table1(), []int{1, 0, 0, 0, 0, 0}, 1)
-	if got := c.MaxPower(); got != 50 {
-		t.Errorf("MaxPower single PT1 = %d, want 50", got)
-	}
-}
-
 func TestNewPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -134,14 +134,6 @@ func (l *Ledger) firstOverlap(proc int, start, end int64) *reservation {
 	return nil
 }
 
-// Conflicts returns the blocking reservation for the first of the claims
-// that overlaps a committed one, or nil when all could be committed as-is.
-func (l *Ledger) Conflicts(claims []Claim) *ConflictError {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.conflictsLocked(claims, 0)
-}
-
 func (l *Ledger) conflictsLocked(claims []Claim, delta int64) *ConflictError {
 	for _, c := range claims {
 		if c.End <= c.Start {
