@@ -83,13 +83,13 @@ func localSearchInput(b *testing.B, n int) (*cawosched.Instance, *cawosched.Prof
 }
 
 // BenchmarkLocalSearch measures the interval-jumping hill climber
-// (schedule.FirstImprovingMove); BenchmarkLocalSearchUnitStep is the
-// original O(µ) scan it replaced. Both accept identical moves, so the
-// ns/op ratio of the 500-task case is the pure candidate-enumeration
-// speedup. The 1000-task, 3-zone case is the shape of the repo benchmark's
-// solve_cold_1k; scans/op are the task visits (Stats.LSScans) and evals/op
-// the visits that had to run FirstImprovingMove, the rest being answered
-// by "nothing a move touched since the last evaluation".
+// (schedule.FirstImprovingMove). It accepts the same moves as the original
+// O(µ) scan, which is now only a test oracle (core's
+// TestLocalSearchMatchesUnitStep). The 1000-task, 3-zone case is the shape
+// of the repo benchmark's solve_cold_1k; scans/op are the task visits
+// (Stats.LSScans) and evals/op the visits that had to run
+// FirstImprovingMove, the rest being answered by "nothing a move touched
+// since the last evaluation".
 func BenchmarkLocalSearch(b *testing.B) {
 	b.Run("500x1zone", func(b *testing.B) {
 		inst, prof, s := localSearchInput(b, 500)
@@ -120,15 +120,6 @@ func benchLocalSearch(b *testing.B, inst *cawosched.Instance, zs *cawosched.Zone
 	// The search is deterministic: every iteration counts the same.
 	b.ReportMetric(float64(st.LSScans), "scans/op")
 	b.ReportMetric(float64(tr.Snapshot()[0].Root.Attrs["evals"].(int)), "evals/op")
-}
-
-func BenchmarkLocalSearchUnitStep(b *testing.B) {
-	inst, prof, s := localSearchInput(b, 500)
-	zs := power.SingleZone(prof)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.LocalSearchUnitStep(context.Background(), inst, zs, s.Clone(), core.DefaultMu, nil)
-	}
 }
 
 func BenchmarkCarbonCost500(b *testing.B) {

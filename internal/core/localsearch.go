@@ -81,8 +81,8 @@ func moveWindow(inst *ceg.Instance, s *schedule.Schedule, v int, T, mu int64) (l
 // where a task edge crosses a timeline breakpoint or profile boundary, so
 // only those O(#breakpoints in window) starts are evaluated (see
 // schedule.FirstImprovingMove). The accepted moves — and therefore the
-// final schedule — are identical to the unit-step scan's, kept as
-// LocalSearchUnitStep for differential testing and benchmarking.
+// final schedule — are identical to the unit-step scan's, which the
+// tests keep as their oracle (unitstep_test.go).
 //
 // A visit to a task whose last evaluation found no move and still stands
 // (see lsSettled) is a scan like any other — it counts in LSScans and
@@ -145,62 +145,6 @@ func LocalSearch(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *
 				sp.SetAttr("dense_zones", tls.DenseZones())
 				sp.SetAttr("evals", evals)
 			}
-			return nil
-		}
-		tls.Compact()
-	}
-}
-
-// LocalSearchUnitStep is the original O(mu) candidate scan: every integer
-// shift in the ±mu window is probed left to right. It accepts exactly the
-// same moves as LocalSearch and is retained as the reference
-// implementation for the equivalence property test and the
-// BenchmarkLocalSearch speedup baseline.
-func LocalSearchUnitStep(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *schedule.Schedule, mu int64, st *Stats) error {
-	if err := schedule.CheckZones(inst, zs); err != nil {
-		return err
-	}
-	T := zs.T()
-	tls := schedule.NewZoneTimelines(inst, s, zs)
-	seq := scanOrder(inst)
-	scans := 0
-	for {
-		improved := false
-		if st != nil {
-			st.LSRounds++
-		}
-		for _, v := range seq {
-			if scans%ctxCheckStride == 0 {
-				if err := canceled(ctx); err != nil {
-					return err
-				}
-			}
-			scans++
-			if st != nil {
-				st.LSScans++
-			}
-			dur := inst.Dur[v]
-			cur := s.Start[v]
-			lo, hi := moveWindow(inst, s, v, T, mu)
-			_, work := inst.ProcPower(v)
-			tl := tls.For(v)
-			for cand := lo; cand <= hi; cand++ {
-				if cand == cur {
-					continue
-				}
-				if gain := tl.MoveGain(cur, cand, dur, work); gain > 0 {
-					tl.ApplyMove(cur, cand, dur, work)
-					s.Start[v] = cand
-					improved = true
-					if st != nil {
-						st.LSMoves++
-						st.LSGain += gain
-					}
-					break
-				}
-			}
-		}
-		if !improved {
 			return nil
 		}
 		tls.Compact()

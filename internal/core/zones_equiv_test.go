@@ -98,9 +98,11 @@ func TestRunGhostZoneMatchesOneZone(t *testing.T) {
 				ost.LSMoves != zst.LSMoves || ost.FallbackStarts != zst.FallbackStarts {
 				t.Fatalf("seed %d %s: stats differ: %+v vs %+v", seed, opt.Name(), ost, zst)
 			}
-			// The per-zone brute oracle agrees with both evaluations.
-			if brute := schedule.CarbonCostBrute(inst, zoned, zs); brute != zst.Cost {
-				t.Fatalf("seed %d %s: brute %d != cost %d", seed, opt.Name(), brute, zst.Cost)
+			// Re-evaluating the zoned schedule gives the reported cost
+			// (schedule's own ghost-zone test holds CarbonCost to the
+			// brute oracle on this zone-set shape).
+			if c := schedule.CarbonCost(inst, zoned, zs); c != zst.Cost {
+				t.Fatalf("seed %d %s: CarbonCost %d != reported cost %d", seed, opt.Name(), c, zst.Cost)
 			}
 		}
 		// Marginal greedy and annealer too.

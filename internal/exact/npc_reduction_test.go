@@ -1,11 +1,9 @@
-package npc
+package exact
 
 import (
 	"context"
-
 	"testing"
 
-	"repro/internal/exact"
 	"repro/internal/power"
 	"repro/internal/schedule"
 )
@@ -133,7 +131,7 @@ func TestReductionEquivalenceYes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cost, err := exact.Solve(context.Background(), r.Instance, power.SingleZone(r.Profile), exact.Options{})
+	_, cost, err := Solve(context.Background(), r.Instance, power.SingleZone(r.Profile), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +148,7 @@ func TestReductionEquivalenceNo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cost, err := exact.Solve(context.Background(), r.Instance, power.SingleZone(r.Profile), exact.Options{MaxNodes: 40_000_000})
+	_, cost, err := Solve(context.Background(), r.Instance, power.SingleZone(r.Profile), Options{MaxNodes: 40_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +185,7 @@ func BenchmarkReductionYes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, cost, err := exact.Solve(context.Background(), r.Instance, power.SingleZone(r.Profile), exact.Options{}); err != nil || cost != 0 {
+		if _, cost, err := Solve(context.Background(), r.Instance, power.SingleZone(r.Profile), Options{}); err != nil || cost != 0 {
 			b.Fatalf("cost %d err %v", cost, err)
 		}
 	}

@@ -1,15 +1,15 @@
-// Package npc implements the strong NP-completeness reduction of
-// Theorem 4.3 / Appendix A.3 as executable code: an instance of
-// 3-Partition is transformed into a UCAS instance (uniform carbon-aware
-// scheduling: P processors with P_idle = 0, P_work = 1, independent tasks)
-// that admits a zero-carbon schedule if and only if the 3-Partition
-// instance is a yes-instance.
+// The strong NP-completeness reduction of Theorem 4.3 / Appendix A.3 as
+// executable code: an instance of 3-Partition is transformed into a UCAS
+// instance (uniform carbon-aware scheduling: P processors with P_idle = 0,
+// P_work = 1, independent tasks) that admits a zero-carbon schedule if and
+// only if the 3-Partition instance is a yes-instance.
 //
-// The package exists to make the hardness proof testable: small
-// 3-Partition instances are solved both directly (exhaustive partition
-// search) and through the reduction plus the exact scheduling solver, and
-// the answers must agree.
-package npc
+// It exists to make the hardness proof testable: small 3-Partition
+// instances are solved both directly (exhaustive partition search) and
+// through the reduction plus Solve, and the answers must agree
+// (npc_reduction_test.go).
+
+package exact
 
 import (
 	"fmt"
@@ -35,18 +35,18 @@ func (p *ThreePartition) N() int { return len(p.X) / 3 }
 // zero-sum-defect subset to be a triplet).
 func (p *ThreePartition) Validate() error {
 	if len(p.X)%3 != 0 || len(p.X) == 0 {
-		return fmt.Errorf("npc: |X| = %d is not a positive multiple of 3", len(p.X))
+		return fmt.Errorf("3-partition: |X| = %d is not a positive multiple of 3", len(p.X))
 	}
 	n := int64(p.N())
 	var sum int64
 	for i, x := range p.X {
 		if 4*x <= p.B || 2*x >= p.B {
-			return fmt.Errorf("npc: element %d = %d violates B/4 < x < B/2 (B = %d)", i, x, p.B)
+			return fmt.Errorf("3-partition: element %d = %d violates B/4 < x < B/2 (B = %d)", i, x, p.B)
 		}
 		sum += x
 	}
 	if sum != n*p.B {
-		return fmt.Errorf("npc: ΣX = %d, want n·B = %d", sum, n*p.B)
+		return fmt.Errorf("3-partition: ΣX = %d, want n·B = %d", sum, n*p.B)
 	}
 	return nil
 }
@@ -170,7 +170,7 @@ func Build(p *ThreePartition) (*Reduction, error) {
 // back-to-back inside odd interval I_{2k−1}.
 func (r *Reduction) ScheduleFromPartition(p *ThreePartition, triplets [][3]int) ([]int64, error) {
 	if len(triplets) != p.N() {
-		return nil, fmt.Errorf("npc: %d triplets for n = %d", len(triplets), p.N())
+		return nil, fmt.Errorf("3-partition: %d triplets for n = %d", len(triplets), p.N())
 	}
 	start := make([]int64, len(p.X))
 	seen := make([]bool, len(p.X))
@@ -179,7 +179,7 @@ func (r *Reduction) ScheduleFromPartition(p *ThreePartition, triplets [][3]int) 
 		var sum int64
 		for _, idx := range tr {
 			if idx < 0 || idx >= len(p.X) || seen[idx] {
-				return nil, fmt.Errorf("npc: bad triplet element %d", idx)
+				return nil, fmt.Errorf("3-partition: bad triplet element %d", idx)
 			}
 			seen[idx] = true
 			start[idx] = t
@@ -187,7 +187,7 @@ func (r *Reduction) ScheduleFromPartition(p *ThreePartition, triplets [][3]int) 
 			sum += p.X[idx]
 		}
 		if sum != p.B {
-			return nil, fmt.Errorf("npc: triplet %d sums to %d, want %d", k, sum, p.B)
+			return nil, fmt.Errorf("3-partition: triplet %d sums to %d, want %d", k, sum, p.B)
 		}
 	}
 	return start, nil

@@ -264,13 +264,13 @@ func resize(buf *[]int64, n int) []int64 {
 //		}
 //	}
 //
-// would (core.LocalSearchUnitStep is that loop, retained as the test
-// oracle), but without mutating the timeline and without one probe per
-// integer start: one removedWindowCosts sweep evaluates the gain at every
-// CandidateStarts position — with the moving task's occupancy removed
-// virtually — and an interior first crossing is recovered from the
-// endpoint gains in closed form (the gain is linear between consecutive
-// candidates). No breakpoints are inserted, so repeated probes leave the
+// would (core's tests keep that loop as their oracle, in
+// core/unitstep_test.go), but without mutating the timeline and without
+// one probe per integer start: one removedWindowCosts sweep evaluates the
+// gain at every CandidateStarts position — with the moving task's
+// occupancy removed virtually — and an interior first crossing is
+// recovered from the endpoint gains in closed form (the gain is linear
+// between consecutive candidates). No breakpoints are inserted, so repeated probes leave the
 // timeline's segment count unchanged.
 func (tl *Timeline) FirstImprovingMove(cur, lo, hi, dur, p int64) (int64, int64, bool) {
 	if lo < 0 {

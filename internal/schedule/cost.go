@@ -146,34 +146,6 @@ func CarbonCost(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) int64 {
 	return cost
 }
 
-// CarbonCostBrute evaluates the cost time unit by time unit, exactly as
-// the definition in Section 3 states it, zone by zone:
-// CC = Σ_z Σ_t max(P_z,t − G_z,t, 0). It is pseudo-polynomial and exists
-// as the ground-truth oracle for tests.
-func CarbonCostBrute(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) int64 {
-	var cost int64
-	for z, zone := range zs.Zones {
-		idle := zoneIdle(inst, zs, z)
-		prof := zone.Profile
-		for t := int64(0); t < prof.T(); t++ {
-			var workPower int64
-			for v := 0; v < inst.N(); v++ {
-				if NodeZone(inst, zs, v) != z {
-					continue
-				}
-				if s.Start[v] <= t && t < s.Start[v]+inst.Dur[v] {
-					_, w := inst.ProcPower(v)
-					workPower += w
-				}
-			}
-			if over := idle + workPower - prof.BudgetAt(t); over > 0 {
-				cost += over
-			}
-		}
-	}
-	return cost
-}
-
 // IntervalCost is the carbon accounting of one profile interval: how much
 // energy the schedule draws in it, how much of that the green budget
 // covers, and how much is brown (the interval's carbon-cost contribution).

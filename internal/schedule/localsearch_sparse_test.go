@@ -9,48 +9,57 @@ import (
 	"repro/internal/schedule"
 )
 
-// TestLocalSearchMatchesUnitStepSparse is core's unit-step differential
-// (TestLocalSearchMatchesUnitStep) with the sparse timeline representation
-// forced, which these horizons would never reach on their own: the hill
-// climber, skipping what no move touched, must reproduce every start and
-// every counter of the scan that evaluates each task on each visit. It
-// lives here because only a test of this directory can lower
+// TestLocalSearchSparseMatchesDense runs the hill climber twice from the
+// same greedy schedule: on the dense timelines these horizons get on their
+// own, and with the sparse representation forced. Every start and every
+// counter must agree, and the sparse run must still skip visits. Core's
+// TestLocalSearchMatchesUnitStep holds the dense run on this exact
+// instance to the unit-step oracle, so the sparse run answers to it too.
+// The test lives here because only a test of this directory can lower
 // denseHorizonLimit.
-func TestLocalSearchMatchesUnitStepSparse(t *testing.T) {
-	defer schedule.ForceSparseTimelines()()
+func TestLocalSearchSparseMatchesDense(t *testing.T) {
 	ctx := context.Background()
 	inst, zs, _ := schedule.ZonedHEFTInstance(t, 300, 1, 3)
 	base, err := core.Greedy(ctx, inst, zs, core.Options{Score: core.ScorePressureW, Refined: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := schedule.NewZoneTimelines(inst, base, zs).DenseZones(); n != 0 {
-		t.Fatalf("%d dense zone timelines, want none", n)
+	if n := schedule.NewZoneTimelines(inst, base, zs).DenseZones(); n != zs.NumZones() {
+		t.Fatalf("%d of %d zone timelines dense, want all", n, zs.NumZones())
 	}
-	for _, mu := range []int64{3, 10, 30} {
-		step := base.Clone()
-		var stepStats core.Stats
-		if err := core.LocalSearchUnitStep(ctx, inst, zs, step, mu, &stepStats); err != nil {
-			t.Fatal(err)
-		}
+	// search runs LocalSearch on a copy of base and returns the result,
+	// its stats and the number of visits that ran an evaluation.
+	search := func(mu int64) (*schedule.Schedule, core.Stats, int) {
 		tr := obs.NewTracer(1)
 		lctx, sp := obs.Start(obs.WithTracer(ctx, tr), "local-search")
-		jump := base.Clone()
-		var jumpStats core.Stats
-		if err := core.LocalSearch(lctx, inst, zs, jump, mu, &jumpStats); err != nil {
+		s := base.Clone()
+		var st core.Stats
+		if err := core.LocalSearch(lctx, inst, zs, s, mu, &st); err != nil {
 			t.Fatal(err)
 		}
 		sp.End()
-		for v := range jump.Start {
-			if jump.Start[v] != step.Start[v] {
-				t.Fatalf("mu %d: task %d start %d != %d (unit step)", mu, v, jump.Start[v], step.Start[v])
+		evals, _ := tr.Snapshot()[0].Root.Attrs["evals"].(int)
+		return s, st, evals
+	}
+	for _, mu := range []int64{3, 10, 30} {
+		dense, denseStats, _ := search(mu)
+		restore := schedule.ForceSparseTimelines()
+		if n := schedule.NewZoneTimelines(inst, base, zs).DenseZones(); n != 0 {
+			restore()
+			t.Fatalf("%d dense zone timelines under ForceSparseTimelines, want none", n)
+		}
+		sparse, sparseStats, evals := search(mu)
+		restore()
+		for v := range sparse.Start {
+			if sparse.Start[v] != dense.Start[v] {
+				t.Fatalf("mu %d: task %d start %d != %d (dense)", mu, v, sparse.Start[v], dense.Start[v])
 			}
 		}
-		if jumpStats != stepStats {
-			t.Errorf("mu %d: stats %+v != unit step %+v", mu, jumpStats, stepStats)
+		if sparseStats != denseStats {
+			t.Errorf("mu %d: stats %+v != dense %+v", mu, sparseStats, denseStats)
 		}
-		if evals, _ := tr.Snapshot()[0].Root.Attrs["evals"].(int); evals == 0 || evals >= jumpStats.LSScans {
-			t.Errorf("mu %d: %d evaluations for %d scans: no visit was skipped", mu, evals, jumpStats.LSScans)
+		if evals == 0 || evals >= sparseStats.LSScans {
+			t.Errorf("mu %d: %d evaluations for %d scans: no visit was skipped", mu, evals, sparseStats.LSScans)
 		}
 	}
 }
