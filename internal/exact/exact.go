@@ -2,13 +2,15 @@
 // the carbon-aware scheduling problem, via branch-and-bound over integer
 // start times.
 //
-// It plays the role of the paper's Gurobi-backed ILP in the quality
-// comparison of Figure 7: both compute the true optimum, and on tiny
-// instances it also cross-validates the time-indexed ILP model of
-// internal/ilp. The key pruning fact is that the objective
-// Σ_t max(P_t − G_t, 0) is monotone in added work power, so the cost of a
-// partial schedule (scheduled tasks only, full idle floor) lower-bounds
-// every completion.
+// It plays the role of the paper's Gurobi-backed ILP (Appendix A.4) in the
+// quality comparison of Figure 7: both compute the true optimum. Its tests
+// hold it to an exhaustive enumeration of start vectors on tiny one- and
+// two-zone instances (TestSolveMatchesEnumeration), and they also run the
+// 3-Partition reduction of Theorem 4.3 through it (npc_test.go).
+//
+// The key pruning fact is that the objective Σ_t max(P_t − G_t, 0) is
+// monotone in added work power, so the cost of a partial schedule
+// (scheduled tasks only, full idle floor) lower-bounds every completion.
 package exact
 
 import (
@@ -27,9 +29,11 @@ type Options struct {
 	// MaxNodes aborts the search after this many search-tree nodes
 	// (0 = default of 50 million).
 	MaxNodes int64
-	// UpperBound primes the incumbent with a known feasible cost, e.g.
-	// from a heuristic. Use -1 (or leave the zero value with Incumbent ==
-	// nil) for "unknown".
+	// Incumbent, when non-nil, is a known feasible schedule, e.g. from a
+	// heuristic. It must pass schedule.Validate under the zone set's
+	// horizon (Solve returns an error otherwise), and its carbon cost
+	// primes the best cost found, so the search prunes every subtree that
+	// cannot beat it from the start. nil means no bound is known.
 	Incumbent *schedule.Schedule
 }
 
@@ -108,11 +112,16 @@ func Solve(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Optio
 	}
 
 	// Symmetry breaking: independent tasks (no edges) with identical
-	// duration and processor power are interchangeable, so we may demand
-	// non-decreasing start times within each such group. symPred[v] is the
-	// previous member of v's group, or -1.
+	// duration and processor power in the same grid zone are
+	// interchangeable, so we may demand non-decreasing start times within
+	// each such group. (Tasks in different zones draw on different
+	// budgets and are not.) symPred[v] is the previous member of v's
+	// group, or -1.
 	symPred := make([]int, N)
-	type symKey struct{ dur, idle, work int64 }
+	type symKey struct {
+		dur, idle, work int64
+		zone            int
+	}
 	lastOfGroup := map[symKey]int{}
 	for v := 0; v < N; v++ {
 		symPred[v] = -1
@@ -120,7 +129,7 @@ func Solve(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Optio
 			continue
 		}
 		idle, w := inst.ProcPower(v)
-		key := symKey{inst.Dur[v], idle, w}
+		key := symKey{inst.Dur[v], idle, w, schedule.NodeZone(inst, zs, v)}
 		if prev, ok := lastOfGroup[key]; ok {
 			symPred[v] = prev
 		}
