@@ -211,19 +211,18 @@ func BenchmarkSolveCacheHit(b *testing.B) {
 	}
 }
 
-// benchContendedCache measures warmed cache hits under concurrent clients
-// spread over several hot keys — the scale-out serving workload. The hot
-// keys land on different shards, so the sharded configuration serves them
-// with independent locks while the single-shard configuration funnels all
-// clients through one mutex.
-func benchContendedCache(b *testing.B, opts ...cawosched.SolverOption) {
-	b.Helper()
+// BenchmarkSolveCacheContended measures warmed cache hits under concurrent
+// clients spread over several hot keys — the scale-out serving workload —
+// all through the solve cache's one lock. contended/op is the share of
+// lock acquisitions that found it held; run with -cpu 1,2 or more to see
+// it move.
+func BenchmarkSolveCacheContended(b *testing.B) {
 	const hotKeys = 8
 	wf, err := cawosched.GenerateWorkflow(cawosched.Methylseq, 60, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
-	solver := cawosched.NewSolver(cawosched.SmallCluster(42), opts...)
+	solver := cawosched.NewSolver(cawosched.SmallCluster(42))
 	reqs := make([]cawosched.Request, hotKeys)
 	for k := range reqs {
 		reqs[k] = cawosched.Request{Workflow: wf, Variant: "pressWR-LS", Seed: uint64(k + 1)}
@@ -249,18 +248,6 @@ func benchContendedCache(b *testing.B, opts ...cawosched.SolverOption) {
 	b.StopTimer()
 	st := solver.Stats()
 	b.ReportMetric(float64(st.SolveContention)/float64(b.N), "contended/op")
-}
-
-// BenchmarkSolveCacheContended is the sharded configuration (the schedd
-// default: GOMAXPROCS-sized power-of-two shard count).
-func BenchmarkSolveCacheContended(b *testing.B) {
-	benchContendedCache(b, cawosched.WithCacheShards(16))
-}
-
-// BenchmarkSolveCacheContendedSingleShard funnels the identical workload
-// through one cache mutex: the contention baseline.
-func BenchmarkSolveCacheContendedSingleShard(b *testing.B) {
-	benchContendedCache(b, cawosched.WithCacheShards(1))
 }
 
 // BenchmarkBuildInstance1000 measures ceg.Build alone on the HEFT mapping

@@ -219,7 +219,7 @@ func NewMemoryTier(maxEntries int) *MemoryTier {
 	}
 	t := &MemoryTier{}
 	t.store.reset()
-	t.store.resize(maxEntries)
+	t.store.cap = maxEntries
 	return t
 }
 

@@ -27,10 +27,9 @@
 // zone is the paper's setting. Entry points that take a bare *Profile
 // (RunContext, CarbonCost, Request.Profile, …) wrap it with SingleZone.
 //
-// The heavy lifting lives in the internal packages (dag, platform, power,
-// wfgen, heft, ceg, schedule, core, dp, exact, lp, milp, ilp, npc, stats,
-// experiments); this package is the stable surface intended for
-// downstream use.
+// The heavy lifting lives in the internal packages this package wraps
+// (dag, platform, power, wfgen, heft, greenheft, ceg, schedule, core, dp,
+// exact); this package is the stable surface intended for downstream use.
 package cawosched
 
 import (

@@ -143,7 +143,10 @@ func run(ctx context.Context, family string, n int, dotFile, clusterName string,
 	D := cawosched.ASAPMakespan(inst)
 	var zoneSet *cawosched.ZoneSet
 	if intens != "" {
-		zoneSet, err = loadIntensityZones(inst, intens, int64(float64(D)*factor+0.5))
+		var T int64
+		if T, err = cawosched.DeadlineHorizon(D, factor); err == nil {
+			zoneSet, err = loadIntensityZones(inst, intens, T)
+		}
 	} else {
 		zoneSet, err = solver.ZonesFor(ctx, inst, req)
 	}

@@ -72,7 +72,6 @@ type options struct {
 	cluster     string
 	zones       int
 	seed        uint64
-	shards      int
 	timeout     time.Duration
 	out         string
 	minCoalesce float64
@@ -96,7 +95,6 @@ func main() {
 	flag.StringVar(&opt.cluster, "cluster", "small", "in-process target cluster: small | large")
 	flag.IntVar(&opt.zones, "zones", 1, "in-process cluster grid zones")
 	flag.Uint64Var(&opt.seed, "seed", 7, "workflow/cluster generation seed")
-	flag.IntVar(&opt.shards, "cache-shards", 0, "in-process solver cache shards (0 = auto)")
 	flag.DurationVar(&opt.timeout, "timeout", 60*time.Second, "per-request client timeout")
 	flag.StringVar(&opt.out, "out", "", "write the JSON report here (empty = stdout)")
 	flag.Float64Var(&opt.minCoalesce, "min-coalesce-rate", 0, "fail when the measured coalesce rate is below this (0 = no gate)")
@@ -267,10 +265,7 @@ func runFleet(opt options, reqFor func(uint64) *wire.SolveRequest) (*report, err
 		if err != nil {
 			return nil, err
 		}
-		solver := cawosched.NewSolver(cluster,
-			cawosched.WithCacheShards(opt.shards),
-			cawosched.WithCacheTier(tier),
-		)
+		solver := cawosched.NewSolver(cluster, cawosched.WithCacheTier(tier))
 		ts := httptest.NewServer(server.New(solver, server.Config{
 			SearchWorkers: 4,
 			BatchWorkers:  opt.concurrency,
@@ -380,7 +375,7 @@ func target(opt options) (base string, client *http.Client, cleanup func(), err 
 	if err != nil {
 		return "", nil, nil, err
 	}
-	solver := cawosched.NewSolver(cluster, cawosched.WithCacheShards(opt.shards))
+	solver := cawosched.NewSolver(cluster)
 	ts := httptest.NewServer(server.New(solver, server.Config{
 		SearchWorkers: 4,
 		BatchWorkers:  opt.concurrency,

@@ -69,7 +69,6 @@ type options struct {
 	// Caching/concurrency layer of the solver.
 	solveCacheLimit int
 	planCacheLimit  int
-	cacheShards     int
 	cacheTier       string
 
 	// Observability.
@@ -101,9 +100,8 @@ func main() {
 	flag.IntVar(&opt.searchWork, "search-workers", 0, "how many candidate mappings a map-search solve schedules at once (<= 1 = one after another; no effect on fixed-mapping requests, responses are identical at any count)")
 	flag.IntVar(&opt.maxBatch, "max-batch", 256, "maximum requests per batch body")
 	flag.IntVar(&opt.maxQueue, "max-queue", 0, "maximum batch items in flight across all batch requests before 429 (0 = 4096)")
-	flag.IntVar(&opt.solveCacheLimit, "solve-cache-limit", 4096, "maximum cached solve responses across shards (0 = response caching off)")
-	flag.IntVar(&opt.planCacheLimit, "plan-cache-limit", 4096, "maximum memoized plans across shards (0 = plan memoization off)")
-	flag.IntVar(&opt.cacheShards, "cache-shards", 0, "power-of-two shard count of the solver caches (0 = next power of two >= GOMAXPROCS; responses are identical at any count)")
+	flag.IntVar(&opt.solveCacheLimit, "solve-cache-limit", 4096, "maximum cached solve responses (0 = response caching off)")
+	flag.IntVar(&opt.planCacheLimit, "plan-cache-limit", 4096, "maximum memoized plans (0 = plan memoization off)")
 	flag.StringVar(&opt.cacheTier, "cache-tier", "", `external cache tier between the response cache and a full solve: "none" | "peers:<host,...>[:mem=<entries>]" — list every fleet member, this instance included, identically on every peer (empty = none)`)
 	flag.DurationVar(&opt.grace, "shutdown-grace", 30*time.Second, "how long in-flight requests may finish after SIGINT/SIGTERM")
 	flag.DurationVar(&opt.drainDelay, "drain-delay", 0, "how long /healthz serves 503 (draining) before the listener closes, so load balancers can deregister")
@@ -270,9 +268,6 @@ func run(ctx context.Context, opt options, ready chan<- string) error {
 	if opt.planCacheLimit < 0 {
 		return fmt.Errorf("-plan-cache-limit %d must be >= 0", opt.planCacheLimit)
 	}
-	if opt.cacheShards < 0 {
-		return fmt.Errorf("-cache-shards %d must be >= 0", opt.cacheShards)
-	}
 	tier, err := cawosched.ParseCacheTier(opt.cacheTier)
 	if err != nil {
 		return err
@@ -283,7 +278,6 @@ func run(ctx context.Context, opt options, ready chan<- string) error {
 	solver := cawosched.NewSolver(cluster,
 		cawosched.WithSolveCacheLimit(opt.solveCacheLimit),
 		cawosched.WithPlanCacheLimit(opt.planCacheLimit),
-		cawosched.WithCacheShards(opt.cacheShards),
 		cawosched.WithCacheTier(tier),
 	)
 
@@ -330,7 +324,6 @@ func run(ctx context.Context, opt options, ready chan<- string) error {
 	}
 	lg.Info("serving", "cluster", label,
 		"compute_processors", cluster.NumCompute(), "zones", cluster.NumZones(),
-		"cache_shards", solver.Stats().CacheShards,
 		"addr", ln.Addr().String())
 	if ready != nil {
 		ready <- ln.Addr().String()

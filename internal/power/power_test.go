@@ -1,10 +1,12 @@
 package power
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rng"
+	"repro/internal/scherr"
 )
 
 func mustProfile(t *testing.T, lengths, budgets []int64) *Profile {
@@ -295,5 +297,22 @@ func TestGenerateCoverageProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGenerateIntervalBound: Generate takes at most MaxIntervals
+// intervals and refuses more as an invalid request, whatever the horizon.
+func TestGenerateIntervalBound(t *testing.T) {
+	p, err := Generate(S1, 1<<20, MaxIntervals, 10, 20, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.J() != MaxIntervals {
+		t.Errorf("J = %d, want %d", p.J(), MaxIntervals)
+	}
+	for _, T := range []int64{24, 1 << 20} {
+		if _, err := Generate(S1, T, MaxIntervals+1, 10, 20, rng.New(1)); !errors.Is(err, scherr.ErrInvalidRequest) {
+			t.Errorf("T=%d, J=%d: %v, want ErrInvalidRequest", T, MaxIntervals+1, err)
+		}
 	}
 }

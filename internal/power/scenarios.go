@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/rng"
+	"repro/internal/scherr"
 )
 
 // Scenario identifies one of the four renewable-energy shapes of
@@ -85,10 +86,16 @@ func (s Scenario) shape(x float64) float64 {
 // each interval budget.
 const perturbation = 0.1
 
+// MaxIntervals bounds the interval count of a generated profile: about a
+// third of what the 8 MiB request-body bound lets an explicit profile
+// carry, and far above any forecast resolution.
+const MaxIntervals = 1 << 16
+
 // Generate builds a green power profile for the given scenario over horizon
-// [0, T) with J intervals of near-equal length. Budgets follow the scenario
-// shape scaled into [gmin, gmax] with ±10% random perturbations and are
-// clamped to [gmin, gmax].
+// [0, T) with J intervals of near-equal length; J above MaxIntervals is
+// scherr.ErrInvalidRequest. Budgets follow the scenario shape scaled into
+// [gmin, gmax] with ±10% random perturbations and are clamped to
+// [gmin, gmax].
 //
 // Per Section 6.1, callers should pass gmin = Σ P_idle and
 // gmax = Σ P_idle + 0.8·Σ P_work of the target platform, so that scheduling
@@ -99,6 +106,9 @@ func Generate(sc Scenario, T int64, J int, gmin, gmax int64, r *rng.RNG) (*Profi
 	}
 	if J <= 0 {
 		return nil, fmt.Errorf("power: J=%d must be positive", J)
+	}
+	if J > MaxIntervals {
+		return nil, fmt.Errorf("%w: power: J=%d intervals, at most %d", scherr.ErrInvalidRequest, J, MaxIntervals)
 	}
 	if gmax < gmin {
 		return nil, fmt.Errorf("power: gmax=%d < gmin=%d", gmax, gmin)

@@ -14,7 +14,7 @@ import (
 // goldenDigests pins the wire bytes of POST /v1/solve across commits: the
 // FNV-1a digest of each response body (timings stripped) for a fixed
 // roster of workflow family × cluster × solve mode. The determinism tests
-// compare worker and shard counts within one build; this table is the
+// compare search-worker counts within one build; this table is the
 // only thing that compares one build with the next, so a refactor that
 // claims bit-identical output must leave it untouched. A failure prints
 // the digest it got; only a change that means to alter schedules, costs or

@@ -75,9 +75,8 @@ func newMetrics(solver *cawosched.Solver, mgr *tenancy.Manager, tier *cawosched.
 	planEntries := reg.Gauge("schedd_plan_cache_entries", "plans currently memoized").With()
 	planCapacity := reg.Gauge("schedd_plan_cache_capacity",
 		"plan memo entry bound (0 = memoization disabled)").With()
-	cacheShards := reg.Gauge("schedd_cache_shards", "power-of-two shard count of both solver caches").With()
-	contention := reg.Counter("schedd_cache_shard_contention_total",
-		"shard-lock acquisitions that found the lock already held, by cache", "cache")
+	contention := reg.Counter("schedd_cache_lock_contention_total",
+		"cache-lock acquisitions that found the lock already held, by cache", "cache")
 	planContention, solveContention := contention.With("plan"), contention.With("solve")
 	reg.OnScrape(func() {
 		st := solver.Stats()
@@ -94,7 +93,6 @@ func newMetrics(solver *cawosched.Solver, mgr *tenancy.Manager, tier *cawosched.
 		solveCapacity.Set(int64(st.SolveCapacity))
 		planEntries.Set(int64(st.PlanEntries))
 		planCapacity.Set(int64(st.PlanCapacity))
-		cacheShards.Set(int64(st.CacheShards))
 		planContention.Store(st.PlanContention)
 		solveContention.Store(st.SolveContention)
 	})

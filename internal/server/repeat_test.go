@@ -72,9 +72,9 @@ func repeatBodies(t testing.TB, workflows, supplies int) [][]byte {
 	return bodies
 }
 
-func newRepeatServer(t testing.TB) (*cawosched.Solver, *httptest.Server) {
+func newRepeatServer(t testing.TB, opts ...cawosched.SolverOption) (*cawosched.Solver, *httptest.Server) {
 	t.Helper()
-	solver := cawosched.NewSolver(cawosched.SmallZonedCluster(7, 2))
+	solver := cawosched.NewSolver(cawosched.SmallZonedCluster(7, 2), opts...)
 	ts := httptest.NewServer(New(solver, Config{}))
 	t.Cleanup(ts.Close)
 	return solver, ts
@@ -282,26 +282,25 @@ func TestRepeatResidency(t *testing.T) {
 	recovers("after ResetPlans")
 
 	// One entry: another request's solve evicts ours. That first sighting
-	// does not enter the index, which may well still hold our body (where
-	// the bodies fall among the shards differs from process to process).
-	solver.SetSolveCacheLimit(1)
+	// does not enter the index, which may well still hold our body (both
+	// share the one-entry bound, and the other body is not remembered).
+	solver, ts = newRepeatServer(t, cawosched.WithSolveCacheLimit(1))
+	expect("one entry, first sighting", false, false, false, solved)
+	recovers("one entry")
 	if got := send(other); got.CacheHit || got.repeat {
 		t.Fatalf("other request: cache_hit=%v recalled=%v on its first sighting", got.CacheHit, got.repeat)
 	}
 	expect("after eviction", true, false, false, solved)
 	recovers("after eviction")
 
-	solver.SetSolveCacheLimit(0)
-	if held := solver.Stats().RepeatIndexBytes; held != 0 {
-		t.Errorf("SetSolveCacheLimit(0) left %d bytes in the index", held)
-	}
+	solver, ts = newRepeatServer(t, cawosched.WithSolveCacheLimit(0))
+	expect("caching off, first sighting", false, false, false, solved)
 	for i := 0; i < 3; i++ {
 		expect("caching off", true, false, false, solved)
 	}
-
-	solver.SetSolveCacheLimit(8)
-	expect("caching back on", true, false, false, solved)
-	recovers("caching back on")
+	if held := solver.Stats().RepeatIndexBytes; held != 0 {
+		t.Errorf("caching off: %d bytes in the index", held)
+	}
 }
 
 // TestRepeatConcurrentResets: 8 clients replay 4 hot bodies while another

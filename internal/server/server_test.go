@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	cawosched "repro"
+	"repro/internal/power"
 	"repro/internal/wire"
 )
 
@@ -329,6 +330,18 @@ func TestServerErrorMapping(t *testing.T) {
 	req.DeadlineFactor = 0.5
 	r6, raw6 := postJSON(t, client, ts.URL+"/v1/solve", req)
 	check("infeasible deadline", http.StatusUnprocessableEntity, "infeasible_deadline", r6, raw6)
+
+	// A deadline factor past the int64 horizon is refused, not clamped.
+	req = pinnedWireRequest(t)
+	req.DeadlineFactor = 1e300
+	r8, raw8 := postJSON(t, client, ts.URL+"/v1/solve", req)
+	check("deadline factor 1e300", http.StatusBadRequest, "invalid_request", r8, raw8)
+
+	// So is a generated supply with more intervals than power.MaxIntervals.
+	req = pinnedWireRequest(t)
+	req.Intervals = power.MaxIntervals + 1
+	r9, raw9 := postJSON(t, client, ts.URL+"/v1/solve", req)
+	check("too many intervals", http.StatusBadRequest, "invalid_request", r9, raw9)
 
 	// Wrong method on a POST route.
 	resp7, _ := getBody(t, client, ts.URL+"/v1/solve")

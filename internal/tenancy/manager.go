@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -324,12 +325,8 @@ func (m *Manager) submit(ctx context.Context, req SubmitRequest) (*WorkflowStatu
 	if req.Workflow == nil {
 		return nil, fmt.Errorf("%w: missing workflow", scherr.ErrInvalidRequest)
 	}
-	factor := req.DeadlineFactor
-	if factor == 0 {
-		factor = 2
-	}
-	if factor < 1 {
-		return nil, fmt.Errorf("%w: deadline factor %v < 1", scherr.ErrInvalidRequest, factor)
+	if f := req.DeadlineFactor; f != 0 && f < 1 {
+		return nil, fmt.Errorf("%w: deadline factor %v < 1", scherr.ErrInvalidRequest, f)
 	}
 
 	// The ASAP makespan anchors the deadline; the plan behind it is
@@ -339,10 +336,9 @@ func (m *Manager) submit(ctx context.Context, req SubmitRequest) (*WorkflowStatu
 	if err != nil {
 		return nil, err
 	}
-	D := cawosched.ASAPMakespan(inst)
-	T := int64(float64(D)*factor + 0.5)
-	if T < D {
-		T = D
+	T, err := cawosched.DeadlineHorizon(cawosched.ASAPMakespan(inst), req.DeadlineFactor)
+	if err != nil {
+		return nil, err
 	}
 
 	m.mu.Lock()
@@ -350,6 +346,9 @@ func (m *Manager) submit(ctx context.Context, req SubmitRequest) (*WorkflowStatu
 	now := m.clock.Now()
 	if err := m.ledger.Compact(now); err != nil {
 		return nil, err
+	}
+	if T > math.MaxInt64-now {
+		return nil, fmt.Errorf("%w: deadline %d units after %d is out of range", scherr.ErrInvalidRequest, T, now)
 	}
 	deadline := now + T
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -360,4 +361,29 @@ func TestManagerConfigValidation(t *testing.T) {
 		t.Errorf("factor < 1: %v", err)
 	}
 	_ = fmt.Sprint()
+}
+
+// TestSubmitDeadlineOutOfRange: a deadline factor the int64 horizon cannot
+// hold, a deadline past the end of time, and a window too long to project
+// the supply onto are each an invalid request, refused without admitting
+// anything. (The first two used to give the tightest deadline; the last
+// cost time and memory linear in the factor.)
+func TestSubmitDeadlineOutOfRange(t *testing.T) {
+	wf := testWorkflow(t, 20, 1)
+	ctx := context.Background()
+	m, clock := testManager(t, 3, 2)
+	// 1e6·D spans about D·2000 periods of the 480-unit supply, each of 24
+	// intervals: far more than power.MaxIntervals.
+	for _, f := range []float64{1e300, math.Inf(1), math.NaN(), 1e6} {
+		if st, err := m.Submit(ctx, SubmitRequest{Workflow: wf, DeadlineFactor: f}); !errors.Is(err, scherr.ErrInvalidRequest) {
+			t.Errorf("factor %v: status %+v, err %v; want ErrInvalidRequest", f, st, err)
+		}
+	}
+	clock.Set(math.MaxInt64 - 10)
+	if st, err := m.Submit(ctx, SubmitRequest{Workflow: wf}); !errors.Is(err, scherr.ErrInvalidRequest) {
+		t.Errorf("now+T past MaxInt64: status %+v, err %v; want ErrInvalidRequest", st, err)
+	}
+	if g := m.Gauges(); g.SubmittedTotal != 0 || g.LedgerClaims != 0 {
+		t.Errorf("gauges = %+v, want nothing submitted", g)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/power"
+	"repro/internal/scherr"
 )
 
 // The residual view: what the existing solve pipeline sees when it
@@ -17,7 +18,9 @@ import (
 
 // SupplyWindow projects the periodic base supply onto the absolute window
 // [from, from+T), returned as a zone set over relative time [0, T) with
-// the same zone names. from must be >= 0 and T > 0.
+// the same zone names. from must be >= 0 and T > 0; a window that crosses
+// more than power.MaxIntervals base intervals is ErrInvalidRequest, since
+// its cost grows with T.
 func SupplyWindow(supply *power.ZoneSet, from, T int64) (*power.ZoneSet, error) {
 	if from < 0 || T <= 0 {
 		return nil, fmt.Errorf("tenancy: supply window [%d, %d+%d) invalid", from, from, T)
@@ -30,7 +33,11 @@ func SupplyWindow(supply *power.ZoneSet, from, T int64) (*power.ZoneSet, error) 
 		pos := from % P
 		idx := sort.Search(len(base), func(i int) bool { return base[i].End > pos })
 		t := int64(0)
-		for t < T {
+		for steps := 0; t < T; steps++ {
+			if steps == power.MaxIntervals {
+				return nil, fmt.Errorf("%w: tenancy: a %d-unit supply window crosses more than %d supply intervals",
+					scherr.ErrInvalidRequest, T, power.MaxIntervals)
+			}
 			iv := base[idx]
 			length := iv.End - pos
 			if length > T-t {

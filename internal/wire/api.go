@@ -39,10 +39,12 @@ type SolveRequest struct {
 	// ignored when Zones or Profile is set.
 	ZoneScenarios []string `json:"zone_scenarios,omitempty"`
 	// DeadlineFactor sets the deadline T = factor × D (ASAP makespan);
-	// 0 means the paper's default tolerance of 2. Ignored when Profile is
-	// set.
+	// 0 means the paper's default tolerance of 2. A factor below 1 is
+	// infeasible_deadline; one whose deadline does not fit an int64 is
+	// invalid_request. Ignored when Profile is set.
 	DeadlineFactor float64 `json:"deadline_factor,omitempty"`
-	// Intervals is the generated profile's interval count (default 24).
+	// Intervals is the generated profile's interval count (default 24, at
+	// most power.MaxIntervals = 65536).
 	Intervals int `json:"intervals,omitempty"`
 	// Seed drives profile generation.
 	Seed uint64 `json:"seed,omitempty"`

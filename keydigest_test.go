@@ -69,7 +69,6 @@ func TestKeyDigestsPinned(t *testing.T) {
 		{"ZoneSet.Digest", zones.Digest(), 0x3e63f96d6e36a45c},
 		{"SingleZone digests like its profile", power.SingleZone(prof).Digest(), 0x792db9390e7c9efd},
 		{"solveKey.sum", key.sum(), 0xa5bc0bbcf0531f20},
-		{"planKey.sum", planKey{fp: key.fp, policy: key.policy, zd: key.digest}.sum(), 0xdd7d50d7e540f81b},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %#016x, pinned %#016x", c.name, c.got, c.want)

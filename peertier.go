@@ -274,9 +274,10 @@ func (p *peerState) succeed() {
 
 // Get fetches the record from the key's ring owner. Every failure mode —
 // empty ring, open breaker, canceled context, timeout, connection error,
-// non-200 status — is a plain miss; the only error-free path to a hit is
-// a 200 with a readable body. (The body is still untrusted: the solver
-// validates it structurally before serving.)
+// non-200 status, a record over MaxRecordBytes — is a plain miss; the only
+// error-free path to a hit is a 200 with a readable body within the cap.
+// (The body is still untrusted: the solver validates it structurally
+// before serving.)
 func (t *PeerTier) Get(ctx context.Context, key string) ([]byte, bool) {
 	p := t.owner(key)
 	if p == nil || ctx.Err() != nil {
@@ -302,9 +303,16 @@ func (t *PeerTier) Get(ctx context.Context, key string) ([]byte, bool) {
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		data, err := io.ReadAll(io.LimitReader(resp.Body, t.opts.MaxRecordBytes))
+		// One byte past the cap tells an oversized record from one that
+		// fills it exactly.
+		data, err := io.ReadAll(io.LimitReader(resp.Body, t.opts.MaxRecordBytes+1))
 		if err != nil {
 			t.requestFailed(p, rctx, err)
+			return nil, false
+		}
+		if int64(len(data)) > t.opts.MaxRecordBytes {
+			p.errors.Add(1)
+			p.fail(t.opts.BreakerFailures, t.opts.BreakerCooldown, time.Now())
 			return nil, false
 		}
 		p.hits.Add(1)

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,6 +191,33 @@ func TestPeerTierTimeoutToMiss(t *testing.T) {
 	}
 	if ps := tier.Stats()[0]; ps.Timeouts != 1 || ps.Gets != 1 {
 		t.Errorf("stats = %+v, want 1 timeout on 1 get", ps)
+	}
+}
+
+// TestPeerTierOversizedRecord: a record one byte over MaxRecordBytes is
+// an error and a miss, never a truncated hit; one that fills the cap
+// exactly is a hit.
+func TestPeerTierOversizedRecord(t *testing.T) {
+	const limit = 1 << 10
+	var size atomic.Int64
+	size.Store(limit + 1)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(make([]byte, size.Load()))
+	}))
+	defer peer.Close()
+	tier, err := NewPeerTier([]string{peer.Listener.Addr().String()}, PeerTierOptions{MaxRecordBytes: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, ok := tier.Get(context.Background(), "abc123"); ok {
+		t.Errorf("oversized record served as a %d-byte hit", len(data))
+	}
+	if ps := tier.Stats()[0]; ps.Gets != 1 || ps.Hits != 0 || ps.Errors != 1 {
+		t.Errorf("stats = %+v, want 1 get, 0 hits, 1 error", ps)
+	}
+	size.Store(limit)
+	if data, ok := tier.Get(context.Background(), "abc123"); !ok || len(data) != limit {
+		t.Errorf("record at the cap: hit %v with %d bytes, want a %d-byte hit", ok, len(data), limit)
 	}
 }
 

@@ -164,15 +164,12 @@ func TestSolverPlanOrderIndependence(t *testing.T) {
 
 // TestSolveResponseCacheEviction pins the LRU bound: with a limit of 2,
 // the least-recently-used entry is evicted, recently-touched entries stay.
-// Shard count 1 so recency is global — the exact pre-sharding LRU — since
-// a 2-entry cache split across many shards would pick victims per shard.
 func TestSolveResponseCacheEviction(t *testing.T) {
 	wf, err := cawosched.GenerateWorkflow(cawosched.Eager, 40, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver := cawosched.NewSolver(cawosched.SmallCluster(5), cawosched.WithCacheShards(1))
-	solver.SetSolveCacheLimit(2)
+	solver := cawosched.NewSolver(cawosched.SmallCluster(5), cawosched.WithSolveCacheLimit(2))
 	reqFor := func(variant string) cawosched.Request {
 		return cawosched.Request{Workflow: wf, Variant: variant, Scenario: cawosched.S4, Seed: 5}
 	}
@@ -209,9 +206,12 @@ func TestSolveResponseCacheEviction(t *testing.T) {
 		t.Error("hit after ResetSolveCache")
 	}
 
-	solver.SetSolveCacheLimit(0) // disable
+	solver = cawosched.NewSolver(cawosched.SmallCluster(5), cawosched.WithSolveCacheLimit(0)) // disabled
 	must("press")
 	if must("press").CacheHit {
 		t.Error("disabled cache returned a hit")
+	}
+	if st := solver.Stats(); st.SolveEntries != 0 || st.SolveCapacity != 0 {
+		t.Errorf("disabled cache stats = %+v, want 0 entries, capacity 0", st)
 	}
 }

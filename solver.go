@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"runtime"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -130,10 +130,12 @@ type Request struct {
 	SearchWorkers int
 
 	// DeadlineFactor sets the deadline T = factor·D where D is the ASAP
-	// makespan; 0 means the paper's default tolerance of 2. Values below 1
-	// are rejected (T < D is infeasible by construction).
+	// makespan; 0 means the paper's default tolerance of 2 (see
+	// DeadlineHorizon). Values below 1 are rejected (T < D is infeasible
+	// by construction), and so are factors whose T does not fit an int64.
 	DeadlineFactor float64
-	// Intervals is the generated profile's interval count (default 24).
+	// Intervals is the generated profile's interval count (default 24, at
+	// most power.MaxIntervals).
 	Intervals int
 	// Seed drives profile generation (and nothing else).
 	Seed uint64
@@ -193,15 +195,13 @@ type SolverStats struct {
 	// without a configured tier).
 	TierHits     int64
 	SolveEntries int // responses currently held by the solve cache
-	// SolveCapacity is the solve cache's total entry bound (0 = disabled).
+	// SolveCapacity is the solve cache's entry bound (0 = disabled).
 	SolveCapacity int
 	PlanEntries   int // plans currently memoized
-	PlanCapacity  int // plan memo's total entry bound (0 = disabled)
-	CacheShards   int // power-of-two shard count of both caches
-	// PlanContention / SolveContention count shard-lock acquisitions that
-	// found the lock already held — the residual contention sharding did
-	// not eliminate. Pure mechanism: workload-order dependent, never part
-	// of any determinism contract.
+	PlanCapacity  int // plan memo's entry bound (0 = disabled)
+	// PlanContention / SolveContention count cache-lock acquisitions that
+	// found the lock already held. Pure mechanism: workload-order
+	// dependent, never part of any determinism contract.
 	PlanContention  int64
 	SolveContention int64
 }
@@ -217,14 +217,14 @@ type Solver struct {
 
 	// First cache level: memoized plans. Second: whole solve responses,
 	// keyed by (workflow fingerprint, zone-set digest, deadline, normalized
-	// options, greedy flavor, mapping). Both are sharded LRUs (see
-	// solvercache.go).
-	planMemo   *sharded[planKey, *planEntry]
-	solveCache *sharded[solveKey, *solveEntry]
+	// options, greedy flavor, mapping). Each is one LRU under one lock
+	// (see solvercache.go).
+	planMemo   *cache[planKey, *planEntry]
+	solveCache *cache[solveKey, *solveEntry]
 	// In front of both: raw request bodies a front-end answered from them,
 	// each remembering the two entries that answered it (see Recall). It
 	// shares the solve cache's bound.
-	repeats  *sharded[repeatKey, *repeatEntry]
+	repeats  *cache[repeatKey, *repeatEntry]
 	bodySeed maphash.Seed
 
 	// Singleflight: concurrent identical cacheable solves coalesce onto
@@ -256,11 +256,10 @@ type Solver struct {
 	testBodyHash func([]byte) uint64
 }
 
-// maxPlans is the default plan-memo bound (total entries across shards).
+// maxPlans is the default plan-memo bound.
 const maxPlans = 4096
 
-// defaultSolveCache bounds the solve-response cache (total LRU entries
-// across shards).
+// defaultSolveCache is the default solve-response cache bound.
 const defaultSolveCache = 4096
 
 // planKey identifies one memoized plan: which workflow, under which
@@ -306,11 +305,9 @@ func (e *planEntry) build(cluster *Cluster) {
 }
 
 // NewSolver returns a solver bound to the given target cluster. Options
-// tune the caching layer (shard count, cache bounds, external tier); the
-// zero-option solver shards both caches by GOMAXPROCS.
+// set the caching layer's bounds and external tier, once.
 func NewSolver(cluster *Cluster, opts ...SolverOption) *Solver {
 	cfg := solverConfig{
-		shards:   normalizeShards(runtime.GOMAXPROCS(0)),
 		solveCap: defaultSolveCache,
 		planCap:  maxPlans,
 	}
@@ -319,9 +316,9 @@ func NewSolver(cluster *Cluster, opts ...SolverOption) *Solver {
 	}
 	return &Solver{
 		cluster:    cluster,
-		planMemo:   newSharded[planKey, *planEntry](cfg.shards, cfg.planCap),
-		solveCache: newSharded[solveKey, *solveEntry](cfg.shards, cfg.solveCap),
-		repeats:    newSharded[repeatKey, *repeatEntry](cfg.shards, cfg.solveCap),
+		planMemo:   newCache[planKey, *planEntry](cfg.planCap),
+		solveCache: newCache[solveKey, *solveEntry](cfg.solveCap),
+		repeats:    newCache[repeatKey, *repeatEntry](cfg.solveCap),
 		bodySeed:   maphash.MakeSeed(),
 		flights:    make(map[solveKey]*flight),
 		tier:       cfg.tier,
@@ -331,8 +328,7 @@ func NewSolver(cluster *Cluster, opts ...SolverOption) *Solver {
 // Cluster returns the target platform the solver plans against.
 func (s *Solver) Cluster() *Cluster { return s.cluster }
 
-// Stats returns a snapshot of the solver's counters. Entry counts sum the
-// cache shards, so the accounting is identical at every shard count.
+// Stats returns a snapshot of the solver's counters.
 func (s *Solver) Stats() SolverStats {
 	var indexed int64
 	s.repeats.each(func(e *repeatEntry) { indexed += int64(len(e.body) + len(e.answer.Body)) })
@@ -347,10 +343,9 @@ func (s *Solver) Stats() SolverStats {
 		RepeatIndexBytes: indexed,
 		TierHits:         s.tierHits.Load(),
 		SolveEntries:     s.solveCache.len(),
-		SolveCapacity:    int(s.solveCache.limit.Load()),
+		SolveCapacity:    s.solveCache.cap,
 		PlanEntries:      s.planMemo.len(),
-		PlanCapacity:     int(s.planMemo.limit.Load()),
-		CacheShards:      len(s.solveCache.shards),
+		PlanCapacity:     s.planMemo.cap,
 		PlanContention:   s.planMemo.contended.Load(),
 		SolveContention:  s.solveCache.contended.Load(),
 	}
@@ -465,6 +460,25 @@ func (s *Solver) ZonesFor(ctx context.Context, inst *Instance, req Request) (*Zo
 	return zonesFor(ctx, inst, req, ASAPMakespan(inst), false)
 }
 
+// DeadlineHorizon returns the deadline T = factor·D, rounded to the
+// nearest unit and never below D, for a workflow of ASAP makespan D.
+// factor 0 selects the default 2; a factor below 1 is
+// ErrInfeasibleDeadline; a factor whose deadline does not fit an int64
+// (huge, +Inf or NaN) is ErrInvalidRequest.
+func DeadlineHorizon(D int64, factor float64) (int64, error) {
+	if factor == 0 {
+		factor = 2
+	}
+	if factor < 1 {
+		return 0, fmt.Errorf("cawosched: deadline factor %v < 1: %w", factor, ErrInfeasibleDeadline)
+	}
+	t := float64(D)*factor + 0.5
+	if !(t < math.MaxInt64) { // false for NaN too
+		return 0, fmt.Errorf("%w: deadline factor %v: deadline out of range", ErrInvalidRequest, factor)
+	}
+	return max(int64(t), D), nil
+}
+
 // zonesFor is ZonesFor with D already known, so Solve computes the ASAP
 // pass only once per request. forceSingle collapses generation to one
 // cluster-wide profile regardless of the cluster's zones (ProfileFor).
@@ -482,16 +496,9 @@ func zonesFor(ctx context.Context, inst *Instance, req Request, D int64, forceSi
 	if err := scherr.Canceled(ctx.Err()); err != nil {
 		return nil, err
 	}
-	factor := req.DeadlineFactor
-	if factor == 0 {
-		factor = 2
-	}
-	if factor < 1 {
-		return nil, fmt.Errorf("cawosched: deadline factor %v < 1: %w", factor, ErrInfeasibleDeadline)
-	}
-	T := int64(float64(D)*factor + 0.5)
-	if T < D {
-		T = D
+	T, err := DeadlineHorizon(D, req.DeadlineFactor)
+	if err != nil {
+		return nil, err
 	}
 	intervals := req.Intervals
 	if intervals <= 0 {

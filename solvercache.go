@@ -14,78 +14,31 @@ import (
 )
 
 // This file is the solver's caching/concurrency layer: the one bounded
-// store (lru) and its sharded wrapper behind the plan memo, the
-// solve-response cache and the body index in front of them, and the
-// singleflight table that coalesces concurrent identical solves.
-// solver.go owns the scheduling pipeline; everything about how its
-// results are stored, shared, and found again lives here.
-//
-// Sharding is pure mechanism: responses, hit/miss counters, and entry
-// accounting are identical at every shard count; the only observable
-// difference is which entry a full cache evicts first, because recency is
-// tracked per shard (one shard is one global LRU).
-
-// normalizeShards rounds n up to a power of two in [1, 64]. One shard per
-// CPU (the default) makes lock collisions rare; beyond 64 the maps are so
-// small that sharding further only wastes memory.
-func normalizeShards(n int) int {
-	p := 1
-	for p < min(n, 64) {
-		p <<= 1
-	}
-	return p
-}
-
-// effectiveShards returns how many of a cache's shards actually receive
-// keys under an entry limit: the largest power of two that is at most
-// min(shards, limit), so every active shard holds at least one entry.
-// Without the clamp a limit below the shard count would leave some
-// shards with capacity 0 — and because the key→shard mapping is fixed,
-// every key hashing there would silently never be cached. limit <= 0
-// (caching disabled) keeps the full shard array; the caps are all zero
-// anyway.
-func effectiveShards(shards, limit int) int {
-	if limit <= 0 || limit >= shards {
-		return shards
-	}
-	p := 1
-	for p*2 <= limit {
-		p *= 2
-	}
-	return p
-}
+// store (lru) behind the plan memo, the solve-response cache and the body
+// index in front of them, each under one lock, and the singleflight table
+// that coalesces concurrent identical solves. solver.go owns the
+// scheduling pipeline; everything about how its results are stored,
+// shared, and found again lives here.
 
 // SolverOption configures a Solver at construction (NewSolver).
 type SolverOption func(*solverConfig)
 
 type solverConfig struct {
-	shards   int
 	solveCap int
 	planCap  int
 	tier     CacheTier
 }
 
-// WithCacheShards sets the shard count of the plan memo and the
-// solve-response cache. n is rounded up to a power of two and clamped to
-// [1, 64]; n <= 0 selects the default (next power of two >= GOMAXPROCS).
-// Shard counts only change which entry a full cache evicts first, never a
-// response or a hit/miss counter.
-func WithCacheShards(n int) SolverOption {
-	return func(c *solverConfig) {
-		if n > 0 {
-			c.shards = normalizeShards(n)
-		}
-	}
-}
-
-// WithSolveCacheLimit bounds the solve-response cache at construction
-// (see SetSolveCacheLimit). n <= 0 disables response caching.
+// WithSolveCacheLimit bounds the solve-response cache to n entries; the
+// body index (see Recall) holds at most as many bodies. n <= 0 disables
+// both. The default bound is 4096.
 func WithSolveCacheLimit(n int) SolverOption {
 	return func(c *solverConfig) { c.solveCap = n }
 }
 
-// WithPlanCacheLimit bounds the plan memo at construction (see
-// SetPlanCacheLimit). n <= 0 disables plan memoization.
+// WithPlanCacheLimit bounds the plan memo to n entries. n <= 0 disables
+// plan memoization: every plan request builds fresh. The default bound is
+// 4096.
 func WithPlanCacheLimit(n int) SolverOption {
 	return func(c *solverConfig) { c.planCap = n }
 }
@@ -107,9 +60,9 @@ func b2u(b bool) uint64 {
 }
 
 // sum returns the 64-bit FNV-1a digest of the whole solve key — every
-// field that makes two solves interchangeable. It picks the key's cache
-// shard and, rendered as hex, keys the external cache tier, so a fleet of
-// schedd processes with identical builds computes identical tier keys.
+// field that makes two solves interchangeable. Rendered as hex, it keys
+// the external cache tier, so a fleet of schedd processes with identical
+// builds computes identical tier keys.
 func (k solveKey) sum() uint64 {
 	h := dag.NewHash()
 	h.U64(k.fp)
@@ -126,20 +79,11 @@ func (k solveKey) sum() uint64 {
 	return h.Sum64()
 }
 
-// sum returns the shard-picking digest of a plan key.
-func (k planKey) sum() uint64 {
-	h := dag.NewHash()
-	h.U64(k.fp)
-	h.U64(uint64(k.policy))
-	h.U64(k.zd)
-	return h.Sum64()
-}
-
 // ---- the bounded store --------------------------------------------------
 
 // lru is a map bounded to cap entries that evicts the least recently used
-// one: the store behind every shard of the plan memo and the solve cache,
-// and behind MemoryTier. It is not safe for concurrent use, and must be
+// one: the store behind the plan memo, the solve cache, the body index and
+// MemoryTier. It is not safe for concurrent use, and must be
 // reset in place before use (the recency list is circular through head).
 type lru[K comparable, V any] struct {
 	cap   int
@@ -188,8 +132,8 @@ func (c *lru[K, V]) peek(k K) (v V, ok bool) {
 }
 
 // put stores v under k as the most recently used entry, replacing a
-// previous value or else evicting to make room. A store with no capacity
-// keeps nothing.
+// previous value or else evicting the least recently used entry to make
+// room. A store with no capacity keeps nothing.
 func (c *lru[K, V]) put(k K, v V) {
 	if c.cap <= 0 {
 		return
@@ -199,144 +143,80 @@ func (c *lru[K, V]) put(k K, v V) {
 		n.val = v
 		n.unlink()
 	} else {
-		c.evictTo(c.cap - 1)
+		if len(c.items) >= c.cap {
+			victim := c.head.prev
+			victim.unlink()
+			delete(c.items, victim.key)
+		}
 		n = &lruNode[K, V]{key: k, val: v}
 		c.items[k] = n
 	}
 	c.pushFront(n)
 }
 
-// resize sets the bound, evicting down to it.
-func (c *lru[K, V]) resize(cap int) {
-	c.cap = cap
-	c.evictTo(cap)
-}
-
-// evictTo drops least-recently-used entries until at most n remain.
-func (c *lru[K, V]) evictTo(n int) {
-	for len(c.items) > max(n, 0) {
-		victim := c.head.prev
-		victim.unlink()
-		delete(c.items, victim.key)
-	}
-}
-
-// shardKey is a cache key that can pick its shard: sum is a 64-bit digest
-// of the whole key, stable for the life of the process.
-type shardKey interface {
-	comparable
-	sum() uint64
-}
-
-// sharded splits a total entry bound over a power-of-two array of
-// mutex-guarded lrus. Keys are routed over the first eff shards only —
-// eff is effectiveShards(len(shards), limit) — so that a limit below the
-// shard count still admits every key.
-type sharded[K shardKey, V any] struct {
-	shards []shard[K, V]
-	limit  atomic.Int64 // total bound across shards
-	eff    atomic.Int64 // power-of-two count of shards receiving keys
-	// contended counts lock acquisitions that found the shard's lock held:
-	// the residual contention sharding did not eliminate.
+// cache is one lru behind one mutex. Its bound is fixed at construction.
+type cache[K comparable, V any] struct {
+	mu sync.Mutex
+	lru[K, V]
+	// contended counts lock acquisitions that found the lock held: how an
+	// operator sees that the one lock has become a bottleneck.
 	contended atomic.Int64
 }
 
-type shard[K shardKey, V any] struct {
-	mu sync.Mutex
-	lru[K, V]
-}
-
-func newSharded[K shardKey, V any](shards, limit int) *sharded[K, V] {
-	c := &sharded[K, V]{shards: make([]shard[K, V], shards)}
-	for i := range c.shards {
-		c.shards[i].lru.reset()
-	}
-	c.setLimit(limit)
+// newCache returns an empty cache bounded to limit entries; limit <= 0
+// keeps nothing.
+func newCache[K comparable, V any](limit int) *cache[K, V] {
+	c := &cache[K, V]{}
+	c.lru.reset()
+	c.cap = max(limit, 0)
 	return c
 }
 
-// lock returns the key's shard, locked; the caller unlocks its mu.
-func (c *sharded[K, V]) lock(k K) *shard[K, V] {
-	return c.lockShard(int(k.sum() & uint64(c.eff.Load()-1)))
-}
-
-func (c *sharded[K, V]) lockShard(i int) *shard[K, V] {
-	sh := &c.shards[i]
-	if !sh.mu.TryLock() {
+// lock locks the cache; the caller unlocks its mu.
+func (c *cache[K, V]) lock() {
+	if !c.mu.TryLock() {
 		c.contended.Add(1)
-		sh.mu.Lock()
-	}
-	return sh
-}
-
-// get, peek and put are the lru's, on the key's shard under its lock.
-func (c *sharded[K, V]) get(k K) (V, bool) {
-	sh := c.lock(k)
-	defer sh.mu.Unlock()
-	return sh.lru.get(k)
-}
-
-func (c *sharded[K, V]) peek(k K) (V, bool) {
-	sh := c.lock(k)
-	defer sh.mu.Unlock()
-	return sh.lru.peek(k)
-}
-
-func (c *sharded[K, V]) put(k K, v V) {
-	sh := c.lock(k)
-	defer sh.mu.Unlock()
-	sh.lru.put(k, v)
-}
-
-// setLimit bounds the store to n entries in total, evicting from every
-// shard that now holds more than its share; shards that no longer receive
-// keys are emptied. n <= 0 disables and clears the store.
-func (c *sharded[K, V]) setLimit(n int) {
-	n = max(n, 0)
-	eff := effectiveShards(len(c.shards), n)
-	c.limit.Store(int64(n))
-	c.eff.Store(int64(eff))
-	for i := range c.shards {
-		share := 0 // eff <= n, so every shard that receives keys holds at least one
-		if i < eff {
-			share = n / eff
-			if i < n%eff {
-				share++ // the remainder goes to the lowest shards: the shares sum to n
-			}
-		}
-		sh := c.lockShard(i)
-		sh.resize(share)
-		sh.mu.Unlock()
+		c.mu.Lock()
 	}
 }
 
-func (c *sharded[K, V]) reset() {
-	for i := range c.shards {
-		sh := c.lockShard(i)
-		sh.lru.reset()
-		sh.mu.Unlock()
-	}
+// get, peek, put, reset and len are the lru's, under the lock.
+func (c *cache[K, V]) get(k K) (V, bool) {
+	c.lock()
+	defer c.mu.Unlock()
+	return c.lru.get(k)
 }
 
-// len sums the shards, so entry accounting is the same at every shard count.
-func (c *sharded[K, V]) len() int {
-	n := 0
-	for i := range c.shards {
-		sh := c.lockShard(i)
-		n += sh.lru.len()
-		sh.mu.Unlock()
-	}
-	return n
+func (c *cache[K, V]) peek(k K) (V, bool) {
+	c.lock()
+	defer c.mu.Unlock()
+	return c.lru.peek(k)
 }
 
-// each calls f on every stored value, one shard at a time under its lock.
-func (c *sharded[K, V]) each(f func(V)) {
-	for i := range c.shards {
-		sh := c.lockShard(i)
-		for n := sh.head.next; n != &sh.head; n = n.next {
-			f(n.val)
-		}
-		sh.mu.Unlock()
+func (c *cache[K, V]) put(k K, v V) {
+	c.lock()
+	defer c.mu.Unlock()
+	c.lru.put(k, v)
+}
+
+func (c *cache[K, V]) reset() {
+	c.lock()
+	defer c.mu.Unlock()
+	c.lru.reset()
+}
+
+func (c *cache[K, V]) len() int {
+	c.lock()
+	defer c.mu.Unlock()
+	return c.lru.len()
+}
+
+// each calls f on every stored value under the lock.
+func (c *cache[K, V]) each(f func(V)) {
+	c.lock()
+	defer c.mu.Unlock()
+	for n := c.head.next; n != &c.head; n = n.next {
+		f(n.val)
 	}
 }
 
@@ -347,20 +227,15 @@ func (c *sharded[K, V]) each(f func(V)) {
 // the entry; concurrent lookups of the same key block on its sync.Once).
 // With plan caching disabled the fresh entry is returned unmemoized.
 func (s *Solver) planLookup(key planKey, wf *DAG, pol greenheft.Policy, zones *ZoneSet) (e *planEntry, hit bool) {
-	sh := s.planMemo.lock(key)
-	defer sh.mu.Unlock()
-	if e, hit = sh.get(key); !hit {
+	c := s.planMemo
+	c.lock()
+	defer c.mu.Unlock()
+	if e, hit = c.lru.get(key); !hit {
 		e = &planEntry{wf: wf, policy: pol, zones: zones}
-		sh.put(key, e)
+		c.lru.put(key, e)
 	}
 	return e, hit
 }
-
-// SetPlanCacheLimit bounds the plan memo to at most n entries (distributed
-// across the shards), evicting least-recently-used plans if it currently
-// holds more. n <= 0 disables and clears the memo: every plan request
-// builds fresh. The default limit is 4096.
-func (s *Solver) SetPlanCacheLimit(n int) { s.planMemo.setLimit(n) }
 
 // ResetPlans drops every memoized plan (e.g. after a batch of one-off
 // workflows). Counters and the solve-response cache are unaffected.
@@ -404,16 +279,6 @@ func (s *Solver) solveCacheGet(key solveKey, wf *DAG, zones *ZoneSet) (*Response
 // the freshest wins.
 func (s *Solver) solveCachePut(key solveKey, wf *DAG, zones *ZoneSet, shared *Response) {
 	s.solveCache.put(key, &solveEntry{wf: wf, zones: zones.Clone(), resp: shared})
-}
-
-// SetSolveCacheLimit bounds the solve-response cache to at most n entries
-// in total (distributed across the shards), evicting least-recently-used
-// responses if it currently holds more. n <= 0 disables and clears the
-// cache. The default limit is 4096. The body index (see Recall) holds at
-// most as many bodies, and is disabled with the cache.
-func (s *Solver) SetSolveCacheLimit(n int) {
-	s.solveCache.setLimit(n)
-	s.repeats.setLimit(n)
 }
 
 // ResetSolveCache drops every cached response and every remembered body.
@@ -474,8 +339,6 @@ type repeatKey struct {
 	hash uint64
 }
 
-func (k repeatKey) sum() uint64 { return k.hash }
-
 // repeatEntry is one remembered body, immutable once stored.
 type repeatEntry struct {
 	body   []byte
@@ -504,7 +367,7 @@ func (s *Solver) repeatKeyOf(body []byte) repeatKey {
 // under the same "solve" span and schedd_solves_total count. Its stages
 // are the two consults, plan and cache; it builds no supply.
 func (s *Solver) Recall(ctx context.Context, body []byte) (*Answer, []obs.StageTiming) {
-	if s.repeats.limit.Load() == 0 {
+	if s.repeats.cap == 0 {
 		return nil, nil
 	}
 	e, ok := s.repeats.get(s.repeatKeyOf(body))
