@@ -9,7 +9,7 @@ import (
 )
 
 // cacheWorkload is a mixed request sequence with repeats (hits), distinct
-// variants/seeds/scenarios (misses), marginal and map-search requests.
+// variants/seeds/scenarios (misses), and map-search requests.
 func cacheWorkload(t *testing.T) []cawosched.Request {
 	t.Helper()
 	wfA, err := cawosched.GenerateWorkflow(cawosched.Methylseq, 60, 21)
@@ -28,7 +28,7 @@ func cacheWorkload(t *testing.T) []cawosched.Request {
 			}
 		}
 		reqs = append(reqs,
-			cawosched.Request{Workflow: wf, Variant: "press", Scenario: cawosched.S1, Seed: 9, Marginal: true},
+			cawosched.Request{Workflow: wf, Variant: "press", Scenario: cawosched.S1, Seed: 10},
 			cawosched.Request{Workflow: wf, Variant: "press", Scenario: cawosched.S1, Seed: 9, MapSearch: true},
 		)
 	}

@@ -66,7 +66,6 @@ type tierRecord struct {
 	LocalSearch bool   `json:"ls,omitempty"`
 	K           int    `json:"k"`
 	Mu          int64  `json:"mu"`
-	Marginal    bool   `json:"marginal,omitempty"`
 	Policy      int    `json:"policy"`
 	MapSearch   bool   `json:"map_search,omitempty"`
 
@@ -92,7 +91,6 @@ func (r *tierRecord) recordKey() solveKey {
 			K:           r.K,
 			Mu:          r.Mu,
 		},
-		marginal:  r.Marginal,
 		policy:    greenheft.Policy(r.Policy),
 		mapSearch: r.MapSearch,
 	}
@@ -111,7 +109,6 @@ func (s *Solver) tierPut(ctx context.Context, key solveKey, resp *Response) {
 		LocalSearch: key.opt.LocalSearch,
 		K:           key.opt.K,
 		Mu:          key.opt.Mu,
-		Marginal:    key.marginal,
 		Policy:      int(key.policy),
 		MapSearch:   key.mapSearch,
 		Mapping:     resp.Mapping,

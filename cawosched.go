@@ -308,14 +308,6 @@ func OptimalScheduleContext(ctx context.Context, inst *Instance, prof *Profile, 
 // ALAP returns the As-Late-As-Possible comparator schedule for deadline T.
 func ALAP(inst *Instance, T int64) (*Schedule, error) { return core.ALAP(inst, T) }
 
-// RunMarginalContext is RunContext with the exact-marginal-cost greedy (an
-// alternative to the paper's budget-based greedy; see
-// internal/core.GreedyMarginal), optionally followed by the local search.
-// For the request/response pipeline use a Solver with Request.Marginal.
-func RunMarginalContext(ctx context.Context, inst *Instance, prof *Profile, opt Options) (*Schedule, Stats, error) {
-	return core.RunWith(ctx, inst, power.SingleZone(prof), opt, true)
-}
-
 // AnnealOptions tunes the simulated-annealing improver.
 type AnnealOptions = core.AnnealOptions
 

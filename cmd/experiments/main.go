@@ -501,16 +501,6 @@ func run2(ctx context.Context, maxTasks int, seed uint64, workers int, outDir, o
 		} else {
 			emit("ablation_improvers", t)
 		}
-		if t, err := experiments.AblationGreedies(ctx, specs, workers); err != nil {
-			return err
-		} else {
-			emit("ablation_greedies", t)
-		}
-		if t, err := experiments.AblationOrdering(ctx, specs, workers); err != nil {
-			return err
-		} else {
-			emit("ablation_ordering", t)
-		}
 		if t, err := experiments.ExtensionTwoPass(ctx, specs, workers); err != nil {
 			return err
 		} else {

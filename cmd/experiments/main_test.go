@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,27 @@ func TestRunTinyCorpusFigures(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("%s not written: %v", name, err)
 		}
+	}
+}
+
+// TestRunAblations: the opt-in ablation group writes exactly its four
+// tables and nothing else.
+func TestRunAblations(t *testing.T) {
+	dir := t.TempDir()
+	if err := run(100, 42, 0, dir, "ablations", true); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	want := []string{"ablation_improvers.csv", "ablation_k.csv", "ablation_mu.csv", "extension_twopass.csv"}
+	if !slices.Equal(got, want) {
+		t.Errorf("wrote %v, want %v", got, want)
 	}
 }
 

@@ -59,8 +59,8 @@ func TestFacadeSurface(t *testing.T) {
 		t.Error("ALAP should touch the deadline")
 	}
 
-	// Marginal greedy + LS through the facade.
-	ms, mstats, err := cawosched.RunMarginalContext(context.Background(), inst, prof, cawosched.Options{
+	// Greedy + LS through the facade.
+	ms, mstats, err := cawosched.RunContext(context.Background(), inst, prof, cawosched.Options{
 		Score: cawosched.ScoreSlackW, LocalSearch: true,
 	})
 	if err != nil {
@@ -70,7 +70,7 @@ func TestFacadeSurface(t *testing.T) {
 		t.Error(err)
 	}
 	if mstats.Cost != cawosched.CarbonCost(inst, ms, prof) {
-		t.Error("RunMarginalContext stats cost mismatch")
+		t.Error("RunContext stats cost mismatch")
 	}
 
 	// Annealing through the facade.

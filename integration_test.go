@@ -74,14 +74,7 @@ func TestIntegrationAllSchedulersValid(t *testing.T) {
 				}
 				all = append(all, namedSched{opt.Name(), s})
 			}
-			mg, err := core.GreedyMarginal(context.Background(), in.Inst, in.Zones, core.Options{Score: core.ScorePressureW}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, namedSched{"marginal", mg})
-			ann := mg.Clone()
-			core.Anneal(context.Background(), in.Inst, in.Zones, ann, core.AnnealOptions{Seed: 1, Iterations: 2000})
-			all = append(all, namedSched{"marginal+anneal", ann})
+			all = append(all, namedSched{"pressWR+anneal", annealedPressWR(t, in)})
 
 			for _, ns := range all {
 				if err := schedule.Validate(in.Inst, ns.s, T); err != nil {
@@ -98,6 +91,20 @@ func TestIntegrationAllSchedulersValid(t *testing.T) {
 			}
 		})
 	}
+}
+
+// annealedPressWR returns the pressWR budget-greedy schedule improved by
+// the simulated annealer.
+func annealedPressWR(t *testing.T, in *experiments.Instance) *schedule.Schedule {
+	t.Helper()
+	s, err := core.Greedy(context.Background(), in.Inst, in.Zones, core.Options{Score: core.ScorePressureW, Refined: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Anneal(context.Background(), in.Inst, in.Zones, s, core.AnnealOptions{Seed: 1, Iterations: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestIntegrationNoHeuristicBeatsOptimum(t *testing.T) {
@@ -135,11 +142,7 @@ func TestIntegrationNoHeuristicBeatsOptimum(t *testing.T) {
 				}
 				check(o.Name(), s)
 			}
-			mg, err := core.GreedyMarginal(context.Background(), in.Inst, in.Zones, core.Options{Score: core.ScoreSlackW}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check("marginal", mg)
+			check("pressWR+anneal", annealedPressWR(t, in))
 		})
 	}
 }

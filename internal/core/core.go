@@ -52,27 +52,9 @@ func canceled(ctx context.Context) error {
 // all (the ASAP makespan exceeds T), and with scherr.ErrCanceled if ctx is
 // canceled mid-run.
 func Run(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options) (*schedule.Schedule, Stats, error) {
-	return RunWith(ctx, inst, zs, opt, false)
-}
-
-// RunWith is Run with the greedy phase chosen by the caller's flag:
-// marginal selects the exact-marginal-cost greedy (see GreedyMarginal)
-// instead of the paper's budget-based one.
-func RunWith(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options, marginal bool) (*schedule.Schedule, Stats, error) {
-	greedy := Greedy
-	if marginal {
-		greedy = GreedyMarginal
-	}
-	return run(ctx, inst, zs, opt, greedy)
-}
-
-// run is the pipeline every variant shares: greedy phase, optional local
-// search, validation of the produced schedule, final cost.
-func run(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options,
-	greedy func(context.Context, *ceg.Instance, *power.ZoneSet, Options, *Stats) (*schedule.Schedule, error)) (*schedule.Schedule, Stats, error) {
 	var st Stats
 	gctx, gsp := obs.Start(ctx, "greedy")
-	s, err := greedy(gctx, inst, zs, opt, &st)
+	s, err := Greedy(gctx, inst, zs, opt, &st)
 	greedyAttrs(gsp, &st, err)
 	if err != nil {
 		return nil, st, err
@@ -137,9 +119,6 @@ type Stats struct {
 	// LSScans counts task visits across all local-search rounds
 	// (rounds × tasks), evaluated or skipped.
 	LSScans int
-	// Repushes counts stale-score heap re-insertions in GreedyDynamic:
-	// how often window updates actually perturbed the task order.
-	Repushes int
 }
 
 // ASAP returns the baseline schedule that starts every task at its earliest

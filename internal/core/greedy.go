@@ -10,8 +10,7 @@ import (
 
 // newZoneBudgets builds one remaining-budget structure per grid zone
 // from that zone's profile (refined by its own subdivision points when
-// requested), accumulating the interval count into st. Shared by the
-// static and dynamic budget greedies.
+// requested), accumulating the interval count into st.
 func newZoneBudgets(inst *ceg.Instance, zs *power.ZoneSet, opt Options, st *Stats) []*budgets {
 	var extra [][]int64
 	if opt.Refined {

@@ -184,24 +184,3 @@ func (ps *pointSet) sorted() []int64 {
 	}
 	return out
 }
-
-// mergeSortedUnique merges two sorted, deduplicated point lists into a new
-// sorted, deduplicated list.
-func mergeSortedUnique(a, b []int64) []int64 {
-	out := make([]int64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v int64
-		if j >= len(b) || (i < len(a) && a[i] <= b[j]) {
-			v = a[i]
-			i++
-		} else {
-			v = b[j]
-			j++
-		}
-		if len(out) == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}

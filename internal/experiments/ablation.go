@@ -183,119 +183,6 @@ func AblationImprovers(ctx context.Context, specs []Spec, workers int) (*Table, 
 	return t, nil
 }
 
-// AblationOrdering compares the paper's static task ordering (scores
-// computed once from the initial windows, Section 5.2) against a dynamic
-// ordering that re-scores tasks as windows shrink (core.GreedyDynamic),
-// for all four score bases without local search.
-func AblationOrdering(ctx context.Context, specs []Spec, workers int) (*Table, error) {
-	var algos []Algorithm
-	algos = append(algos, baseline())
-	for _, sc := range core.Scores() {
-		sc := sc
-		algos = append(algos,
-			Algorithm{
-				Name: sc.String() + "-static",
-				Run: func(ctx context.Context, in *Instance) (*schedule.Schedule, error) {
-					s, _, err := core.Run(ctx, in.Inst, in.Zones, core.Options{Score: sc})
-					return s, err
-				},
-			},
-			Algorithm{
-				Name: sc.String() + "-dynamic",
-				Run: func(ctx context.Context, in *Instance) (*schedule.Schedule, error) {
-					return core.GreedyDynamic(ctx, in.Inst, in.Zones, core.Options{Score: sc}, nil)
-				},
-			},
-		)
-	}
-	results, err := Run(ctx, specs, algos, workers, nil)
-	if err != nil {
-		return nil, err
-	}
-	names := algoNamesOf(algos)
-	g := buildGrid(results, names)
-	ratios := ratiosVsBaseline(g)
-	t := &Table{
-		Title:   "Ablation: static (paper) vs dynamic task ordering",
-		Columns: []string{"ordering", "median_ratio", "q1", "q3"},
-		Note:    fmt.Sprintf("%d instances; ratio vs ASAP; no local search", len(specs)),
-	}
-	for _, name := range names {
-		rs, ok := ratios[name]
-		if !ok || len(rs) == 0 {
-			continue
-		}
-		q1, med, q3 := stats.Quartiles(rs)
-		t.Rows = append(t.Rows, []string{name, f3(med), f3(q1), f3(q3)})
-	}
-	return t, nil
-}
-
-// AblationGreedies compares the paper's budget-based greedy with the
-// exact-marginal-cost greedy (core.GreedyMarginal), both in pressWR
-// configuration with and without the local search. The budget greedy
-// approximates the marginal cost through remaining per-interval budgets;
-// this table quantifies what the approximation costs (or saves in time).
-func AblationGreedies(ctx context.Context, specs []Spec, workers int) (*Table, error) {
-	opt := core.Options{Score: core.ScorePressureW, Refined: true}
-	mk := func(name string, marginal, ls bool) Algorithm {
-		return Algorithm{
-			Name: name,
-			Run: func(ctx context.Context, in *Instance) (*schedule.Schedule, error) {
-				var s *schedule.Schedule
-				var err error
-				if marginal {
-					s, err = core.GreedyMarginal(ctx, in.Inst, in.Zones, opt, nil)
-				} else {
-					s, err = core.Greedy(ctx, in.Inst, in.Zones, opt, nil)
-				}
-				if err != nil {
-					return nil, err
-				}
-				if ls {
-					if err := core.LocalSearch(ctx, in.Inst, in.Zones, s, core.DefaultMu, nil); err != nil {
-						return nil, err
-					}
-				}
-				return s, nil
-			},
-		}
-	}
-	algos := []Algorithm{
-		baseline(),
-		mk("budget", false, false),
-		mk("marginal", true, false),
-		mk("budget-LS", false, true),
-		mk("marginal-LS", true, true),
-	}
-	results, err := Run(ctx, specs, algos, workers, nil)
-	if err != nil {
-		return nil, err
-	}
-	names := algoNamesOf(algos)
-	g := buildGrid(results, names)
-	ratios := ratiosVsBaseline(g)
-	t := &Table{
-		Title:   "Ablation: budget-based vs exact-marginal greedy (pressWR config)",
-		Columns: []string{"greedy", "median_ratio", "q1", "q3", "median_s"},
-		Note:    fmt.Sprintf("%d instances; ratio vs ASAP", len(specs)),
-	}
-	for ai, name := range names {
-		rs, ok := ratios[name]
-		if !ok || len(rs) == 0 {
-			continue
-		}
-		q1, med, q3 := stats.Quartiles(rs)
-		var times []float64
-		for i := range g.times {
-			times = append(times, g.times[i][ai])
-		}
-		t.Rows = append(t.Rows, []string{name, f3(med), f3(q1), f3(q3),
-			fmt.Sprintf("%.4f", stats.Median(times))})
-	}
-	return t, nil
-}
-
 // ExtensionTwoPass evaluates the future-work idea of Section 7: replace
 // the carbon-unaware HEFT mapping with the carbon-aware mapping policies
 // of internal/greenheft, then run the second (CaWoSched) pass. For each

@@ -84,42 +84,6 @@ func TestAblationImprovers(t *testing.T) {
 	}
 }
 
-func TestAblationOrdering(t *testing.T) {
-	tab, err := AblationOrdering(context.Background(), ablationSpecs(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 8 {
-		t.Fatalf("rows = %d, want 8 (4 scores x static/dynamic)", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if v := cell(t, row[1]); v < 0 {
-			t.Errorf("%s: negative ratio %v", row[0], v)
-		}
-	}
-}
-
-func TestAblationGreedies(t *testing.T) {
-	tab, err := AblationGreedies(context.Background(), ablationSpecs(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(tab.Rows))
-	}
-	byName := map[string]float64{}
-	for _, row := range tab.Rows {
-		byName[row[0]] = cell(t, row[1])
-	}
-	// LS never worsens either greedy's median.
-	if byName["budget-LS"] > byName["budget"]+1e-9 {
-		t.Errorf("budget-LS %v worse than budget %v", byName["budget-LS"], byName["budget"])
-	}
-	if byName["marginal-LS"] > byName["marginal"]+1e-9 {
-		t.Errorf("marginal-LS %v worse than marginal %v", byName["marginal-LS"], byName["marginal"])
-	}
-}
-
 func TestExtensionTwoPass(t *testing.T) {
 	tab, err := ExtensionTwoPass(context.Background(), ablationSpecs(), 0)
 	if err != nil {

@@ -90,8 +90,8 @@ func TestMultiZoneAblationDrivers(t *testing.T) {
 		Family: wfgen.Bacass, N: 30, Cluster: Small, Scenario: power.S1,
 		DeadlineFactor: 2, Seed: 42, Zones: 2,
 	}}
-	if _, err := AblationGreedies(context.Background(), specs, 1); err != nil {
-		t.Errorf("AblationGreedies on multi-zone specs: %v", err)
+	if _, err := AblationK(context.Background(), specs, []int{1, 3}, 1); err != nil {
+		t.Errorf("AblationK on multi-zone specs: %v", err)
 	}
 	if _, err := AblationImprovers(context.Background(), specs, 1); err != nil {
 		t.Errorf("AblationImprovers on multi-zone specs: %v", err)

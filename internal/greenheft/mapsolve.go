@@ -45,8 +45,6 @@ type MapSolveOptions struct {
 	Alpha float64
 	// Sched selects the CaWoSched variant of the second pass.
 	Sched core.Options
-	// Marginal switches the second pass to the exact-marginal greedy.
-	Marginal bool
 	// Workers is the width of the candidate fan-out: up to Workers
 	// candidate mappings are scheduled at once (planning stays
 	// sequential, see PlanFunc). Values ≤ 1 schedule them one after
@@ -160,7 +158,7 @@ func Search(ctx context.Context, zs *power.ZoneSet, opt MapSolveOptions, plan Pl
 	solve := func(i int) {
 		e := evals[i]
 		cctx, csp := obs.Start(ctx, "map-candidate")
-		e.s, e.st, e.err = core.RunWith(cctx, e.inst, zs, opt.Sched, opt.Marginal)
+		e.s, e.st, e.err = core.Run(cctx, e.inst, zs, opt.Sched)
 		outcome := "ok"
 		if e.err != nil {
 			outcome = "error"

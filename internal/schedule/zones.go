@@ -74,8 +74,7 @@ type ZoneTimelines struct {
 
 // NewZoneTimelines builds the per-zone timelines of a schedule. A nil
 // schedule yields empty timelines (only the idle floors draw power) for
-// callers that add tasks incrementally (branch-and-bound, the marginal
-// greedy).
+// callers that add tasks incrementally (the exact branch-and-bound).
 func NewZoneTimelines(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) *ZoneTimelines {
 	if err := CheckZones(inst, zs); err != nil {
 		panic(err)

@@ -22,35 +22,27 @@ import (
 var goldenDigests = map[string]uint64{
 	"atacseq/small/slack":         0xbd25a972966a6fa3,
 	"atacseq/small/pressWR-LS":    0x8e78a7d1402f47b4,
-	"atacseq/small/marginal":      0x753a47c3aeeb64fb,
 	"atacseq/small/map-search":    0x8e78a7d1402f47b4,
 	"atacseq/zoned3/slack":        0x36a23064128e1db5,
 	"atacseq/zoned3/pressWR-LS":   0x63a63fb74e725903,
-	"atacseq/zoned3/marginal":     0x8d5ee18e77f4e074,
 	"atacseq/zoned3/map-search":   0x651b5baa87db1470,
 	"bacass/small/slack":          0x3dea37a7a6278fca,
 	"bacass/small/pressWR-LS":     0x10c72879d0c01eb0,
-	"bacass/small/marginal":       0x5d2e2afe2cd6b874,
 	"bacass/small/map-search":     0x83b940f8ed972b45,
 	"bacass/zoned3/slack":         0x99f13e0cb33c0b0d,
 	"bacass/zoned3/pressWR-LS":    0xe294761e06de8c3d,
-	"bacass/zoned3/marginal":      0xc858c2ce07dc4498,
 	"bacass/zoned3/map-search":    0xa7f98a7f948c7ccc,
 	"eager/small/slack":           0x100dd51a12e9b920,
 	"eager/small/pressWR-LS":      0x34c58b5b3e63f1c3,
-	"eager/small/marginal":        0xe2822fc5f295f7ed,
 	"eager/small/map-search":      0x3f8f8a8eb6d4ce91,
 	"eager/zoned3/slack":          0x688097c84ae64b4e,
 	"eager/zoned3/pressWR-LS":     0x483ef97565512777,
-	"eager/zoned3/marginal":       0xd3e8e32ddad78553,
 	"eager/zoned3/map-search":     0x054f7d213aade5ae,
 	"methylseq/small/slack":       0x9ef23bf434b484ef,
 	"methylseq/small/pressWR-LS":  0xc39a09a70c2dd4c7,
-	"methylseq/small/marginal":    0xba036c9639aee388,
 	"methylseq/small/map-search":  0x1d79350362cb23c6,
 	"methylseq/zoned3/slack":      0x5a31715e323a4b8a,
 	"methylseq/zoned3/pressWR-LS": 0x735f68bfbdb66052,
-	"methylseq/zoned3/marginal":   0x6da65d5bc29c2f9e,
 	"methylseq/zoned3/map-search": 0x735f68bfbdb66052,
 }
 
@@ -58,8 +50,8 @@ var goldenDigests = map[string]uint64{
 // ran against one cluster, in roster order: plan hits/misses, solve
 // hits/misses, coalesced.
 var goldenStats = map[string][5]int64{
-	"small":  {16, 20, 0, 16, 0},
-	"zoned3": {16, 20, 0, 16, 0},
+	"small":  {12, 20, 0, 12, 0},
+	"zoned3": {12, 20, 0, 12, 0},
 }
 
 func TestGoldenSolveResponses(t *testing.T) {
@@ -83,14 +75,12 @@ func TestGoldenSolveResponses(t *testing.T) {
 		{name: "zoned3", cluster: cawosched.SmallZonedCluster(seed, 3), zoneScenarios: []string{"S1", "S3", "S2"}},
 	}
 	modes := []struct {
-		name     string
-		variant  string
-		marginal bool
-		mapping  string
+		name    string
+		variant string
+		mapping string
 	}{
 		{name: "slack", variant: "slack"},
 		{name: "pressWR-LS", variant: "pressWR-LS"},
-		{name: "marginal", variant: "pressWR-LS", marginal: true},
 		{name: "map-search", variant: "pressWR-LS", mapping: cawosched.MapSearchName},
 	}
 
@@ -108,7 +98,6 @@ func TestGoldenSolveResponses(t *testing.T) {
 				resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/solve", &wire.SolveRequest{
 					Workflow:       wire.FromDAG(wf),
 					Variant:        mode.variant,
-					Marginal:       mode.marginal,
 					Mapping:        mode.mapping,
 					Scenario:       cl.scenario,
 					ZoneScenarios:  cl.zoneScenarios,

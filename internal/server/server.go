@@ -460,7 +460,6 @@ func buildRequest(wreq *wire.SolveRequest, defaultMapping string) (cawosched.Req
 	}
 	req.Workflow = wf
 	req.Variant = wreq.Variant
-	req.Marginal = wreq.Marginal
 	mapping := wreq.Mapping
 	if mapping == "" {
 		mapping = defaultMapping

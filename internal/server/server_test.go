@@ -287,6 +287,16 @@ func TestServerErrorMapping(t *testing.T) {
 		check(fmt.Sprintf("trailing %q", tail), http.StatusBadRequest, "invalid_request", resp, raw)
 	}
 
+	// A valid request carrying the removed "marginal" flag: an unknown
+	// field like any other, so it is rejected rather than ignored.
+	resp, err = client.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(`{"marginal":true,`+string(good[1:])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	check("marginal flag", http.StatusBadRequest, "invalid_request", resp, raw)
+
 	// A body over MaxBodyBytes, on a server with a cap the pinned request
 	// exceeds.
 	_, small := newTestServer(t, Config{MaxBodyBytes: 512})

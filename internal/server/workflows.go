@@ -76,7 +76,6 @@ func (s *Server) handleWorkflowSubmit(w http.ResponseWriter, r *http.Request) {
 	st, err := m.Submit(ctx, tenancy.SubmitRequest{
 		Workflow:       wf,
 		Variant:        wreq.Variant,
-		Marginal:       wreq.Marginal,
 		MappingPolicy:  policy,
 		MapSearch:      mapSearch,
 		DeadlineFactor: wreq.DeadlineFactor,

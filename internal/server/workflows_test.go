@@ -118,6 +118,17 @@ func TestWorkflowLifecycleHTTP(t *testing.T) {
 		t.Errorf("unknown id: %d %s", resp.StatusCode, raw)
 	}
 
+	// A valid submission carrying the removed "marginal" flag is a 400
+	// invalid_request (strict decoding), not silently admitted.
+	body, err := json.Marshal(wire.SubmitWorkflowRequest{Workflow: wf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw = postJSON(t, client, ts.URL+"/v1/workflows", json.RawMessage(`{"marginal":true,`+string(body[1:])))
+	if resp.StatusCode != http.StatusBadRequest || errorCode(t, raw) != "invalid_request" {
+		t.Errorf("marginal flag: %d %s", resp.StatusCode, raw)
+	}
+
 	// Saturate the window: zero-slack resubmissions of the same workflow
 	// must eventually be rejected with 409 admission_rejected.
 	rejected := false

@@ -40,8 +40,6 @@ type SubmitRequest struct {
 	// Variant is a canonical registry name; empty selects the solver
 	// default (pressWR-LS).
 	Variant string
-	// Marginal switches to the exact-marginal-cost greedy.
-	Marginal bool
 	// MappingPolicy selects the first-pass mapping (zero = fixed HEFT).
 	MappingPolicy cawosched.MappingPolicy
 	// MapSearch runs the two-pass mapping search instead.
@@ -359,7 +357,6 @@ func (m *Manager) submit(ctx context.Context, req SubmitRequest) (*WorkflowStatu
 	res, err := m.solver.Solve(ctx, cawosched.Request{
 		Workflow:      req.Workflow,
 		Variant:       req.Variant,
-		Marginal:      req.Marginal,
 		MappingPolicy: req.MappingPolicy,
 		MapSearch:     req.MapSearch,
 		Zones:         residual,
@@ -592,7 +589,6 @@ func (m *Manager) rebalance(ctx context.Context) (RebalanceReport, error) {
 		res, err := m.solver.Solve(ctx, cawosched.Request{
 			Workflow:      rec.wf,
 			Variant:       rec.req.Variant,
-			Marginal:      rec.req.Marginal,
 			MappingPolicy: rec.req.MappingPolicy,
 			MapSearch:     rec.req.MapSearch,
 			Zones:         residual,

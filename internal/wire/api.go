@@ -21,8 +21,6 @@ type SolveRequest struct {
 	// paper's fixed HEFT mapping unless configured otherwise); unknown
 	// spellings are rejected with code "invalid_request".
 	Mapping string `json:"mapping,omitempty"`
-	// Marginal switches to the exact-marginal-cost greedy.
-	Marginal bool `json:"marginal,omitempty"`
 
 	// Zones, if set, is the per-grid-zone green power supply (one entry
 	// per cluster zone, index-matched); its common horizon T is the

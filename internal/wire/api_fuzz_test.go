@@ -19,7 +19,7 @@ func FuzzSolveRequestRoundTrip(f *testing.F) {
 			{Name: "a", Profile: &Profile{Intervals: []Interval{{Start: 0, End: 10, Budget: 3}}}},
 			{Name: "b", Profile: &Profile{Intervals: []Interval{{Start: 0, End: 10, Budget: 7}}}},
 		}},
-		{Workflow: wf, Mapping: "heft", Marginal: true, Intervals: 12},
+		{Workflow: wf, Mapping: "heft", Intervals: 12},
 	}
 	for _, req := range seedReqs {
 		data, err := json.Marshal(req)

@@ -13,8 +13,6 @@ type SubmitWorkflowRequest struct {
 	// Mapping is a policy name or "map-search"; empty selects the server's
 	// default mapping.
 	Mapping string `json:"mapping,omitempty"`
-	// Marginal switches to the exact-marginal-cost greedy.
-	Marginal bool `json:"marginal,omitempty"`
 	// DeadlineFactor sets the absolute deadline now + factor × D (ASAP
 	// makespan); 0 means the paper's default tolerance of 2. A workflow
 	// that cannot meet it on residual capacity is rejected with code

@@ -50,7 +50,6 @@ func TestKeyDigestsPinned(t *testing.T) {
 		digest:    zones.Digest(),
 		deadline:  zones.T(),
 		opt:       normalizeOptions(opt),
-		marginal:  true,
 		policy:    greenheft.ZoneGreen,
 		mapSearch: false,
 	}

@@ -88,7 +88,7 @@ func TestSolveResponseCacheKeying(t *testing.T) {
 		{Workflow: wf, Variant: "press", Scenario: cawosched.S2, Seed: 3},
 		{Workflow: wf, Variant: "press", Scenario: cawosched.S1, Seed: 4},
 		{Workflow: wf, Variant: "press", Scenario: cawosched.S1, Seed: 3, DeadlineFactor: 3},
-		{Workflow: wf, Variant: "press", Scenario: cawosched.S1, Seed: 3, Marginal: true},
+		{Workflow: wf, Variant: "pressR", Scenario: cawosched.S1, Seed: 3},
 		{Workflow: wf, Options: &cawosched.Options{Score: cawosched.ScorePressure, Mu: 20, LocalSearch: true}, Scenario: cawosched.S1, Seed: 3},
 	}
 	for i, req := range distinct {

@@ -89,9 +89,6 @@ type Request struct {
 	// Options, if non-nil, selects the variant explicitly and overrides
 	// Variant.
 	Options *Options
-	// Marginal switches the greedy phase to the exact-marginal-cost greedy
-	// (core.GreedyMarginal) instead of the paper's budget-based one.
-	Marginal bool
 
 	// Zones, if non-nil, is the per-grid-zone green power supply; its
 	// horizon is the deadline. A multi-zone set must carry exactly one
@@ -361,7 +358,6 @@ type solveKey struct {
 	digest    uint64           // power zone-set digest
 	deadline  int64            // horizon T
 	opt       Options          // normalized: defaults applied to K and Mu
-	marginal  bool             // budget-based vs exact-marginal greedy
 	policy    greenheft.Policy // first-pass mapping policy (EFT under map-search)
 	mapSearch bool             // two-pass mapping search
 }
@@ -732,7 +728,6 @@ func (s *Solver) solveCached(ctx context.Context, job *solveJob) (*Response, err
 		digest:    zones.Digest(),
 		deadline:  zones.T(),
 		opt:       normalizeOptions(job.opt),
-		marginal:  job.req.Marginal,
 		mapSearch: job.req.MapSearch,
 	}
 	if !job.req.MapSearch {
@@ -861,7 +856,7 @@ func (s *Solver) compute(ctx context.Context, job *solveJob) (*Response, error) 
 		job.inst, job.asap, job.D, job.planHit = e.inst, e.asap, e.d, hit
 	}
 	sctx, st := obs.BeginStage(ctx, obs.StageSchedule)
-	sched, stats, err := core.RunWith(sctx, job.inst, job.zones, job.opt, job.req.Marginal)
+	sched, stats, err := core.Run(sctx, job.inst, job.zones, job.opt)
 	if err == nil && st.Span != nil {
 		st.Span.SetAttr("cost", stats.Cost)
 	}
@@ -896,7 +891,7 @@ func (s *Solver) mapSearch(ctx context.Context, job *solveJob) (*Response, error
 	// no second lookup.
 	entries := make(map[greenheft.Policy]*planEntry)
 	res, err := greenheft.Search(ctx, zones,
-		greenheft.MapSolveOptions{Sched: opt, Marginal: req.Marginal, Workers: req.SearchWorkers},
+		greenheft.MapSolveOptions{Sched: opt, Workers: req.SearchWorkers},
 		func(ctx context.Context, pol greenheft.Policy) (*Instance, int64, error) {
 			e, _, err := s.planFor(ctx, req.Workflow, job.fp, pol, zones)
 			if err != nil {

@@ -338,13 +338,4 @@ func TestSolverStagesCompose(t *testing.T) {
 	if res.Profile != prof || res.Instance != inst {
 		t.Error("Solve did not reuse the precomputed stages")
 	}
-	// The marginal greedy path must also validate (same pipeline as the budget greedy).
-	req.Marginal = true
-	mres, err := solver.Solve(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cawosched.Validate(mres.Instance, mres.Schedule, mres.Deadline); err != nil {
-		t.Errorf("marginal solve produced invalid schedule: %v", err)
-	}
 }

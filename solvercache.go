@@ -73,7 +73,6 @@ func (k solveKey) sum() uint64 {
 	h.U64(b2u(k.opt.LocalSearch))
 	h.U64(uint64(k.opt.K))
 	h.I64(k.opt.Mu)
-	h.U64(b2u(k.marginal))
 	h.U64(uint64(k.policy))
 	h.U64(b2u(k.mapSearch))
 	return h.Sum64()
