@@ -67,16 +67,16 @@ func TestKeyDigestsPinned(t *testing.T) {
 		{"Profile.Digest", prof.Digest(), 0x792db9390e7c9efd},
 		{"ZoneSet.Digest", zones.Digest(), 0x3e63f96d6e36a45c},
 		{"SingleZone digests like its profile", power.SingleZone(prof).Digest(), 0x792db9390e7c9efd},
-		{"solveKey.sum", key.sum(), 0xa5bc0bbcf0531f20},
+		{"solveKey.sum", key.sum(), 0x55bcb13892f02901},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %#016x, pinned %#016x", c.name, c.got, c.want)
 		}
 	}
-	if got, want := tierKey(key), "a5bc0bbcf0531f20"; got != want {
+	if got, want := tierKey(key), "55bcb13892f02901"; got != want {
 		t.Errorf("tierKey = %q, pinned %q", got, want)
 	}
-	if got, want := tier.owner(tierKey(key)).host, "h3:8080"; got != want {
+	if got, want := tier.owner(tierKey(key)).host, "h2:8080"; got != want {
 		t.Errorf("ring places the key on %q, pinned %q", got, want)
 	}
 }
