@@ -200,8 +200,6 @@ func (s *Solver) tierGet(ctx context.Context, key solveKey, job *solveJob) *Resp
 type MemoryTier struct {
 	mu    sync.Mutex
 	store lru[string, []byte]
-
-	gets, hits, puts int64
 }
 
 // DefaultMemoryTierEntries bounds a MemoryTier built without an explicit
@@ -225,12 +223,7 @@ func NewMemoryTier(maxEntries int) *MemoryTier {
 func (t *MemoryTier) Get(_ context.Context, key string) ([]byte, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.gets++
-	val, ok := t.store.get(key)
-	if ok {
-		t.hits++
-	}
-	return val, ok
+	return t.store.get(key)
 }
 
 // Put stores value under key, evicting the least-recently-used record
@@ -239,7 +232,6 @@ func (t *MemoryTier) Get(_ context.Context, key string) ([]byte, bool) {
 func (t *MemoryTier) Put(_ context.Context, key string, value []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.puts++
 	t.store.put(key, append([]byte(nil), value...))
 }
 
@@ -261,19 +253,6 @@ func (t *MemoryTier) Keys() []string {
 	return keys
 }
 
-// TierStats is a MemoryTier usage snapshot.
-type TierStats struct {
-	Gets, Hits, Puts int64
-	Entries          int
-}
-
-// Stats returns a snapshot of the tier's counters.
-func (t *MemoryTier) Stats() TierStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return TierStats{Gets: t.gets, Hits: t.hits, Puts: t.puts, Entries: t.store.len()}
-}
-
 // ParseCacheTier resolves a CLI tier spec (`schedd -cache-tier`):
 //
 //	""                       no tier (nil)
@@ -292,14 +271,19 @@ func ParseCacheTier(spec string) (CacheTier, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cache tier %q: %w", spec, err)
 		}
-		return NewPeerTier(hosts, PeerTierOptions{LocalEntries: entries})
+		tier, err := NewPeerTier(hosts, entries)
+		if err != nil {
+			return nil, fmt.Errorf("cache tier %q: %w", spec, err)
+		}
+		return tier, nil
 	default:
 		return nil, fmt.Errorf(`unknown cache tier %q (want "none" or "peers:<host,...>[:mem=<entries>]")`, spec)
 	}
 }
 
 // parsePeersSpec splits the body of a "peers:" tier spec into its host
-// list and the optional local-store bound from a trailing ":mem=N".
+// list (empty entries dropped; NewPeerTier validates the rest) and the
+// optional local-store bound from a trailing ":mem=N".
 func parsePeersSpec(body string) (hosts []string, entries int, err error) {
 	if i := strings.LastIndex(body, ":mem="); i >= 0 && !strings.Contains(body[i:], ",") {
 		entries, err = strconv.Atoi(body[i+len(":mem="):])
@@ -308,20 +292,5 @@ func parsePeersSpec(body string) (hosts []string, entries int, err error) {
 		}
 		body = body[:i]
 	}
-	seen := make(map[string]bool)
-	for _, host := range strings.Split(body, ",") {
-		host = strings.TrimSpace(host)
-		if host == "" {
-			continue
-		}
-		if seen[host] {
-			return nil, 0, fmt.Errorf("duplicate peer host %q", host)
-		}
-		seen[host] = true
-		hosts = append(hosts, host)
-	}
-	if len(hosts) == 0 {
-		return nil, 0, fmt.Errorf("empty peer host list")
-	}
-	return hosts, entries, nil
+	return strings.FieldsFunc(body, func(r rune) bool { return r == ',' }), entries, nil
 }

@@ -1,13 +1,23 @@
 package cawosched_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	cawosched "repro"
+	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // herdSolver builds a solver whose coalesced leader signals entered and
@@ -120,6 +130,90 @@ func TestSolveCoalescingHerd(t *testing.T) {
 	}
 	if after.Schedule.Start[0] != want0 {
 		t.Errorf("herd mutation leaked into the cache: start[0] = %d, want %d", after.Schedule.Start[0], want0)
+	}
+}
+
+// TestSolveCoalescingHerdHTTP is the herd gate on the serving stack: N
+// identical map-search bodies posted at once to POST /v1/solve while the
+// leader is held must all coalesce onto its one flight — every answer is
+// 200, exactly one is not marked coalesced, all carry the same cost and
+// schedule, and /metrics counts the N−1 followers.
+func TestSolveCoalescingHerdHTTP(t *testing.T) {
+	const N = 8
+	wf, err := cawosched.GenerateWorkflow(cawosched.Methylseq, 60, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver, _, release := herdSolver(t, 11)
+	ts := httptest.NewServer(server.New(solver, server.Config{}))
+	defer ts.Close()
+	body, err := json.Marshal(wire.SolveRequest{
+		Workflow: wire.FromDAG(wf), Variant: "pressWR-LS", Mapping: "map-search", Scenario: "S1", Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	statuses := make([]int, N)
+	bodies := make([][]byte, N)
+	errs := make([]error, N)
+	var wg sync.WaitGroup
+	for i := 0; i < N; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			statuses[i] = resp.StatusCode
+			bodies[i], errs[i] = io.ReadAll(resp.Body)
+		}(i)
+	}
+	awaitCoalesced(t, solver, N-1)
+	close(release)
+	wg.Wait()
+
+	var leaders int
+	var first wire.SolveResponse
+	for i := range bodies {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if statuses[i] != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, statuses[i], bodies[i])
+		}
+		var got wire.SolveResponse
+		if err := json.Unmarshal(bodies[i], &got); err != nil {
+			t.Fatal(err)
+		}
+		if !got.Coalesced {
+			leaders++
+		}
+		if i == 0 {
+			first = got
+			continue
+		}
+		if got.Cost != first.Cost || !reflect.DeepEqual(got.Schedule, first.Schedule) {
+			t.Errorf("request %d diverged: cost %d, want %d, or a different schedule", i, got.Cost, first.Cost)
+		}
+	}
+	if leaders != 1 {
+		t.Errorf("%d of %d answers lack \"coalesced\": true, want exactly 1", leaders, N)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("schedd_solve_coalesced_total %d\n", N-1); !strings.Contains(string(metrics), want) {
+		t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
 	}
 }
 

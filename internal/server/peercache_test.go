@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -38,7 +39,7 @@ func doRequest(t testing.TB, client *http.Client, method, url, contentType strin
 // through the tier-local store, 404 on miss, 400 on malformed keys or
 // empty bodies, 501 without a peer tier.
 func TestPeerCacheHandlers(t *testing.T) {
-	tier, err := cawosched.NewPeerTier(nil, cawosched.PeerTierOptions{})
+	tier, err := cawosched.NewPeerTier([]string{"h1:8080"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,75 +83,105 @@ func TestPeerCacheHandlers(t *testing.T) {
 	}
 }
 
-// TestServerFleetCacheExchange is the tentpole acceptance test at the
-// server layer: two schedd instances sharing a peer ring share warm
-// solves — instance B's first sight of a request instance A already
-// solved is a tier hit (CacheHit over the wire, TierHits in stats,
-// per-peer hit on /metrics), with zero tier errors or timeouts.
+// TestServerFleetCacheExchange is the fleet acceptance test at the server
+// layer: three schedd instances sharing a peer ring share warm solves.
+// Requests solved on A are, at their first sight on B and on C, tier hits
+// (CacheHit over the wire, TierHits in stats, per-peer hits on /metrics)
+// with zero tier errors or timeouts. A solves until B and C each own a
+// record, so each reader fetches at least one key owned by neither the
+// solver nor itself.
 func TestServerFleetCacheExchange(t *testing.T) {
-	newInstance := func() (*cawosched.PeerTier, *cawosched.Solver, *httptest.Server) {
-		tier, err := cawosched.NewPeerTier(nil, cawosched.PeerTierOptions{})
+	// The ring is fixed at construction, so every listener is bound before
+	// any tier is built.
+	const n = 3
+	servers := make([]*httptest.Server, n)
+	hosts := make([]string, n)
+	for i := range servers {
+		servers[i] = httptest.NewUnstartedServer(nil)
+		hosts[i] = servers[i].Listener.Addr().String()
+	}
+	tiers := make([]*cawosched.PeerTier, n)
+	solvers := make([]*cawosched.Solver, n)
+	for i, ts := range servers {
+		tier, err := cawosched.NewPeerTier(hosts, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		solver := cawosched.NewSolver(cawosched.SmallCluster(7), cawosched.WithCacheTier(tier))
-		ts := httptest.NewServer(New(solver, Config{PeerTier: tier}))
+		tiers[i] = tier
+		solvers[i] = cawosched.NewSolver(cawosched.SmallCluster(7), cawosched.WithCacheTier(tier))
+		ts.Config.Handler = New(solvers[i], Config{PeerTier: tier})
+		ts.Start()
 		t.Cleanup(ts.Close)
-		return tier, solver, ts
 	}
-	tierA, _, tsA := newInstance()
-	tierB, solverB, tsB := newInstance()
-	hosts := []string{tsA.Listener.Addr().String(), tsB.Listener.Addr().String()}
-	for _, tier := range []*cawosched.PeerTier{tierA, tierB} {
-		if err := tier.SetPeers(hosts); err != nil {
+	landed := func() (total int) {
+		for _, tier := range tiers {
+			total += tier.Local().Len()
+		}
+		return total
+	}
+	solve := func(ts *httptest.Server, seed uint64) wire.SolveResponse {
+		t.Helper()
+		req := pinnedWireRequest(t)
+		req.Seed = seed
+		resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/solve", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve seed %d on %s: %d: %s", seed, ts.Listener.Addr(), resp.StatusCode, raw)
+		}
+		var got wire.SolveResponse
+		if err := json.Unmarshal(raw, &got); err != nil {
 			t.Fatal(err)
 		}
+		return got
 	}
 
-	// Solve on A; the record ships asynchronously to the key's ring owner.
-	resp, raw := postJSON(t, tsA.Client(), tsA.URL+"/v1/solve", pinnedWireRequest(t))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("solve on A: %d: %s", resp.StatusCode, raw)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for tierA.Local().Len()+tierB.Local().Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("record never landed on a ring owner")
+	// Solve distinct requests on A; each record ships asynchronously to
+	// its ring owner.
+	var seeds uint64
+	for seeds < 4 || tiers[1].Local().Len() == 0 || tiers[2].Local().Len() == 0 {
+		if seeds == 64 {
+			t.Fatalf("after %d requests B owns %d and C %d records", seeds, tiers[1].Local().Len(), tiers[2].Local().Len())
 		}
-		time.Sleep(2 * time.Millisecond)
+		seeds++
+		if got := solve(servers[0], seeds); got.CacheHit {
+			t.Fatalf("cold solve of seed %d on A reported a hit", seeds)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for landed() < int(seeds) {
+			if time.Now().After(deadline) {
+				t.Fatalf("record of seed %d never landed on a ring owner", seeds)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
 	}
 
-	// The same request on B is served from the ring, not re-solved.
-	resp, raw = postJSON(t, tsB.Client(), tsB.URL+"/v1/solve", pinnedWireRequest(t))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("solve on B: %d: %s", resp.StatusCode, raw)
-	}
-	var got wire.SolveResponse
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !got.CacheHit {
-		t.Error("B's first solve of A's request was not a tier hit")
-	}
-	if st := solverB.Stats(); st.TierHits != 1 {
-		t.Errorf("B solver stats = %+v, want 1 tier hit", st)
-	}
-	var hits int64
-	for _, ps := range tierB.Stats() {
-		hits += ps.Hits
-		if ps.Errors != 0 || ps.Timeouts != 0 {
-			t.Errorf("peer %s: %+v, want zero errors/timeouts", ps.Peer, ps)
+	// Every first sight on B and on C is served from the ring, not
+	// re-solved.
+	for i := 1; i < n; i++ {
+		for seed := uint64(1); seed <= seeds; seed++ {
+			if got := solve(servers[i], seed); !got.CacheHit {
+				t.Errorf("instance %d: first solve of seed %d was not a tier hit", i, seed)
+			}
 		}
-		if ps.BreakerOpen {
-			t.Errorf("peer %s breaker open on a healthy fleet", ps.Peer)
+		if st := solvers[i].Stats(); st.TierHits != int64(seeds) {
+			t.Errorf("instance %d solver stats = %+v, want %d tier hits", i, st, seeds)
 		}
-	}
-	if hits != 1 {
-		t.Errorf("B's tier recorded %d hits, want 1", hits)
+		var hits int64
+		for _, ps := range tiers[i].Stats() {
+			hits += ps.Hits
+			if ps.Errors != 0 || ps.Timeouts != 0 {
+				t.Errorf("instance %d, peer %s: %+v, want zero errors/timeouts", i, ps.Peer, ps)
+			}
+			if ps.BreakerOpen {
+				t.Errorf("instance %d, peer %s breaker open on a healthy fleet", i, ps.Peer)
+			}
+		}
+		if hits != int64(seeds) {
+			t.Errorf("instance %d tier recorded %d hits, want %d", i, hits, seeds)
+		}
 	}
 
 	// B's /metrics expose the per-peer families and the breaker gauge.
-	mresp, mbody := getBody(t, tsB.Client(), tsB.URL+"/metrics")
+	mresp, mbody := getBody(t, servers[1].Client(), servers[1].URL+"/metrics")
 	if mresp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: %d", mresp.StatusCode)
 	}
@@ -161,7 +192,7 @@ func TestServerFleetCacheExchange(t *testing.T) {
 		"schedd_cache_tier_errors_total{peer=",
 		"schedd_cache_tier_timeouts_total{peer=",
 		"schedd_cache_tier_breaker_open{peer=",
-		"schedd_solver_tier_hits_total 1",
+		"schedd_solver_tier_hits_total " + strconv.FormatUint(seeds, 10),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

@@ -54,7 +54,7 @@ func TestKeyDigestsPinned(t *testing.T) {
 		mapSearch: false,
 	}
 
-	tier, err := NewPeerTier([]string{"h1:8080", "h2:8080", "h3:8080"}, PeerTierOptions{})
+	tier, err := NewPeerTier([]string{"h1:8080", "h2:8080", "h3:8080"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cawosched
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -34,10 +35,10 @@ import (
 //     context AND a per-peer timeout. A slow, dead, or unreachable owner
 //     degrades the lookup to a local miss; the solver falls through to a
 //     real solve. Get never returns an error.
-//   - Circuit breaker: BreakerFailures consecutive failures open a
-//     per-peer breaker for BreakerCooldown; while open, lookups and puts
-//     for that peer short-circuit to misses/drops without touching the
-//     network, so a dead peer costs nothing after the first few timeouts.
+//   - Circuit breaker: three consecutive failures open a per-peer
+//     breaker for two seconds; while open, lookups and puts for that
+//     peer short-circuit to misses/drops without touching the network,
+//     so a dead peer costs nothing after the first few timeouts.
 //   - Fire-and-forget Put: records are shipped from a bounded set of
 //     background workers on detached contexts; when all slots are busy
 //     the record is dropped (only costing a future re-solve). A slow
@@ -48,60 +49,28 @@ import (
 // both carbon costs recomputed), so a corrupt or version-skewed peer
 // response is a miss, never a wrong answer.
 type PeerTier struct {
-	opts   PeerTierOptions
 	local  *MemoryTier
 	client *http.Client
 	putSem chan struct{}
+	peers  []*peerState // in listed order
+	ring   []ringPoint  // sorted by hash; owner = first point clockwise of the key
 
-	mu    sync.RWMutex
-	peers []*peerState
-	ring  []ringPoint // sorted by hash; owner = first point clockwise of the key
+	// timeout bounds each peer request. It is the tier's worst-case
+	// latency cost: a dead un-broken peer delays a lookup by at most this
+	// before the solver falls through to a real solve.
+	timeout time.Duration
+	// breakerFailures consecutive failures open a peer's breaker for
+	// breakerCooldown.
+	breakerFailures int
+	breakerCooldown time.Duration
+	// maxRecordBytes caps a fetched record body (the server's
+	// request-body bound).
+	maxRecordBytes int64
 }
 
-// PeerTierOptions tunes a PeerTier; zero values select the defaults.
-type PeerTierOptions struct {
-	// Timeout bounds each peer request (default 150ms). It is the tier's
-	// worst-case latency cost: a dead un-broken peer delays a lookup by
-	// at most this before the solver falls through to a real solve.
-	Timeout time.Duration
-	// BreakerFailures is how many consecutive failures open a peer's
-	// circuit breaker (default 3).
-	BreakerFailures int
-	// BreakerCooldown is how long an open breaker skips its peer before
-	// the next probe (default 2s).
-	BreakerCooldown time.Duration
-	// LocalEntries bounds the local store this instance contributes to
-	// the ring (<= 0 selects DefaultMemoryTierEntries).
-	LocalEntries int
-	// Replicas is the number of virtual ring points per host (default
-	// 64); more points smooth the key distribution across peers.
-	Replicas int
-	// Client overrides the HTTP client (tests); nil builds a dedicated
-	// one with pooled connections per peer.
-	Client *http.Client
-	// MaxRecordBytes caps a fetched record body (default 8 MiB, matching
-	// the server's request-body bound).
-	MaxRecordBytes int64
-}
-
-func (o PeerTierOptions) withDefaults() PeerTierOptions {
-	if o.Timeout <= 0 {
-		o.Timeout = 150 * time.Millisecond
-	}
-	if o.BreakerFailures <= 0 {
-		o.BreakerFailures = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 2 * time.Second
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 64
-	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = 8 << 20
-	}
-	return o
-}
+// ringReplicas is the number of virtual ring points per host; more
+// points smooth the key distribution across peers.
+const ringReplicas = 64
 
 // maxAsyncPuts bounds the in-flight fire-and-forget record shipments;
 // further puts are dropped (and counted) rather than queued.
@@ -139,83 +108,59 @@ type PeerStats struct {
 	BreakerOpen bool
 }
 
-// NewPeerTier builds a tier over the given hosts ("host:port" or a full
-// http(s) URL). An empty host list is allowed at construction — the
-// fleet harness starts its servers first and installs the ring with
-// SetPeers — but every Get misses and every Put drops until peers are
-// set. ParseCacheTier builds the tier directly from a
-// "peers:h1,h2[:mem=N]" spec.
-func NewPeerTier(hosts []string, opts PeerTierOptions) (*PeerTier, error) {
-	opts = opts.withDefaults()
-	client := opts.Client
-	if client == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = 16
-		client = &http.Client{Transport: tr}
+// NewPeerTier builds a tier over a fixed fleet: hosts ("host:port" or a
+// full http(s) URL) must be non-empty, non-blank and distinct, and every
+// member must be given the same list (order-insensitive — ring placement
+// hashes the host spelling) for the key→owner mapping to agree across
+// instances. localEntries bounds the store this instance contributes to
+// the ring (<= 0 selects DefaultMemoryTierEntries). ParseCacheTier builds
+// the tier from a "peers:h1,h2[:mem=N]" spec.
+func NewPeerTier(hosts []string, localEntries int) (*PeerTier, error) {
+	if len(hosts) == 0 {
+		return nil, errors.New("cawosched: peer tier: empty peer host list")
 	}
-	t := &PeerTier{
-		opts:   opts,
-		local:  NewMemoryTier(opts.LocalEntries),
-		client: client,
-		putSem: make(chan struct{}, maxAsyncPuts),
-	}
-	if err := t.SetPeers(hosts); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// SetPeers replaces the ring's host list. Every fleet member must be
-// given the same list (order-insensitive — ring placement hashes the
-// host spelling) for the key→owner mapping to agree across instances.
-// Counters and breaker state of hosts present in both lists carry over.
-func (t *PeerTier) SetPeers(hosts []string) error {
 	seen := make(map[string]bool, len(hosts))
 	peers := make([]*peerState, 0, len(hosts))
-	t.mu.RLock()
-	old := make(map[string]*peerState, len(t.peers))
-	for _, p := range t.peers {
-		old[p.host] = p
-	}
-	t.mu.RUnlock()
+	ring := make([]ringPoint, 0, len(hosts)*ringReplicas)
 	for _, host := range hosts {
 		host = strings.TrimSpace(host)
 		if host == "" {
-			return fmt.Errorf("cawosched: peer tier: empty peer host")
+			return nil, errors.New("cawosched: peer tier: blank peer host")
 		}
 		if seen[host] {
-			return fmt.Errorf("cawosched: peer tier: duplicate peer host %q", host)
+			return nil, fmt.Errorf("cawosched: peer tier: duplicate peer host %q", host)
 		}
 		seen[host] = true
-		if p := old[host]; p != nil {
-			peers = append(peers, p)
-			continue
-		}
 		base := host
 		if !strings.Contains(base, "://") {
 			base = "http://" + base
 		}
-		peers = append(peers, &peerState{host: host, base: strings.TrimRight(base, "/")})
-	}
-	ring := make([]ringPoint, 0, len(peers)*t.opts.Replicas)
-	for _, p := range peers {
-		for r := 0; r < t.opts.Replicas; r++ {
+		p := &peerState{host: host, base: strings.TrimRight(base, "/")}
+		peers = append(peers, p)
+		for r := 0; r < ringReplicas; r++ {
 			h := dag.NewHash()
-			h.Str(p.host + "#" + strconv.Itoa(r))
+			h.Str(host + "#" + strconv.Itoa(r))
 			ring = append(ring, ringPoint{hash: h.Sum64(), peer: p})
 		}
 	}
 	sort.Slice(ring, func(i, j int) bool { return ring[i].hash < ring[j].hash })
-	t.mu.Lock()
-	t.peers, t.ring = peers, ring
-	t.mu.Unlock()
-	return nil
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = 16
+	return &PeerTier{
+		local:           NewMemoryTier(localEntries),
+		client:          &http.Client{Transport: tr},
+		putSem:          make(chan struct{}, maxAsyncPuts),
+		peers:           peers,
+		ring:            ring,
+		timeout:         150 * time.Millisecond,
+		breakerFailures: 3,
+		breakerCooldown: 2 * time.Second,
+		maxRecordBytes:  8 << 20,
+	}, nil
 }
 
-// Peers returns the current host list, in listed order.
+// Peers returns the host list, in listed order.
 func (t *PeerTier) Peers() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	hosts := make([]string, len(t.peers))
 	for i, p := range t.peers {
 		hosts[i] = p.host
@@ -228,13 +173,8 @@ func (t *PeerTier) Peers() []string {
 func (t *PeerTier) Local() *MemoryTier { return t.local }
 
 // owner returns the ring member owning key: the first virtual node
-// clockwise of the key's hash. nil when the ring is empty.
+// clockwise of the key's hash.
 func (t *PeerTier) owner(key string) *peerState {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if len(t.ring) == 0 {
-		return nil
-	}
 	h := dag.NewHash()
 	h.Str(key)
 	sum := h.Sum64()
@@ -273,14 +213,14 @@ func (p *peerState) succeed() {
 }
 
 // Get fetches the record from the key's ring owner. Every failure mode —
-// empty ring, open breaker, canceled context, timeout, connection error,
-// non-200 status, a record over MaxRecordBytes — is a plain miss; the only
+// open breaker, canceled context, timeout, connection error, non-200
+// status, a record over maxRecordBytes — is a plain miss; the only
 // error-free path to a hit is a 200 with a readable body within the cap.
 // (The body is still untrusted: the solver validates it structurally
 // before serving.)
 func (t *PeerTier) Get(ctx context.Context, key string) ([]byte, bool) {
 	p := t.owner(key)
-	if p == nil || ctx.Err() != nil {
+	if ctx.Err() != nil {
 		return nil, false
 	}
 	now := time.Now()
@@ -288,7 +228,7 @@ func (t *PeerTier) Get(ctx context.Context, key string) ([]byte, bool) {
 		return nil, false
 	}
 	p.gets.Add(1)
-	rctx, cancel := context.WithTimeout(ctx, t.opts.Timeout)
+	rctx, cancel := context.WithTimeout(ctx, t.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodGet, p.base+wire.CachePathPrefix+key, nil)
 	if err != nil {
@@ -305,14 +245,14 @@ func (t *PeerTier) Get(ctx context.Context, key string) ([]byte, bool) {
 	case http.StatusOK:
 		// One byte past the cap tells an oversized record from one that
 		// fills it exactly.
-		data, err := io.ReadAll(io.LimitReader(resp.Body, t.opts.MaxRecordBytes+1))
+		data, err := io.ReadAll(io.LimitReader(resp.Body, t.maxRecordBytes+1))
 		if err != nil {
 			t.requestFailed(p, rctx, err)
 			return nil, false
 		}
-		if int64(len(data)) > t.opts.MaxRecordBytes {
+		if int64(len(data)) > t.maxRecordBytes {
 			p.errors.Add(1)
-			p.fail(t.opts.BreakerFailures, t.opts.BreakerCooldown, time.Now())
+			p.fail(t.breakerFailures, t.breakerCooldown, time.Now())
 			return nil, false
 		}
 		p.hits.Add(1)
@@ -325,7 +265,7 @@ func (t *PeerTier) Get(ctx context.Context, key string) ([]byte, bool) {
 	default:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
 		p.errors.Add(1)
-		p.fail(t.opts.BreakerFailures, t.opts.BreakerCooldown, time.Now())
+		p.fail(t.breakerFailures, t.breakerCooldown, time.Now())
 		return nil, false
 	}
 }
@@ -338,19 +278,19 @@ func (t *PeerTier) requestFailed(p *peerState, rctx context.Context, err error) 
 	} else {
 		p.errors.Add(1)
 	}
-	p.fail(t.opts.BreakerFailures, t.opts.BreakerCooldown, time.Now())
+	p.fail(t.breakerFailures, t.breakerCooldown, time.Now())
 }
 
 // Put ships the record to the key's ring owner from a background worker,
 // bounded by the async-put slots: the solve path never waits on a peer.
 // The record is dropped — counted, never queued unboundedly — when the
-// ring is empty, the owner's breaker is open, or all slots are busy. The
-// caller's context only gates the decision to ship (a canceled request
-// stops spending work); the shipment itself runs on a detached context
-// so a response already computed still reaches the ring.
+// owner's breaker is open or all slots are busy. The caller's context
+// only gates the decision to ship (a canceled request stops spending
+// work); the shipment itself runs on a detached context so a response
+// already computed still reaches the ring.
 func (t *PeerTier) Put(ctx context.Context, key string, value []byte) {
 	p := t.owner(key)
-	if p == nil || ctx.Err() != nil {
+	if ctx.Err() != nil {
 		return
 	}
 	if p.breakerOpen(time.Now()) {
@@ -366,9 +306,9 @@ func (t *PeerTier) Put(ctx context.Context, key string, value []byte) {
 	data := append([]byte(nil), value...)
 	go func() {
 		defer func() { <-t.putSem }()
-		rctx, cancel := context.WithTimeout(context.Background(), t.opts.Timeout)
+		rctx, cancel := context.WithTimeout(context.Background(), t.timeout)
 		defer cancel()
-		req, err := http.NewRequestWithContext(rctx, http.MethodPut, p.base+wire.CachePathPrefix+key, strings.NewReader(string(data)))
+		req, err := http.NewRequestWithContext(rctx, http.MethodPut, p.base+wire.CachePathPrefix+key, bytes.NewReader(data))
 		if err != nil {
 			p.errors.Add(1)
 			return
@@ -383,7 +323,7 @@ func (t *PeerTier) Put(ctx context.Context, key string, value []byte) {
 		resp.Body.Close()
 		if resp.StatusCode/100 != 2 {
 			p.errors.Add(1)
-			p.fail(t.opts.BreakerFailures, t.opts.BreakerCooldown, time.Now())
+			p.fail(t.breakerFailures, t.breakerCooldown, time.Now())
 			return
 		}
 		p.puts.Add(1)
@@ -396,12 +336,9 @@ func (t *PeerTier) Put(ctx context.Context, key string, value []byte) {
 // schedd_cache_tier_{gets,hits,errors,timeouts}_total{peer} and
 // schedd_cache_tier_breaker_open{peer}.
 func (t *PeerTier) Stats() []PeerStats {
-	t.mu.RLock()
-	peers := t.peers
-	t.mu.RUnlock()
 	now := time.Now()
-	out := make([]PeerStats, len(peers))
-	for i, p := range peers {
+	out := make([]PeerStats, len(t.peers))
+	for i, p := range t.peers {
 		out[i] = PeerStats{
 			Peer:        p.host,
 			Gets:        p.gets.Load(),

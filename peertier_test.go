@@ -55,15 +55,21 @@ func newTestPeer(t *testing.T) *testPeer {
 func (p *testPeer) host() string { return p.srv.Listener.Addr().String() }
 
 // TestPeerTierRingPlacement: every instance given the same host list —
-// in any order — agrees on each key's owner, and virtual nodes spread
-// ownership across all peers.
+// in any order — agrees on each key's owner, virtual nodes spread
+// ownership across all peers, a changed host list re-ranks only what it
+// must (dropping a host moves only the keys that host owned), and a bad
+// host list is refused.
 func TestPeerTierRingPlacement(t *testing.T) {
 	hosts := []string{"h1:8080", "h2:8080", "h3:8080"}
-	a, err := NewPeerTier(hosts, PeerTierOptions{})
+	a, err := NewPeerTier(hosts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewPeerTier([]string{"h3:8080", "h1:8080", "h2:8080"}, PeerTierOptions{})
+	b, err := NewPeerTier([]string{"h3:8080", "h1:8080", "h2:8080"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrunk, err := NewPeerTier(hosts[:2], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +81,9 @@ func TestPeerTierRingPlacement(t *testing.T) {
 			t.Fatalf("key %s: owner %s vs %s across identical rings", key, oa.host, ob.host)
 		}
 		owned[oa.host]++
+		if os2 := shrunk.owner(key); oa.host != "h3:8080" && os2.host != oa.host {
+			t.Fatalf("key %s moved from %s to %s when only h3 left the ring", key, oa.host, os2.host)
+		}
 	}
 	for _, h := range hosts {
 		if owned[h] < 100 {
@@ -82,21 +91,11 @@ func TestPeerTierRingPlacement(t *testing.T) {
 		}
 	}
 
-	// SetPeers with a changed list re-ranks only what it must; a removed
-	// host owns nothing.
-	if err := a.SetPeers(hosts[:2]); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if o := a.owner(strconv.Itoa(i)); o.host == "h3:8080" {
-			t.Fatal("removed host still owns keys")
+	// The constructor is the one place a host list is validated.
+	for _, bad := range [][]string{nil, {"h1:8080", " "}, {"h1:8080", "h1:8080"}, {"h1:8080", " h1:8080"}} {
+		if _, err := NewPeerTier(bad, 0); err == nil {
+			t.Errorf("NewPeerTier(%q) accepted an empty, blank or duplicate host list", bad)
 		}
-	}
-	if err := a.SetPeers([]string{"h1:8080", "h1:8080"}); err == nil {
-		t.Error("SetPeers accepted a duplicate host")
-	}
-	if err := a.SetPeers([]string{"h1:8080", " "}); err == nil {
-		t.Error("SetPeers accepted a blank host")
 	}
 }
 
@@ -105,7 +104,7 @@ func TestPeerTierRingPlacement(t *testing.T) {
 func TestPeerTierExchange(t *testing.T) {
 	p0, p1 := newTestPeer(t), newTestPeer(t)
 	hosts := []string{p0.host(), p1.host()}
-	tier, err := NewPeerTier(hosts, PeerTierOptions{})
+	tier, err := NewPeerTier(hosts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +176,11 @@ func TestPeerTierTimeoutToMiss(t *testing.T) {
 		}
 	}))
 	defer slow.Close()
-	tier, err := NewPeerTier([]string{slow.Listener.Addr().String()},
-		PeerTierOptions{Timeout: 30 * time.Millisecond, BreakerFailures: 100})
+	tier, err := NewPeerTier([]string{slow.Listener.Addr().String()}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tier.timeout, tier.breakerFailures = 30*time.Millisecond, 100
 	start := time.Now()
 	if _, ok := tier.Get(context.Background(), "abc123"); ok {
 		t.Error("slow peer produced a hit")
@@ -194,7 +193,7 @@ func TestPeerTierTimeoutToMiss(t *testing.T) {
 	}
 }
 
-// TestPeerTierOversizedRecord: a record one byte over MaxRecordBytes is
+// TestPeerTierOversizedRecord: a record one byte over maxRecordBytes is
 // an error and a miss, never a truncated hit; one that fills the cap
 // exactly is a hit.
 func TestPeerTierOversizedRecord(t *testing.T) {
@@ -205,10 +204,11 @@ func TestPeerTierOversizedRecord(t *testing.T) {
 		w.Write(make([]byte, size.Load()))
 	}))
 	defer peer.Close()
-	tier, err := NewPeerTier([]string{peer.Listener.Addr().String()}, PeerTierOptions{MaxRecordBytes: limit})
+	tier, err := NewPeerTier([]string{peer.Listener.Addr().String()}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tier.maxRecordBytes = limit
 	if data, ok := tier.Get(context.Background(), "abc123"); ok {
 		t.Errorf("oversized record served as a %d-byte hit", len(data))
 	}
@@ -228,14 +228,11 @@ func TestPeerTierBreaker(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	host := dead.Listener.Addr().String()
 	dead.Close() // connection refused from here on
-	tier, err := NewPeerTier([]string{host}, PeerTierOptions{
-		Timeout:         50 * time.Millisecond,
-		BreakerFailures: 2,
-		BreakerCooldown: 150 * time.Millisecond,
-	})
+	tier, err := NewPeerTier([]string{host}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tier.timeout, tier.breakerFailures, tier.breakerCooldown = 50*time.Millisecond, 2, 150*time.Millisecond
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
 		if _, ok := tier.Get(ctx, "abc"); ok {
@@ -271,11 +268,11 @@ func TestPeerTierBreaker(t *testing.T) {
 // serve.
 func TestPeerTierDeadPeerDegradation(t *testing.T) {
 	p0, p1 := newTestPeer(t), newTestPeer(t)
-	tier, err := NewPeerTier([]string{p0.host(), p1.host()},
-		PeerTierOptions{Timeout: 100 * time.Millisecond, BreakerFailures: 3})
+	tier, err := NewPeerTier([]string{p0.host(), p1.host()}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tier.timeout = 100 * time.Millisecond
 	ctx := context.Background()
 	var deadKey, liveKey string
 	for i := 0; deadKey == "" || liveKey == ""; i++ {
@@ -312,20 +309,5 @@ func TestPeerTierDeadPeerDegradation(t *testing.T) {
 		} else if ps.Errors+ps.Timeouts != 0 {
 			t.Errorf("live peer %s recorded failures: %+v", ps.Peer, ps)
 		}
-	}
-}
-
-// TestPeerTierEmptyRing: a tier before SetPeers misses and drops quietly.
-func TestPeerTierEmptyRing(t *testing.T) {
-	tier, err := NewPeerTier(nil, PeerTierOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tier.Get(context.Background(), "ab"); ok {
-		t.Error("empty ring produced a hit")
-	}
-	tier.Put(context.Background(), "ab", []byte("x")) // must not panic
-	if got := tier.Peers(); len(got) != 0 {
-		t.Errorf("Peers() = %v, want empty", got)
 	}
 }
