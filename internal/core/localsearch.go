@@ -15,19 +15,23 @@ import (
 // round of it: processors by non-increasing P_work, ties by id, and on
 // each processor its tasks left to right.
 func scanOrder(inst *ceg.Instance) []int {
-	procs := make([]int, 0, len(inst.Order))
-	for p := range inst.Order {
-		procs = append(procs, p)
+	type proc struct {
+		work int64
+		id   int
 	}
-	slices.SortFunc(procs, func(p, q int) int {
-		if c := cmp.Compare(inst.Cluster.Proc(q).Type.Work, inst.Cluster.Proc(p).Type.Work); c != 0 {
+	procs := make([]proc, 0, len(inst.Order))
+	for p := range inst.Order {
+		procs = append(procs, proc{inst.Cluster.Proc(p).Type.Work, p})
+	}
+	slices.SortFunc(procs, func(p, q proc) int {
+		if c := cmp.Compare(q.work, p.work); c != 0 {
 			return c
 		}
-		return cmp.Compare(p, q)
+		return cmp.Compare(p.id, q.id)
 	})
 	seq := make([]int, 0, inst.N())
 	for _, p := range procs {
-		seq = append(seq, inst.Order[p]...)
+		seq = append(seq, inst.Order[p.id]...)
 	}
 	return seq
 }

@@ -80,6 +80,10 @@ func newRepeatServer(t testing.TB, opts ...cawosched.SolverOption) (*cawosched.S
 	return solver, ts
 }
 
+// timingsKey opens the last member of a rendered wire.SolveResponse: what
+// comes before it is the same for every answer to the same request.
+const timingsKey = ",\n  \"timings\": ["
+
 // beforeTimings cuts a rendered answer where its timings begin.
 func beforeTimings(t testing.TB, raw []byte) []byte {
 	t.Helper()

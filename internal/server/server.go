@@ -521,12 +521,10 @@ func buildResponse(res *cawosched.Response) *wire.SolveResponse {
 		Coalesced:    res.Coalesced,
 		Schedule:     schedule.Export(res.Instance, res.Schedule),
 		Zones:        zones,
+		Timings:      res.Timings,
 	}
 	if res.Zones.Single() {
 		out.Intervals = zones[0].Intervals
-	}
-	for _, t := range res.Timings {
-		out.Timings = append(out.Timings, wire.StageTiming{Stage: t.Stage, Micros: t.Micros})
 	}
 	return out
 }
@@ -572,27 +570,6 @@ func solveOutcome(resp *wire.SolveResponse, werr *wire.Error) string {
 	}
 }
 
-// timingsKey opens the last member of a rendered wire.SolveResponse: what
-// comes before it is the same for every answer to the same request.
-const timingsKey = ",\n  \"timings\": ["
-
-// appendTimings renders a solve answer's timings member and closes the
-// body, byte for byte as encodeJSON does.
-func appendTimings(b []byte, timings []obs.StageTiming) []byte {
-	b = append(b, timingsKey...)
-	for i, t := range timings {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, "\n    {\n      \"stage\": \""...)
-		b = append(b, t.Stage...) // an obs.Stage* constant: nothing to escape
-		b = append(b, "\",\n      \"micros\": "...)
-		b = strconv.AppendInt(b, t.Micros, 10)
-		b = append(b, "\n    }"...)
-	}
-	return append(b, "\n  ]\n}\n"...)
-}
-
 // writeAnswer sends a rendered solve answer in up to two pieces.
 func writeAnswer(w http.ResponseWriter, head, tail []byte) {
 	w.Header().Set("Content-Type", "application/json")
@@ -620,7 +597,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			s.metrics.addCarbon(c.Zone, c.Green, c.Brown)
 		}
 		body.Reset() // recalled: the request's bytes have done their work
-		writeAnswer(w, answer.Body, appendTimings(body.AvailableBuffer(), timings))
+		writeAnswer(w, answer.Body, wire.AppendTimings(body.AvailableBuffer(), timings))
 		return
 	}
 
@@ -637,21 +614,18 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	out := bufPool.Get().(*bytes.Buffer)
 	defer putBuf(out)
-	encodeJSON(out, resp)
-	writeAnswer(w, out.Bytes(), nil)
+	out.Write(resp.AppendHead(out.AvailableBuffer()))
+	head := out.Bytes()
+	writeAnswer(w, head, wire.AppendTimings(out.AvailableBuffer(), resp.Timings))
 	if res.Repeatable() {
-		s.remember(body.Bytes(), res, resp, out.Bytes())
+		s.remember(body.Bytes(), res, resp, head)
 	}
 }
 
 // remember stores the answer just sent beside the body it answered: the
 // bytes up to the timings, and the energy observeCarbon counted for it.
-func (s *Server) remember(body []byte, res *cawosched.Response, resp *wire.SolveResponse, sent []byte) {
-	cut := bytes.LastIndex(sent, []byte(timingsKey))
-	if cut < 0 {
-		return
-	}
-	answer := &cawosched.Answer{Body: bytes.Clone(sent[:cut]), Carbon: make([]cawosched.ZoneCarbon, len(resp.Zones))}
+func (s *Server) remember(body []byte, res *cawosched.Response, resp *wire.SolveResponse, head []byte) {
+	answer := &cawosched.Answer{Body: bytes.Clone(head), Carbon: make([]cawosched.ZoneCarbon, len(resp.Zones))}
 	for i, z := range resp.Zones {
 		green, brown := zoneEnergy(z)
 		answer.Carbon[i] = cawosched.ZoneCarbon{Zone: z.Zone, Green: green, Brown: brown}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"repro/internal/obs"
 	"repro/internal/schedule"
 )
 
@@ -80,11 +81,9 @@ type SolveResponse struct {
 	Timings []StageTiming `json:"timings,omitempty"`
 }
 
-// StageTiming is one top-level solve stage's wall-clock duration.
-type StageTiming struct {
-	Stage  string `json:"stage"`
-	Micros int64  `json:"micros"`
-}
+// StageTiming is one top-level solve stage's wall-clock duration, as the
+// solver measures it.
+type StageTiming = obs.StageTiming
 
 // Error is the uniform error body: a stable machine-readable code from
 // internal/scherr plus a human-readable message.
