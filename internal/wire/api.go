@@ -50,7 +50,10 @@ type SolveRequest struct {
 }
 
 // SolveResponse is the body of a successful solve: the schedule, its
-// costs, and the per-interval carbon breakdown.
+// costs, and the per-interval carbon breakdown. It renders itself
+// (AppendJSON), so a new field, here or in a type it holds, needs a line
+// in encode.go; TestSolveResponseJSONCoversEveryField fails until it has
+// one.
 type SolveResponse struct {
 	Variant      string `json:"variant"`
 	Mapping      string `json:"mapping"`       // mapping policy of the plan (the winner for map-search)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	cawosched "repro"
@@ -18,12 +17,11 @@ import (
 // 3-zone cluster.
 func BenchmarkSolveResponseJSON(b *testing.B) {
 	solver := cawosched.NewSolver(cawosched.SmallZonedCluster(42, 3))
-	for _, n := range []int{200, 1000} {
-		size := fmt.Sprint(n)
-		if n == 1000 {
-			size = "1k"
-		}
-		wf, err := cawosched.GenerateWorkflow(cawosched.Atacseq, n, 7)
+	for _, size := range []struct {
+		name  string
+		tasks int
+	}{{"200", 200}, {"1k", 1000}} {
+		wf, err := cawosched.GenerateWorkflow(cawosched.Atacseq, size.tasks, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,7 +51,7 @@ func BenchmarkSolveResponseJSON(b *testing.B) {
 			Timings:  res.Timings,
 		}
 
-		b.Run("encode-"+size, func(b *testing.B) {
+		b.Run("encode-"+size.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var out []byte
 			for b.Loop() {
@@ -61,7 +59,7 @@ func BenchmarkSolveResponseJSON(b *testing.B) {
 			}
 			b.SetBytes(int64(len(out)))
 		})
-		b.Run("decode-"+size, func(b *testing.B) {
+		b.Run("decode-"+size.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for b.Loop() {
