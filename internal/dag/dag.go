@@ -202,9 +202,10 @@ func (d *DAG) Clone() *DAG {
 
 // Validate checks structural invariants: edge endpoints in range, no
 // self-loops, no duplicate edges, positive task weights, non-negative edge
-// weights, and acyclicity. It returns the first violation found.
+// weights, and acyclicity. It returns the first violation found: edges in
+// order, then tasks, then cycles.
 func (d *DAG) Validate() error {
-	seen := make(map[[2]int]bool, len(d.Edges))
+	dup := d.firstDuplicate()
 	for i, e := range d.Edges {
 		if e.From < 0 || e.From >= d.N() || e.To < 0 || e.To >= d.N() {
 			return fmt.Errorf("dag: edge %d (%d→%d) endpoint out of range", i, e.From, e.To)
@@ -215,11 +216,9 @@ func (d *DAG) Validate() error {
 		if e.Weight < 0 {
 			return fmt.Errorf("dag: edge %d (%d→%d) has negative weight %d", i, e.From, e.To, e.Weight)
 		}
-		key := [2]int{e.From, e.To}
-		if seen[key] {
+		if i == dup {
 			return fmt.Errorf("dag: duplicate edge %d→%d", e.From, e.To)
 		}
-		seen[key] = true
 	}
 	for v, t := range d.Tasks {
 		if t.Weight <= 0 {
@@ -230,6 +229,28 @@ func (d *DAG) Validate() error {
 		return err
 	}
 	return nil
+}
+
+// firstDuplicate returns the lowest index of an edge that repeats the
+// endpoints of an earlier one, or -1. It walks each vertex's out-list,
+// which holds its edges in edge order, stamping the successors seen: the
+// first stamped successor met is that vertex's first duplicate.
+func (d *DAG) firstDuplicate() int {
+	first := -1
+	stamp := make([]int, d.N()) // stamp[w] = u+1: w is a successor of u
+	for u, out := range d.out {
+		for _, ei := range out {
+			w := d.Edges[ei].To
+			if stamp[w] == u+1 {
+				if first < 0 || ei < first {
+					first = ei
+				}
+				break
+			}
+			stamp[w] = u + 1
+		}
+	}
+	return first
 }
 
 // CriticalPathLength returns the length of the longest path through the DAG

@@ -413,3 +413,101 @@ func TestFromEdgesOutOfRangePanics(t *testing.T) {
 	}()
 	FromEdges(make([]Task, 2), []Edge{{From: 0, To: 2}})
 }
+
+// validateTwin is Validate as it was written before it walked the
+// adjacency lists: duplicates are found with a map over the edge list.
+func validateTwin(d *DAG) error {
+	seen := make(map[[2]int]bool, len(d.Edges))
+	for i, e := range d.Edges {
+		if e.From < 0 || e.From >= d.N() || e.To < 0 || e.To >= d.N() {
+			return fmt.Errorf("dag: edge %d (%d→%d) endpoint out of range", i, e.From, e.To)
+		}
+		if e.From == e.To {
+			return fmt.Errorf("dag: edge %d is a self-loop on %d", i, e.From)
+		}
+		if e.Weight < 0 {
+			return fmt.Errorf("dag: edge %d (%d→%d) has negative weight %d", i, e.From, e.To, e.Weight)
+		}
+		key := [2]int{e.From, e.To}
+		if seen[key] {
+			return fmt.Errorf("dag: duplicate edge %d→%d", e.From, e.To)
+		}
+		seen[key] = true
+	}
+	for v, t := range d.Tasks {
+		if t.Weight <= 0 {
+			return fmt.Errorf("dag: task %d has non-positive weight %d", v, t.Weight)
+		}
+	}
+	if _, err := d.TopoOrder(); err != nil {
+		return err
+	}
+	return nil
+}
+
+// TestValidateMatchesTwin holds Validate to validateTwin on random edge
+// lists with duplicates, self-loops, out-of-range endpoints, negative
+// weights and cycles. Lists with every endpoint in range are built by
+// FromEdges; the others by AddEdge, with each out-of-range edge appended
+// to Edges by hand, since no constructor takes one.
+func TestValidateMatchesTwin(t *testing.T) {
+	r := rng.New(11)
+	kinds := []string{"out of range", "self-loop", "negative weight", "duplicate", "non-positive", "cycle", "<nil>"}
+	seen := make(map[string]bool)
+	for trial := 0; trial < 5000; trial++ {
+		n := 1 + int(r.IntRange(0, 7))
+		tasks := make([]Task, n)
+		for v := range tasks {
+			tasks[v] = Task{ID: v, Weight: r.IntRange(0, 9)}
+			if r.IntRange(0, 9) > 0 {
+				tasks[v].Weight++ // mostly positive
+			}
+		}
+		var edges []Edge
+		inRange := true
+		for k := int(r.IntRange(0, 3*int64(n))); k > 0; k-- {
+			e := Edge{From: int(r.IntRange(0, int64(n-1))), To: int(r.IntRange(0, int64(n-1))), Weight: r.IntRange(0, 9)}
+			switch r.IntRange(0, 19) {
+			case 0:
+				e.From = int(r.IntRange(-1, int64(n)))
+			case 1:
+				e.To = int(r.IntRange(-1, int64(n)))
+			case 2:
+				e.Weight = -1
+			case 3:
+				if len(edges) > 0 {
+					e = edges[r.IntRange(0, int64(len(edges)-1))]
+				}
+			}
+			inRange = inRange && e.From >= 0 && e.From < n && e.To >= 0 && e.To < n
+			edges = append(edges, e)
+		}
+		var d *DAG
+		if inRange {
+			d = FromEdges(tasks, edges)
+		} else {
+			d = FromEdges(tasks, nil)
+			for _, e := range edges {
+				if e.From >= 0 && e.From < n && e.To >= 0 && e.To < n {
+					d.AddEdge(e.From, e.To, e.Weight)
+				} else {
+					d.Edges = append(d.Edges, e)
+				}
+			}
+		}
+		got, want := d.Validate(), validateTwin(d)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: Validate %v, twin %v on %v", trial, got, want, d.Edges)
+		}
+		for _, kind := range kinds {
+			if strings.Contains(fmt.Sprint(want), kind) {
+				seen[kind] = true
+			}
+		}
+	}
+	for _, kind := range kinds {
+		if !seen[kind] {
+			t.Errorf("no trial gave %q", kind)
+		}
+	}
+}

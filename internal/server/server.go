@@ -408,19 +408,12 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) *bytes.Buffer 
 	return buf
 }
 
-// decodeBody parses a JSON request body strictly: unknown fields are
-// rejected, and after the value only JSON whitespace may remain. On
-// failure it writes the invalid_request error itself and returns false.
+// decodeBody parses a JSON request body strictly with wire.Decode:
+// unknown fields are rejected, and after the value only JSON whitespace
+// may remain. On failure it writes the invalid_request error itself and
+// returns false.
 func (s *Server) decodeBody(w http.ResponseWriter, body []byte, v any) bool {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
-			err = fmt.Errorf("invalid character %q after the request value", rest[0])
-		}
-	}
-	if err != nil {
+	if err := wire.Decode(body, v); err != nil {
 		s.writeError(w, &wire.Error{Code: scherr.CodeInvalidRequest, Message: "decoding request body: " + err.Error()})
 		return false
 	}

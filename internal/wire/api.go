@@ -8,7 +8,9 @@ import (
 // SolveRequest is the body of POST /v1/solve: the workflow to schedule
 // plus either an explicit power profile (whose horizon is the deadline) or
 // the parameters of a generated one (scenario shape over the horizon
-// deadline_factor × ASAP makespan).
+// deadline_factor × ASAP makespan). The server reads it with Decode,
+// so a new field, here or in a type it holds, needs a case in decode.go;
+// TestDecodeFastPathCovers fails until it has one.
 type SolveRequest struct {
 	// Workflow is the DAG to plan and schedule (required).
 	Workflow *DAG `json:"workflow"`

@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzSolveRequestRoundTrip feeds arbitrary JSON into the solve-request
-// decoder: it must never panic, and every accepted body must re-encode /
-// re-decode into the same request (so no field — including the mapping
-// fields added for the zone-aware mapping search — is silently dropped on
-// the wire). The seeds cover the mapping/zones corners of the format.
+// FuzzSolveRequestRoundTrip feeds arbitrary JSON into the server's
+// solve-request decoder, Decode: it must never panic, and every accepted
+// body must re-encode / re-decode into the same request (so no field —
+// including the mapping fields added for the zone-aware mapping search —
+// is silently dropped on the wire). The seeds cover the mapping/zones
+// corners of the format.
 func FuzzSolveRequestRoundTrip(f *testing.F) {
 	wf := &DAG{Tasks: []Task{{Weight: 40}, {Weight: 80}}, Edges: []Edge{{From: 0, To: 1, Weight: 5}}}
 	seedReqs := []*SolveRequest{
@@ -32,7 +33,7 @@ func FuzzSolveRequestRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"mapping":"map-search"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req SolveRequest
-		if err := json.Unmarshal(data, &req); err != nil {
+		if err := Decode(data, &req); err != nil {
 			return
 		}
 		enc, err := json.Marshal(&req)
@@ -40,7 +41,7 @@ func FuzzSolveRequestRoundTrip(f *testing.F) {
 			t.Fatalf("re-encode failed: %v", err)
 		}
 		var back SolveRequest
-		if err := json.Unmarshal(enc, &back); err != nil {
+		if err := Decode(enc, &back); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 		// Compare canonical encodings (DeepEqual would trip over nil vs

@@ -12,9 +12,9 @@ import (
 
 // BenchmarkSolveResponseJSON times the wire format's two halves of a
 // served solve on a real answer: decode reads the request body as the
-// server does (strict, unknown fields rejected), encode renders the
-// answer. Each is run on a 200- and a 1 000-task workflow solved on the
-// 3-zone cluster.
+// server does (wire.Decode), decode-reflect reads it with encoding/json's
+// strict decoder alone, and encode renders the answer. Each is run on a
+// 200- and a 1 000-task workflow solved on the 3-zone cluster.
 func BenchmarkSolveResponseJSON(b *testing.B) {
 	solver := cawosched.NewSolver(cawosched.SmallZonedCluster(42, 3))
 	for _, size := range []struct {
@@ -60,6 +60,16 @@ func BenchmarkSolveResponseJSON(b *testing.B) {
 			b.SetBytes(int64(len(out)))
 		})
 		b.Run("decode-"+size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for b.Loop() {
+				var req wire.SolveRequest
+				if err := wire.Decode(body, &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("decode-reflect-"+size.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for b.Loop() {
