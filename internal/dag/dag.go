@@ -204,6 +204,11 @@ func (d *DAG) Clone() *DAG {
 // self-loops, no duplicate edges, positive task weights, non-negative edge
 // weights, and acyclicity. It returns the first violation found: edges in
 // order, then tasks, then cycles.
+//
+// Duplicates and cycles are found on the adjacency lists that New,
+// AddEdge, FromEdges and Clone keep. An edge appended to Edges directly is
+// checked for its range, a self-loop and its weight, but not for being a
+// duplicate or closing a cycle.
 func (d *DAG) Validate() error {
 	dup := d.firstDuplicate()
 	for i, e := range d.Edges {
