@@ -4,7 +4,9 @@
 //
 // By default it runs a reduced corpus (workflows capped at -max-tasks) so
 // all artifacts regenerate in minutes; -max-tasks 0 runs the paper-scale
-// corpus (34 workflows up to 30,000 tasks — hours of compute).
+// corpus (34 workflows up to 30,000 tasks — hours of compute). Its
+// (instance, algorithm) jobs run on the same sweep engine as -parallel,
+// with the JSONL stream discarded, and the first failed job aborts it.
 //
 // With -parallel N the command switches to sweep mode: the full grid
 // (family × size × cluster × scenario S1–S4 × 17 algorithms × -seeds
@@ -44,7 +46,6 @@ func main() {
 		outDir   = flag.String("out", "", "artifact mode: CSV directory; sweep mode: JSONL results path (default results.jsonl)")
 		only     = flag.String("only", "all", "comma-separated artifacts: table1,fig1,...,fig8,table2,fig12,...,fig17,fig7,ablations,robustness,mapping,arrival or all (ablations/robustness/mapping/arrival only run when named explicitly)")
 		quiet    = flag.Bool("q", false, "suppress progress output")
-		saveTo   = flag.String("save", "", "persist the main corpus raw results to this JSON file")
 		parallel = flag.Int("parallel", 0, "sweep mode: run the full grid on N workers, streaming JSONL (0 = artifact mode)")
 		resume   = flag.Bool("resume", false, "sweep mode: skip jobs already completed in the -out file and append the rest")
 		seeds    = flag.Int("seeds", 1, "sweep mode: replicate seeds per grid cell")
@@ -70,7 +71,7 @@ func main() {
 	if *parallel > 0 {
 		err = runSweep(ctx, *maxTasks, *seed, *parallel, *outDir, *resume, *seeds, *zones, *timeout, *variants, *mappings, *quiet)
 	} else {
-		err = run2(ctx, *maxTasks, *seed, *workers, *outDir, *only, *zones, *quiet, *saveTo,
+		err = run(ctx, *maxTasks, *seed, *workers, *outDir, *only, *zones, *quiet,
 			arrivalOpts{rates: *arrRates, zones: *arrZones, arrivals: *arrivals})
 	}
 	if err != nil {
@@ -175,7 +176,7 @@ func runSweep(ctx context.Context, maxTasks int, seed uint64, parallel int, outP
 	if err != nil {
 		return err
 	}
-	names := algoNames(roster)
+	names := experiments.AlgoNames(roster)
 	jobs := experiments.MappingGrid(maxTasks, seed, seeds, zones, mapRoster, names)
 
 	var skip map[string]bool
@@ -230,16 +231,11 @@ func runSweep(ctx context.Context, maxTasks int, seed uint64, parallel int, outP
 			len(jobs), len(skip), parallel, outPath)
 	}
 	start := time.Now()
-	progress := func(done, total int) {
-		if !quiet && total > 0 && (done%100 == 0 || done == total) {
-			fmt.Printf("  %d/%d jobs (%.0fs)\n", done, total, time.Since(start).Seconds())
-		}
-	}
-	_, err = experiments.Sweep(ctx, jobs, roster, f, experiments.SweepOptions{
+	_, _, err = experiments.Sweep(ctx, jobs, roster, f, experiments.SweepOptions{
 		Workers:  parallel,
 		Timeout:  timeout,
 		Skip:     skip,
-		Progress: progress,
+		Progress: progressPrinter(quiet, 100, "jobs"),
 	})
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -282,15 +278,22 @@ func runSweep(ctx context.Context, maxTasks int, seed uint64, parallel int, outP
 	return nil
 }
 
-// arrivalOpts carries the -only arrival flag values into run2.
+// progressPrinter returns a progress callback that prints every
+// every-th count and the last one, with the seconds since its creation.
+func progressPrinter(quiet bool, every int, unit string) func(done, total int) {
+	start := time.Now()
+	return func(done, total int) {
+		if !quiet && total > 0 && (done%every == 0 || done == total) {
+			fmt.Printf("  %d/%d %s (%.0fs)\n", done, total, unit, time.Since(start).Seconds())
+		}
+	}
+}
+
+// arrivalOpts carries the -only arrival flag values into run.
 type arrivalOpts struct {
 	rates    string
 	zones    string
 	arrivals int
-}
-
-func defaultArrivalOpts() arrivalOpts {
-	return arrivalOpts{rates: "0.5,1,2", zones: "2,4", arrivals: 12}
 }
 
 // parseFloatList parses a comma-separated list of numbers.
@@ -329,12 +332,10 @@ func parseIntList(s string) ([]int, error) {
 	return out, nil
 }
 
-// run keeps the original signature for tests; run2 adds result saving.
-func run(maxTasks int, seed uint64, workers int, outDir, only string, quiet bool) error {
-	return run2(context.Background(), maxTasks, seed, workers, outDir, only, 1, quiet, "", defaultArrivalOpts())
-}
-
-func run2(ctx context.Context, maxTasks int, seed uint64, workers int, outDir, only string, zones int, quiet bool, saveTo string, arr arrivalOpts) error {
+// run is artifact mode: it regenerates the tables selected by -only.
+// Every (spec, algorithm) → cost job runs on the sweep engine with the
+// stream discarded, and the first failed job aborts the run.
+func run(ctx context.Context, maxTasks int, seed uint64, workers int, outDir, only string, zones int, quiet bool, arr arrivalOpts) error {
 	want := map[string]bool{}
 	for _, name := range strings.Split(only, ",") {
 		want[strings.TrimSpace(name)] = true
@@ -358,6 +359,17 @@ func run2(ctx context.Context, maxTasks int, seed uint64, workers int, outDir, o
 			return err
 		}
 	}
+	// sweep runs every algorithm on every spec. An artifact needs every
+	// cell, so the first failed job is the error.
+	sweep := func(specs []experiments.Spec, algos []experiments.Algorithm, progress func(done, total int)) ([]experiments.Result, error) {
+		jobs := experiments.Jobs(specs, experiments.AlgoNames(algos))
+		results, failed, err := experiments.Sweep(ctx, jobs, algos, io.Discard,
+			experiments.SweepOptions{Workers: workers, Progress: progress})
+		if err == nil && len(failed) > 0 {
+			err = failed[0]
+		}
+		return results, err
+	}
 
 	if selected("table1") {
 		emit("table1", experiments.Table1Platform())
@@ -373,34 +385,15 @@ func run2(ctx context.Context, maxTasks int, seed uint64, workers int, outDir, o
 	if needMain {
 		specs := experiments.Corpus(maxTasks, seed)
 		algos := experiments.LSAlgorithms()
-		names := algoNames(algos)
+		names := experiments.AlgoNames(algos)
 		fmt.Printf("running main corpus: %d instances x %d algorithms (max %d tasks)\n",
 			len(specs), len(algos), maxTasks)
 		start := time.Now()
-		progress := func(done, total int) {
-			if !quiet && (done%25 == 0 || done == total) {
-				fmt.Printf("  %d/%d instances (%.0fs)\n", done, total, time.Since(start).Seconds())
-			}
-		}
-		results, err := experiments.Run(ctx, specs, algos, workers, progress)
+		results, err := sweep(specs, algos, progressPrinter(quiet, 100, "jobs"))
 		if err != nil {
 			return err
 		}
 		fmt.Printf("main corpus done in %s\n\n", time.Since(start).Round(time.Second))
-		if saveTo != "" {
-			f, err := os.Create(saveTo)
-			if err != nil {
-				return err
-			}
-			if err := experiments.WriteResults(f, results); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("raw results saved to %s\n\n", saveTo)
-		}
 
 		if selected("fig1") {
 			emit("fig1", experiments.Fig1Ranks(results, names))
@@ -459,7 +452,7 @@ func run2(ctx context.Context, maxTasks int, seed uint64, workers int, outDir, o
 		specs := experiments.AblationCorpus(maxTasks, seed)
 		fmt.Printf("running ablation corpus (Table 2): %d instances x 17 algorithms\n", len(specs))
 		start := time.Now()
-		results, err := experiments.Run(ctx, specs, experiments.Algorithms(), workers, nil)
+		results, err := sweep(specs, experiments.Algorithms(), nil)
 		if err != nil {
 			return err
 		}
@@ -529,12 +522,11 @@ func run2(ctx context.Context, maxTasks int, seed uint64, workers int, outDir, o
 				roster = append(roster, a)
 			}
 		}
-		// The sweep engine, not Run: remapped cells with tight deadlines
+		// Failures stay in-band here: remapped cells with tight deadlines
 		// can be legitimately infeasible (the mapping cannot meet the
-		// fixed mapping's horizon), which the sweep records in-band while
-		// the strict driver would abort the whole artifact.
-		jobs := experiments.MappingGrid(cap, seed, 1, zn, experiments.Mappings(), algoNames(roster))
-		results, err := experiments.Sweep(ctx, jobs, roster, io.Discard, experiments.SweepOptions{Workers: workers})
+		// fixed mapping's horizon), and the table drops them.
+		jobs := experiments.MappingGrid(cap, seed, 1, zn, experiments.Mappings(), experiments.AlgoNames(roster))
+		results, _, err := experiments.Sweep(ctx, jobs, roster, io.Discard, experiments.SweepOptions{Workers: workers})
 		if err != nil {
 			return err
 		}
@@ -562,12 +554,7 @@ func run2(ctx context.Context, maxTasks int, seed uint64, workers int, outDir, o
 		fmt.Printf("running online arrival sweep: %d cells (%d load factors x %d zone counts)\n",
 			len(specs), len(rates), len(zoneCounts))
 		start := time.Now()
-		progress := func(done, total int) {
-			if !quiet && (done%4 == 0 || done == total) {
-				fmt.Printf("  %d/%d cells (%.0fs)\n", done, total, time.Since(start).Seconds())
-			}
-		}
-		results, err := experiments.RunArrivals(ctx, specs, workers, progress)
+		results, err := experiments.RunArrivals(ctx, specs, workers, progressPrinter(quiet, 4, "cells"))
 		if err != nil {
 			return err
 		}
@@ -599,12 +586,4 @@ func run2(ctx context.Context, maxTasks int, seed uint64, workers int, outDir, o
 		return fmt.Errorf("no artifacts selected by -only=%q", only)
 	}
 	return nil
-}
-
-func algoNames(algos []experiments.Algorithm) []string {
-	names := make([]string, len(algos))
-	for i, a := range algos {
-		names[i] = a.Name
-	}
-	return names
 }

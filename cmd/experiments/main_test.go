@@ -2,16 +2,26 @@ package main
 
 import (
 	"context"
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
+
+// runArtifacts runs artifact mode quietly with the default seed, workers,
+// zone count and arrival options.
+func runArtifacts(maxTasks int, outDir, only string) error {
+	arr := arrivalOpts{rates: "0.5,1,2", zones: "2,4", arrivals: 12}
+	return run(context.Background(), maxTasks, 42, 0, outDir, only, 1, true, arr)
+}
 
 func TestRunSingleArtifact(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(150, 42, 0, dir, "table1", true); err != nil {
+	if err := runArtifacts(150, dir, "table1"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "table1.csv"))
@@ -27,7 +37,7 @@ func TestRunTinyCorpusFigures(t *testing.T) {
 	dir := t.TempDir()
 	// A tiny max-tasks keeps this fast: only the real bacass workflow
 	// fits under 100 tasks.
-	if err := run(100, 42, 0, dir, "fig1,fig4", true); err != nil {
+	if err := runArtifacts(100, dir, "fig1,fig4"); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"fig1.csv", "fig4.csv"} {
@@ -41,7 +51,7 @@ func TestRunTinyCorpusFigures(t *testing.T) {
 // tables and nothing else.
 func TestRunAblations(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(100, 42, 0, dir, "ablations", true); err != nil {
+	if err := runArtifacts(100, dir, "ablations"); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -63,7 +73,7 @@ func TestRunArrivalArtifact(t *testing.T) {
 	// Two load factors × two zone counts, tiny workflows and traces so the
 	// online simulation stays fast.
 	arr := arrivalOpts{rates: "1,4", zones: "1,2", arrivals: 3}
-	if err := run2(context.Background(), 30, 42, 0, dir, "arrival", 1, true, "", arr); err != nil {
+	if err := run(context.Background(), 30, 42, 0, dir, "arrival", 1, true, arr); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "arrival_frontier.csv"))
@@ -90,7 +100,7 @@ func TestRunArrivalArtifact(t *testing.T) {
 }
 
 func TestRunUnknownArtifact(t *testing.T) {
-	if err := run(100, 42, 0, "", "figZZ", true); err == nil {
+	if err := runArtifacts(100, "", "figZZ"); err == nil {
 		t.Error("unknown artifact selection accepted")
 	}
 }
@@ -166,14 +176,6 @@ func joinLines(lines []string) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
-func TestAlgoNames(t *testing.T) {
-	// Smoke check on the helper used for grid headers.
-	names := algoNames(nil)
-	if len(names) != 0 {
-		t.Errorf("algoNames(nil) = %v", names)
-	}
-}
-
 func TestSelectRoster(t *testing.T) {
 	full, err := selectRoster("")
 	if err != nil || len(full) != 17 {
@@ -184,10 +186,71 @@ func TestSelectRoster(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(sub) != 3 || sub[0].Name != "ASAP" || sub[1].Name != "pressWR-LS" || sub[2].Name != "slackR" {
-		names := algoNames(sub)
+		names := experiments.AlgoNames(sub)
 		t.Fatalf("roster = %v, want [ASAP pressWR-LS slackR]", names)
 	}
 	if _, err := selectRoster("pressZZ"); err == nil {
 		t.Error("unknown variant accepted by -variants")
 	}
+}
+
+// TestArtifactsIndependentOfWorkers: artifact mode writes the same CSVs
+// at any -workers, apart from timing. The running-time figures and every
+// column whose name ends in _s are measurements, not results, and are
+// left out of the comparison.
+func TestArtifactsIndependentOfWorkers(t *testing.T) {
+	const only = "fig1,fig4,table2,ablations,robustness,mapping,arrival"
+	arr := arrivalOpts{rates: "1,4", zones: "1,2", arrivals: 3}
+	dirs := []string{t.TempDir(), t.TempDir()}
+	for i, workers := range []int{1, 3} {
+		if err := run(context.Background(), 60, 42, workers, dirs[i], only, 1, true, arr); err != nil {
+			t.Fatalf("-workers %d: %v", workers, err)
+		}
+	}
+	entries, err := os.ReadDir(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	compared := 0
+	for _, e := range entries {
+		name := e.Name()
+		if name == "fig8.csv" || name == "fig12.csv" || name == "fig13.csv" {
+			continue
+		}
+		want, got := readUntimedCSV(t, filepath.Join(dirs[0], name)), readUntimedCSV(t, filepath.Join(dirs[1], name))
+		if !slices.EqualFunc(want, got, slices.Equal) {
+			t.Errorf("%s differs between -workers 1 and 3:\n%v\n%v", name, want, got)
+		}
+		compared++
+	}
+	if compared < 12 {
+		t.Errorf("compared only %d CSVs", compared)
+	}
+}
+
+// readUntimedCSV reads a CSV artifact without its *_s columns.
+func readUntimedCSV(t *testing.T, path string) [][]string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	var keep []int
+	for i, col := range rows[0] {
+		if !strings.HasSuffix(col, "_s") {
+			keep = append(keep, i)
+		}
+	}
+	out := make([][]string, len(rows))
+	for r, row := range rows {
+		for _, i := range keep {
+			out[r] = append(out[r], row[i])
+		}
+	}
+	return out
 }

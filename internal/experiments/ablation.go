@@ -3,8 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
-	"repro/internal/ceg"
 	"repro/internal/core"
 	"repro/internal/greenheft"
 	"repro/internal/schedule"
@@ -19,74 +19,75 @@ import (
 
 // AblationK sweeps the refinement block size k for the pressWR variant and
 // reports median cost ratio vs ASAP, median interval count J′ and median
-// scheduling time per k.
+// scheduling time per k. Every k runs in one sweep, so each instance is
+// built once for all of them.
 func AblationK(ctx context.Context, specs []Spec, ks []int, workers int) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: refinement block size k (pressWR, no LS)",
 		Columns: []string{"k", "median_ratio", "q3_ratio", "median_J'", "median_s"},
 		Note:    fmt.Sprintf("%d instances; paper default k = 3", len(specs)),
 	}
+	optK := func(k int) core.Options { return core.Options{Score: core.ScorePressureW, Refined: true, K: k} }
+	algos := []Algorithm{baseline()}
 	for _, k := range ks {
-		k := k
-		algos := []Algorithm{baseline(), {
+		algos = append(algos, Algorithm{
 			Name: fmt.Sprintf("pressWR-k%d", k),
 			Run: func(ctx context.Context, in *Instance) (*schedule.Schedule, error) {
-				s, _, err := core.Run(ctx, in.Inst, in.Zones, core.Options{
-					Score: core.ScorePressureW, Refined: true, K: k,
-				})
+				s, _, err := core.Run(ctx, in.Inst, in.Zones, optK(k))
 				return s, err
 			},
-		}}
-		results, err := Run(ctx, specs, algos, workers, nil)
+		})
+	}
+	results, err := sweepStrict(ctx, specs, algos, workers)
+	if err != nil {
+		return nil, err
+	}
+	// J′ is a statistic of the greedy run, not a cost: measure it on each
+	// built instance, for every k at once.
+	intervals := matrix(len(ks), len(specs))
+	err = forEach(ctx, len(specs), workers, func(i int) error {
+		in, err := BuildInstance(specs[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		g := buildGrid(results, []string{BaselineName, algos[1].Name})
-		ratios := ratiosVsBaseline(g)[algos[1].Name]
-		var times []float64
-		for i := range g.times {
-			times = append(times, g.times[i][1])
-		}
-		// J′ medians need a re-run with stats capture; cheaper: measure
-		// directly on each built instance.
-		var intervals []float64
-		for _, spec := range g.specs {
-			in, err := BuildInstance(spec)
-			if err != nil {
-				return nil, err
-			}
+		for ki, k := range ks {
 			var st core.Stats
-			if _, err := core.Greedy(ctx, in.Inst, in.Zones, core.Options{
-				Score: core.ScorePressureW, Refined: true, K: k,
-			}, &st); err != nil {
-				return nil, err
+			if _, err := core.Greedy(ctx, in.Inst, in.Zones, optK(k), &st); err != nil {
+				return err
 			}
-			intervals = append(intervals, float64(st.Intervals))
+			intervals[ki][i] = float64(st.Intervals)
 		}
-		q1, med, q3 := stats.Quartiles(ratios)
-		_ = q1
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ki, k := range ks {
+		name := algos[ki+1].Name
+		g := buildGrid(results, []string{BaselineName, name})
+		_, med, q3 := stats.Quartiles(ratiosVsBaseline(g)[name])
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", k), f3(med), f3(q3),
-			fmt.Sprintf("%.0f", stats.Median(intervals)),
-			fmt.Sprintf("%.4f", stats.Median(times)),
+			fmt.Sprintf("%.0f", stats.Median(intervals[ki])),
+			fmt.Sprintf("%.4f", stats.Median(g.timesOf(1))),
 		})
 	}
 	return t, nil
 }
 
 // AblationMu sweeps the local-search radius µ for pressWR-LS and reports
-// median cost ratio vs ASAP and median scheduling time per µ.
+// median cost ratio vs ASAP and median scheduling time per µ. Every µ
+// runs in one sweep, so each instance is built once for all of them.
 func AblationMu(ctx context.Context, specs []Spec, mus []int64, workers int) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: local search radius mu (pressWR-LS)",
 		Columns: []string{"mu", "median_ratio", "q3_ratio", "median_s"},
 		Note:    fmt.Sprintf("%d instances; paper default mu = 10", len(specs)),
 	}
+	algos := []Algorithm{baseline()}
 	for _, mu := range mus {
-		mu := mu
-		name := fmt.Sprintf("pressWR-LS-mu%d", mu)
-		algos := []Algorithm{baseline(), {
-			Name: name,
+		algos = append(algos, Algorithm{
+			Name: fmt.Sprintf("pressWR-LS-mu%d", mu),
 			Run: func(ctx context.Context, in *Instance) (*schedule.Schedule, error) {
 				s, _, err := core.Run(ctx, in.Inst, in.Zones, core.Options{
 					Score: core.ScorePressureW, Refined: true,
@@ -94,21 +95,19 @@ func AblationMu(ctx context.Context, specs []Spec, mus []int64, workers int) (*T
 				})
 				return s, err
 			},
-		}}
-		results, err := Run(ctx, specs, algos, workers, nil)
-		if err != nil {
-			return nil, err
-		}
+		})
+	}
+	results, err := sweepStrict(ctx, specs, algos, workers)
+	if err != nil {
+		return nil, err
+	}
+	for mi, mu := range mus {
+		name := algos[mi+1].Name
 		g := buildGrid(results, []string{BaselineName, name})
-		ratios := ratiosVsBaseline(g)[name]
-		var times []float64
-		for i := range g.times {
-			times = append(times, g.times[i][1])
-		}
-		_, med, q3 := stats.Quartiles(ratios)
+		_, med, q3 := stats.Quartiles(ratiosVsBaseline(g)[name])
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", mu), f3(med), f3(q3),
-			fmt.Sprintf("%.4f", stats.Median(times)),
+			fmt.Sprintf("%.4f", stats.Median(g.timesOf(1))),
 		})
 	}
 	return t, nil
@@ -155,11 +154,11 @@ func AblationImprovers(ctx context.Context, specs []Spec, workers int) (*Table, 
 			return anneal(ctx, in, s)
 		}),
 	}
-	results, err := Run(ctx, specs, algos, workers, nil)
+	results, err := sweepStrict(ctx, specs, algos, workers)
 	if err != nil {
 		return nil, err
 	}
-	names := algoNamesOf(algos)
+	names := AlgoNames(algos)
 	g := buildGrid(results, names)
 	ratios := ratiosVsBaseline(g)
 	t := &Table{
@@ -173,12 +172,8 @@ func AblationImprovers(ctx context.Context, specs []Spec, workers int) (*Table, 
 			continue
 		}
 		q1, med, q3 := stats.Quartiles(rs)
-		var times []float64
-		for i := range g.times {
-			times = append(times, g.times[i][ai])
-		}
 		t.Rows = append(t.Rows, []string{name, f3(med), f3(q1), f3(q3),
-			fmt.Sprintf("%.4f", stats.Median(times))})
+			fmt.Sprintf("%.4f", stats.Median(g.timesOf(ai)))})
 	}
 	return t, nil
 }
@@ -188,60 +183,68 @@ func AblationImprovers(ctx context.Context, specs []Spec, workers int) (*Table, 
 // of internal/greenheft, then run the second (CaWoSched) pass. For each
 // policy it reports the median carbon cost ratio relative to the standard
 // HEFT + pressWR-LS pipeline, and the median makespan inflation D/D_heft.
+//
+// MappingTable over the mapping-ablation grid does not reproduce this
+// table, even on the single-zone corpus. Each policy here regenerates its
+// own deadline and supply from its own makespan; the mapping grid anchors
+// both to the fixed mapping, so a slower mapping meets a tighter horizon
+// and some of its cells turn infeasible. The mapping grid also has no D
+// column. Measured with -parallel 2 -zones 1 -mappings
+// fixed,lowpower,energy -variants pressWR-LS -max-tasks 500: lowpower
+// reads 1.043 over 112 cells there, against 1.000 over 192 instances here
+// with a D inflation of 2.441.
 func ExtensionTwoPass(ctx context.Context, specs []Spec, workers int) (*Table, error) {
-	type outcome struct {
-		cost float64
-		d    float64
-	}
-	// For each spec and each policy, build the instance with the mapped
-	// policy and run pressWR-LS.
+	type outcome struct{ cost, d float64 }
 	opt := core.Options{Score: core.ScorePressureW, Refined: true, LocalSearch: true}
-	perPolicy := map[greenheft.Policy][]outcome{}
-	for _, spec := range specs {
-		var ref outcome
-		for _, pol := range greenheft.Policies() {
-			in, err := buildWithPolicy(spec, pol)
-			if err != nil {
-				return nil, err
-			}
-			s, st, err := core.Run(ctx, in.Inst, in.Zones, opt)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: two-pass %v on %s: %w", pol, spec, err)
-			}
-			_ = s
-			o := outcome{cost: float64(st.Cost), d: float64(in.D)}
-			if pol == greenheft.EFT {
-				ref = o
-			}
-			perPolicy[pol] = append(perPolicy[pol], o)
+	pols := greenheft.Policies()
+	perSpec := make([][]outcome, len(specs)) // [spec][policy]
+	err := forEach(ctx, len(specs), workers, func(i int) error {
+		spec := specs[i]
+		d, cluster, err := materialize(spec)
+		if err != nil {
+			return err
 		}
-		// Normalize this spec's outcomes by the EFT reference.
-		for _, pol := range greenheft.Policies() {
-			os := perPolicy[pol]
-			last := &os[len(os)-1]
-			if ref.cost > 0 {
-				last.cost /= ref.cost
-			} else if last.cost == 0 {
-				last.cost = 1
-			} else {
-				last.cost = -1 // mark +inf-ish, excluded below
+		row := make([]outcome, len(pols))
+		for pi, pol := range pols {
+			inst, err := mapInstance(spec, d, cluster, pol, nil)
+			if err != nil {
+				return err
 			}
-			last.d /= ref.d
+			in, err := finishInstance(spec, inst)
+			if err != nil {
+				return err
+			}
+			_, st, err := core.Run(ctx, in.Inst, in.Zones, opt)
+			if err != nil {
+				return fmt.Errorf("experiments: two-pass %v on %s: %w", pol, spec, err)
+			}
+			row[pi] = outcome{cost: float64(st.Cost), d: float64(in.D)}
 		}
+		perSpec[i] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	_ = workers
+	ref := slices.Index(pols, greenheft.EFT)
 	t := &Table{
 		Title:   "Extension (Section 7): carbon-aware mapping + CaWoSched second pass",
 		Columns: []string{"mapping", "median_cost_vs_heft", "median_D_vs_heft", "instances"},
 		Note:    "both passes end with pressWR-LS; cost ratio < 1 means the greener mapping also lowers final carbon",
 	}
-	for _, pol := range greenheft.Policies() {
+	for pi, pol := range pols {
+		// Normalize each spec's outcome by its EFT reference; a positive
+		// cost over a zero reference is an infinite ratio, left out.
 		var costs, ds []float64
-		for _, o := range perPolicy[pol] {
-			if o.cost >= 0 {
-				costs = append(costs, o.cost)
+		for _, row := range perSpec {
+			o, r := row[pi], row[ref]
+			switch {
+			case r.cost > 0:
+				costs = append(costs, o.cost/r.cost)
+			case o.cost == 0:
+				costs = append(costs, 1)
 			}
-			ds = append(ds, o.d)
+			ds = append(ds, o.d/r.d)
 		}
 		t.Rows = append(t.Rows, []string{
 			pol.String(), f3(stats.Median(costs)), f3(stats.Median(ds)),
@@ -249,37 +252,4 @@ func ExtensionTwoPass(ctx context.Context, specs []Spec, workers int) (*Table, e
 		})
 	}
 	return t, nil
-}
-
-// buildWithPolicy is BuildInstance with a selectable mapping policy.
-func buildWithPolicy(s Spec, pol greenheft.Policy) (*Instance, error) {
-	in, err := buildMapped(s, pol)
-	if err != nil {
-		return nil, err
-	}
-	return in, nil
-}
-
-func buildMapped(s Spec, pol greenheft.Policy) (*Instance, error) {
-	d, cluster, err := materialize(s)
-	if err != nil {
-		return nil, err
-	}
-	m, err := greenheft.Schedule(d, cluster, greenheft.Options{Policy: pol})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: mapping: %w", s, err)
-	}
-	inst, err := ceg.Build(d, ceg.FromHEFT(m.Proc, m.Order, m.Finish), cluster)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", s, err)
-	}
-	return finishInstance(s, inst)
-}
-
-func algoNamesOf(algos []Algorithm) []string {
-	names := make([]string, len(algos))
-	for i, a := range algos {
-		names[i] = a.Name
-	}
-	return names
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	cawosched "repro"
@@ -105,39 +104,22 @@ func ArrivalGrid(maxTasks int, seed uint64, rates []float64, zoneCounts []int, a
 // order in the result slice. The simulation is fully deterministic: same
 // specs, same results, byte for byte.
 func RunArrivals(ctx context.Context, specs []ArrivalSpec, workers int, progress func(done, total int)) ([]ArrivalResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	results := make([]ArrivalResult, len(specs))
-	errs := make([]error, len(specs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
 	var mu sync.Mutex
 	done := 0
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i], errs[i] = runArrival(ctx, specs[i])
-				if progress != nil {
-					mu.Lock()
-					done++
-					progress(done, len(specs))
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range specs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	err := forEach(ctx, len(specs), workers, func(i int) error {
+		var err error
+		results[i], err = runArrival(ctx, specs[i])
+		if progress != nil {
+			mu.Lock()
+			done++
+			progress(done, len(specs))
+			mu.Unlock()
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }

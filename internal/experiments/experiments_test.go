@@ -3,10 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/power"
+	"repro/internal/schedule"
 	"repro/internal/wfgen"
 )
 
@@ -127,16 +130,18 @@ func smallRun(t *testing.T) ([]Result, []string) {
 			}
 		}
 	}
-	algos := LSAlgorithms()
-	results, err := Run(context.Background(), specs, algos, 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	return sweepAll(t, specs, LSAlgorithms()), AlgoNames(LSAlgorithms())
+}
+
+// sweepAll runs every algorithm on every spec through Sweep and fails the
+// test on any failed job.
+func sweepAll(t *testing.T, specs []Spec, algos []Algorithm) []Result {
+	t.Helper()
+	results, failed, err := Sweep(context.Background(), Jobs(specs, AlgoNames(algos)), algos, io.Discard, SweepOptions{})
+	if err != nil || len(failed) > 0 {
+		t.Fatalf("sweep: err %v, failed %v", err, failed)
 	}
-	names := make([]string, len(algos))
-	for i, a := range algos {
-		names[i] = a.Name
-	}
-	return results, names
+	return results
 }
 
 func TestRunProducesAllResults(t *testing.T) {
@@ -233,11 +238,7 @@ func TestTable2Ablation(t *testing.T) {
 		{Family: wfgen.Bacass, N: 40, Cluster: Small, Scenario: power.S1, DeadlineFactor: 2, Seed: 3},
 		{Family: wfgen.Atacseq, N: 40, Cluster: Small, Scenario: power.S3, DeadlineFactor: 3, Seed: 3},
 	}
-	results, err := Run(context.Background(), specs, Algorithms(), 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := Table2LocalSearchAblation(results)
+	tab := Table2LocalSearchAblation(sweepAll(t, specs, Algorithms()))
 	if len(tab.Rows) != 4 {
 		t.Fatalf("Table 2 has %d rows, want 4", len(tab.Rows))
 	}
@@ -277,6 +278,38 @@ func TestFig7ExactComparison(t *testing.T) {
 	}
 }
 
+// TestFig7ValidatesEverySchedule: a heuristic whose schedule breaks a
+// precedence edge must fail Figure 7, even when it is not the cheapest
+// and so never reaches the exact solver's incumbent check.
+func TestFig7ValidatesEverySchedule(t *testing.T) {
+	broken := Algorithm{
+		Name: "asap-broken",
+		Run: func(ctx context.Context, in *Instance) (*schedule.Schedule, error) {
+			// Start one successor with its predecessor, picking an edge
+			// whose violation costs no less than ASAP: ASAP comes first in
+			// the roster, so this schedule is never the cheapest.
+			asap := core.ASAP(in.Inst)
+			floor := schedule.CarbonCost(in.Inst, asap, in.Zones)
+			for _, e := range in.Inst.G.Edges {
+				if in.Inst.Dur[e.From] == 0 {
+					continue
+				}
+				s := core.ASAP(in.Inst)
+				s.Start[e.To] = s.Start[e.From]
+				if schedule.CarbonCost(in.Inst, s, in.Zones) >= floor {
+					return s, nil
+				}
+			}
+			return asap, nil
+		},
+	}
+	algos := append(LSAlgorithms(), broken)
+	_, err := Fig7ExactComparison(context.Background(), 7, algos, 2_000_000)
+	if err == nil || !strings.Contains(err.Error(), "asap-broken") || !strings.Contains(err.Error(), "violated") {
+		t.Fatalf("Fig7 with an infeasible heuristic: err = %v, want its edge violation", err)
+	}
+}
+
 func TestTableCSV(t *testing.T) {
 	tab := &Table{
 		Title:   "t",
@@ -294,17 +327,29 @@ func TestProgressCallback(t *testing.T) {
 		{Family: wfgen.Bacass, N: 20, Cluster: Small, Scenario: power.S4, DeadlineFactor: 1.5, Seed: 1},
 		{Family: wfgen.Bacass, N: 25, Cluster: Small, Scenario: power.S4, DeadlineFactor: 1.5, Seed: 1},
 	}
+	algos := Algorithms()[:2]
 	count := 0
-	if _, err := Run(context.Background(), specs, []Algorithm{Algorithms()[0]}, 2, func(done, total int) {
+	progress := func(done, total int) {
 		count++
-		if total != 2 {
-			t.Errorf("total = %d, want 2", total)
+		if done != count || total != 4 {
+			t.Errorf("progress(%d, %d) on call %d, want (%d, 4)", done, total, count, count)
 		}
-	}); err != nil {
+	}
+	if _, _, err := Sweep(context.Background(), Jobs(specs, AlgoNames(algos)), algos, io.Discard,
+		SweepOptions{Workers: 2, Progress: progress}); err != nil {
 		t.Fatal(err)
 	}
-	if count != 2 {
-		t.Errorf("progress called %d times, want 2", count)
+	if count != 4 {
+		t.Errorf("progress called %d times, want once per job (4)", count)
+	}
+}
+
+func TestAlgoNames(t *testing.T) {
+	if names := AlgoNames(nil); len(names) != 0 {
+		t.Errorf("AlgoNames(nil) = %v", names)
+	}
+	if names := AlgoNames(LSAlgorithms()); len(names) != 9 || names[0] != BaselineName || names[8] != "pressWR-LS" {
+		t.Errorf("AlgoNames(LSAlgorithms()) = %v", names)
 	}
 }
 

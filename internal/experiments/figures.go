@@ -205,10 +205,7 @@ func Fig6BoxPlots(results []Result, algos []string) *Table {
 // branch-and-bound replaces Gurobi and needs miniature instances).
 func Fig7ExactComparison(ctx context.Context, seed uint64, algos []Algorithm, maxNodes int64) (*Table, error) {
 	specs := TinyCorpus(seed)
-	names := make([]string, len(algos))
-	for i, a := range algos {
-		names[i] = a.Name
-	}
+	names := AlgoNames(algos)
 	ratios := make(map[string][]float64)
 	solved := 0
 	for _, spec := range specs {
@@ -216,12 +213,16 @@ func Fig7ExactComparison(ctx context.Context, seed uint64, algos []Algorithm, ma
 		if err != nil {
 			return nil, err
 		}
-		// Heuristic costs (also prime the exact solver's incumbent).
+		// Heuristic costs of validated schedules (the cheapest also primes
+		// the exact solver's incumbent).
 		costs := make([]int64, len(algos))
 		var bestSched *schedule.Schedule
 		var bestCost int64 = -1
 		for i, a := range algos {
 			s, err := a.Run(ctx, in)
+			if err == nil {
+				err = schedule.Validate(in.Inst, s, in.Zones.T())
+			}
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s on %s: %w", a.Name, spec, err)
 			}
@@ -277,10 +278,7 @@ func runningTimeTable(title string, g *grid) *Table {
 		Note:    fmt.Sprintf("%d instances", len(g.specs)),
 	}
 	for a, name := range g.algos {
-		ts := make([]float64, 0, len(g.times))
-		for i := range g.times {
-			ts = append(ts, g.times[i][a])
-		}
+		ts := g.timesOf(a)
 		if len(ts) == 0 {
 			continue
 		}

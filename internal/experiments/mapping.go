@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/ceg"
 	"repro/internal/core"
@@ -112,9 +110,6 @@ func MappingTable(results []Result) *Table {
 // pressWR-LS, and the map-search plan. A zone whose work share grows from
 // the fixed column to the map-search column is absorbing shifted load.
 func ZoneShiftTable(ctx context.Context, specs []Spec, workers int) (*Table, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	for _, spec := range specs {
 		if spec.Zones < 2 {
 			return nil, fmt.Errorf("experiments: zone shift on %s: the table needs multi-zone specs", spec)
@@ -124,31 +119,19 @@ func ZoneShiftTable(ctx context.Context, specs []Spec, workers int) (*Table, err
 	// K-policy mapping search — the most expensive cell of any artifact),
 	// merged in spec order afterwards.
 	perSpec := make([][]zoneShiftRow, len(specs))
-	errs := make([]error, len(specs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				perSpec[i], errs[i] = zoneShiftOne(ctx, specs[i])
-			}
-		}()
+	err := forEach(ctx, len(specs), workers, func(i int) error {
+		var err error
+		perSpec[i], err = zoneShiftOne(ctx, specs[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i := range specs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 
 	type shares struct{ asapWork, asapCost, fixWork, fixCost, msWork, msCost []float64 }
 	var zones int
 	perZone := map[int]*shares{}
-	for i, rows := range perSpec {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
+	for _, rows := range perSpec {
 		if len(rows) > zones {
 			zones = len(rows)
 		}

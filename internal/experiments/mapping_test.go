@@ -102,7 +102,7 @@ func TestMapSearchNeverWorseOnMultiZoneFamily(t *testing.T) {
 func TestMappingGridKeys(t *testing.T) {
 	mappings := []string{"fixed", "zonegreen", MapSearch}
 	jobs := MappingGrid(100, 42, 1, 2, mappings, []string{"ASAP", "pressWR-LS"})
-	legacy := MultiZoneGrid(100, 42, 1, 2, []string{"ASAP", "pressWR-LS"})
+	legacy := MappingGrid(100, 42, 1, 2, nil, []string{"ASAP", "pressWR-LS"})
 	if len(jobs) != 3*len(legacy) {
 		t.Fatalf("%d jobs, want 3 × %d", len(jobs), len(legacy))
 	}
@@ -150,7 +150,7 @@ func TestSweepMappingRecordsRoundTrip(t *testing.T) {
 		jobs = append(jobs, Job{Spec: sp, Algo: "pressWR-LS"})
 	}
 	var buf bytes.Buffer
-	results, err := Sweep(context.Background(), jobs, Algorithms(), &buf, SweepOptions{Workers: 2})
+	results, _, err := Sweep(context.Background(), jobs, Algorithms(), &buf, SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,12 @@ import (
 	"repro/internal/wfgen"
 )
 
-// resultRecord is the JSON wire form of a Result: Spec fields are
-// flattened into stable, human-auditable strings so result files survive
-// refactors of the in-memory types.
-type resultRecord struct {
+// SweepRecord is the JSONL wire form of one sweep job: a Result whose
+// Spec fields are flattened into stable, human-auditable strings (so
+// result files survive refactors of the in-memory types), plus an error
+// slot, so failed jobs (panic, timeout, invalid schedule) are archived
+// in-band without aborting the sweep.
+type SweepRecord struct {
 	Family         string  `json:"family"`
 	N              int     `json:"n"`
 	Cluster        string  `json:"cluster"`
@@ -28,15 +30,16 @@ type resultRecord struct {
 	Algo           string  `json:"algo"`
 	Cost           int64   `json:"cost"`
 	ElapsedMicros  int64   `json:"elapsed_us"`
+	Err            string  `json:"err,omitempty"`
 }
 
 // recordOf flattens a Result into its wire form.
-func recordOf(r Result) resultRecord {
+func recordOf(r Result) SweepRecord {
 	zones := r.Spec.Zones
 	if zones < 2 {
 		zones = 0 // single-zone specs serialize like pre-zone records
 	}
-	return resultRecord{
+	return SweepRecord{
 		Family:         r.Spec.Family.String(),
 		N:              r.Spec.N,
 		Cluster:        r.Spec.Cluster.String(),
@@ -52,7 +55,7 @@ func recordOf(r Result) resultRecord {
 }
 
 // resultOf parses and validates a wire record back into a Result.
-func resultOf(rec resultRecord) (Result, error) {
+func resultOf(rec SweepRecord) (Result, error) {
 	fam, err := familyByName(rec.Family)
 	if err != nil {
 		return Result{}, err
@@ -98,44 +101,6 @@ func resultOf(rec resultRecord) (Result, error) {
 		Cost:    rec.Cost,
 		Elapsed: time.Duration(rec.ElapsedMicros) * time.Microsecond,
 	}, nil
-}
-
-// WriteResults serializes experiment results as a JSON array, so a run
-// can be archived and the figures regenerated later without recomputing
-// (cmd/experiments writes one file per run when asked).
-func WriteResults(w io.Writer, results []Result) error {
-	records := make([]resultRecord, len(results))
-	for i, r := range results {
-		records[i] = recordOf(r)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(records)
-}
-
-// ReadResults parses a result file written by WriteResults.
-func ReadResults(r io.Reader) ([]Result, error) {
-	var records []resultRecord
-	if err := json.NewDecoder(r).Decode(&records); err != nil {
-		return nil, fmt.Errorf("experiments: decoding results: %w", err)
-	}
-	out := make([]Result, len(records))
-	for i, rec := range records {
-		res, err := resultOf(rec)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: record %d: %w", i, err)
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
-// SweepRecord is the JSONL wire form of one sweep job: a flattened Result
-// plus an error slot, so failed jobs (panic, timeout, invalid schedule)
-// are archived in-band without aborting the sweep.
-type SweepRecord struct {
-	resultRecord
-	Err string `json:"err,omitempty"`
 }
 
 // writeSweepRecord appends one record as a single JSONL line.
@@ -191,7 +156,7 @@ func SweepDoneKeys(recs []SweepRecord) map[string]bool {
 		if rec.Err != "" {
 			continue
 		}
-		res, err := resultOf(rec.resultRecord)
+		res, err := resultOf(rec)
 		if err != nil {
 			continue
 		}
@@ -208,7 +173,7 @@ func SweepResults(recs []SweepRecord) ([]Result, error) {
 		if rec.Err != "" {
 			continue
 		}
-		res, err := resultOf(rec.resultRecord)
+		res, err := resultOf(rec)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: sweep record %d: %w", i, err)
 		}

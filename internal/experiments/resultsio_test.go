@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -24,10 +25,16 @@ func TestResultsRoundTrip(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := WriteResults(&buf, in); err != nil {
+	for _, r := range in {
+		if err := writeSweepRecord(&buf, recordOf(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := ReadSweepRecords(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadResults(&buf)
+	out, err := SweepResults(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +49,25 @@ func TestResultsRoundTrip(t *testing.T) {
 }
 
 func TestResultsFeedFigures(t *testing.T) {
-	// A persisted run must be usable for figure regeneration.
-	results, names := smallRun(t)
+	// An archived sweep stream must regenerate the live run's figures.
+	specs := []Spec{}
+	for _, sc := range []power.Scenario{power.S1, power.S4} {
+		for _, df := range DeadlineFactors() {
+			specs = append(specs, Spec{Family: wfgen.Bacass, N: 40, Cluster: Small, Scenario: sc, DeadlineFactor: df, Seed: 3})
+		}
+	}
+	algos := LSAlgorithms()
+	names := AlgoNames(algos)
 	var buf bytes.Buffer
-	if err := WriteResults(&buf, results); err != nil {
+	results, _, err := Sweep(context.Background(), Jobs(specs, names), algos, &buf, SweepOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadResults(&buf)
+	recs, err := ReadSweepRecords(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := SweepResults(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,18 +78,31 @@ func TestResultsFeedFigures(t *testing.T) {
 	}
 }
 
-func TestReadResultsRejectsCorruption(t *testing.T) {
+// TestSweepResultsRejectsCorruption: a record that parses as JSON but
+// names no valid result fails the aggregation instead of being dropped.
+func TestSweepResultsRejectsCorruption(t *testing.T) {
 	cases := []string{
-		"{",
-		`[{"family":"nope","cluster":"small","scenario":"S1","deadline_factor":2}]`,
-		`[{"family":"eager","cluster":"tiny","scenario":"S1","deadline_factor":2}]`,
-		`[{"family":"eager","cluster":"small","scenario":"S9","deadline_factor":2}]`,
-		`[{"family":"eager","cluster":"small","scenario":"S1","deadline_factor":0.2}]`,
-		`[{"family":"eager","cluster":"small","scenario":"S1","deadline_factor":2,"cost":-4}]`,
+		`{"family":"nope","cluster":"small","scenario":"S1","deadline_factor":2}`,
+		`{"family":"eager","cluster":"tiny","scenario":"S1","deadline_factor":2}`,
+		`{"family":"eager","cluster":"small","scenario":"S9","deadline_factor":2}`,
+		`{"family":"eager","cluster":"small","scenario":"S1","deadline_factor":0.2}`,
+		`{"family":"eager","cluster":"small","scenario":"S1","deadline_factor":2,"cost":-4}`,
+		`{"family":"eager","cluster":"small","scenario":"S1","deadline_factor":2,"zones":1}`,
 	}
-	for _, src := range cases {
-		if _, err := ReadResults(strings.NewReader(src)); err == nil {
-			t.Errorf("input %q accepted", src)
+	good := `{"family":"eager","cluster":"small","scenario":"S1","deadline_factor":2}`
+	for _, line := range cases {
+		// The bad line sits between two good ones, so it is neither a
+		// torn tail nor alone.
+		recs, err := ReadSweepRecords(strings.NewReader(good + "\n" + line + "\n" + good + "\n"))
+		if err != nil {
+			t.Fatalf("line %s: %v", line, err)
 		}
+		if _, err := SweepResults(recs); err == nil {
+			t.Errorf("line %s accepted", line)
+		}
+	}
+	// A line that is not JSON at all fails the read itself.
+	if _, err := ReadSweepRecords(strings.NewReader("{\n" + good + "\n")); err == nil {
+		t.Error("non-JSON line accepted")
 	}
 }

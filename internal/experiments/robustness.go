@@ -12,6 +12,11 @@ import (
 	"repro/internal/stats"
 )
 
+// The robustness studies run one cell per spec on the package's worker
+// pool. Within a cell, everything that does not depend on the noise or
+// error level (the instance, the ASAP schedule, the nominal or
+// perfect-information plan) is computed once and shared by every level.
+
 // RobustnessRuntime studies how the carbon savings survive runtime
 // mis-prediction: schedules are planned with the instance's nominal
 // durations (pressWR-LS vs ASAP) and then executed with multiplicative
@@ -24,49 +29,53 @@ func RobustnessRuntime(ctx context.Context, specs []Spec, noiseLevels []float64,
 		Columns: []string{"noise_sd", "median_realized_ratio", "planned_ratio", "miss_rate_cawo", "miss_rate_asap"},
 		Note:    fmt.Sprintf("%d instances; pressWR-LS vs ASAP, identical noise per task", len(specs)),
 	}
-	_ = workers
 	opt := core.Options{Score: core.ScorePressureW, Refined: true, LocalSearch: true}
-	for _, sd := range noiseLevels {
-		var realized, planned []float64
-		missCawo, missASAP := 0, 0
-		for _, spec := range specs {
-			in, err := BuildInstance(spec)
-			if err != nil {
-				return nil, err
-			}
-			if in.Prof == nil {
-				return nil, fmt.Errorf("experiments: robustness on %s: multi-zone specs (the replay simulator is single-zone): %w", spec, scherr.ErrUnsupported)
-			}
-			plan, st, err := core.Run(ctx, in.Inst, in.Zones, opt)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: robustness on %s: %w", spec, err)
-			}
-			asap := core.ASAP(in.Inst)
+	planned := make([]float64, len(specs))
+	// [level][spec]; a miss is 1, a met deadline 0.
+	realized := matrix(len(noiseLevels), len(specs))
+	missCawo, missASAP := matrix(len(noiseLevels), len(specs)), matrix(len(noiseLevels), len(specs))
+	err := forEach(ctx, len(specs), workers, func(i int) error {
+		spec := specs[i]
+		in, err := singleZoneInstance(spec)
+		if err != nil {
+			return err
+		}
+		plan, st, err := core.Run(ctx, in.Inst, in.Zones, opt)
+		if err != nil {
+			return fmt.Errorf("experiments: robustness on %s: %w", spec, err)
+		}
+		asap := core.ASAP(in.Inst)
+		planned[i] = stats.CostRatio(float64(st.Cost), float64(schedule.CarbonCost(in.Inst, asap, in.Zones)))
+		for l, sd := range noiseLevels {
 			noise := sim.Noise{RelStdDev: sd, Seed: spec.Seed}
 			resPlan, err := sim.Execute(in.Inst, plan, in.Prof, noise)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			resASAP, err := sim.Execute(in.Inst, asap, in.Prof, noise)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			realized = append(realized, stats.CostRatio(float64(resPlan.Cost), float64(resASAP.Cost)))
-			asapPlanned := schedule.CarbonCost(in.Inst, asap, in.Zones)
-			planned = append(planned, stats.CostRatio(float64(st.Cost), float64(asapPlanned)))
+			realized[l][i] = stats.CostRatio(float64(resPlan.Cost), float64(resASAP.Cost))
 			if !resPlan.DeadlineMet {
-				missCawo++
+				missCawo[l][i] = 1
 			}
 			if !resASAP.DeadlineMet {
-				missASAP++
+				missASAP[l][i] = 1
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for l, sd := range noiseLevels {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f", sd),
-			f3(stats.Median(realized)),
+			f3(stats.Median(realized[l])),
 			f3(stats.Median(planned)),
-			pct(float64(missCawo) / float64(len(specs))),
-			pct(float64(missASAP) / float64(len(specs))),
+			pct(stats.Mean(missCawo[l])),
+			pct(stats.Mean(missASAP[l])),
 		})
 	}
 	return t, nil
@@ -86,39 +95,54 @@ func RobustnessForecast(ctx context.Context, specs []Spec, errorLevels []float64
 			"%d instances; pressWR-LS planned on forecast, evaluated on actual; regret = realized cost / perfect-information cost",
 			len(specs)),
 	}
-	_ = workers
 	opt := core.Options{Score: core.ScorePressureW, Refined: true, LocalSearch: true}
-	for _, base := range errorLevels {
-		var ratios, regrets []float64
-		for _, spec := range specs {
-			in, err := BuildInstance(spec)
-			if err != nil {
-				return nil, err
-			}
-			if in.Prof == nil {
-				return nil, fmt.Errorf("experiments: robustness on %s: multi-zone specs (the replay simulator is single-zone): %w", spec, scherr.ErrUnsupported)
-			}
+	ratios, regrets := matrix(len(errorLevels), len(specs)), matrix(len(errorLevels), len(specs)) // [level][spec]
+	err := forEach(ctx, len(specs), workers, func(i int) error {
+		spec := specs[i]
+		in, err := singleZoneInstance(spec)
+		if err != nil {
+			return err
+		}
+		perfect, _, err := core.Run(ctx, in.Inst, in.Zones, opt)
+		if err != nil {
+			return err
+		}
+		perfectCost := schedule.CarbonCost(in.Inst, perfect, in.Zones)
+		asapCost := schedule.CarbonCost(in.Inst, core.ASAP(in.Inst), in.Zones)
+		for l, base := range errorLevels {
 			fe := sim.ForecastError{Base: base, Growth: base, Seed: spec.Seed}
-			forecast := fe.Forecast(in.Prof)
-			plan, _, err := core.Run(ctx, in.Inst, power.SingleZone(forecast), opt)
+			plan, _, err := core.Run(ctx, in.Inst, power.SingleZone(fe.Forecast(in.Prof)), opt)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: forecast robustness on %s: %w", spec, err)
-			}
-			perfect, _, err := core.Run(ctx, in.Inst, in.Zones, opt)
-			if err != nil {
-				return nil, err
+				return fmt.Errorf("experiments: forecast robustness on %s: %w", spec, err)
 			}
 			realized := schedule.CarbonCost(in.Inst, plan, in.Zones)
-			perfectCost := schedule.CarbonCost(in.Inst, perfect, in.Zones)
-			asapCost := schedule.CarbonCost(in.Inst, core.ASAP(in.Inst), in.Zones)
-			ratios = append(ratios, stats.CostRatio(float64(realized), float64(asapCost)))
-			regrets = append(regrets, stats.CostRatio(float64(realized), float64(perfectCost)))
+			ratios[l][i] = stats.CostRatio(float64(realized), float64(asapCost))
+			regrets[l][i] = stats.CostRatio(float64(realized), float64(perfectCost))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for l, base := range errorLevels {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f", base),
-			f3(stats.Median(ratios)),
-			f3(stats.Median(regrets)),
+			f3(stats.Median(ratios[l])),
+			f3(stats.Median(regrets[l])),
 		})
 	}
 	return t, nil
+}
+
+// singleZoneInstance builds a spec's instance for the replay simulator,
+// which runs on the cluster-wide profile of the single-zone corpus.
+func singleZoneInstance(spec Spec) (*Instance, error) {
+	in, err := BuildInstance(spec)
+	if err != nil {
+		return nil, err
+	}
+	if in.Prof == nil {
+		return nil, fmt.Errorf("experiments: robustness on %s: multi-zone specs (the replay simulator is single-zone): %w", spec, scherr.ErrUnsupported)
+	}
+	return in, nil
 }

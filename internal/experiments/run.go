@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -48,6 +46,16 @@ func LSAlgorithms() []Algorithm {
 	return algos
 }
 
+// AlgoNames returns the roster's names in order, the column order of
+// every table and the algorithm list of a job grid.
+func AlgoNames(algos []Algorithm) []string {
+	names := make([]string, len(algos))
+	for i, a := range algos {
+		names[i] = a.Name
+	}
+	return names
+}
+
 func baseline() Algorithm {
 	return Algorithm{
 		Name: BaselineName,
@@ -80,85 +88,6 @@ type Result struct {
 	Algo    string
 	Cost    int64
 	Elapsed time.Duration
-}
-
-// Run executes every algorithm on every spec, in parallel across specs
-// (workers ≤ 0 uses GOMAXPROCS). The instance is built once per spec and
-// shared by its algorithms; scheduling time excludes instance
-// construction, matching the paper's running-time measurements. progress,
-// if non-nil, is called after each completed instance. Canceling ctx
-// aborts the run between (and, via core, inside) algorithm executions.
-func Run(ctx context.Context, specs []Spec, algos []Algorithm, workers int, progress func(done, total int)) ([]Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	type item struct {
-		idx  int
-		spec Spec
-	}
-	jobs := make(chan item)
-	resultsPer := make([][]Result, len(specs))
-	errs := make([]error, len(specs))
-	var done int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for it := range jobs {
-				rs, err := runOne(ctx, it.spec, algos)
-				resultsPer[it.idx] = rs
-				errs[it.idx] = err
-				if progress != nil {
-					mu.Lock()
-					done++
-					progress(done, len(specs))
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i, s := range specs {
-		jobs <- item{i, s}
-	}
-	close(jobs)
-	wg.Wait()
-
-	var out []Result
-	for i := range specs {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		out = append(out, resultsPer[i]...)
-	}
-	return out, nil
-}
-
-func runOne(ctx context.Context, spec Spec, algos []Algorithm) ([]Result, error) {
-	in, err := BuildInstance(spec)
-	if err != nil {
-		return nil, err
-	}
-	rs := make([]Result, 0, len(algos))
-	for _, a := range algos {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("experiments: %s on %s: %w", a.Name, spec, err)
-		}
-		start := time.Now()
-		cost, err := runBest(ctx, in, a)
-		elapsed := time.Since(start)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s on %s: %w", a.Name, spec, err)
-		}
-		rs = append(rs, Result{
-			Spec:    spec,
-			Algo:    a.Name,
-			Cost:    cost,
-			Elapsed: elapsed,
-		})
-	}
-	return rs, nil
 }
 
 // runBest executes the algorithm on the instance and returns the carbon
@@ -262,6 +191,25 @@ func buildGrid(results []Result, algos []string) *grid {
 	}
 	g.specs, g.costs, g.times = specs, costs, times
 	return g
+}
+
+// timesOf returns algorithm column a of the running times, one entry per
+// instance.
+func (g *grid) timesOf(a int) []float64 {
+	ts := make([]float64, 0, len(g.times))
+	for _, row := range g.times {
+		ts = append(ts, row[a])
+	}
+	return ts
+}
+
+// matrix allocates a rows × cols table of zeros.
+func matrix(rows, cols int) [][]float64 {
+	m := make([][]float64, rows)
+	for i := range m {
+		m[i] = make([]float64, cols)
+	}
+	return m
 }
 
 // filter returns a sub-grid with only instances matching pred.

@@ -48,39 +48,28 @@ func ReplicateSeed(base uint64, r int) uint64 {
 	return rng.Mix(base, uint64(r))
 }
 
-// Grid enumerates the sweep deterministically: replicate seeds × corpus
-// specs (family × size × cluster × scenario × deadline) × algorithms,
-// spec-major so consecutive jobs share one instance build. maxTasks caps
-// the workflow sizes exactly like Corpus.
-func Grid(maxTasks int, baseSeed uint64, replicates int, algos []string) []Job {
-	return MultiZoneGrid(maxTasks, baseSeed, replicates, 1, algos)
-}
-
-// MultiZoneGrid is Grid over the multi-zone scenario family: every cell
-// runs on a cluster split into the given number of grid zones with
-// rotated per-zone scenarios (see Spec.Zones). zones < 2 is exactly the
-// classic single-zone Grid, whose job keys it preserves.
-func MultiZoneGrid(maxTasks int, baseSeed uint64, replicates, zones int, algos []string) []Job {
-	if replicates < 1 {
-		replicates = 1
-	}
-	var jobs []Job
-	for r := 0; r < replicates; r++ {
-		for _, spec := range MultiZoneCorpus(maxTasks, ReplicateSeed(baseSeed, r), zones) {
-			for _, a := range algos {
-				jobs = append(jobs, Job{Spec: spec, Algo: a})
-			}
+// Jobs crosses specs with algorithm names, spec-major, so consecutive
+// jobs share one instance build.
+func Jobs(specs []Spec, algos []string) []Job {
+	jobs := make([]Job, 0, len(specs)*len(algos))
+	for _, spec := range specs {
+		for _, a := range algos {
+			jobs = append(jobs, Job{Spec: spec, Algo: a})
 		}
 	}
 	return jobs
 }
 
-// MappingGrid is the mapping-ablation extension of MultiZoneGrid: every
-// cell of the multi-zone grid is replicated once per requested mapping
-// ("" or "fixed" keeps the legacy fixed-HEFT cell and its job key; policy
-// names and MapSearch append /m<mapping> to the key). All mappings of a
-// cell schedule against the identical per-zone supply, so their costs are
-// directly comparable.
+// MappingGrid enumerates the sweep deterministically: replicate seeds ×
+// multi-zone corpus specs (family × size × cluster × scenario × deadline,
+// see MultiZoneCorpus; zones < 2 is the paper's single-zone grid) ×
+// mappings × algorithms, spec-major so consecutive jobs share one
+// instance build. maxTasks caps the workflow sizes exactly like Corpus.
+// Every cell is replicated once per requested mapping: nil, "" or "fixed"
+// keeps the fixed-HEFT cell and its legacy job key, while policy names and
+// MapSearch append /m<mapping> to the key. All mappings of a cell schedule
+// against the identical per-zone supply, so their costs are directly
+// comparable.
 func MappingGrid(maxTasks int, baseSeed uint64, replicates, zones int, mappings, algos []string) []Job {
 	if replicates < 1 {
 		replicates = 1
@@ -88,24 +77,19 @@ func MappingGrid(maxTasks int, baseSeed uint64, replicates, zones int, mappings,
 	if len(mappings) == 0 {
 		mappings = []string{""}
 	}
-	var jobs []Job
+	var specs []Spec
 	for r := 0; r < replicates; r++ {
 		for _, spec := range MultiZoneCorpus(maxTasks, ReplicateSeed(baseSeed, r), zones) {
-			// Mapping-major inside each cell, so consecutive jobs still
-			// share one buildable instance (the sweep groups by spec).
 			for _, m := range mappings {
 				if m == "fixed" {
 					m = ""
 				}
-				sp := spec
-				sp.Mapping = m
-				for _, a := range algos {
-					jobs = append(jobs, Job{Spec: sp, Algo: a})
-				}
+				spec.Mapping = m
+				specs = append(specs, spec)
 			}
 		}
 	}
-	return jobs
+	return Jobs(specs, algos)
 }
 
 // SweepOptions tunes a Sweep run.
@@ -130,7 +114,7 @@ type sweepItem struct {
 	jobIdx int
 	rec    SweepRecord
 	res    Result
-	ok     bool
+	err    error // the job's failure, nil on success
 }
 
 // Sweep executes the jobs on a worker pool and streams one JSONL record
@@ -138,19 +122,18 @@ type sweepItem struct {
 // stream is byte-stable across worker counts except for timing fields).
 // Instances are built once per run of consecutive jobs sharing a spec.
 // Job failures — scheduler errors, invalid schedules, panics, timeouts —
-// are recorded in-band and excluded from the returned Results; Sweep
-// itself fails only on I/O errors or cancellation.
+// are recorded in-band: they are excluded from the returned Results and
+// reported in failed, one error per failed job in grid order, each
+// reading "experiments: <job key>: <cause>". Sweep itself fails only on
+// I/O errors or cancellation. A caller that needs every job to succeed
+// (artifact mode) treats failed[0] as its error.
 //
 // Canceling ctx stops the sweep mid-grid: in-flight jobs observe the
 // cancellation through their job context and return, remaining jobs are
 // skipped without emitting records (so the JSONL stream stays an in-order
 // prefix a later -resume can extend), and Sweep returns the partial
 // results with an error satisfying errors.Is(err, context.Canceled).
-func Sweep(ctx context.Context, jobs []Job, roster []Algorithm, w io.Writer, opt SweepOptions) ([]Result, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func Sweep(ctx context.Context, jobs []Job, roster []Algorithm, w io.Writer, opt SweepOptions) (results []Result, failed []error, err error) {
 	byName := make(map[string]Algorithm, len(roster))
 	for _, a := range roster {
 		byName[a.Name] = a
@@ -179,24 +162,14 @@ func Sweep(ctx context.Context, jobs []Job, roster []Algorithm, w io.Writer, opt
 		g.idxs = append(g.idxs, i)
 	}
 
-	items := make(chan sweepItem, workers)
-	groupCh := make(chan group)
-	var wg sync.WaitGroup
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range groupCh {
-				runSweepGroup(ctx, g.spec, g.idxs, jobs, byName, opt.Timeout, emitSeq, items)
-			}
-		}()
-	}
+	items := make(chan sweepItem)
 	go func() {
-		for _, g := range groups {
-			groupCh <- g
-		}
-		close(groupCh)
-		wg.Wait()
+		// Jobs report their failures in-band, and a cancellation is read
+		// from ctx once the stream is drained.
+		_ = forEach(ctx, len(groups), opt.Workers, func(gi int) error {
+			runSweepGroup(ctx, groups[gi].spec, groups[gi].idxs, jobs, byName, opt.Timeout, emitSeq, items)
+			return nil
+		})
 		close(items)
 	}()
 
@@ -204,9 +177,7 @@ func Sweep(ctx context.Context, jobs []Job, roster []Algorithm, w io.Writer, opt
 	// order, so the JSONL stream is deterministic under any -parallel N.
 	bw := bufio.NewWriter(w)
 	pending := make(map[int]sweepItem)
-	resOK := make([]bool, len(jobs))
-	resVal := make([]Result, len(jobs))
-	next, done := 0, 0
+	next := 0
 	var ioErr error
 	for it := range items {
 		pending[it.seq] = it
@@ -216,9 +187,10 @@ func Sweep(ctx context.Context, jobs []Job, roster []Algorithm, w io.Writer, opt
 				break
 			}
 			delete(pending, next)
-			if cur.ok {
-				resOK[cur.jobIdx] = true
-				resVal[cur.jobIdx] = cur.res
+			if cur.err == nil {
+				results = append(results, cur.res)
+			} else {
+				failed = append(failed, fmt.Errorf("experiments: %s: %w", jobs[cur.jobIdx].Key(), cur.err))
 			}
 			if ioErr == nil {
 				ioErr = writeSweepRecord(bw, cur.rec)
@@ -227,25 +199,29 @@ func Sweep(ctx context.Context, jobs []Job, roster []Algorithm, w io.Writer, opt
 				}
 			}
 			next++
-			done++
 			if opt.Progress != nil {
-				opt.Progress(done, total)
+				opt.Progress(next, total)
 			}
 		}
 	}
 	if ioErr != nil {
-		return nil, fmt.Errorf("experiments: sweep output: %w", ioErr)
-	}
-	var out []Result
-	for i := range jobs {
-		if resOK[i] {
-			out = append(out, resVal[i])
-		}
+		return nil, nil, fmt.Errorf("experiments: sweep output: %w", ioErr)
 	}
 	if err := ctx.Err(); err != nil {
-		return out, scherr.Canceled(err)
+		return results, failed, scherr.Canceled(err)
 	}
-	return out, nil
+	return results, failed, nil
+}
+
+// sweepStrict runs every algorithm on every spec through Sweep for a
+// table that needs every cell: the stream is discarded and the first
+// failed job, in grid order, is the error.
+func sweepStrict(ctx context.Context, specs []Spec, algos []Algorithm, workers int) ([]Result, error) {
+	results, failed, err := Sweep(ctx, Jobs(specs, AlgoNames(algos)), algos, io.Discard, SweepOptions{Workers: workers})
+	if err == nil && len(failed) > 0 {
+		err = failed[0]
+	}
+	return results, err
 }
 
 // runSweepGroup builds the group's instance once and runs each of its
@@ -262,30 +238,30 @@ func runSweepGroup(ctx context.Context, spec Spec, idxs []int, jobs []Job, byNam
 			return
 		}
 		j := jobs[ji]
-		rec := SweepRecord{resultRecord: recordOf(Result{Spec: j.Spec, Algo: j.Algo})}
+		rec := recordOf(Result{Spec: j.Spec, Algo: j.Algo})
 		var res Result
-		ok := false
+		var err error
 		a, known := byName[j.Algo]
 		switch {
 		case buildErr != nil:
-			rec.Err = buildErr.Error()
+			err = buildErr
 		case !known:
-			rec.Err = fmt.Sprintf("unknown algorithm %q", j.Algo)
+			err = fmt.Errorf("unknown algorithm %q", j.Algo)
 		default:
-			cost, elapsed, errMsg := runJob(ctx, in, a, timeout)
-			if errMsg != "" && ctx.Err() != nil {
+			var cost int64
+			var elapsed time.Duration
+			cost, elapsed, err = runJob(ctx, in, a, timeout)
+			if err != nil && ctx.Err() != nil {
 				return // sweep canceled mid-job; drop, the job re-runs on resume
 			}
 			rec.ElapsedMicros = elapsed.Microseconds()
-			if errMsg != "" {
-				rec.Err = errMsg
-			} else {
-				rec.Cost = cost
-				res = Result{Spec: j.Spec, Algo: j.Algo, Cost: cost, Elapsed: elapsed}
-				ok = true
-			}
+			rec.Cost = cost
+			res = Result{Spec: j.Spec, Algo: j.Algo, Cost: cost, Elapsed: elapsed}
 		}
-		out <- sweepItem{seq: emitSeq[ji], jobIdx: ji, rec: rec, res: res, ok: ok}
+		if err != nil {
+			rec.Err = err.Error()
+		}
+		out <- sweepItem{seq: emitSeq[ji], jobIdx: ji, rec: rec, res: res, err: err}
 	}
 }
 
@@ -300,43 +276,81 @@ func buildInstanceSafe(spec Spec) (in *Instance, err error) {
 
 // runJob executes one algorithm with panic isolation and an optional
 // wall-clock cap, enforced as a context deadline: the scheduler's periodic
-// context polls make it return shortly after the deadline, so — unlike the
-// old watchdog-goroutine design — nothing keeps running unobserved after a
-// timeout. The job runs synchronously on the calling worker. Only the
-// cancellation error itself is relabeled as a timeout; a genuine failure
-// (panic, invalid schedule) racing the deadline keeps its own message.
-func runJob(ctx context.Context, in *Instance, a Algorithm, timeout time.Duration) (int64, time.Duration, string) {
+// context polls make it return shortly after the deadline, so nothing
+// keeps running unobserved after a timeout. The job runs synchronously on
+// the calling worker. Only the cancellation error itself is relabeled as
+// a timeout; a genuine failure (panic, invalid schedule) racing the
+// deadline keeps its own error.
+func runJob(ctx context.Context, in *Instance, a Algorithm, timeout time.Duration) (int64, time.Duration, error) {
 	if timeout <= 0 {
-		cost, elapsed, errMsg, _ := runJobDirect(ctx, in, a)
-		return cost, elapsed, errMsg
+		return runJobDirect(ctx, in, a)
 	}
 	jctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	cost, elapsed, errMsg, wasCanceled := runJobDirect(jctx, in, a)
-	if wasCanceled && jctx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-		errMsg = fmt.Sprintf("timeout after %s", timeout)
+	cost, elapsed, err := runJobDirect(jctx, in, a)
+	if (errors.Is(err, scherr.ErrCanceled) || errors.Is(err, jctx.Err())) &&
+		jctx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
+		err = fmt.Errorf("timeout after %s", timeout)
 	}
-	return cost, elapsed, errMsg
+	return cost, elapsed, err
 }
 
 // runJobDirect measures only the scheduling time, excluding instance
 // construction, matching the paper's running-time methodology (map-search
 // jobs time all candidate mappings — the search is the algorithm).
-// wasCanceled reports that the failure was the job context's own
-// cancellation (not a panic or scheduler error).
-func runJobDirect(ctx context.Context, in *Instance, a Algorithm) (cost int64, elapsed time.Duration, errMsg string, wasCanceled bool) {
+func runJobDirect(ctx context.Context, in *Instance, a Algorithm) (cost int64, elapsed time.Duration, err error) {
 	start := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
-			elapsed = time.Since(start)
-			errMsg = fmt.Sprintf("panic: %v", p)
-			wasCanceled = false
+			cost, elapsed, err = 0, time.Since(start), fmt.Errorf("panic: %v", p)
 		}
 	}()
-	cost, err := runBest(ctx, in, a)
-	elapsed = time.Since(start)
-	if err != nil {
-		return 0, elapsed, err.Error(), errors.Is(err, scherr.ErrCanceled) || errors.Is(err, ctx.Err())
+	cost, err = runBest(ctx, in, a)
+	return cost, time.Since(start), err
+}
+
+// forEach runs fn(i) for every i in [0, n) on workers goroutines (≤ 0
+// uses GOMAXPROCS), handing out indices in ascending order. It is the
+// package's one worker pool: Sweep dispatches its spec groups through
+// it, and every study whose cells are not (spec, algorithm) → cost jobs
+// runs one cell per index. Canceling ctx stops the dispatch of further
+// indices; calls already running finish. The result is the error of the
+// lowest failed index, else the cancellation (errors.Is
+// context.Canceled and scherr.ErrCanceled) if ctx ended before every
+// index ran, else nil.
+func forEach(ctx context.Context, n, workers int, fn func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return cost, elapsed, "", false
+	errs := make([]error, n)
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	dispatched := 0
+	for dispatched < n && ctx.Err() == nil {
+		select {
+		case next <- dispatched:
+			dispatched++
+		case <-ctx.Done():
+		}
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	if err := ctx.Err(); err != nil && dispatched < n {
+		return scherr.Canceled(err)
+	}
+	return nil
 }

@@ -54,7 +54,7 @@ func TestSweepDeterministicOrder(t *testing.T) {
 	jobs := sweepTestJobs(5)
 	run := func(workers int) ([]SweepRecord, []Result) {
 		var buf bytes.Buffer
-		results, err := Sweep(context.Background(), jobs, Algorithms(), &buf, SweepOptions{Workers: workers})
+		results, _, err := Sweep(context.Background(), jobs, Algorithms(), &buf, SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,29 +92,35 @@ func TestSweepDeterministicOrder(t *testing.T) {
 }
 
 func TestSweepMatchesSequentialRunner(t *testing.T) {
-	// The sweep's costs must agree with the original Run path.
+	// The sweep's costs must agree with a plain serial loop: one build per
+	// spec, then every algorithm in roster order.
 	jobs := sweepTestJobs(4)
 	var buf bytes.Buffer
-	swept, err := Sweep(context.Background(), jobs, Algorithms(), &buf, SweepOptions{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []Spec{jobs[0].Spec, jobs[4].Spec, jobs[8].Spec}
-	legacy, err := Run(context.Background(), specs, Algorithms()[:4], 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	swept, failed, err := Sweep(context.Background(), jobs, Algorithms(), &buf, SweepOptions{Workers: 3})
+	if err != nil || len(failed) > 0 {
+		t.Fatalf("sweep: err %v, failed %v", err, failed)
 	}
 	costs := map[string]int64{}
-	for _, r := range legacy {
-		costs[jobKey(r.Spec, r.Algo)] = r.Cost
+	for _, spec := range []Spec{jobs[0].Spec, jobs[4].Spec, jobs[8].Spec} {
+		in, err := BuildInstance(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range Algorithms()[:4] {
+			cost, err := runBest(context.Background(), in, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			costs[jobKey(spec, a.Name)] = cost
+		}
 	}
-	if len(swept) != len(legacy) {
-		t.Fatalf("%d swept results, %d legacy", len(swept), len(legacy))
+	if len(swept) != len(costs) {
+		t.Fatalf("%d swept results, %d serial", len(swept), len(costs))
 	}
 	for _, r := range swept {
 		want, ok := costs[jobKey(r.Spec, r.Algo)]
 		if !ok || r.Cost != want {
-			t.Errorf("cost mismatch for %s/%s: sweep %d, legacy %d (found %v)", r.Spec, r.Algo, r.Cost, want, ok)
+			t.Errorf("cost mismatch for %s/%s: sweep %d, serial %d (found %v)", r.Spec, r.Algo, r.Cost, want, ok)
 		}
 	}
 }
@@ -127,12 +133,21 @@ func TestSweepIsolatesPanicsAndErrors(t *testing.T) {
 		}},
 	}
 	var buf bytes.Buffer
-	results, err := Sweep(context.Background(), jobs, roster, &buf, SweepOptions{Workers: 2})
+	results, failed, err := Sweep(context.Background(), jobs, roster, &buf, SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 0 {
 		t.Fatalf("panicking algorithm yielded %d results", len(results))
+	}
+	// The caller hears of every failure too, in grid order, by job key.
+	if len(failed) != len(jobs) {
+		t.Fatalf("%d failures reported, want %d", len(failed), len(jobs))
+	}
+	for i, ferr := range failed {
+		if want := "experiments: " + jobs[i].Key() + ": panic: boom"; ferr.Error() != want {
+			t.Errorf("failure %d = %q, want %q", i, ferr, want)
+		}
 	}
 	recs, err := ReadSweepRecords(&buf)
 	if err != nil {
@@ -148,7 +163,7 @@ func TestSweepIsolatesPanicsAndErrors(t *testing.T) {
 	}
 	// Unknown algorithms are reported in-band too.
 	var buf2 bytes.Buffer
-	if _, err := Sweep(context.Background(), []Job{{Spec: jobs[0].Spec, Algo: "nope"}}, Algorithms(), &buf2, SweepOptions{}); err != nil {
+	if _, _, err := Sweep(context.Background(), []Job{{Spec: jobs[0].Spec, Algo: "nope"}}, Algorithms(), &buf2, SweepOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	recs2, _ := ReadSweepRecords(&buf2)
@@ -173,7 +188,7 @@ func TestSweepTimeout(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	start := time.Now()
-	results, err := Sweep(context.Background(), jobs, roster, &buf, SweepOptions{Workers: 1, Timeout: 20 * time.Millisecond})
+	results, _, err := Sweep(context.Background(), jobs, roster, &buf, SweepOptions{Workers: 1, Timeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +207,7 @@ func TestSweepTimeout(t *testing.T) {
 func TestSweepResume(t *testing.T) {
 	jobs := sweepTestJobs(3)
 	var full bytes.Buffer
-	if _, err := Sweep(context.Background(), jobs, Algorithms(), &full, SweepOptions{Workers: 4}); err != nil {
+	if _, _, err := Sweep(context.Background(), jobs, Algorithms(), &full, SweepOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := ReadSweepRecords(&full)
@@ -205,7 +220,7 @@ func TestSweepResume(t *testing.T) {
 		t.Fatalf("done keys = %d, want 4", len(done))
 	}
 	var rest bytes.Buffer
-	if _, err := Sweep(context.Background(), jobs, Algorithms(), &rest, SweepOptions{Workers: 4, Skip: done}); err != nil {
+	if _, _, err := Sweep(context.Background(), jobs, Algorithms(), &rest, SweepOptions{Workers: 4, Skip: done}); err != nil {
 		t.Fatal(err)
 	}
 	restRecs, err := ReadSweepRecords(&rest)
@@ -245,7 +260,7 @@ func TestSweepResume(t *testing.T) {
 func TestReadSweepRecordsToleratesTornTail(t *testing.T) {
 	jobs := sweepTestJobs(2)
 	var buf bytes.Buffer
-	if _, err := Sweep(context.Background(), jobs, Algorithms(), &buf, SweepOptions{Workers: 2}); err != nil {
+	if _, _, err := Sweep(context.Background(), jobs, Algorithms(), &buf, SweepOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.String()
@@ -268,7 +283,7 @@ func TestReadSweepRecordsToleratesTornTail(t *testing.T) {
 
 func TestGridShape(t *testing.T) {
 	names := []string{"ASAP", "pressWR-LS"}
-	jobs := Grid(100, 42, 2, names)
+	jobs := MappingGrid(100, 42, 2, 1, nil, names)
 	specs := Corpus(100, 42)
 	if want := 2 * len(specs) * len(names); len(jobs) != want {
 		t.Fatalf("grid has %d jobs, want %d", len(jobs), want)
@@ -299,7 +314,7 @@ func ExampleSweep() {
 	spec := Spec{Family: wfgen.Bacass, N: 30, Cluster: Small, Scenario: power.S1, DeadlineFactor: 2, Seed: 7}
 	jobs := []Job{{Spec: spec, Algo: "ASAP"}, {Spec: spec, Algo: "pressWR-LS"}}
 	var buf bytes.Buffer
-	results, err := Sweep(context.Background(), jobs, Algorithms(), &buf, SweepOptions{Workers: 2})
+	results, _, err := Sweep(context.Background(), jobs, Algorithms(), &buf, SweepOptions{Workers: 2})
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -332,7 +347,7 @@ func TestSweepTimeoutLeaksNoGoroutines(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	var buf bytes.Buffer
-	if _, err := Sweep(context.Background(), jobs, roster, &buf, SweepOptions{Workers: 2, Timeout: 10 * time.Millisecond}); err != nil {
+	if _, _, err := Sweep(context.Background(), jobs, roster, &buf, SweepOptions{Workers: 2, Timeout: 10 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	// Give the pool's own goroutines a moment to unwind.
@@ -374,7 +389,7 @@ func TestSweepCancellation(t *testing.T) {
 		return orig(ctx, in)
 	}
 	var buf bytes.Buffer
-	_, err := Sweep(ctx, jobs, roster, &buf, SweepOptions{Workers: 2})
+	_, _, err := Sweep(ctx, jobs, roster, &buf, SweepOptions{Workers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled sweep returned err = %v, want context.Canceled", err)
 	}
@@ -397,7 +412,7 @@ func TestSweepCancellation(t *testing.T) {
 	// Resume must pick up exactly the missing jobs.
 	skip := SweepDoneKeys(recs)
 	var rest bytes.Buffer
-	if _, err := Sweep(context.Background(), jobs, Algorithms(), &rest, SweepOptions{Workers: 2, Skip: skip}); err != nil {
+	if _, _, err := Sweep(context.Background(), jobs, Algorithms(), &rest, SweepOptions{Workers: 2, Skip: skip}); err != nil {
 		t.Fatal(err)
 	}
 	restRecs, err := ReadSweepRecords(&rest)
@@ -412,5 +427,67 @@ func TestSweepCancellation(t *testing.T) {
 	}
 	if got, want := ok+len(restRecs), len(jobs); got != want {
 		t.Fatalf("prefix (%d ok) + resumed (%d) = %d records, want %d", ok, len(restRecs), got, want)
+	}
+}
+
+// TestForEachCanceled: canceling the pool's context stops the dispatch of
+// further indices, the call returns the cancellation, and no worker
+// goroutine outlives it.
+func TestForEachCanceled(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	var mu sync.Mutex
+	ran := 0
+	err := forEach(ctx, 1000, 3, func(i int) error {
+		mu.Lock()
+		ran++
+		mu.Unlock()
+		switch {
+		case i == 5:
+			cancel()
+		case i > 5:
+			<-ctx.Done() // hold the other workers until the cancel
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, scherr.ErrCanceled) {
+		t.Fatalf("canceled pool returned %v, want the cancellation", err)
+	}
+	// Indices 0..5 ran, plus the two other workers' held indices and at
+	// most one index the dispatcher sent as the cancel landed.
+	if ran < 6 || ran > 9 {
+		t.Errorf("%d calls ran, want 6 to 9 of 1000", ran)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines grew from %d to %d", before, after)
+	}
+}
+
+// TestForEachLowestIndexError: every index runs, and the error of the
+// lowest failed index wins whatever order the workers finish in.
+func TestForEachLowestIndexError(t *testing.T) {
+	var mu sync.Mutex
+	ran := map[int]bool{}
+	err := forEach(context.Background(), 50, 4, func(i int) error {
+		mu.Lock()
+		ran[i] = true
+		mu.Unlock()
+		if i == 7 || i == 31 {
+			return fmt.Errorf("cell %d", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "cell 7" {
+		t.Errorf("err = %v, want cell 7", err)
+	}
+	if len(ran) != 50 {
+		t.Errorf("%d of 50 indices ran", len(ran))
+	}
+	if err := forEach(context.Background(), 0, 4, func(int) error { return errors.New("ran") }); err != nil {
+		t.Errorf("empty pool: %v", err)
 	}
 }

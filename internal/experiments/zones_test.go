@@ -48,7 +48,7 @@ func TestMultiZoneSweepRoundTrip(t *testing.T) {
 		{Spec: Spec{Family: wfgen.Bacass, N: 30, Cluster: Small, Scenario: power.S1, DeadlineFactor: 2, Seed: 7, Zones: 2}, Algo: "pressWR-LS"},
 	}
 	var buf bytes.Buffer
-	results, err := Sweep(context.Background(), jobs, algos, &buf, SweepOptions{Workers: 2})
+	results, _, err := Sweep(context.Background(), jobs, algos, &buf, SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestMultiZoneSweepRoundTrip(t *testing.T) {
 		}
 	}
 	for _, rec := range recs {
-		res, err := resultOf(rec.resultRecord)
+		res, err := resultOf(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,8 +104,8 @@ func TestMultiZoneAblationDrivers(t *testing.T) {
 }
 
 func TestMultiZoneGridKeysDistinct(t *testing.T) {
-	single := Grid(60, 42, 1, []string{BaselineName})
-	multi := MultiZoneGrid(60, 42, 1, 3, []string{BaselineName})
+	single := MappingGrid(60, 42, 1, 1, nil, []string{BaselineName})
+	multi := MappingGrid(60, 42, 1, 3, nil, []string{BaselineName})
 	if len(single) != len(multi) {
 		t.Fatalf("grid sizes differ: %d vs %d", len(single), len(multi))
 	}
