@@ -38,16 +38,21 @@ func benchInstance(b *testing.B, n int) (*cawosched.Instance, *cawosched.Profile
 }
 
 // BenchmarkGreedy measures the budget greedy of Section 5.2 alone
-// (pressWR score, refined subdivision, no local search) at three sizes:
-// the 500-task single-zone instance the local-search benchmarks start
-// from, the 1000-task 3-zone shape of the repo benchmark's solve_cold_1k,
-// and ten times that, where the per-zone budget structures hold the most
-// intervals and the chunked updates matter most.
+// (pressWR score, refined subdivision, no local search): the 500-task
+// single-zone instance the local-search benchmarks start from, the
+// 1000-task 3-zone shape of the repo benchmark's solve_cold_1k, ten times
+// that (T/J′ ≈ 1.2, where windows.Fix outweighs the budget structure),
+// and a 60-task 3-zone workflow on each side of the rule that picks the
+// budget structure's form (core.newBudgets): at twice the makespan, the
+// admit_churn shape, the refined subdivision splits nearly every time
+// unit and the dense form runs; at 250 times the makespan T/J′ ≈ 30–50
+// and the chunked form runs. Every other case runs dense.
 func BenchmarkGreedy(b *testing.B) {
 	for _, c := range []struct {
 		name     string
 		n, zones int
-	}{{"500", 500, 1}, {"1k-3zone", 1000, 3}, {"10k-3zone", 10000, 3}} {
+		factor   int64
+	}{{"500", 500, 1, 2}, {"1k-3zone", 1000, 3, 2}, {"10k-3zone", 10000, 3, 2}, {"60-3zone-DF2", 60, 3, 2}, {"60-3zone-DF250", 60, 3, 250}} {
 		b.Run(c.name, func(b *testing.B) {
 			var inst *cawosched.Instance
 			var zs *cawosched.ZoneSet
@@ -56,7 +61,7 @@ func BenchmarkGreedy(b *testing.B) {
 				inst, prof = benchInstance(b, c.n)
 				zs = power.SingleZone(prof)
 			} else {
-				inst, zs = benchZonedInstance(b, c.n, c.zones, 2)
+				inst, zs = benchZonedInstance(b, c.n, c.zones, c.factor)
 			}
 			opt := core.Options{Score: core.ScorePressureW, Refined: true}
 			b.ReportAllocs()

@@ -17,13 +17,26 @@ import (
 //   - consume: subtract a task's power draw from the intervals it covers,
 //     splitting partially covered boundary intervals.
 //
-// The partition is stored as a run of chunks, each a sorted slice of
-// interval starts with their budgets. The chunk size S is fixed at
-// construction: the smallest power of two whose square reaches J, the
-// profile's interval count plus the extra breakpoints, kept within
-// [minChunk, maxChunk]. The structure starts as about √J chunks of S
-// intervals; a chunk that grows past 2S intervals is cut in two. Every
-// chunk carries
+// It takes one of two forms, picked per zone when it is built from
+// J′₀, the profile's interval count plus the distinct refined points
+// (newBudgets): dense when T ≤ denseBudgetRatio·J′₀, chunked otherwise.
+// The refined subdivision of a short horizon splits nearly every time
+// unit, and there index arithmetic beats any search; a long horizon with
+// few breakpoints would make a per-unit array, and scans over it, far
+// larger than the partition.
+//
+// The dense form (budgetdense.go) keeps a budget per time unit, the
+// breakpoints as a bitset, and per 64-unit word a pending subtraction
+// and the earliest argmax among the word's breakpoints. Its memory is
+// O(T) = O(J′₀) under the rule.
+//
+// The chunked form stores the partition as a run of chunks, each a
+// sorted slice of interval starts with their budgets. The chunk size S
+// is fixed at construction: the smallest power of two whose square
+// reaches J, the profile's interval count plus the extra breakpoints,
+// kept within [minChunk, maxChunk]. The structure starts as about √J
+// chunks of S intervals; a chunk that grows past 2S intervals is cut in
+// two. Every chunk carries
 //
 //   - a pending subtraction pend: interval i's budget is buds[i] − pend, so
 //     a consume covering the whole chunk adds to pend in O(1);
@@ -32,16 +45,29 @@ import (
 //     is recomputed only when a consume lowers part of a chunk that
 //     includes it.
 //
-// With n ≤ J + 2·(placements) intervals in C ≈ n/S chunks, newBudgets is
-// one O(J + E) merge over the E extra points (plus a sort when they come
-// unsorted), and ensureBreak, consume and bestStart each cost
-// O(log n + C + S): binary searches to the chunk, O(1) per fully covered
-// chunk, one pass over at most two partially covered ones. That is O(√J)
-// while n stays within a constant factor of J.
+// With n ≤ J + 2·(placements) intervals in C ≈ n/S chunks,
+// newChunkedBudgets is one O(J + E) merge over the E extra points (plus
+// a sort when they come unsorted), and ensureBreak, consume and
+// bestStart each cost O(log n + C + S): binary searches to the chunk,
+// O(1) per fully covered chunk, one pass over at most two partially
+// covered ones. That is O(√J) while n stays within a constant factor of
+// J.
 type budgets struct {
-	T      int64
+	T     int64
+	dense bool
+
+	// Chunked form.
 	size   int // S; a chunk longer than 2·size is split
 	chunks []budgetChunk
+
+	// Dense form: the budget at x is bud[x] − pend[x/64]; bit x of brk
+	// is set when an interval starts at x; arg[w] is the offset in word
+	// w of its earliest breakpoint with the largest bud, −1 when the
+	// word holds no breakpoint.
+	bud  []int64
+	pend []int64
+	brk  []uint64
+	arg  []int8
 }
 
 type budgetChunk struct {
@@ -66,13 +92,31 @@ func chunkSize(n int) int {
 	return s
 }
 
-// newBudgets builds the structure from the profile plus optional extra
-// breakpoints (the refined subdivision points). Extra points outside
-// (0, T) are ignored. One merge of the interval starts with the extras
-// writes starts, budgets and argmaxes straight into chunk storage carved
-// from a single allocation; each chunk gets S/4 spare slots so that the
-// breakpoints the greedy inserts rarely reallocate it.
-func newBudgets(prof *power.Profile, extra []int64) *budgets {
+// denseBudgetRatio is the rule that picks a structure's form: dense when
+// T ≤ denseBudgetRatio·J′₀. On refined 3-zone greedies the dense form
+// wins up to T/J′ ≈ 4, ties at 4–5 and loses from 8 on (the crossover
+// table is in docs/ARCHITECTURE.md). Tests change it to force either
+// form.
+var denseBudgetRatio int64 = 4
+
+// newBudgets builds the structure over the profile, with the points of ps
+// (the refined subdivision, empty for none) as extra breakpoints. A
+// dense structure takes over ps's words.
+func newBudgets(prof *power.Profile, ps *pointSet) *budgets {
+	if T := prof.T(); T <= denseBudgetRatio*int64(len(prof.Intervals)+ps.count()) {
+		return newDenseBudgets(prof, ps.bitset(T))
+	}
+	return newChunkedBudgets(prof, ps.sorted())
+}
+
+// newChunkedBudgets builds the chunked form from the profile plus
+// optional extra breakpoints (the refined subdivision points). Extra
+// points outside (0, T) are ignored. One merge of the interval starts
+// with the extras writes starts, budgets and argmaxes straight into
+// chunk storage carved from a single allocation; each chunk gets S/4
+// spare slots so that the breakpoints the greedy inserts rarely
+// reallocate it.
+func newChunkedBudgets(prof *power.Profile, extra []int64) *budgets {
 	T := prof.T()
 	// The refined subdivision arrives already sorted and deduplicated
 	// (refinedPoints); merge it with the sorted interval starts
@@ -148,6 +192,9 @@ func (c *budgetChunk) refresh() {
 
 // numIntervals returns the current number of intervals J′.
 func (b *budgets) numIntervals() int {
+	if b.dense {
+		return b.denseIntervals()
+	}
 	n := 0
 	for _, c := range b.chunks {
 		n += len(c.starts)
@@ -236,6 +283,10 @@ func (b *budgets) consume(a, e, p int64) {
 	if a < 0 || e > b.T {
 		panic(fmt.Sprintf("core: consume [%d, %d) outside horizon [0, %d)", a, e, b.T))
 	}
+	if b.dense {
+		b.denseConsume(a, e, p)
+		return
+	}
 	if e < b.T {
 		b.ensureBreak(e)
 	}
@@ -269,6 +320,9 @@ func (b *budgets) consume(a, e, p int64) {
 func (b *budgets) bestStart(est, lst int64) (start int64, ok bool) {
 	if est > lst {
 		return 0, false
+	}
+	if b.dense {
+		return b.denseBestStart(est, lst)
 	}
 	var best int64
 	ci := max(0, b.chunkOf(est))
@@ -311,6 +365,9 @@ func (b *budgets) bestStart(est, lst int64) (start int64, ok bool) {
 
 // budgetAt returns the current per-unit budget at time x (for tests).
 func (b *budgets) budgetAt(x int64) int64 {
+	if b.dense {
+		return b.denseBudgetAt(x)
+	}
 	ci, ii := b.locate(x)
 	c := &b.chunks[ci]
 	return c.buds[ii] - c.pend

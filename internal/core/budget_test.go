@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ceg"
 	"repro/internal/power"
 	"repro/internal/rng"
+	"repro/internal/wfgen"
 )
 
 func prof3(t *testing.T) *power.Profile {
@@ -18,111 +21,163 @@ func prof3(t *testing.T) *power.Profile {
 	return p
 }
 
+// buildBudgets builds the structure over p in the given form, with the
+// extra points that fall in (0, T): the chunked form takes them as they
+// come, in any order and with repeats, the dense form as the bitset a
+// pointSet of them hands over.
+func buildBudgets(p *power.Profile, extra []int64, dense bool) *budgets {
+	if !dense {
+		return newChunkedBudgets(p, extra)
+	}
+	ps := newPointSet(p.T(), len(extra))
+	for _, x := range extra {
+		if x > 0 && x < p.T() {
+			ps.add(x)
+		}
+	}
+	return newDenseBudgets(p, ps.bitset(p.T()))
+}
+
+// forBudgetForms runs f as one subtest per form of the structure.
+func forBudgetForms(t *testing.T, f func(t *testing.T, dense bool)) {
+	t.Run("chunked", func(t *testing.T) { f(t, false) })
+	t.Run("dense", func(t *testing.T) { f(t, true) })
+}
+
+// forceBudgetForm makes every structure newBudgets builds until the
+// returned function is called take the given form.
+func forceBudgetForm(dense bool) (restore func()) {
+	old := denseBudgetRatio
+	denseBudgetRatio = 0
+	if dense {
+		denseBudgetRatio = 1 << 40
+	}
+	return func() { denseBudgetRatio = old }
+}
+
 func TestBudgetsInit(t *testing.T) {
-	b := newBudgets(prof3(t), nil)
-	if b.numIntervals() != 3 {
-		t.Errorf("intervals = %d, want 3", b.numIntervals())
-	}
-	if b.budgetAt(0) != 5 || b.budgetAt(10) != 20 || b.budgetAt(25) != 10 {
-		t.Error("initial budgets wrong")
-	}
+	forBudgetForms(t, func(t *testing.T, dense bool) {
+		b := buildBudgets(prof3(t), nil, dense)
+		if b.numIntervals() != 3 {
+			t.Errorf("intervals = %d, want 3", b.numIntervals())
+		}
+		if b.budgetAt(0) != 5 || b.budgetAt(10) != 20 || b.budgetAt(25) != 10 {
+			t.Error("initial budgets wrong")
+		}
+	})
 }
 
 func TestBudgetsExtraPoints(t *testing.T) {
-	b := newBudgets(prof3(t), []int64{5, 15, 15, 0, 30, 31})
-	// 0 and 30/31 are outside (0, T); 15 deduped.
-	if b.numIntervals() != 5 {
-		t.Errorf("intervals = %d, want 5 (3 original + splits at 5, 15)", b.numIntervals())
-	}
-	if b.budgetAt(5) != 5 || b.budgetAt(15) != 20 {
-		t.Error("split intervals must inherit the containing budget")
-	}
+	forBudgetForms(t, func(t *testing.T, dense bool) {
+		b := buildBudgets(prof3(t), []int64{5, 15, 15, 0, 30, 31}, dense)
+		// 0 and 30/31 are outside (0, T); 15 deduped.
+		if b.numIntervals() != 5 {
+			t.Errorf("intervals = %d, want 5 (3 original + splits at 5, 15)", b.numIntervals())
+		}
+		if b.budgetAt(5) != 5 || b.budgetAt(15) != 20 {
+			t.Error("split intervals must inherit the containing budget")
+		}
+	})
 }
 
 func TestBestStartPicksHighestBudget(t *testing.T) {
-	b := newBudgets(prof3(t), nil)
-	// Window covering all starts: highest budget is 20 at t=10.
-	if s, ok := b.bestStart(0, 25); !ok || s != 10 {
-		t.Errorf("bestStart = %d,%v want 10,true", s, ok)
-	}
-	// Window [11, 25]: only start 20 qualifies.
-	if s, ok := b.bestStart(11, 25); !ok || s != 20 {
-		t.Errorf("bestStart = %d,%v want 20,true", s, ok)
-	}
-	// Window excludes every interval start.
-	if _, ok := b.bestStart(11, 19); ok {
-		t.Error("bestStart should report no candidate in (10, 20)")
-	}
+	forBudgetForms(t, func(t *testing.T, dense bool) {
+		b := buildBudgets(prof3(t), nil, dense)
+		// Window covering all starts: highest budget is 20 at t=10.
+		if s, ok := b.bestStart(0, 25); !ok || s != 10 {
+			t.Errorf("bestStart = %d,%v want 10,true", s, ok)
+		}
+		// Window [11, 25]: only start 20 qualifies.
+		if s, ok := b.bestStart(11, 25); !ok || s != 20 {
+			t.Errorf("bestStart = %d,%v want 20,true", s, ok)
+		}
+		// Window excludes every interval start.
+		if _, ok := b.bestStart(11, 19); ok {
+			t.Error("bestStart should report no candidate in (10, 20)")
+		}
+	})
 }
 
 func TestBestStartTieEarliest(t *testing.T) {
-	p, err := power.NewProfile([]int64{10, 10, 10}, []int64{7, 7, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := newBudgets(p, nil)
-	if s, ok := b.bestStart(0, 29); !ok || s != 0 {
-		t.Errorf("tie should pick earliest: got %d,%v", s, ok)
-	}
-	if s, ok := b.bestStart(5, 29); !ok || s != 10 {
-		t.Errorf("tie from 5 should pick 10: got %d,%v", s, ok)
-	}
+	forBudgetForms(t, func(t *testing.T, dense bool) {
+		p, err := power.NewProfile([]int64{10, 10, 10}, []int64{7, 7, 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := buildBudgets(p, nil, dense)
+		if s, ok := b.bestStart(0, 29); !ok || s != 0 {
+			t.Errorf("tie should pick earliest: got %d,%v", s, ok)
+		}
+		if s, ok := b.bestStart(5, 29); !ok || s != 10 {
+			t.Errorf("tie from 5 should pick 10: got %d,%v", s, ok)
+		}
+	})
 }
 
 func TestConsumeSplitsAndSubtracts(t *testing.T) {
-	b := newBudgets(prof3(t), nil)
-	b.consume(12, 18, 6) // inside interval [10,20)
-	if got := b.budgetAt(11); got != 20 {
-		t.Errorf("budget before task = %d, want 20", got)
-	}
-	if got := b.budgetAt(12); got != 14 {
-		t.Errorf("budget during task = %d, want 14", got)
-	}
-	if got := b.budgetAt(18); got != 20 {
-		t.Errorf("budget after task = %d, want 20", got)
-	}
-	// Now the best start in [10, 19] is the split point 18 (budget 20).
-	if s, ok := b.bestStart(11, 19); !ok || s != 18 {
-		t.Errorf("bestStart after split = %d,%v want 18,true", s, ok)
-	}
+	forBudgetForms(t, func(t *testing.T, dense bool) {
+		b := buildBudgets(prof3(t), nil, dense)
+		b.consume(12, 18, 6) // inside interval [10,20)
+		if got := b.budgetAt(11); got != 20 {
+			t.Errorf("budget before task = %d, want 20", got)
+		}
+		if got := b.budgetAt(12); got != 14 {
+			t.Errorf("budget during task = %d, want 14", got)
+		}
+		if got := b.budgetAt(18); got != 20 {
+			t.Errorf("budget after task = %d, want 20", got)
+		}
+		// Now the best start in [10, 19] is the split point 18 (budget 20).
+		if s, ok := b.bestStart(11, 19); !ok || s != 18 {
+			t.Errorf("bestStart after split = %d,%v want 18,true", s, ok)
+		}
+	})
 }
 
 func TestConsumeAcrossIntervals(t *testing.T) {
-	b := newBudgets(prof3(t), nil)
-	b.consume(5, 25, 3)
-	for _, tc := range []struct{ x, want int64 }{
-		{0, 5}, {5, 2}, {10, 17}, {20, 7}, {25, 10},
-	} {
-		if got := b.budgetAt(tc.x); got != tc.want {
-			t.Errorf("budgetAt(%d) = %d, want %d", tc.x, got, tc.want)
+	forBudgetForms(t, func(t *testing.T, dense bool) {
+		b := buildBudgets(prof3(t), nil, dense)
+		b.consume(5, 25, 3)
+		for _, tc := range []struct{ x, want int64 }{
+			{0, 5}, {5, 2}, {10, 17}, {20, 7}, {25, 10},
+		} {
+			if got := b.budgetAt(tc.x); got != tc.want {
+				t.Errorf("budgetAt(%d) = %d, want %d", tc.x, got, tc.want)
+			}
 		}
-	}
+	})
 }
 
 func TestConsumeCanGoNegative(t *testing.T) {
-	b := newBudgets(prof3(t), nil)
-	b.consume(0, 10, 100)
-	if got := b.budgetAt(3); got != -95 {
-		t.Errorf("budget = %d, want -95", got)
-	}
+	forBudgetForms(t, func(t *testing.T, dense bool) {
+		b := buildBudgets(prof3(t), nil, dense)
+		b.consume(0, 10, 100)
+		if got := b.budgetAt(3); got != -95 {
+			t.Errorf("budget = %d, want -95", got)
+		}
+	})
 }
 
 func TestConsumeFullHorizon(t *testing.T) {
-	b := newBudgets(prof3(t), nil)
-	b.consume(0, 30, 1)
-	if b.budgetAt(0) != 4 || b.budgetAt(29) != 9 {
-		t.Error("full-horizon consume wrong")
-	}
+	forBudgetForms(t, func(t *testing.T, dense bool) {
+		b := buildBudgets(prof3(t), nil, dense)
+		b.consume(0, 30, 1)
+		if b.budgetAt(0) != 4 || b.budgetAt(29) != 9 {
+			t.Error("full-horizon consume wrong")
+		}
+	})
 }
 
 func TestConsumePanicsOutside(t *testing.T) {
-	b := newBudgets(prof3(t), nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("consume beyond horizon did not panic")
-		}
-	}()
-	b.consume(25, 35, 1)
+	forBudgetForms(t, func(t *testing.T, dense bool) {
+		b := buildBudgets(prof3(t), nil, dense)
+		defer func() {
+			if recover() == nil {
+				t.Fatal("consume beyond horizon did not panic")
+			}
+		}()
+		b.consume(25, 35, 1)
+	})
 }
 
 func TestChunkSplitting(t *testing.T) {
@@ -132,7 +187,7 @@ func TestChunkSplitting(t *testing.T) {
 	for i := int64(1); i < 3000; i++ {
 		extra = append(extra, i*33)
 	}
-	b := newBudgets(p, extra)
+	b := newChunkedBudgets(p, extra)
 	ref := newReference(p, extra)
 	if len(b.chunks) < 2 {
 		t.Fatalf("expected multiple chunks, got %d", len(b.chunks))
@@ -153,9 +208,10 @@ func TestChunkSplitting(t *testing.T) {
 }
 
 // checkBudgets compares the structure with the reference: every time
-// unit's budget, the breakpoints, each query's bestStart, and the chunk
-// invariants (sorted starts, no chunk over twice the chunk size, arg the
-// earliest maximum).
+// unit's budget, the breakpoints, each query's bestStart, and the form's
+// invariants (chunked: sorted starts, no chunk over twice the chunk size,
+// arg the earliest maximum; dense: the breakpoint bits, arg the earliest
+// maximum of each word's breakpoints).
 func checkBudgets(t *testing.T, b *budgets, ref *referenceBudgets, queries [][2]int64) {
 	t.Helper()
 	for x := int64(0); x < b.T; x++ {
@@ -172,6 +228,25 @@ func checkBudgets(t *testing.T, b *budgets, ref *referenceBudgets, queries [][2]
 		if gs != ws || gok != wok {
 			t.Fatalf("bestStart(%d, %d) = %d,%v, want %d,%v", q[0], q[1], gs, gok, ws, wok)
 		}
+	}
+	if b.dense {
+		for x := int64(0); x < b.T; x++ {
+			if got := b.brk[x>>6]>>uint(x&63)&1 != 0; got != ref.brk[x] {
+				t.Fatalf("breakpoint bit %d is %v, want %v", x, got, ref.brk[x])
+			}
+		}
+		for w := range b.arg {
+			want := int8(-1)
+			for i := int64(0); i < 64 && int64(w)<<6+i < b.T; i++ {
+				if x := int64(w)<<6 + i; ref.brk[x] && (want < 0 || b.bud[x] > b.bud[int64(w)<<6+int64(want)]) {
+					want = int8(i)
+				}
+			}
+			if b.arg[w] != want {
+				t.Fatalf("word %d: cached argmax %d, want %d", w, b.arg[w], want)
+			}
+		}
+		return
 	}
 	prev := int64(-1)
 	for ci, c := range b.chunks {
@@ -272,7 +347,7 @@ func TestBudgetsChunkCases(t *testing.T) {
 		},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			b := newBudgets(prof, nil)
+			b := newChunkedBudgets(prof, nil)
 			ref := newReference(prof, nil)
 			if b.size != 16 || len(b.chunks) != 7 {
 				t.Fatalf("size %d, %d chunks: want 16 and 7", b.size, len(b.chunks))
@@ -294,8 +369,16 @@ func TestBudgetsChunkCases(t *testing.T) {
 // a narrow range so that ties are common) through 300 random consumes
 // and queries, checking each query and, every 50 ops, every time unit.
 // Consumes are mostly short and clustered, so chunks split, often while
-// holding a pending subtraction from a wide consume.
+// holding a pending subtraction from a wide consume. The dense form runs
+// the same ops over as many words, with pending subtractions and cached
+// argmaxes per word.
 func TestBudgetsChunkedAgainstReferenceProperty(t *testing.T) {
+	forBudgetForms(t, func(t *testing.T, dense bool) {
+		budgetsChunkedProperty(t, dense)
+	})
+}
+
+func budgetsChunkedProperty(t *testing.T, dense bool) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		T := r.IntRange(50, 4000)
@@ -325,7 +408,7 @@ func TestBudgetsChunkedAgainstReferenceProperty(t *testing.T) {
 			slices.Sort(extra)
 			extra = slices.Compact(extra)
 		}
-		b := newBudgets(p, extra)
+		b := buildBudgets(p, extra, dense)
 		ref := newReference(p, extra)
 		hot := r.IntRange(0, T-1)
 		for op := 1; op <= 300; op++ {
@@ -423,6 +506,12 @@ func (r *referenceBudgets) bestStart(est, lst int64) (int64, bool) {
 }
 
 func TestBudgetsAgainstReferenceProperty(t *testing.T) {
+	forBudgetForms(t, func(t *testing.T, dense bool) {
+		budgetsProperty(t, dense)
+	})
+}
+
+func budgetsProperty(t *testing.T, dense bool) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		T := r.IntRange(20, 200)
@@ -447,7 +536,7 @@ func TestBudgetsAgainstReferenceProperty(t *testing.T) {
 		for i := 0; i < int(r.IntRange(0, 10)); i++ {
 			extra = append(extra, r.IntRange(1, T-1))
 		}
-		fast := newBudgets(p, extra)
+		fast := buildBudgets(p, extra, dense)
 		ref := newReference(p, extra)
 		for op := 0; op < 40; op++ {
 			if r.Float64() < 0.5 {
@@ -491,7 +580,7 @@ func TestRefinedPointsUniChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := refinedPoints(inst, power.SingleZone(prof), 3)[0]
+	pts := refinedPoints(inst, power.SingleZone(prof), 3)[0].sorted()
 	// Candidates include: block {0}: starts at 0/10 (→ 10), ends at 10/20
 	// (→ 8, 18); block {1}: starts 10, ends → 7, 17; block {0,1}: task 0
 	// at 10, 5, 15; task 1 at 2, 12, 7, 17...
@@ -519,9 +608,60 @@ func TestRefinedPointsUniChain(t *testing.T) {
 func TestRefinedPointsKLimitsBlocks(t *testing.T) {
 	inst := uniChain(t, []int64{1, 1, 1, 1, 1, 1}, 1, 1)
 	prof := power.Constant(50, 5)
-	p1 := refinedPoints(inst, power.SingleZone(prof), 1)[0]
-	p3 := refinedPoints(inst, power.SingleZone(prof), 3)[0]
+	p1 := refinedPoints(inst, power.SingleZone(prof), 1)[0].sorted()
+	p3 := refinedPoints(inst, power.SingleZone(prof), 3)[0].sorted()
 	if len(p3) < len(p1) {
 		t.Errorf("k=3 produced fewer points (%d) than k=1 (%d)", len(p3), len(p1))
+	}
+}
+
+// TestGreedyChunkedMatchesDense runs the greedy with each form of the
+// budget structure forced, over the four scores, with and without the
+// refined subdivision, on one and three zones, at deadline factors 2
+// (T/J′ ≈ 1 refined, far on the dense side of the rule) and 30 (refined,
+// near its threshold). Starts and Stats must be equal. It also
+// pins which form the rule picks for a 60-task workflow at factor 2
+// (dense) and at factor 250 (chunked).
+func TestGreedyChunkedMatchesDense(t *testing.T) {
+	greedy := func(inst *ceg.Instance, zs *power.ZoneSet, opt Options, dense bool) ([]int64, Stats) {
+		t.Helper()
+		defer forceBudgetForm(dense)()
+		var st Stats
+		s, err := Greedy(context.Background(), inst, zs, opt, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Start, st
+	}
+	seed := uint64(0)
+	for _, zones := range []int{1, 3} {
+		for _, factor := range []float64{2, 30} {
+			seed++
+			inst, zs := zonedInstance(t, wfgen.Families()[int(seed)%4], 60, seed, zones, factor, 1)
+			for _, score := range []Score{ScoreSlack, ScoreSlackW, ScorePressure, ScorePressureW} {
+				for _, refined := range []bool{false, true} {
+					opt := Options{Score: score, Refined: refined}
+					cs, cst := greedy(inst, zs, opt, false)
+					ds, dst := greedy(inst, zs, opt, true)
+					if !slices.Equal(cs, ds) {
+						t.Errorf("zones %d factor %v %+v: starts differ", zones, factor, opt)
+					}
+					if cst != dst {
+						t.Errorf("zones %d factor %v %+v: chunked stats %+v, dense %+v", zones, factor, opt, cst, dst)
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		factor float64
+		dense  bool
+	}{{2, true}, {250, false}} {
+		inst, zs := zonedInstance(t, wfgen.Atacseq, 60, 42, 3, c.factor, 1)
+		for z, b := range newZoneBudgets(inst, zs, Options{Refined: true}, nil) {
+			if b.dense != c.dense {
+				t.Errorf("factor %v zone %d: T=%d, %d intervals, dense=%v, want %v", c.factor, z, b.T, b.numIntervals(), b.dense, c.dense)
+			}
+		}
 	}
 }

@@ -12,17 +12,17 @@ import (
 // from that zone's profile (refined by its own subdivision points when
 // requested), accumulating the interval count into st.
 func newZoneBudgets(inst *ceg.Instance, zs *power.ZoneSet, opt Options, st *Stats) []*budgets {
-	var extra [][]int64
+	var extra []pointSet
 	if opt.Refined {
 		extra = refinedPoints(inst, zs, opt.EffectiveK())
 	}
 	bs := make([]*budgets, zs.NumZones())
 	for z := range bs {
-		var pts []int64
+		ps := &pointSet{}
 		if extra != nil {
-			pts = extra[z]
+			ps = &extra[z]
 		}
-		bs[z] = newBudgets(zs.Profile(z), pts)
+		bs[z] = newBudgets(zs.Profile(z), ps)
 	}
 	if st != nil {
 		for _, b := range bs {

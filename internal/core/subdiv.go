@@ -26,10 +26,10 @@ import (
 // point), so the enumeration collects the distinct offsets of a zone
 // first and only then crosses them with the zone's J+1 boundaries.
 //
-// The result has one sorted, deduplicated point list per zone, restricted
-// to (0, T); the original boundaries are implicitly present in the budget
-// structure.
-func refinedPoints(inst *ceg.Instance, zs *power.ZoneSet, k int) [][]int64 {
+// The result has one point set per zone, restricted to (0, T); the
+// original boundaries are implicitly present in the budget structure,
+// which takes the set as a bitset or as a sorted list (newBudgets).
+func refinedPoints(inst *ceg.Instance, zs *power.ZoneSet, k int) []pointSet {
 	if k < 1 {
 		k = 1
 	}
@@ -73,7 +73,7 @@ func refinedPoints(inst *ceg.Instance, zs *power.ZoneSet, k int) [][]int64 {
 		}
 	}
 
-	out := make([][]int64, zs.NumZones())
+	out := make([]pointSet, zs.NumZones())
 	for z := range out {
 		bounds := zs.Profile(z).Boundaries()
 		st, en := &starts[z], &ends[z]
@@ -95,7 +95,7 @@ func refinedPoints(inst *ceg.Instance, zs *power.ZoneSet, k int) [][]int64 {
 				}
 			}
 		}
-		out[z] = ps.sorted()
+		out[z] = ps
 	}
 	return out
 }
@@ -164,17 +164,27 @@ func (ps *pointSet) add(p int64) {
 	ps.pts = append(ps.pts, p)
 }
 
-// sorted returns the distinct points in increasing order.
-func (ps *pointSet) sorted() []int64 {
+// count returns the number of distinct points.
+func (ps *pointSet) count() int {
 	if ps.bits == nil {
-		slices.Sort(ps.pts)
-		return slices.Compact(ps.pts)
+		return len(ps.sorted())
 	}
 	n := 0
 	for _, w := range ps.bits {
 		n += bits.OnesCount64(w)
 	}
-	out := make([]int64, 0, n)
+	return n
+}
+
+// sorted returns the distinct points in increasing order. The list form
+// is sorted and deduplicated in place.
+func (ps *pointSet) sorted() []int64 {
+	if ps.bits == nil {
+		slices.Sort(ps.pts)
+		ps.pts = slices.Compact(ps.pts)
+		return ps.pts
+	}
+	out := make([]int64, 0, ps.count())
 	for wi, w := range ps.bits {
 		base := int64(wi) << 6
 		for w != 0 {
@@ -183,4 +193,17 @@ func (ps *pointSet) sorted() []int64 {
 		}
 	}
 	return out
+}
+
+// bitset returns the points as a bitset over [0, T): the set's own words
+// when it has them, which the caller then owns.
+func (ps *pointSet) bitset(T int64) []uint64 {
+	if ps.bits != nil {
+		return ps.bits
+	}
+	w := make([]uint64, (T+63)>>6)
+	for _, p := range ps.pts {
+		w[p>>6] |= 1 << uint(p&63)
+	}
+	return w
 }

@@ -240,8 +240,9 @@ func insertSlot(tl []slot, s slot) []slot {
 }
 
 // Validate checks that the result is a legal schedule for d on c:
-// precedence respected (with communication delays), no overlap on any
-// processor, durations consistent with processor speeds.
+// precedence respected (with communication delays), durations consistent
+// with processor speeds, and Order listing every task exactly once, under
+// its own processor, in start order without overlap.
 func (r *Result) Validate(d *dag.DAG, c *platform.Cluster) error {
 	n := d.N()
 	if len(r.Proc) != n || len(r.Start) != n || len(r.Finish) != n {
@@ -269,12 +270,30 @@ func (r *Result) Validate(d *dag.DAG, c *platform.Cluster) error {
 				e.From, e.To, r.Start[e.To], arr)
 		}
 	}
+	if len(r.Order) != c.NumCompute() {
+		return fmt.Errorf("heft: order lists %d processors, want %d", len(r.Order), c.NumCompute())
+	}
+	listed := make([]bool, n)
 	for p, tasks := range r.Order {
-		for i := 1; i < len(tasks); i++ {
-			prev, cur := tasks[i-1], tasks[i]
-			if r.Finish[prev] > r.Start[cur] {
-				return fmt.Errorf("heft: processor %d tasks %d and %d overlap", p, prev, cur)
+		for i, v := range tasks {
+			if v < 0 || v >= n {
+				return fmt.Errorf("heft: processor %d order lists unknown task %d", p, v)
 			}
+			if listed[v] {
+				return fmt.Errorf("heft: task %d listed twice in the order", v)
+			}
+			listed[v] = true
+			if r.Proc[v] != p {
+				return fmt.Errorf("heft: task %d mapped to processor %d but listed under %d", v, r.Proc[v], p)
+			}
+			if i > 0 && r.Finish[tasks[i-1]] > r.Start[v] {
+				return fmt.Errorf("heft: processor %d tasks %d and %d overlap or are out of start order", p, tasks[i-1], v)
+			}
+		}
+	}
+	for v, ok := range listed {
+		if !ok {
+			return fmt.Errorf("heft: task %d missing from the order", v)
 		}
 	}
 	return nil

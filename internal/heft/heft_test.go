@@ -233,6 +233,46 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestValidateChecksOrder corrupts only Order of a legal three-task
+// result: every task must be listed exactly once, under the processor it
+// is mapped to, in start order.
+func TestValidateChecksOrder(t *testing.T) {
+	d := dag.New(3)
+	for v := 0; v < 3; v++ {
+		d.SetWeight(v, 4)
+	}
+	c := platform.New([]platform.ProcType{{Name: "a", Speed: 1, Idle: 1, Work: 1}}, []int{3}, 1)
+	legal := func() *Result {
+		return &Result{
+			Proc:     []int{0, 1, 1},
+			Start:    []int64{0, 0, 4},
+			Finish:   []int64{4, 4, 8},
+			Order:    [][]int{{0}, {1, 2}, {}},
+			Makespan: 8,
+		}
+	}
+	if err := legal().Validate(d, c); err != nil {
+		t.Fatalf("legal result rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		order [][]int
+	}{
+		{"task 0 omitted", [][]int{{}, {1, 2}, {}}},
+		{"task 2 under another processor", [][]int{{0}, {1}, {2}}},
+		{"both", [][]int{{}, {1}, {2}}},
+		{"task 1 listed twice", [][]int{{0, 1}, {1, 2}, {}}},
+		{"out of start order", [][]int{{0}, {2, 1}, {}}},
+		{"processor missing", [][]int{{0}, {1, 2}}},
+	} {
+		r := legal()
+		r.Order = tc.order
+		if err := r.Validate(d, c); err == nil {
+			t.Errorf("%s: order %v accepted", tc.name, tc.order)
+		}
+	}
+}
+
 // textbookListSchedule is the list scheduler as the HEFT paper states it
 // and as this package first had it: for every task, every processor walks
 // the task's predecessors for its ready time, divides the weight by its own
