@@ -19,24 +19,6 @@ import (
 	"repro/internal/tenancy"
 )
 
-func benchInstance(b *testing.B, n int) (*cawosched.Instance, *cawosched.Profile) {
-	b.Helper()
-	wf, err := cawosched.GenerateWorkflow(cawosched.Atacseq, n, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst, err := cawosched.PlanHEFT(wf, cawosched.SmallCluster(42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	D := cawosched.ASAPMakespan(inst)
-	prof, err := cawosched.ProfileForInstance(inst, cawosched.S1, 2*D, 24, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return inst, prof
-}
-
 // BenchmarkGreedy measures the budget greedy of Section 5.2 alone
 // (pressWR score, refined subdivision, no local search): the 500-task
 // single-zone instance the local-search benchmarks start from, the
@@ -54,15 +36,7 @@ func BenchmarkGreedy(b *testing.B) {
 		factor   int64
 	}{{"500", 500, 1, 2}, {"1k-3zone", 1000, 3, 2}, {"10k-3zone", 10000, 3, 2}, {"60-3zone-DF2", 60, 3, 2}, {"60-3zone-DF250", 60, 3, 250}} {
 		b.Run(c.name, func(b *testing.B) {
-			var inst *cawosched.Instance
-			var zs *cawosched.ZoneSet
-			if c.zones == 1 {
-				var prof *cawosched.Profile
-				inst, prof = benchInstance(b, c.n)
-				zs = power.SingleZone(prof)
-			} else {
-				inst, zs = benchZonedInstance(b, c.n, c.zones, c.factor)
-			}
+			inst, zs := benchZonedInstance(b, c.n, c.zones, c.factor)
 			opt := core.Options{Score: core.ScorePressureW, Refined: true}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -77,14 +51,14 @@ func BenchmarkGreedy(b *testing.B) {
 
 // localSearchInput builds the greedy schedule the hill climber starts
 // from, at the paper's default µ = 10.
-func localSearchInput(b *testing.B, n int) (*cawosched.Instance, *cawosched.Profile, *cawosched.Schedule) {
+func localSearchInput(b *testing.B, n int) (*cawosched.Instance, *cawosched.ZoneSet, *cawosched.Schedule) {
 	b.Helper()
-	inst, prof := benchInstance(b, n)
-	s, _, err := cawosched.RunContext(context.Background(), inst, prof, cawosched.Options{Score: cawosched.ScorePressureW, Refined: true})
+	inst, zs := benchZonedInstance(b, n, 1, 2)
+	s, _, err := cawosched.RunZonesContext(context.Background(), inst, zs, cawosched.Options{Score: cawosched.ScorePressureW, Refined: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return inst, prof, s
+	return inst, zs, s
 }
 
 // BenchmarkLocalSearch measures the interval-jumping hill climber
@@ -97,8 +71,8 @@ func localSearchInput(b *testing.B, n int) (*cawosched.Instance, *cawosched.Prof
 // since the last evaluation".
 func BenchmarkLocalSearch(b *testing.B) {
 	b.Run("500x1zone", func(b *testing.B) {
-		inst, prof, s := localSearchInput(b, 500)
-		benchLocalSearch(b, inst, power.SingleZone(prof), s)
+		inst, zs, s := localSearchInput(b, 500)
+		benchLocalSearch(b, inst, zs, s)
 	})
 	b.Run("1000x3zones", func(b *testing.B) {
 		inst, zs := benchZonedInstance(b, 1000, 3, 2)
@@ -128,17 +102,18 @@ func benchLocalSearch(b *testing.B, inst *cawosched.Instance, zs *cawosched.Zone
 }
 
 func BenchmarkCarbonCost500(b *testing.B) {
-	inst, prof := benchInstance(b, 500)
+	inst, zs := benchZonedInstance(b, 500, 1, 2)
 	s := cawosched.ASAP(inst)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cawosched.CarbonCost(inst, s, prof)
+		cawosched.CarbonCostZones(inst, s, zs)
 	}
 }
 
 // benchZonedInstance builds an n-task instance on a small cluster split
 // into the given zones, with one rotated-scenario profile per zone over
-// factor × the ASAP makespan.
+// factor × the ASAP makespan (one zone: the paper's cluster-wide S1
+// profile).
 func benchZonedInstance(b *testing.B, n, zones int, factor int64) (*cawosched.Instance, *cawosched.ZoneSet) {
 	b.Helper()
 	wf, err := cawosched.GenerateWorkflow(cawosched.Atacseq, n, 42)

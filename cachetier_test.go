@@ -274,7 +274,7 @@ func TestSolverCacheTierGarbage(t *testing.T) {
 	D := cawosched.ASAPMakespan(inst)
 	empty := cawosched.NewMemoryTier(0)
 	c := cawosched.NewSolver(cawosched.SmallCluster(29), cawosched.WithCacheTier(empty))
-	bad := cawosched.Request{Workflow: wf, Variant: "press", Profile: cawosched.ConstantProfile(D/2, 1)}
+	bad := cawosched.Request{Workflow: wf, Variant: "press", Zones: cawosched.SingleZone(cawosched.ConstantProfile(D/2, 1))}
 	if _, err := c.Solve(context.Background(), bad); !errors.Is(err, cawosched.ErrInfeasibleDeadline) {
 		t.Fatalf("err = %v, want ErrInfeasibleDeadline", err)
 	}

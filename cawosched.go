@@ -24,8 +24,8 @@
 //
 // The supply a schedule is optimized against is a ZoneSet: one green power
 // profile per grid zone of the cluster, of which a single cluster-wide
-// zone is the paper's setting. Entry points that take a bare *Profile
-// (RunContext, CarbonCost, Request.Profile, …) wrap it with SingleZone.
+// zone is the paper's setting. Every entry point takes a *ZoneSet; a
+// caller holding a bare *Profile wraps it with SingleZone.
 //
 // The heavy lifting lives in the internal packages this package wraps
 // (dag, platform, power, wfgen, heft, greenheft, ceg, schedule, core, dp,
@@ -200,25 +200,27 @@ func ASAP(inst *Instance) *Schedule { return core.ASAP(inst) }
 // deadline for the instance.
 func ASAPMakespan(inst *Instance) int64 { return core.ASAPMakespan(inst) }
 
-// ProfileForInstance generates a green power profile for the instance's
-// platform: budgets follow the scenario shape within the paper's corridor
-// [Σ idle, Σ idle + 0.8·Σ work] over horizon T split into j intervals.
-func ProfileForInstance(inst *Instance, sc Scenario, T int64, j int, seed uint64) (*Profile, error) {
-	gmin, gmax := power.PlatformBounds(inst.TotalIdlePower(), inst.Cluster.ComputeWork())
-	return power.Generate(sc, T, j, gmin, gmax, rng.New(seed))
-}
-
 // ZonesForInstance generates one green power profile per grid zone of the
 // instance's cluster: zone z follows scenarios[z] (or scenarios[0] when a
 // single scenario is given) within the zone's own corridor
 // [Σ idle_z, Σ idle_z + 0.8·Σ work_z] over horizon T split into j
-// intervals. Zone randomness is derived per zone index, so the set is
+// intervals. A one-zone cluster gets the paper's cluster-wide profile,
+// drawn straight from the seed and wrapped with SingleZone; on more zones
+// the randomness is derived per zone index. Either way the set is
 // deterministic in (cluster, scenarios, T, j, seed).
 func ZonesForInstance(inst *Instance, scenarios []Scenario, T int64, j int, seed uint64) (*ZoneSet, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("%w: no scenarios", ErrInvalidRequest)
 	}
 	K := inst.NumZones()
+	if K == 1 {
+		gmin, gmax := power.PlatformBounds(inst.TotalIdlePower(), inst.Cluster.ComputeWork())
+		prof, err := power.Generate(scenarios[0], T, j, gmin, gmax, rng.New(seed))
+		if err != nil {
+			return nil, err
+		}
+		return power.SingleZone(prof), nil
+	}
 	specs := make([]ZoneSpec, K)
 	for z := 0; z < K; z++ {
 		sc := scenarios[0]
@@ -235,14 +237,6 @@ func ZonesForInstance(inst *Instance, scenarios []Scenario, T int64, j int, seed
 // as a deadline-only horizon).
 func ConstantProfile(T, budget int64) *Profile { return power.Constant(T, budget) }
 
-// RunContext executes one CaWoSched variant against a cluster-wide
-// profile; the deadline is prof.T(). A canceled ctx aborts the run within
-// one greedy / local-search stride with an error satisfying both
-// errors.Is(err, ErrCanceled) and errors.Is(err, ctx.Err()).
-func RunContext(ctx context.Context, inst *Instance, prof *Profile, opt Options) (*Schedule, Stats, error) {
-	return core.Run(ctx, inst, power.SingleZone(prof), opt)
-}
-
 // Variants returns the 8 greedy variants with the given local-search
 // setting; AllVariants returns all 16.
 func Variants(localSearch bool) []Options { return core.Variants(localSearch) }
@@ -250,14 +244,9 @@ func Variants(localSearch bool) []Options { return core.Variants(localSearch) }
 // AllVariants returns the paper's 16 heuristics.
 func AllVariants() []Options { return core.AllVariants() }
 
-// CarbonCost evaluates a schedule's total carbon cost under the profile
-// (polynomial interval sweep of Appendix A.1).
-func CarbonCost(inst *Instance, s *Schedule, prof *Profile) int64 {
-	return schedule.CarbonCost(inst, s, power.SingleZone(prof))
-}
-
 // CarbonCostZones evaluates a schedule's total carbon cost under per-zone
-// green power: the sum over grid zones of each zone's interval sweep.
+// green power: the sum over grid zones of each zone's interval sweep (the
+// polynomial interval sweep of Appendix A.1, once per zone).
 func CarbonCostZones(inst *Instance, s *Schedule, zs *ZoneSet) int64 {
 	return schedule.CarbonCost(inst, s, zs)
 }
@@ -269,9 +258,11 @@ func CostBreakdownZones(inst *Instance, s *Schedule, zs *ZoneSet) []ZoneCost {
 }
 
 // RunZonesContext executes one CaWoSched variant against per-zone green
-// power with cancellation support; the deadline is the set's common
-// horizon zs.T(). For the full request/response pipeline use a Solver
-// with Request.Zones.
+// power; the deadline is the set's common horizon zs.T(). A canceled ctx
+// aborts the run within one greedy / local-search stride with an error
+// satisfying both errors.Is(err, ErrCanceled) and
+// errors.Is(err, ctx.Err()). For the full request/response pipeline use a
+// Solver with Request.Zones.
 func RunZonesContext(ctx context.Context, inst *Instance, zs *ZoneSet, opt Options) (*Schedule, Stats, error) {
 	return core.Run(ctx, inst, zs, opt)
 }
@@ -301,8 +292,8 @@ func OptimalUniprocessor(durations []int64, idle, work int64, prof *Profile) ([]
 // search (0 = default); ErrBudgetExhausted is returned if it is exhausted.
 // A canceled ctx aborts the search, returning the incumbent found so far
 // (if any) alongside the ErrCanceled-wrapping error.
-func OptimalScheduleContext(ctx context.Context, inst *Instance, prof *Profile, maxNodes int64) (*Schedule, int64, error) {
-	return exact.Solve(ctx, inst, power.SingleZone(prof), exact.Options{MaxNodes: maxNodes})
+func OptimalScheduleContext(ctx context.Context, inst *Instance, zs *ZoneSet, maxNodes int64) (*Schedule, int64, error) {
+	return exact.Solve(ctx, inst, zs, exact.Options{MaxNodes: maxNodes})
 }
 
 // ALAP returns the As-Late-As-Possible comparator schedule for deadline T.
@@ -316,8 +307,8 @@ type AnnealOptions = core.AnnealOptions
 // returns the final carbon cost. The result is never worse than the input:
 // on a canceled ctx the best schedule found so far is restored and
 // returned with its cost alongside the ErrCanceled-wrapping error.
-func AnnealContext(ctx context.Context, inst *Instance, prof *Profile, s *Schedule, opt AnnealOptions) (int64, error) {
-	return core.Anneal(ctx, inst, power.SingleZone(prof), s, opt)
+func AnnealContext(ctx context.Context, inst *Instance, zs *ZoneSet, s *Schedule, opt AnnealOptions) (int64, error) {
+	return core.Anneal(ctx, inst, zs, s, opt)
 }
 
 // MappingPolicy selects the processor-selection rule of the carbon-aware
@@ -368,17 +359,12 @@ func ParseMapping(name string) (MappingPolicy, bool, error) {
 	return pol, false, nil
 }
 
-// PlanGreen computes a carbon-aware mapping (the Section 7 extension) and
-// builds the scheduling instance from it. With MapEFT it is identical to
-// PlanHEFT.
-func PlanGreen(d *DAG, c *Cluster, policy MappingPolicy) (*Instance, error) {
-	return PlanGreenZones(d, c, policy, nil)
-}
-
-// PlanGreenZones is PlanGreen with a per-zone power forecast, required by
-// the zone-aware mapping policies (MapZoneGreen, MapZoneEnergyPerWork):
-// their processor selection weighs each candidate's zone intensity over
-// the task's tentative window.
+// PlanGreenZones computes a carbon-aware mapping (the Section 7
+// extension) and builds the scheduling instance from it; with MapEFT it
+// is identical to PlanHEFT. The per-zone power forecast zs is required by
+// the zone-aware mapping policies (MapZoneGreen, MapZoneEnergyPerWork),
+// whose processor selection weighs each candidate's zone intensity over
+// the task's tentative window; the other policies ignore it (nil is fine).
 func PlanGreenZones(d *DAG, c *Cluster, policy MappingPolicy, zs *ZoneSet) (*Instance, error) {
 	return greenheft.MapInstance(d, c, greenheft.Options{Policy: policy, Zones: zs})
 }
@@ -414,26 +400,20 @@ func ReadIntensityCSV(r io.Reader) ([]TracePoint, error) {
 	return power.ReadIntensityCSV(r)
 }
 
-// ProfileFromIntensity converts a carbon-intensity trace into a green
-// power profile over [0, T): cleaner grid → more green budget, scaled into
-// the platform corridor of the instance.
-func ProfileFromIntensity(inst *Instance, points []TracePoint, T int64) (*Profile, error) {
-	gmin, gmax := power.PlatformBounds(inst.TotalIdlePower(), inst.Cluster.ComputeWork())
-	return power.FromIntensity(points, T, gmin, gmax)
-}
-
 // ZonesFromIntensity converts one carbon-intensity trace per cluster zone
-// into the per-zone supply over [0, T), each scaled into its zone's own
-// corridor. Traces may have different native horizons: they are aligned
-// onto T (samples beyond T dropped, the last sample extended). A one-zone
-// cluster reproduces ProfileFromIntensity wrapped as the degenerate set.
+// into the per-zone supply over [0, T): cleaner grid → more green budget,
+// each zone scaled into its own corridor. Traces may have different native
+// horizons: they are aligned onto T (samples beyond T dropped, the last
+// sample extended). A one-zone cluster gets its single trace scaled into
+// the platform corridor, wrapped with SingleZone.
 func ZonesFromIntensity(inst *Instance, traces [][]TracePoint, T int64) (*ZoneSet, error) {
 	K := inst.NumZones()
 	if len(traces) != K {
 		return nil, fmt.Errorf("%w: %d intensity traces for a cluster with %d zones", ErrInvalidRequest, len(traces), K)
 	}
 	if K == 1 {
-		prof, err := ProfileFromIntensity(inst, traces[0], T)
+		gmin, gmax := power.PlatformBounds(inst.TotalIdlePower(), inst.Cluster.ComputeWork())
+		prof, err := power.FromIntensity(traces[0], T, gmin, gmax)
 		if err != nil {
 			return nil, err
 		}

@@ -7,8 +7,8 @@ import (
 	cawosched "repro"
 )
 
-// buildPipeline exercises the whole public path: generate → map → profile.
-func buildPipeline(t testing.TB, fam cawosched.Family, n int, seed uint64, factor int64) (*cawosched.Instance, *cawosched.Profile) {
+// buildPipeline exercises the whole public path: generate → map → supply.
+func buildPipeline(t testing.TB, fam cawosched.Family, n int, seed uint64, factor int64) (*cawosched.Instance, *cawosched.ZoneSet) {
 	t.Helper()
 	wf, err := cawosched.GenerateWorkflow(fam, n, seed)
 	if err != nil {
@@ -20,11 +20,11 @@ func buildPipeline(t testing.TB, fam cawosched.Family, n int, seed uint64, facto
 		t.Fatal(err)
 	}
 	D := cawosched.ASAPMakespan(inst)
-	prof, err := cawosched.ProfileForInstance(inst, cawosched.S1, factor*D, 24, seed)
+	zs, err := cawosched.ZonesForInstance(inst, []cawosched.Scenario{cawosched.S1}, factor*D, 24, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inst, prof
+	return inst, zs
 }
 
 // TestQuickstartPath follows the package-doc quickstart: one Solver, one
@@ -48,8 +48,8 @@ func TestQuickstartPath(t *testing.T) {
 	if err := cawosched.Validate(resp.Instance, resp.Schedule, resp.Deadline); err != nil {
 		t.Fatal(err)
 	}
-	if got := cawosched.CarbonCost(resp.Instance, resp.Schedule, resp.Profile); got != resp.Cost {
-		t.Errorf("CarbonCost %d != Response.Cost %d", got, resp.Cost)
+	if got := cawosched.CarbonCostZones(resp.Instance, resp.Schedule, resp.Zones); got != resp.Cost {
+		t.Errorf("CarbonCostZones %d != Response.Cost %d", got, resp.Cost)
 	}
 	if resp.Cost > resp.ASAPCost {
 		t.Errorf("pressWR-LS cost %d worse than ASAP %d", resp.Cost, resp.ASAPCost)
@@ -87,8 +87,8 @@ func TestManualWorkflowAndMapping(t *testing.T) {
 	if inst.NumReal != 3 || inst.N() != 4 { // one comm task for edge 0→2
 		t.Fatalf("instance N=%d NumReal=%d", inst.N(), inst.NumReal)
 	}
-	prof := cawosched.ConstantProfile(60, 3)
-	sched, _, err := cawosched.RunContext(context.Background(), inst, prof, cawosched.Options{Score: cawosched.ScoreSlack})
+	zs := cawosched.SingleZone(cawosched.ConstantProfile(60, 3))
+	sched, _, err := cawosched.RunZonesContext(context.Background(), inst, zs, cawosched.Options{Score: cawosched.ScoreSlack})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,20 +113,20 @@ func TestOptimalUniprocessorExposed(t *testing.T) {
 }
 
 func TestOptimalScheduleExposed(t *testing.T) {
-	inst, prof := buildPipeline(t, cawosched.Bacass, 7, 3, 2)
-	opt, optCost, err := cawosched.OptimalScheduleContext(context.Background(), inst, prof, 5_000_000)
+	inst, zs := buildPipeline(t, cawosched.Bacass, 7, 3, 2)
+	opt, optCost, err := cawosched.OptimalScheduleContext(context.Background(), inst, zs, 5_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cawosched.Validate(inst, opt, prof.T()); err != nil {
+	if err := cawosched.Validate(inst, opt, zs.T()); err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range cawosched.AllVariants() {
-		s, _, err := cawosched.RunContext(context.Background(), inst, prof, o)
+		s, _, err := cawosched.RunZonesContext(context.Background(), inst, zs, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c := cawosched.CarbonCost(inst, s, prof); c < optCost {
+		if c := cawosched.CarbonCostZones(inst, s, zs); c < optCost {
 			t.Errorf("%s cost %d beats optimum %d", o.Name(), c, optCost)
 		}
 	}

@@ -284,9 +284,9 @@ func TestSolveCoalescingErrorNotCached(t *testing.T) {
 	}
 	D := cawosched.ASAPMakespan(inst)
 	solver, _, release := herdSolver(t, 2)
-	// Explicit profile with a horizon below the ASAP makespan: infeasible
+	// Explicit supply with a horizon below the ASAP makespan: infeasible
 	// by construction.
-	req := cawosched.Request{Workflow: wf, Variant: "press", Profile: cawosched.ConstantProfile(D/2, 1)}
+	req := cawosched.Request{Workflow: wf, Variant: "press", Zones: cawosched.SingleZone(cawosched.ConstantProfile(D/2, 1))}
 
 	const N = 4
 	errs := make([]error, N)

@@ -28,11 +28,13 @@ func ExampleSolver_Solve() {
 		{Start: 10, End: 20, Budget: 10},
 	}
 
+	zones := cawosched.SingleZone(prof) // the one-zone cluster's supply
+
 	solver := cawosched.NewSolver(cluster)
 	res, err := solver.Solve(context.Background(), cawosched.Request{
 		Workflow: wf,
 		Variant:  "slack",
-		Profile:  prof, // explicit profile; its horizon is the deadline
+		Zones:    zones, // explicit supply; its horizon is the deadline
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -44,7 +46,7 @@ func ExampleSolver_Solve() {
 
 	// A second solve for the same workflow reuses the cached HEFT plan.
 	if _, err := solver.Solve(context.Background(), cawosched.Request{
-		Workflow: wf, Variant: "pressWR-LS", Profile: prof,
+		Workflow: wf, Variant: "pressWR-LS", Zones: zones,
 	}); err != nil {
 		log.Fatal(err)
 	}
@@ -81,8 +83,9 @@ func Example() {
 		{Start: 10, End: 20, Budget: 10},
 	}
 
-	asapCost := cawosched.CarbonCost(inst, cawosched.ASAP(inst), prof)
-	sched, stats, err := cawosched.RunContext(context.Background(), inst, prof, cawosched.Options{
+	zones := cawosched.SingleZone(prof)
+	asapCost := cawosched.CarbonCostZones(inst, cawosched.ASAP(inst), zones)
+	sched, stats, err := cawosched.RunZonesContext(context.Background(), inst, zones, cawosched.Options{
 		Score: cawosched.ScoreSlack,
 	})
 	if err != nil {
@@ -145,10 +148,10 @@ func ExampleReadIntensityCSV() {
 	// 2 samples, first intensity 400
 }
 
-// ExampleProfileFromIntensity turns a parsed intensity trace into a green
-// power profile scaled to a platform's corridor: the cleanest sample gets
-// the most green budget.
-func ExampleProfileFromIntensity() {
+// ExampleZonesFromIntensity turns a parsed intensity trace into the green
+// power supply of a one-zone platform, scaled to its corridor: the
+// cleanest sample gets the most green budget.
+func ExampleZonesFromIntensity() {
 	wf := cawosched.NewWorkflow(1)
 	wf.SetWeight(0, 4)
 	cluster := cawosched.NewCluster([]cawosched.ProcType{
@@ -162,11 +165,11 @@ func ExampleProfileFromIntensity() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, err := cawosched.ProfileFromIntensity(inst, pts, 10)
+	zones, err := cawosched.ZonesFromIntensity(inst, [][]cawosched.TracePoint{pts}, 10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, iv := range prof.Intervals {
+	for _, iv := range zones.Profile(0).Intervals {
 		fmt.Printf("[%d,%d) budget %d\n", iv.Start, iv.End, iv.Budget)
 	}
 	// Output:

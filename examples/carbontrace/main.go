@@ -1,8 +1,8 @@
 // Carbontrace: schedule against a measured grid signal instead of a
 // synthetic scenario. A 24-hour carbon-intensity trace (a typical
 // solar-heavy grid day: dirty overnight, clean around noon) is imported as
-// CSV, converted into a green-power profile, and an eager workflow is
-// scheduled against it through the Solver's explicit-profile request path.
+// CSV, converted into a green-power supply, and an eager workflow is
+// scheduled against it through the Solver's explicit-supply request path.
 // The ASCII Gantt shows the work huddling into the clean midday hours.
 package main
 
@@ -68,21 +68,22 @@ func main() {
 	if D > T {
 		log.Fatalf("workflow needs %d units, day has %d", D, T)
 	}
-	prof, err := cawosched.ProfileFromIntensity(inst, trace, T)
+	// The small cluster is one grid zone, so it takes one trace.
+	zones, err := cawosched.ZonesFromIntensity(inst, [][]cawosched.TracePoint{trace}, T)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	res, err := solver.Solve(ctx, cawosched.Request{
 		Instance: inst,
-		Profile:  prof, // explicit profile: its horizon is the deadline
+		Zones:    zones, // explicit supply: its horizon is the deadline
 		Variant:  "pressWR-LS",
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	asap := cawosched.ASAP(inst)
+	asap, prof := cawosched.ASAP(inst), zones.Profile(0)
 	fmt.Printf("eager workflow: %d tasks, ASAP makespan %d of %d-unit day\n", wf.N(), D, T)
 	fmt.Printf("ASAP carbon cost       : %d\n", res.ASAPCost)
 	fmt.Printf("%s carbon cost : %d (%.1f%% of ASAP)\n\n",

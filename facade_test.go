@@ -45,37 +45,37 @@ func TestFacadeSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	D := cawosched.ASAPMakespan(inst)
-	prof, err := cawosched.ProfileForInstance(inst, cawosched.S3, 2*D, 12, 2)
+	zs, err := cawosched.ZonesForInstance(inst, []cawosched.Scenario{cawosched.S3}, 2*D, 12, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// ALAP, Makespan.
-	alap, err := cawosched.ALAP(inst, prof.T())
+	alap, err := cawosched.ALAP(inst, zs.T())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cawosched.Makespan(inst, alap) != prof.T() {
+	if cawosched.Makespan(inst, alap) != zs.T() {
 		t.Error("ALAP should touch the deadline")
 	}
 
 	// Greedy + LS through the facade.
-	ms, mstats, err := cawosched.RunContext(context.Background(), inst, prof, cawosched.Options{
+	ms, mstats, err := cawosched.RunZonesContext(context.Background(), inst, zs, cawosched.Options{
 		Score: cawosched.ScoreSlackW, LocalSearch: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cawosched.Validate(inst, ms, prof.T()); err != nil {
+	if err := cawosched.Validate(inst, ms, zs.T()); err != nil {
 		t.Error(err)
 	}
-	if mstats.Cost != cawosched.CarbonCost(inst, ms, prof) {
-		t.Error("RunContext stats cost mismatch")
+	if mstats.Cost != cawosched.CarbonCostZones(inst, ms, zs) {
+		t.Error("RunZonesContext stats cost mismatch")
 	}
 
 	// Annealing through the facade.
-	before := cawosched.CarbonCost(inst, ms, prof)
-	after, err := cawosched.AnnealContext(context.Background(), inst, prof, ms, cawosched.AnnealOptions{Seed: 1, Iterations: 500})
+	before := cawosched.CarbonCostZones(inst, ms, zs)
+	after, err := cawosched.AnnealContext(context.Background(), inst, zs, ms, cawosched.AnnealOptions{Seed: 1, Iterations: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,24 +117,24 @@ func TestFacadeGreenMapping(t *testing.T) {
 	}
 	cluster := cawosched.SmallCluster(4)
 	for _, pol := range []cawosched.MappingPolicy{cawosched.MapEFT, cawosched.MapLowPower, cawosched.MapEnergyPerWork} {
-		inst, err := cawosched.PlanGreen(wf, cluster, pol)
+		inst, err := cawosched.PlanGreenZones(wf, cluster, pol, nil)
 		if err != nil {
 			t.Fatalf("policy %v: %v", pol, err)
 		}
-		prof, err := cawosched.ProfileForInstance(inst, cawosched.S1, 2*cawosched.ASAPMakespan(inst), 12, 4)
+		zs, err := cawosched.ZonesForInstance(inst, []cawosched.Scenario{cawosched.S1}, 2*cawosched.ASAPMakespan(inst), 12, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, _, err := cawosched.RunContext(context.Background(), inst, prof, cawosched.Options{Score: cawosched.ScorePressure})
+		s, _, err := cawosched.RunZonesContext(context.Background(), inst, zs, cawosched.Options{Score: cawosched.ScorePressure})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cawosched.Validate(inst, s, prof.T()); err != nil {
+		if err := cawosched.Validate(inst, s, zs.T()); err != nil {
 			t.Errorf("policy %v: %v", pol, err)
 		}
 	}
 	// MapEFT must agree with PlanHEFT.
-	a, err := cawosched.PlanGreen(wf, cawosched.SmallCluster(4), cawosched.MapEFT)
+	a, err := cawosched.PlanGreenZones(wf, cawosched.SmallCluster(4), cawosched.MapEFT, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +162,14 @@ func TestFacadeIntensityProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := cawosched.ProfileFromIntensity(inst, pts, 100)
+	zs, err := cawosched.ZonesFromIntensity(inst, [][]cawosched.TracePoint{pts}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !zs.Single() {
+		t.Fatalf("%d zones from one trace on a one-zone cluster", zs.NumZones())
+	}
+	prof := zs.Profile(0)
 	if prof.T() != 100 || prof.J() != 2 {
 		t.Errorf("profile T=%d J=%d", prof.T(), prof.J())
 	}

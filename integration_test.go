@@ -53,7 +53,7 @@ func TestIntegrationAllSchedulersValid(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			T := in.Prof.T()
+			T := in.Zones.T()
 			type namedSched struct {
 				name string
 				s    *schedule.Schedule
@@ -81,7 +81,7 @@ func TestIntegrationAllSchedulersValid(t *testing.T) {
 					t.Errorf("%s: %v", ns.name, err)
 				}
 				// Replay must reproduce the static cost.
-				res, err := sim.Replay(in.Inst, ns.s, in.Prof)
+				res, err := sim.Replay(in.Inst, ns.s, in.Zones.Profile(0))
 				if err != nil {
 					t.Fatalf("%s: replay: %v", ns.name, err)
 				}
@@ -130,7 +130,7 @@ func TestIntegrationNoHeuristicBeatsOptimum(t *testing.T) {
 				}
 			}
 			check("ASAP", core.ASAP(in.Inst))
-			alap, err := core.ALAP(in.Inst, in.Prof.T())
+			alap, err := core.ALAP(in.Inst, in.Zones.T())
 			if err != nil {
 				t.Fatal(err)
 			}

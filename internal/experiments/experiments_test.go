@@ -86,11 +86,11 @@ func TestBuildInstanceDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.D != b.D || a.Prof.T() != b.Prof.T() || a.Inst.N() != b.Inst.N() {
+	if a.D != b.D || a.Zones.T() != b.Zones.T() || a.Inst.N() != b.Inst.N() {
 		t.Error("BuildInstance not deterministic")
 	}
-	if a.Prof.T() != int64(float64(a.D)*2+0.5) {
-		t.Errorf("T = %d, want 2·D = %d", a.Prof.T(), 2*a.D)
+	if a.Zones.T() != int64(float64(a.D)*2+0.5) {
+		t.Errorf("T = %d, want 2·D = %d", a.Zones.T(), 2*a.D)
 	}
 }
 

@@ -123,13 +123,10 @@ type MappedCandidate struct {
 type Instance struct {
 	Spec Spec
 	Inst *ceg.Instance
-	// Zones is the per-zone green supply every algorithm runs against
-	// (always set; the single-zone corpus wraps Prof).
+	// Zones is the per-zone green supply every algorithm runs against: the
+	// SingleZone of one cluster-wide profile for the single-zone corpus.
 	Zones *power.ZoneSet
-	// Prof is the cluster-wide profile of single-zone specs (zone 0 of
-	// Zones); nil for the multi-zone family.
-	Prof *power.Profile
-	D    int64 // ASAP makespan (the tightest deadline)
+	D     int64 // ASAP makespan (the tightest deadline)
 	// Candidates is the per-policy mapping set of a map-search spec
 	// (Inst then holds the fixed mapping and is also candidate 0): each
 	// algorithm runs on every candidate and keeps its lowest-carbon
@@ -256,7 +253,7 @@ func finishInstance(s Spec, inst *ceg.Instance) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: profile: %w", s, err)
 	}
-	return &Instance{Spec: s, Inst: inst, Zones: power.SingleZone(prof), Prof: prof, D: D}, nil
+	return &Instance{Spec: s, Inst: inst, Zones: power.SingleZone(prof), D: D}, nil
 }
 
 // Corpus builds the full experiment grid. Workflow sizes above maxTasks

@@ -48,11 +48,11 @@ func RobustnessRuntime(ctx context.Context, specs []Spec, noiseLevels []float64,
 		planned[i] = stats.CostRatio(float64(st.Cost), float64(schedule.CarbonCost(in.Inst, asap, in.Zones)))
 		for l, sd := range noiseLevels {
 			noise := sim.Noise{RelStdDev: sd, Seed: spec.Seed}
-			resPlan, err := sim.Execute(in.Inst, plan, in.Prof, noise)
+			resPlan, err := sim.Execute(in.Inst, plan, in.Zones.Profile(0), noise)
 			if err != nil {
 				return err
 			}
-			resASAP, err := sim.Execute(in.Inst, asap, in.Prof, noise)
+			resASAP, err := sim.Execute(in.Inst, asap, in.Zones.Profile(0), noise)
 			if err != nil {
 				return err
 			}
@@ -111,7 +111,7 @@ func RobustnessForecast(ctx context.Context, specs []Spec, errorLevels []float64
 		asapCost := schedule.CarbonCost(in.Inst, core.ASAP(in.Inst), in.Zones)
 		for l, base := range errorLevels {
 			fe := sim.ForecastError{Base: base, Growth: base, Seed: spec.Seed}
-			plan, _, err := core.Run(ctx, in.Inst, power.SingleZone(fe.Forecast(in.Prof)), opt)
+			plan, _, err := core.Run(ctx, in.Inst, power.SingleZone(fe.Forecast(in.Zones.Profile(0))), opt)
 			if err != nil {
 				return fmt.Errorf("experiments: forecast robustness on %s: %w", spec, err)
 			}
@@ -141,7 +141,7 @@ func singleZoneInstance(spec Spec) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	if in.Prof == nil {
+	if !in.Zones.Single() {
 		return nil, fmt.Errorf("experiments: robustness on %s: multi-zone specs (the replay simulator is single-zone): %w", spec, scherr.ErrUnsupported)
 	}
 	return in, nil

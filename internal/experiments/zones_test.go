@@ -22,9 +22,6 @@ func TestMultiZoneSpecBuildsZonedInstance(t *testing.T) {
 	if in.Inst.NumZones() != 2 || in.Zones.NumZones() != 2 {
 		t.Fatalf("zones: cluster %d, supply %d", in.Inst.NumZones(), in.Zones.NumZones())
 	}
-	if in.Prof != nil {
-		t.Error("multi-zone instance still carries a cluster-wide profile")
-	}
 	// Rotated scenarios: zone 0 runs S1, zone 1 runs S2 (anti-correlated).
 	if got := in.Zones.Zone(0).Name; got != "z0" {
 		t.Errorf("zone 0 named %q", got)

@@ -33,8 +33,8 @@ type ZoneSet struct {
 }
 
 // SingleZone wraps a bare cluster-wide profile into the one-zone set —
-// how a caller holding a *Profile (the facade's single-profile
-// conveniences, Request.Profile) enters the zone model.
+// how a caller holding a *Profile (a wire "profile" body, a generated
+// cluster-wide profile) enters the zone model.
 func SingleZone(p *Profile) *ZoneSet {
 	return &ZoneSet{Zones: []Zone{{Name: DefaultZoneName, Profile: p}}}
 }

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -159,13 +161,14 @@ func TestServerConcurrentMixedLoad(t *testing.T) {
 	drainAndCheckLeaks(t, srv, ts, before)
 }
 
-// drainAndCheckLeaks drains and shuts the server down and verifies that no
-// goroutine outlives its request: the count returns to before.
+// drainAndCheckLeaks shuts the server down the way cmd/schedd does (see
+// shutDown) and verifies that no goroutine outlives its request: the count
+// returns to before.
 func drainAndCheckLeaks(t *testing.T, srv *Server, ts *httptest.Server, before int) {
 	t.Helper()
-	if err := srv.Drain(context.Background()); err != nil {
-		t.Errorf("Drain: %v", err)
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	shutDown(ctx, t, srv, ts)
 	ts.Close()
 	ts.Client().CloseIdleConnections()
 	deadline := time.Now().Add(5 * time.Second)
@@ -180,4 +183,36 @@ func drainAndCheckLeaks(t *testing.T, srv *Server, ts *httptest.Server, before i
 		buf := make([]byte, 1<<20)
 		t.Errorf("goroutines leaked: %d before, %d after\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
+}
+
+// shutDown is cmd/schedd's SIGTERM path: SetDraining flips /healthz to
+// 503, then http.Server.Shutdown closes the listener and waits for the
+// in-flight requests to finish.
+func shutDown(ctx context.Context, t *testing.T, srv *Server, ts *httptest.Server) {
+	t.Helper()
+	srv.SetDraining()
+	resp, raw := getBody(t, ts.Client(), ts.URL+"/healthz")
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(raw), `"draining"`) {
+		t.Errorf("healthz while draining: %d %s, want 503 draining", resp.StatusCode, raw)
+	}
+	if err := ts.Config.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// inFlight reads the server's schedd_in_flight_requests gauge: the
+// requests that have entered a handler and not yet left it.
+func inFlight(t *testing.T, srv *Server) int {
+	t.Helper()
+	for _, line := range strings.Split(srv.Registry().RenderText(), "\n") {
+		if v, ok := strings.CutPrefix(line, "schedd_in_flight_requests "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("in-flight gauge %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatal("no schedd_in_flight_requests gauge")
+	return 0
 }

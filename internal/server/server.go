@@ -27,8 +27,8 @@
 // runs under a request-scoped context with the configured timeout, so a
 // disconnected client or an expired deadline cancels the solve mid-run
 // (the solver's hot loops poll the context). Shutdown is graceful:
-// SetDraining flips /healthz to 503 while in-flight requests finish, and
-// Drain waits for them.
+// SetDraining flips /healthz to 503, and the owner's http.Server.Shutdown
+// waits for the in-flight requests to finish.
 package server
 
 import (
@@ -154,14 +154,6 @@ type Server struct {
 	batchSem chan struct{} // server-wide bounded pool for batched solves
 	queued   atomic.Int64  // batch items admitted but not yet finished
 	draining atomic.Bool
-
-	// In-flight accounting for Drain. Not a WaitGroup: requests keep
-	// arriving while Drain waits, and WaitGroup forbids Add from zero
-	// concurrent with Wait; a guarded counter with a condition variable
-	// has no such constraint.
-	inflightMu   sync.Mutex
-	inflightN    int
-	inflightIdle *sync.Cond
 }
 
 // New returns a server front-ending the given solver.
@@ -174,7 +166,6 @@ func New(solver *cawosched.Solver, cfg Config) *Server {
 	s.metrics = newMetrics(solver, s.cfg.Manager, s.cfg.PeerTier)
 	s.tracer = obs.NewTracer(s.cfg.TraceBuffer)
 	s.batchSem = make(chan struct{}, s.cfg.BatchWorkers)
-	s.inflightIdle = sync.NewCond(&s.inflightMu)
 	s.route("POST /v1/solve", "solve", s.handleSolve)
 	s.route("POST /v1/solve/batch", "batch", s.handleBatch)
 	s.route("POST /v1/workflows", "workflows", s.handleWorkflowSubmit)
@@ -207,30 +198,9 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // SetDraining marks the server as draining: /healthz starts returning 503
 // so load balancers stop routing new traffic, while accepted requests
-// keep running to completion.
+// keep running to completion. Waiting for them is http.Server.Shutdown's
+// job (see cmd/schedd).
 func (s *Server) SetDraining() { s.draining.Store(true) }
-
-// Drain marks the server as draining and blocks until every in-flight
-// request has finished, or until ctx expires (the remaining requests then
-// keep running under the http.Server's own shutdown regime).
-func (s *Server) Drain(ctx context.Context) error {
-	s.SetDraining()
-	done := make(chan struct{})
-	go func() {
-		s.inflightMu.Lock()
-		for s.inflightN > 0 {
-			s.inflightIdle.Wait()
-		}
-		s.inflightMu.Unlock()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
 
 // tryEnqueue reserves n batch-backlog slots, refusing (without partial
 // reservation) when the bound would be exceeded.
@@ -271,24 +241,13 @@ func observed(name string) bool {
 	return true
 }
 
-// route registers a handler with the shared instrumentation: in-flight
-// tracking for draining and the gauge, per-handler request/error
-// counters, and — for the substantive handlers — the request's
-// observability context (metrics registry, tracer, request ID), a root
-// trace span, and structured request/slow-solve logging.
+// route registers a handler with the shared instrumentation: the
+// in-flight gauge, per-handler request/error counters, and — for the
+// substantive handlers — the request's observability context (metrics
+// registry, tracer, request ID), a root trace span, and structured
+// request/slow-solve logging.
 func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		s.inflightMu.Lock()
-		s.inflightN++
-		s.inflightMu.Unlock()
-		defer func() {
-			s.inflightMu.Lock()
-			s.inflightN--
-			if s.inflightN == 0 {
-				s.inflightIdle.Broadcast()
-			}
-			s.inflightMu.Unlock()
-		}()
 		s.metrics.inFlight.Add(1)
 		defer s.metrics.inFlight.Add(-1)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
@@ -476,7 +435,7 @@ func buildRequest(wreq *wire.SolveRequest, defaultMapping string) (cawosched.Req
 		if err != nil {
 			return req, err
 		}
-		req.Profile = prof
+		req.Zones = power.SingleZone(prof)
 	default:
 		if wreq.Scenario != "" {
 			sc, err := power.ParseScenario(wreq.Scenario)

@@ -270,9 +270,10 @@ func TestBatchBackpressure(t *testing.T) {
 }
 
 // TestGracefulDrainUnderLoad is the shutdown acceptance test: with batch
-// solves and workflow submissions in flight, Drain (the SIGTERM path in
-// cmd/schedd) waits for them, every request still completes successfully,
-// the ledger stays consistent, and no goroutines leak.
+// solves and workflow submissions in flight, the SIGTERM path of
+// cmd/schedd (shutDown: SetDraining, then http.Server.Shutdown) waits for
+// them, every request still completes successfully, the ledger stays
+// consistent, and no goroutines leak.
 func TestGracefulDrainUnderLoad(t *testing.T) {
 	srv, m, _ := newTenantServer(t, Config{BatchWorkers: 2})
 	ts := newHTTPServer(t, srv)
@@ -286,7 +287,17 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	statuses := make(map[int]int)
-	for i := 0; i < 3; i++ {
+	recorded := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+		for _, c := range statuses {
+			n += c
+		}
+		return n
+	}
+	const sent = 6
+	for i := 0; i < sent/2; i++ {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
@@ -305,13 +316,18 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 		}(i)
 	}
 
-	// Let the requests reach the server, then drain while they run.
-	time.Sleep(10 * time.Millisecond)
+	// Shut down only once every request has entered a handler (or already
+	// been answered): a request still on its way would find the listener
+	// closed, which is no test of draining.
+	for deadline := time.Now().Add(10 * time.Second); inFlight(t, srv)+recorded() < sent; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests reached the server", inFlight(t, srv)+recorded(), sent)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	drainCtx, cancel := contextWithTimeout(t, 30*time.Second)
 	defer cancel()
-	if err := srv.Drain(drainCtx); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
+	shutDown(drainCtx, t, srv, ts)
 	wg.Wait()
 
 	mu.Lock()
@@ -328,11 +344,7 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Draining health and no goroutine leaks once connections settle.
-	resp, _ := getBody(t, client, ts.URL+"/healthz")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("healthz after drain: %d, want 503", resp.StatusCode)
-	}
+	// No goroutine leaks once connections settle.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		// Connections may return to the idle pool after the first close;

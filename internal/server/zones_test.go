@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	cawosched "repro"
@@ -186,6 +187,55 @@ func TestServerSingleZoneWireCompat(t *testing.T) {
 	for i := range out.Intervals {
 		if out.Intervals[i] != out.Zones[0].Intervals[i] {
 			t.Fatalf("interval %d differs between the legacy and zone lists", i)
+		}
+	}
+}
+
+// TestProfileBodySharesOneZoneCacheEntry: a wire "profile" body is the
+// one-zone supply of the same profile, so it and a one-zone "zones" body
+// (unnamed, hence the default zone) are one solve-cache entry, whichever
+// arrives first, with the identical answer.
+func TestProfileBodySharesOneZoneCacheEntry(t *testing.T) {
+	wf := pinnedWorkflow(t)
+	inst, err := cawosched.PlanHEFT(wf, cawosched.SmallCluster(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	T := 2 * cawosched.ASAPMakespan(inst)
+	prof := func(green int64) *wire.Profile {
+		return &wire.Profile{Intervals: []wire.Interval{
+			{Start: 0, End: T / 2, Budget: 0},
+			{Start: T / 2, End: T, Budget: green},
+		}}
+	}
+	_, ts := newTestServer(t, Config{})
+	solve := func(req *wire.SolveRequest) *wire.SolveResponse {
+		t.Helper()
+		req.Workflow, req.Variant = wire.FromDAG(wf), "pressWR-LS"
+		resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/solve", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, raw)
+		}
+		var out wire.SolveResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		return &out
+	}
+	for i, green := range []int64{1 << 20, 1 << 21} {
+		bodies := []*wire.SolveRequest{
+			{Profile: prof(green)},
+			{Zones: []wire.Zone{{Profile: prof(green)}}},
+		}
+		if i == 1 {
+			bodies[0], bodies[1] = bodies[1], bodies[0]
+		}
+		first, second := solve(bodies[0]), solve(bodies[1])
+		if first.CacheHit || !second.CacheHit {
+			t.Errorf("round %d: cache_hit %v then %v, want false then true", i, first.CacheHit, second.CacheHit)
+		}
+		if first.Cost != second.Cost || !reflect.DeepEqual(first.Schedule, second.Schedule) {
+			t.Errorf("round %d: profile and one-zone bodies answered differently (cost %d vs %d)", i, first.Cost, second.Cost)
 		}
 	}
 }

@@ -154,8 +154,8 @@ func TestSolverPlanOrderIndependence(t *testing.T) {
 	if bFirst.Cost != bSecond.Cost || bFirst.ASAPCost != bSecond.ASAPCost || bFirst.Deadline != bSecond.Deadline {
 		t.Errorf("wfB result depends on plan order: cost %d/%d", bFirst.Cost, bSecond.Cost)
 	}
-	if !aFirst.Profile.EqualProfile(aSecond.Profile) {
-		t.Error("wfA generated profile depends on plan order")
+	if !aFirst.Zones.EqualZoneSet(aSecond.Zones) {
+		t.Error("wfA generated supply depends on plan order")
 	}
 	if !reflect.DeepEqual(aFirst.Instance.Proc, aSecond.Instance.Proc) || !reflect.DeepEqual(bFirst.Instance.Proc, bSecond.Instance.Proc) {
 		t.Error("processor assignment depends on plan order")

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/greenheft"
 	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/schedule"
 	"repro/internal/scherr"
 )
@@ -71,7 +70,7 @@ func VariantNames() []string { return core.VariantNames() }
 const DefaultVariant = "pressWR-LS"
 
 // Request describes one solve: which workflow (or prebuilt instance),
-// which variant, and which power profile (explicit or generated from a
+// which variant, and which power supply (explicit or generated from a
 // scenario). The zero values of the tuning fields pick the paper's
 // defaults, so the minimal request is {Workflow: wf}.
 type Request struct {
@@ -91,20 +90,17 @@ type Request struct {
 	Options *Options
 
 	// Zones, if non-nil, is the per-grid-zone green power supply; its
-	// horizon is the deadline. A multi-zone set must carry exactly one
-	// zone per cluster zone, index-matched (see NewZonedCluster). It
-	// overrides Profile.
+	// horizon is the deadline. It must carry exactly one zone per cluster
+	// zone, index-matched (see NewZonedCluster); a cluster-wide profile p
+	// is SingleZone(p). Otherwise a supply is generated from Scenario over
+	// the horizon DeadlineFactor·D with Intervals intervals and Seed — one
+	// profile per cluster zone (see ZonesForInstance).
 	Zones *ZoneSet
-	// Profile, if non-nil (and Zones is nil), is used cluster-wide as-is;
-	// its horizon is the deadline. Otherwise a profile is generated from
-	// Scenario over the horizon DeadlineFactor·D with Intervals intervals
-	// and Seed — one per cluster zone when the cluster is zoned.
-	Profile *Profile
 	// Scenario selects the generated profile's shape (default S1).
 	Scenario Scenario
 	// ZoneScenarios, if set, selects one generated shape per cluster zone
 	// (length must equal the cluster's zone count); it overrides Scenario
-	// and is ignored when Zones or Profile is set.
+	// and is ignored when Zones is set.
 	ZoneScenarios []Scenario
 	// MappingPolicy selects the first-pass mapping of the workflow: the
 	// zero value (MapEFT) is the paper's carbon-blind HEFT mapping; the
@@ -143,14 +139,13 @@ type Response struct {
 	Schedule *Schedule // the validated carbon-aware schedule
 	Instance *Instance // the (possibly memoized) scheduling instance
 	Zones    *ZoneSet  // the per-zone supply the schedule was optimized against
-	Profile  *Profile  // Zones' only profile for single-zone solves; nil otherwise
 	Stats    Stats     // scheduler instrumentation; Stats.Cost == Cost
 	Variant  string    // canonical name of the variant that ran
 	Mapping  string    // mapping policy of the plan ("heft" unless requested otherwise; the winner for map-search)
 	D        int64     // ASAP makespan (tightest feasible deadline)
-	Deadline int64     // deadline actually used (the profile horizon)
+	Deadline int64     // deadline actually used (the supply horizon)
 	Cost     int64     // carbon cost of Schedule
-	ASAPCost int64     // carbon cost of the ASAP baseline under Profile
+	ASAPCost int64     // carbon cost of the ASAP baseline under Zones
 	PlanHit  bool      // true if the HEFT plan came from the memo cache
 	CacheHit bool      // true if the whole response came from the solve cache (or the external tier)
 	// Coalesced is true when this response was shared from a concurrent
@@ -434,26 +429,12 @@ func (s *Solver) Plan(ctx context.Context, wf *DAG) (*Instance, bool, error) {
 	return e.inst, hit, nil
 }
 
-// ProfileFor returns the request's power profile: the explicit one if set,
-// otherwise a profile generated from the request's scenario over the
-// horizon DeadlineFactor·D. It ignores the request's zone fields; use
-// ZonesFor for the per-zone supply a Solve actually runs against.
-func (s *Solver) ProfileFor(ctx context.Context, inst *Instance, req Request) (*Profile, error) {
-	req.Zones = nil
-	req.ZoneScenarios = nil
-	zones, err := zonesFor(ctx, inst, req, ASAPMakespan(inst), true)
-	if err != nil {
-		return nil, err
-	}
-	return zones.Profile(0), nil
-}
-
 // ZonesFor returns the per-zone power supply of the request: the explicit
-// Zones or Profile if set, otherwise one generated profile per cluster
-// zone over the horizon DeadlineFactor·D (the paper's single cluster-wide
-// profile when the cluster has one zone).
+// Zones if set, otherwise one generated profile per cluster zone over the
+// horizon DeadlineFactor·D (the paper's single cluster-wide profile when
+// the cluster has one zone).
 func (s *Solver) ZonesFor(ctx context.Context, inst *Instance, req Request) (*ZoneSet, error) {
-	return zonesFor(ctx, inst, req, ASAPMakespan(inst), false)
+	return zonesFor(ctx, inst, req, ASAPMakespan(inst))
 }
 
 // DeadlineHorizon returns the deadline T = factor·D, rounded to the
@@ -476,14 +457,9 @@ func DeadlineHorizon(D int64, factor float64) (int64, error) {
 }
 
 // zonesFor is ZonesFor with D already known, so Solve computes the ASAP
-// pass only once per request. forceSingle collapses generation to one
-// cluster-wide profile regardless of the cluster's zones (ProfileFor).
-func zonesFor(ctx context.Context, inst *Instance, req Request, D int64, forceSingle bool) (*ZoneSet, error) {
-	zones := req.Zones
-	if zones == nil && req.Profile != nil {
-		zones = power.SingleZone(req.Profile)
-	}
-	if zones != nil {
+// pass only once per request.
+func zonesFor(ctx context.Context, inst *Instance, req Request, D int64) (*ZoneSet, error) {
+	if zones := req.Zones; zones != nil {
 		if err := schedule.CheckZones(inst, zones); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 		}
@@ -500,34 +476,15 @@ func zonesFor(ctx context.Context, inst *Instance, req Request, D int64, forceSi
 	if intervals <= 0 {
 		intervals = 24
 	}
-	sc := req.Scenario
-	if sc == 0 {
-		sc = S1
-	}
-	K := inst.NumZones()
-	if forceSingle {
-		K = 1
-	}
-	if len(req.ZoneScenarios) > 0 {
-		if len(req.ZoneScenarios) != K {
-			return nil, fmt.Errorf("%w: %d zone scenarios for a cluster with %d zones", ErrInvalidRequest, len(req.ZoneScenarios), K)
-		}
-		if K == 1 {
-			sc = req.ZoneScenarios[0]
-		}
-	}
-	if K == 1 {
-		// One zone draws the paper's profile straight from the seed, where
-		// ZonesForInstance derives one stream per zone index: its own path,
-		// so the bytes of generated single-zone profiles never move.
-		prof, err := ProfileForInstance(inst, sc, T, intervals, req.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return power.SingleZone(prof), nil
-	}
 	scenarios := req.ZoneScenarios
+	if K := inst.NumZones(); len(scenarios) > 0 && len(scenarios) != K {
+		return nil, fmt.Errorf("%w: %d zone scenarios for a cluster with %d zones", ErrInvalidRequest, len(scenarios), K)
+	}
 	if len(scenarios) == 0 {
+		sc := req.Scenario
+		if sc == 0 {
+			sc = S1
+		}
 		scenarios = []Scenario{sc}
 	}
 	return ZonesForInstance(inst, scenarios, T, intervals, req.Seed)
@@ -550,7 +507,7 @@ func resolveOptions(req Request) (Options, string, error) {
 	return opt, opt.Name(), nil
 }
 
-// Solve runs the full pipeline for one request — plan (memoized), profile,
+// Solve runs the full pipeline for one request — plan (memoized), supply,
 // schedule, validate — and returns the response. It is safe for concurrent
 // use. Canceling ctx aborts the run promptly (the hot loops poll the
 // context) with an error satisfying errors.Is(err, ErrCanceled) and
@@ -682,7 +639,7 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 	}
 
 	zctx, st := obs.BeginStage(ctx, obs.StageSupply)
-	job.zones, err = zonesFor(zctx, job.inst, req, job.D, false)
+	job.zones, err = zonesFor(zctx, job.inst, req, job.D)
 	if err == nil && st.Span != nil {
 		st.Span.SetAttr("zones", job.zones.NumZones())
 		st.Span.SetAttr("horizon", job.zones.T())
@@ -708,9 +665,6 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 	resp.PlanHit = job.planHit
 	resp.origin = job.origin
 	resp.Zones = job.zones
-	if job.zones.Single() {
-		resp.Profile = job.zones.Profile(0)
-	}
 	resp.Timings = job.timings
 	return resp, nil
 }

@@ -181,8 +181,8 @@ func TestTypedErrors(t *testing.T) {
 	D := cawosched.ASAPMakespan(inst)
 
 	t.Run("infeasible deadline", func(t *testing.T) {
-		prof := cawosched.ConstantProfile(D/2, 1) // horizon below the ASAP makespan
-		_, _, err := cawosched.RunContext(context.Background(), inst, prof, cawosched.Options{})
+		zs := cawosched.SingleZone(cawosched.ConstantProfile(D/2, 1)) // horizon below the ASAP makespan
+		_, _, err := cawosched.RunZonesContext(context.Background(), inst, zs, cawosched.Options{})
 		if !errors.Is(err, cawosched.ErrInfeasibleDeadline) {
 			t.Fatalf("err = %v, want ErrInfeasibleDeadline", err)
 		}
@@ -211,8 +211,8 @@ func TestTypedErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof := cawosched.ConstantProfile(40, 0)
-		_, _, err = cawosched.OptimalScheduleContext(context.Background(), ti, prof, 10)
+		zs := cawosched.SingleZone(cawosched.ConstantProfile(40, 0))
+		_, _, err = cawosched.OptimalScheduleContext(context.Background(), ti, zs, 10)
 		if !errors.Is(err, cawosched.ErrBudgetExhausted) {
 			t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 		}
@@ -225,8 +225,8 @@ func TestTypedErrors(t *testing.T) {
 	t.Run("canceled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		prof := cawosched.ConstantProfile(2*D, 1)
-		_, _, err := cawosched.RunContext(ctx, inst, prof, cawosched.Options{})
+		zs := cawosched.SingleZone(cawosched.ConstantProfile(2*D, 1))
+		_, _, err := cawosched.RunZonesContext(ctx, inst, zs, cawosched.Options{})
 		if !errors.Is(err, cawosched.ErrCanceled) || !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want ErrCanceled and context.Canceled", err)
 		}
@@ -239,8 +239,8 @@ func TestTypedErrors(t *testing.T) {
 	t.Run("deadline exceeded maps to canceled", func(t *testing.T) {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel()
-		prof := cawosched.ConstantProfile(2*D, 1)
-		_, _, err := cawosched.RunContext(ctx, inst, prof, cawosched.Options{})
+		zs := cawosched.SingleZone(cawosched.ConstantProfile(2*D, 1))
+		_, _, err := cawosched.RunZonesContext(ctx, inst, zs, cawosched.Options{})
 		if !errors.Is(err, cawosched.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("err = %v, want ErrCanceled and context.DeadlineExceeded", err)
 		}
@@ -302,12 +302,12 @@ func TestSolverRegistryAndDefaults(t *testing.T) {
 	if res.Cost != res.Stats.Cost {
 		t.Error("Response.Cost diverges from Stats.Cost")
 	}
-	if res.Deadline != res.Profile.T() {
-		t.Error("Response.Deadline diverges from profile horizon")
+	if res.Deadline != res.Zones.T() {
+		t.Error("Response.Deadline diverges from the supply horizon")
 	}
 }
 
-// TestSolverStagesCompose drives the Plan / ProfileFor / Solve stages
+// TestSolverStagesCompose drives the Plan / ZonesFor / Solve stages
 // individually, as a service precomputing shared state would.
 func TestSolverStagesCompose(t *testing.T) {
 	ctx := context.Background()
@@ -321,21 +321,21 @@ func TestSolverStagesCompose(t *testing.T) {
 		t.Fatalf("Plan: hit=%v err=%v", hit, err)
 	}
 	req := cawosched.Request{Scenario: cawosched.S2, DeadlineFactor: 1.5, Intervals: 12, Seed: 6}
-	prof, err := solver.ProfileFor(ctx, inst, req)
+	zs, err := solver.ZonesFor(ctx, inst, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prof.J() != 12 {
-		t.Errorf("profile has %d intervals, want 12", prof.J())
+	if !zs.Single() || zs.Profile(0).J() != 12 {
+		t.Errorf("supply has %d zones, zone 0 %d intervals; want 1 zone of 12", zs.NumZones(), zs.Profile(0).J())
 	}
 	req.Instance = inst
-	req.Profile = prof
+	req.Zones = zs
 	req.Variant = "slackR"
 	res, err := solver.Solve(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Profile != prof || res.Instance != inst {
+	if res.Zones != zs || res.Instance != inst {
 		t.Error("Solve did not reuse the precomputed stages")
 	}
 }

@@ -30,9 +30,6 @@ func TestSolverZoneRequestPipeline(t *testing.T) {
 	if res.Zones == nil || res.Zones.NumZones() != 2 {
 		t.Fatalf("response zones = %v", res.Zones)
 	}
-	if res.Profile != nil {
-		t.Error("multi-zone response still carries a cluster-wide profile")
-	}
 	if got := cawosched.CarbonCostZones(res.Instance, res.Schedule, res.Zones); got != res.Cost {
 		t.Errorf("cost %d != zone evaluation %d", res.Cost, got)
 	}
@@ -70,53 +67,6 @@ func TestSolverZoneRequestPipeline(t *testing.T) {
 	}
 }
 
-// TestSolveCacheZoneDigestPinsLegacy is the cache-digest half of the
-// equivalence pin: a request wrapping the profile in a degenerate
-// single-zone set keys identically to the legacy bare-profile request, so
-// the second one is a cache hit with the identical schedule.
-func TestSolveCacheZoneDigestPinsLegacy(t *testing.T) {
-	wf, err := cawosched.GenerateWorkflow(cawosched.Eager, 40, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solver := cawosched.NewSolver(cawosched.SmallCluster(5))
-	inst, _, err := solver.Plan(context.Background(), wf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	D := cawosched.ASAPMakespan(inst)
-	prof, err := cawosched.ProfileForInstance(inst, cawosched.S3, 2*D, 24, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	legacy, err := solver.Solve(context.Background(), cawosched.Request{Workflow: wf, Profile: prof})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.CacheHit {
-		t.Fatal("first solve was a cache hit")
-	}
-	wrapped, err := solver.Solve(context.Background(), cawosched.Request{
-		Workflow: wf,
-		Zones:    cawosched.SingleZone(prof),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wrapped.CacheHit {
-		t.Error("SingleZone-wrapped request missed the cache entry of the bare-profile request")
-	}
-	for v := range legacy.Schedule.Start {
-		if legacy.Schedule.Start[v] != wrapped.Schedule.Start[v] {
-			t.Fatalf("node %d: schedules differ between legacy and wrapped requests", v)
-		}
-	}
-	if legacy.Cost != wrapped.Cost {
-		t.Errorf("costs differ: %d vs %d", legacy.Cost, wrapped.Cost)
-	}
-}
-
 // TestSolverRejectsMismatchedZones: explicit zones must match the
 // cluster's zone count.
 func TestSolverRejectsMismatchedZones(t *testing.T) {
@@ -142,11 +92,11 @@ func TestSolverRejectsMismatchedZones(t *testing.T) {
 	}); err == nil {
 		t.Error("1 zone scenario accepted on a 3-zone cluster")
 	}
-	// An explicit Profile is a one-zone supply and gets the same check.
+	// A one-zone supply gets the same check, and its profile is validated.
 	gap := cawosched.ConstantProfile(10_000, 1_000)
 	gap.Intervals = []cawosched.Interval{{Start: 0, End: 10, Budget: 5}, {Start: 20, End: 10_000, Budget: 5}}
 	for name, bad := range map[string]*cawosched.Profile{"empty": {}, "gap": gap} {
-		_, err := solver.Solve(context.Background(), cawosched.Request{Workflow: wf, Profile: bad})
+		_, err := solver.Solve(context.Background(), cawosched.Request{Workflow: wf, Zones: cawosched.SingleZone(bad)})
 		if !errors.Is(err, cawosched.ErrInvalidRequest) || cawosched.ErrorCode(err) != "invalid_request" {
 			t.Errorf("%s profile: err = %v (code %q), want ErrInvalidRequest", name, err, cawosched.ErrorCode(err))
 		}
@@ -154,8 +104,7 @@ func TestSolverRejectsMismatchedZones(t *testing.T) {
 }
 
 // TestZonesForInstancePerZoneCorridor: generated per-zone profiles stay
-// inside their zone's own corridor, and a 1-zone cluster reproduces the
-// legacy ProfileForInstance generation bit for bit.
+// inside their zone's own corridor.
 func TestZonesForInstancePerZoneCorridor(t *testing.T) {
 	wf, err := cawosched.GenerateWorkflow(cawosched.Methylseq, 60, 4)
 	if err != nil {
@@ -178,25 +127,44 @@ func TestZonesForInstancePerZoneCorridor(t *testing.T) {
 			}
 		}
 	}
+}
 
-	single, err := cawosched.PlanHEFT(wf, cawosched.SmallCluster(4))
+// TestZonesForInstanceOneZoneMatchesSolver pins the one-zone rule: on a
+// one-zone cluster the public generator and the supply a Solve runs
+// against are the same set, profile and digest, and that set digests like
+// its bare profile (so it shares the cache keys of the paper's
+// single-profile setting).
+func TestZonesForInstanceOneZoneMatchesSolver(t *testing.T) {
+	wf, err := cawosched.GenerateWorkflow(cawosched.Methylseq, 60, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	solver := cawosched.NewSolver(cawosched.SmallCluster(4))
-	req := cawosched.Request{Workflow: wf, Scenario: cawosched.S2, Seed: 11}
-	generated, err := solver.ZonesFor(context.Background(), single, req)
+	inst, _, err := solver.Plan(context.Background(), wf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := solver.ProfileFor(context.Background(), single, req)
+	const seed, intervals = 11, 24
+	req := cawosched.Request{Workflow: wf, Scenario: cawosched.S2, Seed: seed}
+	served, err := solver.ZonesFor(context.Background(), inst, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !generated.Single() || !generated.Profile(0).EqualProfile(legacy) {
-		t.Error("1-zone generation differs from the legacy profile generation")
+	T, err := cawosched.DeadlineHorizon(cawosched.ASAPMakespan(inst), req.DeadlineFactor)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if generated.Digest() != legacy.Digest() {
-		t.Error("1-zone generation digest differs from the legacy profile digest")
+	generated, err := cawosched.ZonesForInstance(inst, []cawosched.Scenario{cawosched.S2}, T, intervals, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !generated.Single() || !generated.EqualZoneSet(served) {
+		t.Error("ZonesForInstance and Solver.ZonesFor give different one-zone supplies")
+	}
+	if generated.Digest() != served.Digest() {
+		t.Errorf("digests differ: generator %#x, solver %#x", generated.Digest(), served.Digest())
+	}
+	if generated.Digest() != generated.Profile(0).Digest() {
+		t.Error("one-zone supply does not digest like its bare profile")
 	}
 }
