@@ -2,10 +2,12 @@ package cawosched_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
 	cawosched "repro"
+	"repro/internal/solve"
 )
 
 // cacheWorkload is a mixed request sequence with repeats (hits), distinct
@@ -49,12 +51,13 @@ type cacheRun struct {
 	stats     cawosched.SolverStats
 }
 
-func runCacheWorkload(t *testing.T, reqs []cawosched.Request, workers int) cacheRun {
+// runCacheWorkload answers reqs on a fresh solver at the given GOMAXPROCS.
+func runCacheWorkload(t *testing.T, reqs []cawosched.Request, procs int) cacheRun {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	solver := cawosched.NewSolver(cawosched.SmallCluster(21))
 	var run cacheRun
 	for i, req := range reqs {
-		req.SearchWorkers = workers
 		res, err := solver.Solve(context.Background(), req)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
@@ -69,13 +72,13 @@ func runCacheWorkload(t *testing.T, reqs []cawosched.Request, workers int) cache
 }
 
 // TestCacheDeterminism: responses, cache-hit flags, and every
-// hit/miss/entry counter are identical at search-worker settings 0 and 4
-// — the worker pool is pure mechanism — and every response a caller
+// hit/miss/entry counter are identical at GOMAXPROCS 1 and 4 — the
+// host's parallelism is pure mechanism — and every response a caller
 // mutates is its own copy. (The byte-identical wire-level pin lives in
 // internal/server's determinism tests.)
 func TestCacheDeterminism(t *testing.T) {
 	reqs := cacheWorkload(t)
-	base := runCacheWorkload(t, reqs, 0)
+	base := runCacheWorkload(t, reqs, 1)
 	got := runCacheWorkload(t, reqs, 4)
 	for i := range reqs {
 		if got.costs[i] != base.costs[i] {
@@ -112,7 +115,7 @@ func TestCacheBoundConcurrent(t *testing.T) {
 		return cawosched.Request{Workflow: wf, Variant: "press", Scenario: cawosched.S1, Seed: seed}
 	}
 
-	small := cawosched.NewSolver(cawosched.SmallCluster(8), cawosched.WithSolveCacheLimit(4))
+	small := solve.NewSolver(cawosched.SmallCluster(8), solve.WithSolveCacheLimit(4))
 	for seed := uint64(0); seed < 20; seed++ {
 		if _, err := small.Solve(context.Background(), req(seed)); err != nil {
 			t.Fatal(err)
@@ -130,7 +133,7 @@ func TestCacheBoundConcurrent(t *testing.T) {
 	}
 
 	const clients, perClient = 8, 3
-	solver := cawosched.NewSolver(cawosched.SmallCluster(8), cawosched.WithSolveCacheLimit(8))
+	solver := solve.NewSolver(cawosched.SmallCluster(8), solve.WithSolveCacheLimit(8))
 	if st := solver.Stats(); st.SolveCapacity != 8 {
 		t.Fatalf("stats = %+v, want capacity 8", st)
 	}
@@ -186,7 +189,7 @@ func TestPlanCacheLimit(t *testing.T) {
 		}
 		wfs[i] = wf
 	}
-	solver := cawosched.NewSolver(cawosched.SmallCluster(31), cawosched.WithPlanCacheLimit(2))
+	solver := solve.NewSolver(cawosched.SmallCluster(31), solve.WithPlanCacheLimit(2))
 	if st := solver.Stats(); st.PlanCapacity != 2 {
 		t.Fatalf("PlanCapacity = %d, want 2", st.PlanCapacity)
 	}
@@ -219,7 +222,7 @@ func TestPlanCacheLimit(t *testing.T) {
 	}
 
 	// One entry: every new plan evicts the last, and only the last hits.
-	one := cawosched.NewSolver(cawosched.SmallCluster(31), cawosched.WithPlanCacheLimit(1))
+	one := solve.NewSolver(cawosched.SmallCluster(31), solve.WithPlanCacheLimit(1))
 	for _, wf := range wfs {
 		if _, _, err := one.Plan(context.Background(), wf); err != nil {
 			t.Fatal(err)
@@ -239,7 +242,7 @@ func TestPlanCacheLimit(t *testing.T) {
 	}
 
 	// Disabled memo: repeated plans are all misses, nothing retained.
-	off := cawosched.NewSolver(cawosched.SmallCluster(31), cawosched.WithPlanCacheLimit(0))
+	off := solve.NewSolver(cawosched.SmallCluster(31), solve.WithPlanCacheLimit(0))
 	for i := 0; i < 2; i++ {
 		if _, hit, err := off.Plan(context.Background(), wfs[0]); err != nil {
 			t.Fatal(err)

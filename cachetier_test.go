@@ -10,13 +10,14 @@ import (
 
 	cawosched "repro"
 	"repro/internal/obs"
+	"repro/internal/solve"
 )
 
 // TestMemoryTier pins the reference tier implementation: bounded LRU of
 // opaque records with private copies.
 func TestMemoryTier(t *testing.T) {
 	ctx := context.Background()
-	tier := cawosched.NewMemoryTier(2)
+	tier := solve.NewMemoryTier(2)
 	tier.Put(ctx, "a", []byte("1"))
 	tier.Put(ctx, "b", []byte("2"))
 	if v, ok := tier.Get(ctx, "a"); !ok || string(v) != "1" {
@@ -67,7 +68,7 @@ func TestParseCacheTier(t *testing.T) {
 		{spec: "peers:a,b:mem=lots", wantErr: "bad mem= suffix"},
 	}
 	for _, tc := range cases {
-		tier, err := cawosched.ParseCacheTier(tc.spec)
+		tier, err := solve.ParseCacheTier(tc.spec)
 		if tc.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("ParseCacheTier(%q) err = %v, want it to name %q", tc.spec, err, tc.wantErr)
@@ -84,12 +85,12 @@ func TestParseCacheTier(t *testing.T) {
 				t.Errorf("ParseCacheTier(%q) = %T, want nil", tc.spec, tier)
 			}
 		case "peers":
-			pt, ok := tier.(*cawosched.PeerTier)
+			pt, ok := tier.(*solve.PeerTier)
 			if !ok {
 				t.Errorf("ParseCacheTier(%q) = %T, want *PeerTier", tc.spec, tier)
 				continue
 			}
-			if got := len(pt.Peers()); got != 2 {
+			if got := len(pt.Stats()); got != 2 {
 				t.Errorf("ParseCacheTier(%q) ring has %d peers, want 2", tc.spec, got)
 			}
 		}
@@ -105,10 +106,10 @@ func TestSolverCacheTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier := cawosched.NewMemoryTier(0)
+	tier := solve.NewMemoryTier(0)
 	req := cawosched.Request{Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S2, Seed: 17}
 
-	a := cawosched.NewSolver(cawosched.SmallCluster(17), cawosched.WithCacheTier(tier))
+	a := solve.NewSolver(cawosched.SmallCluster(17), solve.WithCacheTier(tier))
 	first, err := a.Solve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +122,7 @@ func TestSolverCacheTier(t *testing.T) {
 	}
 
 	// A second solver (another schedd instance) sharing the tier.
-	b := cawosched.NewSolver(cawosched.SmallCluster(17), cawosched.WithCacheTier(tier))
+	b := solve.NewSolver(cawosched.SmallCluster(17), solve.WithCacheTier(tier))
 	warm, err := b.Solve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -163,15 +164,15 @@ func TestSolverCacheTierMapSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier := cawosched.NewMemoryTier(0)
+	tier := solve.NewMemoryTier(0)
 	req := cawosched.Request{Workflow: wf, Variant: "press", Scenario: cawosched.S3, Seed: 23, MapSearch: true}
 
-	a := cawosched.NewSolver(cawosched.SmallCluster(23), cawosched.WithCacheTier(tier))
+	a := solve.NewSolver(cawosched.SmallCluster(23), solve.WithCacheTier(tier))
 	first, err := a.Solve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := cawosched.NewSolver(cawosched.SmallCluster(23), cawosched.WithCacheTier(tier))
+	b := solve.NewSolver(cawosched.SmallCluster(23), solve.WithCacheTier(tier))
 	warm, err := b.Solve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +186,17 @@ func TestSolverCacheTierMapSearch(t *testing.T) {
 			t.Fatalf("tier map-search schedule moved node %d", v)
 		}
 	}
+}
+
+// keyedTier is a MemoryTier that records the key of every Put.
+type keyedTier struct {
+	*solve.MemoryTier
+	keys []string
+}
+
+func (t *keyedTier) Put(ctx context.Context, key string, value []byte) {
+	t.keys = append(t.keys, key)
+	t.MemoryTier.Put(ctx, key, value)
 }
 
 // TestSolverCacheTierGarbage: corrupt or mismatched tier records are
@@ -227,15 +239,15 @@ func TestSolverCacheTierGarbage(t *testing.T) {
 			rec["cost"] = json.RawMessage(strconv.FormatInt(first.Cost+1, 10))
 		}},
 	} {
-		tier := cawosched.NewMemoryTier(0)
-		honest := cawosched.NewSolver(cawosched.SmallCluster(29), cawosched.WithCacheTier(tier))
+		tier := &keyedTier{MemoryTier: solve.NewMemoryTier(0)}
+		honest := solve.NewSolver(cawosched.SmallCluster(29), solve.WithCacheTier(tier))
 		if first, err = honest.Solve(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
 		if tier.Len() != 1 {
 			t.Fatalf("tier holds %d records, want 1", tier.Len())
 		}
-		for _, key := range tier.Keys() {
+		for _, key := range tier.keys {
 			data := []byte("{not json")
 			if tc.tamper != nil {
 				data, _ = tier.Get(context.Background(), key)
@@ -251,7 +263,7 @@ func TestSolverCacheTierGarbage(t *testing.T) {
 			tier.Put(context.Background(), key, data)
 		}
 		reg := obs.NewRegistry()
-		fresh := cawosched.NewSolver(cawosched.SmallCluster(29), cawosched.WithCacheTier(tier))
+		fresh := solve.NewSolver(cawosched.SmallCluster(29), solve.WithCacheTier(tier))
 		res, err := fresh.Solve(obs.WithMeter(context.Background(), reg), req)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.reason, err)
@@ -272,8 +284,8 @@ func TestSolverCacheTierGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	D := cawosched.ASAPMakespan(inst)
-	empty := cawosched.NewMemoryTier(0)
-	c := cawosched.NewSolver(cawosched.SmallCluster(29), cawosched.WithCacheTier(empty))
+	empty := solve.NewMemoryTier(0)
+	c := solve.NewSolver(cawosched.SmallCluster(29), solve.WithCacheTier(empty))
 	bad := cawosched.Request{Workflow: wf, Variant: "press", Zones: cawosched.SingleZone(cawosched.ConstantProfile(D/2, 1))}
 	if _, err := c.Solve(context.Background(), bad); !errors.Is(err, cawosched.ErrInfeasibleDeadline) {
 		t.Fatalf("err = %v, want ErrInfeasibleDeadline", err)

@@ -46,8 +46,9 @@ import (
 	"repro/internal/heft"
 	"repro/internal/platform"
 	"repro/internal/power"
-	"repro/internal/rng"
 	"repro/internal/schedule"
+	"repro/internal/scherr"
+	"repro/internal/solve"
 	"repro/internal/wfgen"
 )
 
@@ -92,6 +93,84 @@ type (
 	// HEFTResult is the reference schedule produced by HEFT.
 	HEFTResult = heft.Result
 )
+
+// Structured errors re-exported from the internal taxonomy. Every failure
+// of the Solver (and of the context-aware free functions) can be
+// classified with errors.Is against these sentinels and unpacked with
+// errors.As into the detail types below.
+var (
+	// ErrInfeasibleDeadline: no schedule can meet the deadline.
+	ErrInfeasibleDeadline = scherr.ErrInfeasibleDeadline
+	// ErrBudgetExhausted: a bounded search ran out of budget; any result
+	// returned alongside it is only an upper bound.
+	ErrBudgetExhausted = scherr.ErrBudgetExhausted
+	// ErrCanceled: the context was canceled or timed out mid-solve. The
+	// error also satisfies errors.Is(err, ctx.Err()).
+	ErrCanceled = scherr.ErrCanceled
+	// ErrUnknownVariant: a variant name missing from the registry.
+	ErrUnknownVariant = scherr.ErrUnknownVariant
+	// ErrInvalidRequest: request inputs inconsistent with the target
+	// platform (e.g. a per-zone supply or zone-scenario list whose zone
+	// count does not match the cluster's).
+	ErrInvalidRequest = scherr.ErrInvalidRequest
+)
+
+// Detail types carried by the sentinels above (use errors.As).
+type (
+	// InfeasibleDeadlineError pinpoints the node whose window is empty.
+	InfeasibleDeadlineError = scherr.InfeasibleDeadlineError
+	// BudgetError reports how many search nodes were expanded.
+	BudgetError = scherr.BudgetError
+	// CanceledError wraps the context error that stopped the solve.
+	CanceledError = scherr.CanceledError
+	// UnknownVariantError lists the canonical registry names.
+	UnknownVariantError = scherr.UnknownVariantError
+)
+
+// ErrorCode classifies err into one of the stable machine-readable error
+// codes of internal/scherr ("infeasible_deadline", "budget_exhausted",
+// "canceled", "deadline_exceeded", "unknown_variant"), or "" when the
+// error carries no scheduler classification. The same codes appear in the
+// "code" field of every schedd HTTP error body and in CLI error output.
+func ErrorCode(err error) string { return scherr.Code(err) }
+
+// LookupVariant resolves a canonical variant name ("slack", "pressWR-LS",
+// …) to its Options through the variant registry shared with the CLIs and
+// the sweep records. Unknown names fail with ErrUnknownVariant.
+func LookupVariant(name string) (Options, error) { return core.LookupVariant(name) }
+
+// VariantNames returns the canonical names of the 16 registered variants
+// in the paper's presentation order.
+func VariantNames() []string { return core.VariantNames() }
+
+// The request/response entry point of internal/solve: a Solver, one per
+// target cluster, is safe for concurrent use and memoizes plans and whole
+// responses; the minimal Request is {Workflow: wf}.
+type (
+	Solver      = solve.Solver
+	Request     = solve.Request
+	Response    = solve.Response
+	SolverStats = solve.SolverStats
+)
+
+// NewSolver returns a solver bound to the given target cluster, with the
+// default cache bounds and no external cache tier.
+func NewSolver(cluster *Cluster) *Solver { return solve.NewSolver(cluster) }
+
+// DefaultVariant (pressWR-LS, the paper's most frequent winner) is what a
+// Request naming no variant runs; MapSearchName is the mapping spelling
+// (CLI -mapping, wire "mapping") that selects the two-pass mapping search.
+const (
+	DefaultVariant = solve.DefaultVariant
+	MapSearchName  = solve.MapSearchName
+)
+
+// DeadlineHorizon returns the deadline T = factor·D, rounded to the
+// nearest unit and never below D, for a workflow of ASAP makespan D.
+// factor 0 selects the default 2; a factor below 1 is
+// ErrInfeasibleDeadline; a factor whose deadline does not fit an int64
+// (huge, +Inf or NaN) is ErrInvalidRequest.
+func DeadlineHorizon(D int64, factor float64) (int64, error) { return solve.DeadlineHorizon(D, factor) }
 
 // Scenario constants (Section 6.1).
 const (
@@ -176,13 +255,7 @@ func NewZoneSet(zones ...Zone) (*ZoneSet, error) { return power.NewZoneSet(zones
 // PlanHEFT computes a HEFT mapping and ordering for the workflow and
 // builds the communication-enhanced scheduling instance from it. This is
 // the "given mapping" the carbon-aware scheduler then improves.
-func PlanHEFT(d *DAG, c *Cluster) (*Instance, error) {
-	h, err := heft.Schedule(d, c)
-	if err != nil {
-		return nil, err
-	}
-	return ceg.Build(d, ceg.FromHEFT(h.Proc, h.Order, h.Finish), c)
-}
+func PlanHEFT(d *DAG, c *Cluster) (*Instance, error) { return solve.PlanHEFT(d, c) }
 
 // HEFT exposes the raw HEFT result (mapping, order, reference times).
 func HEFT(d *DAG, c *Cluster) (*HEFTResult, error) { return heft.Schedule(d, c) }
@@ -209,28 +282,7 @@ func ASAPMakespan(inst *Instance) int64 { return core.ASAPMakespan(inst) }
 // the randomness is derived per zone index. Either way the set is
 // deterministic in (cluster, scenarios, T, j, seed).
 func ZonesForInstance(inst *Instance, scenarios []Scenario, T int64, j int, seed uint64) (*ZoneSet, error) {
-	if len(scenarios) == 0 {
-		return nil, fmt.Errorf("%w: no scenarios", ErrInvalidRequest)
-	}
-	K := inst.NumZones()
-	if K == 1 {
-		gmin, gmax := power.PlatformBounds(inst.TotalIdlePower(), inst.Cluster.ComputeWork())
-		prof, err := power.Generate(scenarios[0], T, j, gmin, gmax, rng.New(seed))
-		if err != nil {
-			return nil, err
-		}
-		return power.SingleZone(prof), nil
-	}
-	specs := make([]ZoneSpec, K)
-	for z := 0; z < K; z++ {
-		sc := scenarios[0]
-		if len(scenarios) > 1 {
-			sc = scenarios[z%len(scenarios)]
-		}
-		gmin, gmax := power.PlatformBounds(inst.ZoneIdlePower(z), inst.Cluster.ZoneComputeWork(z))
-		specs[z] = ZoneSpec{Name: fmt.Sprintf("z%d", z), Scenario: sc, Gmin: gmin, Gmax: gmax}
-	}
-	return power.GenerateZones(specs, T, j, seed)
+	return solve.ZonesForInstance(inst, scenarios, T, j, seed)
 }
 
 // ConstantProfile returns a single-interval profile (useful for tests and
@@ -327,10 +379,6 @@ const (
 	MapZoneEnergyPerWork = greenheft.ZoneEnergyPerWork
 )
 
-// MapSearchName is the mapping spelling (CLI -mapping, wire "mapping"
-// field) that selects the two-pass mapping search instead of one policy.
-const MapSearchName = "map-search"
-
 // MappingPolicies returns every mapping policy, the candidate set of the
 // map-search pipeline (MapEFT first, so the fixed mapping always competes).
 func MappingPolicies() []MappingPolicy { return greenheft.AllPolicies() }
@@ -339,24 +387,6 @@ func MappingPolicies() []MappingPolicy { return greenheft.AllPolicies() }
 // "energy", "zonegreen", "zoneenergy") as printed by MappingPolicy.String.
 func ParseMappingPolicy(name string) (MappingPolicy, error) {
 	return greenheft.ParsePolicy(name)
-}
-
-// ParseMapping resolves a -mapping / wire "mapping" spelling into request
-// options: a policy name selects that policy, MapSearchName selects the
-// two-pass search, and "" (or "fixed") is the paper's HEFT mapping.
-// Unknown spellings fail with ErrInvalidRequest.
-func ParseMapping(name string) (MappingPolicy, bool, error) {
-	switch name {
-	case "", "fixed":
-		return MapEFT, false, nil
-	case MapSearchName:
-		return MapEFT, true, nil
-	}
-	pol, err := greenheft.ParsePolicy(name)
-	if err != nil {
-		return 0, false, fmt.Errorf("%w: unknown mapping %q (want a policy name or %q)", ErrInvalidRequest, name, MapSearchName)
-	}
-	return pol, false, nil
 }
 
 // PlanGreenZones computes a carbon-aware mapping (the Section 7

@@ -27,6 +27,7 @@ import (
 
 	cawosched "repro"
 	"repro/internal/power"
+	"repro/internal/solve"
 	"repro/internal/wfgen"
 )
 
@@ -44,7 +45,6 @@ func main() {
 		mapping  = flag.String("mapping", "heft", `first-pass mapping: heft | lowpower | energy | zonegreen | zoneenergy | map-search (two-pass search keeping the lowest-carbon feasible plan)`)
 		variant  = flag.String("variant", "all", `heuristic to run: "all", "asap", or a registry name like pressWR-LS (see -list-variants)`)
 		seed     = flag.Uint64("seed", 42, "random seed for workflow/profile generation")
-		workers  = flag.Int("search-workers", 0, "how many candidate mappings -mapping map-search schedules at once (<= 1 = one after another; no effect on a fixed mapping, the result is identical at any count)")
 		verbose  = flag.Bool("v", false, "print the schedule's start times")
 		gantt    = flag.Bool("gantt", false, "render an ASCII Gantt chart of the last variant's schedule")
 		jsonOut  = flag.String("json", "", "write the last variant's schedule to this JSON file")
@@ -60,7 +60,7 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *family, *n, *dotFile, *cluster, *zones, *scenario, *zoneScen, *intens, *factor, *mapping, *variant, *seed, *workers, *verbose, *gantt, *jsonOut, *csvOut); err != nil {
+	if err := run(ctx, *family, *n, *dotFile, *cluster, *zones, *scenario, *zoneScen, *intens, *factor, *mapping, *variant, *seed, *verbose, *gantt, *jsonOut, *csvOut); err != nil {
 		if errors.Is(err, cawosched.ErrCanceled) {
 			fmt.Fprintln(os.Stderr, "cawosched: interrupted")
 			os.Exit(130)
@@ -76,7 +76,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, family string, n int, dotFile, clusterName string, zones int, scenarioName, zoneScen, intens string, factor float64, mapping, variant string, seed uint64, searchWorkers int, verbose, gantt bool, jsonOut, csvOut string) error {
+func run(ctx context.Context, family string, n int, dotFile, clusterName string, zones int, scenarioName, zoneScen, intens string, factor float64, mapping, variant string, seed uint64, verbose, gantt bool, jsonOut, csvOut string) error {
 	wf, err := loadWorkflow(family, n, dotFile, seed)
 	if err != nil {
 		return err
@@ -105,7 +105,7 @@ func run(ctx context.Context, family string, n int, dotFile, clusterName string,
 	if err != nil {
 		return err
 	}
-	mapPol, mapSearch, err := cawosched.ParseMapping(mapping)
+	mapPol, mapSearch, err := solve.ParseMapping(mapping)
 	if err != nil {
 		return err
 	}
@@ -118,7 +118,6 @@ func run(ctx context.Context, family string, n int, dotFile, clusterName string,
 		MappingPolicy:  mapPol,
 		MapSearch:      mapSearch,
 		Seed:           seed,
-		SearchWorkers:  searchWorkers,
 	}
 	if zoneScen != "" && intens != "" {
 		return fmt.Errorf("-zone-scenarios and -intensity are mutually exclusive (the intensity traces define the per-zone supply)")

@@ -54,7 +54,7 @@ func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "s.json")
 	csvPath := filepath.Join(dir, "s.csv")
-	err := run(context.Background(), "bacass", 30, "", "small", 1, "S1", "", "", 2, "heft", "pressWR-LS", 7, 2, false, false, jsonPath, csvPath)
+	err := run(context.Background(), "bacass", 30, "", "small", 1, "S1", "", "", 2, "heft", "pressWR-LS", 7, false, false, jsonPath, csvPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestRunMultiZoneEndToEnd(t *testing.T) {
 	// Generated per-zone scenarios on a 2-zone split.
-	if err := run(context.Background(), "bacass", 30, "", "small", 2, "S1", "S1,S2", "", 2, "heft", "pressWR-LS", 7, 2, false, false, "", ""); err != nil {
+	if err := run(context.Background(), "bacass", 30, "", "small", 2, "S1", "S1,S2", "", 2, "heft", "pressWR-LS", 7, false, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	// Per-zone intensity traces, one CSV per zone.
@@ -83,33 +83,33 @@ func TestRunMultiZoneEndToEnd(t *testing.T) {
 	if err := os.WriteFile(b, []byte("offset,intensity\n0,50\n40,300\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), "bacass", 30, "", "small", 2, "S1", "", a+","+b, 2, "heft", "slack", 7, 2, false, false, "", ""); err != nil {
+	if err := run(context.Background(), "bacass", 30, "", "small", 2, "S1", "", a+","+b, 2, "heft", "slack", 7, false, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	// One trace for two zones is a configuration error.
-	if err := run(context.Background(), "bacass", 30, "", "small", 2, "S1", "", a, 2, "heft", "slack", 7, 2, false, false, "", ""); err == nil {
+	if err := run(context.Background(), "bacass", 30, "", "small", 2, "S1", "", a, 2, "heft", "slack", 7, false, false, "", ""); err == nil {
 		t.Error("one intensity trace accepted for two zones")
 	}
 	// Mismatched zone scenario count too.
-	if err := run(context.Background(), "bacass", 30, "", "small", 2, "S1", "S1,S2,S3", "", 2, "heft", "slack", 7, 2, false, false, "", ""); err == nil {
+	if err := run(context.Background(), "bacass", 30, "", "small", 2, "S1", "S1,S2,S3", "", 2, "heft", "slack", 7, false, false, "", ""); err == nil {
 		t.Error("three zone scenarios accepted for two zones")
 	}
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	if err := run(context.Background(), "bogus", 30, "", "small", 1, "S1", "", "", 2, "heft", "all", 1, 0, false, false, "", ""); err == nil {
+	if err := run(context.Background(), "bogus", 30, "", "small", 1, "S1", "", "", 2, "heft", "all", 1, false, false, "", ""); err == nil {
 		t.Error("bad family accepted")
 	}
-	if err := run(context.Background(), "bacass", 30, "", "medium", 1, "S1", "", "", 2, "heft", "all", 1, 0, false, false, "", ""); err == nil {
+	if err := run(context.Background(), "bacass", 30, "", "medium", 1, "S1", "", "", 2, "heft", "all", 1, false, false, "", ""); err == nil {
 		t.Error("bad cluster accepted")
 	}
-	if err := run(context.Background(), "bacass", 30, "", "small", 1, "S9", "", "", 2, "heft", "all", 1, 0, false, false, "", ""); err == nil {
+	if err := run(context.Background(), "bacass", 30, "", "small", 1, "S9", "", "", 2, "heft", "all", 1, false, false, "", ""); err == nil {
 		t.Error("bad scenario accepted")
 	}
-	if err := run(context.Background(), "bacass", 30, "", "small", 1, "S1", "", "", 0.5, "heft", "all", 1, 0, false, false, "", ""); err == nil {
+	if err := run(context.Background(), "bacass", 30, "", "small", 1, "S1", "", "", 0.5, "heft", "all", 1, false, false, "", ""); err == nil {
 		t.Error("deadline factor < 1 accepted")
 	}
-	if err := run(context.Background(), "bacass", 30, "/nonexistent/path.dot", "small", 1, "S1", "", "", 2, "heft", "all", 1, 0, false, false, "", ""); err == nil {
+	if err := run(context.Background(), "bacass", 30, "/nonexistent/path.dot", "small", 1, "S1", "", "", 2, "heft", "all", 1, false, false, "", ""); err == nil {
 		t.Error("missing dot file accepted")
 	}
 }
@@ -121,7 +121,7 @@ func TestRunFromDOTFile(t *testing.T) {
 	if err := os.WriteFile(dot, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), "", 0, dot, "small", 1, "S4", "", "", 1.5, "heft", "slack", 3, 0, false, false, "", ""); err != nil {
+	if err := run(context.Background(), "", 0, dot, "small", 1, "S4", "", "", 1.5, "heft", "slack", 3, false, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -42,10 +42,11 @@ import (
 	"syscall"
 	"time"
 
-	cawosched "repro"
 	"repro/internal/obs"
+	"repro/internal/platform"
 	"repro/internal/power"
 	"repro/internal/server"
+	"repro/internal/solve"
 	"repro/internal/tenancy"
 	"repro/internal/wire"
 )
@@ -60,7 +61,6 @@ type options struct {
 	seed        uint64
 	reqTimeout  time.Duration
 	batchWork   int
-	searchWork  int
 	maxBatch    int
 	maxQueue    int
 	grace       time.Duration
@@ -97,7 +97,6 @@ func main() {
 	flag.Uint64Var(&opt.seed, "seed", 42, "cluster link seed (ignored with -cluster-file)")
 	flag.DurationVar(&opt.reqTimeout, "request-timeout", 60*time.Second, "per-request solving deadline (0 = none)")
 	flag.IntVar(&opt.batchWork, "batch-workers", 0, "bounded worker pool for batched solves (0 = min(GOMAXPROCS, 16))")
-	flag.IntVar(&opt.searchWork, "search-workers", 0, "how many candidate mappings a map-search solve schedules at once (<= 1 = one after another; no effect on fixed-mapping requests, responses are identical at any count)")
 	flag.IntVar(&opt.maxBatch, "max-batch", 256, "maximum requests per batch body")
 	flag.IntVar(&opt.maxQueue, "max-queue", 0, "maximum batch items in flight across all batch requests before 429 (0 = 4096)")
 	flag.IntVar(&opt.solveCacheLimit, "solve-cache-limit", 4096, "maximum cached solve responses (0 = response caching off)")
@@ -126,7 +125,7 @@ func main() {
 }
 
 // buildCluster resolves the target platform from the flags.
-func buildCluster(clusterName, clusterFile string, zones int, seed uint64) (*cawosched.Cluster, string, error) {
+func buildCluster(clusterName, clusterFile string, zones int, seed uint64) (*platform.Cluster, string, error) {
 	if clusterFile != "" {
 		data, err := os.ReadFile(clusterFile)
 		if err != nil {
@@ -147,9 +146,9 @@ func buildCluster(clusterName, clusterFile string, zones int, seed uint64) (*caw
 	}
 	switch clusterName {
 	case "small":
-		return cawosched.SmallZonedCluster(seed, zones), "small", nil
+		return platform.SmallZoned(seed, zones), "small", nil
 	case "large":
-		return cawosched.LargeZonedCluster(seed, zones), "large", nil
+		return platform.LargeZoned(seed, zones), "large", nil
 	default:
 		return nil, "", fmt.Errorf("unknown cluster %q (want small, large, or -cluster-file)", clusterName)
 	}
@@ -159,7 +158,7 @@ func buildCluster(clusterName, clusterFile string, zones int, seed uint64) (*caw
 // scenario spelling: one scenario applied to every zone, or a comma list
 // with exactly one per cluster zone. Per-zone power bounds come from the
 // cluster (the paper's platform-derived gmin/gmax).
-func buildSupply(cluster *cawosched.Cluster, scenario string, horizon int64, intervals int, seed uint64) (*power.ZoneSet, error) {
+func buildSupply(cluster *platform.Cluster, scenario string, horizon int64, intervals int, seed uint64) (*power.ZoneSet, error) {
 	names := strings.Split(scenario, ",")
 	if len(names) == 1 && cluster.NumZones() > 1 {
 		names = make([]string, cluster.NumZones())
@@ -251,7 +250,7 @@ func run(ctx context.Context, opt options, ready chan<- string) error {
 	}
 	// Fail fast on an unknown default mapping instead of 400ing every
 	// request later.
-	if _, _, err := cawosched.ParseMapping(opt.mapping); err != nil {
+	if _, _, err := solve.ParseMapping(opt.mapping); err != nil {
 		return err
 	}
 	reqTimeout := opt.reqTimeout
@@ -268,17 +267,16 @@ func run(ctx context.Context, opt options, ready chan<- string) error {
 	if opt.planCacheLimit < 0 {
 		return fmt.Errorf("-plan-cache-limit %d must be >= 0", opt.planCacheLimit)
 	}
-	tier, err := cawosched.ParseCacheTier(opt.cacheTier)
+	// A peers: tier also gets the fleet cache-exchange endpoints and the
+	// per-peer /metrics families: the server reads it from the solver.
+	tier, err := solve.ParseCacheTier(opt.cacheTier)
 	if err != nil {
 		return err
 	}
-	// A peers: tier additionally gets the fleet cache-exchange endpoints
-	// and per-peer /metrics families wired through server.Config.
-	peerTier, _ := tier.(*cawosched.PeerTier)
-	solver := cawosched.NewSolver(cluster,
-		cawosched.WithSolveCacheLimit(opt.solveCacheLimit),
-		cawosched.WithPlanCacheLimit(opt.planCacheLimit),
-		cawosched.WithCacheTier(tier),
+	solver := solve.NewSolver(cluster,
+		solve.WithSolveCacheLimit(opt.solveCacheLimit),
+		solve.WithPlanCacheLimit(opt.planCacheLimit),
+		solve.WithCacheTier(tier),
 	)
 
 	var manager *tenancy.Manager
@@ -288,10 +286,9 @@ func run(ctx context.Context, opt options, ready chan<- string) error {
 			return err
 		}
 		manager, err = tenancy.NewManager(tenancy.Config{
-			Solver:        solver,
-			Supply:        supply,
-			Clock:         tenancy.NewWallClock(opt.timeUnit),
-			SearchWorkers: opt.searchWork,
+			Solver: solver,
+			Supply: supply,
+			Clock:  tenancy.NewWallClock(opt.timeUnit),
 		})
 		if err != nil {
 			return err
@@ -306,12 +303,10 @@ func run(ctx context.Context, opt options, ready chan<- string) error {
 		MaxBatch:       opt.maxBatch,
 		MaxQueue:       opt.maxQueue,
 		DefaultMapping: opt.mapping,
-		SearchWorkers:  opt.searchWork,
 		Manager:        manager,
 		Logger:         lg,
 		SlowSolve:      opt.slowSolve,
 		TraceBuffer:    opt.traceBuffer,
-		PeerTier:       peerTier,
 	})
 
 	ln, err := net.Listen("tcp", opt.addr)

@@ -72,7 +72,7 @@ func TestServeSmoke(t *testing.T) {
 	done := make(chan error, 1)
 	opt := options{
 		addr: "127.0.0.1:0", clusterName: "small", zones: 1, seed: 7,
-		reqTimeout: 30 * time.Second, batchWork: 2, searchWork: 2,
+		reqTimeout: 30 * time.Second, batchWork: 2,
 		maxBatch: 16, grace: 5 * time.Second,
 	}
 	go func() {
@@ -179,7 +179,7 @@ func TestServeFleetSmoke(t *testing.T) {
 		done := make(chan error, 1)
 		opt := options{
 			addr: addr, clusterName: "small", zones: 1, seed: 7,
-			reqTimeout: 30 * time.Second, batchWork: 2, searchWork: 2,
+			reqTimeout: 30 * time.Second, batchWork: 2,
 			maxBatch: 16, grace: 5 * time.Second,
 			solveCacheLimit: 1024, planCacheLimit: 1024,
 			cacheTier: spec,
@@ -319,7 +319,7 @@ func TestServeOnlineSmoke(t *testing.T) {
 	done := make(chan error, 1)
 	opt := options{
 		addr: "127.0.0.1:0", clusterName: "small", zones: 2, seed: 7,
-		reqTimeout: 30 * time.Second, batchWork: 2, searchWork: 2,
+		reqTimeout: 30 * time.Second, batchWork: 2,
 		maxBatch: 16, grace: 5 * time.Second,
 		supplyScenario: "S1,S3", supplyHorizon: 4320, supplyIntervals: 24,
 		supplySeed: 7, timeUnit: 50 * time.Millisecond,
@@ -444,7 +444,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	opt := options{
 		addr: "127.0.0.1:0", debugAddr: debugAddr,
 		clusterName: "small", zones: 2, seed: 7,
-		reqTimeout: 30 * time.Second, batchWork: 2, searchWork: 2,
+		reqTimeout: 30 * time.Second, batchWork: 2,
 		maxBatch: 16, grace: 5 * time.Second,
 		supplyScenario: "S1,S3", supplyHorizon: 4320, supplyIntervals: 24,
 		supplySeed: 7, timeUnit: 50 * time.Millisecond,

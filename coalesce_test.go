@@ -17,23 +17,34 @@ import (
 
 	cawosched "repro"
 	"repro/internal/server"
+	"repro/internal/solve"
 	"repro/internal/wire"
 )
+
+// gateTier is a cache tier that holds no record: its Get signals entered
+// and then blocks until release is closed. A flight leader consults the
+// tier right after it wins the election, before it computes, so the gate
+// holds the leader in flight while followers pile up.
+type gateTier struct{ entered, release chan struct{} }
+
+func (g gateTier) Get(context.Context, string) ([]byte, bool) {
+	g.entered <- struct{}{}
+	<-g.release
+	return nil, false
+}
+
+func (gateTier) Put(context.Context, string, []byte) {}
 
 // herdSolver builds a solver whose coalesced leader signals entered and
 // then blocks until the test closes release, so followers can pile up
 // deterministically (and tests that care which request leads can wait for
 // the election before spawning followers). The gate passes instantly once
 // release is closed, tolerating re-elections.
-func herdSolver(t *testing.T, seed uint64, opts ...cawosched.SolverOption) (solver *cawosched.Solver, entered, release chan struct{}) {
+func herdSolver(t *testing.T, seed uint64) (solver *cawosched.Solver, entered, release chan struct{}) {
 	t.Helper()
-	solver = cawosched.NewSolver(cawosched.SmallCluster(seed), opts...)
 	entered = make(chan struct{}, 16) // buffered: re-elected leaders signal too
 	release = make(chan struct{})
-	solver.SetTestLeaderGate(func() {
-		entered <- struct{}{}
-		<-release
-	})
+	solver = solve.NewSolver(cawosched.SmallCluster(seed), solve.WithCacheTier(gateTier{entered, release}))
 	return solver, entered, release
 }
 

@@ -7,10 +7,10 @@ import (
 	"math"
 	"sync"
 
-	cawosched "repro"
 	"repro/internal/power"
 	"repro/internal/rng"
 	"repro/internal/scherr"
+	"repro/internal/solve"
 	"repro/internal/tenancy"
 	"repro/internal/wfgen"
 )
@@ -141,7 +141,7 @@ func runArrival(ctx context.Context, as ArrivalSpec) (ArrivalResult, error) {
 	cluster := in.Inst.Cluster
 	clock := tenancy.NewSimClock(0)
 	m, err := tenancy.NewManager(tenancy.Config{
-		Solver: cawosched.NewSolver(cluster),
+		Solver: solve.NewSolver(cluster),
 		Supply: in.Zones,
 		Clock:  clock,
 	})

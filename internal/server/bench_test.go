@@ -86,7 +86,7 @@ func BenchmarkServedHit(b *testing.B) {
 			post(buf)
 		}
 	})
-	if st := srv.Solver().Stats(); st.SolveMisses != int64(len(bodies)) {
+	if st := srv.solver.Stats(); st.SolveMisses != int64(len(bodies)) {
 		b.Fatalf("%d solve misses, want one per body (%d): not every op was a hit", st.SolveMisses, len(bodies))
 	}
 }

@@ -13,36 +13,40 @@ import (
 )
 
 // TestSearchWorkersByteIdenticalResponses pins the service-level face of
-// the determinism guarantee: the same solve request answered by servers
-// configured with 1, 4, and GOMAXPROCS search workers produces
-// byte-identical wire responses — parallelism in the scheduler is pure
+// the determinism guarantee: the same solve request answered at
+// GOMAXPROCS 1, 4, and the test's own setting produces
+// byte-identical wire responses — the host's parallelism is pure
 // mechanism, invisible on the wire. The request uses the map-search
-// two-pass pipeline, whose candidate fan-out is what the setting widens.
+// two-pass pipeline, the longest path a single solve takes (its
+// candidates run one after another; the fan-out width of
+// greenheft.Search is held by TestMapAndSolveWorkersIdentical).
 // Run under -race -count=2 in CI.
 func TestSearchWorkersByteIdenticalResponses(t *testing.T) {
 	wreq := pinnedWireRequest(t)
 	wreq.Mapping = "map-search"
 
 	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want []byte
-	for _, workers := range counts {
-		// A fresh server (and solver) per worker count: every response is
+	for _, procs := range counts {
+		runtime.GOMAXPROCS(procs)
+		// A fresh server (and solver) per setting: every response is
 		// computed, never cache-served, so the comparison is between real
 		// scheduler runs.
-		_, ts := newTestServer(t, Config{SearchWorkers: workers})
+		_, ts := newTestServer(t, Config{})
 		resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/solve", wreq)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("workers=%d: status %d: %s", workers, resp.StatusCode, raw)
+			t.Fatalf("GOMAXPROCS=%d: status %d: %s", procs, resp.StatusCode, raw)
 		}
 		var sr wire.SolveResponse
 		if err := json.Unmarshal(raw, &sr); err != nil {
-			t.Fatalf("workers=%d: bad response: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: bad response: %v", procs, err)
 		}
 		if sr.CacheHit {
-			t.Fatalf("workers=%d: response unexpectedly cache-served", workers)
+			t.Fatalf("GOMAXPROCS=%d: response unexpectedly cache-served", procs)
 		}
 		if len(sr.Timings) == 0 {
-			t.Fatalf("workers=%d: response carries no stage timings", workers)
+			t.Fatalf("GOMAXPROCS=%d: response carries no stage timings", procs)
 		}
 		raw = stripTimings(t, raw)
 		if want == nil {
@@ -50,8 +54,8 @@ func TestSearchWorkersByteIdenticalResponses(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(raw, want) {
-			t.Fatalf("workers=%d: response bytes differ from workers=%d:\n%s\nvs\n%s",
-				workers, counts[0], raw, want)
+			t.Fatalf("GOMAXPROCS=%d: response bytes differ from GOMAXPROCS=%d:\n%s\nvs\n%s",
+				procs, counts[0], raw, want)
 		}
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"runtime/debug"
 	"time"
 
-	cawosched "repro"
 	"repro/internal/obs"
 	"repro/internal/schedule"
+	"repro/internal/solve"
 	"repro/internal/tenancy"
 )
 
@@ -32,7 +32,7 @@ type metrics struct {
 	brown    obs.CounterVec   // schedd_carbon_brown_units_total{zone}
 }
 
-func newMetrics(solver *cawosched.Solver, mgr *tenancy.Manager, tier *cawosched.PeerTier) *metrics {
+func newMetrics(solver *solve.Solver, mgr *tenancy.Manager) *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{
 		reg: reg,
@@ -97,7 +97,7 @@ func newMetrics(solver *cawosched.Solver, mgr *tenancy.Manager, tier *cawosched.
 		solveContention.Store(st.SolveContention)
 	})
 
-	if tier != nil {
+	if tier := solver.PeerTier(); tier != nil {
 		// Per-peer tier counters, mirrored from the tier's Stats snapshot
 		// at scrape time. The label is the peer host exactly as spelled in
 		// the -cache-tier spec, so dashboards join across the fleet.

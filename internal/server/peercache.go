@@ -20,7 +20,7 @@ import (
 // requesting peer treats both any other outcome and a timeout as a
 // miss).
 func (s *Server) handlePeerCacheGet(w http.ResponseWriter, r *http.Request) {
-	tier := s.cfg.PeerTier
+	tier := s.solver.PeerTier()
 	if tier == nil {
 		s.writeError(w, &wire.Error{Code: scherr.CodeUnsupported, Message: "no peer cache tier configured"})
 		return
@@ -44,7 +44,7 @@ func (s *Server) handlePeerCacheGet(w http.ResponseWriter, r *http.Request) {
 // as the record for key and answer 204. The sender is fire-and-forget,
 // so the status only feeds its breaker.
 func (s *Server) handlePeerCachePut(w http.ResponseWriter, r *http.Request) {
-	tier := s.cfg.PeerTier
+	tier := s.solver.PeerTier()
 	if tier == nil {
 		s.writeError(w, &wire.Error{Code: scherr.CodeUnsupported, Message: "no peer cache tier configured"})
 		return

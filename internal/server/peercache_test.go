@@ -12,6 +12,7 @@ import (
 	"time"
 
 	cawosched "repro"
+	"repro/internal/solve"
 	"repro/internal/wire"
 )
 
@@ -39,12 +40,12 @@ func doRequest(t testing.TB, client *http.Client, method, url, contentType strin
 // through the tier-local store, 404 on miss, 400 on malformed keys or
 // empty bodies, 501 without a peer tier.
 func TestPeerCacheHandlers(t *testing.T) {
-	tier, err := cawosched.NewPeerTier([]string{"h1:8080"}, 0)
+	tier, err := solve.NewPeerTier([]string{"h1:8080"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver := cawosched.NewSolver(cawosched.SmallCluster(7), cawosched.WithCacheTier(tier))
-	ts := httptest.NewServer(New(solver, Config{PeerTier: tier}))
+	solver := solve.NewSolver(cawosched.SmallCluster(7), solve.WithCacheTier(tier))
+	ts := httptest.NewServer(New(solver, Config{}))
 	defer ts.Close()
 	client := ts.Client()
 	url := ts.URL + wire.CachePathPrefix
@@ -83,6 +84,46 @@ func TestPeerCacheHandlers(t *testing.T) {
 	}
 }
 
+// TestPeerTierFromSolver: a server over a solver built with a PeerTier
+// serves the cache exchange from that tier's local store and mirrors its
+// per-peer counters onto /metrics, with no server configuration naming
+// the tier.
+func TestPeerTierFromSolver(t *testing.T) {
+	ctx := context.Background()
+	tier, err := solve.NewPeerTier([]string{"h1:8080", "h2:8080"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := solve.NewSolver(cawosched.SmallCluster(7), solve.WithCacheTier(tier))
+	if solver.PeerTier() != tier {
+		t.Fatal("the solver does not report the peer tier it was built with")
+	}
+	ts := httptest.NewServer(New(solver, Config{}))
+	defer ts.Close()
+	url := ts.URL + wire.CachePathPrefix
+
+	if status, body := doRequest(t, ts.Client(), http.MethodPut, url+"c0ffee", wire.CacheContentType, []byte(`{"fp":2}`)); status != http.StatusNoContent {
+		t.Fatalf("PUT = %d: %s", status, body)
+	}
+	if data, ok := tier.Local().Get(ctx, "c0ffee"); !ok || string(data) != `{"fp":2}` {
+		t.Errorf("the PUT did not reach the tier's local store: %q, %v", data, ok)
+	}
+	tier.Local().Put(ctx, "beef", []byte(`{"fp":3}`))
+	if status, body := doRequest(t, ts.Client(), http.MethodGet, url+"beef", "", nil); status != http.StatusOK || string(body) != `{"fp":3}` {
+		t.Errorf("GET = %d, %q; want 200 with the record put into the local store", status, body)
+	}
+	_, metrics := doRequest(t, ts.Client(), http.MethodGet, ts.URL+"/metrics", "", nil)
+	for _, peer := range []string{"h1:8080", "h2:8080"} {
+		if want := `schedd_cache_tier_breaker_open{peer="` + peer + `"} 0`; !strings.Contains(string(metrics), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+
+	if pt := solve.NewSolver(cawosched.SmallCluster(7), solve.WithCacheTier(solve.NewMemoryTier(0))).PeerTier(); pt != nil {
+		t.Error("a solver over a MemoryTier reports a peer tier")
+	}
+}
+
 // TestServerFleetCacheExchange is the fleet acceptance test at the server
 // layer: three schedd instances sharing a peer ring share warm solves.
 // Requests solved on A are, at their first sight on B and on C, tier hits
@@ -100,16 +141,16 @@ func TestServerFleetCacheExchange(t *testing.T) {
 		servers[i] = httptest.NewUnstartedServer(nil)
 		hosts[i] = servers[i].Listener.Addr().String()
 	}
-	tiers := make([]*cawosched.PeerTier, n)
-	solvers := make([]*cawosched.Solver, n)
+	tiers := make([]*solve.PeerTier, n)
+	solvers := make([]*solve.Solver, n)
 	for i, ts := range servers {
-		tier, err := cawosched.NewPeerTier(hosts, 0)
+		tier, err := solve.NewPeerTier(hosts, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tiers[i] = tier
-		solvers[i] = cawosched.NewSolver(cawosched.SmallCluster(7), cawosched.WithCacheTier(tier))
-		ts.Config.Handler = New(solvers[i], Config{PeerTier: tier})
+		solvers[i] = solve.NewSolver(cawosched.SmallCluster(7), solve.WithCacheTier(tier))
+		ts.Config.Handler = New(solvers[i], Config{})
 		ts.Start()
 		t.Cleanup(ts.Close)
 	}

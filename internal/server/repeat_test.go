@@ -16,6 +16,7 @@ import (
 
 	cawosched "repro"
 	"repro/internal/obs"
+	"repro/internal/solve"
 	"repro/internal/wire"
 )
 
@@ -72,9 +73,9 @@ func repeatBodies(t testing.TB, workflows, supplies int) [][]byte {
 	return bodies
 }
 
-func newRepeatServer(t testing.TB, opts ...cawosched.SolverOption) (*cawosched.Solver, *httptest.Server) {
+func newRepeatServer(t testing.TB, opts ...solve.SolverOption) (*solve.Solver, *httptest.Server) {
 	t.Helper()
-	solver := cawosched.NewSolver(cawosched.SmallZonedCluster(7, 2), opts...)
+	solver := solve.NewSolver(cawosched.SmallZonedCluster(7, 2), opts...)
 	ts := httptest.NewServer(New(solver, Config{}))
 	t.Cleanup(ts.Close)
 	return solver, ts
@@ -288,7 +289,7 @@ func TestRepeatResidency(t *testing.T) {
 	// One entry: another request's solve evicts ours. That first sighting
 	// does not enter the index, which may well still hold our body (both
 	// share the one-entry bound, and the other body is not remembered).
-	solver, ts = newRepeatServer(t, cawosched.WithSolveCacheLimit(1))
+	solver, ts = newRepeatServer(t, solve.WithSolveCacheLimit(1))
 	expect("one entry, first sighting", false, false, false, solved)
 	recovers("one entry")
 	if got := send(other); got.CacheHit || got.repeat {
@@ -297,7 +298,7 @@ func TestRepeatResidency(t *testing.T) {
 	expect("after eviction", true, false, false, solved)
 	recovers("after eviction")
 
-	solver, ts = newRepeatServer(t, cawosched.WithSolveCacheLimit(0))
+	solver, ts = newRepeatServer(t, solve.WithSolveCacheLimit(0))
 	expect("caching off, first sighting", false, false, false, solved)
 	for i := 0; i < 3; i++ {
 		expect("caching off", true, false, false, solved)

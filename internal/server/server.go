@@ -1,5 +1,5 @@
 // Package server implements schedd's HTTP/JSON front-end over the
-// concurrency-safe cawosched.Solver: a carbon-aware scheduling service
+// concurrency-safe solve.Solver: a carbon-aware scheduling service
 // that many clients drive with workflows against one shared target
 // cluster.
 //
@@ -45,11 +45,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	cawosched "repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/schedule"
 	"repro/internal/scherr"
+	"repro/internal/solve"
 	"repro/internal/tenancy"
 	"repro/internal/wire"
 )
@@ -74,13 +75,6 @@ type Config struct {
 	// paper's fixed HEFT mapping. The spelling is validated per request
 	// (cmd/schedd validates the flag at startup).
 	DefaultMapping string
-	// SearchWorkers is the width of the map-search candidate fan-out: how
-	// many candidate mappings one solve schedules at once. ≤ 1 schedules
-	// them one after another; fixed-mapping requests are not affected. It
-	// never changes a response — only how fast it is computed — and
-	// composes with BatchWorkers (a batch of B map-search requests at
-	// width W may run up to B·W goroutines in the scheduler).
-	SearchWorkers int
 	// MaxQueue bounds the number of batch items admitted but not yet
 	// finished, across all in-flight batch requests. A batch that would
 	// push the backlog past the bound is refused whole with 429 and a
@@ -101,12 +95,6 @@ type Config struct {
 	// TraceBuffer is the capacity of the completed-trace ring served by
 	// GET /debug/traces (default obs.DefaultTraceBuffer).
 	TraceBuffer int
-	// PeerTier, if set, enables the fleet cache-exchange endpoints
-	// (GET/PUT /internal/v1/cache/{key}) backed by the tier's local store,
-	// and mirrors the tier's per-peer counters and breaker state onto
-	// /metrics. Set it to the *cawosched.PeerTier the solver was built
-	// with; without it the endpoints answer 501.
-	PeerTier *cawosched.PeerTier
 }
 
 const (
@@ -146,7 +134,7 @@ func (c Config) withDefaults() Config {
 
 // Server is the HTTP front-end; it implements http.Handler.
 type Server struct {
-	solver   *cawosched.Solver
+	solver   *solve.Solver
 	cfg      Config
 	mux      *http.ServeMux
 	metrics  *metrics
@@ -157,13 +145,13 @@ type Server struct {
 }
 
 // New returns a server front-ending the given solver.
-func New(solver *cawosched.Solver, cfg Config) *Server {
+func New(solver *solve.Solver, cfg Config) *Server {
 	s := &Server{
 		solver: solver,
 		cfg:    cfg.withDefaults(),
 		mux:    http.NewServeMux(),
 	}
-	s.metrics = newMetrics(solver, s.cfg.Manager, s.cfg.PeerTier)
+	s.metrics = newMetrics(solver, s.cfg.Manager)
 	s.tracer = obs.NewTracer(s.cfg.TraceBuffer)
 	s.batchSem = make(chan struct{}, s.cfg.BatchWorkers)
 	s.route("POST /v1/solve", "solve", s.handleSolve)
@@ -184,9 +172,6 @@ func New(solver *cawosched.Solver, cfg Config) *Server {
 
 // ServeHTTP dispatches to the route table.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Solver returns the solver the server fronts (its Stats feed /metrics).
-func (s *Server) Solver() *cawosched.Solver { return s.solver }
 
 // Registry returns the server's metrics registry, so out-of-request
 // instrumented work (cmd/schedd's rebalance loop) and side listeners (the
@@ -401,8 +386,8 @@ func errorBody(err error) *wire.Error {
 
 // buildRequest converts a wire solve request into a solver request.
 // defaultMapping fills an empty "mapping" field before parsing.
-func buildRequest(wreq *wire.SolveRequest, defaultMapping string) (cawosched.Request, error) {
-	var req cawosched.Request
+func buildRequest(wreq *wire.SolveRequest, defaultMapping string) (solve.Request, error) {
+	var req solve.Request
 	if wreq.Workflow == nil {
 		return req, fmt.Errorf("missing workflow")
 	}
@@ -416,7 +401,7 @@ func buildRequest(wreq *wire.SolveRequest, defaultMapping string) (cawosched.Req
 	if mapping == "" {
 		mapping = defaultMapping
 	}
-	req.MappingPolicy, req.MapSearch, err = cawosched.ParseMapping(mapping)
+	req.MappingPolicy, req.MapSearch, err = solve.ParseMapping(mapping)
 	if err != nil {
 		return req, err
 	}
@@ -459,7 +444,7 @@ func buildRequest(wreq *wire.SolveRequest, defaultMapping string) (cawosched.Req
 // exported schedule and the per-zone, per-interval carbon breakdown
 // (single-zone solves additionally keep the legacy top-level interval
 // list, so pre-zone clients read exactly what they always did).
-func buildResponse(res *cawosched.Response) *wire.SolveResponse {
+func buildResponse(res *solve.Response) *wire.SolveResponse {
 	zones := schedule.CostBreakdown(res.Instance, res.Schedule, res.Zones)
 	out := &wire.SolveResponse{
 		Variant:      res.Variant,
@@ -488,7 +473,7 @@ func buildResponse(res *cawosched.Response) *wire.SolveResponse {
 //
 // res is the solver's own response, which Solver.Remember needs beside
 // the rendered one.
-func (s *Server) solveOne(ctx context.Context, wreq *wire.SolveRequest) (resp *wire.SolveResponse, res *cawosched.Response, werr *wire.Error) {
+func (s *Server) solveOne(ctx context.Context, wreq *wire.SolveRequest) (resp *wire.SolveResponse, res *solve.Response, werr *wire.Error) {
 	defer func() {
 		if p := recover(); p != nil {
 			resp, res = nil, nil
@@ -499,7 +484,6 @@ func (s *Server) solveOne(ctx context.Context, wreq *wire.SolveRequest) (resp *w
 	if err != nil {
 		return nil, nil, &wire.Error{Code: scherr.CodeInvalidRequest, Message: err.Error()}
 	}
-	req.SearchWorkers = s.cfg.SearchWorkers
 	res, err = s.solver.Solve(ctx, req)
 	if err != nil {
 		return nil, nil, errorBody(err)
@@ -576,11 +560,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 // remember stores the answer just sent beside the body it answered: the
 // bytes up to the timings, and the energy observeCarbon counted for it.
-func (s *Server) remember(body []byte, res *cawosched.Response, resp *wire.SolveResponse, head []byte) {
-	answer := &cawosched.Answer{Body: bytes.Clone(head), Carbon: make([]cawosched.ZoneCarbon, len(resp.Zones))}
+func (s *Server) remember(body []byte, res *solve.Response, resp *wire.SolveResponse, head []byte) {
+	answer := &solve.Answer{Body: bytes.Clone(head), Carbon: make([]solve.ZoneCarbon, len(resp.Zones))}
 	for i, z := range resp.Zones {
 		green, brown := zoneEnergy(z)
-		answer.Carbon[i] = cawosched.ZoneCarbon{Zone: z.Zone, Green: green, Brown: brown}
+		answer.Carbon[i] = solve.ZoneCarbon{Zone: z.Zone, Green: green, Brown: brown}
 	}
 	s.solver.Remember(body, res, answer)
 }
@@ -652,8 +636,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleVariants(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, wire.VariantsResponse{
-		Variants: cawosched.VariantNames(),
-		Default:  cawosched.DefaultVariant,
+		Variants: core.VariantNames(),
+		Default:  solve.DefaultVariant,
 	})
 }
 

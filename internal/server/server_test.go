@@ -150,7 +150,7 @@ func TestServerEndToEnd(t *testing.T) {
 			t.Fatalf("cached schedule entry %d differs: %+v vs %+v", i, again.Schedule[i], got.Schedule[i])
 		}
 	}
-	if st := srv.Solver().Stats(); st.SolveHits != 1 {
+	if st := srv.solver.Stats(); st.SolveHits != 1 {
 		t.Errorf("solve cache hits = %d, want 1", st.SolveHits)
 	}
 

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"net/http"
 
-	cawosched "repro"
 	"repro/internal/scherr"
+	"repro/internal/solve"
 	"repro/internal/tenancy"
 	"repro/internal/wire"
 )
@@ -66,7 +66,7 @@ func (s *Server) handleWorkflowSubmit(w http.ResponseWriter, r *http.Request) {
 	if mapping == "" {
 		mapping = s.cfg.DefaultMapping
 	}
-	policy, mapSearch, err := cawosched.ParseMapping(mapping)
+	policy, mapSearch, err := solve.ParseMapping(mapping)
 	if err != nil {
 		s.writeError(w, &wire.Error{Code: scherr.CodeInvalidRequest, Message: err.Error()})
 		return

@@ -1,4 +1,4 @@
-package cawosched
+package solve
 
 import (
 	"context"
@@ -8,8 +8,10 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/greenheft"
 	"repro/internal/obs"
+	"repro/internal/power"
 	"repro/internal/schedule"
 )
 
@@ -70,12 +72,12 @@ type tierRecord struct {
 	MapSearch   bool   `json:"map_search,omitempty"`
 
 	// Payload.
-	Mapping  string  `json:"mapping"` // winning policy (rebuilds the instance)
-	Start    []int64 `json:"start"`
-	Stats    Stats   `json:"stats"`
-	D        int64   `json:"d"`
-	Cost     int64   `json:"cost"`
-	ASAPCost int64   `json:"asap_cost"`
+	Mapping  string     `json:"mapping"` // winning policy (rebuilds the instance)
+	Start    []int64    `json:"start"`
+	Stats    core.Stats `json:"stats"`
+	D        int64      `json:"d"`
+	Cost     int64      `json:"cost"`
+	ASAPCost int64      `json:"asap_cost"`
 }
 
 // recordKey reconstructs the solve key a record was stored under.
@@ -84,8 +86,8 @@ func (r *tierRecord) recordKey() solveKey {
 		fp:       r.Fingerprint,
 		digest:   r.ZoneDigest,
 		deadline: r.Deadline,
-		opt: Options{
-			Score:       Score(r.Score),
+		opt: core.Options{
+			Score:       core.Score(r.Score),
 			Refined:     r.Refined,
 			LocalSearch: r.LocalSearch,
 			K:           r.K,
@@ -159,7 +161,7 @@ func (s *Solver) tierGet(ctx context.Context, key solveKey, job *solveJob) *Resp
 	if err != nil {
 		return reject("mapping")
 	}
-	var pz *ZoneSet
+	var pz *power.ZoneSet
 	if pol.ZoneAware() {
 		pz = job.zones
 	}
@@ -167,7 +169,7 @@ func (s *Solver) tierGet(ctx context.Context, key solveKey, job *solveJob) *Resp
 	if err != nil {
 		return reject("plan")
 	}
-	sched := &Schedule{Start: append([]int64(nil), rec.Start...)}
+	sched := &schedule.Schedule{Start: append([]int64(nil), rec.Start...)}
 	if len(sched.Start) != len(e.asap.Start) {
 		return reject("shape")
 	}
@@ -202,15 +204,11 @@ type MemoryTier struct {
 	store lru[string, []byte]
 }
 
-// DefaultMemoryTierEntries bounds a MemoryTier built without an explicit
-// size.
-const DefaultMemoryTierEntries = 4096
-
 // NewMemoryTier returns an empty tier bounded to maxEntries records
-// (<= 0 selects DefaultMemoryTierEntries).
+// (<= 0 selects 4096).
 func NewMemoryTier(maxEntries int) *MemoryTier {
 	if maxEntries <= 0 {
-		maxEntries = DefaultMemoryTierEntries
+		maxEntries = defaultEntries
 	}
 	t := &MemoryTier{}
 	t.store.reset()
@@ -240,17 +238,6 @@ func (t *MemoryTier) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.store.len()
-}
-
-// Keys returns the keys currently held, in no particular order.
-func (t *MemoryTier) Keys() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	keys := make([]string, 0, t.store.len())
-	for k := range t.store.items {
-		keys = append(keys, k)
-	}
-	return keys
 }
 
 // ParseCacheTier resolves a CLI tier spec (`schedd -cache-tier`):

@@ -1,8 +1,9 @@
-package cawosched
+package solve
 
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/greenheft"
 	"repro/internal/power"
@@ -41,7 +42,7 @@ func TestKeyDigestsPinned(t *testing.T) {
 		{Name: "ap-south", Profile: profile(0, 44, 0, 18)},
 	}}
 
-	opt, err := LookupVariant("pressWR-LS")
+	opt, err := core.LookupVariant("pressWR-LS")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package cawosched
+package solve
 
 import (
 	"bytes"
@@ -113,7 +113,7 @@ type PeerStats struct {
 // member must be given the same list (order-insensitive — ring placement
 // hashes the host spelling) for the key→owner mapping to agree across
 // instances. localEntries bounds the store this instance contributes to
-// the ring (<= 0 selects DefaultMemoryTierEntries). ParseCacheTier builds
+// the ring (<= 0 selects 4096). ParseCacheTier builds
 // the tier from a "peers:h1,h2[:mem=N]" spec.
 func NewPeerTier(hosts []string, localEntries int) (*PeerTier, error) {
 	if len(hosts) == 0 {
@@ -157,15 +157,6 @@ func NewPeerTier(hosts []string, localEntries int) (*PeerTier, error) {
 		breakerCooldown: 2 * time.Second,
 		maxRecordBytes:  8 << 20,
 	}, nil
-}
-
-// Peers returns the host list, in listed order.
-func (t *PeerTier) Peers() []string {
-	hosts := make([]string, len(t.peers))
-	for i, p := range t.peers {
-		hosts[i] = p.host
-	}
-	return hosts
 }
 
 // Local returns the store this instance contributes to the ring.

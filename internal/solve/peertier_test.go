@@ -1,4 +1,4 @@
-package cawosched
+package solve
 
 // PeerTier unit tests: ring placement, the timeout-to-miss contract, the
 // circuit breaker, and fire-and-forget puts — against httptest peers

@@ -1,8 +1,12 @@
-package cawosched
+package solve
 
 import (
 	"context"
 	"testing"
+
+	"repro/internal/dag"
+	"repro/internal/platform"
+	"repro/internal/wfgen"
 )
 
 // TestRepeatGuard: the body index finds an entry by length and hash and
@@ -11,18 +15,18 @@ import (
 // is simply no longer remembered.
 func TestRepeatGuard(t *testing.T) {
 	ctx := context.Background()
-	solver := NewSolver(SmallCluster(7))
-	solver.SetTestBodyHash(func([]byte) uint64 { return 42 })
+	solver := NewSolver(platform.Small(7))
+	solver.testBodyHash = func([]byte) uint64 { return 42 }
 
 	// Two requests, each solved twice so that both caches answer the
 	// second time, under bodies of one length.
 	bodies := [2][]byte{[]byte(`{"request": "A"}`), []byte(`{"request": "B"}`)}
 	var answers [2]*Answer
 	var hits [2]*Response
-	var wf *DAG
+	var wf *dag.DAG
 	for i := range bodies {
 		var err error
-		if wf, err = GenerateWorkflow(Methylseq, 30, uint64(7+i)); err != nil {
+		if wf, err = wfgen.Generate(wfgen.Methylseq, 30, uint64(7+i)); err != nil {
 			t.Fatal(err)
 		}
 		for pass := 0; pass < 2; pass++ {

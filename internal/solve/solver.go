@@ -1,4 +1,11 @@
-package cawosched
+// Package solve is the serving layer over the scheduler: the Solver one
+// process shares across requests, its caches and singleflight
+// (solvercache.go), and the cache tiers through which a fleet of schedd
+// processes shares warm solves (cachetier.go, peertier.go). A request runs
+// through Solve top to bottom: resolve, plan, supply, cache, then the
+// flight leader's tier consult and compute. The root package re-exports
+// Solver, Request, Response and SolverStats.
+package solve
 
 import (
 	"context"
@@ -9,65 +16,26 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/ceg"
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/greenheft"
+	"repro/internal/heft"
 	"repro/internal/obs"
+	"repro/internal/platform"
+	"repro/internal/power"
+	"repro/internal/rng"
 	"repro/internal/schedule"
 	"repro/internal/scherr"
 )
 
-// Structured errors re-exported from the internal taxonomy. Every failure
-// of the Solver (and of the context-aware free functions) can be
-// classified with errors.Is against these sentinels and unpacked with
-// errors.As into the detail types below.
-var (
-	// ErrInfeasibleDeadline: no schedule can meet the deadline.
-	ErrInfeasibleDeadline = scherr.ErrInfeasibleDeadline
-	// ErrBudgetExhausted: a bounded search ran out of budget; any result
-	// returned alongside it is only an upper bound.
-	ErrBudgetExhausted = scherr.ErrBudgetExhausted
-	// ErrCanceled: the context was canceled or timed out mid-solve. The
-	// error also satisfies errors.Is(err, ctx.Err()).
-	ErrCanceled = scherr.ErrCanceled
-	// ErrUnknownVariant: a variant name missing from the registry.
-	ErrUnknownVariant = scherr.ErrUnknownVariant
-	// ErrInvalidRequest: request inputs inconsistent with the target
-	// platform (e.g. a per-zone supply or zone-scenario list whose zone
-	// count does not match the cluster's).
-	ErrInvalidRequest = scherr.ErrInvalidRequest
-)
-
-// Detail types carried by the sentinels above (use errors.As).
-type (
-	// InfeasibleDeadlineError pinpoints the node whose window is empty.
-	InfeasibleDeadlineError = scherr.InfeasibleDeadlineError
-	// BudgetError reports how many search nodes were expanded.
-	BudgetError = scherr.BudgetError
-	// CanceledError wraps the context error that stopped the solve.
-	CanceledError = scherr.CanceledError
-	// UnknownVariantError lists the canonical registry names.
-	UnknownVariantError = scherr.UnknownVariantError
-)
-
-// ErrorCode classifies err into one of the stable machine-readable error
-// codes of internal/scherr ("infeasible_deadline", "budget_exhausted",
-// "canceled", "deadline_exceeded", "unknown_variant"), or "" when the
-// error carries no scheduler classification. The same codes appear in the
-// "code" field of every schedd HTTP error body and in CLI error output.
-func ErrorCode(err error) string { return scherr.Code(err) }
-
-// LookupVariant resolves a canonical variant name ("slack", "pressWR-LS",
-// …) to its Options through the variant registry shared with the CLIs and
-// the sweep records. Unknown names fail with ErrUnknownVariant.
-func LookupVariant(name string) (Options, error) { return core.LookupVariant(name) }
-
-// VariantNames returns the canonical names of the 16 registered variants
-// in the paper's presentation order.
-func VariantNames() []string { return core.VariantNames() }
-
 // DefaultVariant is the variant a Request resolves to when it names none:
 // pressWR-LS, the paper's most frequent winner.
 const DefaultVariant = "pressWR-LS"
+
+// MapSearchName is the mapping spelling (CLI -mapping, wire "mapping"
+// field) that selects the two-pass mapping search instead of one policy.
+const MapSearchName = "map-search"
 
 // Request describes one solve: which workflow (or prebuilt instance),
 // which variant, and which power supply (explicit or generated from a
@@ -77,50 +45,42 @@ type Request struct {
 	// Workflow is the DAG to plan (HEFT mapping + ordering, memoized per
 	// workflow fingerprint). Ignored when Instance is set; one of the two
 	// must be non-nil.
-	Workflow *DAG
+	Workflow *dag.DAG
 	// Instance, if non-nil, skips planning and schedules this prebuilt
 	// instance directly (it must belong to the solver's cluster).
-	Instance *Instance
+	Instance *ceg.Instance
 
 	// Variant is a canonical registry name, e.g. "pressWR-LS"; empty means
 	// DefaultVariant. Ignored when Options is set.
 	Variant string
 	// Options, if non-nil, selects the variant explicitly and overrides
 	// Variant.
-	Options *Options
+	Options *core.Options
 
 	// Zones, if non-nil, is the per-grid-zone green power supply; its
 	// horizon is the deadline. It must carry exactly one zone per cluster
-	// zone, index-matched (see NewZonedCluster); a cluster-wide profile p
-	// is SingleZone(p). Otherwise a supply is generated from Scenario over
-	// the horizon DeadlineFactor·D with Intervals intervals and Seed — one
-	// profile per cluster zone (see ZonesForInstance).
-	Zones *ZoneSet
+	// zone, index-matched (see platform.NewZoned); a cluster-wide profile
+	// p is power.SingleZone(p). Otherwise a supply is generated from
+	// Scenario over the horizon DeadlineFactor·D with Intervals intervals
+	// and Seed — one profile per cluster zone (see ZonesForInstance).
+	Zones *power.ZoneSet
 	// Scenario selects the generated profile's shape (default S1).
-	Scenario Scenario
+	Scenario power.Scenario
 	// ZoneScenarios, if set, selects one generated shape per cluster zone
 	// (length must equal the cluster's zone count); it overrides Scenario
 	// and is ignored when Zones is set.
-	ZoneScenarios []Scenario
+	ZoneScenarios []power.Scenario
 	// MappingPolicy selects the first-pass mapping of the workflow: the
-	// zero value (MapEFT) is the paper's carbon-blind HEFT mapping; the
-	// other policies trade finish time against power draw or the zone
+	// zero value (greenheft.EFT) is the paper's carbon-blind HEFT mapping;
+	// the other policies trade finish time against power draw or the zone
 	// intensity forecast (see internal/greenheft). Requires a Workflow
 	// request (prebuilt instances carry their mapping already).
-	MappingPolicy MappingPolicy
+	MappingPolicy greenheft.Policy
 	// MapSearch runs the two-pass mapping search instead: map under every
 	// candidate policy, schedule each mapping, keep the lowest-carbon
 	// feasible plan. It overrides MappingPolicy; the winning policy is
 	// reported in Response.Mapping.
 	MapSearch bool
-
-	// SearchWorkers is the width of the MapSearch candidate fan-out: how
-	// many candidate mappings are scheduled at once. Values ≤ 1 schedule
-	// them one after another; it has no effect on a fixed-mapping request.
-	// The setting is pure mechanism — any width produces the identical
-	// response — so it is not in the solve-cache key: a request solved
-	// at width 4 is a cache hit for the same request at width 1.
-	SearchWorkers int
 
 	// DeadlineFactor sets the deadline T = factor·D where D is the ASAP
 	// makespan; 0 means the paper's default tolerance of 2 (see
@@ -136,18 +96,18 @@ type Request struct {
 
 // Response is the result of one solve.
 type Response struct {
-	Schedule *Schedule // the validated carbon-aware schedule
-	Instance *Instance // the (possibly memoized) scheduling instance
-	Zones    *ZoneSet  // the per-zone supply the schedule was optimized against
-	Stats    Stats     // scheduler instrumentation; Stats.Cost == Cost
-	Variant  string    // canonical name of the variant that ran
-	Mapping  string    // mapping policy of the plan ("heft" unless requested otherwise; the winner for map-search)
-	D        int64     // ASAP makespan (tightest feasible deadline)
-	Deadline int64     // deadline actually used (the supply horizon)
-	Cost     int64     // carbon cost of Schedule
-	ASAPCost int64     // carbon cost of the ASAP baseline under Zones
-	PlanHit  bool      // true if the HEFT plan came from the memo cache
-	CacheHit bool      // true if the whole response came from the solve cache (or the external tier)
+	Schedule *schedule.Schedule // the validated carbon-aware schedule
+	Instance *ceg.Instance      // the (possibly memoized) scheduling instance
+	Zones    *power.ZoneSet     // the per-zone supply the schedule was optimized against
+	Stats    core.Stats         // scheduler instrumentation; Stats.Cost == Cost
+	Variant  string             // canonical name of the variant that ran
+	Mapping  string             // mapping policy of the plan ("heft" unless requested otherwise; the winner for map-search)
+	D        int64              // ASAP makespan (tightest feasible deadline)
+	Deadline int64              // deadline actually used (the supply horizon)
+	Cost     int64              // carbon cost of Schedule
+	ASAPCost int64              // carbon cost of the ASAP baseline under Zones
+	PlanHit  bool               // true if the HEFT plan came from the memo cache
+	CacheHit bool               // true if the whole response came from the solve cache (or the external tier)
 	// Coalesced is true when this response was shared from a concurrent
 	// identical request's in-flight solve (singleflight follower): the
 	// schedule is identical to the leader's, but this request ran no
@@ -205,7 +165,7 @@ type SolverStats struct {
 // many profiles/variants), and threads the caller's context through every
 // scheduling phase, so cancellation and deadlines are honored mid-run.
 type Solver struct {
-	cluster *Cluster
+	cluster *platform.Cluster
 
 	// First cache level: memoized plans. Second: whole solve responses,
 	// keyed by (workflow fingerprint, zone-set digest, deadline, normalized
@@ -238,21 +198,14 @@ type Solver struct {
 	solveRepeats   atomic.Int64
 	tierHits       atomic.Int64
 
-	// testLeaderGate, when set (tests only), runs on the leader's
-	// goroutine right after it wins the flight election and before it
-	// consults the tier or solves — the hook the coalescing tests use to
-	// hold a leader in flight while followers pile up.
-	testLeaderGate func()
 	// testBodyHash, when set (tests only), replaces the body index's hash,
 	// so that a test can force two bodies onto one index key.
 	testBodyHash func([]byte) uint64
 }
 
-// maxPlans is the default plan-memo bound.
-const maxPlans = 4096
-
-// defaultSolveCache is the default solve-response cache bound.
-const defaultSolveCache = 4096
+// defaultEntries bounds the plan memo, the solve-response cache and a
+// MemoryTier unless told otherwise.
+const defaultEntries = 4096
 
 // planKey identifies one memoized plan: which workflow, under which
 // mapping policy, against which zone forecast (zone-aware policies map
@@ -272,16 +225,16 @@ type planKey struct {
 // once alongside it.
 type planEntry struct {
 	once   sync.Once
-	wf     *DAG
+	wf     *dag.DAG
 	policy greenheft.Policy
-	zones  *ZoneSet // nil for zone-blind policies
-	inst   *Instance
-	asap   *Schedule
+	zones  *power.ZoneSet // nil for zone-blind policies
+	inst   *ceg.Instance
+	asap   *schedule.Schedule
 	d      int64
 	err    error
 }
 
-func (e *planEntry) build(cluster *Cluster) {
+func (e *planEntry) build(cluster *platform.Cluster) {
 	e.once.Do(func() {
 		if e.policy == greenheft.EFT {
 			// greenheft's EFT is pinned identical to this; kept explicit.
@@ -290,18 +243,18 @@ func (e *planEntry) build(cluster *Cluster) {
 			e.inst, e.err = greenheft.MapInstance(e.wf, cluster, greenheft.Options{Policy: e.policy, Zones: e.zones})
 		}
 		if e.err == nil {
-			e.asap = ASAP(e.inst)
-			e.d = Makespan(e.inst, e.asap)
+			e.asap = core.ASAP(e.inst)
+			e.d = schedule.Makespan(e.inst, e.asap)
 		}
 	})
 }
 
 // NewSolver returns a solver bound to the given target cluster. Options
 // set the caching layer's bounds and external tier, once.
-func NewSolver(cluster *Cluster, opts ...SolverOption) *Solver {
+func NewSolver(cluster *platform.Cluster, opts ...SolverOption) *Solver {
 	cfg := solverConfig{
-		solveCap: defaultSolveCache,
-		planCap:  maxPlans,
+		solveCap: defaultEntries,
+		planCap:  defaultEntries,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -318,7 +271,14 @@ func NewSolver(cluster *Cluster, opts ...SolverOption) *Solver {
 }
 
 // Cluster returns the target platform the solver plans against.
-func (s *Solver) Cluster() *Cluster { return s.cluster }
+func (s *Solver) Cluster() *platform.Cluster { return s.cluster }
+
+// PeerTier returns the solver's external tier if it is a *PeerTier, whose
+// local store a front-end serves to the fleet, and nil otherwise.
+func (s *Solver) PeerTier() *PeerTier {
+	pt, _ := s.tier.(*PeerTier)
+	return pt
+}
 
 // Stats returns a snapshot of the solver's counters.
 func (s *Solver) Stats() SolverStats {
@@ -352,7 +312,7 @@ type solveKey struct {
 	fp        uint64           // workflow fingerprint
 	digest    uint64           // power zone-set digest
 	deadline  int64            // horizon T
-	opt       Options          // normalized: defaults applied to K and Mu
+	opt       core.Options     // normalized: defaults applied to K and Mu
 	policy    greenheft.Policy // first-pass mapping policy (EFT under map-search)
 	mapSearch bool             // two-pass mapping search
 }
@@ -361,14 +321,14 @@ type solveKey struct {
 // and zone set are retained as collision guards, exactly like planEntry
 // guards the plan cache.
 type solveEntry struct {
-	wf    *DAG
-	zones *ZoneSet
+	wf    *dag.DAG
+	zones *power.ZoneSet
 	resp  *Response // the shared form (see Response.shared)
 }
 
 // normalizeOptions applies the paper defaults to the tuning fields so that
 // Options{} and Options{K: 3, Mu: 10} key identically.
-func normalizeOptions(opt Options) Options {
+func normalizeOptions(opt core.Options) core.Options {
 	opt.K = opt.EffectiveK()
 	opt.Mu = opt.EffectiveMu()
 	return opt
@@ -382,15 +342,15 @@ var errNilWorkflow = errors.New("cawosched: Plan: nil workflow")
 // is consulted only by zone-aware policies: it enters the key as the
 // zone-set digest (with a structural collision guard), because those
 // policies map differently under different per-zone forecasts.
-func (s *Solver) planFor(ctx context.Context, wf *DAG, fp uint64, pol greenheft.Policy, zones *ZoneSet) (*planEntry, bool, error) {
+func (s *Solver) planFor(ctx context.Context, wf *dag.DAG, fp uint64, pol greenheft.Policy, zones *power.ZoneSet) (*planEntry, bool, error) {
 	if err := scherr.Canceled(ctx.Err()); err != nil {
 		return nil, false, err
 	}
-	var pz *ZoneSet
+	var pz *power.ZoneSet
 	key := planKey{fp: fp, policy: pol}
 	if pol.ZoneAware() {
 		if zones == nil {
-			return nil, false, fmt.Errorf("cawosched: mapping policy %s needs a per-zone supply: %w", pol, ErrInvalidRequest)
+			return nil, false, fmt.Errorf("cawosched: mapping policy %s needs a per-zone supply: %w", pol, scherr.ErrInvalidRequest)
 		}
 		pz = zones
 		key.zd = zones.Digest()
@@ -418,7 +378,7 @@ func (s *Solver) planFor(ctx context.Context, wf *DAG, fp uint64, pol greenheft.
 // memoized by the workflow's fingerprint (with a structural-equality guard
 // against collisions). Concurrent calls with the same workflow share one
 // construction; repeated calls are cache hits.
-func (s *Solver) Plan(ctx context.Context, wf *DAG) (*Instance, bool, error) {
+func (s *Solver) Plan(ctx context.Context, wf *dag.DAG) (*ceg.Instance, bool, error) {
 	if wf == nil {
 		return nil, false, errNilWorkflow
 	}
@@ -433,8 +393,8 @@ func (s *Solver) Plan(ctx context.Context, wf *DAG) (*Instance, bool, error) {
 // Zones if set, otherwise one generated profile per cluster zone over the
 // horizon DeadlineFactor·D (the paper's single cluster-wide profile when
 // the cluster has one zone).
-func (s *Solver) ZonesFor(ctx context.Context, inst *Instance, req Request) (*ZoneSet, error) {
-	return zonesFor(ctx, inst, req, ASAPMakespan(inst))
+func (s *Solver) ZonesFor(ctx context.Context, inst *ceg.Instance, req Request) (*power.ZoneSet, error) {
+	return zonesFor(ctx, inst, req, core.ASAPMakespan(inst))
 }
 
 // DeadlineHorizon returns the deadline T = factor·D, rounded to the
@@ -447,21 +407,50 @@ func DeadlineHorizon(D int64, factor float64) (int64, error) {
 		factor = 2
 	}
 	if factor < 1 {
-		return 0, fmt.Errorf("cawosched: deadline factor %v < 1: %w", factor, ErrInfeasibleDeadline)
+		return 0, fmt.Errorf("cawosched: deadline factor %v < 1: %w", factor, scherr.ErrInfeasibleDeadline)
 	}
 	t := float64(D)*factor + 0.5
 	if !(t < math.MaxInt64) { // false for NaN too
-		return 0, fmt.Errorf("%w: deadline factor %v: deadline out of range", ErrInvalidRequest, factor)
+		return 0, fmt.Errorf("%w: deadline factor %v: deadline out of range", scherr.ErrInvalidRequest, factor)
 	}
 	return max(int64(t), D), nil
 }
 
+// ZonesForInstance generates the supply of a request without Zones: one
+// green power profile per zone of the instance's cluster, zone z after
+// scenarios[z] (or scenarios[0]) within the zone's own power corridor, over
+// horizon T in j intervals. One zone is the paper's cluster-wide profile.
+func ZonesForInstance(inst *ceg.Instance, scenarios []power.Scenario, T int64, j int, seed uint64) (*power.ZoneSet, error) {
+	if len(scenarios) == 0 {
+		return nil, fmt.Errorf("%w: no scenarios", scherr.ErrInvalidRequest)
+	}
+	K := inst.NumZones()
+	if K == 1 {
+		gmin, gmax := power.PlatformBounds(inst.TotalIdlePower(), inst.Cluster.ComputeWork())
+		prof, err := power.Generate(scenarios[0], T, j, gmin, gmax, rng.New(seed))
+		if err != nil {
+			return nil, err
+		}
+		return power.SingleZone(prof), nil
+	}
+	specs := make([]power.ZoneSpec, K)
+	for z := 0; z < K; z++ {
+		sc := scenarios[0]
+		if len(scenarios) > 1 {
+			sc = scenarios[z%len(scenarios)]
+		}
+		gmin, gmax := power.PlatformBounds(inst.ZoneIdlePower(z), inst.Cluster.ZoneComputeWork(z))
+		specs[z] = power.ZoneSpec{Name: fmt.Sprintf("z%d", z), Scenario: sc, Gmin: gmin, Gmax: gmax}
+	}
+	return power.GenerateZones(specs, T, j, seed)
+}
+
 // zonesFor is ZonesFor with D already known, so Solve computes the ASAP
 // pass only once per request.
-func zonesFor(ctx context.Context, inst *Instance, req Request, D int64) (*ZoneSet, error) {
+func zonesFor(ctx context.Context, inst *ceg.Instance, req Request, D int64) (*power.ZoneSet, error) {
 	if zones := req.Zones; zones != nil {
 		if err := schedule.CheckZones(inst, zones); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
+			return nil, fmt.Errorf("%w: %w", scherr.ErrInvalidRequest, err)
 		}
 		return zones, nil
 	}
@@ -478,21 +467,50 @@ func zonesFor(ctx context.Context, inst *Instance, req Request, D int64) (*ZoneS
 	}
 	scenarios := req.ZoneScenarios
 	if K := inst.NumZones(); len(scenarios) > 0 && len(scenarios) != K {
-		return nil, fmt.Errorf("%w: %d zone scenarios for a cluster with %d zones", ErrInvalidRequest, len(scenarios), K)
+		return nil, fmt.Errorf("%w: %d zone scenarios for a cluster with %d zones", scherr.ErrInvalidRequest, len(scenarios), K)
 	}
 	if len(scenarios) == 0 {
 		sc := req.Scenario
 		if sc == 0 {
-			sc = S1
+			sc = power.S1
 		}
-		scenarios = []Scenario{sc}
+		scenarios = []power.Scenario{sc}
 	}
 	return ZonesForInstance(inst, scenarios, T, intervals, req.Seed)
 }
 
+// PlanHEFT computes a HEFT mapping and ordering for the workflow and
+// builds the communication-enhanced scheduling instance from it: the plan
+// memo's EFT plan.
+func PlanHEFT(d *dag.DAG, c *platform.Cluster) (*ceg.Instance, error) {
+	h, err := heft.Schedule(d, c)
+	if err != nil {
+		return nil, err
+	}
+	return ceg.Build(d, ceg.FromHEFT(h.Proc, h.Order, h.Finish), c)
+}
+
+// ParseMapping resolves a -mapping / wire "mapping" spelling into request
+// options: a policy name selects that policy, MapSearchName selects the
+// two-pass search, and "" (or "fixed") is the paper's HEFT mapping.
+// Unknown spellings fail with ErrInvalidRequest.
+func ParseMapping(name string) (greenheft.Policy, bool, error) {
+	switch name {
+	case "", "fixed":
+		return greenheft.EFT, false, nil
+	case MapSearchName:
+		return greenheft.EFT, true, nil
+	}
+	pol, err := greenheft.ParsePolicy(name)
+	if err != nil {
+		return 0, false, fmt.Errorf("%w: unknown mapping %q (want a policy name or %q)", scherr.ErrInvalidRequest, name, MapSearchName)
+	}
+	return pol, false, nil
+}
+
 // resolveOptions picks the variant for a request and returns its options
 // together with the canonical (or synthesized) display name.
-func resolveOptions(req Request) (Options, string, error) {
+func resolveOptions(req Request) (core.Options, string, error) {
 	if req.Options != nil {
 		return *req.Options, req.Options.Name(), nil
 	}
@@ -502,7 +520,7 @@ func resolveOptions(req Request) (Options, string, error) {
 	}
 	opt, err := core.LookupVariant(name)
 	if err != nil {
-		return Options{}, "", err
+		return core.Options{}, "", err
 	}
 	return opt, opt.Name(), nil
 }
@@ -567,22 +585,22 @@ func finishSolve(ctx context.Context, sp *obs.Span, variant string, resp *Respon
 // to, then what each stage found.
 type solveJob struct {
 	req     Request
-	opt     Options
+	opt     core.Options
 	variant string
 
 	// The plan the scheduler runs on, with its ASAP schedule and makespan:
 	// the base (HEFT) plan after the plan stage, the mapped plan once a
 	// non-default mapping policy has run. planHit is that plan's memo
 	// outcome.
-	inst    *Instance
-	asap    *Schedule
+	inst    *ceg.Instance
+	asap    *schedule.Schedule
 	D       int64
 	planHit bool
 
 	fp     uint64    // the workflow's fingerprint, computed once
 	origin residency // the base plan and the solve entry, where the caches answered
 
-	zones   *ZoneSet
+	zones   *power.ZoneSet
 	timings []obs.StageTiming
 }
 
@@ -600,10 +618,10 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 	}
 	pol := req.MappingPolicy
 	if !pol.Valid() {
-		return nil, fmt.Errorf("cawosched: unknown mapping policy %d: %w", int(pol), ErrInvalidRequest)
+		return nil, fmt.Errorf("cawosched: unknown mapping policy %d: %w", int(pol), scherr.ErrInvalidRequest)
 	}
-	if req.Instance != nil && (req.MapSearch || pol != MapEFT) {
-		return nil, fmt.Errorf("cawosched: mapping options need a workflow request (prebuilt instances carry their mapping): %w", ErrInvalidRequest)
+	if req.Instance != nil && (req.MapSearch || pol != greenheft.EFT) {
+		return nil, fmt.Errorf("cawosched: mapping options need a workflow request (prebuilt instances carry their mapping): %w", scherr.ErrInvalidRequest)
 	}
 	job := &solveJob{req: req, opt: opt, variant: variant, timings: make([]obs.StageTiming, 0, 4)}
 
@@ -615,8 +633,8 @@ func (s *Solver) doSolve(ctx context.Context, req Request) (*Response, error) {
 	// competes under the identical per-zone forecast.
 	pctx, st := obs.BeginStage(ctx, obs.StagePlan)
 	if inst := req.Instance; inst != nil {
-		job.inst, job.asap = inst, ASAP(inst)
-		job.D = Makespan(inst, job.asap)
+		job.inst, job.asap = inst, core.ASAP(inst)
+		job.D = schedule.Makespan(inst, job.asap)
 	} else if wf := req.Workflow; wf == nil {
 		err = errNilWorkflow
 	} else {
@@ -735,7 +753,7 @@ func (s *Solver) solveCached(ctx context.Context, job *solveJob) (*Response, err
 			resp.Coalesced = true
 			return resp, nil
 		}
-		if !errors.Is(f.err, ErrCanceled) || ctx.Err() != nil {
+		if !errors.Is(f.err, scherr.ErrCanceled) || ctx.Err() != nil {
 			return nil, f.err
 		}
 		// The leader's own context died, not ours: re-run the election —
@@ -752,9 +770,6 @@ func (s *Solver) solveCached(ctx context.Context, job *solveJob) (*Response, err
 // panic still propagates on the leader's own request.
 func (s *Solver) leadSolve(ctx context.Context, key solveKey, f *flight, job *solveJob) (resp *Response, err error) {
 	s.solveMisses.Add(1)
-	if s.testLeaderGate != nil {
-		s.testLeaderGate()
-	}
 	var shared *Response
 	ferr := errLeaderAborted
 	defer func() { s.finishFlight(key, f, shared, ferr) }()
@@ -796,7 +811,7 @@ func (s *Solver) compute(ctx context.Context, job *solveJob) (*Response, error) 
 		return resp, err
 	}
 	pol := job.req.MappingPolicy
-	if pol != MapEFT {
+	if pol != greenheft.EFT {
 		mctx, st := obs.BeginStage(ctx, obs.StageMap)
 		e, hit, err := s.planFor(mctx, job.req.Workflow, job.fp, pol, job.zones)
 		if st.Span != nil {
@@ -836,8 +851,9 @@ func (s *Solver) compute(ctx context.Context, job *solveJob) (*Response, error) 
 // (policy, zone-digest)), all scheduled against the shared supply. The EFT
 // candidate is feasible by construction whenever the supply was generated
 // from the request, so the search never returns a plan worse than
-// fixed-mapping scheduling. Responses are byte-identical at any
-// req.SearchWorkers.
+// fixed-mapping scheduling. The candidates run one after another: a batch
+// already runs BatchWorkers solves at once, and no workload has measured a
+// wider fan-out under concurrent load (any width answers identically).
 func (s *Solver) mapSearch(ctx context.Context, job *solveJob) (*Response, error) {
 	req, zones, opt := job.req, job.zones, job.opt
 	// The planning pass is sequential (greenheft.PlanFunc), so the closure
@@ -845,8 +861,8 @@ func (s *Solver) mapSearch(ctx context.Context, job *solveJob) (*Response, error
 	// no second lookup.
 	entries := make(map[greenheft.Policy]*planEntry)
 	res, err := greenheft.Search(ctx, zones,
-		greenheft.MapSolveOptions{Sched: opt, Workers: req.SearchWorkers},
-		func(ctx context.Context, pol greenheft.Policy) (*Instance, int64, error) {
+		greenheft.MapSolveOptions{Sched: opt, Workers: 1},
+		func(ctx context.Context, pol greenheft.Policy) (*ceg.Instance, int64, error) {
 			e, _, err := s.planFor(ctx, req.Workflow, job.fp, pol, zones)
 			if err != nil {
 				return nil, 0, err

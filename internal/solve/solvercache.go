@@ -1,4 +1,4 @@
-package cawosched
+package solve
 
 import (
 	"bytes"
@@ -11,6 +11,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/greenheft"
 	"repro/internal/obs"
+	"repro/internal/power"
 )
 
 // This file is the solver's caching/concurrency layer: the one bounded
@@ -225,7 +226,7 @@ func (c *cache[K, V]) each(f func(V)) {
 // one on miss. hit is false for the inserting caller (which then builds
 // the entry; concurrent lookups of the same key block on its sync.Once).
 // With plan caching disabled the fresh entry is returned unmemoized.
-func (s *Solver) planLookup(key planKey, wf *DAG, pol greenheft.Policy, zones *ZoneSet) (e *planEntry, hit bool) {
+func (s *Solver) planLookup(key planKey, wf *dag.DAG, pol greenheft.Policy, zones *power.ZoneSet) (e *planEntry, hit bool) {
 	c := s.planMemo
 	c.lock()
 	defer c.mu.Unlock()
@@ -264,7 +265,7 @@ func (r *Response) checkout() *Response {
 // solveCacheGet returns a cached response for the key, guarded against
 // fingerprint/digest collisions by structural comparison with the
 // request's actual workflow and zone set.
-func (s *Solver) solveCacheGet(key solveKey, wf *DAG, zones *ZoneSet) (*Response, *solveEntry) {
+func (s *Solver) solveCacheGet(key solveKey, wf *dag.DAG, zones *power.ZoneSet) (*Response, *solveEntry) {
 	e, ok := s.solveCache.get(key)
 	if !ok || !e.wf.Equal(wf) || !e.zones.EqualZoneSet(zones) {
 		return nil, nil
@@ -276,7 +277,7 @@ func (s *Solver) solveCacheGet(key solveKey, wf *DAG, zones *ZoneSet) (*Response
 
 // solveCachePut stores a shared response under the key; on a collision
 // the freshest wins.
-func (s *Solver) solveCachePut(key solveKey, wf *DAG, zones *ZoneSet, shared *Response) {
+func (s *Solver) solveCachePut(key solveKey, wf *dag.DAG, zones *power.ZoneSet, shared *Response) {
 	s.solveCache.put(key, &solveEntry{wf: wf, zones: zones.Clone(), resp: shared})
 }
 
@@ -441,8 +442,8 @@ var errLeaderAborted = errors.New("cawosched: coalesced solve leader aborted")
 // cached. The workflow and zone set guard followers against joining a
 // digest-colliding flight, exactly like the cache's structural guards.
 type flight struct {
-	wf    *DAG
-	zones *ZoneSet
+	wf    *dag.DAG
+	zones *power.ZoneSet
 	done  chan struct{}
 	resp  *Response // the shared form (see Response.shared); nil on error
 	err   error
@@ -453,7 +454,7 @@ type flight struct {
 //   - (f, false): follower — wait on f.done.
 //   - (nil, false): the in-flight leader's key collides structurally:
 //     solve solo.
-func (s *Solver) joinFlight(key solveKey, wf *DAG, zones *ZoneSet) (*flight, bool) {
+func (s *Solver) joinFlight(key solveKey, wf *dag.DAG, zones *power.ZoneSet) (*flight, bool) {
 	s.fmu.Lock()
 	defer s.fmu.Unlock()
 	if f, ok := s.flights[key]; ok {

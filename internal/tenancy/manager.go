@@ -9,12 +9,15 @@ import (
 	"slices"
 	"sync"
 
-	cawosched "repro"
+	"repro/internal/ceg"
+	"repro/internal/core"
 	"repro/internal/dag"
+	"repro/internal/greenheft"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/schedule"
 	"repro/internal/scherr"
+	"repro/internal/solve"
 )
 
 // State is the lifecycle phase of a submitted workflow.
@@ -36,12 +39,12 @@ const (
 // SubmitRequest describes one workflow submission. The zero values of the
 // tuning fields select the manager's defaults.
 type SubmitRequest struct {
-	Workflow *cawosched.DAG
+	Workflow *dag.DAG
 	// Variant is a canonical registry name; empty selects the solver
 	// default (pressWR-LS).
 	Variant string
 	// MappingPolicy selects the first-pass mapping (zero = fixed HEFT).
-	MappingPolicy cawosched.MappingPolicy
+	MappingPolicy greenheft.Policy
 	// MapSearch runs the two-pass mapping search instead.
 	MapSearch bool
 	// DeadlineFactor sets the deadline now + factor·D (D = the workflow's
@@ -116,28 +119,24 @@ type RebalanceReport struct {
 // Config assembles a Manager. Solver, Supply, and Clock are required; the
 // supply's zone count must match the solver's cluster.
 type Config struct {
-	Solver *cawosched.Solver
+	Solver *solve.Solver
 	// Supply is the per-zone green power forecast, treated as periodic
 	// beyond its horizon.
 	Supply *power.ZoneSet
 	Clock  Clock
-	// SearchWorkers is the width of each map-search solve's candidate
-	// fan-out (responses are identical at any setting; fixed-mapping
-	// solves are not affected).
-	SearchWorkers int
 }
 
 // record is the manager's internal bookkeeping for one admitted workflow.
 type record struct {
 	id         string
-	wf         *cawosched.DAG
-	inst       *cawosched.Instance
-	sched      *cawosched.Schedule // relative to base
-	claims     []Claim             // committed, sorted by (proc, start); finished ones stay
-	base       int64               // absolute time of the schedule's t=0
-	start      int64               // earliest claim start (absolute)
-	finish     int64               // latest claim end (absolute)
-	deadline   int64               // absolute
+	wf         *dag.DAG
+	inst       *ceg.Instance
+	sched      *schedule.Schedule // relative to base
+	claims     []Claim            // committed, sorted by (proc, start); finished ones stay
+	base       int64              // absolute time of the schedule's t=0
+	start      int64              // earliest claim start (absolute)
+	finish     int64              // latest claim end (absolute)
+	deadline   int64              // absolute
 	submitted  int64
 	variant    string
 	mapping    string
@@ -156,7 +155,7 @@ type record struct {
 // placement must be able to restore it unconditionally when the re-solve
 // does not improve it.
 type Manager struct {
-	solver *cawosched.Solver
+	solver *solve.Solver
 	supply *power.ZoneSet
 	clock  Clock
 	cfg    Config
@@ -214,7 +213,7 @@ func (m *Manager) Clock() Clock { return m.clock }
 
 // claimsOf derives the ledger claims of a placement: one reservation per
 // positive-duration node, at absolute time base + start.
-func claimsOf(inst *cawosched.Instance, s *cawosched.Schedule, base int64) []Claim {
+func claimsOf(inst *ceg.Instance, s *schedule.Schedule, base int64) []Claim {
 	claims := make([]Claim, 0, inst.N())
 	for v := 0; v < inst.N(); v++ {
 		if inst.Dur[v] <= 0 {
@@ -254,7 +253,7 @@ func byProcStart(claims []Claim) []Claim {
 	return out
 }
 
-func shifted(s *cawosched.Schedule, delta int64) *cawosched.Schedule {
+func shifted(s *schedule.Schedule, delta int64) *schedule.Schedule {
 	if delta == 0 {
 		return s
 	}
@@ -334,7 +333,7 @@ func (m *Manager) submit(ctx context.Context, req SubmitRequest) (*WorkflowStatu
 	if err != nil {
 		return nil, err
 	}
-	T, err := cawosched.DeadlineHorizon(cawosched.ASAPMakespan(inst), req.DeadlineFactor)
+	T, err := solve.DeadlineHorizon(core.ASAPMakespan(inst), req.DeadlineFactor)
 	if err != nil {
 		return nil, err
 	}
@@ -354,13 +353,12 @@ func (m *Manager) submit(ctx context.Context, req SubmitRequest) (*WorkflowStatu
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.solver.Solve(ctx, cawosched.Request{
+	res, err := m.solver.Solve(ctx, solve.Request{
 		Workflow:      req.Workflow,
 		Variant:       req.Variant,
 		MappingPolicy: req.MappingPolicy,
 		MapSearch:     req.MapSearch,
 		Zones:         residual,
-		SearchWorkers: m.cfg.SearchWorkers,
 	})
 	if err != nil {
 		if errors.Is(err, scherr.ErrInfeasibleDeadline) {
@@ -586,17 +584,16 @@ func (m *Manager) rebalance(ctx context.Context) (RebalanceReport, error) {
 		oldRel := shifted(rec.sched, rec.base-now)
 		oldCost := schedule.CarbonCost(rec.inst, oldRel, residual)
 
-		res, err := m.solver.Solve(ctx, cawosched.Request{
+		res, err := m.solver.Solve(ctx, solve.Request{
 			Workflow:      rec.wf,
 			Variant:       rec.req.Variant,
 			MappingPolicy: rec.req.MappingPolicy,
 			MapSearch:     rec.req.MapSearch,
 			Zones:         residual,
-			SearchWorkers: m.cfg.SearchWorkers,
 		})
 		adopt := false
 		var newClaims []Claim
-		var newSched *cawosched.Schedule
+		var newSched *schedule.Schedule
 		var newCost int64
 		if err == nil {
 			newClaims = claimsOf(res.Instance, res.Schedule, now)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	cawosched "repro"
+	"repro/internal/solve"
 )
 
 // greenBrownSetup builds the mapping-layer acceptance scenario: a 2-zone
@@ -252,7 +253,7 @@ func TestParseMapping(t *testing.T) {
 		{"bogus", 0, false, false},
 	}
 	for _, c := range cases {
-		pol, search, err := cawosched.ParseMapping(c.in)
+		pol, search, err := solve.ParseMapping(c.in)
 		if c.ok && (err != nil || pol != c.pol || search != c.search) {
 			t.Errorf("ParseMapping(%q) = %v, %v, %v", c.in, pol, search, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	cawosched "repro"
+	"repro/internal/solve"
 )
 
 // TestSolveResponseCache is the acceptance property of the second cache
@@ -169,7 +170,7 @@ func TestSolveResponseCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver := cawosched.NewSolver(cawosched.SmallCluster(5), cawosched.WithSolveCacheLimit(2))
+	solver := solve.NewSolver(cawosched.SmallCluster(5), solve.WithSolveCacheLimit(2))
 	reqFor := func(variant string) cawosched.Request {
 		return cawosched.Request{Workflow: wf, Variant: variant, Scenario: cawosched.S4, Seed: 5}
 	}
@@ -206,7 +207,7 @@ func TestSolveResponseCacheEviction(t *testing.T) {
 		t.Error("hit after ResetSolveCache")
 	}
 
-	solver = cawosched.NewSolver(cawosched.SmallCluster(5), cawosched.WithSolveCacheLimit(0)) // disabled
+	solver = solve.NewSolver(cawosched.SmallCluster(5), solve.WithSolveCacheLimit(0)) // disabled
 	must("press")
 	if must("press").CacheHit {
 		t.Error("disabled cache returned a hit")

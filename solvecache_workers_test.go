@@ -2,16 +2,21 @@ package cawosched_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	cawosched "repro"
 )
 
 // TestSearchWorkersDoNotForkCacheKeys pins the cache-hygiene half of the
-// fan-out contract: Request.SearchWorkers is pure mechanism, so requests
-// that differ only in it must share one solve-cache entry, with hit/miss
-// accounting identical to repeating the same request verbatim.
+// determinism contract: the host's GOMAXPROCS is pure mechanism, so
+// requests solved under different settings must share one solve-cache
+// entry, with hit/miss accounting identical to repeating the same request
+// verbatim. (The solver schedules map-search candidates one after
+// another; the fan-out width of greenheft.Search itself is held by
+// TestMapAndSolveWorkersIdentical.)
 func TestSearchWorkersDoNotForkCacheKeys(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	wf, err := cawosched.GenerateWorkflow(cawosched.Methylseq, 60, 13)
 	if err != nil {
 		t.Fatal(err)
@@ -19,7 +24,7 @@ func TestSearchWorkersDoNotForkCacheKeys(t *testing.T) {
 	solver := cawosched.NewSolver(cawosched.SmallCluster(13))
 
 	first, err := solver.Solve(context.Background(), cawosched.Request{
-		Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S1, Seed: 13, SearchWorkers: 4,
+		Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S1, Seed: 13,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -29,20 +34,21 @@ func TestSearchWorkersDoNotForkCacheKeys(t *testing.T) {
 	}
 
 	table := []struct {
-		name string
-		req  cawosched.Request
+		name  string
+		procs int
 	}{
-		{"sequential", cawosched.Request{Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S1, Seed: 13}},
-		{"one-worker", cawosched.Request{Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S1, Seed: 13, SearchWorkers: 1}},
-		{"many-workers", cawosched.Request{Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S1, Seed: 13, SearchWorkers: 16}},
+		{"one-worker", 1},
+		{"four-workers", 4},
+		{"many-workers", 16},
 	}
 	for _, tc := range table {
-		res, err := solver.Solve(context.Background(), tc.req)
+		runtime.GOMAXPROCS(tc.procs)
+		res, err := solver.Solve(context.Background(), cawosched.Request{Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S1, Seed: 13})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !res.CacheHit {
-			t.Errorf("%s: missed the cache entry written by the workers=4 solve", tc.name)
+			t.Errorf("%s: missed the cache entry written by the GOMAXPROCS=4 solve", tc.name)
 		}
 		if res.Cost != first.Cost || res.Deadline != first.Deadline {
 			t.Errorf("%s: response differs from first solve: cost %d/%d deadline %d/%d",
@@ -53,11 +59,11 @@ func TestSearchWorkersDoNotForkCacheKeys(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 miss, %d hits, 1 entry", st, len(table))
 	}
 
-	// Same property through the map-search pipeline, the one place the
-	// setting changes what runs.
+	// Same property through the map-search pipeline.
+	runtime.GOMAXPROCS(4)
 	ms, err := solver.Solve(context.Background(), cawosched.Request{
 		Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S1, Seed: 13,
-		MapSearch: true, SearchWorkers: 4,
+		MapSearch: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +71,7 @@ func TestSearchWorkersDoNotForkCacheKeys(t *testing.T) {
 	if ms.CacheHit {
 		t.Fatal("map-search solve wrongly hit the fixed-mapping cache entry")
 	}
+	runtime.GOMAXPROCS(1)
 	msAgain, err := solver.Solve(context.Background(), cawosched.Request{
 		Workflow: wf, Variant: "pressWR-LS", Scenario: cawosched.S1, Seed: 13, MapSearch: true,
 	})
@@ -72,7 +79,7 @@ func TestSearchWorkersDoNotForkCacheKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !msAgain.CacheHit {
-		t.Error("sequential map-search request missed the workers=4 map-search entry")
+		t.Error("GOMAXPROCS=1 map-search request missed the GOMAXPROCS=4 map-search entry")
 	}
 	if msAgain.Cost != ms.Cost || msAgain.Mapping != ms.Mapping {
 		t.Errorf("cached map-search response differs: cost %d/%d mapping %q/%q",
