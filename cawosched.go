@@ -399,8 +399,8 @@ func PlanGreenZones(d *DAG, c *Cluster, policy MappingPolicy, zs *ZoneSet) (*Ins
 	return greenheft.MapInstance(d, c, greenheft.Options{Policy: policy, Zones: zs})
 }
 
-// MapSolveOptions tunes MapAndSolve (candidate policies, mapping alpha,
-// scheduling variant).
+// MapSolveOptions tunes MapAndSolve (candidate policies, scheduling
+// variant).
 type MapSolveOptions = greenheft.MapSolveOptions
 
 // MapSolveResult is the winning plan of a mapping search plus the

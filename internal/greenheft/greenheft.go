@@ -27,23 +27,22 @@ const (
 	// EFT is classic HEFT: minimize earliest finish time. It reproduces
 	// exactly the mapping the paper's experiments start from.
 	EFT Policy = iota
-	// LowPower minimizes finish_time × (P_idle + P_work)^alpha: a greedy
-	// compromise between speed and power draw. With alpha = 0 it
-	// degenerates to EFT.
+	// LowPower minimizes finish_time × (P_idle + P_work): a greedy
+	// compromise between speed and power draw.
 	LowPower
 	// EnergyPerWork minimizes the energy the task itself consumes
 	// (duration × (P_idle + P_work)), breaking ties by finish time. It is
 	// the most aggressive green policy and can lengthen the makespan
 	// considerably.
 	EnergyPerWork
-	// ZoneGreen minimizes finish_time × (1 + alpha·(1 − avail)) where
+	// ZoneGreen minimizes finish_time × (1 + (1 − avail)) where
 	// avail ∈ [0, 1] is the candidate processor's *zone* green availability
 	// over the task's tentative window [start, finish): the zone profile's
 	// green energy in the window divided by its peak budget times the
 	// window length. On a flat (constant) single-zone supply avail is
 	// identical for every candidate, so ZoneGreen degenerates to EFT.
 	ZoneGreen
-	// ZoneEnergyPerWork minimizes task energy × (1 + alpha·(1 − avail)),
+	// ZoneEnergyPerWork minimizes task energy × (1 + (1 − avail)),
 	// breaking ties by finish time: EnergyPerWork steered away from
 	// zones that are brown during the task's tentative window.
 	ZoneEnergyPerWork
@@ -100,9 +99,6 @@ func AllPolicies() []Policy {
 // Options tunes the mapping pass.
 type Options struct {
 	Policy Policy
-	// Alpha is the power exponent of the LowPower policy and the blend
-	// weight of the zone-aware policies (0 means the default of 1).
-	Alpha float64
 	// Zones is the per-zone green power forecast consulted by the
 	// zone-aware policies (required for them, ignored by the others).
 	// A multi-zone set must carry one zone per cluster zone,
@@ -131,10 +127,6 @@ func Schedule(d *dag.DAG, c *platform.Cluster, opt Options) (*heft.Result, error
 				opt.Zones.NumZones(), c.NumZones())
 		}
 	}
-	alpha := opt.Alpha
-	if alpha == 0 {
-		alpha = 1
-	}
 	draw := make([]int64, c.NumCompute()) // P_idle + P_work per processor
 	for p := range draw {
 		draw[p] = c.Proc(p).Type.Idle + c.Proc(p).Type.Work
@@ -151,7 +143,7 @@ func Schedule(d *dag.DAG, c *platform.Cluster, opt Options) (*heft.Result, error
 		if opt.Policy.ZoneAware() {
 			avail = zoneAvail(c, opt.Zones, peak, p, start, finish)
 		}
-		return objective(opt.Policy, alpha, finish, dur, draw[p], avail)
+		return objective(opt.Policy, finish, dur, draw[p], avail)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("greenheft: %w", err)
@@ -159,18 +151,19 @@ func Schedule(d *dag.DAG, c *platform.Cluster, opt Options) (*heft.Result, error
 	return res, nil
 }
 
-func objective(policy Policy, alpha float64, finish, dur, power int64, avail float64) float64 {
+func objective(policy Policy, finish, dur, power int64, avail float64) float64 {
 	switch policy {
 	case EFT:
 		return float64(finish)
 	case LowPower:
-		return float64(finish) * pow(float64(power), alpha)
+		return float64(finish) * float64(power)
 	case EnergyPerWork:
 		return float64(dur * power)
 	case ZoneGreen:
-		return float64(finish) * (1 + alpha*(1-avail))
+		// 1 + (1 − avail), not 2 − avail: the two round differently.
+		return float64(finish) * (1 + (1 - avail))
 	case ZoneEnergyPerWork:
-		return float64(dur*power) * (1 + alpha*(1-avail))
+		return float64(dur*power) * (1 + (1 - avail))
 	default:
 		panic("greenheft: unknown policy")
 	}
@@ -223,32 +216,4 @@ func greenEnergy(p *power.Profile, from, to int64) int64 {
 		sum += iv.Budget * (hi - lo)
 	}
 	return sum
-}
-
-// pow is a minimal positive-base power function (x > 0); alpha is small
-// and usually 1, so the loop/specialization is enough without math.Pow's
-// edge cases.
-func pow(x, alpha float64) float64 {
-	switch alpha {
-	case 0:
-		return 1
-	case 1:
-		return x
-	case 2:
-		return x * x
-	default:
-		// General case via exp/log would need math; integer-ish alphas
-		// cover the ablation sweep, interpolate multiplicatively for the
-		// rest.
-		r := 1.0
-		for alpha >= 1 {
-			r *= x
-			alpha--
-		}
-		if alpha > 0 {
-			// linear interpolation between x^0 and x^1 on the residue
-			r *= 1 + alpha*(x-1)
-		}
-		return r
-	}
 }

@@ -62,32 +62,43 @@ func TestAllPoliciesProduceValidMappings(t *testing.T) {
 }
 
 func TestLowPowerPrefersCheaperProcessors(t *testing.T) {
-	// Single task, weight 96: EFT picks PT6 (finish 3, power 300);
-	// LowPower with alpha=2 minimizes finish × power² and picks PT1
-	// (24 × 50² = 60,000 beats 3 × 300² = 270,000).
+	// A single task, weight 96, on a cluster whose fast type draws ten
+	// times the power of the slow one: EFT picks Fast (finish 48), while
+	// LowPower must pick a processor minimizing finish × (idle + work),
+	// on an empty cluster ExecTime × draw — Slow, 96 × 2 against 48 × 20.
 	d := dag.New(1)
 	d.SetWeight(0, 96)
-	c := platform.Small(3)
+	c := platform.New([]platform.ProcType{
+		{Name: "Slow", Speed: 1, Idle: 1, Work: 1},
+		{Name: "Fast", Speed: 2, Idle: 10, Work: 10},
+	}, []int{2, 2}, 3)
 	eft, err := Schedule(d, c, Options{Policy: EFT})
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := Schedule(d, c, Options{Policy: LowPower, Alpha: 2})
+	low, err := Schedule(d, c, Options{Policy: LowPower})
 	if err != nil {
 		t.Fatal(err)
 	}
-	powerOf := func(r *heft.Result) int64 {
-		pt := c.Proc(r.Proc[0]).Type
-		return pt.Idle + pt.Work
+	score := func(p int) int64 {
+		pt := c.Proc(p).Type
+		return c.ExecTime(96, p) * (pt.Idle + pt.Work)
 	}
-	if c.Proc(eft.Proc[0]).Type.Name != "PT6" {
-		t.Errorf("EFT picked %s, want PT6", c.Proc(eft.Proc[0]).Type.Name)
+	best := int64(-1)
+	for p := 0; p < c.NumCompute(); p++ {
+		if sc := score(p); best < 0 || sc < best {
+			best = sc
+		}
 	}
-	if c.Proc(low.Proc[0]).Type.Name != "PT1" {
-		t.Errorf("LowPower(alpha=2) picked %s, want PT1", c.Proc(low.Proc[0]).Type.Name)
+	if name := c.Proc(eft.Proc[0]).Type.Name; name != "Fast" {
+		t.Errorf("EFT picked %s, want Fast", name)
 	}
-	if powerOf(low) >= powerOf(eft) {
-		t.Errorf("LowPower draw %d not below EFT draw %d", powerOf(low), powerOf(eft))
+	if got := score(low.Proc[0]); got != best {
+		t.Errorf("LowPower picked %s with finish × draw %d, want the minimum %d",
+			c.Proc(low.Proc[0]).Type.Name, got, best)
+	}
+	if name := c.Proc(low.Proc[0]).Type.Name; name != "Slow" {
+		t.Errorf("LowPower picked %s, want Slow", name)
 	}
 }
 
@@ -169,21 +180,6 @@ func TestMakespanOrdering(t *testing.T) {
 			t.Errorf("%v makespan %d beats EFT %d: EFT should be the fastest policy",
 				p, r.Makespan, eft.Makespan)
 		}
-	}
-}
-
-func TestPow(t *testing.T) {
-	cases := []struct{ x, a, want float64 }{
-		{3, 0, 1}, {3, 1, 3}, {3, 2, 9}, {2, 3, 8},
-	}
-	for _, c := range cases {
-		if got := pow(c.x, c.a); got != c.want {
-			t.Errorf("pow(%v, %v) = %v, want %v", c.x, c.a, got, c.want)
-		}
-	}
-	// Fractional alpha interpolates between integer powers.
-	if got := pow(4, 1.5); got <= 4 || got >= 16 {
-		t.Errorf("pow(4, 1.5) = %v, want within (4, 16)", got)
 	}
 }
 

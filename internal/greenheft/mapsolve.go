@@ -41,8 +41,6 @@ type MapSolveOptions struct {
 	// Policies is the candidate set (nil means AllPolicies, which always
 	// contains EFT so the fixed-mapping baseline competes too).
 	Policies []Policy
-	// Alpha is the mapping blend weight (see Options.Alpha).
-	Alpha float64
 	// Sched selects the CaWoSched variant of the second pass.
 	Sched core.Options
 	// Workers is the width of the candidate fan-out: up to Workers
@@ -90,7 +88,7 @@ func MapAndSolve(ctx context.Context, d *dag.DAG, c *platform.Cluster, zs *power
 		return nil, fmt.Errorf("greenheft: MapAndSolve needs a per-zone power supply")
 	}
 	res, err := Search(ctx, zs, opt, func(_ context.Context, pol Policy) (*ceg.Instance, int64, error) {
-		inst, err := MapInstance(d, c, Options{Policy: pol, Alpha: opt.Alpha, Zones: zs})
+		inst, err := MapInstance(d, c, Options{Policy: pol, Zones: zs})
 		if err != nil {
 			return nil, 0, err
 		}

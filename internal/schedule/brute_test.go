@@ -32,3 +32,37 @@ func CarbonCostBrute(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) int64 {
 	}
 	return cost
 }
+
+// drawCost is the unit-step twin of a timeline's draw: Σ over every time
+// unit x < T of max(idle + level(x) − G(x), 0), with the level read
+// straight from the dense per-unit array or the sparse segments and the
+// budget from the profile. The timeline keeps no cost of its own; the
+// tests price its draw with this and hold it to CarbonCostBrute.
+func drawCost(tl *Timeline) int64 {
+	var cost int64
+	i := 0 // sparse segment holding x
+	for x := int64(0); x < tl.prof.T(); x++ {
+		var level int64
+		if tl.dense {
+			level = tl.lvl[x]
+		} else {
+			for i+1 < len(tl.t) && tl.t[i+1] <= x {
+				i++
+			}
+			level = tl.w[i]
+		}
+		if over := tl.idle + level - tl.prof.BudgetAt(x); over > 0 {
+			cost += over
+		}
+	}
+	return cost
+}
+
+// zonesDrawCost is drawCost summed over every zone's timeline.
+func zonesDrawCost(m *ZoneTimelines) int64 {
+	var cost int64
+	for z := 0; z < m.NumZones(); z++ {
+		cost += drawCost(m.Zone(z))
+	}
+	return cost
+}

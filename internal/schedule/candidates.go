@@ -238,13 +238,6 @@ func (tl *Timeline) removedWindowCosts(qs []int64, dur, p, rmA int64) []int64 {
 	return ws
 }
 
-// windowCosts is the zero-removal form of removedWindowCosts: batch W(q)
-// on top of the draw as-is. Kept for callers probing placements rather
-// than moves.
-func (tl *Timeline) windowCosts(qs []int64, dur, p int64) []int64 {
-	return tl.removedWindowCosts(qs, dur, p, -dur)
-}
-
 // resize returns *buf with length n, reusing its capacity.
 func resize(buf *[]int64, n int) []int64 {
 	if cap(*buf) < n {

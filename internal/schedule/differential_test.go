@@ -8,41 +8,27 @@ import (
 	"repro/internal/rng"
 )
 
-// Differential property suite for the incremental cost maintenance: random
-// move sequences on randomized (DAG × cluster × zone-count) grids are
-// replayed through the ZoneTimelines evaluator, and after every single
-// move the maintained aggregates — MoveGain, TotalCost, Breakdown — are
-// checked against the unit-time brute-force oracle CarbonCostBrute
-// and the event-sweep evaluators. The suite runs once with the dense
+// Differential property suite for the incremental timelines: random move
+// sequences on randomized (DAG × cluster × zone-count) grids are replayed
+// through the ZoneTimelines evaluator, and after every single move the
+// probes (MoveGain, PlaceDelta, FirstImprovingMove) and the draw itself —
+// priced by the unit-step twin drawCost — are checked against the
+// unit-time brute-force oracle CarbonCostBrute and the event sweep. The suite runs once with the dense
 // per-unit representation (the default for these horizons) and once with
 // denseHorizonLimit lowered to force the sparse breakpoint representation,
 // so both code paths are pinned move-for-move. Seeds are fixed: failures
 // reproduce exactly, including under -race.
 
-// checkAggregates verifies every maintained aggregate of tls against the
-// sweep evaluators and the brute oracle for the current schedule.
-func checkAggregates(t *testing.T, inst *ceg.Instance, s *Schedule, zs *power.ZoneSet, tls *ZoneTimelines, step int) {
+// checkDraw verifies that the draw tls holds prices, through the twin
+// drawCost, to the sweep's and the brute oracle's cost of the schedule.
+func checkDraw(t *testing.T, inst *ceg.Instance, s *Schedule, zs *power.ZoneSet, tls *ZoneTimelines, step int) {
 	t.Helper()
 	brute := CarbonCostBrute(inst, s, zs)
 	if sweep := CarbonCost(inst, s, zs); sweep != brute {
 		t.Fatalf("step %d: CarbonCost %d != brute %d", step, sweep, brute)
 	}
-	if got := tls.TotalCost(); got != brute {
-		t.Fatalf("step %d: maintained TotalCost %d != brute %d", step, got, brute)
-	}
-	bd := CostBreakdown(inst, s, zs)
-	for z := 0; z < zs.NumZones(); z++ {
-		ivs := tls.Zone(z).Breakdown()
-		want := bd[z].Intervals
-		if len(ivs) != len(want) {
-			t.Fatalf("step %d zone %d: %d intervals, want %d", step, z, len(ivs), len(want))
-		}
-		for j := range ivs {
-			if ivs[j] != want[j] {
-				t.Fatalf("step %d zone %d interval %d: maintained %+v != sweep %+v",
-					step, z, j, ivs[j], want[j])
-			}
-		}
+	if got := zonesDrawCost(tls); got != brute {
+		t.Fatalf("step %d: timeline draw costs %d != brute %d", step, got, brute)
 	}
 }
 
@@ -65,7 +51,7 @@ func replayDifferential(t *testing.T, n int, seed uint64, zones, moves int) {
 	r := rng.New(seed * 7919)
 
 	tls := NewZoneTimelines(inst, s, zs)
-	checkAggregates(t, inst, s, zs, tls, -1)
+	checkDraw(t, inst, s, zs, tls, -1)
 	for m := 0; m < moves; m++ {
 		v := r.Intn(inst.N())
 		dur := inst.Dur[v]
@@ -83,10 +69,9 @@ func replayDifferential(t *testing.T, n int, seed uint64, zones, moves int) {
 				seed, m, v, cur, cand, gain, oracle)
 		}
 
-		// PlaceDelta is the mutation-free probe behind the greedy and the
-		// exact solver: adding the same load must change the maintained
-		// cost by exactly the probed delta, and removing it must restore
-		// the timeline bit-for-bit.
+		// PlaceDelta is the exact solver's mutation-free probe: adding
+		// the same load must change the draw's cost by exactly the probed
+		// delta, and removing it must restore the cost.
 		a := r.Int63n(T)
 		span := T - a
 		if span > 48 {
@@ -95,14 +80,14 @@ func replayDifferential(t *testing.T, n int, seed uint64, zones, moves int) {
 		b := a + 1 + r.Int63n(span)
 		p := 1 + r.Int63n(25)
 		pd := tl.PlaceDelta(a, b, p)
-		costBefore := tl.TotalCost()
+		costBefore := drawCost(tl)
 		tl.Add(a, b, p)
-		if got := tl.TotalCost() - costBefore; got != pd {
+		if got := drawCost(tl) - costBefore; got != pd {
 			t.Fatalf("seed %d move %d: PlaceDelta(%d,%d,%d)=%d but Add changed cost by %d",
 				seed, m, a, b, p, pd, got)
 		}
 		tl.Remove(a, b, p)
-		if tl.TotalCost() != costBefore {
+		if drawCost(tl) != costBefore {
 			t.Fatalf("seed %d move %d: Add/Remove did not restore the cost", seed, m)
 		}
 
@@ -133,16 +118,16 @@ func replayDifferential(t *testing.T, n int, seed uint64, zones, moves int) {
 			}
 		}
 
-		before := tls.TotalCost()
+		before := zonesDrawCost(tls)
 		tl.ApplyMove(cur, cand, dur, work)
 		s.Start[v] = cand
-		if got := before - tls.TotalCost(); got != gain {
+		if got := before - zonesDrawCost(tls); got != gain {
 			t.Fatalf("seed %d move %d: applied gain %d != predicted %d", seed, m, got, gain)
 		}
-		checkAggregates(t, inst, s, zs, tls, m)
+		checkDraw(t, inst, s, zs, tls, m)
 		if m%16 == 15 {
 			tls.Compact()
-			checkAggregates(t, inst, s, zs, tls, m)
+			checkDraw(t, inst, s, zs, tls, m)
 		}
 	}
 }

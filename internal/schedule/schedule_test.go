@@ -272,7 +272,7 @@ func TestTimelineTotalMatchesCarbonCost(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		inst, prof, s := randomHEFTInstance(t, 50, seed)
 		tl := oneZoneTimeline(inst, s, prof)
-		if got, want := tl.TotalCost(), CarbonCost(inst, s, power.SingleZone(prof)); got != want {
+		if got, want := drawCost(tl), CarbonCost(inst, s, power.SingleZone(prof)); got != want {
 			t.Errorf("seed %d: timeline cost %d != sweep cost %d", seed, got, want)
 		}
 	}
@@ -313,49 +313,57 @@ func TestTimelineApplyMove(t *testing.T) {
 	newStart := old + 3
 	tl.ApplyMove(old, newStart, inst.Dur[v], work)
 	s.Start[v] = newStart
-	if got, want := tl.TotalCost(), CarbonCost(inst, s, power.SingleZone(prof)); got != want {
+	if got, want := drawCost(tl), CarbonCost(inst, s, power.SingleZone(prof)); got != want {
 		t.Errorf("after ApplyMove: timeline %d != sweep %d", got, want)
 	}
 }
 
 func TestTimelineAddRemoveRoundTrip(t *testing.T) {
-	prof := power.Constant(100, 5)
-	inst := chainInstance(t, 1, []int64{1}, 0, 1)
-	tl := oneZoneTimeline(inst, New(1), prof)
-	before := tl.TotalCost()
-	tl.Add(10, 20, 7)
-	tl.Remove(10, 20, 7)
-	if got := tl.TotalCost(); got != before {
-		t.Errorf("add+remove changed cost: %d != %d", got, before)
+	for _, mode := range []string{"dense", "sparse"} {
+		t.Run(mode, func(t *testing.T) {
+			if mode == "sparse" {
+				defer ForceSparseTimelines()()
+			}
+			prof := power.Constant(100, 5)
+			inst := chainInstance(t, 1, []int64{1}, 0, 1)
+			tl := oneZoneTimeline(inst, New(1), prof)
+			before := drawCost(tl)
+			tl.Add(10, 20, 7)
+			// 10 units drawing 7 against a budget of 5.
+			if got := drawCost(tl) - before; got != 20 {
+				t.Errorf("add raised the cost by %d, want 20", got)
+			}
+			tl.Remove(10, 20, 7)
+			if got := drawCost(tl); got != before {
+				t.Errorf("add+remove changed cost: %d != %d", got, before)
+			}
+		})
 	}
 }
 
+// TestTimelineCompactPreservesCost runs on the sparse representation,
+// the only one Compact changes: an add and its remove leave the draw as
+// it was but split segments at both ends, and Compact must merge every
+// equal-level neighbour again without changing the draw.
 func TestTimelineCompactPreservesCost(t *testing.T) {
+	defer ForceSparseTimelines()()
 	inst, prof, s := randomHEFTInstance(t, 40, 4)
 	tl := oneZoneTimeline(inst, s, prof)
-	want := tl.TotalCost()
-	segs := tl.NumSegments()
+	want := drawCost(tl)
 	tl.Add(3, 9, 5)
 	tl.Remove(3, 9, 5)
+	grown := len(tl.t)
 	tl.Compact()
-	if got := tl.TotalCost(); got != want {
+	if got := drawCost(tl); got != want {
 		t.Errorf("Compact changed cost: %d != %d", got, want)
 	}
-	if tl.NumSegments() > segs+4 {
-		t.Errorf("Compact did not shrink segments: %d vs %d", tl.NumSegments(), segs)
+	if len(tl.t) >= grown {
+		t.Errorf("Compact did not shrink the breakpoints: %d of %d left", len(tl.t), grown)
 	}
-}
-
-func TestTimelineRangeCostClamps(t *testing.T) {
-	inst := chainInstance(t, 1, []int64{2}, 3, 4)
-	prof := power.Constant(10, 0)
-	tl := oneZoneTimeline(inst, New(1), prof)
-	full := tl.TotalCost()
-	if got := tl.RangeCost(-5, 100); got != full {
-		t.Errorf("clamped range cost %d != total %d", got, full)
-	}
-	if got := tl.RangeCost(7, 3); got != 0 {
-		t.Errorf("inverted range cost = %d, want 0", got)
+	for i := 1; i+1 < len(tl.t); i++ {
+		if tl.w[i] == tl.w[i-1] {
+			t.Errorf("segments at %d and %d both draw %d after Compact", tl.t[i-1], tl.t[i], tl.w[i])
+		}
 	}
 }
 

@@ -4,10 +4,10 @@ import (
 	"repro/internal/power"
 )
 
-// Timeline maintains the platform's total work-power draw as a function of
-// time and answers carbon-cost queries over arbitrary ranges. The local
-// search uses it to evaluate the gain of moving a single task without
-// re-sweeping the whole horizon.
+// Timeline holds the platform's total work-power draw as a function of
+// time and answers the local search's probes against it: the cost change
+// of placing a task (PlaceDelta) or of moving one (MoveGain,
+// FirstImprovingMove, CandidateStarts), without re-sweeping the horizon.
 //
 // Two representations back the same API:
 //
@@ -21,14 +21,10 @@ import (
 //     w[i] the total work power over [t[i], t[i+1)) (w implicitly 0
 //     before t[0] and after the last breakpoint).
 //
-// Both representations maintain per-profile-interval aggregates — work
-// energy and brown energy per boundary window — updated in O(touched
-// range) by every Add/Remove. A single-task move therefore keeps the
-// total carbon cost (TotalCost, the sum of the brown aggregates) and the
-// per-interval breakdown (Breakdown) current without ever re-sweeping the
-// horizon; the probe queries (PlaceDelta, MoveGain, FirstImprovingMove)
-// never mutate the timeline at all, so the representation only changes on
-// committed moves.
+// The timeline keeps levels only, no cost: a caller that needs a
+// schedule's total prices it with CarbonCost. Add and Remove touch only
+// the levels of their range, and the probes never mutate the timeline at
+// all, so the representation only changes on committed moves.
 type Timeline struct {
 	prof *power.Profile
 	idle int64
@@ -45,14 +41,6 @@ type Timeline struct {
 	bud   []int64
 	ivx   []int32
 
-	// Maintained aggregates, one entry per profile interval: workE[j] is
-	// the work energy Σ w·len drawn in interval j, brown[j] the brown
-	// energy Σ max(idle + w − B_j, 0)·len, and cost their running total
-	// Σ_j brown[j] — equal to RangeCost(0, T) at all times.
-	workE []int64
-	brown []int64
-	cost  int64
-
 	// Scratch buffers reused by FirstImprovingMove so the local search's
 	// hot path stays allocation-free.
 	candBuf []int64
@@ -66,16 +54,10 @@ type Timeline struct {
 // force the sparse path.
 var denseHorizonLimit int64 = 1 << 15
 
-// newTimeline builds an empty timeline (only the idle floor draws power)
-// with its aggregates initialized to the idle-only baseline.
+// newTimeline builds an empty timeline: only the idle floor draws power.
 func newTimeline(idle int64, prof *power.Profile) *Timeline {
 	T := prof.T()
-	tl := &Timeline{
-		prof:  prof,
-		idle:  idle,
-		workE: make([]int64, len(prof.Intervals)),
-		brown: make([]int64, len(prof.Intervals)),
-	}
+	tl := &Timeline{prof: prof, idle: idle}
 	if T <= denseHorizonLimit {
 		tl.dense = true
 		tl.lvl = make([]int64, T)
@@ -90,12 +72,6 @@ func newTimeline(idle int64, prof *power.Profile) *Timeline {
 	} else {
 		tl.t = []int64{0, T}
 		tl.w = []int64{0, 0}
-	}
-	for j, iv := range prof.Intervals {
-		if over := idle - iv.Budget; over > 0 {
-			tl.brown[j] = over * iv.Len()
-			tl.cost += tl.brown[j]
-		}
 	}
 	return tl
 }
@@ -142,162 +118,33 @@ func (tl *Timeline) ensureBreak(x int64) int {
 	return i + 1
 }
 
-// Add increases the work power by p over [a, b), updating the per-interval
-// energy aggregates of every boundary window the range touches.
+// Add increases the work power by p over [a, b). Draw beyond the horizon
+// never costs anything, so the dense representation drops it.
 func (tl *Timeline) Add(a, b, p int64) {
 	if a >= b || p == 0 {
 		return
 	}
 	if tl.dense {
-		T := int64(len(tl.lvl))
-		if b > T {
-			b = T // draw beyond the horizon never costs anything
-		}
-		for x := a; x < b; x++ {
-			old := tl.idle + tl.lvl[x] - tl.bud[x]
+		for x := a; x < min(b, int64(len(tl.lvl))); x++ {
 			tl.lvl[x] += p
-			j := tl.ivx[x]
-			tl.workE[j] += p
-			ob, nb := old, old+p
-			if ob < 0 {
-				ob = 0
-			}
-			if nb < 0 {
-				nb = 0
-			}
-			tl.brown[j] += nb - ob
-			tl.cost += nb - ob
 		}
 		return
 	}
 	ia := tl.ensureBreak(a)
-	ib := tl.ensureBreak(b)
-	T := tl.prof.T()
-	ivs := tl.prof.Intervals
-	j := -1
-	if a < T {
-		j = tl.prof.IndexAt(a)
-	}
+	ib := tl.ensureBreak(b) // b > a: inserting it leaves ia in place
 	for i := ia; i < ib; i++ {
-		segEnd := tl.t[i+1]
-		old := tl.idle + tl.w[i]
 		tl.w[i] += p
-		if j < 0 {
-			continue // beyond the horizon: levels only, no cost
-		}
-		x := tl.t[i]
-		for x < segEnd && x < T {
-			iv := ivs[j]
-			pieceEnd := segEnd
-			if iv.End < pieceEnd {
-				pieceEnd = iv.End
-			}
-			dlen := pieceEnd - x
-			tl.workE[j] += p * dlen
-			ob := old - iv.Budget
-			if ob < 0 {
-				ob = 0
-			}
-			nb := old + p - iv.Budget
-			if nb < 0 {
-				nb = 0
-			}
-			d := (nb - ob) * dlen
-			tl.brown[j] += d
-			tl.cost += d
-			x = pieceEnd
-			if x == iv.End {
-				if j+1 < len(ivs) {
-					j++
-				} else {
-					j = -1
-					break
-				}
-			}
-		}
 	}
 }
 
 // Remove decreases the work power by p over [a, b).
 func (tl *Timeline) Remove(a, b, p int64) { tl.Add(a, b, -p) }
 
-// RangeCost returns the carbon cost accumulated over [a, b) under the
-// current power levels: Σ max(idle + w(t) − G(t), 0) over that window.
-func (tl *Timeline) RangeCost(a, b int64) int64 {
-	if a < 0 {
-		a = 0
-	}
-	if b > tl.prof.T() {
-		b = tl.prof.T()
-	}
-	if a >= b {
-		return 0
-	}
-	var cost int64
-	if tl.dense {
-		for x := a; x < b; x++ {
-			if over := tl.idle + tl.lvl[x] - tl.bud[x]; over > 0 {
-				cost += over
-			}
-		}
-		return cost
-	}
-	i := tl.find(a)
-	j := tl.prof.IndexAt(a)
-	cur := a
-	for cur < b {
-		segEnd := b
-		if i+1 < len(tl.t) && tl.t[i+1] < segEnd {
-			segEnd = tl.t[i+1]
-		}
-		iv := tl.prof.Intervals[j]
-		if iv.End < segEnd {
-			segEnd = iv.End
-		}
-		if over := tl.idle + tl.w[i] - iv.Budget; over > 0 {
-			cost += over * (segEnd - cur)
-		}
-		cur = segEnd
-		if i+1 < len(tl.t) && tl.t[i+1] == cur {
-			i++
-		}
-		if iv.End == cur {
-			j++
-		}
-	}
-	return cost
-}
-
-// TotalCost returns the carbon cost over the whole horizon. It reads the
-// maintained brown-energy total, so the query is O(1).
-func (tl *Timeline) TotalCost() int64 { return tl.cost }
-
-// Breakdown returns the per-boundary-window carbon accounting of the
-// current draw from the maintained aggregates: one IntervalCost per
-// profile interval, whose Brown fields sum to TotalCost. It allocates the
-// result; energy includes the idle floor, exactly like CostBreakdown.
-func (tl *Timeline) Breakdown() []IntervalCost {
-	out := make([]IntervalCost, len(tl.prof.Intervals))
-	for j, iv := range tl.prof.Intervals {
-		energy := tl.workE[j] + tl.idle*iv.Len()
-		out[j] = IntervalCost{
-			Start:  iv.Start,
-			End:    iv.End,
-			Budget: iv.Budget,
-			Energy: energy,
-			Green:  energy - tl.brown[j],
-			Brown:  tl.brown[j],
-		}
-	}
-	return out
-}
-
 // PlaceDelta returns the carbon-cost increase of adding a task of work
 // power p over [a, b) to the current draw, without changing the timeline:
 // Σ over [a, b) of max(lvl + p, 0) − max(lvl, 0), where lvl is the
-// overdraw idle + w − G. It replaces the Add → RangeCost → Remove probe
-// pattern, which mutated (and in the sparse representation permanently
-// grew) the timeline on every probe.
+// overdraw idle + w − G. It is the exact solver's placement probe; the
+// tests hold it to the change Add makes to a unit-step cost of the draw.
 func (tl *Timeline) PlaceDelta(a, b, p int64) int64 {
 	if a < 0 {
 		a = 0
@@ -473,16 +320,14 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// ApplyMove commits a task move on the timeline, keeping the per-interval
-// aggregates current (O(touched range)).
+// ApplyMove commits a task move on the timeline (O(touched range)).
 func (tl *Timeline) ApplyMove(oldA, newA, dur, p int64) {
 	tl.Remove(oldA, oldA+dur, p)
 	tl.Add(newA, newA+dur, p)
 }
 
 // Compact merges adjacent segments with equal levels; useful to bound
-// growth across many moves in the sparse representation. The aggregates
-// are segmentation-independent, so they are untouched; the dense
+// growth across many moves in the sparse representation. The dense
 // representation has nothing to compact.
 func (tl *Timeline) Compact() {
 	if tl.dense || len(tl.t) == 0 {
@@ -499,20 +344,4 @@ func (tl *Timeline) Compact() {
 	}
 	tl.t = outT
 	tl.w = outW
-}
-
-// NumSegments returns the current number of constant-power segments (for
-// tests and instrumentation): breakpoints in the sparse representation,
-// level runs plus the origin and horizon sentinels in the dense one.
-func (tl *Timeline) NumSegments() int {
-	if !tl.dense {
-		return len(tl.t)
-	}
-	n := 2 // origin + horizon sentinel, like the sparse initial {0, T}
-	for x := 1; x < len(tl.lvl); x++ {
-		if tl.lvl[x] != tl.lvl[x-1] {
-			n++
-		}
-	}
-	return n
 }

@@ -60,12 +60,11 @@ func zoneNodes(inst *ceg.Instance, zs *power.ZoneSet) [][]int {
 	return inst.ZoneNodes()
 }
 
-// ZoneTimelines maintains one power Timeline per grid zone and routes
+// ZoneTimelines holds one power Timeline per grid zone and routes
 // per-task queries — MoveGain, FirstImprovingMove, candidate starts — to
 // the moving task's zone. Moving a task only perturbs its own zone's
-// draw, so the local search's incremental evaluation stays exact: the
-// total cost is the sum of per-zone timeline costs, and a move's gain is
-// entirely contained in one timeline.
+// draw, so a move's gain is entirely contained in one timeline. The
+// timelines keep levels only; the schedule's total is CarbonCost's.
 type ZoneTimelines struct {
 	inst *ceg.Instance
 	zs   *power.ZoneSet
@@ -102,15 +101,6 @@ func (m *ZoneTimelines) Zone(z int) *Timeline { return m.tls[z] }
 // update about v must go through.
 func (m *ZoneTimelines) For(v int) *Timeline {
 	return m.tls[NodeZone(m.inst, m.zs, v)]
-}
-
-// TotalCost returns the carbon cost over all zones and the whole horizon.
-func (m *ZoneTimelines) TotalCost() int64 {
-	var cost int64
-	for _, tl := range m.tls {
-		cost += tl.TotalCost()
-	}
-	return cost
 }
 
 // DenseZones counts how many zone timelines currently use the dense

@@ -59,8 +59,8 @@ func TestZoneCostMatchesBrute(t *testing.T) {
 			if sweep != brute {
 				t.Errorf("seed %d zones %d: sweep %d != brute %d", seed, zones, sweep, brute)
 			}
-			if tl := NewZoneTimelines(inst, s, zs); tl.TotalCost() != sweep {
-				t.Errorf("seed %d zones %d: timelines %d != sweep %d", seed, zones, tl.TotalCost(), sweep)
+			if got := zonesDrawCost(NewZoneTimelines(inst, s, zs)); got != sweep {
+				t.Errorf("seed %d zones %d: timelines %d != sweep %d", seed, zones, got, sweep)
 			}
 			bz := CostBreakdown(inst, s, zs)
 			var sum int64
@@ -137,8 +137,8 @@ func TestMultiZoneAllProcsInOneZoneMatchesOneZone(t *testing.T) {
 		t.Errorf("brute %d != one-zone %d", got, one)
 	}
 	tls := NewZoneTimelines(inst, s, zs)
-	if tls.TotalCost() != one {
-		t.Errorf("timelines %d != one-zone %d", tls.TotalCost(), one)
+	if got := zonesDrawCost(tls); got != one {
+		t.Errorf("timelines %d != one-zone %d", got, one)
 	}
 	// Per-task moves route to zone 0's timeline and report the same gains
 	// as a one-zone timeline.

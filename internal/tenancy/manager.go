@@ -264,6 +264,49 @@ func shifted(s *schedule.Schedule, delta int64) *schedule.Schedule {
 	return out
 }
 
+// placement is a solve laid onto the ledger: its claims and schedule,
+// shifted by the offset FindOffset chose, and the schedule's cost on the
+// residual supply it was solved against.
+type placement struct {
+	claims []Claim
+	sched  *schedule.Schedule
+	delta  int64
+	cost   int64
+}
+
+// place finds the earliest offset at which res's claims, laid from now,
+// fit the ledger before deadline, shifts the claims and the schedule by it
+// and re-prices a shifted schedule on residual. ok is false when no offset
+// fits. traced opens the offset-search span under ctx's: Submit's
+// admission traces carry it, rebalance passes stay without. Call with
+// m.mu held.
+func (m *Manager) place(ctx context.Context, res *solve.Response, residual *power.ZoneSet, now, deadline int64, traced bool) (p placement, ok bool, err error) {
+	p.claims = claimsOf(res.Instance, res.Schedule, now)
+	var osp *obs.Span
+	if traced {
+		_, osp = obs.Start(ctx, "offset-search")
+	}
+	p.delta, ok, err = m.ledger.FindOffset(p.claims, deadline)
+	if osp != nil {
+		osp.SetAttr("offset", p.delta)
+		osp.SetAttr("found", ok)
+		osp.End()
+	}
+	if err != nil || !ok {
+		return p, false, err
+	}
+	p.sched, p.cost = res.Schedule, res.Cost
+	if p.delta != 0 {
+		p.sched = shifted(res.Schedule, p.delta)
+		for i := range p.claims {
+			p.claims[i].Start += p.delta
+			p.claims[i].End += p.delta
+		}
+		p.cost = schedule.CarbonCost(res.Instance, p.sched, residual)
+	}
+	return p, true, nil
+}
+
 func claimBounds(claims []Claim, base int64) (start, finish int64) {
 	start, finish = base, base
 	for i, c := range claims {
@@ -369,14 +412,7 @@ func (m *Manager) submit(ctx context.Context, req SubmitRequest) (*WorkflowStatu
 		return nil, err
 	}
 
-	claims := claimsOf(res.Instance, res.Schedule, now)
-	_, osp := obs.Start(ctx, "offset-search")
-	delta, ok, err := m.ledger.FindOffset(claims, deadline)
-	if osp != nil {
-		osp.SetAttr("offset", delta)
-		osp.SetAttr("found", ok)
-		osp.End()
-	}
+	pl, ok, err := m.place(ctx, res, residual, now, deadline, true)
 	if err != nil {
 		return nil, err
 	}
@@ -385,36 +421,26 @@ func (m *Manager) submit(ctx context.Context, req SubmitRequest) (*WorkflowStatu
 		m.appendEvent(Event{Time: now, Kind: "reject", FP: req.Workflow.Fingerprint()})
 		return nil, &scherr.AdmissionError{Deadline: deadline}
 	}
-	sched := res.Schedule
-	cost := res.Cost
-	if delta != 0 {
-		sched = shifted(res.Schedule, delta)
-		for i := range claims {
-			claims[i].Start += delta
-			claims[i].End += delta
-		}
-		cost = schedule.CarbonCost(res.Instance, sched, residual)
-	}
 
 	m.seq++
 	id := fmt.Sprintf("wf-%06d", m.seq)
-	if err := m.ledger.Commit(id, claims); err != nil {
+	if err := m.ledger.Commit(id, pl.claims); err != nil {
 		// FindOffset ran under the same manager lock, so this is a
 		// programming error, not a race.
 		return nil, fmt.Errorf("tenancy: commit after offset search failed: %w", err)
 	}
-	start, finish := claimBounds(claims, now)
+	start, finish := claimBounds(pl.claims, now)
 	rec := &record{
-		id: id, wf: req.Workflow, inst: res.Instance, sched: sched,
-		claims: byProcStart(claims), base: now, start: start, finish: finish, deadline: deadline,
+		id: id, wf: req.Workflow, inst: res.Instance, sched: pl.sched,
+		claims: byProcStart(pl.claims), base: now, start: start, finish: finish, deadline: deadline,
 		submitted: now, variant: res.Variant, mapping: res.Mapping,
-		req: req, cost: cost, admitCost: cost,
+		req: req, cost: pl.cost, admitCost: pl.cost,
 	}
 	m.recs = append(m.recs, rec)
 	m.byID[id] = rec
 	m.appendEvent(Event{
 		Time: now, Kind: "admit", ID: id, FP: req.Workflow.Fingerprint(),
-		Cost: cost, Offset: delta, Placement: placementDigest(claims),
+		Cost: pl.cost, Offset: pl.delta, Placement: placementDigest(pl.claims),
 	})
 	return m.statusLocked(rec, now), nil
 }
@@ -592,25 +618,12 @@ func (m *Manager) rebalance(ctx context.Context) (RebalanceReport, error) {
 			Zones:         residual,
 		})
 		adopt := false
-		var newClaims []Claim
-		var newSched *schedule.Schedule
-		var newCost int64
+		var pl placement
 		if err == nil {
-			newClaims = claimsOf(res.Instance, res.Schedule, now)
-			// newClaims start at now, the horizon: FindOffset cannot fail.
-			if delta, ok, _ := m.ledger.FindOffset(newClaims, rec.deadline); ok {
-				newSched = shifted(res.Schedule, delta)
-				if delta != 0 {
-					for i := range newClaims {
-						newClaims[i].Start += delta
-						newClaims[i].End += delta
-					}
-					newCost = schedule.CarbonCost(res.Instance, newSched, residual)
-				} else {
-					newCost = res.Cost
-				}
-				adopt = newCost < oldCost
-			}
+			// The claims start at now, the horizon: the search cannot fail.
+			var ok bool
+			pl, ok, _ = m.place(ctx, res, residual, now, rec.deadline, false)
+			adopt = ok && pl.cost < oldCost
 		} else if errors.Is(err, scherr.ErrCanceled) {
 			if rerr := restore(); rerr != nil {
 				return rep, rerr
@@ -625,17 +638,17 @@ func (m *Manager) rebalance(ctx context.Context) (RebalanceReport, error) {
 			rec.cost = oldCost
 			continue
 		}
-		if cerr := m.ledger.Commit(rec.id, newClaims); cerr != nil {
+		if cerr := m.ledger.Commit(rec.id, pl.claims); cerr != nil {
 			return rep, fmt.Errorf("tenancy: committing rebalanced %s: %w", rec.id, cerr)
 		}
 		rec.inst = res.Instance
-		rec.sched = newSched
-		rec.claims = byProcStart(newClaims)
+		rec.sched = pl.sched
+		rec.claims = byProcStart(pl.claims)
 		rec.base = now
-		rec.start, rec.finish = claimBounds(newClaims, now)
+		rec.start, rec.finish = claimBounds(pl.claims, now)
 		rec.mapping = res.Mapping
-		saved := oldCost - newCost
-		rec.cost = newCost
+		saved := oldCost - pl.cost
+		rec.cost = pl.cost
 		rec.rebalances++
 		rep.Moved++
 		rep.Saved += saved
@@ -643,7 +656,7 @@ func (m *Manager) rebalance(ctx context.Context) (RebalanceReport, error) {
 		m.savedUnits += saved
 		m.appendEvent(Event{
 			Time: now, Kind: "rebalance", ID: rec.id, FP: rec.wf.Fingerprint(),
-			Cost: newCost, PrevCost: oldCost, Placement: placementDigest(newClaims), Improved: true,
+			Cost: pl.cost, PrevCost: oldCost, Placement: placementDigest(pl.claims), Improved: true,
 		})
 	}
 	m.rebalPass++
