@@ -13,7 +13,6 @@ import (
 	cawosched "repro"
 	"repro/internal/core"
 	"repro/internal/dp"
-	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/rng"
 	"repro/internal/tenancy"
@@ -85,20 +84,17 @@ func BenchmarkLocalSearch(b *testing.B) {
 }
 
 func benchLocalSearch(b *testing.B, inst *cawosched.Instance, zs *cawosched.ZoneSet, s *cawosched.Schedule) {
-	tr := obs.NewTracer(1)
 	var st core.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx, sp := obs.Start(obs.WithTracer(context.Background(), tr), "local-search")
 		st = core.Stats{}
-		if err := core.LocalSearch(ctx, inst, zs, s.Clone(), core.DefaultMu, &st); err != nil {
+		if err := core.LocalSearch(context.Background(), inst, zs, s.Clone(), core.DefaultMu, &st); err != nil {
 			b.Fatal(err)
 		}
-		sp.End()
 	}
 	// The search is deterministic: every iteration counts the same.
 	b.ReportMetric(float64(st.LSScans), "scans/op")
-	b.ReportMetric(float64(tr.Snapshot()[0].Root.Attrs["evals"].(int)), "evals/op")
+	b.ReportMetric(float64(st.LSEvals), "evals/op")
 }
 
 func BenchmarkCarbonCost500(b *testing.B) {
@@ -114,21 +110,21 @@ func BenchmarkCarbonCost500(b *testing.B) {
 // into the given zones, with one rotated-scenario profile per zone over
 // factor × the ASAP makespan (one zone: the paper's cluster-wide S1
 // profile).
-func benchZonedInstance(b *testing.B, n, zones int, factor int64) (*cawosched.Instance, *cawosched.ZoneSet) {
-	b.Helper()
+func benchZonedInstance(tb testing.TB, n, zones int, factor int64) (*cawosched.Instance, *cawosched.ZoneSet) {
+	tb.Helper()
 	wf, err := cawosched.GenerateWorkflow(cawosched.Atacseq, n, 42)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	inst, err := cawosched.PlanHEFT(wf, cawosched.SmallZonedCluster(42, zones))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	D := cawosched.ASAPMakespan(inst)
 	zs, err := cawosched.ZonesForInstance(inst,
 		[]cawosched.Scenario{cawosched.S1, cawosched.S2, cawosched.S3, cawosched.S4}, factor*D, 24, 42)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return inst, zs
 }

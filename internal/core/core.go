@@ -24,9 +24,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/ceg"
-	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/schedule"
 	"repro/internal/scherr"
@@ -50,61 +50,29 @@ func canceled(ctx context.Context) error {
 // returns the schedule and statistics about the run. It fails with
 // scherr.ErrInfeasibleDeadline if the instance cannot meet the deadline at
 // all (the ASAP makespan exceeds T), and with scherr.ErrCanceled if ctx is
-// canceled mid-run.
+// canceled mid-run. On an error the Stats hold what the run got through:
+// LSRounds is 0 unless the local search had started.
 func Run(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options) (*schedule.Schedule, Stats, error) {
 	var st Stats
-	gctx, gsp := obs.Start(ctx, "greedy")
-	s, err := Greedy(gctx, inst, zs, opt, &st)
-	greedyAttrs(gsp, &st, err)
+	t0 := time.Now()
+	s, err := Greedy(ctx, inst, zs, opt, &st)
+	st.GreedyTime = time.Since(t0)
 	if err != nil {
 		return nil, st, err
 	}
-	if err := localSearchSpan(ctx, inst, zs, s, opt, &st); err != nil {
-		return nil, st, err
+	if opt.LocalSearch {
+		t1 := time.Now()
+		err := LocalSearch(ctx, inst, zs, s, opt.EffectiveMu(), &st)
+		st.LSTime = time.Since(t1)
+		if err != nil {
+			return nil, st, err
+		}
 	}
 	if err := schedule.Validate(inst, s, zs.T()); err != nil {
 		return nil, st, fmt.Errorf("core: produced invalid schedule: %w", err)
 	}
 	st.Cost = schedule.CarbonCost(inst, s, zs)
 	return s, st, nil
-}
-
-// greedyAttrs records the greedy phase's introspection on its span.
-func greedyAttrs(sp *obs.Span, st *Stats, err error) {
-	if sp == nil {
-		return
-	}
-	if err == nil {
-		sp.SetAttr("cost", st.GreedyCost)
-		sp.SetAttr("intervals", st.Intervals)
-		sp.SetAttr("fallback_starts", st.FallbackStarts)
-	} else {
-		sp.SetAttr("error", err.Error())
-	}
-	sp.End()
-}
-
-// localSearchSpan runs the optional local-search phase under a
-// "local-search" span carrying the round/move/gain/scan counters; the
-// scan inside adds the timeline mode and its evaluation count.
-func localSearchSpan(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *schedule.Schedule, opt Options, st *Stats) error {
-	if !opt.LocalSearch {
-		return nil
-	}
-	lctx, lsp := obs.Start(ctx, "local-search")
-	err := LocalSearch(lctx, inst, zs, s, opt.EffectiveMu(), st)
-	if lsp != nil {
-		if err == nil {
-			lsp.SetAttr("rounds", st.LSRounds)
-			lsp.SetAttr("moves", st.LSMoves)
-			lsp.SetAttr("gain", st.LSGain)
-			lsp.SetAttr("scans", st.LSScans)
-		} else {
-			lsp.SetAttr("error", err.Error())
-		}
-		lsp.End()
-	}
-	return err
 }
 
 // Stats reports instrumentation from a scheduler run.
@@ -119,6 +87,15 @@ type Stats struct {
 	// LSScans counts task visits across all local-search rounds
 	// (rounds × tasks), evaluated or skipped.
 	LSScans int
+	// LSEvals counts the visits that ran FirstImprovingMove; the others
+	// were answered by lsSettled.
+	LSEvals int
+
+	// Wall-clock durations of the two phases, set by Run alone (LSTime
+	// stays 0 without a local search). They are the only fields that
+	// differ between two runs of the same input.
+	GreedyTime time.Duration
+	LSTime     time.Duration
 }
 
 // ASAP returns the baseline schedule that starts every task at its earliest

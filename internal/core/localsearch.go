@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/ceg"
-	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/schedule"
 )
@@ -90,7 +89,8 @@ func moveWindow(inst *ceg.Instance, s *schedule.Schedule, v int, T, mu int64) (l
 //
 // A visit to a task whose last evaluation found no move and still stands
 // (see lsSettled) is a scan like any other — it counts in LSScans and
-// advances the context poll — but costs no evaluation.
+// advances the context poll — but costs no evaluation: only the others
+// count in LSEvals.
 //
 // The context is polled every ctxCheckStride task scans; on cancellation
 // the schedule is left at the last accepted move (still feasible — every
@@ -104,7 +104,7 @@ func LocalSearch(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *
 	tls := schedule.NewZoneTimelines(inst, s, zs)
 	seq := scanOrder(inst)
 	settled := newLSSettled(inst, zs)
-	scans, evals := 0, 0
+	scans := 0
 	for {
 		improved := false
 		if st != nil {
@@ -123,7 +123,9 @@ func LocalSearch(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *
 			if settled.skip(v) {
 				continue
 			}
-			evals++
+			if st != nil {
+				st.LSEvals++
+			}
 			dur := inst.Dur[v]
 			cur := s.Start[v]
 			lo, hi := moveWindow(inst, s, v, T, mu)
@@ -144,11 +146,6 @@ func LocalSearch(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *
 			}
 		}
 		if !improved {
-			if sp := obs.SpanFrom(ctx); sp != nil {
-				sp.SetAttr("zones", tls.NumZones())
-				sp.SetAttr("dense_zones", tls.DenseZones())
-				sp.SetAttr("evals", evals)
-			}
 			return nil
 		}
 		tls.Compact()

@@ -4,16 +4,20 @@
 // and request-ID plumbing.
 //
 // Everything is carried through context.Context, so the instrumented
-// packages (solver facade, core, greenheft, tenancy, server) need no new
+// packages (the solver in internal/solve, tenancy, server) need no new
 // constructor parameters and pay essentially nothing when observability
 // is not configured:
 //
 //   - obs.Start(ctx, name) returns a nil *Span when no tracer is
 //     installed in ctx, and every Span method is a nil-receiver no-op —
-//     the disabled hot path is two context lookups per *stage*, never
-//     per move (the schedulers' inner loops are not instrumented).
+//     the disabled hot path is two context lookups per *stage*.
 //   - obs.MeterFrom(ctx) returns a nil *Registry when none is installed,
 //     and every registry/metric method is likewise nil-safe.
+//
+// The algorithm packages (core, greenheft, schedule, heft, ceg, exact)
+// do not import obs: they count and time their own work in their Stats,
+// and the solver records those as finished spans after the run
+// (Span.Child).
 //
 // The server installs a Tracer, a Registry, and a request ID into each
 // request's context; cmd/schedd does the same for its rebalance loop.

@@ -15,9 +15,8 @@ import (
 // A nil *Span is the disabled instrument: every method is a nil-receiver
 // no-op, so instrumented code never branches on "is tracing on".
 //
-// Spans are safe for concurrent use: parallel stages (batch items, the
-// map-search candidate fan-out) may attach children and set attributes
-// from multiple goroutines.
+// Spans are safe for concurrent use: parallel stages (batch items) may
+// attach children and set attributes from multiple goroutines.
 type Span struct {
 	name  string
 	start time.Time
@@ -57,6 +56,22 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	sp := &Span{name: name, start: time.Now(), trace: tr, reqID: RequestIDFrom(ctx)}
 	sp.root = sp
 	return context.WithValue(ctx, ctxKeySpan, sp), sp
+}
+
+// Child attaches to s a child span that is already finished: it began at
+// start and lasted d. It is how a layer that keeps no tracer (the
+// schedulers, which only time their phases) still shows up in the trace:
+// its caller turns the measured durations into spans afterwards. On a nil
+// s it returns nil.
+func (s *Span) Child(name string, start time.Time, d time.Duration) *Span {
+	if s == nil {
+		return nil
+	}
+	c := &Span{name: name, start: start, dur: max(d, 1), root: s.root}
+	s.mu.Lock()
+	s.children = append(s.children, c)
+	s.mu.Unlock()
+	return c
 }
 
 // SpanFrom returns the span the context is inside, or nil.

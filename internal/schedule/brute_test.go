@@ -61,8 +61,8 @@ func drawCost(tl *Timeline) int64 {
 // zonesDrawCost is drawCost summed over every zone's timeline.
 func zonesDrawCost(m *ZoneTimelines) int64 {
 	var cost int64
-	for z := 0; z < m.NumZones(); z++ {
-		cost += drawCost(m.Zone(z))
+	for _, tl := range m.tls {
+		cost += drawCost(tl)
 	}
 	return cost
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/schedule"
 )
 
@@ -24,31 +23,27 @@ func TestLocalSearchSparseMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := schedule.NewZoneTimelines(inst, base, zs).DenseZones(); n != zs.NumZones() {
-		t.Fatalf("%d of %d zone timelines dense, want all", n, zs.NumZones())
+	if !schedule.DenseHorizon(zs.T()) {
+		t.Fatalf("horizon %d is not dense on its own", zs.T())
 	}
-	// search runs LocalSearch on a copy of base and returns the result,
-	// its stats and the number of visits that ran an evaluation.
-	search := func(mu int64) (*schedule.Schedule, core.Stats, int) {
-		tr := obs.NewTracer(1)
-		lctx, sp := obs.Start(obs.WithTracer(ctx, tr), "local-search")
+	// search runs LocalSearch on a copy of base and returns the result
+	// and its stats.
+	search := func(mu int64) (*schedule.Schedule, core.Stats) {
 		s := base.Clone()
 		var st core.Stats
-		if err := core.LocalSearch(lctx, inst, zs, s, mu, &st); err != nil {
+		if err := core.LocalSearch(ctx, inst, zs, s, mu, &st); err != nil {
 			t.Fatal(err)
 		}
-		sp.End()
-		evals, _ := tr.Snapshot()[0].Root.Attrs["evals"].(int)
-		return s, st, evals
+		return s, st
 	}
 	for _, mu := range []int64{3, 10, 30} {
-		dense, denseStats, _ := search(mu)
+		dense, denseStats := search(mu)
 		restore := schedule.ForceSparseTimelines()
-		if n := schedule.NewZoneTimelines(inst, base, zs).DenseZones(); n != 0 {
+		if schedule.DenseHorizon(zs.T()) {
 			restore()
-			t.Fatalf("%d dense zone timelines under ForceSparseTimelines, want none", n)
+			t.Fatalf("horizon %d still dense under ForceSparseTimelines", zs.T())
 		}
-		sparse, sparseStats, evals := search(mu)
+		sparse, sparseStats := search(mu)
 		restore()
 		for v := range sparse.Start {
 			if sparse.Start[v] != dense.Start[v] {
@@ -58,7 +53,7 @@ func TestLocalSearchSparseMatchesDense(t *testing.T) {
 		if sparseStats != denseStats {
 			t.Errorf("mu %d: stats %+v != dense %+v", mu, sparseStats, denseStats)
 		}
-		if evals == 0 || evals >= sparseStats.LSScans {
+		if evals := sparseStats.LSEvals; evals == 0 || evals >= sparseStats.LSScans {
 			t.Errorf("mu %d: %d evaluations for %d scans: no visit was skipped", mu, evals, sparseStats.LSScans)
 		}
 	}

@@ -54,11 +54,17 @@ type Timeline struct {
 // force the sparse path.
 var denseHorizonLimit int64 = 1 << 15
 
+// DenseHorizon reports whether timelines over a horizon of T units use
+// the dense per-unit representation rather than the sorted sparse
+// breakpoints. Every zone of a ZoneSet shares T, so its timelines are
+// either all dense or all sparse.
+func DenseHorizon(T int64) bool { return T <= denseHorizonLimit }
+
 // newTimeline builds an empty timeline: only the idle floor draws power.
 func newTimeline(idle int64, prof *power.Profile) *Timeline {
 	T := prof.T()
 	tl := &Timeline{prof: prof, idle: idle}
-	if T <= denseHorizonLimit {
+	if DenseHorizon(T) {
 		tl.dense = true
 		tl.lvl = make([]int64, T)
 		tl.bud = make([]int64, T)
@@ -75,11 +81,6 @@ func newTimeline(idle int64, prof *power.Profile) *Timeline {
 	}
 	return tl
 }
-
-// Dense reports whether the timeline uses the dense per-unit
-// representation (horizon ≤ denseHorizonLimit) rather than the sorted
-// sparse breakpoints — search introspection for the observability layer.
-func (tl *Timeline) Dense() bool { return tl.dense }
 
 // find returns the index i with t[i] <= x < t[i+1] (or the last index if x
 // is beyond the end). x must be >= t[0]. Hand-rolled binary search: this

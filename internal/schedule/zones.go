@@ -91,9 +91,6 @@ func NewZoneTimelines(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) *ZoneT
 	return m
 }
 
-// NumZones returns the number of zones.
-func (m *ZoneTimelines) NumZones() int { return len(m.tls) }
-
 // Zone returns zone z's timeline.
 func (m *ZoneTimelines) Zone(z int) *Timeline { return m.tls[z] }
 
@@ -101,19 +98,6 @@ func (m *ZoneTimelines) Zone(z int) *Timeline { return m.tls[z] }
 // update about v must go through.
 func (m *ZoneTimelines) For(v int) *Timeline {
 	return m.tls[NodeZone(m.inst, m.zs, v)]
-}
-
-// DenseZones counts how many zone timelines currently use the dense
-// per-unit representation (vs sparse breakpoints) — search introspection
-// for the observability layer.
-func (m *ZoneTimelines) DenseZones() int {
-	n := 0
-	for _, tl := range m.tls {
-		if tl.Dense() {
-			n++
-		}
-	}
-	return n
 }
 
 // Compact merges equal-level segments in every zone's timeline.

@@ -18,8 +18,7 @@ import (
 // byte-identical wire responses — the host's parallelism is pure
 // mechanism, invisible on the wire. The request uses the map-search
 // two-pass pipeline, the longest path a single solve takes (its
-// candidates run one after another; the fan-out width of
-// greenheft.Search is held by TestMapAndSolveWorkersIdentical).
+// candidates run one after another).
 // Run under -race -count=2 in CI.
 func TestSearchWorkersByteIdenticalResponses(t *testing.T) {
 	wreq := pinnedWireRequest(t)

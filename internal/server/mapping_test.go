@@ -2,11 +2,15 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	cawosched "repro"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -98,6 +102,61 @@ func TestServerMapSearchEndToEnd(t *testing.T) {
 	again := solve("map-search")
 	if !again.CacheHit || again.Mapping != ms.Mapping || again.Cost != ms.Cost {
 		t.Errorf("repeat map-search: hit=%v mapping %q cost %d", again.CacheHit, again.Mapping, again.Cost)
+	}
+	checkMapSearchTelemetry(t, ts)
+}
+
+// checkMapSearchTelemetry holds the one computed map-search a server has
+// answered, the second of three solves, to its trace and its candidate
+// counts: the map span traces one map-candidate per policy, in policy
+// order, a feasible one with its greedy and local-search phases below it
+// and an infeasible one with a failed greedy, and
+// schedd_mapsearch_candidates_total counts each policy once under the
+// outcome its span reports.
+func checkMapSearchTelemetry(t *testing.T, ts *httptest.Server) {
+	t.Helper()
+	_, traw := getBody(t, ts.Client(), ts.URL+"/debug/traces")
+	var tresp obs.TracesResponse
+	if err := json.Unmarshal(traw, &tresp); err != nil {
+		t.Fatalf("parsing traces: %v\n%s", err, traw)
+	}
+	if len(tresp.Traces) != 3 {
+		t.Fatalf("got %d traces, want 3:\n%s", len(tresp.Traces), traw)
+	}
+	solve := childNamed(tresp.Traces[1].Root, "solve")
+	if solve == nil {
+		t.Fatalf("no solve span in the map-search's trace:\n%s", traw)
+	}
+	m := childNamed(solve, obs.StageMap)
+	if m == nil || m.Attrs["search"] != true {
+		t.Fatalf("no map span with search=true under solve:\n%s", traw)
+	}
+	_, mraw := getBody(t, ts.Client(), ts.URL+"/metrics")
+	policies := cawosched.MappingPolicies()
+	if len(m.Children) != len(policies) {
+		t.Fatalf("map span has %d children, want one map-candidate per policy (%d)", len(m.Children), len(policies))
+	}
+	for i, pol := range policies {
+		c := m.Children[i]
+		if c.Name != "map-candidate" || c.Attrs["policy"] != pol.String() {
+			t.Fatalf("map child %d is %s %v, want map-candidate of %s", i, c.Name, c.Attrs, pol)
+		}
+		outcome, phases := "ok", []string{"greedy", "local-search"}
+		if _, failed := c.Attrs["error"]; failed {
+			outcome, phases = "error", []string{"greedy"}
+		} else if _, ok := c.Attrs["cost"]; !ok {
+			t.Errorf("candidate %s carries neither cost nor error: %v", pol, c.Attrs)
+		}
+		if got := childNames(c); !reflect.DeepEqual(got, phases) {
+			t.Errorf("candidate %s (%s) has children %v, want %v", pol, outcome, got, phases)
+		}
+		want := fmt.Sprintf("schedd_mapsearch_candidates_total{policy=%q,outcome=%q} 1\n", pol.String(), outcome)
+		if !strings.Contains(string(mraw), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+	if n := strings.Count(string(mraw), "\nschedd_mapsearch_candidates_total{"); n != len(policies) {
+		t.Errorf("%d schedd_mapsearch_candidates_total series, want %d", n, len(policies))
 	}
 }
 

@@ -205,12 +205,13 @@ func TestDebugTraces(t *testing.T) {
 	if got := childNames(solve); !reflect.DeepEqual(got, timed[0]) {
 		t.Errorf("solve span's children are %v, the response's timings %v", got, timed[0])
 	}
-	sched := childNamed(solve, "schedule")
-	if sched != nil {
-		for _, phase := range []string{"greedy", "local-search"} {
-			if childNamed(sched, phase) == nil {
-				t.Errorf("schedule span missing %q child", phase)
-			}
+	sched := childNamed(solve, obs.StageSchedule)
+	if sched == nil {
+		t.Fatalf("no schedule span under solve:\n%s", traw)
+	}
+	for _, phase := range []string{"greedy", "local-search"} {
+		if childNamed(sched, phase) == nil {
+			t.Errorf("schedule span missing %q child", phase)
 		}
 	}
 

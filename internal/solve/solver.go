@@ -15,6 +15,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/ceg"
 	"repro/internal/core"
@@ -824,10 +825,17 @@ func (s *Solver) compute(ctx context.Context, job *solveJob) (*Response, error) 
 		}
 		job.inst, job.asap, job.D, job.planHit = e.inst, e.asap, e.d, hit
 	}
-	sctx, st := obs.BeginStage(ctx, obs.StageSchedule)
-	sched, stats, err := core.Run(sctx, job.inst, job.zones, job.opt)
-	if err == nil && st.Span != nil {
-		st.Span.SetAttr("cost", stats.Cost)
+	_, st := obs.BeginStage(ctx, obs.StageSchedule)
+	start := time.Now()
+	sched, stats, err := core.Run(ctx, job.inst, job.zones, job.opt)
+	if st.Span != nil {
+		msg := ""
+		if err != nil {
+			msg = err.Error()
+		} else {
+			st.Span.SetAttr("cost", stats.Cost)
+		}
+		traceRun(st.Span, start, job.zones, stats, msg)
 	}
 	st.End(&job.timings)
 	if err != nil {
@@ -848,31 +856,42 @@ func (s *Solver) compute(ctx context.Context, job *solveJob) (*Response, error) 
 
 // mapSearch is the two-pass pipeline inside Solve: greenheft.Search over
 // every candidate mapping policy, each plan taken from the memo (keyed per
-// (policy, zone-digest)), all scheduled against the shared supply. The EFT
-// candidate is feasible by construction whenever the supply was generated
-// from the request, so the search never returns a plan worse than
-// fixed-mapping scheduling. The candidates run one after another: a batch
-// already runs BatchWorkers solves at once, and no workload has measured a
-// wider fan-out under concurrent load (any width answers identically).
+// (policy, zone-digest)), all scheduled one after another against the
+// shared supply. The EFT candidate is feasible by construction whenever
+// the supply was generated from the request, so the search never returns
+// a plan worse than fixed-mapping scheduling. A search that returns
+// counts its candidates in schedd_mapsearch_candidates_total and traces
+// them (traceCandidates); a canceled one does neither.
 func (s *Solver) mapSearch(ctx context.Context, job *solveJob) (*Response, error) {
 	req, zones, opt := job.req, job.zones, job.opt
 	// The planning pass is sequential (greenheft.PlanFunc), so the closure
 	// needs no lock; the entries are kept so the winner's asap and d need
-	// no second lookup.
+	// no second lookup. The last plan's end is when the solves began.
 	entries := make(map[greenheft.Policy]*planEntry)
-	res, err := greenheft.Search(ctx, zones,
-		greenheft.MapSolveOptions{Sched: opt, Workers: 1},
+	var planned time.Time
+	res, err := greenheft.Search(ctx, zones, greenheft.MapSolveOptions{Sched: opt},
 		func(ctx context.Context, pol greenheft.Policy) (*ceg.Instance, int64, error) {
 			e, _, err := s.planFor(ctx, req.Workflow, job.fp, pol, zones)
 			if err != nil {
 				return nil, 0, err
 			}
 			entries[pol] = e
+			planned = time.Now()
 			return e.inst, e.d, nil
 		})
 	if err != nil {
 		return nil, err
 	}
+	candidates := obs.MeterFrom(ctx).Counter("schedd_mapsearch_candidates_total",
+		"map-search candidate mappings scheduled, by policy and outcome", "policy", "outcome")
+	for _, out := range res.Outcomes {
+		outcome := "ok"
+		if out.Err != "" {
+			outcome = "error"
+		}
+		candidates.With(out.Policy.String(), outcome).Inc()
+	}
+	traceCandidates(obs.SpanFrom(ctx), planned, zones, res.Outcomes)
 	if res.Schedule == nil {
 		return nil, res.FirstErr
 	}
@@ -887,4 +906,62 @@ func (s *Solver) mapSearch(ctx context.Context, job *solveJob) (*Response, error
 		Cost:     res.Cost,
 		ASAPCost: schedule.CarbonCost(res.Inst, entries[res.Policy].asap, zones),
 	}, nil
+}
+
+// traceCandidates records a map-search's candidates under its map span
+// sp, one "map-candidate" child each with its run's phases below it. The
+// candidates ran back to back from start, each for as long as its phases
+// took.
+func traceCandidates(sp *obs.Span, start time.Time, zones *power.ZoneSet, outs []greenheft.PolicyOutcome) {
+	if sp == nil {
+		return
+	}
+	for _, out := range outs {
+		took := out.Stats.GreedyTime + out.Stats.LSTime
+		csp := sp.Child("map-candidate", start, took)
+		csp.SetAttr("policy", out.Policy.String())
+		if out.Err != "" {
+			csp.SetAttr("error", out.Err)
+		} else {
+			csp.SetAttr("cost", out.Stats.Cost)
+		}
+		traceRun(csp, start, zones, out.Stats, out.Err)
+		start = start.Add(took)
+	}
+}
+
+// traceRun records the phases of one core.Run under sp, the span it ran
+// in: a "greedy" child and, when the local search ran, a "local-search"
+// child, timed by the run's Stats from its start on. errText is the run's
+// error, "" on success; it goes to the phase that failed, which is the
+// greedy unless the local search had started.
+func traceRun(sp *obs.Span, start time.Time, zones *power.ZoneSet, st core.Stats, errText string) {
+	lsRan := st.LSRounds > 0
+	g := sp.Child("greedy", start, st.GreedyTime)
+	if errText != "" && !lsRan {
+		g.SetAttr("error", errText)
+		return
+	}
+	g.SetAttr("cost", st.GreedyCost)
+	g.SetAttr("intervals", st.Intervals)
+	g.SetAttr("fallback_starts", st.FallbackStarts)
+	if !lsRan {
+		return
+	}
+	ls := sp.Child("local-search", start.Add(st.GreedyTime), st.LSTime)
+	if errText != "" {
+		ls.SetAttr("error", errText)
+		return
+	}
+	ls.SetAttr("rounds", st.LSRounds)
+	ls.SetAttr("moves", st.LSMoves)
+	ls.SetAttr("gain", st.LSGain)
+	ls.SetAttr("scans", st.LSScans)
+	ls.SetAttr("zones", zones.NumZones())
+	dense := 0
+	if schedule.DenseHorizon(zones.T()) {
+		dense = zones.NumZones()
+	}
+	ls.SetAttr("dense_zones", dense)
+	ls.SetAttr("evals", st.LSEvals)
 }

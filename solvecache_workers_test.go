@@ -13,8 +13,7 @@ import (
 // requests solved under different settings must share one solve-cache
 // entry, with hit/miss accounting identical to repeating the same request
 // verbatim. (The solver schedules map-search candidates one after
-// another; the fan-out width of greenheft.Search itself is held by
-// TestMapAndSolveWorkersIdentical.)
+// another, on the request's goroutine.)
 func TestSearchWorkersDoNotForkCacheKeys(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	wf, err := cawosched.GenerateWorkflow(cawosched.Methylseq, 60, 13)
