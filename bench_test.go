@@ -24,10 +24,12 @@ import (
 // 1000-task 3-zone shape of the repo benchmark's solve_cold_1k, ten times
 // that (T/J′ ≈ 1.2, where windows.Fix outweighs the budget structure),
 // and a 60-task 3-zone workflow on each side of the rule that picks the
-// budget structure's form (core.newBudgets): at twice the makespan, the
-// admit_churn shape, the refined subdivision splits nearly every time
-// unit and the dense form runs; at 250 times the makespan T/J′ ≈ 30–50
-// and the chunked form runs. Every other case runs dense.
+// budget structure's form (core.newBudgets): at twice the makespan the
+// refined subdivision splits nearly every time unit and the dense form
+// runs; at 250 times the makespan T/J′ ≈ 30–50 and the chunked form runs.
+// Every other case runs dense. None of them is the admit_churn_60 shape
+// (2 zones, deadline factor 30, about 150 supply intervals a zone):
+// BenchmarkRun/60-2zone-DF30 is.
 func BenchmarkGreedy(b *testing.B) {
 	for _, c := range []struct {
 		name     string
@@ -46,6 +48,57 @@ func BenchmarkGreedy(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRun measures one whole core.Run, greedy and hill climber, of
+// the repo benchmark's variant pressWR-LS on a prebuilt instance: the
+// shape of an admit_churn_60 submit (admitShapeInstance). Run it with
+// -benchmem: most of what it allocates is the answer.
+func BenchmarkRun(b *testing.B) {
+	b.Run("60-2zone-DF30", func(b *testing.B) {
+		inst, zs := admitShapeInstance(b)
+		opt, err := core.LookupVariant("pressWR-LS")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := core.Run(context.Background(), inst, zs, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// admitShapeInstance builds the shape of one admit_churn_60 submit: a
+// 60-task workflow on a 2-zone cluster, a horizon of 30 times its ASAP
+// makespan, and per zone the window of a periodic supply of 24 intervals
+// per 480 units over that horizon, about 150 intervals.
+func admitShapeInstance(tb testing.TB) (*cawosched.Instance, *cawosched.ZoneSet) {
+	tb.Helper()
+	wf, err := cawosched.GenerateWorkflow(cawosched.Atacseq, 60, 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	inst, err := cawosched.PlanHEFT(wf, cawosched.SmallZonedCluster(42, 2))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	supply, err := cawosched.ZonesForInstance(inst, []cawosched.Scenario{cawosched.S1, cawosched.S2}, 480, 24, 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	zs, err := tenancy.SupplyWindow(supply, 0, 30*cawosched.ASAPMakespan(inst))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for z := range zs.NumZones() {
+		if j := zs.Profile(z).J(); j < 100 || j > 200 {
+			tb.Fatalf("zone %d: %d supply intervals over T = %d, want about 150", z, j, zs.T())
+		}
+	}
+	return inst, zs
 }
 
 // localSearchInput builds the greedy schedule the hill climber starts

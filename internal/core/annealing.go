@@ -61,6 +61,7 @@ func Anneal(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *sched
 	T := zs.T()
 	N := inst.N()
 	tls := schedule.NewZoneTimelines(inst, s, zs)
+	defer tls.Release()
 	cur := schedule.CarbonCost(inst, s, zs)
 	best := s.Clone()
 	bestCost := cur

@@ -64,10 +64,11 @@ type budgets struct {
 	// is set when an interval starts at x; arg[w] is the offset in word
 	// w of its earliest breakpoint with the largest bud, −1 when the
 	// word holds no breakpoint.
-	bud  []int64
-	pend []int64
-	brk  []uint64
-	arg  []int8
+	bud   []int64
+	pend  []int64
+	brk   []uint64
+	arg   []int8
+	store *denseStore // where bud, pend and arg came from
 }
 
 type budgetChunk struct {

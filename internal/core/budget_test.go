@@ -55,6 +55,36 @@ func forceBudgetForm(dense bool) (restore func()) {
 	return func() { denseBudgetRatio = old }
 }
 
+// TestDenseBudgetsStartClean releases a dense structure after a consume
+// over its whole long horizon, then builds one over a shorter profile
+// with other budgets: on storage from the pool it must read its own
+// profile's budget at every unit and find the same best start as on fresh
+// storage. The round repeats because the race detector makes sync.Pool
+// drop some items, which leaves a round on fresh storage.
+func TestDenseBudgetsStartClean(t *testing.T) {
+	long := power.Constant(3000, 9)
+	short, err := power.NewProfile([]int64{50, 80, 70}, []int64{4, 1, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 16; round++ {
+		dirty := buildBudgets(long, nil, true)
+		dirty.consume(0, long.T(), 5)
+		dirty.release()
+		b := buildBudgets(short, []int64{17, 140}, true)
+		for x := int64(0); x < short.T(); x++ {
+			if got := b.budgetAt(x); got != short.BudgetAt(x) {
+				t.Fatalf("round %d, unit %d: budget %d, want %d", round, x, got, short.BudgetAt(x))
+			}
+		}
+		// Interval starts 0, 17, 50, 130, 140 with budgets 4, 4, 1, 6, 6.
+		if start, ok := b.bestStart(0, short.T()-1); !ok || start != 130 {
+			t.Fatalf("round %d: bestStart = %d, %v; want 130", round, start, ok)
+		}
+		b.release()
+	}
+}
+
 func TestBudgetsInit(t *testing.T) {
 	forBudgetForms(t, func(t *testing.T, dense bool) {
 		b := buildBudgets(prof3(t), nil, dense)

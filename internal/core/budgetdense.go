@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/power"
 )
@@ -25,14 +26,34 @@ import (
 //
 // So consume costs O((e−a)/64 + 128) and bestStart O((lst−est)/64 + 64).
 
+// denseStore is the horizon-sized storage of a dense structure: bud and
+// pend in one array, and arg. A greedy takes one per dense zone from
+// densePool and releases it on return; nothing of it reaches a schedule.
+type denseStore struct {
+	store []int64
+	arg   []int8
+}
+
+var densePool = sync.Pool{New: func() any { return new(denseStore) }}
+
 // newDenseBudgets builds the dense form over prof. brk is a bitset over
 // [0, T) holding the extra breakpoints, which the structure takes over;
-// the profile's interval starts are added to it.
+// the profile's interval starts are added to it. The storage comes from
+// densePool: a reused one clears only pend, since bud is rewritten whole
+// (a valid profile's intervals tile [0, T)) and so is every word's arg.
 func newDenseBudgets(prof *power.Profile, brk []uint64) *budgets {
 	T := prof.T()
 	words := int64(len(brk))
-	store := make([]int64, T+words)
-	b := &budgets{T: T, dense: true, bud: store[:T], pend: store[T:], brk: brk, arg: make([]int8, words)}
+	ds := densePool.Get().(*denseStore)
+	if int64(cap(ds.store)) < T+words {
+		ds.store = make([]int64, T+words)
+	}
+	if int64(cap(ds.arg)) < words {
+		ds.arg = make([]int8, words)
+	}
+	store := ds.store[:T+words]
+	b := &budgets{T: T, dense: true, bud: store[:T], pend: store[T:], brk: brk, arg: ds.arg[:words], store: ds}
+	clear(b.pend)
 	for _, iv := range prof.Intervals {
 		brk[iv.Start>>6] |= 1 << uint(iv.Start&63)
 		run := b.bud[iv.Start:iv.End]
@@ -44,6 +65,16 @@ func newDenseBudgets(prof *power.Profile, brk []uint64) *budgets {
 		b.refreshWord(w)
 	}
 	return b
+}
+
+// release hands a dense structure's storage back to densePool and
+// zeroes b, so any later use of it panics. The chunked form owns its
+// storage and has nothing to release.
+func (b *budgets) release() {
+	if b.store != nil {
+		densePool.Put(b.store)
+	}
+	*b = budgets{}
 }
 
 // refreshWord recomputes word w's earliest argmax.

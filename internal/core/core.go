@@ -71,13 +71,15 @@ func Run(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Options
 	if err := schedule.Validate(inst, s, zs.T()); err != nil {
 		return nil, st, fmt.Errorf("core: produced invalid schedule: %w", err)
 	}
-	st.Cost = schedule.CarbonCost(inst, s, zs)
+	// The climber's gains are exact differences of the same cost, so the
+	// final cost needs no second sweep.
+	st.Cost = st.GreedyCost - st.LSGain
 	return s, st, nil
 }
 
 // Stats reports instrumentation from a scheduler run.
 type Stats struct {
-	Cost           int64 // final carbon cost
+	Cost           int64 // final carbon cost: GreedyCost − LSGain
 	GreedyCost     int64 // cost after the greedy phase (before local search)
 	Intervals      int   // number of intervals used by the greedy (J′)
 	FallbackStarts int   // tasks started at EST because no interval qualified

@@ -52,6 +52,11 @@ func Greedy(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Opti
 	}
 	order := taskOrder(w, opt.Score)
 	bs := newZoneBudgets(inst, zs, opt, st)
+	defer func() {
+		for _, b := range bs {
+			b.release()
+		}
+	}()
 
 	s := schedule.New(inst.N())
 	for i, v := range order {

@@ -102,6 +102,7 @@ func LocalSearch(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, s *
 	}
 	T := zs.T()
 	tls := schedule.NewZoneTimelines(inst, s, zs)
+	defer tls.Release()
 	seq := scanOrder(inst)
 	settled := newLSSettled(inst, zs)
 	scans := 0

@@ -148,10 +148,13 @@ func TestRefinedPointsMatchNaiveProperty(t *testing.T) {
 	})
 }
 
-// BenchmarkRefinedPoints measures the subdivision on the two shapes of the
-// repo benchmark that run it: solve_cold_1k (1000 tasks, 3 zones, T twice
-// the makespan — the result saturates) and admit_churn_60 (60 tasks,
-// deadline factor 30 — T dwarfs the offsets' span).
+// BenchmarkRefinedPoints measures the subdivision on 3 zones of 24
+// intervals at two sizes: 1000 tasks at twice the makespan, the shape of
+// the repo benchmark's solve_cold_1k (the result saturates), and 60 tasks
+// at deadline factor 30, the horizon of an admit_churn_60 submit (T
+// dwarfs the offsets' span). That workload itself runs 2 zones over
+// residual supplies of about 150 intervals a zone, which cross the same
+// offsets with six times the boundaries.
 func BenchmarkRefinedPoints(b *testing.B) {
 	for _, c := range []struct {
 		name   string

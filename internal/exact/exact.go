@@ -103,6 +103,7 @@ func Solve(ctx context.Context, inst *ceg.Instance, zs *power.ZoneSet, opt Optio
 	// Per-zone timelines holding only the scheduled prefix; floor is the
 	// idle-only cost, which every completion pays at least.
 	tls := schedule.NewZoneTimelines(inst, nil, zs)
+	defer tls.Release()
 	floor := schedule.GreenFloorCost(inst, zs)
 
 	work := make([]int64, N)

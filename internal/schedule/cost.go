@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"repro/internal/ceg"
@@ -30,7 +31,7 @@ import (
 // each side. Both give the same sums: they differ only in where a run of
 // constant power is cut, and emit's callers add up power × length.
 func sweepNodes(inst *ceg.Instance, s *Schedule, prof *power.Profile, idle int64, nodes []int, emit func(j int, from, to, totalPower int64)) {
-	if prof.T() <= sweepSlotsPerNode*int64(sweptCount(inst, nodes)) {
+	if countedSweep(inst, prof, nodes) {
 		sweepCounted(inst, s, prof, idle, nodes, emit)
 	} else {
 		sweepSorted(inst, s, prof, idle, nodes, emit)
@@ -38,6 +39,12 @@ func sweepNodes(inst *ceg.Instance, s *Schedule, prof *power.Profile, idle int64
 }
 
 const sweepSlotsPerNode = 16
+
+// countedSweep reports whether sweepNodes' rule picks the difference
+// array for a zone's sweep.
+func countedSweep(inst *ceg.Instance, prof *power.Profile, nodes []int) bool {
+	return prof.T() <= sweepSlotsPerNode*int64(sweptCount(inst, nodes))
+}
 
 // sweptCount and sweptNode enumerate the nodes of a sweep: the listed
 // ones, or every node of the instance when the list is nil.
@@ -87,8 +94,122 @@ func sweepCounted(inst *ceg.Instance, s *Schedule, prof *power.Profile, idle int
 	}
 }
 
-// sweepSorted sweeps over a sorted event list.
+// sweepSorted sweeps over a sorted event list: packed integer keys
+// (eventKeys), or, where those could overflow, events sorted by a
+// comparator (sweepSortedFunc).
 func sweepSorted(inst *ceg.Instance, s *Schedule, prof *power.Profile, idle int64, nodes []int, emit func(j int, from, to, totalPower int64)) {
+	ev, ok := eventKeys(inst, s, prof.T(), nodes)
+	if !ok {
+		sweepSortedFunc(inst, s, prof, idle, nodes, emit)
+		return
+	}
+	workPower := ev.work
+	ei := 0
+	cur := int64(0)
+	for j, iv := range prof.Intervals {
+		for cur < iv.End {
+			next := iv.End
+			if ei < len(ev.keys) && ev.time(ei) < next {
+				next = ev.time(ei)
+			}
+			if next > cur {
+				emit(j, cur, next, idle+workPower)
+				cur = next
+			}
+			for ei < len(ev.keys) && ev.time(ei) == cur {
+				workPower += ev.delta(inst, nodes, ei)
+				ei++
+			}
+		}
+	}
+}
+
+// keyedEvents is a sorted sweep's event list with every event packed
+// into one int64, t<<shift | i<<1 | end: the event's time, the position
+// i of its node in the sweep, and end = 1 for the node's finish. Sorting
+// the keys as integers orders the events by time with no comparator, and
+// the low bits give back the work-power change. Only events inside
+// (0, T) get a key: work is the net change of the events at or before 0,
+// which apply up front, and events at or after T are never reached.
+type keyedEvents struct {
+	keys  []int64
+	shift uint
+	work  int64
+}
+
+// eventKeys builds and sorts the keyed events of a sweep over [0, T).
+// ok is false when T<<shift would overflow an int64; the caller then
+// falls back to sweepSortedFunc.
+func eventKeys(inst *ceg.Instance, s *Schedule, T int64, nodes []int) (ev keyedEvents, ok bool) {
+	n := sweptCount(inst, nodes)
+	ev.shift = uint(bits.Len(uint(max(2*n-1, 0))))
+	if bits.Len64(uint64(T))+int(ev.shift) > 63 {
+		return ev, false
+	}
+	ev.keys = make([]int64, 0, 2*n)
+	for i := 0; i < n; i++ {
+		v := sweptNode(nodes, i)
+		_, work := inst.ProcPower(v)
+		start, finish := s.Start[v], s.Start[v]+inst.Dur[v]
+		slot := int64(i) << 1
+		if start <= 0 {
+			ev.work += work
+		} else if start < T {
+			ev.keys = append(ev.keys, start<<ev.shift|slot)
+		}
+		if finish <= 0 {
+			ev.work -= work
+		} else if finish < T {
+			ev.keys = append(ev.keys, finish<<ev.shift|slot|1)
+		}
+	}
+	slices.Sort(ev.keys)
+	return ev, true
+}
+
+// time returns the time of event i.
+func (ev *keyedEvents) time(i int) int64 { return ev.keys[i] >> ev.shift }
+
+// delta returns the work-power change of event i.
+func (ev *keyedEvents) delta(inst *ceg.Instance, nodes []int, i int) int64 {
+	k := ev.keys[i] & (1<<ev.shift - 1)
+	_, work := inst.ProcPower(sweptNode(nodes, int(k>>1)))
+	if k&1 != 0 {
+		return -work
+	}
+	return work
+}
+
+// cost is the sweep's carbon cost, Σ max(P − G, 0) · length over the
+// constant-power runs, accumulated in the walk itself: CarbonCost's
+// sorted path, with no emit call per run.
+func (ev *keyedEvents) cost(inst *ceg.Instance, prof *power.Profile, idle int64, nodes []int) int64 {
+	var cost int64
+	workPower := ev.work
+	ei := 0
+	cur := int64(0)
+	for _, iv := range prof.Intervals {
+		for cur < iv.End {
+			next := iv.End
+			if ei < len(ev.keys) && ev.time(ei) < next {
+				next = ev.time(ei)
+			}
+			if over := idle + workPower - iv.Budget; over > 0 {
+				cost += over * (next - cur)
+			}
+			cur = next
+			for ei < len(ev.keys) && ev.time(ei) == cur {
+				workPower += ev.delta(inst, nodes, ei)
+				ei++
+			}
+		}
+	}
+	return cost
+}
+
+// sweepSortedFunc is the sorted sweep over events sorted by a
+// comparator, for a horizon too long to pack (see eventKeys).
+func sweepSortedFunc(inst *ceg.Instance, s *Schedule, prof *power.Profile, idle int64, nodes []int, emit func(j int, from, to, totalPower int64)) {
 	type event struct {
 		t int64
 		d int64 // work power delta
@@ -136,8 +257,14 @@ func CarbonCost(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) int64 {
 	var cost int64
 	nodes := zoneNodes(inst, zs)
 	for z, zone := range zs.Zones {
-		prof := zone.Profile
-		sweepNodes(inst, s, prof, zoneIdle(inst, zs, z), nodes[z], func(j int, from, to, totalPower int64) {
+		prof, idle := zone.Profile, zoneIdle(inst, zs, z)
+		if !countedSweep(inst, prof, nodes[z]) {
+			if ev, ok := eventKeys(inst, s, prof.T(), nodes[z]); ok {
+				cost += ev.cost(inst, prof, idle, nodes[z])
+				continue
+			}
+		}
+		sweepNodes(inst, s, prof, idle, nodes[z], func(j int, from, to, totalPower int64) {
 			if over := totalPower - prof.Intervals[j].Budget; over > 0 {
 				cost += over * (to - from)
 			}

@@ -367,6 +367,57 @@ func TestTimelineCompactPreservesCost(t *testing.T) {
 	}
 }
 
+// TestTimelineScratchStartsClean releases a dense timeline whose draw
+// covers every unit of a long horizon, then builds one over a shorter
+// profile with other budgets: on storage from the pool it must read no
+// work at any unit, and its own profile's budget and interval index at
+// every unit. The round repeats because the race detector makes sync.Pool
+// drop some items, which leaves a round on fresh storage.
+func TestTimelineScratchStartsClean(t *testing.T) {
+	long := power.Constant(3000, 9)
+	short, err := power.NewProfile([]int64{50, 80, 70}, []int64{4, 1, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 16; round++ {
+		dirty := newTimeline(2, long)
+		dirty.Add(0, long.T(), 5)
+		dirty.release()
+		tl := newTimeline(2, short)
+		for x := int64(0); x < short.T(); x++ {
+			if tl.lvl[x] != 0 || tl.bud[x] != short.BudgetAt(x) || int(tl.ivx[x]) != short.IndexAt(x) {
+				t.Fatalf("round %d, unit %d: level %d, budget %d, interval %d; want 0, %d, %d",
+					round, x, tl.lvl[x], tl.bud[x], tl.ivx[x], short.BudgetAt(x), short.IndexAt(x))
+			}
+		}
+		tl.release()
+	}
+}
+
+// TestZoneTimelinesUseAfterReleasePanics pins Release's promise: the
+// released set and a timeline it handed out both panic when used.
+func TestZoneTimelinesUseAfterReleasePanics(t *testing.T) {
+	inst := chainInstance(t, 3, []int64{2, 3, 4}, 1, 2)
+	tls := NewZoneTimelines(inst, asap(inst), power.SingleZone(power.Constant(20, 3)))
+	tl := tls.Zone(0)
+	tls.Release()
+	for name, use := range map[string]func(){
+		"ZoneTimelines.For":     func() { tls.For(0) },
+		"Timeline.Add":          func() { tl.Add(0, 1, 1) },
+		"Timeline.MoveGain":     func() { tl.MoveGain(0, 1, 2, 1) },
+		"Timeline.FirstImprove": func() { tl.FirstImprovingMove(0, 0, 5, 2, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Release did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
 func BenchmarkCarbonCostSweep(b *testing.B) {
 	inst, prof, s := randomHEFTInstance(b, 500, 1)
 	zs := power.SingleZone(prof)

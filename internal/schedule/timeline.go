@@ -1,6 +1,8 @@
 package schedule
 
 import (
+	"sync"
+
 	"repro/internal/power"
 )
 
@@ -47,6 +49,33 @@ type Timeline struct {
 	dcBuf   []int64
 	ddBuf   []int64
 	wsBuf   []int64
+
+	// scratch is where lvl, bud, ivx and the buffers above came from and
+	// go back to on release (see timelineScratch).
+	scratch *timelineScratch
+}
+
+// timelineScratch is a timeline's horizon-sized storage: the dense
+// per-unit arrays and FirstImprovingMove's buffers. A solve takes one per
+// timeline from scratchPool and (*ZoneTimelines).Release hands it back,
+// so a stream of solves over the same horizon stops allocating — and
+// zeroing — three T-sized arrays each. None of it is ever part of an
+// answer: the timeline keeps levels, and every query returns scalars.
+type timelineScratch struct {
+	lvl, bud         []int64
+	ivx              []int32
+	cand, dc, dd, ws []int64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(timelineScratch) }}
+
+// grow returns buf resliced to n, or a new zeroed slice of n when its
+// capacity is short; the caller overwrites or clears what it reuses.
+func grow[E any](buf []E, n int64) []E {
+	if int64(cap(buf)) < n {
+		return make([]E, n)
+	}
+	return buf[:n]
 }
 
 // denseHorizonLimit bounds the horizon length for which timelines use the
@@ -61,14 +90,20 @@ var denseHorizonLimit int64 = 1 << 15
 func DenseHorizon(T int64) bool { return T <= denseHorizonLimit }
 
 // newTimeline builds an empty timeline: only the idle floor draws power.
+// Its storage comes from scratchPool. A reused level array is cleared;
+// the budget and interval index arrays are rewritten whole, since a
+// valid profile's intervals tile [0, T).
 func newTimeline(idle int64, prof *power.Profile) *Timeline {
 	T := prof.T()
-	tl := &Timeline{prof: prof, idle: idle}
+	sc := scratchPool.Get().(*timelineScratch)
+	tl := &Timeline{prof: prof, idle: idle, scratch: sc,
+		candBuf: sc.cand, dcBuf: sc.dc, ddBuf: sc.dd, wsBuf: sc.ws}
 	if DenseHorizon(T) {
 		tl.dense = true
-		tl.lvl = make([]int64, T)
-		tl.bud = make([]int64, T)
-		tl.ivx = make([]int32, T)
+		tl.lvl = grow(sc.lvl, T)
+		clear(tl.lvl)
+		tl.bud = grow(sc.bud, T)
+		tl.ivx = grow(sc.ivx, T)
 		for j, iv := range prof.Intervals {
 			for x := iv.Start; x < iv.End; x++ {
 				tl.bud[x] = iv.Budget
@@ -80,6 +115,18 @@ func newTimeline(idle int64, prof *power.Profile) *Timeline {
 		tl.w = []int64{0, 0}
 	}
 	return tl
+}
+
+// release hands the timeline's storage back to scratchPool and zeroes
+// the timeline, so any later use of it panics.
+func (tl *Timeline) release() {
+	sc := tl.scratch
+	if tl.dense {
+		sc.lvl, sc.bud, sc.ivx = tl.lvl, tl.bud, tl.ivx
+	}
+	sc.cand, sc.dc, sc.dd, sc.ws = tl.candBuf, tl.dcBuf, tl.ddBuf, tl.wsBuf
+	*tl = Timeline{}
+	scratchPool.Put(sc)
 }
 
 // find returns the index i with t[i] <= x < t[i+1] (or the last index if x

@@ -100,6 +100,16 @@ func (m *ZoneTimelines) For(v int) *Timeline {
 	return m.tls[NodeZone(m.inst, m.zs, v)]
 }
 
+// Release hands the timelines' storage back for the next solve to reuse
+// and zeroes m; any use of m or of a timeline it returned afterwards
+// panics. Call it once the search is done with the timelines.
+func (m *ZoneTimelines) Release() {
+	for _, tl := range m.tls {
+		tl.release()
+	}
+	*m = ZoneTimelines{}
+}
+
 // Compact merges equal-level segments in every zone's timeline.
 func (m *ZoneTimelines) Compact() {
 	for _, tl := range m.tls {

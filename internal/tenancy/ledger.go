@@ -22,8 +22,10 @@
 package tenancy
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -126,10 +128,18 @@ func (l *Ledger) Compact(h int64) error {
 // [start, end), or nil. Caller holds at least a read lock.
 func (l *Ledger) firstOverlap(proc int, start, end int64) *reservation {
 	rs := l.procs[proc]
-	// First reservation with end > start.
-	i := sort.Search(len(rs), func(i int) bool { return rs[i].end > start })
-	if i < len(rs) && rs[i].start < end {
-		return &rs[i]
+	// First reservation with end > start, by a hand-rolled binary search:
+	// FindOffset probes every claim on every round.
+	lo, hi := 0, len(rs)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); rs[m].end <= start {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(rs) && rs[lo].start < end {
+		return &rs[lo]
 	}
 	return nil
 }
@@ -161,8 +171,10 @@ func (l *Ledger) Commit(owner string, claims []Claim) error {
 	}
 	// Overlaps among the new claims themselves (a malformed schedule
 	// would be caught by schedule.Validate upstream, but the ledger
-	// guards its own invariant).
-	byProc := make(map[int][]Claim)
+	// guards its own invariant): sorted by processor and start, two
+	// claims overlap only if neighbours do, and the lowest processor with
+	// an overlap is the one reported.
+	cs := make([]Claim, 0, len(claims))
 	for _, c := range claims {
 		if c.End <= c.Start {
 			continue
@@ -170,28 +182,23 @@ func (l *Ledger) Commit(owner string, claims []Claim) error {
 		if err := l.beforeHorizon(c.Start); err != nil {
 			return fmt.Errorf("tenancy: claim on processor %d: %w", c.Proc, err)
 		}
-		byProc[c.Proc] = append(byProc[c.Proc], c)
+		cs = append(cs, c)
 	}
-	for proc, cs := range byProc {
-		sort.Slice(cs, func(i, j int) bool { return cs[i].Start < cs[j].Start })
-		for i := 1; i < len(cs); i++ {
-			if cs[i].Start < cs[i-1].End {
-				return &ConflictError{Proc: proc, Start: cs[i].Start, End: cs[i].End,
-					Owner: owner, BlockedUntil: cs[i-1].End}
-			}
+	slices.SortFunc(cs, func(a, b Claim) int {
+		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
+	})
+	for i := 1; i < len(cs); i++ {
+		if c, prev := cs[i], cs[i-1]; c.Proc == prev.Proc && c.Start < prev.End {
+			return &ConflictError{Proc: c.Proc, Start: c.Start, End: c.End,
+				Owner: owner, BlockedUntil: prev.End}
 		}
 	}
-	for proc, cs := range byProc {
-		rs := l.procs[proc]
-		for _, c := range cs {
-			i := sort.Search(len(rs), func(i int) bool { return rs[i].start >= c.Start })
-			rs = append(rs, reservation{})
-			copy(rs[i+1:], rs[i:])
-			rs[i] = reservation{start: c.Start, end: c.End, work: c.Work, owner: owner}
-			l.claims++
-			l.busy[proc] += c.End - c.Start
-		}
-		l.procs[proc] = rs
+	for _, c := range cs {
+		rs := l.procs[c.Proc]
+		i, _ := slices.BinarySearchFunc(rs, c.Start, func(r reservation, t int64) int { return cmp.Compare(r.start, t) })
+		l.procs[c.Proc] = slices.Insert(rs, i, reservation{start: c.Start, end: c.End, work: c.Work, owner: owner})
+		l.claims++
+		l.busy[c.Proc] += c.End - c.Start
 	}
 	return nil
 }

@@ -73,6 +73,33 @@ func TestLedgerCommitRejectsOverlapAtomically(t *testing.T) {
 	}
 }
 
+// TestLedgerCommitSelfConflictIsDeterministic commits claims that overlap
+// among themselves on two processors, the higher one listed first. The
+// ConflictError must name the lower processor on every attempt: a commit
+// that checked its claims in map order would name either, at random.
+func TestLedgerCommitSelfConflictIsDeterministic(t *testing.T) {
+	claims := []Claim{
+		{Proc: 7, Start: 0, End: 5, Work: 1},
+		{Proc: 7, Start: 3, End: 9, Work: 1},
+		{Proc: 2, Start: 10, End: 20, Work: 1},
+		{Proc: 2, Start: 12, End: 14, Work: 1},
+	}
+	for attempt := 0; attempt < 32; attempt++ {
+		l := NewLedger()
+		var conflict *ConflictError
+		if err := l.Commit("a", claims); !errors.As(err, &conflict) {
+			t.Fatalf("attempt %d: Commit = %v, want ConflictError", attempt, err)
+		}
+		want := ConflictError{Proc: 2, Start: 12, End: 14, Owner: "a", BlockedUntil: 20}
+		if *conflict != want {
+			t.Fatalf("attempt %d: conflict %+v, want %+v", attempt, *conflict, want)
+		}
+		if n := l.NumClaims(); n != 0 {
+			t.Fatalf("attempt %d: failed commit left %d claims", attempt, n)
+		}
+	}
+}
+
 func TestLedgerReleaseFromTruncatesAtT(t *testing.T) {
 	l := NewLedger()
 	a := []Claim{

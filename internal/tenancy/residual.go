@@ -1,7 +1,9 @@
 package tenancy
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/power"
@@ -77,7 +79,8 @@ func (l *Ledger) Residual(supply *power.ZoneSet, zoneOf func(proc int) int, from
 	K := window.NumZones()
 
 	// Per-zone power-delta events of the committed claims, in time
-	// relative to the window.
+	// relative to the window. A first pass sizes each zone's slice for
+	// two events per reservation; the second fills them.
 	type event struct {
 		t int64
 		d int64
@@ -88,12 +91,20 @@ func (l *Ledger) Residual(supply *power.ZoneSet, zoneOf func(proc int) int, from
 		l.mu.RUnlock()
 		return nil, err
 	}
+	sizes := make([]int, K)
 	for proc, rs := range l.procs {
 		z := zoneOf(proc)
 		if z < 0 || z >= K {
 			l.mu.RUnlock()
 			return nil, fmt.Errorf("tenancy: processor %d maps to zone %d outside [0, %d)", proc, z, K)
 		}
+		sizes[z] += 2 * len(rs)
+	}
+	for z, n := range sizes {
+		events[z] = make([]event, 0, n)
+	}
+	for proc, rs := range l.procs {
+		z := zoneOf(proc)
 		for _, r := range rs {
 			lo, hi := r.start-from, r.end-from
 			if hi <= 0 || lo >= T || r.work == 0 {
@@ -113,7 +124,7 @@ func (l *Ledger) Residual(supply *power.ZoneSet, zoneOf func(proc int) int, from
 	zones := make([]power.Zone, K)
 	for z := 0; z < K; z++ {
 		evs := events[z]
-		sort.Slice(evs, func(i, j int) bool { return evs[i].t < evs[j].t })
+		slices.SortFunc(evs, func(a, b event) int { return cmp.Compare(a.t, b.t) })
 		base := window.Profile(z).Intervals
 		var out []power.Interval
 		var demand int64

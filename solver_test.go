@@ -342,15 +342,17 @@ func TestSolverStagesCompose(t *testing.T) {
 }
 
 // TestSolveTracedAllocs bounds the allocations of a traced solve of a
-// prebuilt 60-task, 3-zone instance (the admit_churn shape) under a tracer
+// prebuilt 60-task, 3-zone instance at deadline factor 2 under a tracer
 // and a metrics registry, the way the server runs one. The scheduler's
 // phases are traced from their Stats after the run (internal/solve), so
 // tracing them costs a few spans and their attributes, not a context per
-// phase. Measured on linux/amd64 with go1.24: 206 allocs traced and 143
-// untraced; the same test on the commit before, where core and greenheft
-// opened the phase spans themselves, measured 208 traced.
+// phase. Measured on linux/amd64 with go1.24: 188 allocs traced and 125
+// untraced, and 192–194 traced under the race detector, where sync.Pool
+// drops some of the solve scratch it is handed. Before that scratch was
+// pooled it measured 206 traced and 143 untraced, and before core and
+// greenheft stopped opening the phase spans themselves, 208 traced.
 func TestSolveTracedAllocs(t *testing.T) {
-	const ceiling = 208
+	const ceiling = 200
 	inst, zs := benchZonedInstance(t, 60, 3, 2)
 	solver := cawosched.NewSolver(inst.Cluster)
 	req := cawosched.Request{Instance: inst, Zones: zs}
