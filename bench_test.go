@@ -15,6 +15,7 @@ import (
 	"repro/internal/dp"
 	"repro/internal/power"
 	"repro/internal/rng"
+	"repro/internal/schedule"
 	"repro/internal/tenancy"
 )
 
@@ -120,20 +121,31 @@ func localSearchInput(b *testing.B, n int) (*cawosched.Instance, *cawosched.Zone
 // of the repo benchmark's solve_cold_1k; scans/op are the task visits
 // (Stats.LSScans) and evals/op the visits that had to run
 // FirstImprovingMove, the rest being answered by "nothing a move touched
-// since the last evaluation".
+// since the last evaluation". The DF250 case stretches the same workflow
+// over 250 × its makespan (T = 59 750), past the dense horizon limit, so
+// its timelines are the sparse ones.
 func BenchmarkLocalSearch(b *testing.B) {
 	b.Run("500x1zone", func(b *testing.B) {
 		inst, zs, s := localSearchInput(b, 500)
 		benchLocalSearch(b, inst, zs, s)
 	})
-	b.Run("1000x3zones", func(b *testing.B) {
-		inst, zs := benchZonedInstance(b, 1000, 3, 2)
-		s, _, err := core.Run(context.Background(), inst, zs, core.Options{Score: core.ScorePressureW, Refined: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchLocalSearch(b, inst, zs, s)
-	})
+	for _, c := range []struct {
+		name   string
+		factor int64
+		dense  bool
+	}{{"1000x3zones", 2, true}, {"1000x3zones-DF250", 250, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			inst, zs := benchZonedInstance(b, 1000, 3, c.factor)
+			if schedule.DenseHorizon(zs.T()) != c.dense {
+				b.Fatalf("horizon %d: dense timelines %v, want %v", zs.T(), !c.dense, c.dense)
+			}
+			s, _, err := core.Run(context.Background(), inst, zs, core.Options{Score: core.ScorePressureW, Refined: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchLocalSearch(b, inst, zs, s)
+		})
+	}
 }
 
 func benchLocalSearch(b *testing.B, inst *cawosched.Instance, zs *cawosched.ZoneSet, s *cawosched.Schedule) {

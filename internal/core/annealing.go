@@ -44,12 +44,13 @@ func (o AnnealOptions) cooling() float64 {
 // uniformly from the candidate boundary starts of its current legal window
 // (bounded by its scheduled neighbors, as in Section 5.3 but without the
 // ±µ radius) on the timeline of its grid zone; worse moves are accepted
-// with the Metropolis probability exp(−Δ/temperature). Restricting proposals to candidate starts loses
-// nothing: the gain is linear between consecutive candidates (see
-// schedule.CandidateStarts), so every locally optimal shift is a
-// candidate, and the proposal space shrinks from O(window) to
-// O(#breakpoints). The best schedule seen is restored at the end, so the
-// result is never worse than the input. Returns the final carbon cost.
+// with the Metropolis probability exp(−Δ/temperature). Restricting
+// proposals to candidate starts loses nothing: the gain is linear between
+// consecutive candidates (see schedule.CandidateStarts), so every locally
+// optimal shift is a candidate, and the proposal space shrinks from
+// O(window) to O(#level changes in the window). The best schedule seen is
+// restored at the end, so the result is never worse than the input.
+// Returns the final carbon cost.
 //
 // The context is polled every ctxCheckStride proposals; on cancellation the
 // best schedule seen so far is restored and its cost returned alongside a

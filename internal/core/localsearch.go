@@ -78,14 +78,11 @@ func moveWindow(inst *ceg.Instance, s *schedule.Schedule, v int, T, mu int64) (l
 // There is one power timeline per grid zone, with every task's candidate
 // starts enumerated from — and its move gain evaluated on — the timeline
 // of its own zone (a move only perturbs the draw of the zone it runs in,
-// so the per-zone incremental evaluation is exact). Candidates are
-// enumerated by interval jumping rather than unit steps: the gain of a
-// shift is piecewise linear in the new start, with slope changes only
-// where a task edge crosses a timeline breakpoint or profile boundary, so
-// only those O(#breakpoints in window) starts are evaluated (see
-// schedule.FirstImprovingMove). The accepted moves — and therefore the
-// final schedule — are identical to the unit-step scan's, which the
-// tests keep as their oracle (unitstep_test.go).
+// so the per-zone incremental evaluation is exact). The shifts are not
+// probed one by one: schedule.FirstImprovingMove slides the task's cost
+// across its window in O(1) per unit start. The accepted moves — and
+// therefore the final schedule — are identical to the unit-step scan's,
+// which the tests keep as their oracle (unitstep_test.go).
 //
 // A visit to a task whose last evaluation found no move and still stands
 // (see lsSettled) is a scan like any other — it counts in LSScans and

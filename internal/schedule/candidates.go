@@ -1,44 +1,45 @@
 package schedule
 
-// Candidate enumeration for the interval-jumping local search (Section
-// 5.3, accelerated): when a task of duration dur slides across the window
+import "math"
+
+// Candidate starts and the first improving move of the local search
+// (Section 5.3): when a task of duration dur slides across the window
 // [lo, hi], its carbon cost is piecewise linear in the start time. The
 // slope can only change where the task's left or right edge crosses a
-// level change of the rest of the platform draw — a timeline breakpoint or
-// a profile interval boundary. Enumerating those O(#breakpoints in window)
-// starts replaces the unit-step scan over all hi−lo+1 integer starts, and
-// a single sweep over the window evaluates the gain at every candidate at
-// once instead of one MoveGain probe per start.
+// unit at which the rest of the platform draw, or the profile interval,
+// changes. The candidates walk those units with nextChange, which the
+// sparse store answers from its breakpoints, so a sparse task's whole
+// slack is never expanded unit by unit; FirstImprovingMove reads the
+// per-unit arrays of Timeline.window, so the dense and the sparse
+// timeline answer it with the same loop.
 
-// upperBound returns the first index i with a[i] > x (len(a) if none).
-// Hand-rolled: sort.Search's closure indirection is measurable in the
-// candidate enumeration, which runs once per scanned task per LS round.
-func upperBound(a []int64, x int64) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if a[m] > x {
-			hi = m
-		} else {
-			lo = m + 1
+// nextChange returns the first unit b > x at which the work-power level or
+// the profile interval changes, the horizon's end T counting as a change
+// (draw beyond it stops counting), or math.MaxInt64 when x ≥ T. The dense
+// store scans its units; the sparse one skips to its next breakpoint whose
+// level differs from its left neighbour's (Compact may not have merged the
+// others yet) or to the next interval end, whichever comes first.
+func (tl *Timeline) nextChange(x int64) int64 {
+	T := tl.prof.T()
+	if x >= T {
+		return math.MaxInt64
+	}
+	x = max(x, 0)
+	if tl.dense {
+		for b := x + 1; b < T; b++ {
+			if tl.lvl[b] != tl.lvl[b-1] || tl.ivx[b] != tl.ivx[b-1] {
+				return b
+			}
+		}
+		return T
+	}
+	b := tl.prof.Intervals[tl.prof.IndexAt(x)].End
+	for i := tl.find(x) + 1; i < len(tl.t) && tl.t[i] < b; i++ {
+		if tl.w[i] != tl.w[i-1] {
+			return tl.t[i]
 		}
 	}
-	return lo
-}
-
-// upperEnd returns the first profile interval index i with End > x.
-func (tl *Timeline) upperEnd(x int64) int {
-	ivs := tl.prof.Intervals
-	lo, hi := 0, len(ivs)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if ivs[m].End > x {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	return lo
+	return b
 }
 
 // appendCandidateStarts appends the candidate starts in [lo, hi] to dst,
@@ -47,100 +48,36 @@ func (tl *Timeline) appendCandidateStarts(dst []int64, lo, hi, dur int64) []int6
 	if hi < lo {
 		return dst
 	}
-	base := len(dst)
 	dst = append(dst, lo)
-	if tl.dense {
-		// Dense representation: a level can only change where adjacent
-		// units differ (or at an interval boundary or the horizon edge);
-		// scan the window directly instead of walking breakpoint arrays.
-		T := int64(len(tl.lvl))
-		change := func(b int64) bool {
-			if b <= 0 || b > T {
-				return false
-			}
-			if b == T {
-				return true // draw beyond the horizon stops counting
-			}
-			return tl.lvl[b] != tl.lvl[b-1] || tl.ivx[b] != tl.ivx[b-1]
+	// Merge the two sorted runs: the left edge crossing b ∈ (lo, hi) at
+	// start b, the right edge crossing b ∈ (lo+dur, hi+dur) at start b − dur.
+	l, r := tl.nextChange(lo), tl.nextChange(lo+dur)-dur
+	for {
+		c := min(l, r)
+		if c >= hi {
+			break
 		}
-		for b := lo + 1; b < hi; b++ { // left edge crosses b
-			if change(b) {
-				dst = append(dst, b)
-			}
+		dst = append(dst, c)
+		if l == c {
+			l = tl.nextChange(l)
 		}
-		for b := lo + dur + 1; b < hi+dur; b++ { // right edge crosses b
-			if change(b) {
-				dst = append(dst, b-dur)
-			}
+		if r == c {
+			r = tl.nextChange(r+dur) - dur
 		}
-		if hi > lo {
-			dst = append(dst, hi)
-		}
-		out := dst[base:]
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j] < out[j-1]; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
-		}
-		n := 1
-		for i := 1; i < len(out); i++ {
-			if out[i] != out[n-1] {
-				out[n] = out[i]
-				n++
-			}
-		}
-		return dst[:base+n]
-	}
-	add := func(x int64) {
-		if x > lo && x < hi {
-			dst = append(dst, x)
-		}
-	}
-	// Timeline breakpoints crossed by the left edge: b ∈ (lo, hi).
-	for i := upperBound(tl.t, lo); i < len(tl.t) && tl.t[i] < hi; i++ {
-		add(tl.t[i])
-	}
-	// ... and by the right edge: b ∈ (lo+dur, hi+dur).
-	for i := upperBound(tl.t, lo+dur); i < len(tl.t) && tl.t[i] < hi+dur; i++ {
-		add(tl.t[i] - dur)
-	}
-	// Profile boundaries, both alignments. Interval starts coincide with
-	// the previous interval's end, so the ends (plus time 0, which can
-	// never be interior to (lo, hi) with lo ≥ 0) cover all boundaries.
-	ivs := tl.prof.Intervals
-	for i := tl.upperEnd(lo); i < len(ivs) && ivs[i].End < hi; i++ {
-		add(ivs[i].End)
-	}
-	for i := tl.upperEnd(lo + dur); i < len(ivs) && ivs[i].End < hi+dur; i++ {
-		add(ivs[i].End - dur)
 	}
 	if hi > lo {
 		dst = append(dst, hi)
 	}
-	// The window holds only a handful of candidates; insertion sort avoids
-	// sort.Slice's interface overhead on this hot path.
-	out := dst[base:]
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	n := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[n-1] {
-			out[n] = out[i]
-			n++
-		}
-	}
-	return dst[:base+n]
+	return dst
 }
 
 // CandidateStarts returns the sorted, deduplicated start positions in
 // [lo, hi] at which the gain of placing a task of duration dur can change
-// slope: the window bounds plus every breakpoint b of the timeline or the
-// profile, aligned to the task's left edge (start = b) and right edge
-// (start = b − dur). Between consecutive candidates the gain is linear in
-// the start, so every optimum over the window is attained at a candidate.
+// slope: the window bounds plus every unit b at which the work-power
+// level or the profile interval changes (and the horizon's end), aligned
+// to the task's left edge (start = b) and right edge (start = b − dur).
+// Between consecutive candidates the gain is linear in the start, so
+// every optimum over the window is attained at a candidate.
 func (tl *Timeline) CandidateStarts(lo, hi, dur int64) []int64 {
 	if hi < lo {
 		return nil
@@ -155,98 +92,6 @@ func (tl *Timeline) AppendCandidateStarts(dst []int64, lo, hi, dur int64) []int6
 	return tl.appendCandidateStarts(dst, lo, hi, dur)
 }
 
-// removedWindowCosts returns, for each ascending query start q in qs, the
-// cost of running a task of power p over [q, q+dur) on top of the current
-// draw with the task's own occupancy [rmA, rmA+dur) virtually removed:
-// W(q) = Σ over [q, q+dur) of max(lvl+p, 0) − max(lvl, 0), where lvl is
-// the platform overdraw idle + w − budget minus p inside the removed
-// range. Time at or beyond the horizon contributes nothing. The whole
-// batch is answered by one merged sweep of timeline segments and profile
-// intervals, two prefix integrals per query — and because the removal is
-// virtual, the timeline keeps its breakpoint array untouched.
-func (tl *Timeline) removedWindowCosts(qs []int64, dur, p, rmA int64) []int64 {
-	rmB := rmA + dur
-	k := len(qs)
-	dc := resize(&tl.dcBuf, k) // prefix integral at q
-	dd := resize(&tl.ddBuf, k) // prefix integral at q+dur
-	T := tl.prof.T()
-	x := qs[0]
-	ti := tl.find(x)
-	pi := 0
-	if x < T {
-		pi = tl.prof.IndexAt(x)
-	}
-	var acc int64
-	advance := func(to int64) {
-		for x < to {
-			if x >= T {
-				x = to
-				return
-			}
-			segEnd := to
-			if ti+1 < len(tl.t) && tl.t[ti+1] < segEnd {
-				segEnd = tl.t[ti+1]
-			}
-			iv := tl.prof.Intervals[pi]
-			if iv.End < segEnd {
-				segEnd = iv.End
-			}
-			// The virtual level is constant only between the removed
-			// range's edges; split the piece there.
-			if rmA > x && rmA < segEnd {
-				segEnd = rmA
-			}
-			if rmB > x && rmB < segEnd {
-				segEnd = rmB
-			}
-			lvl := tl.idle + tl.w[ti] - iv.Budget
-			if rmA <= x && x < rmB {
-				lvl -= p
-			}
-			with, without := lvl+p, lvl
-			if with < 0 {
-				with = 0
-			}
-			if without < 0 {
-				without = 0
-			}
-			acc += (with - without) * (segEnd - x)
-			x = segEnd
-			if ti+1 < len(tl.t) && tl.t[ti+1] == x {
-				ti++
-			}
-			if iv.End == x && pi+1 < len(tl.prof.Intervals) {
-				pi++
-			}
-		}
-	}
-	for i, j := 0, 0; i < k || j < k; {
-		if i < k && (j >= k || qs[i] <= qs[j]+dur) {
-			advance(qs[i])
-			dc[i] = acc
-			i++
-		} else {
-			advance(qs[j] + dur)
-			dd[j] = acc
-			j++
-		}
-	}
-	ws := resize(&tl.wsBuf, k)
-	for i := range ws {
-		ws[i] = dd[i] - dc[i]
-	}
-	return ws
-}
-
-// resize returns *buf with length n, reusing its capacity.
-func resize(buf *[]int64, n int) []int64 {
-	if cap(*buf) < n {
-		*buf = make([]int64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
 // FirstImprovingMove returns the earliest start newA ∈ [lo, hi], newA ≠
 // cur, with MoveGain(cur, newA, dur, p) > 0, together with that gain. It
 // returns the exact answer the unit-step reference scan
@@ -258,13 +103,10 @@ func resize(buf *[]int64, n int) []int64 {
 //	}
 //
 // would (core's tests keep that loop as their oracle, in
-// core/unitstep_test.go), but without mutating the timeline and without
-// one probe per integer start: one removedWindowCosts sweep evaluates the
-// gain at every CandidateStarts position — with the moving task's
-// occupancy removed virtually — and an interior first crossing is
-// recovered from the endpoint gains in closed form (the gain is linear
-// between consecutive candidates). No breakpoints are inserted, so repeated probes leave the
-// timeline's segment count unchanged.
+// core/unitstep_test.go), but without one probe per integer start: the
+// cost W(q) of the task over [q, q+dur), with its own occupancy removed
+// virtually, slides in O(1) per unit start, so the reference loop itself
+// is the fast path. The timeline is not changed.
 func (tl *Timeline) FirstImprovingMove(cur, lo, hi, dur, p int64) (int64, int64, bool) {
 	if lo < 0 {
 		lo = 0
@@ -272,129 +114,48 @@ func (tl *Timeline) FirstImprovingMove(cur, lo, hi, dur, p int64) (int64, int64,
 	if hi < lo || dur <= 0 {
 		return 0, 0, false
 	}
-	if tl.dense {
-		// Dense representation: W(q) slides in O(1) per unit start, so
-		// the unit-step reference loop IS the fast path — no candidate
-		// enumeration, no interpolation, exact by construction.
-		T := int64(len(tl.lvl))
-		curB := cur + dur
-		// f(x) = marginal cost of one unit of the task at x, on the draw
-		// with the task's own occupancy virtually removed.
-		f := func(x int64) int64 {
-			if x < 0 || x >= T {
-				return 0
-			}
-			lvl := tl.idle + tl.lvl[x] - tl.bud[x]
-			if cur <= x && x < curB {
-				lvl -= p
-			}
-			with, without := lvl+p, lvl
-			if with < 0 {
-				with = 0
-			}
-			if without < 0 {
-				without = 0
-			}
-			return with - without
+	lvls, buds, _, o := tl.window(min(lo, cur), max(hi, cur)+dur)
+	buds = buds[:len(lvls)] // one length check for both arrays in f
+	// The scan runs in window indices i = x − o. Units outside the window
+	// lie outside the horizon, so the task draws nothing there.
+	c, cB := cur-o, cur+dur-o
+	// f(i) = marginal cost of one unit of the task at i, on the draw
+	// with the task's own occupancy virtually removed.
+	f := func(i int64) int64 {
+		if i < 0 || i >= int64(len(lvls)) {
+			return 0
 		}
-		var wcur int64
-		for x := cur; x < curB; x++ {
-			wcur += f(x)
+		lvl := tl.idle + lvls[i] - buds[i]
+		if c <= i && i < cB {
+			lvl -= p
 		}
-		var w int64
-		for x := lo; x < lo+dur; x++ {
-			w += f(x)
+		with, without := lvl+p, lvl
+		if with < 0 {
+			with = 0
 		}
-		for q := lo; ; q++ {
-			if q != cur {
-				if g := wcur - w; g > 0 {
-					return q, g, true
-				}
-			}
-			if q >= hi {
-				break
-			}
-			w += f(q+dur) - f(q)
+		if without < 0 {
+			without = 0
 		}
-		return 0, 0, false
+		return with - without
 	}
-	qs := tl.appendCandidateStarts(tl.candBuf[:0], lo, hi, dur)
-	// The removed landscape can change level at the moving task's own
-	// edges even where the full draw does not (Compact merges breakpoints
-	// another task's edge compensates exactly), so the task-edge
-	// alignments cur±dur must be candidates explicitly — they are not
-	// guaranteed to come from the breakpoint array.
-	for _, x := range [2]int64{cur - dur, cur + dur} {
-		if x > lo && x < hi {
-			idx := upperBound(qs, x-1)
-			if idx == len(qs) || qs[idx] != x {
-				qs = append(qs, 0)
-				copy(qs[idx+1:], qs[idx:])
-				qs[idx] = x
-			}
-		}
+	var wcur int64
+	for i := c; i < cB; i++ {
+		wcur += f(i)
 	}
-	// Pin cur as a query point: gain(c) = W(cur) − W(c) needs W at the
-	// current start, and a candidate at cur anchors the linear pieces on
-	// both sides of it.
-	curIdx := upperBound(qs, cur-1)
-	if curIdx == len(qs) || qs[curIdx] != cur {
-		qs = append(qs, 0)
-		copy(qs[curIdx+1:], qs[curIdx:])
-		qs[curIdx] = cur
+	var w int64
+	for i := lo - o; i < lo-o+dur; i++ {
+		w += f(i)
 	}
-	tl.candBuf = qs
-
-	ws := tl.removedWindowCosts(qs, dur, p, cur)
-	wcur := ws[curIdx]
-
-	// scanPiece is the defensive fallback when a piece turns out not to be
-	// linear (which the candidate set should rule out): unit-step over the
-	// open interval (a, b).
-	scanPiece := func(a, b int64) (int64, int64, bool) {
-		for cand := a + 1; cand < b; cand++ {
-			if cand == cur {
-				continue
-			}
-			if g := tl.MoveGain(cur, cand, dur, p); g > 0 {
-				return cand, g, true
+	for q := lo - o; ; q++ {
+		if q != c {
+			if g := wcur - w; g > 0 {
+				return q + o, g, true
 			}
 		}
-		return 0, 0, false
-	}
-
-	prev := -1
-	for qi, c := range qs {
-		if c < lo || c > hi { // cur pinned outside the window
-			continue
+		if q >= hi-o {
+			break
 		}
-		g := wcur - ws[qi]
-		if prev >= 0 {
-			a, ga := qs[prev], wcur-ws[prev]
-			// ga ≤ 0 here (a positive candidate returns immediately), so a
-			// first improving start interior to (a, c) needs a positive
-			// slope, i.e. g > ga.
-			if span := c - a; span > 1 && g > ga {
-				if diff := g - ga; diff%span == 0 {
-					slope := diff / span
-					if cand := a + (-ga)/slope + 1; cand < c {
-						if cg := tl.MoveGain(cur, cand, dur, p); cg > 0 {
-							return cand, cg, true
-						}
-						// Linearity violated; fall back to scanning.
-						if fc, fg, ok := scanPiece(a, c); ok {
-							return fc, fg, true
-						}
-					}
-				} else if fc, fg, ok := scanPiece(a, c); ok {
-					return fc, fg, true
-				}
-			}
-		}
-		if g > 0 && c != cur {
-			return c, g, true
-		}
-		prev = qi
+		w += f(q+dur) - f(q)
 	}
 	return 0, 0, false
 }

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/power"
@@ -131,5 +132,62 @@ func TestCandidateStartsDegenerateWindows(t *testing.T) {
 	}
 	if _, _, ok := tl.FirstImprovingMove(4, 5, 4, 3, 4); ok {
 		t.Error("inverted window reported an improving move")
+	}
+}
+
+// TestCandidateStartsMatchUnitDefinition holds CandidateStarts to its
+// definition, evaluated unit by unit on a dense mirror of the draw: lo, hi
+// and every start at which the task's left or right edge meets a unit
+// where the level or the interval changes, or the horizon's end. The
+// sparse timeline is checked on the same draw after moves that leave
+// breakpoints Compact has not merged, and windows run up to the horizon.
+func TestCandidateStartsMatchUnitDefinition(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		inst, prof, s := randomHEFTInstance(t, 40, seed)
+		T := prof.T()
+		dense := oneZoneTimeline(inst, s, prof)
+		old := denseHorizonLimit
+		denseHorizonLimit = 0
+		sparse := oneZoneTimeline(inst, s, prof)
+		denseHorizonLimit = old
+		change := func(b int64) bool {
+			if b <= 0 || b > T {
+				return false
+			}
+			return b == T || dense.lvl[b] != dense.lvl[b-1] || dense.ivx[b] != dense.ivx[b-1]
+		}
+		r := rng.New(seed)
+		for trial := 0; trial < 80; trial++ {
+			v := r.Intn(inst.N())
+			dur := inst.Dur[v]
+			if dur <= 0 || dur >= T {
+				continue
+			}
+			_, work := inst.ProcPower(v)
+			if trial%2 == 1 {
+				to := r.IntRange(0, T-dur)
+				dense.ApplyMove(s.Start[v], to, dur, work)
+				sparse.ApplyMove(s.Start[v], to, dur, work)
+				s.Start[v] = to
+			}
+			lo := r.IntRange(0, T-dur)
+			hi := min(lo+r.IntRange(0, T), T-dur)
+			want := []int64{lo}
+			for q := lo + 1; q < hi; q++ {
+				if change(q) || change(q+dur) {
+					want = append(want, q)
+				}
+			}
+			if hi > lo {
+				want = append(want, hi)
+			}
+			for _, tl := range []*Timeline{dense, sparse} {
+				got := tl.CandidateStarts(lo, hi, dur)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d trial %d (dense %v): [%d,%d] dur %d: got %v, want %v",
+						seed, trial, tl.dense, lo, hi, dur, got, want)
+				}
+			}
+		}
 	}
 }

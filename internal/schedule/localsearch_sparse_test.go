@@ -2,6 +2,7 @@ package schedule_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -55,6 +56,45 @@ func TestLocalSearchSparseMatchesDense(t *testing.T) {
 		}
 		if evals := sparseStats.LSEvals; evals == 0 || evals >= sparseStats.LSScans {
 			t.Errorf("mu %d: %d evaluations for %d scans: no visit was skipped", mu, evals, sparseStats.LSScans)
+		}
+	}
+}
+
+// TestAnnealSparseMatchesDense runs the annealer from the ASAP schedule
+// twice per instance: on dense timelines and with the sparse
+// representation forced. Its proposals are drawn from CandidateStarts, so
+// the two runs agree only if both forms propose exactly the same starts;
+// every start and the final cost must be equal.
+func TestAnnealSparseMatchesDense(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{40, 300} {
+		for _, zones := range []int{1, 3} {
+			for seed := uint64(1); seed <= 4; seed++ {
+				name := fmt.Sprintf("n %d/%d zones/seed %d", n, zones, seed)
+				inst, zs, asap := schedule.ZonedHEFTInstance(t, n, seed, zones)
+				anneal := func() (*schedule.Schedule, int64) {
+					s := asap.Clone()
+					cost, err := core.Anneal(ctx, inst, zs, s, core.AnnealOptions{Seed: seed})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					return s, cost
+				}
+				dense, denseCost := anneal()
+				restore := schedule.ForceSparseTimelines()
+				sparse, sparseCost := anneal()
+				restore()
+				if sparseCost != denseCost {
+					t.Errorf("%s: cost %d sparse, %d dense", name, sparseCost, denseCost)
+					continue
+				}
+				for v := range sparse.Start {
+					if sparse.Start[v] != dense.Start[v] {
+						t.Errorf("%s: task %d start %d sparse, %d dense", name, v, sparse.Start[v], dense.Start[v])
+						break
+					}
+				}
+			}
 		}
 	}
 }

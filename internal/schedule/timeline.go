@@ -11,22 +11,30 @@ import (
 // of placing a task (PlaceDelta) or of moving one (MoveGain,
 // FirstImprovingMove, CandidateStarts), without re-sweeping the horizon.
 //
-// Two representations back the same API:
+// Two level stores, one set of probes:
 //
 //   - dense (T ≤ denseHorizonLimit): one work-power level per time unit,
-//     plus the per-unit budget and interval index of the profile. Updates
-//     and probes are unit loops over the touched range — with the paper's
-//     small integer horizons and durations this beats any segment
-//     bookkeeping, and the probe semantics are *literally* the unit-step
-//     definitions.
+//     plus the per-unit budget and interval index of the profile.
 //   - sparse (large T): sorted breakpoint times t[0] < t[1] < ... with
 //     w[i] the total work power over [t[i], t[i+1)) (w implicitly 0
-//     before t[0] and after the last breakpoint).
+//     before t[0] and after the last breakpoint). Add splits segments;
+//     Compact merges equal neighbours.
+//
+// PlaceDelta, MoveGain and FirstImprovingMove read per-unit levels,
+// budgets and interval indices through window: the dense store hands out
+// its own arrays, the sparse one expands the probed range into per-unit
+// buffers. So each is one unit loop over the touched range, and its
+// semantics are literally the unit-step definitions in either store.
+// CandidateStarts, which is asked about a task's whole slack, walks the
+// changes of the draw instead (nextChange), so it never expands a window.
 //
 // The timeline keeps levels only, no cost: a caller that needs a
 // schedule's total prices it with CarbonCost. Add and Remove touch only
-// the levels of their range, and the probes never mutate the timeline at
-// all, so the representation only changes on committed moves.
+// the levels of their range, and the probes never change the levels, so
+// the representation only changes on committed moves. On the sparse store
+// a probe does overwrite the window buffers, though: a timeline must not
+// be probed from two goroutines at once, and a slice window returns is
+// valid only until the next probe.
 type Timeline struct {
 	prof *power.Profile
 	idle int64
@@ -35,36 +43,29 @@ type Timeline struct {
 	t []int64
 	w []int64
 
-	// Dense representation; nil when sparse. lvl[x] is the work power at
-	// unit x; bud[x] and ivx[x] cache the profile's budget and interval
-	// index at x so inner loops never binary-search the profile.
+	// Per-unit arrays. Dense: lvl[x] is the work power at unit x, and
+	// bud[x] and ivx[x] cache the profile's budget and interval index at
+	// x so inner loops never binary-search the profile. Sparse: the
+	// buffers window expands a probed range into.
 	dense bool
 	lvl   []int64
 	bud   []int64
 	ivx   []int32
 
-	// Scratch buffers reused by FirstImprovingMove so the local search's
-	// hot path stays allocation-free.
-	candBuf []int64
-	dcBuf   []int64
-	ddBuf   []int64
-	wsBuf   []int64
-
-	// scratch is where lvl, bud, ivx and the buffers above came from and
-	// go back to on release (see timelineScratch).
+	// scratch is where lvl, bud and ivx came from and go back to on
+	// release (see timelineScratch).
 	scratch *timelineScratch
 }
 
-// timelineScratch is a timeline's horizon-sized storage: the dense
-// per-unit arrays and FirstImprovingMove's buffers. A solve takes one per
-// timeline from scratchPool and (*ZoneTimelines).Release hands it back,
-// so a stream of solves over the same horizon stops allocating — and
-// zeroing — three T-sized arrays each. None of it is ever part of an
-// answer: the timeline keeps levels, and every query returns scalars.
+// timelineScratch is a timeline's per-unit storage: horizon-sized in the
+// dense form, the largest probed window in the sparse one. A solve takes
+// one per timeline from scratchPool and (*ZoneTimelines).Release hands it
+// back, so a stream of solves over the same horizon stops allocating —
+// and zeroing — three T-sized arrays each. None of it is ever part of an answer: the timeline keeps levels,
+// and every query returns scalars.
 type timelineScratch struct {
-	lvl, bud         []int64
-	ivx              []int32
-	cand, dc, dd, ws []int64
+	lvl, bud []int64
+	ivx      []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(timelineScratch) }}
@@ -90,20 +91,20 @@ var denseHorizonLimit int64 = 1 << 15
 func DenseHorizon(T int64) bool { return T <= denseHorizonLimit }
 
 // newTimeline builds an empty timeline: only the idle floor draws power.
-// Its storage comes from scratchPool. A reused level array is cleared;
-// the budget and interval index arrays are rewritten whole, since a
-// valid profile's intervals tile [0, T).
+// Its storage comes from scratchPool. A reused dense level array is
+// cleared; the budget and interval index arrays are rewritten whole,
+// since a valid profile's intervals tile [0, T). A sparse timeline keeps
+// the arrays as window's buffers, which it overwrites before each read.
 func newTimeline(idle int64, prof *power.Profile) *Timeline {
 	T := prof.T()
 	sc := scratchPool.Get().(*timelineScratch)
-	tl := &Timeline{prof: prof, idle: idle, scratch: sc,
-		candBuf: sc.cand, dcBuf: sc.dc, ddBuf: sc.dd, wsBuf: sc.ws}
+	tl := &Timeline{prof: prof, idle: idle, scratch: sc, lvl: sc.lvl, bud: sc.bud, ivx: sc.ivx}
 	if DenseHorizon(T) {
 		tl.dense = true
-		tl.lvl = grow(sc.lvl, T)
+		tl.lvl = grow(tl.lvl, T)
 		clear(tl.lvl)
-		tl.bud = grow(sc.bud, T)
-		tl.ivx = grow(sc.ivx, T)
+		tl.bud = grow(tl.bud, T)
+		tl.ivx = grow(tl.ivx, T)
 		for j, iv := range prof.Intervals {
 			for x := iv.Start; x < iv.End; x++ {
 				tl.bud[x] = iv.Budget
@@ -121,12 +122,45 @@ func newTimeline(idle int64, prof *power.Profile) *Timeline {
 // the timeline, so any later use of it panics.
 func (tl *Timeline) release() {
 	sc := tl.scratch
-	if tl.dense {
-		sc.lvl, sc.bud, sc.ivx = tl.lvl, tl.bud, tl.ivx
-	}
-	sc.cand, sc.dc, sc.dd, sc.ws = tl.candBuf, tl.dcBuf, tl.ddBuf, tl.wsBuf
+	sc.lvl, sc.bud, sc.ivx = tl.lvl, tl.bud, tl.ivx
 	*tl = Timeline{}
 	scratchPool.Put(sc)
+}
+
+// window returns the work-power levels, budgets and interval indices of
+// the units [a, b) ∩ [0, T) together with the index origin o of the
+// returned slices: unit x is at index x − o. A dense timeline returns its
+// own arrays whole, with origin 0. A sparse one expands its segments over
+// the range into its buffers, with origin max(a, 0); the expansion is
+// valid until the next call.
+func (tl *Timeline) window(a, b int64) (lvl, bud []int64, ivx []int32, o int64) {
+	if tl.dense {
+		return tl.lvl, tl.bud, tl.ivx, 0
+	}
+	a, b = max(a, 0), min(b, tl.prof.T())
+	if a >= b {
+		return nil, nil, nil, a
+	}
+	n := b - a
+	tl.lvl, tl.bud, tl.ivx = grow(tl.lvl, n), grow(tl.bud, n), grow(tl.ivx, n)
+	ivs := tl.prof.Intervals
+	i, j := tl.find(a), tl.prof.IndexAt(a)
+	for x := a; x < b; {
+		end := min(b, ivs[j].End)
+		if i+1 < len(tl.t) {
+			end = min(end, tl.t[i+1])
+		}
+		for ; x < end; x++ {
+			tl.lvl[x-a], tl.bud[x-a], tl.ivx[x-a] = tl.w[i], ivs[j].Budget, int32(j)
+		}
+		if i+1 < len(tl.t) && tl.t[i+1] == x {
+			i++
+		}
+		if ivs[j].End == x && j+1 < len(ivs) {
+			j++
+		}
+	}
+	return tl.lvl, tl.bud, tl.ivx, a
 }
 
 // find returns the index i with t[i] <= x < t[i+1] (or the last index if x
@@ -194,43 +228,14 @@ func (tl *Timeline) Remove(a, b, p int64) { tl.Add(a, b, -p) }
 // overdraw idle + w − G. It is the exact solver's placement probe; the
 // tests hold it to the change Add makes to a unit-step cost of the draw.
 func (tl *Timeline) PlaceDelta(a, b, p int64) int64 {
-	if a < 0 {
-		a = 0
-	}
-	if T := tl.prof.T(); b > T {
-		b = T
-	}
+	a, b = max(a, 0), min(b, tl.prof.T())
 	if a >= b || p == 0 {
 		return 0
 	}
+	lvls, buds, _, o := tl.window(a, b)
 	var delta int64
-	if tl.dense {
-		for x := a; x < b; x++ {
-			lvl := tl.idle + tl.lvl[x] - tl.bud[x]
-			with, without := lvl+p, lvl
-			if with < 0 {
-				with = 0
-			}
-			if without < 0 {
-				without = 0
-			}
-			delta += with - without
-		}
-		return delta
-	}
-	i := tl.find(a)
-	j := tl.prof.IndexAt(a)
-	x := a
-	for x < b {
-		segEnd := b
-		if i+1 < len(tl.t) && tl.t[i+1] < segEnd {
-			segEnd = tl.t[i+1]
-		}
-		iv := tl.prof.Intervals[j]
-		if iv.End < segEnd {
-			segEnd = iv.End
-		}
-		lvl := tl.idle + tl.w[i] - iv.Budget
+	for x := a; x < b; x++ {
+		lvl := tl.idle + lvls[x-o] - buds[x-o]
 		with, without := lvl+p, lvl
 		if with < 0 {
 			with = 0
@@ -238,23 +243,16 @@ func (tl *Timeline) PlaceDelta(a, b, p int64) int64 {
 		if without < 0 {
 			without = 0
 		}
-		delta += (with - without) * (segEnd - x)
-		x = segEnd
-		if i+1 < len(tl.t) && tl.t[i+1] == x {
-			i++
-		}
-		if iv.End == x && j+1 < len(tl.prof.Intervals) {
-			j++
-		}
+		delta += with - without
 	}
 	return delta
 }
 
 // MoveGain returns the carbon-cost reduction (positive = improvement) of
 // moving a task with work power p from [oldA, oldA+dur) to [newA,
-// newA+dur). The query walks the affected window once with the move
-// applied virtually — the timeline is not touched, so probes no longer
-// leave breakpoints behind.
+// newA+dur): before − after per touched unit, with the move applied
+// virtually, so the timeline is not touched. Units covered by both ranges
+// cancel.
 func (tl *Timeline) MoveGain(oldA, newA, dur, p int64) int64 {
 	if oldA == newA || dur <= 0 || p == 0 {
 		return 0
@@ -262,110 +260,37 @@ func (tl *Timeline) MoveGain(oldA, newA, dur, p int64) int64 {
 	T := tl.prof.T()
 	oldB, newB := oldA+dur, newA+dur
 	var gain int64
-	if tl.dense {
-		// before − after per touched unit, with the move applied
-		// virtually. Units covered by both ranges cancel.
-		for x := max64(oldA, 0); x < oldB && x < T; x++ {
-			if newA <= x && x < newB {
-				continue
-			}
-			lvl := tl.idle + tl.lvl[x] - tl.bud[x]
-			after := lvl - p
-			if lvl < 0 {
-				lvl = 0
-			}
-			if after < 0 {
-				after = 0
-			}
-			gain += lvl - after
-		}
-		for x := max64(newA, 0); x < newB && x < T; x++ {
-			if oldA <= x && x < oldB {
-				continue
-			}
-			lvl := tl.idle + tl.lvl[x] - tl.bud[x]
-			after := lvl + p
-			if lvl < 0 {
-				lvl = 0
-			}
-			if after < 0 {
-				after = 0
-			}
-			gain += lvl - after
-		}
-		return gain
-	}
-	lo, hi := oldA, newA
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	hi += dur
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > T {
-		hi = T
-	}
-	if lo >= hi {
-		return 0
-	}
-	i := tl.find(lo)
-	j := tl.prof.IndexAt(lo)
-	x := lo
-	for x < hi {
-		segEnd := hi
-		if i+1 < len(tl.t) && tl.t[i+1] < segEnd {
-			segEnd = tl.t[i+1]
-		}
-		iv := tl.prof.Intervals[j]
-		if iv.End < segEnd {
-			segEnd = iv.End
-		}
-		// Split at the edges of the two task ranges: the virtual levels
-		// are constant only between them.
-		if oldA > x && oldA < segEnd {
-			segEnd = oldA
-		}
-		if oldB > x && oldB < segEnd {
-			segEnd = oldB
-		}
-		if newA > x && newA < segEnd {
-			segEnd = newA
-		}
-		if newB > x && newB < segEnd {
-			segEnd = newB
-		}
-		before := tl.idle + tl.w[i] - iv.Budget
-		after := before
-		if oldA <= x && x < oldB {
-			after -= p
-		}
+	lvls, buds, _, o := tl.window(oldA, oldB)
+	for x := max(oldA, 0); x < oldB && x < T; x++ {
 		if newA <= x && x < newB {
-			after += p
+			continue
 		}
-		if before < 0 {
-			before = 0
+		lvl := tl.idle + lvls[x-o] - buds[x-o]
+		after := lvl - p
+		if lvl < 0 {
+			lvl = 0
 		}
 		if after < 0 {
 			after = 0
 		}
-		gain += (before - after) * (segEnd - x)
-		x = segEnd
-		if i+1 < len(tl.t) && tl.t[i+1] == x {
-			i++
+		gain += lvl - after
+	}
+	lvls, buds, _, o = tl.window(newA, newB)
+	for x := max(newA, 0); x < newB && x < T; x++ {
+		if oldA <= x && x < oldB {
+			continue
 		}
-		if iv.End == x && j+1 < len(tl.prof.Intervals) {
-			j++
+		lvl := tl.idle + lvls[x-o] - buds[x-o]
+		after := lvl + p
+		if lvl < 0 {
+			lvl = 0
 		}
+		if after < 0 {
+			after = 0
+		}
+		gain += lvl - after
 	}
 	return gain
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ApplyMove commits a task move on the timeline (O(touched range)).
