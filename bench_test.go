@@ -194,11 +194,10 @@ func benchZonedInstance(tb testing.TB, n, zones int, factor int64) (*cawosched.I
 	return inst, zs
 }
 
-// BenchmarkCarbonCostZones measures the per-zone cost sweep (3 zones), one
-// case on each side of the rule that picks the sweep's event
-// representation (schedule.sweepNodes): 500 tasks over twice the makespan
-// are counted into a difference array, 60 tasks over thirty times the
-// makespan are sorted. Compare the first against BenchmarkCarbonCost500,
+// BenchmarkCarbonCostZones measures the per-zone cost walk (3 zones), one
+// case on each side of the rule by which a schedule.Draw orders its
+// events: 500 tasks over twice the makespan are counted into a difference
+// array, 60 tasks over thirty times the makespan are sorted. Compare the first against BenchmarkCarbonCost500,
 // the single-zone sweep over the same workflow size.
 func BenchmarkCarbonCostZones(b *testing.B) {
 	for _, c := range []struct {
@@ -209,7 +208,8 @@ func BenchmarkCarbonCostZones(b *testing.B) {
 	}{{"500xDF2", 500, 2, true}, {"60xDF30", 60, 30, false}} {
 		b.Run(c.name, func(b *testing.B) {
 			inst, zs := benchZonedInstance(b, c.n, 3, c.factor)
-			// schedule.sweepSlotsPerNode = 16, over a third of the nodes a zone.
+			// At most 16 units per piece (one piece per node), over a third of
+			// the nodes a zone.
 			if counted := zs.T() <= 16*int64(inst.N()/3); counted != c.wantCount {
 				b.Fatalf("T=%d, %d nodes: on the wrong side of the sweep's rule", zs.T(), inst.N())
 			}

@@ -3,7 +3,8 @@
 //
 // A schedule assigns a start time to every node of Gc (original tasks and
 // communication tasks alike). Its carbon cost is computed with the
-// polynomial interval sweep of Appendix A.1; a brute-force per-time-unit
+// polynomial interval sweep of Appendix A.1, the walk of a Draw; a
+// brute-force per-time-unit
 // evaluator serves as the ground-truth oracle in tests. The Timeline type
 // supports the incremental cost-delta queries the local search needs.
 package schedule

@@ -11,9 +11,15 @@ import (
 	"repro/internal/rng"
 )
 
-// sweepBreakdown is CostBreakdown with the sweep's representation forced
-// instead of picked by sweepNodes' rule.
-func sweepBreakdown(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet, sweep func(*ceg.Instance, *Schedule, *power.Profile, int64, []int, func(j int, from, to, totalPower int64))) []ZoneCost {
+// orderingNames names the orderings in failure messages.
+var orderingNames = [...]string{counted: "counted", packed: "packed keys", compared: "comparator"}
+
+// orderedBreakdown is CostBreakdown with the ordering of every zone's
+// walk forced instead of picked by Draw.ordering. It also holds the walk
+// to its contract: the runs tile [0, T) in time order, and none is empty
+// or crosses the boundary of the interval it is reported in.
+func orderedBreakdown(t *testing.T, inst *ceg.Instance, s *Schedule, zs *power.ZoneSet, o ordering) []ZoneCost {
+	t.Helper()
 	out := make([]ZoneCost, zs.NumZones())
 	nodes := zoneNodes(inst, zs)
 	for z, zone := range zs.Zones {
@@ -22,13 +28,25 @@ func sweepBreakdown(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet, sweep fu
 			ivs[j] = IntervalCost{Start: iv.Start, End: iv.End, Budget: iv.Budget}
 		}
 		out[z] = ZoneCost{Zone: zone.Name, Intervals: ivs}
-		sweep(inst, s, zone.Profile, zoneIdle(inst, zs, z), nodes[z], func(j int, from, to, totalPower int64) {
-			ivs[j].Energy += totalPower * (to - from)
-			if over := totalPower - ivs[j].Budget; over > 0 {
+		idle := zoneIdle(inst, zs, z)
+		var d Draw
+		d.loadNodes(inst, s, nodes[z])
+		var end int64
+		d.walk(zone.Profile, o, func(j int, from, to, level int64) {
+			if from != end || from >= to || from < ivs[j].Start || to > ivs[j].End {
+				t.Errorf("zone %d, ordered by %s: run [%d, %d) in interval [%d, %d) after a run ending at %d",
+					z, orderingNames[o], from, to, ivs[j].Start, ivs[j].End, end)
+			}
+			end = to
+			ivs[j].Energy += (idle + level) * (to - from)
+			if over := idle + level - ivs[j].Budget; over > 0 {
 				ivs[j].Brown += over * (to - from)
 				out[z].Cost += over * (to - from)
 			}
 		})
+		if end != zone.Profile.T() {
+			t.Errorf("zone %d, ordered by %s: the runs end at %d, T = %d", z, orderingNames[o], end, zone.Profile.T())
+		}
 		for j := range ivs {
 			ivs[j].Green = ivs[j].Energy - ivs[j].Brown
 		}
@@ -62,13 +80,15 @@ func abuttingCase(t *testing.T, k int64) (*ceg.Instance, *power.ZoneSet, *Schedu
 	return inst, zs, &Schedule{Start: []int64{0, 4 * k, 7 * k}}
 }
 
-// TestSweepRepresentationsAgree holds CarbonCost and CostBreakdown, which
-// sweep with whichever representation sweepNodes' rule picks, to the
-// counted sweep, the sorted sweep over packed keys, the sorted sweep over
-// a comparator (the keys' overflow branch) and CarbonCostBrute, interval
-// by interval. A cost evaluation does not need a valid schedule, so the
-// cases include what only an invalid one has: starts before 0, finishes
-// at and past T, and tasks of zero duration; and events at equal times.
+// TestSweepRepresentationsAgree holds CarbonCost and CostBreakdown, whose
+// walks take whichever ordering of the events Draw.ordering picks, to the
+// one walk forced into each ordering — counted into a difference array,
+// sorted as packed keys, sorted by a comparator (the keys' overflow
+// branch) — interval by interval, and to CarbonCostBrute; and each forced
+// walk to the runs Walk promises. A cost
+// evaluation does not need a valid schedule, so the cases include what
+// only an invalid one has: starts before 0, finishes at and past T, and
+// tasks of zero duration; and events at equal times.
 func TestSweepRepresentationsAgree(t *testing.T) {
 	type sweepCase struct {
 		name string
@@ -101,40 +121,45 @@ func TestSweepRepresentationsAgree(t *testing.T) {
 	inst, zs, s := abuttingCase(t, 1)
 	cases = append(cases, sweepCase{"abutting tasks, empty zone", inst, zs, s})
 
-	picked := map[bool]int{}
+	orderings := []ordering{counted, packed, compared}
+	picked := map[ordering]int{}
 	for _, c := range cases {
 		for z, nodes := range zoneNodes(c.inst, c.zs) {
-			picked[countedSweep(c.inst, c.zs.Profile(z), nodes)]++
+			var d Draw
+			d.loadNodes(c.inst, c.s, nodes)
+			picked[d.ordering(c.zs.Profile(z).T())]++
 		}
 		want := CarbonCostBrute(c.inst, c.s, c.zs)
 		if got := CarbonCost(c.inst, c.s, c.zs); got != want {
 			t.Errorf("%s: CarbonCost %d, brute force %d", c.name, got, want)
 		}
 		got := CostBreakdown(c.inst, c.s, c.zs)
-		counted := sweepBreakdown(c.inst, c.s, c.zs, sweepCounted)
-		keyed := sweepBreakdown(c.inst, c.s, c.zs, sweepSorted)
-		compared := sweepBreakdown(c.inst, c.s, c.zs, sweepSortedFunc)
 		var sum int64
 		for z := range got {
-			if !reflect.DeepEqual(counted[z], got[z]) || !reflect.DeepEqual(keyed[z], got[z]) || !reflect.DeepEqual(compared[z], got[z]) {
-				t.Errorf("%s: zone %d costs %d by CostBreakdown, %d counted, %d sorted by key, %d sorted by comparator (or their intervals differ)",
-					c.name, z, got[z].Cost, counted[z].Cost, keyed[z].Cost, compared[z].Cost)
-			}
 			sum += got[z].Cost
 		}
 		if sum != want {
 			t.Errorf("%s: breakdown sums to %d, brute force %d", c.name, sum, want)
 		}
+		for _, o := range orderings {
+			forced := orderedBreakdown(t, c.inst, c.s, c.zs, o)
+			for z := range got {
+				if !reflect.DeepEqual(forced[z], got[z]) {
+					t.Errorf("%s: zone %d costs %d by CostBreakdown, %d ordered by %s (or their intervals differ)",
+						c.name, z, got[z].Cost, forced[z].Cost, orderingNames[o])
+				}
+			}
+		}
 	}
-	if picked[true] == 0 || picked[false] == 0 {
-		t.Errorf("the cases fall on one side of sweepNodes' rule only: %d zones counted, %d sorted", picked[true], picked[false])
+	if picked[counted] == 0 || picked[packed] == 0 {
+		t.Errorf("the cases fall on one side of the counted ordering's rule only: %d zones counted, %d packed", picked[counted], picked[packed])
 	}
 }
 
-// TestSweepKeyOverflow runs the sorted sweep where its packed keys would
-// overflow: the abutting case stretched by 2^57 has T = 12·2^57 (61 bits)
-// and three nodes in its busy zone (3 bits of slot), so CarbonCost and
-// CostBreakdown take the comparator branch there. Stretching every time
+// TestSweepKeyOverflow runs the walk where packed keys would overflow:
+// the abutting case stretched by 2^57 has T = 12·2^57 (61 bits) and three
+// nodes in its busy zone (six events, 3 bits of index), so CarbonCost and
+// CostBreakdown order its events with the comparator. Stretching every time
 // by k multiplies the cost by k, so the small case's brute-force cost is
 // the oracle. The guard itself is pinned at the largest horizon whose
 // keys still fit.
@@ -144,14 +169,16 @@ func TestSweepKeyOverflow(t *testing.T) {
 	unit := CarbonCostBrute(small, smallSched, smallZones)
 	inst, zs, s := abuttingCase(t, k)
 	busy := zoneNodes(inst, zs)[0]
-	if _, ok := eventKeys(inst, s, zs.T(), busy); ok {
-		t.Fatalf("T = %d with %d nodes: the keys fit, the case misses the overflow branch", zs.T(), len(busy))
+	var d Draw
+	d.loadNodes(inst, s, busy)
+	if o := d.ordering(zs.T()); o != compared {
+		t.Fatalf("T = %d with %d nodes: ordered by %s, the case misses the overflow branch", zs.T(), len(busy), orderingNames[o])
 	}
-	if _, ok := eventKeys(inst, s, 1<<60-1, busy); !ok {
-		t.Error("T = 2^60 - 1 with 3 nodes (3 bits of slot) fits in 63 bits, but eventKeys refused it")
+	if o := d.ordering(1<<60 - 1); o != packed {
+		t.Errorf("T = 2^60 - 1 with 3 nodes (3 bits of index) fits in 63 bits, but the walk orders by %s", orderingNames[o])
 	}
-	if _, ok := eventKeys(inst, s, 1<<60, busy); ok {
-		t.Error("T = 2^60 with 3 nodes does not fit in 63 bits, but eventKeys packed it")
+	if o := d.ordering(1 << 60); o != compared {
+		t.Errorf("T = 2^60 with 3 nodes does not fit in 63 bits, but the walk orders by %s", orderingNames[o])
 	}
 	if got := CarbonCost(inst, s, zs); got != unit*k {
 		t.Errorf("CarbonCost %d, want %d·2^57 = %d", got, unit, unit*k)

@@ -163,6 +163,32 @@ func (tl *Timeline) window(a, b int64) (lvl, bud []int64, ivx []int32, o int64) 
 	return tl.lvl, tl.bud, tl.ivx, a
 }
 
+// load sets the levels of an empty timeline to the draw's, run by run:
+// the dense store fills the units of each run, the sparse one keeps a
+// breakpoint only where the level changes, and the horizon's end as its
+// last one.
+func (tl *Timeline) load(d *Draw) {
+	if tl.dense {
+		d.Walk(tl.prof, func(_ int, from, to, level int64) {
+			if level != 0 {
+				for x := from; x < to; x++ {
+					tl.lvl[x] = level
+				}
+			}
+		})
+		return
+	}
+	tl.t, tl.w = make([]int64, 0, len(d.ev)+2), make([]int64, 0, len(d.ev)+2)
+	d.Walk(tl.prof, func(_ int, from, _, level int64) {
+		if n := len(tl.w); n == 0 || tl.w[n-1] != level {
+			tl.t = append(tl.t, from)
+			tl.w = append(tl.w, level)
+		}
+	})
+	tl.t = append(tl.t, tl.prof.T())
+	tl.w = append(tl.w, 0)
+}
+
 // find returns the index i with t[i] <= x < t[i+1] (or the last index if x
 // is beyond the end). x must be >= t[0]. Hand-rolled binary search: this
 // sits on the local search's hot path, where sort.Search's closure calls

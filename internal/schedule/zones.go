@@ -12,7 +12,7 @@ import (
 // piecewise-constant function per zone, and the total carbon cost is the
 // sum of the per-zone costs. A single-zone set evaluates every node
 // against the one profile above the whole-platform idle floor — exactly
-// the paper's semantics, through the same sweep code.
+// the paper's semantics, through the same walk of a Draw.
 
 // CheckZones verifies that the zone set is usable with the instance: a
 // single zone always is (the whole cluster shares it, whatever its zone
@@ -48,11 +48,11 @@ func zoneIdle(inst *ceg.Instance, zs *power.ZoneSet, z int) int64 {
 	return inst.ZoneIdlePower(z)
 }
 
-// zoneNodes partitions the instance's nodes by evaluation zone. For a
-// single-zone set it returns one nil entry (sweepNodes reads nil as "all
-// nodes"); a multi-zone set has one zone per cluster zone, whose node
-// lists the instance holds (non-nil: an empty zone sweeps no nodes, not
-// all).
+// zoneNodes partitions the instance's nodes by evaluation zone, the
+// pieces of each zone's Draw. For a single-zone set it returns one nil
+// entry (Draw.loadNodes reads nil as "all nodes"); a multi-zone set has
+// one zone per cluster zone, whose node lists the instance holds (non-nil:
+// an empty zone draws only its idle floor, not all nodes).
 func zoneNodes(inst *ceg.Instance, zs *power.ZoneSet) [][]int {
 	if zs.Single() {
 		return [][]int{nil}
@@ -71,9 +71,10 @@ type ZoneTimelines struct {
 	tls  []*Timeline
 }
 
-// NewZoneTimelines builds the per-zone timelines of a schedule. A nil
-// schedule yields empty timelines (only the idle floors draw power) for
-// callers that add tasks incrementally (the exact branch-and-bound).
+// NewZoneTimelines builds the per-zone timelines of a schedule, each
+// loaded in one walk of its zone's draw. A nil schedule yields empty
+// timelines (only the idle floors draw power) for callers that add tasks
+// incrementally (the exact branch-and-bound).
 func NewZoneTimelines(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) *ZoneTimelines {
 	if err := CheckZones(inst, zs); err != nil {
 		panic(err)
@@ -83,10 +84,13 @@ func NewZoneTimelines(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) *ZoneT
 		m.tls[z] = newTimeline(zoneIdle(inst, zs, z), zs.Profile(z))
 	}
 	if s != nil {
-		for v := 0; v < inst.N(); v++ {
-			_, work := inst.ProcPower(v)
-			m.For(v).Add(s.Start[v], s.Start[v]+inst.Dur[v], work)
+		d := drawPool.Get().(*Draw)
+		nodes := zoneNodes(inst, zs)
+		for z, tl := range m.tls {
+			d.loadNodes(inst, s, nodes[z])
+			tl.load(d)
 		}
+		drawPool.Put(d)
 	}
 	return m
 }

@@ -179,3 +179,64 @@ func TestCheckZones(t *testing.T) {
 		t.Errorf("matching multi-zone set rejected: %v", err)
 	}
 }
+
+// addBuiltTimelines is NewZoneTimelines as it was before timelines were
+// loaded from a Draw: empty timelines, then one Add per node into its
+// zone's timeline.
+func addBuiltTimelines(inst *ceg.Instance, s *Schedule, zs *power.ZoneSet) *ZoneTimelines {
+	m := &ZoneTimelines{inst: inst, zs: zs, tls: make([]*Timeline, zs.NumZones())}
+	for z := range m.tls {
+		m.tls[z] = newTimeline(zoneIdle(inst, zs, z), zs.Profile(z))
+	}
+	for v := 0; v < inst.N(); v++ {
+		_, work := inst.ProcPower(v)
+		m.For(v).Add(s.Start[v], s.Start[v]+inst.Dur[v], work)
+	}
+	return m
+}
+
+// levelAt reads a timeline's work-power level at unit x from either store.
+func levelAt(tl *Timeline, x int64) int64 {
+	if tl.dense {
+		return tl.lvl[x]
+	}
+	return tl.w[tl.find(x)]
+}
+
+// TestTimelineLoadMatchesAdd holds the timelines NewZoneTimelines loads
+// from each zone's draw to the ones a node-by-node Add builds, level for
+// level at every unit of the horizon, in both stores: on HEFT schedules
+// of one to three zones, as planned and with starts scattered up to past
+// the horizon's end, and with tasks of no duration.
+func TestTimelineLoadMatchesAdd(t *testing.T) {
+	for _, mode := range []string{"dense", "sparse"} {
+		t.Run(mode, func(t *testing.T) {
+			if mode == "sparse" {
+				defer ForceSparseTimelines()()
+			}
+			for seed := uint64(1); seed <= 6; seed++ {
+				inst, zs, s := zonedHEFTInstance(t, 30+10*int(seed), seed, 1+int(seed%3))
+				r := rng.New(seed)
+				scattered := s.Clone()
+				for v := range scattered.Start {
+					scattered.Start[v] = r.IntRange(0, zs.T()+10)
+				}
+				for v := 0; v < inst.N(); v += 5 {
+					inst.Dur[v] = 0
+				}
+				for name, sched := range map[string]*Schedule{"planned": s, "scattered": scattered} {
+					loaded, added := NewZoneTimelines(inst, sched, zs), addBuiltTimelines(inst, sched, zs)
+					for z := range loaded.tls {
+						for x := int64(0); x < zs.T(); x++ {
+							if got, want := levelAt(loaded.Zone(z), x), levelAt(added.Zone(z), x); got != want {
+								t.Fatalf("seed %d, %s, zone %d, unit %d: loaded level %d, added %d", seed, name, z, x, got, want)
+							}
+						}
+					}
+					loaded.Release()
+					added.Release()
+				}
+			}
+		})
+	}
+}

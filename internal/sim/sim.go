@@ -16,14 +16,15 @@
 // workflow engine with a static plan behaves. It reports the realized
 // makespan, the realized carbon cost under the true profile, and whether
 // the deadline was kept. On undisturbed inputs the simulation reproduces
-// the planned schedule and the static cost exactly, which doubles as an
-// independent check of the Appendix A.1 cost sweep.
+// the planned schedule and the static cost exactly. The energy split
+// walks the realized draw with schedule.Draw, the sweep CarbonCost uses,
+// so it is no independent check of that sweep; the tests hold it to a
+// unit-by-unit twin instead.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/ceg"
 	"repro/internal/power"
@@ -138,56 +139,21 @@ func Execute(inst *ceg.Instance, plan *schedule.Schedule, actual *power.Profile,
 	if res.Makespan > actual.T() {
 		eval = actual.Clip(res.Makespan)
 	}
-	res.BrownEnergy, res.GreenEnergy = energySplit(inst, res.Start, res.Dur, eval)
+	// Split the realized draw into brown max(P − G, 0) and green
+	// min(P, G) with the one walk of schedule.Draw.
+	var draw schedule.Draw
+	for v := 0; v < N; v++ {
+		_, work := inst.ProcPower(v)
+		draw.Add(res.Start[v], res.Start[v]+res.Dur[v], work)
+	}
+	idle := inst.TotalIdlePower()
+	draw.Walk(eval, func(j int, from, to, level int64) {
+		p, g := idle+level, eval.Intervals[j].Budget
+		res.BrownEnergy += max(p-g, 0) * (to - from)
+		res.GreenEnergy += min(p, g) * (to - from)
+	})
 	res.Cost = res.BrownEnergy
 	return res, nil
-}
-
-// energySplit is the Appendix A.1 sweep over realized (start, duration)
-// pairs, additionally accounting for the green share min(P_t, G_t).
-func energySplit(inst *ceg.Instance, start, dur []int64, prof *power.Profile) (brown, green int64) {
-	type event struct {
-		t int64
-		d int64
-	}
-	events := make([]event, 0, 2*inst.N())
-	for v := 0; v < inst.N(); v++ {
-		_, work := inst.ProcPower(v)
-		events = append(events, event{start[v], work})
-		events = append(events, event{start[v] + dur[v], -work})
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].t < events[j].t })
-	idle := inst.TotalIdlePower()
-	var workPower int64
-	ei := 0
-	for ei < len(events) && events[ei].t <= 0 {
-		workPower += events[ei].d
-		ei++
-	}
-	cur := int64(0)
-	for _, iv := range prof.Intervals {
-		for cur < iv.End {
-			next := iv.End
-			if ei < len(events) && events[ei].t < next {
-				next = events[ei].t
-			}
-			if next > cur {
-				p := idle + workPower
-				if over := p - iv.Budget; over > 0 {
-					brown += over * (next - cur)
-					green += iv.Budget * (next - cur)
-				} else {
-					green += p * (next - cur)
-				}
-				cur = next
-			}
-			for ei < len(events) && events[ei].t == cur {
-				workPower += events[ei].d
-				ei++
-			}
-		}
-	}
-	return brown, green
 }
 
 // Replay is Execute with no noise and the plan's own profile: it must

@@ -257,3 +257,53 @@ func TestPlanOnForecastEvaluateOnActual(t *testing.T) {
 		t.Error("realized cost disagrees with static evaluation under the actual profile")
 	}
 }
+
+// unitEnergy is the unit-by-unit twin of Execute's energy split: at every
+// unit t of the profile's horizon the platform draws its idle floor plus
+// the work power of the nodes running at t, of which min(P, G) is green
+// and max(P − G, 0) brown.
+func unitEnergy(inst *ceg.Instance, res *Result, prof *power.Profile) (brown, green int64) {
+	for t := int64(0); t < prof.T(); t++ {
+		p := inst.TotalIdlePower()
+		for v := range res.Start {
+			if res.Start[v] <= t && t < res.Start[v]+res.Dur[v] {
+				_, work := inst.ProcPower(v)
+				p += work
+			}
+		}
+		g := prof.BudgetAt(t)
+		brown += max(p-g, 0)
+		green += min(p, g)
+	}
+	return brown, green
+}
+
+// TestEnergySplitMatchesUnitTwin holds Execute's brown and green energy
+// to unitEnergy on replays and noisy executions, and on a biased one
+// that overruns the horizon, where the profile is extended past T
+// (Profile.Clip) and the twin walks the extended profile.
+func TestEnergySplitMatchesUnitTwin(t *testing.T) {
+	overran := false
+	for seed := uint64(0); seed < 4; seed++ {
+		inst, prof, plan := testInstance(t, 40, seed)
+		for _, noise := range []Noise{{}, {RelStdDev: 0.3, Seed: seed}, {RelStdDev: 0.1, Bias: 1.5, Seed: seed}} {
+			res, err := Execute(inst, plan, prof, noise)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eval := prof
+			if res.Makespan > prof.T() {
+				overran = true
+				eval = prof.Clip(res.Makespan)
+			}
+			brown, green := unitEnergy(inst, res, eval)
+			if res.BrownEnergy != brown || res.GreenEnergy != green || res.Cost != brown {
+				t.Errorf("seed %d, noise %+v: brown %d, green %d, cost %d; unit by unit brown %d, green %d",
+					seed, noise, res.BrownEnergy, res.GreenEnergy, res.Cost, brown, green)
+			}
+		}
+	}
+	if !overran {
+		t.Error("no execution overran the horizon: the Profile.Clip path went untested")
+	}
+}

@@ -335,3 +335,102 @@ func TestResidualSubtractsCommittedWork(t *testing.T) {
 		t.Errorf("offset window zone 0 at 4 = %d, want 10", got)
 	}
 }
+
+// TestResidualMatchesUnitTwin holds Ledger.Residual to its definition,
+// unit by unit: on random ledgers over two and three zones, the residual
+// budget at every unit u of a window [from, from+T) is the periodic base
+// supply at from+u minus the work of the claims in the zone that run at
+// from+u, floored at zero; and the residual merges equal neighbours, so no
+// two adjacent intervals share a budget. The windows wrap the supply's
+// period, and the claims straddle either end of a window, draw no work,
+// or abut on their processor; the test counts each so none goes untested.
+func TestResidualMatchesUnitTwin(t *testing.T) {
+	var wraps, straddleStart, straddleEnd, zeroWork, abut int
+	for seed := uint64(1); seed <= 30; seed++ {
+		r := rng.New(seed)
+		K := 2 + int(seed%2)
+		P := r.IntRange(8, 30)
+		zones := make([]power.Zone, K)
+		for z := range zones {
+			var lengths, budgets []int64
+			for left := P; left > 0; {
+				n := min(left, r.IntRange(1, 8))
+				lengths, budgets = append(lengths, n), append(budgets, r.IntRange(0, 12))
+				left -= n
+			}
+			prof, err := power.NewProfile(lengths, budgets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zones[z] = power.Zone{Name: fmt.Sprint("z", z), Profile: prof}
+		}
+		supply, err := power.NewZoneSet(zones...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zoneOf := func(proc int) int { return proc % K }
+		var claims []Claim
+		for proc := 0; proc < 6; proc++ {
+			for at := r.IntRange(0, 3); at < 4*P; {
+				end := at + r.IntRange(1, P)
+				claims = append(claims, Claim{Proc: proc, Start: at, End: end, Work: r.IntRange(0, 6)})
+				if claims[len(claims)-1].Work == 0 {
+					zeroWork++
+				}
+				gap := r.IntRange(0, 2)
+				if gap == 0 {
+					abut++
+				}
+				at = end + gap
+			}
+		}
+		l := NewLedger()
+		if err := l.Commit("tenant", claims); err != nil {
+			t.Fatal(err)
+		}
+		for range 8 {
+			from, T := r.IntRange(0, 3*P), r.IntRange(1, 2*P)
+			if from%P+T > P {
+				wraps++
+			}
+			res, err := l.Residual(supply, zoneOf, from, T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range claims {
+				if c.Start < from && from < c.End {
+					straddleStart++
+				}
+				if c.Start < from+T && from+T < c.End {
+					straddleEnd++
+				}
+			}
+			for z := 0; z < K; z++ {
+				prof := res.Profile(z)
+				if prof.T() != T {
+					t.Fatalf("seed %d, window [%d, %d+%d): zone %d residual spans %d units", seed, from, from, T, z, prof.T())
+				}
+				for u := int64(0); u < T; u++ {
+					want := supply.Profile(z).BudgetAt((from + u) % P)
+					for _, c := range claims {
+						if zoneOf(c.Proc) == z && c.Start <= from+u && from+u < c.End {
+							want -= c.Work
+						}
+					}
+					if got := prof.BudgetAt(u); got != max(want, 0) {
+						t.Fatalf("seed %d, window [%d, %d+%d), zone %d, unit %d: residual %d, want max(0, %d)", seed, from, from, T, z, u, got, want)
+					}
+				}
+				for i := 1; i < len(prof.Intervals); i++ {
+					if prof.Intervals[i].Budget == prof.Intervals[i-1].Budget {
+						t.Errorf("seed %d, window [%d, %d+%d), zone %d: intervals %+v and %+v share a budget", seed, from, from, T, z, prof.Intervals[i-1], prof.Intervals[i])
+					}
+				}
+			}
+		}
+	}
+	if wraps == 0 || straddleStart == 0 || straddleEnd == 0 || zeroWork == 0 || abut == 0 {
+		t.Errorf("a shape went untested: %d wrapping windows, %d claims straddling a window's start, %d its end, %d zero-work claims, %d abutting claims",
+			wraps, straddleStart, straddleEnd, zeroWork, abut)
+	}
+}

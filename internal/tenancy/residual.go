@@ -1,12 +1,11 @@
 package tenancy
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/power"
+	"repro/internal/schedule"
 	"repro/internal/scherr"
 )
 
@@ -78,86 +77,40 @@ func (l *Ledger) Residual(supply *power.ZoneSet, zoneOf func(proc int) int, from
 	}
 	K := window.NumZones()
 
-	// Per-zone power-delta events of the committed claims, in time
-	// relative to the window. A first pass sizes each zone's slice for
-	// two events per reservation; the second fills them.
-	type event struct {
-		t int64
-		d int64
-	}
-	events := make([][]event, K)
+	// Each zone's draw is the work power of the committed claims that
+	// overlap the window, in time relative to it.
+	draws := make([]schedule.Draw, K)
 	l.mu.RLock()
 	if err := l.beforeHorizon(from); err != nil {
 		l.mu.RUnlock()
 		return nil, err
 	}
-	sizes := make([]int, K)
 	for proc, rs := range l.procs {
 		z := zoneOf(proc)
 		if z < 0 || z >= K {
 			l.mu.RUnlock()
 			return nil, fmt.Errorf("tenancy: processor %d maps to zone %d outside [0, %d)", proc, z, K)
 		}
-		sizes[z] += 2 * len(rs)
-	}
-	for z, n := range sizes {
-		events[z] = make([]event, 0, n)
-	}
-	for proc, rs := range l.procs {
-		z := zoneOf(proc)
 		for _, r := range rs {
-			lo, hi := r.start-from, r.end-from
-			if hi <= 0 || lo >= T || r.work == 0 {
-				continue
+			if r.end > from && r.start < from+T {
+				draws[z].Add(r.start-from, r.end-from, r.work)
 			}
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > T {
-				hi = T
-			}
-			events[z] = append(events[z], event{lo, r.work}, event{hi, -r.work})
 		}
 	}
 	l.mu.RUnlock()
 
 	zones := make([]power.Zone, K)
-	for z := 0; z < K; z++ {
-		evs := events[z]
-		slices.SortFunc(evs, func(a, b event) int { return cmp.Compare(a.t, b.t) })
-		base := window.Profile(z).Intervals
+	for z := range zones {
+		base := window.Profile(z)
 		var out []power.Interval
-		var demand int64
-		ei := 0
-		for ei < len(evs) && evs[ei].t <= 0 {
-			demand += evs[ei].d
-			ei++
-		}
-		cur := int64(0)
-		for _, iv := range base {
-			for cur < iv.End {
-				next := iv.End
-				if ei < len(evs) && evs[ei].t < next {
-					next = evs[ei].t
-				}
-				if next > cur {
-					budget := iv.Budget - demand
-					if budget < 0 {
-						budget = 0
-					}
-					if n := len(out); n > 0 && out[n-1].Budget == budget {
-						out[n-1].End = next
-					} else {
-						out = append(out, power.Interval{Start: cur, End: next, Budget: budget})
-					}
-					cur = next
-				}
-				for ei < len(evs) && evs[ei].t == cur {
-					demand += evs[ei].d
-					ei++
-				}
+		draws[z].Walk(base, func(j int, a, b, demand int64) {
+			budget := max(base.Intervals[j].Budget-demand, 0)
+			if n := len(out); n > 0 && out[n-1].Budget == budget {
+				out[n-1].End = b
+			} else {
+				out = append(out, power.Interval{Start: a, End: b, Budget: budget})
 			}
-		}
+		})
 		zones[z] = power.Zone{Name: window.Zone(z).Name, Profile: &power.Profile{Intervals: out}}
 	}
 	return power.NewZoneSet(zones...)
